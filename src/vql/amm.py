@@ -8,17 +8,33 @@ every bank entry by minimizing the weighted squared error
                + delta/2 * ||sigma||^2
 
 where E_i is the multi-channel encoding of sample i's mask and W_i a
-per-pixel weight map emphasizing the foreground. The objective is a strictly
-convex quadratic, so each gradient step can use the closed-form optimal
-step length:
+per-pixel weight map emphasizing the foreground.
 
-    g     = sum_i adj_k(F_i, W_i^2 (.) (conv2d(F_i, sigma) - E_i)) + delta * sigma
-    alpha = ||g||^2 / (sum_i ||W_i (.) conv2d(F_i, g)||^2 + delta * ||g||^2)
+Written with the entry's im2col patch matrix A_i (one row per pixel, one
+column per kernel tap and input channel, P = K*K*C columns), the
+convolution is A_i sigma with sigma viewed as a (P, D) matrix. The weights
+are shared by all D label channels, so each entry enters the objective only
+through three statistics
+
+    M_i = A_i^T W_i^2 A_i   (P x P)
+    b_i = A_i^T W_i^2 E_i   (P x D)
+    c_i = ||W_i (.) E_i||^2
+
+and with M, b, c their sums over the bank
+
+    L(sigma) = 1/2 * (<sigma, M sigma> - 2 <sigma, b> + c) + delta/2 * ||sigma||^2.
+
+The statistics are computed once per entry and kept on it (entries are
+read-only, so they cannot go stale); a refit sums them and then works in
+P x D space only. The objective is a strictly convex quadratic, so each
+gradient step uses the closed-form optimal step length:
+
+    g     = M sigma - b + delta * sigma
+    alpha = ||g||^2 / (<g, M g> + delta * ||g||^2)
     sigma <- sigma - alpha * g
 
-with adj_k the kernel-side adjoint of the convolution. Exact line search
-makes the loss non-increasing at every iteration and convergence to the
-unique ridge optimum a matter of iteration count only.
+Exact line search makes the loss non-increasing at every iteration and
+convergence to the unique ridge optimum a matter of iteration count only.
 
 The bank itself is a FIFO of cropped, resampled (feature, mask) pairs; a
 new retrieval is admitted only when its mean in-mask probability clears a
@@ -37,12 +53,12 @@ from .core import (
     EmptyInputError,
     ParameterError,
     bilinear_resize,
-    conv2d,
     extract_square_crop,
     gaussian_label,
-    kernel_gradient,
+    im2col,
     min_bounding_rect,
     nearest_resize,
+    readonly_copy,
 )
 
 __all__ = [
@@ -102,20 +118,26 @@ class TargetReweighter:
         return reweight(mask, self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AmmSample:
-    """One bank entry: a feature crop, its binary mask, and the retrieval confidence."""
+    """One bank entry: a feature crop, its binary mask, and the retrieval confidence.
+
+    The arrays are read-only copies, so the solver statistics cached on the
+    entry always describe its contents.
+    """
 
     feature: np.ndarray
     mask: np.ndarray
     confidence: float = 1.0
+    # solver statistics keyed by (kernel size, reweighter[, encoder])
+    _stats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.feature = np.asarray(self.feature, dtype=np.float64)
-        self.mask = np.asarray(self.mask)
-        if self.feature.shape[:2] != self.mask.shape:
+        object.__setattr__(self, "feature", readonly_copy(self.feature, np.float64))
+        object.__setattr__(self, "mask", readonly_copy(self.mask))
+        if self.feature.ndim != 3 or self.feature.shape[:2] != self.mask.shape:
             raise DimensionError(
-                f"feature {self.feature.shape[:2]} and mask {self.mask.shape} dims differ"
+                f"feature {self.feature.shape} and mask {self.mask.shape} dims differ"
             )
 
 
@@ -137,15 +159,15 @@ class AmmMemory:
         return len(self.entries)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SegFilter:
-    """Segmentation convolution weights plus the ridge coefficient."""
+    """Segmentation convolution weights (read-only) plus the ridge coefficient."""
 
     kernel: np.ndarray
     regularizer: float = 0.01
 
     def __post_init__(self) -> None:
-        self.kernel = np.asarray(self.kernel, dtype=np.float64)
+        object.__setattr__(self, "kernel", readonly_copy(self.kernel, np.float64))
         if self.regularizer <= 0:
             raise ParameterError(f"regularizer must be positive, got {self.regularizer}")
 
@@ -223,59 +245,91 @@ def _sample_list(mem) -> list[AmmSample]:
     return list(mem)
 
 
-def _prepare(
-    mem, enc: PseudoLabelEncoder, rw: TargetReweighter
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    prepared = []
+def _weighted_patches(sample: AmmSample, ksz: int, rw: TargetReweighter) -> tuple[np.ndarray, np.ndarray]:
+    weights = reweight(sample.mask, rw).reshape(-1, 1)
+    return weights, weights * im2col(sample.feature, ksz)
+
+
+def _gram(sample: AmmSample, ksz: int, rw: TargetReweighter) -> np.ndarray:
+    """M_i = A_i^T W_i^2 A_i, computed once per (kernel size, reweighter)."""
+    key = (ksz, rw)
+    if key not in sample._stats:
+        _, patches = _weighted_patches(sample, ksz, rw)
+        sample._stats[key] = readonly_copy(patches.T @ patches)
+    return sample._stats[key]
+
+
+def _statistics(
+    sample: AmmSample, ksz: int, enc: PseudoLabelEncoder, rw: TargetReweighter
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(M_i, b_i, c_i) of one entry, each computed once and kept on the entry."""
+    key = (ksz, rw, enc)
+    if key not in sample._stats:
+        weights, patches = _weighted_patches(sample, ksz, rw)
+        target = weights * enc.encode(sample.mask).reshape(weights.size, -1)
+        if (ksz, rw) not in sample._stats:
+            sample._stats[(ksz, rw)] = readonly_copy(patches.T @ patches)
+        sample._stats[key] = (readonly_copy(patches.T @ target), float(np.sum(target**2)))
+    cross, energy = sample._stats[key]
+    return sample._stats[(ksz, rw)], cross, energy
+
+
+def _bank_statistics(
+    mem, kernel_shape: Sequence[int], enc: PseudoLabelEncoder, rw: TargetReweighter
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(M, b, c): the entries' statistics summed for a kernel of the given shape."""
+    ksz, _, c_in, c_out = kernel_shape
+    gram = np.zeros((ksz * ksz * c_in,) * 2)
+    cross = np.zeros((ksz * ksz * c_in, c_out))
+    energy = 0.0
     for sample in _sample_list(mem):
-        weights = reweight(sample.mask, rw)[:, :, None]
-        target = enc.encode(sample.mask)
-        prepared.append((sample.feature, target, weights))
-    return prepared
+        m_i, b_i, c_i = _statistics(sample, ksz, enc, rw)
+        if b_i.shape != cross.shape:
+            raise DimensionError(
+                f"entry with {sample.feature.shape[2]} channels and {b_i.shape[1]} labels "
+                f"does not fit kernel shape {tuple(kernel_shape)}"
+            )
+        gram += m_i
+        cross += b_i
+        energy += c_i
+    return gram, cross, energy
 
 
-def _loss_prepared(kernel: np.ndarray, delta: float, prepared) -> float:
-    total = 0.0
-    for feature, target, weights in prepared:
-        residual = conv2d(feature, kernel) - target
-        total += 0.5 * float(np.sum((weights * residual) ** 2))
-    return total + 0.5 * delta * float(np.sum(kernel**2))
-
-
-def _gradient_prepared(kernel: np.ndarray, delta: float, prepared) -> np.ndarray:
-    g = delta * kernel.copy()
-    for feature, target, weights in prepared:
-        residual = conv2d(feature, kernel) - target
-        g += kernel_gradient(feature, weights**2 * residual, kernel.shape)
-    return g
-
-
-def _step_size_prepared(g: np.ndarray, delta: float, prepared) -> float:
+def _exact_step(g: np.ndarray, gram: np.ndarray, delta: float) -> float:
     g_norm2 = float(np.sum(g**2))
     if g_norm2 == 0.0:
         raise ParameterError("step size is undefined for a zero gradient (already converged)")
-    denom = delta * g_norm2
-    for feature, _target, weights in prepared:
-        denom += float(np.sum((weights * conv2d(feature, g)) ** 2))
-    return g_norm2 / denom
+    return g_norm2 / (float(np.sum(g * (gram @ g))) + delta * g_norm2)
 
 
 def seg_loss(filt: SegFilter, mem, enc: PseudoLabelEncoder, rw: TargetReweighter) -> float:
     """Weighted half-squared-error over the bank plus the ridge term."""
-    return _loss_prepared(filt.kernel, filt.regularizer, _prepare(mem, enc, rw))
+    gram, cross, energy = _bank_statistics(mem, filt.kernel.shape, enc, rw)
+    sigma = filt.kernel.reshape(cross.shape)
+    fit = float(np.sum(sigma * (gram @ sigma))) - 2.0 * float(np.sum(sigma * cross)) + energy
+    return 0.5 * fit + 0.5 * filt.regularizer * float(np.sum(sigma**2))
 
 
 def seg_gradient(filt: SegFilter, mem, enc: PseudoLabelEncoder, rw: TargetReweighter) -> np.ndarray:
     """Exact gradient of :func:`seg_loss` with respect to the kernel."""
-    return _gradient_prepared(filt.kernel, filt.regularizer, _prepare(mem, enc, rw))
+    gram, cross, _ = _bank_statistics(mem, filt.kernel.shape, enc, rw)
+    sigma = filt.kernel.reshape(cross.shape)
+    return (gram @ sigma - cross + filt.regularizer * sigma).reshape(filt.kernel.shape)
 
 
 def steepest_step_size(g: np.ndarray, mem, rw: TargetReweighter, delta: float) -> float:
     """Closed-form minimizer of the loss along the negative gradient direction."""
-    prepared = [
-        (s.feature, None, reweight(s.mask, rw)[:, :, None]) for s in _sample_list(mem)
-    ]
-    return _step_size_prepared(np.asarray(g, dtype=np.float64), delta, prepared)
+    g = np.asarray(g, dtype=np.float64)
+    ksz, _, c_in, c_out = g.shape
+    gram = np.zeros((ksz * ksz * c_in,) * 2)
+    for sample in _sample_list(mem):
+        m_i = _gram(sample, ksz, rw)
+        if m_i.shape != gram.shape:
+            raise DimensionError(
+                f"entry with {sample.feature.shape[2]} channels does not fit gradient shape {g.shape}"
+            )
+        gram += m_i
+    return _exact_step(g.reshape(-1, c_out), gram, delta)
 
 
 def steepest_descent(
@@ -288,15 +342,15 @@ def steepest_descent(
     """Run n_iter exact-line-search gradient steps; stops early once converged."""
     if n_iter < 0:
         raise ParameterError(f"n_iter must be >= 0, got {n_iter}")
-    prepared = _prepare(mem, enc, rw)
-    kernel = filt.kernel.copy()
+    gram, cross, _ = _bank_statistics(mem, filt.kernel.shape, enc, rw)
+    delta = filt.regularizer
+    sigma = filt.kernel.reshape(cross.shape)
     for _ in range(n_iter):
-        g = _gradient_prepared(kernel, filt.regularizer, prepared)
+        g = gram @ sigma - cross + delta * sigma
         if float(np.sqrt(np.sum(g**2))) < GRADIENT_EPS:
             break
-        alpha = _step_size_prepared(g, filt.regularizer, prepared)
-        kernel = kernel - alpha * g
-    return SegFilter(kernel, filt.regularizer)
+        sigma = sigma - _exact_step(g, gram, delta) * g
+    return SegFilter(sigma.reshape(filt.kernel.shape), delta)
 
 
 def amm_admit(result_prob: np.ndarray, result_mask: np.ndarray, threshold: float) -> bool:

@@ -26,6 +26,8 @@ __all__ = [
     "conv2d",
     "conv2d_transpose",
     "kernel_gradient",
+    "im2col",
+    "readonly_copy",
     "gaussian_label",
     "connected_components",
     "min_bounding_rect",
@@ -143,6 +145,40 @@ def kernel_gradient(x: np.ndarray, residual: np.ndarray, kernel_shape: Sequence[
             window = xp[dy : dy + h, dx : dx + w, :]
             g[dy, dx] = np.tensordot(window, residual, axes=([0, 1], [0, 1]))
     return g
+
+
+def im2col(x: np.ndarray, ksz: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Patch matrix of a (H, W, C) map for a K x K same-padded correlation.
+
+    Row ``i * W + j`` holds the K*K*C inputs under the kernel centered on
+    pixel (i, j), ordered like ``k.reshape(K * K * C, D)``, so
+    ``im2col(x, K) @ k.reshape(-1, D)`` equals ``conv2d(x, k).reshape(-1, D)``.
+    The rows are written into ``out`` when it is given.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3:
+        raise DimensionError(f"feature map must be (H, W, C), got {x.shape}")
+    if ksz < 1 or ksz % 2 == 0:
+        raise ParameterError(f"kernel size must be odd and positive, got {ksz}")
+    r = ksz // 2
+    h, w, c = x.shape
+    if out is None:
+        out = np.empty((h * w, ksz * ksz * c))
+    elif out.shape != (h * w, ksz * ksz * c) or not out.flags.c_contiguous:
+        raise DimensionError(f"out must be a C-contiguous {(h * w, ksz * ksz * c)} array")
+    xp = np.pad(x, ((r, r), (r, r), (0, 0)))
+    taps = out.reshape(h, w, ksz, ksz, c)
+    for dy in range(ksz):
+        for dx in range(ksz):
+            taps[:, :, dy, dx, :] = xp[dy : dy + h, dx : dx + w, :]
+    return out
+
+
+def readonly_copy(a, dtype=None) -> np.ndarray:
+    """A copy of ``a`` that raises on assignment, for state a cache describes."""
+    out = np.array(a, dtype=dtype)
+    out.flags.writeable = False
+    return out
 
 
 def gaussian_label(center: Sequence[float], sigma: float, shape: Sequence[int]) -> np.ndarray:

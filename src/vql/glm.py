@@ -13,20 +13,26 @@ spatial weight derived from G. The loss is
 
     L(c) = 1/|O| * sum_i ||r_i||^2 + lambda^2 ||c||^2
 
-with gradient (using the hinge subgradient, zero at the kink)
+The solver works on the bank flattened to pixel rows: A stacks every
+sample's im2col patch matrix (one row per pixel, P = K*K*C columns), so all
+scores are one matvec h = A c, and sw, S, G and r become vectors over the
+same rows. With the hinge subgradient (zero at the kink)
 
-    Q_i      = sw * (S + (1 - S) * 1[H > 0])
-    grad L   = 2/|O| * sum_i adj_k(F_i, Q_i * r_i) + 2 lambda^2 c.
+    q        = sw * (S + (1 - S) * 1[h > 0])
+    grad L   = 2/|O| * A^T (q * r) + 2 lambda^2 c.
 
 Each iteration moves along -grad L with the step length that minimizes the
-quadratic model built from the residual Jacobian (curvature products are
-evaluated matrix-free):
+quadratic model built from the residual Jacobian q * A:
 
-    (J'J) v = 2/|O| * sum_i adj_k(F_i, Q_i * (Q_i * conv2d(F_i, v))) + 2 lambda^2 v
-    beta    = ||g||^2 / (g . (J'J) g)
+    g' (J'J) g = 2/|O| * ||q * (A g)||^2 + 2 lambda^2 ||g||^2
+    beta       = ||g||^2 / (g' (J'J) g)
 
 Because the hinge makes the true objective only piecewise quadratic, a
-halving safeguard rejects any step that would increase the loss.
+halving safeguard rejects any step that would increase the loss. An
+iteration therefore costs one gradient product A^T (q * r), one curvature
+product A g and one matvec per candidate step; the accepted candidate's
+scores and residuals seed the next iteration. A is rebuilt on every call
+and not kept on the samples.
 
 The bank keeps one immutable static snapshot (the initial query) plus a
 FIFO of dynamic snapshots from accepted retrievals.
@@ -47,7 +53,8 @@ from .core import (
     conv2d,
     extract_square_crop,
     gaussian_label,
-    kernel_gradient,
+    im2col,
+    readonly_copy,
 )
 from .amm import CROP_AREA_LADDER, GRADIENT_EPS
 
@@ -86,9 +93,9 @@ class SpatialWeightFn:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class GlmSample:
-    """A feature crop with its Gaussian label and target-region map."""
+    """A feature crop with its Gaussian label and target-region map (read-only copies)."""
 
     feature: np.ndarray
     label: np.ndarray
@@ -96,12 +103,13 @@ class GlmSample:
     kind: str = "dynamic"
 
     def __post_init__(self) -> None:
-        self.feature = np.asarray(self.feature, dtype=np.float64)
-        self.label = np.asarray(self.label, dtype=np.float64)
-        self.target_region = np.asarray(self.target_region, dtype=np.float64)
-        if not (self.feature.shape[:2] == self.label.shape == self.target_region.shape):
+        for name in ("feature", "label", "target_region"):
+            object.__setattr__(self, name, readonly_copy(getattr(self, name), np.float64))
+        if self.feature.ndim != 3 or not (
+            self.feature.shape[:2] == self.label.shape == self.target_region.shape
+        ):
             raise DimensionError(
-                f"feature {self.feature.shape[:2]}, label {self.label.shape} and "
+                f"feature {self.feature.shape}, label {self.label.shape} and "
                 f"region {self.target_region.shape} dims differ"
             )
         if self.target_region.min() < 0 or self.target_region.max() > 1:
@@ -137,15 +145,15 @@ class GlmMemory:
         return 1 + len(self.dynamic_entries)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrackFilter:
-    """Correlation filter weights plus the ridge coefficient lambda."""
+    """Correlation filter weights (read-only) plus the ridge coefficient lambda."""
 
     kernel: np.ndarray
     regularizer: float = 0.1
 
     def __post_init__(self) -> None:
-        self.kernel = np.asarray(self.kernel, dtype=np.float64)
+        object.__setattr__(self, "kernel", readonly_copy(self.kernel, np.float64))
         if self.regularizer <= 0:
             raise ParameterError(f"regularizer must be positive, got {self.regularizer}")
 
@@ -164,14 +172,21 @@ def track_score(feature: np.ndarray, filt: TrackFilter) -> np.ndarray:
     return conv2d(feature, filt.kernel)[:, :, 0]
 
 
+def _blend(score, weight, region, label) -> tuple[np.ndarray, np.ndarray]:
+    """Residual sw * (S * H + (1 - S) * max(0, H) - G) and its derivative q wrt H."""
+    blended = region * score + (1.0 - region) * np.maximum(0.0, score)
+    # subgradient 0 at H = 0
+    q = weight * (region + (1.0 - region) * (score > 0.0))
+    return weight * (blended - label), q
+
+
 def track_residual(score: np.ndarray, sample: GlmSample, fn: SpatialWeightFn) -> np.ndarray:
     """sw * (S * H + (1 - S) * max(0, H) - G), elementwise."""
     score = np.asarray(score, dtype=np.float64)
     if score.shape != sample.label.shape:
         raise DimensionError(f"score {score.shape} and label {sample.label.shape} dims differ")
-    s = sample.target_region
-    blended = s * score + (1.0 - s) * np.maximum(0.0, score)
-    return spatial_weight(sample.label, fn) * (blended - sample.label)
+    residual, _ = _blend(score, spatial_weight(sample.label, fn), sample.target_region, sample.label)
+    return residual
 
 
 def _samples(mem) -> list[GlmSample]:
@@ -180,62 +195,78 @@ def _samples(mem) -> list[GlmSample]:
     return list(mem)
 
 
+class _Problem:
+    """The bank flattened to pixel rows for one kernel shape.
+
+    Holds the stacked patch matrix A and the per-row sw, S and G; every
+    method works on a flat kernel c of length P.
+    """
+
+    def __init__(self, mem, fn: SpatialWeightFn, kernel_shape: Sequence[int], regularizer: float):
+        samples = _samples(mem)
+        if not samples:
+            raise EmptyInputError("the tracking bank has no samples")
+        ksz, _, c_in, c_out = kernel_shape
+        if c_out != 1:
+            raise DimensionError(f"tracking kernel must have one output channel, got {tuple(kernel_shape)}")
+        rows = [s.label.size for s in samples]
+        self.patches = np.empty((sum(rows), ksz * ksz * c_in))
+        offset = 0
+        for sample, n in zip(samples, rows):
+            if sample.feature.shape[2] != c_in:
+                raise DimensionError(
+                    f"feature channels {sample.feature.shape[2]} do not match kernel shape {tuple(kernel_shape)}"
+                )
+            im2col(sample.feature, ksz, out=self.patches[offset : offset + n])
+            offset += n
+        self.label = np.concatenate([s.label.ravel() for s in samples])
+        self.region = np.concatenate([s.target_region.ravel() for s in samples])
+        self.weight = spatial_weight(self.label, fn)
+        self.scale = 1.0 / len(samples)
+        self.ridge = regularizer**2
+
+    def evaluate(self, c: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """Loss, residual r and derivative map q at the flat kernel c."""
+        r, q = _blend(self.patches @ c, self.weight, self.region, self.label)
+        return self.scale * float(r @ r) + self.ridge * float(c @ c), r, q
+
+    def gradient(self, c: np.ndarray, r: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return 2.0 * self.scale * (self.patches.T @ (q * r)) + 2.0 * self.ridge * c
+
+    def step_length(self, g: np.ndarray, q: np.ndarray) -> float:
+        """beta = ||g||^2 / (g' (J'J) g) with J'J frozen at the derivative map q."""
+        g_norm2 = float(g @ g)
+        if g_norm2 == 0.0:
+            raise ParameterError("step is undefined for a zero gradient (already converged)")
+        qag = q * (self.patches @ g)
+        curvature = 2.0 * self.scale * float(qag @ qag) + 2.0 * self.ridge * g_norm2
+        if curvature <= 0.0:
+            raise ParameterError(f"curvature along the gradient is not positive: {curvature}")
+        return g_norm2 / curvature
+
+
 def track_loss(filt: TrackFilter, mem, fn: SpatialWeightFn) -> float:
     """Mean squared residual over the bank plus lambda^2 ||c||^2."""
-    samples = _samples(mem)
-    total = 0.0
-    for sample in samples:
-        r = track_residual(track_score(sample.feature, filt), sample, fn)
-        total += float(np.sum(r**2))
-    total /= len(samples)
-    return total + filt.regularizer**2 * float(np.sum(filt.kernel**2))
-
-
-def _q_map(score: np.ndarray, sample: GlmSample, fn: SpatialWeightFn) -> np.ndarray:
-    # derivative of the blended residual wrt the score; subgradient 0 at H = 0
-    s = sample.target_region
-    return spatial_weight(sample.label, fn) * (s + (1.0 - s) * (score > 0.0))
+    problem = _Problem(mem, fn, filt.kernel.shape, filt.regularizer)
+    loss, _, _ = problem.evaluate(filt.kernel.ravel())
+    return loss
 
 
 def track_gradient(filt: TrackFilter, mem, fn: SpatialWeightFn) -> np.ndarray:
     """Exact gradient of :func:`track_loss` wherever no score sits on the hinge kink."""
-    samples = _samples(mem)
-    g = 2.0 * filt.regularizer**2 * filt.kernel.copy()
-    scale = 2.0 / len(samples)
-    for sample in samples:
-        score = track_score(sample.feature, filt)
-        r = track_residual(score, sample, fn)
-        q = _q_map(score, sample, fn)
-        g += scale * kernel_gradient(sample.feature, (q * r)[:, :, None], filt.kernel.shape)
-    return g
-
-
-def _curvature_apply(
-    v: np.ndarray,
-    samples: Sequence[GlmSample],
-    q_maps: Sequence[np.ndarray],
-    regularizer: float,
-) -> np.ndarray:
-    out = 2.0 * regularizer**2 * v
-    scale = 2.0 / len(samples)
-    for sample, q in zip(samples, q_maps):
-        rv = q * conv2d(sample.feature, v)[:, :, 0]
-        out = out + scale * kernel_gradient(sample.feature, (q * rv)[:, :, None], v.shape)
-    return out
+    problem = _Problem(mem, fn, filt.kernel.shape, filt.regularizer)
+    c = filt.kernel.ravel()
+    _, r, q = problem.evaluate(c)
+    return problem.gradient(c, r, q).reshape(filt.kernel.shape)
 
 
 def gauss_newton_step(filt: TrackFilter, mem, fn: SpatialWeightFn) -> tuple[np.ndarray, float]:
     """Gradient direction and the step length minimizing the frozen quadratic model."""
-    samples = _samples(mem)
-    g = track_gradient(filt, mem, fn)
-    g_norm2 = float(np.sum(g**2))
-    if g_norm2 == 0.0:
-        raise ParameterError("step is undefined for a zero gradient (already converged)")
-    q_maps = [_q_map(track_score(s.feature, filt), s, fn) for s in samples]
-    curvature = float(np.sum(g * _curvature_apply(g, samples, q_maps, filt.regularizer)))
-    if curvature <= 0.0:
-        raise ParameterError(f"curvature along the gradient is not positive: {curvature}")
-    return g, g_norm2 / curvature
+    problem = _Problem(mem, fn, filt.kernel.shape, filt.regularizer)
+    c = filt.kernel.ravel()
+    _, r, q = problem.evaluate(c)
+    g = problem.gradient(c, r, q)
+    return g.reshape(filt.kernel.shape), problem.step_length(g, q)
 
 
 def optimize_filter(filt: TrackFilter, mem, n_iter: int, fn: SpatialWeightFn) -> TrackFilter:
@@ -247,25 +278,24 @@ def optimize_filter(filt: TrackFilter, mem, n_iter: int, fn: SpatialWeightFn) ->
     """
     if n_iter < 0:
         raise ParameterError(f"n_iter must be >= 0, got {n_iter}")
-    current = TrackFilter(filt.kernel.copy(), filt.regularizer)
-    loss = track_loss(current, mem, fn)
+    problem = _Problem(mem, fn, filt.kernel.shape, filt.regularizer)
+    c = filt.kernel.ravel()
+    loss, r, q = problem.evaluate(c)
     for _ in range(n_iter):
-        g = track_gradient(current, mem, fn)
-        if float(np.sqrt(np.sum(g**2))) < GRADIENT_EPS:
+        g = problem.gradient(c, r, q)
+        if float(np.sqrt(g @ g)) < GRADIENT_EPS:
             break
-        _, beta = gauss_newton_step(current, mem, fn)
-        accepted = False
+        beta = problem.step_length(g, q)
         for _halving in range(MAX_STEP_HALVINGS + 1):
-            candidate = TrackFilter(current.kernel - beta * g, current.regularizer)
-            candidate_loss = track_loss(candidate, mem, fn)
+            candidate = c - beta * g
+            candidate_loss, candidate_r, candidate_q = problem.evaluate(candidate)
             if candidate_loss <= loss:
-                current, loss = candidate, candidate_loss
-                accepted = True
+                c, loss, r, q = candidate, candidate_loss, candidate_r, candidate_q
                 break
             beta *= 0.5
-        if not accepted:
+        else:
             break
-    return current
+    return TrackFilter(c.reshape(filt.kernel.shape), filt.regularizer)
 
 
 def label_sigma(side: float) -> float:

@@ -12,14 +12,13 @@ filters revert to their post-initialization state.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import amm, fusion, geo3d, glm
-from .core import DimensionError, EmptyInputError, conv2d, min_bounding_rect
+from .core import DimensionError, EmptyInputError, ParameterError, conv2d, min_bounding_rect
 
 __all__ = [
     "NoDetectionError",
@@ -63,13 +62,32 @@ class PipelineConfig:
     updates_enabled: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("admit_threshold", "halt_threshold", "temporal_ratio"):
+        for name in ("admit_threshold", "halt_threshold", "temporal_ratio", "lambda_thr"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        for name in ("clip_length", "update_stride", "dense_update_horizon", "capacity"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ParameterError(f"{name} must lie in [0, 1], got {value}")
+        for name in (
+            "clip_length",
+            "dense_update_horizon",
+            "update_stride",
+            "halt_window",
+            "capacity",
+            "sample_resolution",
+            "label_channels",
+            "source_window",
+        ):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("amm_iters_init", "amm_iters_update", "glm_iters_init", "glm_iters_update"):
+            if getattr(self, name) < 0:
+                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("median_window", "seg_kernel_size", "track_kernel_size"):
+            value = getattr(self, name)
+            if value < 1 or value % 2 == 0:
+                raise ParameterError(f"{name} must be odd and positive, got {value}")
+        for name in ("zeta", "seg_regularizer", "track_regularizer"):
+            if not getattr(self, name) > 0:
+                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass
@@ -89,6 +107,8 @@ class QuerySpec:
             )
         if not (self.mask != 0).any():
             raise EmptyInputError("query mask must be non-empty")
+        if not np.isfinite(self.feature).all():
+            raise ParameterError("query features must be finite")
 
 
 @dataclass
@@ -108,7 +128,7 @@ class TrackOutput:
 
 def _augmented_query_samples(base: amm.AmmSample) -> list[amm.AmmSample]:
     """Base crop plus horizontal flip, (+2, +2) shift with zero fill, and box blur."""
-    flipped = amm.AmmSample(base.feature[:, ::-1, :].copy(), base.mask[:, ::-1].copy(), 1.0)
+    flipped = amm.AmmSample(base.feature[:, ::-1, :], base.mask[:, ::-1], 1.0)
     shifted_f = np.zeros_like(base.feature)
     shifted_m = np.zeros_like(base.mask)
     shifted_f[2:, 2:] = base.feature[:-2, :-2]
@@ -117,7 +137,7 @@ def _augmented_query_samples(base: amm.AmmSample) -> list[amm.AmmSample]:
     return [
         flipped,
         amm.AmmSample(shifted_f, shifted_m, 1.0),
-        amm.AmmSample(blurred_f, base.mask.copy(), 1.0),
+        amm.AmmSample(blurred_f, base.mask, 1.0),
     ]
 
 
@@ -172,11 +192,13 @@ class Pipeline:
             self.weight_fn,
         )
 
-        # state restored verbatim if updating ever halts
-        self._initial_amm_entries = copy.deepcopy(self.amm_memory.entries)
-        self._initial_glm_dynamic = copy.deepcopy(self.glm_memory.dynamic_entries)
-        self._initial_seg_filter = copy.deepcopy(self.seg_filter)
-        self._initial_track_filter = copy.deepcopy(self.track_filter)
+        # state restored if updating ever halts; entries and filters are
+        # read-only, so holding the same objects keeps them bit-identical
+        self._initial_amm_entries = list(self.amm_memory.entries)
+        self._initial_glm_dynamic = list(self.glm_memory.dynamic_entries)
+        self._initial_seg_filter = self.seg_filter
+        self._initial_track_filter = self.track_filter
+        self._frame_shape = query.feature.shape
 
         self.halted = False
         self.results: list[fusion.SegmentationResult] = []
@@ -196,15 +218,25 @@ class Pipeline:
         return float(np.mean(recent)) < self.cfg.halt_threshold
 
     def _revert_to_initial(self) -> None:
-        self.amm_memory.entries = copy.deepcopy(self._initial_amm_entries)
-        self.glm_memory.dynamic_entries = copy.deepcopy(self._initial_glm_dynamic)
-        self.seg_filter = copy.deepcopy(self._initial_seg_filter)
-        self.track_filter = copy.deepcopy(self._initial_track_filter)
+        self.amm_memory.entries = list(self._initial_amm_entries)
+        self.glm_memory.dynamic_entries = list(self._initial_glm_dynamic)
+        self.seg_filter = self._initial_seg_filter
+        self.track_filter = self._initial_track_filter
         self.halted = True
 
     def step_frame(self, frame_feature: np.ndarray, frame_index: int) -> fusion.SegmentationResult:
-        """Run one frame through both branches, fuse, and maybe update the banks."""
+        """Run one frame through both branches, fuse, and maybe update the banks.
+
+        A frame whose shape differs from the query's raises DimensionError and
+        a non-finite one ParameterError, before any state changes.
+        """
         frame_feature = np.asarray(frame_feature, dtype=np.float64)
+        if frame_feature.shape != self._frame_shape:
+            raise DimensionError(
+                f"frame {frame_feature.shape} does not match the query's {self._frame_shape}"
+            )
+        if not np.isfinite(frame_feature).all():
+            raise ParameterError(f"frame {frame_index} has non-finite features")
         score = glm.track_score(frame_feature, self.track_filter)
         feat_a = conv2d(frame_feature, self.seg_filter.kernel)
         feat_j = fusion.encode_score(score, self.score_encoder)

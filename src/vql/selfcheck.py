@@ -15,6 +15,7 @@ heavier parametrizations through the same helpers.
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,6 +191,127 @@ def solve_track_normal_equations(samples, fn, kernel_shape, lam):
         lhs += a.T @ (sw2[:, None] * a) / count
         rhs += a.T @ (sw2 * sample.label.ravel()) / count
     return np.linalg.solve(lhs, rhs).reshape(kernel_shape)
+
+
+def steepest_descent_naive(filt, samples, n_iter, enc, rw):
+    """Exact-line-search descent that convolves every entry for each gradient and step."""
+    prepared = [(s.feature, enc.encode(s.mask), amm.reweight(s.mask, rw)[:, :, None]) for s in samples]
+    delta = filt.regularizer
+    kernel = filt.kernel.copy()
+    for _ in range(n_iter):
+        g = delta * kernel
+        for feature, target, weights in prepared:
+            residual = conv2d(feature, kernel) - target
+            g = g + kernel_gradient(feature, weights**2 * residual, kernel.shape)
+        if float(np.sqrt(np.sum(g**2))) < amm.GRADIENT_EPS:
+            break
+        g_norm2 = float(np.sum(g**2))
+        denom = delta * g_norm2
+        for feature, _target, weights in prepared:
+            denom += float(np.sum((weights * conv2d(feature, g)) ** 2))
+        kernel = kernel - (g_norm2 / denom) * g
+    return amm.SegFilter(kernel, delta)
+
+
+class NaiveFit(NamedTuple):
+    filter: glm.TrackFilter
+    halvings: int
+    # smallest |candidate loss - loss| / loss over the accept-or-halve decisions
+    margin: float
+
+
+def optimize_filter_naive(filt, samples, n_iter, fn) -> NaiveFit:
+    """Safeguarded Gauss-Newton that convolves every sample for each loss, gradient and step.
+
+    Besides the fit it reports the step halvings taken and how clearly each
+    accept-or-halve decision was made: near the optimum a step moves the
+    loss by less than its rounding error, and rounding alone decides it.
+    """
+    lam = filt.regularizer
+    scale = 2.0 / len(samples)
+
+    def scores(kernel):
+        return [conv2d(s.feature, kernel)[:, :, 0] for s in samples]
+
+    def loss(kernel):
+        total = sum(float(np.sum(glm.track_residual(h, s, fn) ** 2)) for h, s in zip(scores(kernel), samples))
+        return total / len(samples) + lam**2 * float(np.sum(kernel**2))
+
+    def q_maps(kernel):
+        return [
+            glm.spatial_weight(s.label, fn) * (s.target_region + (1.0 - s.target_region) * (h > 0.0))
+            for h, s in zip(scores(kernel), samples)
+        ]
+
+    def gradient(kernel):
+        g = 2.0 * lam**2 * kernel
+        for s, h, q in zip(samples, scores(kernel), q_maps(kernel)):
+            r = glm.track_residual(h, s, fn)
+            g = g + scale * kernel_gradient(s.feature, (q * r)[:, :, None], kernel.shape)
+        return g
+
+    kernel = filt.kernel.copy()
+    current = loss(kernel)
+    halvings = 0
+    margin = np.inf
+    for _ in range(n_iter):
+        g = gradient(kernel)
+        if float(np.sqrt(np.sum(g**2))) < amm.GRADIENT_EPS:
+            break
+        curvature = 2.0 * lam**2 * float(np.sum(g**2))
+        for s, q in zip(samples, q_maps(kernel)):
+            curvature += scale * float(np.sum((q * conv2d(s.feature, g)[:, :, 0]) ** 2))
+        beta = float(np.sum(g**2)) / curvature
+        for _halving in range(glm.MAX_STEP_HALVINGS + 1):
+            candidate = kernel - beta * g
+            candidate_loss = loss(candidate)
+            margin = min(margin, abs(candidate_loss - current) / current)
+            if candidate_loss <= current:
+                kernel, current = candidate, candidate_loss
+                break
+            beta *= 0.5
+            halvings += 1
+        else:
+            break
+    return NaiveFit(glm.TrackFilter(kernel, lam), halvings, margin)
+
+
+def relative_deviation(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.abs(got - want).max() / (np.abs(want).max() + 1e-30))
+
+
+# Relative kernel agreement of a statistics-based solver with its oracle.
+SOLVER_TOL = 1e-10
+# A Gauss-Newton step whose candidate loss is this close to the current loss
+# is accepted or halved by rounding alone, and the solver and its oracle sum
+# the loss in different orders; past such a decision they may take
+# different, equally good steps.
+CLEAR_MARGIN = 1e-12
+
+
+def descent_deviation(start, bank, n_iter, enc, rw):
+    """Relative kernel deviation of steepest_descent from its per-entry oracle, and its fit."""
+    entries = bank.entries if isinstance(bank, amm.AmmMemory) else bank
+    got = amm.steepest_descent(start, bank, n_iter, enc, rw)
+    want = steepest_descent_naive(start, list(entries), n_iter, enc, rw)
+    return relative_deviation(got.kernel, want.kernel), got
+
+
+def optimizer_deviation(start, bank, n_iter, fn):
+    """Deviation of optimize_filter from its per-sample oracle, the tolerance it is held to, and both fits.
+
+    The kernels are compared, to SOLVER_TOL, when every decision of the
+    oracle cleared CLEAR_MARGIN. Otherwise both runs ended on the rounding
+    plateau of the loss around one optimum, and their losses are compared,
+    to CLEAR_MARGIN.
+    """
+    samples = bank.samples if isinstance(bank, glm.GlmMemory) else list(bank)
+    got = glm.optimize_filter(start, bank, n_iter, fn)
+    fit = optimize_filter_naive(start, samples, n_iter, fn)
+    if fit.margin > CLEAR_MARGIN:
+        return relative_deviation(got.kernel, fit.filter.kernel), SOLVER_TOL, got, fit
+    ours, theirs = (glm.track_loss(f, samples, fn) for f in (got, fit.filter))
+    return abs(ours - theirs) / theirs, CLEAR_MARGIN, got, fit
 
 
 # -- parametrized check bodies ------------------------------------------------
@@ -591,7 +713,11 @@ def check_gauss_newton_beta_scan(n_instances=5, seed=18, scan_points=20_001):
         g, beta = glm.gauss_newton_step(filt, samples, fn)
 
         # frozen quadratic model: residuals linearized at the current filter
-        frozen_q = [glm._q_map(glm.track_score(s.feature, filt), s, fn) for s in samples]
+        frozen_q = []
+        for s in samples:
+            score = glm.track_score(s.feature, filt)
+            region = s.target_region
+            frozen_q.append(glm.spatial_weight(s.label, fn) * (region + (1 - region) * (score > 0)))
         base_residuals = [
             glm.track_residual(glm.track_score(s.feature, filt), s, fn) for s in samples
         ]
@@ -653,6 +779,31 @@ def check_optimize_filter_monotone(n_instances=100, seed=21, n_iter=8):
         if after > before + 1e-12:
             return False, f"loss increased {before} -> {after}"
     return True, f"final loss <= initial loss on {n_instances} random instances"
+
+
+def check_descent_vs_per_entry_loops(n_instances=20, seed=29):
+    rng = np.random.default_rng(seed)
+    enc, rw = amm.PseudoLabelEncoder(), amm.TargetReweighter()
+    worst = 0.0
+    for _ in range(n_instances):
+        samples, kernel = _random_amm_instance(rng, n_samples=int(rng.integers(1, 9)))
+        start = amm.SegFilter(rng.uniform(-1, 1, size=kernel.shape[:3] + (3,)), float(rng.uniform(0.01, 0.3)))
+        for n_iter in (3, 10):
+            worst = max(worst, descent_deviation(start, samples, n_iter, enc, rw)[0])
+    return worst <= SOLVER_TOL, f"max relative kernel deviation {worst:.3e} over {n_instances} banks"
+
+
+def check_optimizer_vs_per_sample_loops(n_instances=20, seed=30):
+    rng = np.random.default_rng(seed)
+    fn = glm.SpatialWeightFn()
+    worst = 0.0
+    for _ in range(n_instances):
+        samples, kernel = _random_glm_instance(rng)
+        start = glm.TrackFilter(kernel, float(rng.uniform(0.05, 0.4)))
+        for n_iter in (3, 10):
+            deviation, tolerance, _, _ = optimizer_deviation(start, samples, n_iter, fn)
+            worst = max(worst, deviation / tolerance)
+    return worst <= 1.0, f"worst deviation {worst:.3e} of its tolerance over {n_instances} banks"
 
 
 def check_glm_crop_geometry(seed=22):
@@ -1104,6 +1255,7 @@ CHECKS = {
     "amm.step_size_special_cases": check_steepest_special_cases,
     "amm.descent_reaches_closed_form": check_steepest_convergence,
     "amm.descent_monotone": check_steepest_monotone,
+    "amm.descent_matches_per_entry_loops": check_descent_vs_per_entry_loops,
     "amm.crop_ladder_area_oracle": check_crop_ladder,
     "amm.fifo_replay": check_amm_fifo_replay,
     "glm.track_loss_scalar_loop": check_track_loss_naive,
@@ -1113,6 +1265,7 @@ CHECKS = {
     "glm.beta_ridge_case": check_gauss_newton_ridge_case,
     "glm.gauss_newton_reaches_wls_ridge": check_gauss_newton_convergence,
     "glm.optimizer_never_increases_loss": check_optimize_filter_monotone,
+    "glm.optimizer_matches_per_sample_loops": check_optimizer_vs_per_sample_loops,
     "glm.crop_geometry_shared": check_glm_crop_geometry,
     "glm.update_source_replay": check_glm_update_source,
     "fusion.fuse_decode_elementwise": check_fusion_elementwise,

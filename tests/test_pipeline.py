@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vql import glm, metrics
-from vql.core import EmptyInputError, min_bounding_rect
+from vql.core import DimensionError, EmptyInputError, ParameterError, min_bounding_rect
 from vql.pipeline import NoDetectionError, Pipeline, PipelineConfig, QuerySpec, finalize_3d
 from vql.scenario import ScenarioParams, gen_scenario, ground_truth_track, preset_params
 
@@ -51,6 +51,47 @@ class TestInitialize:
         with pytest.raises(EmptyInputError):
             QuerySpec(np.ones((8, 8, 1)), np.zeros((8, 8)))
 
+    def test_non_finite_query_rejected(self):
+        feature = np.ones((8, 8, 1))
+        feature[3, 3, 0] = np.inf
+        with pytest.raises(ParameterError):
+            QuerySpec(feature, np.ones((8, 8)))
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("halt_window", 0),
+            ("median_window", 4),
+            ("median_window", 0),
+            ("seg_kernel_size", 2),
+            ("track_kernel_size", -1),
+            ("amm_iters_init", -1),
+            ("glm_iters_update", -1),
+            ("sample_resolution", 0),
+            ("seg_regularizer", 0.0),
+            ("track_regularizer", -0.1),
+            ("zeta", 0.0),
+            ("lambda_thr", 1.5),
+            ("admit_threshold", -0.1),
+            ("source_window", 0),
+            ("capacity", 0),
+        ],
+    )
+    def test_invalid_field_raises_at_construction(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            PipelineConfig(**{field: value})
+
+    def test_zero_update_iterations_leave_the_filters(self):
+        sc = small_identity(n_frames=2)
+        pipe = Pipeline(sc.query, unit_cfg(amm_iters_update=0, glm_iters_update=0))
+        seg, trk = pipe.seg_filter.kernel, pipe.track_filter.kernel
+        pipe.run([f.feature for f in sc.frames])
+        assert len(pipe.amm_memory) > 4
+        assert np.array_equal(pipe.seg_filter.kernel, seg)
+        assert np.array_equal(pipe.track_filter.kernel, trk)
+
 
 class TestStepFrame:
     def test_identity_frame_exact_localization(self):
@@ -85,6 +126,43 @@ class TestStepFrame:
         assert len(pipe.glm_memory.dynamic_entries) == 3
 
 
+class TestFrameValidation:
+    def test_nan_pixel_rejected_before_any_bank_is_touched(self):
+        # one NaN at the target's centroid used to be admitted and to turn
+        # the appearance filter non-finite, zeroing the next frame's s_conf
+        sc = gen_scenario(3, preset_params("identity"))
+        pipe = Pipeline(sc.query)
+        pipe.step_frame(sc.frames[0].feature, 0)
+        entries, seg_filter = list(pipe.amm_memory.entries), pipe.seg_filter
+        bad = sc.frames[1].feature.copy()
+        rows, cols = np.nonzero(sc.frames[1].gt_mask)
+        bad[int(round(rows.mean())), int(round(cols.mean())), 0] = np.nan
+        with pytest.raises(ParameterError):
+            pipe.step_frame(bad, 1)
+        assert len(pipe.results) == 1
+        assert all(a is b for a, b in zip(pipe.amm_memory.entries, entries))
+        assert len(pipe.amm_memory.entries) == len(entries)
+        assert pipe.seg_filter is seg_filter
+        assert pipe.step_frame(sc.frames[2].feature, 2).s_conf > pipe.cfg.admit_threshold
+
+    def test_infinite_frame_rejected(self):
+        sc = small_identity()
+        pipe = Pipeline(sc.query, unit_cfg())
+        with pytest.raises(ParameterError):
+            pipe.step_frame(np.full_like(sc.frames[0].feature, np.inf), 0)
+        assert not pipe.results
+
+    @pytest.mark.parametrize("shape", [(31, 32, None), (32, 33, None), (32, 32, 1)])
+    def test_frame_shape_must_match_the_query(self, shape):
+        sc = small_identity()
+        pipe = Pipeline(sc.query, unit_cfg())
+        h, w, c = sc.query.feature.shape
+        frame = np.zeros((shape[0], shape[1], shape[2] or c))
+        with pytest.raises(DimensionError):
+            pipe.step_frame(frame, 0)
+        assert not pipe.results and not pipe.peaks
+
+
 class TestHalt:
     def test_halt_reverts_and_freezes(self):
         sc = small_identity(n_frames=3)
@@ -104,6 +182,9 @@ class TestHalt:
             assert np.array_equal(got.feature, want)
         assert not pipe.glm_memory.dynamic_entries
         assert np.array_equal(pipe.seg_filter.kernel, seg_kernel)
+        # the snapshot holds the initial (read-only) objects themselves
+        assert all(a is b for a, b in zip(pipe.amm_memory.entries, pipe._initial_amm_entries))
+        assert pipe.amm_memory.entries is not pipe._initial_amm_entries
         # once halted, confident frames no longer grow the banks
         pipe.step_frame(sc.frames[0].feature, 50)
         assert len(pipe.amm_memory) == len(initial)
