@@ -13,7 +13,6 @@ from .core import (
     EmptyInputError,
     ParameterError,
     conv2d,
-    conv2d_transpose,
     connected_components,
     gaussian_label,
     kernel_gradient,
@@ -52,11 +51,8 @@ from .glm import (
     track_score,
 )
 from .fusion import (
-    ScoreEncoder,
     SegmentationResult,
     TemporalInterval,
-    decode,
-    encode_score,
     extract_result,
     fuse,
     temporal_localize,

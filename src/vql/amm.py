@@ -44,7 +44,7 @@ confidence threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,9 +53,9 @@ from .core import (
     EmptyInputError,
     ParameterError,
     bilinear_resize,
-    extract_square_crop,
     gaussian_label,
     im2col,
+    ladder_crop,
     min_bounding_rect,
     nearest_resize,
     readonly_copy,
@@ -76,12 +76,7 @@ __all__ = [
     "amm_admit",
     "crop_sample",
     "amm_update",
-    "CROP_AREA_LADDER",
 ]
-
-# Square-crop area scales tried in order; a scale is abandoned when more than
-# half the crop would be zero padding. Side factors: 1.5x, 1.2x, 1.0x.
-CROP_AREA_LADDER = (2.25, 1.44, 1.0)
 
 GRADIENT_EPS = 1e-12
 
@@ -239,22 +234,21 @@ def reweight(mask: np.ndarray, rw: TargetReweighter) -> np.ndarray:
     return rw.background_weight + (rw.foreground_weight - rw.background_weight) * blurred
 
 
-def _sample_list(mem) -> list[AmmSample]:
-    if isinstance(mem, AmmMemory):
-        return mem.entries
-    return list(mem)
-
-
 def _weighted_patches(sample: AmmSample, ksz: int, rw: TargetReweighter) -> tuple[np.ndarray, np.ndarray]:
     weights = reweight(sample.mask, rw).reshape(-1, 1)
     return weights, weights * im2col(sample.feature, ksz)
 
 
-def _gram(sample: AmmSample, ksz: int, rw: TargetReweighter) -> np.ndarray:
-    """M_i = A_i^T W_i^2 A_i, computed once per (kernel size, reweighter)."""
+def _gram(sample: AmmSample, ksz: int, rw: TargetReweighter, patches: np.ndarray | None = None) -> np.ndarray:
+    """M_i = A_i^T W_i^2 A_i, computed once per (kernel size, reweighter).
+
+    ``patches`` are the entry's weighted patches W_i A_i when the caller
+    already has them.
+    """
     key = (ksz, rw)
     if key not in sample._stats:
-        _, patches = _weighted_patches(sample, ksz, rw)
+        if patches is None:
+            _, patches = _weighted_patches(sample, ksz, rw)
         sample._stats[key] = readonly_copy(patches.T @ patches)
     return sample._stats[key]
 
@@ -264,30 +258,41 @@ def _statistics(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """(M_i, b_i, c_i) of one entry, each computed once and kept on the entry."""
     key = (ksz, rw, enc)
+    patches = None
     if key not in sample._stats:
         weights, patches = _weighted_patches(sample, ksz, rw)
         target = weights * enc.encode(sample.mask).reshape(weights.size, -1)
-        if (ksz, rw) not in sample._stats:
-            sample._stats[(ksz, rw)] = readonly_copy(patches.T @ patches)
         sample._stats[key] = (readonly_copy(patches.T @ target), float(np.sum(target**2)))
     cross, energy = sample._stats[key]
-    return sample._stats[(ksz, rw)], cross, energy
+    return _gram(sample, ksz, rw, patches), cross, energy
 
 
 def _bank_statistics(
-    mem, kernel_shape: Sequence[int], enc: PseudoLabelEncoder, rw: TargetReweighter
+    mem: Sequence[AmmSample],
+    kernel_shape: Sequence[int],
+    rw: TargetReweighter,
+    enc: PseudoLabelEncoder | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(M, b, c): the entries' statistics summed for a kernel of the given shape."""
+    """(M, b, c): the entries' statistics summed for a kernel of the given shape.
+
+    Without an encoder only M is summed; b and c stay zero.
+    """
     ksz, _, c_in, c_out = kernel_shape
     gram = np.zeros((ksz * ksz * c_in,) * 2)
     cross = np.zeros((ksz * ksz * c_in, c_out))
     energy = 0.0
-    for sample in _sample_list(mem):
-        m_i, b_i, c_i = _statistics(sample, ksz, enc, rw)
-        if b_i.shape != cross.shape:
+    for sample in mem:
+        if sample.feature.shape[2] != c_in:
             raise DimensionError(
-                f"entry with {sample.feature.shape[2]} channels and {b_i.shape[1]} labels "
-                f"does not fit kernel shape {tuple(kernel_shape)}"
+                f"entry with {sample.feature.shape[2]} channels does not fit kernel shape {tuple(kernel_shape)}"
+            )
+        if enc is None:
+            gram += _gram(sample, ksz, rw)
+            continue
+        m_i, b_i, c_i = _statistics(sample, ksz, enc, rw)
+        if b_i.shape[1] != c_out:
+            raise DimensionError(
+                f"entry with {b_i.shape[1]} labels does not fit kernel shape {tuple(kernel_shape)}"
             )
         gram += m_i
         cross += b_i
@@ -302,39 +307,37 @@ def _exact_step(g: np.ndarray, gram: np.ndarray, delta: float) -> float:
     return g_norm2 / (float(np.sum(g * (gram @ g))) + delta * g_norm2)
 
 
-def seg_loss(filt: SegFilter, mem, enc: PseudoLabelEncoder, rw: TargetReweighter) -> float:
-    """Weighted half-squared-error over the bank plus the ridge term."""
-    gram, cross, energy = _bank_statistics(mem, filt.kernel.shape, enc, rw)
+def seg_loss(
+    filt: SegFilter, mem: Sequence[AmmSample], enc: PseudoLabelEncoder, rw: TargetReweighter
+) -> float:
+    """Weighted half-squared-error over the bank entries plus the ridge term."""
+    gram, cross, energy = _bank_statistics(mem, filt.kernel.shape, rw, enc)
     sigma = filt.kernel.reshape(cross.shape)
     fit = float(np.sum(sigma * (gram @ sigma))) - 2.0 * float(np.sum(sigma * cross)) + energy
     return 0.5 * fit + 0.5 * filt.regularizer * float(np.sum(sigma**2))
 
 
-def seg_gradient(filt: SegFilter, mem, enc: PseudoLabelEncoder, rw: TargetReweighter) -> np.ndarray:
+def seg_gradient(
+    filt: SegFilter, mem: Sequence[AmmSample], enc: PseudoLabelEncoder, rw: TargetReweighter
+) -> np.ndarray:
     """Exact gradient of :func:`seg_loss` with respect to the kernel."""
-    gram, cross, _ = _bank_statistics(mem, filt.kernel.shape, enc, rw)
+    gram, cross, _ = _bank_statistics(mem, filt.kernel.shape, rw, enc)
     sigma = filt.kernel.reshape(cross.shape)
     return (gram @ sigma - cross + filt.regularizer * sigma).reshape(filt.kernel.shape)
 
 
-def steepest_step_size(g: np.ndarray, mem, rw: TargetReweighter, delta: float) -> float:
+def steepest_step_size(
+    g: np.ndarray, mem: Sequence[AmmSample], rw: TargetReweighter, delta: float
+) -> float:
     """Closed-form minimizer of the loss along the negative gradient direction."""
     g = np.asarray(g, dtype=np.float64)
-    ksz, _, c_in, c_out = g.shape
-    gram = np.zeros((ksz * ksz * c_in,) * 2)
-    for sample in _sample_list(mem):
-        m_i = _gram(sample, ksz, rw)
-        if m_i.shape != gram.shape:
-            raise DimensionError(
-                f"entry with {sample.feature.shape[2]} channels does not fit gradient shape {g.shape}"
-            )
-        gram += m_i
-    return _exact_step(g.reshape(-1, c_out), gram, delta)
+    gram, _, _ = _bank_statistics(mem, g.shape, rw)
+    return _exact_step(g.reshape(gram.shape[0], g.shape[3]), gram, delta)
 
 
 def steepest_descent(
     filt: SegFilter,
-    mem,
+    mem: Sequence[AmmSample],
     n_iter: int,
     enc: PseudoLabelEncoder,
     rw: TargetReweighter,
@@ -342,7 +345,7 @@ def steepest_descent(
     """Run n_iter exact-line-search gradient steps; stops early once converged."""
     if n_iter < 0:
         raise ParameterError(f"n_iter must be >= 0, got {n_iter}")
-    gram, cross, _ = _bank_statistics(mem, filt.kernel.shape, enc, rw)
+    gram, cross, _ = _bank_statistics(mem, filt.kernel.shape, rw, enc)
     delta = filt.regularizer
     sigma = filt.kernel.reshape(cross.shape)
     for _ in range(n_iter):
@@ -387,16 +390,9 @@ def crop_sample(
     rows, cols = np.nonzero(mask)
     if rows.size == 0:
         raise EmptyInputError("cannot crop a sample from an empty mask")
-    x_min, y_min, x_max, y_max = min_bounding_rect(zip(rows, cols))
+    x_min, y_min, x_max, y_max = min_bounding_rect(mask)
     longest = max(x_max - x_min + 1, y_max - y_min + 1)
-    center = (rows.mean(), cols.mean())
-    crop_f = crop_m = None
-    for area_scale in CROP_AREA_LADDER:
-        side = max(1, int(round(np.sqrt(area_scale) * longest)))
-        crop_f, frac = extract_square_crop(frame_feature, center, side)
-        crop_m, _ = extract_square_crop(mask.astype(np.float64), center, side)
-        if frac <= 0.5:
-            break
+    _, crop_f, crop_m = ladder_crop(frame_feature, mask, (rows.mean(), cols.mean()), longest)
     feature = bilinear_resize(crop_f, (resolution, resolution))
     sample_mask = (nearest_resize(crop_m, (resolution, resolution)) != 0).astype(np.uint8)
     return AmmSample(feature, sample_mask, confidence)

@@ -5,6 +5,7 @@ Conventions used throughout the package:
 - feature map: float64 array of shape (H, W, C), row-major
 - score map:   float64 array of shape (H, W)
 - binary mask: array of shape (H, W) with values exactly 0 or 1
+- label map:   int array of shape (H, W), 0 on background
 - kernel:      float64 array of shape (K, K, C_in, C_out), K odd
 
 All convolutions are cross-correlations with zero same-padding, so outputs
@@ -15,7 +16,7 @@ headroom below their 1e-5 verification tolerances.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +25,6 @@ __all__ = [
     "ParameterError",
     "EmptyInputError",
     "conv2d",
-    "conv2d_transpose",
     "kernel_gradient",
     "im2col",
     "readonly_copy",
@@ -33,6 +33,8 @@ __all__ = [
     "min_bounding_rect",
     "median_filter_1d",
     "extract_square_crop",
+    "CROP_AREA_LADDER",
+    "ladder_crop",
     "bilinear_resize",
     "nearest_resize",
 ]
@@ -81,32 +83,6 @@ def conv2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     for dy in range(ksz):
         for dx in range(ksz):
             out += xp[dy : dy + h, dx : dx + w, :] @ k[dy, dx]
-    return out
-
-
-def conv2d_transpose(y: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`conv2d` in its map argument.
-
-    For all a, b, k: <conv2d(a, k), b> == <a, conv2d_transpose(b, k)>.
-    Maps a (H, W, C_out) array back to (H, W, C_in).
-    """
-    y = np.asarray(y, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    _check_kernel(k)
-    if y.ndim != 3:
-        raise DimensionError(f"feature map must be (H, W, C), got {y.shape}")
-    if y.shape[2] != k.shape[3]:
-        raise DimensionError(
-            f"map channels {y.shape[2]} do not match kernel output channels {k.shape[3]}"
-        )
-    ksz = k.shape[0]
-    r = ksz // 2
-    h, w = y.shape[:2]
-    yp = np.pad(y, ((r, r), (r, r), (0, 0)))
-    out = np.zeros((h, w, k.shape[2]))
-    for dy in range(ksz):
-        for dx in range(ksz):
-            out += yp[ksz - 1 - dy : ksz - 1 - dy + h, ksz - 1 - dx : ksz - 1 - dx + w, :] @ k[dy, dx].T
     return out
 
 
@@ -196,42 +172,45 @@ def gaussian_label(center: Sequence[float], sigma: float, shape: Sequence[int]) 
     return np.exp(-d2 / (2.0 * float(sigma) ** 2))
 
 
-def connected_components(mask: np.ndarray) -> list[set[tuple[int, int]]]:
-    """4-connected components of the foreground, as sets of (row, col).
+def connected_components(mask: np.ndarray) -> np.ndarray:
+    """Label map of the 4-connected components of the foreground.
 
-    Components are listed in row-major order of their first pixel, so the
-    output is deterministic for a given mask.
+    Background is 0; every pixel of a component holds 1 plus the flat
+    row-major index of the component's first pixel, so labels order the
+    components by first pixel and the output is deterministic.
+
+    Min-label propagation over the neighbour pairs: each round hooks the
+    larger of two differing roots under the smaller, then pointer jumping
+    flattens every tree to its root, until all neighbours share a root.
     """
-    mask = np.asarray(mask)
-    h, w = mask.shape
-    seen = np.zeros((h, w), dtype=bool)
-    components: list[set[tuple[int, int]]] = []
-    for r0 in range(h):
-        for c0 in range(w):
-            if mask[r0, c0] == 0 or seen[r0, c0]:
-                continue
-            stack = [(r0, c0)]
-            seen[r0, c0] = True
-            comp: set[tuple[int, int]] = set()
-            while stack:
-                r, c = stack.pop()
-                comp.add((r, c))
-                for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                    if 0 <= rr < h and 0 <= cc < w and mask[rr, cc] != 0 and not seen[rr, cc]:
-                        seen[rr, cc] = True
-                        stack.append((rr, cc))
-            components.append(comp)
-    return components
+    fg = np.asarray(mask) != 0
+    h, w = fg.shape
+    index = np.arange(h * w).reshape(h, w)
+    right = fg[:, :-1] & fg[:, 1:]
+    down = fg[:-1, :] & fg[1:, :]
+    a = np.concatenate([index[:, :-1][right], index[:-1, :][down]])
+    b = np.concatenate([index[:, 1:][right], index[1:, :][down]])
+    root = index.ravel()
+    while True:
+        ra, rb = root[a], root[b]
+        differ = ra != rb
+        if not differ.any():
+            break
+        np.minimum.at(root, np.maximum(ra, rb)[differ], np.minimum(ra, rb)[differ])
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    return np.where(fg, root.reshape(h, w) + 1, 0)
 
 
-def min_bounding_rect(component: Iterable[tuple[int, int]]) -> tuple[int, int, int, int]:
-    """Tightest axis-aligned rectangle (x_min, y_min, x_max, y_max), inclusive."""
-    pixels = list(component)
-    if not pixels:
-        raise EmptyInputError("cannot bound an empty pixel set")
-    rows = [p[0] for p in pixels]
-    cols = [p[1] for p in pixels]
-    return (min(cols), min(rows), max(cols), max(rows))
+def min_bounding_rect(mask: np.ndarray) -> tuple[int, int, int, int]:
+    """Tightest axis-aligned rectangle (x_min, y_min, x_max, y_max), inclusive, of a mask's foreground."""
+    rows, cols = np.nonzero(np.asarray(mask))
+    if rows.size == 0:
+        raise EmptyInputError("cannot bound an empty mask")
+    return (int(cols.min()), int(rows.min()), int(cols.max()), int(rows.max()))
 
 
 def median_filter_1d(seq: Sequence[float], window: int) -> np.ndarray:
@@ -318,3 +297,27 @@ def nearest_resize(data: np.ndarray, out_hw: Sequence[int]) -> np.ndarray:
     ry = np.minimum((np.floor((np.arange(oh) + 0.5) * (h / oh))).astype(int), h - 1)
     rx = np.minimum((np.floor((np.arange(ow) + 0.5) * (w / ow))).astype(int), w - 1)
     return data[ry][:, rx]
+
+
+# Square-crop area scales tried in order; a scale is abandoned when more than
+# half the crop would be zero padding. Side factors: 1.5x, 1.2x, 1.0x.
+CROP_AREA_LADDER = (2.25, 1.44, 1.0)
+
+
+def ladder_crop(
+    data: np.ndarray, second: np.ndarray, center: Sequence[float], longest: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Square crops of two aligned maps on the first ladder side that fits.
+
+    The side is round(sqrt(scale) * longest) for the first scale of
+    :data:`CROP_AREA_LADDER` whose crop of ``data`` is at most half zero
+    padding, or the last scale if none is. Returns the side, the crop of
+    ``data`` and the crop of ``second`` at that side.
+    """
+    for area_scale in CROP_AREA_LADDER:
+        side = max(1, int(round(np.sqrt(area_scale) * longest)))
+        crop, padded_fraction = extract_square_crop(data, center, side)
+        if padded_fraction <= 0.5:
+            break
+    second_crop, _ = extract_square_crop(second, center, side)
+    return side, crop, second_crop

@@ -1,12 +1,13 @@
-"""Dual-branch integration: score encoding, feature fusion, mask extraction,
-and temporal localization over per-frame confidences.
+"""Dual-branch integration: fusion, mask extraction, and temporal
+localization over per-frame confidences.
 
-The tracking score map is lifted to the segmentation feature space by a
-fixed rectified-affine encoder, added elementwise to the appearance
-features, and squashed to a probability map by a logistic over the channel
-mean. The per-frame confidence is the mean probability inside the
-thresholded mask; the answer interval is the last run of median-filtered
-confidences above 0.8x their maximum.
+The two branches meet in one logit per pixel: the channel mean of the
+appearance features conv2d(F, sigma) plus the rectified tracking score
+max(0, H), squashed by a logistic into a probability map. The mask is that
+map thresholded at 0.5 and boxed by its largest 4-connected component. The
+per-frame confidence is the mean probability inside the mask; the answer
+interval is the last run of median-filtered confidences above 0.8x their
+maximum.
 """
 
 from __future__ import annotations
@@ -24,26 +25,14 @@ from .core import (
 )
 
 __all__ = [
-    "ScoreEncoder",
     "SegmentationResult",
     "TemporalInterval",
-    "encode_score",
     "fuse",
-    "decode",
     "extract_result",
     "temporal_localize",
 ]
 
 MASK_THRESHOLD = 0.5
-
-
-@dataclass(frozen=True)
-class ScoreEncoder:
-    """Broadcasts a rectified affine response into D feature channels."""
-
-    out_channels: int = 3
-    gain: float = 1.0
-    bias: float = 0.0
 
 
 @dataclass
@@ -67,26 +56,18 @@ class TemporalInterval:
             raise ValueError(f"interval must satisfy start <= end, got {self}")
 
 
-def encode_score(score: np.ndarray, enc: ScoreEncoder) -> np.ndarray:
-    """max(0, gain * H + bias), replicated into each output channel."""
+def fuse(appearance: np.ndarray, score: np.ndarray) -> np.ndarray:
+    """Probability map sigmoid(mean_d appearance[..., d] + max(0, score)).
+
+    ``appearance`` is the (H, W, D) segmentation output and ``score`` the
+    (H, W) tracking response; the output lies strictly inside (0, 1)
+    wherever the logit is finite.
+    """
+    appearance = np.asarray(appearance, dtype=np.float64)
     score = np.asarray(score, dtype=np.float64)
-    activated = np.maximum(0.0, enc.gain * score + enc.bias)
-    return np.repeat(activated[:, :, None], enc.out_channels, axis=2)
-
-
-def fuse(feat_a: np.ndarray, feat_b: np.ndarray) -> np.ndarray:
-    """Elementwise sum of the two branch features."""
-    feat_a = np.asarray(feat_a, dtype=np.float64)
-    feat_b = np.asarray(feat_b, dtype=np.float64)
-    if feat_a.shape != feat_b.shape:
-        raise DimensionError(f"cannot fuse {feat_a.shape} with {feat_b.shape}")
-    return feat_a + feat_b
-
-
-def decode(fused: np.ndarray) -> np.ndarray:
-    """Logistic of the channel mean; output strictly inside (0, 1)."""
-    fused = np.asarray(fused, dtype=np.float64)
-    logits = fused.mean(axis=2)
+    if appearance.ndim != 3 or appearance.shape[:2] != score.shape:
+        raise DimensionError(f"cannot fuse appearance {appearance.shape} with score {score.shape}")
+    logits = appearance.mean(axis=2) + np.maximum(0.0, score)
     return 1.0 / (1.0 + np.exp(-logits))
 
 
@@ -94,16 +75,19 @@ def extract_result(prob: np.ndarray, frame_index: int) -> SegmentationResult:
     """Threshold at 0.5, box the largest 4-connected component.
 
     The confidence is the mean probability over the whole mask; size ties
-    between components go to the one discovered first in row-major order.
+    between components go to the one whose first pixel comes first in
+    row-major order.
     An empty mask yields no box and zero confidence.
     """
     prob = np.asarray(prob, dtype=np.float64)
     mask = (prob >= MASK_THRESHOLD).astype(np.uint8)
     if not mask.any():
         return SegmentationResult(prob, mask, None, 0.0, frame_index)
-    components = connected_components(mask)
-    largest = max(components, key=len)
-    bbox = min_bounding_rect(largest)
+    labels = connected_components(mask)
+    sizes = np.bincount(labels.ravel())
+    sizes[0] = 0
+    # the first maximum has the smallest label, i.e. the earliest first pixel
+    bbox = min_bounding_rect(labels == np.argmax(sizes))
     s_conf = float(prob[mask != 0].mean())
     return SegmentationResult(prob, mask, bbox, s_conf, frame_index)
 

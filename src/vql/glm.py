@@ -51,12 +51,12 @@ from .core import (
     ParameterError,
     bilinear_resize,
     conv2d,
-    extract_square_crop,
     gaussian_label,
     im2col,
+    ladder_crop,
     readonly_copy,
 )
-from .amm import CROP_AREA_LADDER, GRADIENT_EPS
+from .amm import GRADIENT_EPS
 
 __all__ = [
     "SpatialWeightFn",
@@ -189,12 +189,6 @@ def track_residual(score: np.ndarray, sample: GlmSample, fn: SpatialWeightFn) ->
     return residual
 
 
-def _samples(mem) -> list[GlmSample]:
-    if isinstance(mem, GlmMemory):
-        return mem.samples
-    return list(mem)
-
-
 class _Problem:
     """The bank flattened to pixel rows for one kernel shape.
 
@@ -202,8 +196,9 @@ class _Problem:
     method works on a flat kernel c of length P.
     """
 
-    def __init__(self, mem, fn: SpatialWeightFn, kernel_shape: Sequence[int], regularizer: float):
-        samples = _samples(mem)
+    def __init__(
+        self, samples: Sequence[GlmSample], fn: SpatialWeightFn, kernel_shape: Sequence[int], regularizer: float
+    ):
         if not samples:
             raise EmptyInputError("the tracking bank has no samples")
         ksz, _, c_in, c_out = kernel_shape
@@ -245,14 +240,14 @@ class _Problem:
         return g_norm2 / curvature
 
 
-def track_loss(filt: TrackFilter, mem, fn: SpatialWeightFn) -> float:
+def track_loss(filt: TrackFilter, mem: Sequence[GlmSample], fn: SpatialWeightFn) -> float:
     """Mean squared residual over the bank plus lambda^2 ||c||^2."""
     problem = _Problem(mem, fn, filt.kernel.shape, filt.regularizer)
     loss, _, _ = problem.evaluate(filt.kernel.ravel())
     return loss
 
 
-def track_gradient(filt: TrackFilter, mem, fn: SpatialWeightFn) -> np.ndarray:
+def track_gradient(filt: TrackFilter, mem: Sequence[GlmSample], fn: SpatialWeightFn) -> np.ndarray:
     """Exact gradient of :func:`track_loss` wherever no score sits on the hinge kink."""
     problem = _Problem(mem, fn, filt.kernel.shape, filt.regularizer)
     c = filt.kernel.ravel()
@@ -260,7 +255,7 @@ def track_gradient(filt: TrackFilter, mem, fn: SpatialWeightFn) -> np.ndarray:
     return problem.gradient(c, r, q).reshape(filt.kernel.shape)
 
 
-def gauss_newton_step(filt: TrackFilter, mem, fn: SpatialWeightFn) -> tuple[np.ndarray, float]:
+def gauss_newton_step(filt: TrackFilter, mem: Sequence[GlmSample], fn: SpatialWeightFn) -> tuple[np.ndarray, float]:
     """Gradient direction and the step length minimizing the frozen quadratic model."""
     problem = _Problem(mem, fn, filt.kernel.shape, filt.regularizer)
     c = filt.kernel.ravel()
@@ -269,7 +264,7 @@ def gauss_newton_step(filt: TrackFilter, mem, fn: SpatialWeightFn) -> tuple[np.n
     return g.reshape(filt.kernel.shape), problem.step_length(g, q)
 
 
-def optimize_filter(filt: TrackFilter, mem, n_iter: int, fn: SpatialWeightFn) -> TrackFilter:
+def optimize_filter(filt: TrackFilter, mem: Sequence[GlmSample], n_iter: int, fn: SpatialWeightFn) -> TrackFilter:
     """Iterate safeguarded Gauss-Newton steps; the loss never increases.
 
     The closed-form step is exact while the hinge activation pattern is
@@ -327,14 +322,7 @@ def glm_make_dynamic_sample(
         raise EmptyInputError(f"degenerate bounding box {tuple(bbox)}")
     longest = max(x_max - x_min + 1, y_max - y_min + 1)
     center = ((y_min + y_max) / 2.0, (x_min + x_max) / 2.0)
-    crop_f = crop_p = None
-    side = 1
-    for area_scale in CROP_AREA_LADDER:
-        side = max(1, int(round(np.sqrt(area_scale) * longest)))
-        crop_f, frac = extract_square_crop(frame_feature, center, side)
-        crop_p, _ = extract_square_crop(prob_mask, center, side)
-        if frac <= 0.5:
-            break
+    side, crop_f, crop_p = ladder_crop(frame_feature, prob_mask, center, longest)
     crop_center = ((side - 1) / 2.0, (side - 1) / 2.0)
     label = gaussian_label(crop_center, label_sigma(side), (side, side))
     feature = bilinear_resize(crop_f, (resolution, resolution))

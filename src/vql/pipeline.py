@@ -1,11 +1,12 @@
 """Per-query orchestration: seed both memory banks from the query, process
-frames clip by clip, and produce the 2D track, temporal interval, and 3D
+frames one by one, and produce the 2D track, temporal interval, and 3D
 displacements.
 
 Update policy, following the inference procedure the solvers were designed
 for: banks ingest admitted retrievals on every frame below the dense-update
 horizon and every update_stride frames after it; each ingest is followed by
-a few solver iterations. If the mean confidence over the trailing window
+a few solver iterations, and is undone whole if either refit filter comes
+out non-finite. If the mean confidence over the trailing window
 drops below the halt threshold, updating stops for good and banks and
 filters revert to their post-initialization state.
 """
@@ -36,7 +37,6 @@ class NoDetectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    clip_length: int = 32
     dense_update_horizon: int = 100
     update_stride: int = 25
     amm_iters_init: int = 10
@@ -53,7 +53,6 @@ class PipelineConfig:
     lambda_thr: float = 0.5
     # desk-scale model knobs
     sample_resolution: int = 32
-    label_channels: int = 3
     seg_kernel_size: int = 3
     seg_regularizer: float = 0.01
     track_kernel_size: int = 3
@@ -67,13 +66,11 @@ class PipelineConfig:
             if not 0.0 <= value <= 1.0:
                 raise ParameterError(f"{name} must lie in [0, 1], got {value}")
         for name in (
-            "clip_length",
             "dense_update_horizon",
             "update_stride",
             "halt_window",
             "capacity",
             "sample_resolution",
-            "label_channels",
             "source_window",
         ):
             if getattr(self, name) < 1:
@@ -156,10 +153,9 @@ class Pipeline:
 
     def __init__(self, query: QuerySpec, cfg: PipelineConfig = PipelineConfig()):
         self.cfg = cfg
-        self.encoder = amm.PseudoLabelEncoder(cfg.label_channels)
+        self.encoder = amm.PseudoLabelEncoder()
         self.reweighter = amm.TargetReweighter()
         self.weight_fn = glm.SpatialWeightFn()
-        self.score_encoder = fusion.ScoreEncoder(out_channels=cfg.label_channels)
 
         channels = query.feature.shape[2]
         base = amm.crop_sample(query.feature, query.mask, cfg.sample_resolution)
@@ -168,7 +164,7 @@ class Pipeline:
         for sample in _augmented_query_samples(base):
             amm.amm_update(self.amm_memory, sample)
 
-        bbox = min_bounding_rect(zip(*np.nonzero(query.mask)))
+        bbox = min_bounding_rect(query.mask)
         static = glm.glm_make_dynamic_sample(
             query.feature,
             bbox,
@@ -179,15 +175,15 @@ class Pipeline:
         self.glm_memory = glm.GlmMemory(static, cfg.capacity)
 
         self.seg_filter = amm.steepest_descent(
-            amm.SegFilter.zeros(cfg.seg_kernel_size, channels, cfg.label_channels, cfg.seg_regularizer),
-            self.amm_memory,
+            amm.SegFilter.zeros(cfg.seg_kernel_size, channels, regularizer=cfg.seg_regularizer),
+            self.amm_memory.entries,
             cfg.amm_iters_init,
             self.encoder,
             self.reweighter,
         )
         self.track_filter = glm.optimize_filter(
             glm.TrackFilter.zeros(cfg.track_kernel_size, channels, cfg.track_regularizer),
-            self.glm_memory,
+            self.glm_memory.samples,
             cfg.glm_iters_init,
             self.weight_fn,
         )
@@ -238,9 +234,7 @@ class Pipeline:
         if not np.isfinite(frame_feature).all():
             raise ParameterError(f"frame {frame_index} has non-finite features")
         score = glm.track_score(frame_feature, self.track_filter)
-        feat_a = conv2d(frame_feature, self.seg_filter.kernel)
-        feat_j = fusion.encode_score(score, self.score_encoder)
-        prob = fusion.decode(fusion.fuse(feat_a, feat_j))
+        prob = fusion.fuse(conv2d(frame_feature, self.seg_filter.kernel), score)
         result = fusion.extract_result(prob, frame_index)
 
         self.results.append(result)
@@ -256,13 +250,22 @@ class Pipeline:
         return result
 
     def _ingest(self, frame_feature: np.ndarray, result: fusion.SegmentationResult) -> None:
+        """Add the frame to both banks and refit both filters, or change nothing.
+
+        A frame can be finite yet so large that a refit overflows; if either
+        new filter is non-finite, both banks and both filters keep their
+        state from before the frame.
+        """
+        amm_entries = list(self.amm_memory.entries)
+        glm_dynamic = list(self.glm_memory.dynamic_entries)
+
         sample = amm.crop_sample(
             frame_feature, result.mask, self.cfg.sample_resolution, result.s_conf
         )
         amm.amm_update(self.amm_memory, sample)
-        self.seg_filter = amm.steepest_descent(
+        seg_filter = amm.steepest_descent(
             self.seg_filter,
-            self.amm_memory,
+            self.amm_memory.entries,
             self.cfg.amm_iters_update,
             self.encoder,
             self.reweighter,
@@ -274,9 +277,15 @@ class Pipeline:
         self.glm_memory.add_dynamic(dyn)
         source = glm.glm_update_source(self.peaks, self.cfg.source_window)
         view = self.glm_memory.samples if source == "dynamic" else [self.glm_memory.static_entry]
-        self.track_filter = glm.optimize_filter(
+        track_filter = glm.optimize_filter(
             self.track_filter, view, self.cfg.glm_iters_update, self.weight_fn
         )
+
+        if np.isfinite(seg_filter.kernel).all() and np.isfinite(track_filter.kernel).all():
+            self.seg_filter, self.track_filter = seg_filter, track_filter
+        else:
+            self.amm_memory.entries = amm_entries
+            self.glm_memory.dynamic_entries = glm_dynamic
 
     def finalize_2d(self) -> TrackOutput:
         """Temporal localization over the recorded confidences."""
@@ -293,16 +302,9 @@ class Pipeline:
         return TrackOutput(list(self.results), interval, list(self.peaks))
 
     def run(self, frames: Sequence[np.ndarray], start_index: int = 0) -> TrackOutput:
-        """Step a whole frame sequence in clip-sized chunks and finalize.
-
-        Clip boundaries only batch the iteration; memory persists across
-        them, so the output equals stepping every frame one by one.
-        """
-        for clip_start in range(0, len(frames), self.cfg.clip_length):
-            for offset, feature in enumerate(
-                frames[clip_start : clip_start + self.cfg.clip_length]
-            ):
-                self.step_frame(feature, start_index + clip_start + offset)
+        """Step every frame in order, numbering them from start_index, and finalize."""
+        for offset, feature in enumerate(frames):
+            self.step_frame(feature, start_index + offset)
         return self.finalize_2d()
 
 

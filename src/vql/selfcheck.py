@@ -21,9 +21,10 @@ import numpy as np
 
 from . import amm, fusion, geo3d, glm, metrics, scenario as scen
 from .core import (
+    CROP_AREA_LADDER,
     conv2d,
-    conv2d_transpose,
     connected_components,
+    extract_square_crop,
     gaussian_label,
     kernel_gradient,
     median_filter_1d,
@@ -83,7 +84,7 @@ def fd_gradient(loss_fn, kernel: np.ndarray, step: float = 1e-5) -> np.ndarray:
 
 
 def components_union_find(mask: np.ndarray) -> list[frozenset]:
-    """4-connected labeling via union-find, independent of the BFS path."""
+    """4-connected labeling via union-find, independent of label propagation."""
     h, w = mask.shape
     parent: dict[tuple[int, int], tuple[int, int]] = {}
 
@@ -291,9 +292,8 @@ CLEAR_MARGIN = 1e-12
 
 def descent_deviation(start, bank, n_iter, enc, rw):
     """Relative kernel deviation of steepest_descent from its per-entry oracle, and its fit."""
-    entries = bank.entries if isinstance(bank, amm.AmmMemory) else bank
     got = amm.steepest_descent(start, bank, n_iter, enc, rw)
-    want = steepest_descent_naive(start, list(entries), n_iter, enc, rw)
+    want = steepest_descent_naive(start, bank, n_iter, enc, rw)
     return relative_deviation(got.kernel, want.kernel), got
 
 
@@ -305,12 +305,11 @@ def optimizer_deviation(start, bank, n_iter, fn):
     plateau of the loss around one optimum, and their losses are compared,
     to CLEAR_MARGIN.
     """
-    samples = bank.samples if isinstance(bank, glm.GlmMemory) else list(bank)
     got = glm.optimize_filter(start, bank, n_iter, fn)
-    fit = optimize_filter_naive(start, samples, n_iter, fn)
+    fit = optimize_filter_naive(start, bank, n_iter, fn)
     if fit.margin > CLEAR_MARGIN:
         return relative_deviation(got.kernel, fit.filter.kernel), SOLVER_TOL, got, fit
-    ours, theirs = (glm.track_loss(f, samples, fn) for f in (got, fit.filter))
+    ours, theirs = (glm.track_loss(f, bank, fn) for f in (got, fit.filter))
     return abs(ours - theirs) / theirs, CLEAR_MARGIN, got, fit
 
 
@@ -327,21 +326,6 @@ def check_conv_naive(n_instances=10, seed=0):
         want = conv2d_naive(x, k)
         worst = max(worst, float(np.abs(got - want).max() / (np.abs(want).max() + 1e-30)))
     return worst < 1e-12, f"max relative deviation {worst:.3e}"
-
-
-def check_adjoint_identity(n_instances=20, seed=1):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_instances):
-        c_in, c_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        ksz = int(rng.choice([1, 3, 5]))
-        a = rng.uniform(-1, 1, size=(6, 7, c_in))
-        b = rng.uniform(-1, 1, size=(6, 7, c_out))
-        k = rng.uniform(-1, 1, size=(ksz, ksz, c_in, c_out))
-        lhs = float(np.sum(conv2d(a, k) * b))
-        rhs = float(np.sum(a * conv2d_transpose(b, k)))
-        worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-30))
-    return worst < 1e-10, f"max relative asymmetry {worst:.3e}"
 
 
 def check_kernel_gradient_fd(n_instances=10, seed=2):
@@ -364,13 +348,17 @@ def check_connected_components(n_instances=20, seed=3):
     rng = np.random.default_rng(seed)
     for _ in range(n_instances):
         mask = (rng.random((16, 16)) > 0.6).astype(np.uint8)
-        got = {frozenset(c) for c in connected_components(mask)}
-        want = set(components_union_find(mask))
-        if got != want:
-            return False, "component partition disagrees with union-find labeling"
-        covered = set().union(*got) if got else set()
-        if covered != {(r, c) for r, c in zip(*np.nonzero(mask))}:
-            return False, "components do not cover the foreground"
+        labels = connected_components(mask)
+        if not np.array_equal(labels != 0, mask != 0):
+            return False, "labels do not cover exactly the foreground"
+        for component in components_union_find(mask):
+            first = min(component)
+            want = 1 + first[0] * mask.shape[1] + first[1]
+            rows, cols = zip(*component)
+            if set(np.unique(labels[rows, cols])) != {want}:
+                return False, f"component at {first} is not labelled {want}"
+            if np.count_nonzero(labels == want) != len(component):
+                return False, f"label {want} covers pixels outside its union-find component"
     return True, f"{n_instances} random masks matched"
 
 
@@ -378,7 +366,10 @@ def check_min_bounding_rect(n_instances=20, seed=4):
     rng = np.random.default_rng(seed)
     for _ in range(n_instances):
         pts = {(int(rng.integers(0, 12)), int(rng.integers(0, 12))) for _ in range(8)}
-        got = min_bounding_rect(pts)
+        mask = np.zeros((12, 12), dtype=np.uint8)
+        for r, c in pts:
+            mask[r, c] = 1
+        got = min_bounding_rect(mask)
         rows = [p[0] for p in pts]
         cols = [p[1] for p in pts]
         if got != (min(cols), min(rows), max(cols), max(rows)):
@@ -592,9 +583,9 @@ def check_crop_ladder():
     rows, cols = np.nonzero(mask)
     center = (rows.mean(), cols.mean())
     fractions = {}
-    for scale in amm.CROP_AREA_LADDER:
+    for scale in CROP_AREA_LADDER:
         side = max(1, int(round(np.sqrt(scale) * 20)))
-        _, frac = amm.extract_square_crop(feature, center, side)
+        _, frac = extract_square_crop(feature, center, side)
         # area oracle: intersection of the crop window with the frame
         r0 = int(np.floor(center[0] - (side - 1) / 2.0 + 0.5))
         c0 = int(np.floor(center[1] - (side - 1) / 2.0 + 0.5))
@@ -611,7 +602,7 @@ def check_crop_ladder():
         return False, f"sample resolution wrong: {sample.feature.shape}"
     # full-frame mask: both larger scales overflow, the ladder settles at 1.44
     full = np.ones((32, 32), dtype=np.uint8)
-    _, frac_15 = amm.extract_square_crop(np.ones((32, 32, 1)), (15.5, 15.5), 48)
+    _, frac_15 = extract_square_crop(np.ones((32, 32, 1)), (15.5, 15.5), 48)
     want = 1.0 - 32 * 32 / float(48 * 48)
     if abs(frac_15 - want) > 1e-12:
         return False, f"whole-frame padded fraction {frac_15} != {want}"
@@ -844,25 +835,20 @@ def check_glm_update_source():
 
 
 def check_fusion_elementwise(seed=23):
+    # per-pixel replay of the three-step form: the score copied into each
+    # appearance channel as max(0, H), summed, then the logistic of the mean
     rng = np.random.default_rng(seed)
-    a = rng.uniform(-2, 2, size=(5, 6, 3))
-    b = rng.uniform(-2, 2, size=(5, 6, 3))
-    fused = fusion.fuse(a, b)
+    appearance = rng.uniform(-2, 2, size=(5, 6, 3))
+    score = rng.uniform(-2, 2, size=(5, 6))
+    prob = fusion.fuse(appearance, score)
     for i in range(5):
         for j in range(6):
-            for c in range(3):
-                if fused[i, j, c] != a[i, j, c] + b[i, j, c]:
-                    return False, "fuse disagrees with elementwise sum"
-    if not np.array_equal(fusion.fuse(a, b), fusion.fuse(b, a)):
-        return False, "fuse is not bitwise commutative"
-    prob = fusion.decode(fused)
-    for i in range(5):
-        for j in range(6):
-            mean = sum(fused[i, j, c] for c in range(3)) / 3.0
+            encoded = max(0.0, score[i, j])
+            mean = sum(appearance[i, j, c] + encoded for c in range(3)) / 3.0
             want = 1.0 / (1.0 + np.exp(-mean))
             if abs(prob[i, j] - want) > 1e-15:
-                return False, "decode disagrees with the channel-mean reduction"
-    return True, "fuse and decode match their elementwise oracles"
+                return False, f"fuse deviates from the per-pixel three-step formula at ({i}, {j})"
+    return True, "fuse matches the per-pixel encode, sum and decode loop"
 
 
 def check_extract_result_components():
@@ -1055,7 +1041,7 @@ def check_pipeline_initialization():
     static = pipe.glm_memory.static_entry
     rebuilt = glm.glm_make_dynamic_sample(
         scenario.query.feature,
-        min_bounding_rect(zip(*np.nonzero(scenario.query.mask))),
+        min_bounding_rect(scenario.query.mask),
         (scenario.query.mask != 0).astype(np.float64),
         pipe.cfg.sample_resolution,
         kind="static",
@@ -1120,7 +1106,7 @@ def check_glm_static_immutable(seed=28):
                 rng.random((6, 6)),
             )
         )
-        glm.optimize_filter(glm.TrackFilter.zeros(1, 2), mem, 2, glm.SpatialWeightFn())
+        glm.optimize_filter(glm.TrackFilter.zeros(1, 2), mem.samples, 2, glm.SpatialWeightFn())
         if len(mem) > 4:
             return False, f"bank size {len(mem)} exceeded capacity"
     same = all(np.array_equal(a, b) for a, b in zip(frozen, (static.feature, static.label, static.target_region)))
@@ -1241,7 +1227,6 @@ def check_scenario_roundtrip(tmp_dir=None):
 
 CHECKS = {
     "core.conv2d_vs_naive_loop": check_conv_naive,
-    "core.transpose_adjoint_identity": check_adjoint_identity,
     "core.kernel_gradient_finite_difference": check_kernel_gradient_fd,
     "core.connected_components_vs_union_find": check_connected_components,
     "core.min_bounding_rect_reduction": check_min_bounding_rect,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vql import amm
-from vql.core import DimensionError, EmptyInputError, ParameterError, conv2d
+from vql.core import DimensionError, EmptyInputError, ParameterError, conv2d, extract_square_crop
 from vql.selfcheck import (
     fd_gradient,
     gaussian_blur_dense,
@@ -227,7 +227,7 @@ class TestCropSample:
         feature = rng(16).uniform(size=(64, 64, 2))
         mask = np.zeros((64, 64), dtype=np.uint8)
         mask[27:37, 27:37] = 1
-        crop, frac = amm.extract_square_crop(feature, (31.5, 31.5), 15)
+        crop, frac = extract_square_crop(feature, (31.5, 31.5), 15)
         assert frac == 0.0
         sample = amm.crop_sample(feature, mask, resolution=16)
         assert sample.feature.shape == (16, 16, 2)
@@ -247,8 +247,8 @@ class TestCropSample:
             mask[r, c] = 1
         rows, cols = np.nonzero(mask)
         center = (rows.mean(), cols.mean())
-        _, frac_15 = amm.extract_square_crop(mask.astype(float), center, round(1.5 * 20))
-        _, frac_12 = amm.extract_square_crop(mask.astype(float), center, round(1.2 * 20))
+        _, frac_15 = extract_square_crop(mask.astype(float), center, round(1.5 * 20))
+        _, frac_12 = extract_square_crop(mask.astype(float), center, round(1.2 * 20))
         assert frac_15 > 0.5 >= frac_12
         amm.crop_sample(np.ones((64, 64, 1)), mask)  # settles on the 1.44 rung
 

@@ -51,34 +51,6 @@ class TestConv2d:
             core.conv2d(np.ones((4, 4, 2)), np.ones((2, 2, 2, 1)))
 
 
-class TestConv2dTranspose:
-    def test_identity_kernel(self):
-        x = rng(4).uniform(-1, 1, size=(4, 4, 2))
-        k = np.zeros((1, 1, 2, 2))
-        k[0, 0] = np.eye(2)
-        np.testing.assert_allclose(core.conv2d_transpose(x, k), x)
-
-    def test_zero_input(self):
-        k = rng(5).uniform(-1, 1, size=(3, 3, 2, 4))
-        out = core.conv2d_transpose(np.zeros((5, 5, 4)), k)
-        assert not out.any()
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_adjoint_identity(self, seed):
-        r = rng(seed)
-        c_in, c_out, ksz = int(r.integers(1, 4)), int(r.integers(1, 4)), int(r.choice([1, 3, 5]))
-        a = r.uniform(-1, 1, size=(6, 7, c_in))
-        b = r.uniform(-1, 1, size=(6, 7, c_out))
-        k = r.uniform(-1, 1, size=(ksz, ksz, c_in, c_out))
-        lhs = float(np.sum(core.conv2d(a, k) * b))
-        rhs = float(np.sum(a * core.conv2d_transpose(b, k)))
-        assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
-
-    def test_channel_mismatch(self):
-        with pytest.raises(core.DimensionError):
-            core.conv2d_transpose(np.ones((4, 4, 2)), np.ones((3, 3, 2, 3)))
-
-
 class TestKernelGradient:
     def test_zero_residual(self):
         x = rng(6).uniform(-1, 1, size=(4, 4, 2))
@@ -131,33 +103,48 @@ class TestGaussianLabel:
 
 class TestConnectedComponents:
     def test_empty_mask(self):
-        assert core.connected_components(np.zeros((4, 4))) == []
+        labels = core.connected_components(np.zeros((4, 4)))
+        assert labels.shape == (4, 4) and not labels.any()
 
     def test_diagonal_pixels_are_two_components(self):
         mask = np.zeros((3, 3))
         mask[0, 0] = mask[1, 1] = 1
-        assert len(core.connected_components(mask)) == 2
+        labels = core.connected_components(mask)
+        assert labels[0, 0] == 1 and labels[1, 1] == 5
+        assert np.count_nonzero(labels) == 2
 
     def test_partition_properties(self):
         mask = (rng(9).random((16, 16)) > 0.6).astype(np.uint8)
-        comps = core.connected_components(mask)
-        union = set()
-        for comp in comps:
-            assert not (union & comp), "components overlap"
-            union |= comp
-        assert union == {(r, c) for r, c in zip(*np.nonzero(mask))}
+        labels = core.connected_components(mask)
+        np.testing.assert_array_equal(labels != 0, mask != 0)
+        for label in np.unique(labels[labels != 0]):
+            # each label names its component's first pixel in row-major order
+            first = np.flatnonzero(labels == label)[0]
+            assert label == first + 1
+
+    def test_matches_union_find(self):
+        from vql.selfcheck import components_union_find
+
+        mask = (rng(10).random((12, 17)) > 0.45).astype(np.uint8)
+        labels = core.connected_components(mask)
+        got = {frozenset(zip(*np.nonzero(labels == label))) for label in np.unique(labels[labels != 0])}
+        assert got == set(components_union_find(mask))
 
 
 class TestMinBoundingRect:
     def test_single_pixel(self):
-        assert core.min_bounding_rect([(3, 5)]) == (5, 3, 5, 3)
+        mask = np.zeros((6, 7))
+        mask[3, 5] = 1
+        assert core.min_bounding_rect(mask) == (5, 3, 5, 3)
 
     def test_two_pixels(self):
-        assert core.min_bounding_rect([(0, 0), (2, 4)]) == (0, 0, 4, 2)
+        mask = np.zeros((3, 5))
+        mask[0, 0] = mask[2, 4] = 1
+        assert core.min_bounding_rect(mask) == (0, 0, 4, 2)
 
     def test_empty_raises(self):
         with pytest.raises(core.EmptyInputError):
-            core.min_bounding_rect([])
+            core.min_bounding_rect(np.zeros((3, 3)))
 
 
 class TestMedianFilter:

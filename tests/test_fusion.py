@@ -1,62 +1,76 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vql import fusion
 from vql.core import DimensionError
+from vql.selfcheck import components_union_find
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 class TestEncodeScore:
+    """The tracking score enters the fused logit as max(0, H)."""
+
     def test_negative_scores_rectified(self):
-        out = fusion.encode_score(np.full((3, 3), -2.0), fusion.ScoreEncoder())
-        assert not out.any()
-        assert out.shape == (3, 3, 3)
+        appearance = rng(0).uniform(-1, 1, size=(3, 3, 3))
+        out = fusion.fuse(appearance, np.full((3, 3), -2.0))
+        np.testing.assert_array_equal(out, fusion.fuse(appearance, np.zeros((3, 3))))
 
     def test_passthrough_for_positive(self):
         score = rng(1).uniform(0, 1, size=(4, 4))
-        out = fusion.encode_score(score, fusion.ScoreEncoder())
-        for c in range(3):
-            np.testing.assert_array_equal(out[:, :, c], score)
+        np.testing.assert_allclose(fusion.fuse(np.zeros((4, 4, 3)), score), sigmoid(score), rtol=1e-15)
 
     def test_gain(self):
-        out = fusion.encode_score(np.full((2, 2), 0.3), fusion.ScoreEncoder(gain=2.0))
-        np.testing.assert_allclose(out, 0.6)
+        # unit gain: the score adds to the logit as is, whatever the channel count
+        for channels in (1, 3, 5):
+            out = fusion.fuse(np.zeros((2, 2, channels)), np.full((2, 2), 0.3))
+            np.testing.assert_allclose(out, sigmoid(0.3), rtol=1e-15)
 
 
 class TestFuse:
     def test_zero_is_identity(self):
         a = rng(2).uniform(-1, 1, size=(3, 4, 2))
-        np.testing.assert_array_equal(fusion.fuse(a, np.zeros_like(a)), a)
+        np.testing.assert_array_equal(fusion.fuse(a, np.zeros((3, 4))), sigmoid(a.mean(axis=2)))
 
     def test_commutative_bits(self):
+        # adding the two branch terms in either order gives the same bits
         r = rng(3)
-        a, b = r.uniform(-1, 1, (4, 4, 3)), r.uniform(-1, 1, (4, 4, 3))
-        assert np.array_equal(fusion.fuse(a, b), fusion.fuse(b, a))
+        a, h = r.uniform(-1, 1, (4, 4, 3)), r.uniform(-1, 1, (4, 4))
+        want = 1.0 / (1.0 + np.exp(-(np.maximum(0.0, h) + a.mean(axis=2))))
+        assert np.array_equal(fusion.fuse(a, h), want)
 
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
-            fusion.fuse(np.zeros((3, 3, 2)), np.zeros((3, 3, 3)))
+            fusion.fuse(np.zeros((3, 3, 2)), np.zeros((3, 4)))
+        with pytest.raises(DimensionError):
+            fusion.fuse(np.zeros((3, 3)), np.zeros((3, 3)))
 
 
 class TestDecode:
+    """The fused logit is squashed by a logistic over the appearance channel mean."""
+
     def test_zero_gives_half(self):
-        np.testing.assert_allclose(fusion.decode(np.zeros((3, 3, 4))), 0.5)
+        np.testing.assert_allclose(fusion.fuse(np.zeros((3, 3, 4)), np.zeros((3, 3))), 0.5)
 
     def test_monotone_bounded(self):
-        big = fusion.decode(np.full((2, 2, 1), 20.0))
+        big = fusion.fuse(np.full((2, 2, 1), 20.0), np.zeros((2, 2)))
         assert np.all(big > 0.999999) and np.all(big < 1.0)
-        small = fusion.decode(np.full((2, 2, 1), -20.0))
+        small = fusion.fuse(np.full((2, 2, 1), -20.0), np.zeros((2, 2)))
         assert np.all(small < 1e-6) and np.all(small > 0.0)
 
     def test_channel_mean(self):
-        fused = rng(4).uniform(-2, 2, size=(3, 3, 5))
-        got = fusion.decode(fused)
-        want = 1 / (1 + np.exp(-fused.mean(axis=2)))
+        appearance = rng(4).uniform(-2, 2, size=(3, 3, 5))
+        got = fusion.fuse(appearance, np.zeros((3, 3)))
+        want = 1 / (1 + np.exp(-appearance.mean(axis=2)))
         np.testing.assert_allclose(got, want, rtol=1e-15)
 
 
@@ -87,6 +101,45 @@ class TestExtractResult:
         if res.mask.any():
             assert res.bbox is not None
             assert res.s_conf == pytest.approx(float(prob[res.mask != 0].mean()))
+
+
+def largest_component_box(mask):
+    """Box of the largest union-find component; ties go to the row-major first."""
+    largest = min(components_union_find(mask), key=lambda comp: (-len(comp), min(comp)))
+    rows, cols = zip(*largest)
+    return (min(cols), min(rows), max(cols), max(rows))
+
+
+def serpentine():
+    """One component snaking through every other row: labels must travel its whole length."""
+    mask = np.zeros((9, 9), dtype=np.uint8)
+    mask[::2, :] = 1
+    mask[1::4, -1] = 1
+    mask[3::4, 0] = 1
+    return mask
+
+
+@st.composite
+def binary_masks(draw):
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    return draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, 1)))
+
+
+class TestExtractResultProperty:
+    @given(binary_masks())
+    @example(np.array([[1, 1, 0, 1, 1, 0, 1]], dtype=np.uint8))
+    @example(np.array([[0], [1], [1], [0], [1], [1], [1]], dtype=np.uint8))
+    @example(serpentine())
+    # equal sizes: the row-major first component wins over the leftmost one
+    @example(np.array([[0, 0, 1, 1, 1], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0]], dtype=np.uint8))
+    @settings(max_examples=200, deadline=None)
+    def test_box_of_largest_union_find_component(self, mask):
+        prob = np.where(mask != 0, 0.9, 0.1)
+        res = fusion.extract_result(prob, 0)
+        if not mask.any():
+            assert res.bbox is None
+        else:
+            assert res.bbox == largest_component_box(mask)
 
 
 class TestTemporalLocalize:

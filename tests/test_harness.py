@@ -97,6 +97,13 @@ class TestFileRoundTrips:
         fileio.save_config(cfg, str(path))
         assert fileio.load_config(str(path)) == cfg
 
+    @pytest.mark.parametrize("field", ["clip_length", "label_channels"])
+    def test_removed_config_fields_rejected(self, tmp_path, field):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"version": 1, "kind": "config", field: 3}))
+        with pytest.raises(fileio.SchemaError, match=field):
+            fileio.load_config(str(path))
+
     def test_schema_errors_name_fields(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"version": 1, "kind": "config", "admit_threshold": 7}')

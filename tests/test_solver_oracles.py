@@ -80,7 +80,7 @@ def test_descent_follows_fifo_eviction():
     filt = amm.SegFilter.zeros(3, 2)
     for _ in range(6):
         amm.amm_update(mem, amm_sample(r, 2))
-        filt = assert_descent_matches(filt, mem, 3)
+        filt = assert_descent_matches(filt, mem.entries, 3)
     assert len(mem) == 3
 
 
@@ -90,7 +90,7 @@ def test_optimizer_follows_fifo_eviction():
     filt = glm.TrackFilter.zeros(3, 2)
     for _ in range(5):
         mem.add_dynamic(glm_sample(r, 2))
-        filt, fit = assert_optimizer_matches(filt, mem, 3)
+        filt, fit = assert_optimizer_matches(filt, mem.samples, 3)
         assert fit.margin > CLEAR_MARGIN
     assert len(mem) == 3
 
