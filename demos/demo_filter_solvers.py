@@ -21,12 +21,12 @@ def segmentation_descent():
         )
         for _ in range(3)
     ]
-    enc, rw = amm.PseudoLabelEncoder(), amm.TargetReweighter()
+    rw = amm.TargetReweighter()
     filt = amm.SegFilter(np.zeros((3, 3, 2, 3)), regularizer=0.05)
     print("segmentation filter (steepest descent, exact step size):")
     for i in range(12):
-        loss = amm.seg_loss(filt, samples, enc, rw)
-        g = amm.seg_gradient(filt, samples, enc, rw)
+        loss = amm.seg_loss(filt, samples, rw)
+        g = amm.seg_gradient(filt, samples, rw)
         alpha = amm.steepest_step_size(g, samples, rw, filt.regularizer)
         print(f"  iter {i:2d}  loss {loss:.6f}  step {alpha:.4f}")
         filt = amm.SegFilter(filt.kernel - alpha * g, filt.regularizer)

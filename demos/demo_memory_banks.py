@@ -1,46 +1,41 @@
 """Exercise the two memory banks' admission and eviction policies.
 
-The appearance bank is a pure FIFO gated on mean in-mask confidence; the
-localization bank pins its first snapshot forever and rotates the rest.
+A small identity query runs at capacity 4 over target frames with every
+third frame blanked to background. The appearance bank is a pure FIFO gated
+on mean in-mask confidence; the localization bank pins its static query
+snapshot and rotates up to capacity - 1 dynamic snapshots.
 """
 
-import numpy as np
-
-from vql import amm, glm
-from vql.core import gaussian_label
-
-
-def appearance_bank():
-    print("appearance bank: FIFO with confidence-gated admission")
-    mem = amm.AmmMemory(capacity=4, resolution=8)
-    rng = np.random.default_rng(2)
-    for i in range(8):
-        confidence = float(rng.uniform(0.3, 0.95))
-        prob = np.full((8, 8), confidence)
-        mask = np.ones((8, 8), dtype=np.uint8)
-        admitted = amm.amm_admit(prob, mask, threshold=0.6)
-        if admitted:
-            amm.amm_update(mem, amm.AmmSample(np.full((8, 8, 2), float(i)), mask, confidence))
-        held = [int(s.feature[0, 0, 0]) for s in mem.entries]
-        print(f"  frame {i}: confidence {confidence:.2f} admitted={admitted}  bank={held}")
+from vql import glm
+from vql.pipeline import Pipeline, PipelineConfig
+from vql.scenario import ScenarioParams, gen_scenario
 
 
-def localization_bank():
-    print("localization bank: permanent static snapshot plus dynamic FIFO")
-    label = gaussian_label((3.5, 3.5), 1.2, (8, 8))
-    static = glm.GlmSample(np.zeros((8, 8, 2)), label, np.ones((8, 8)), kind="static")
-    mem = glm.GlmMemory(static, capacity=4)
-    for i in range(6):
-        mem.add_dynamic(glm.GlmSample(np.full((8, 8, 2), float(i + 1)), label, np.ones((8, 8))))
-        dyn = [int(s.feature[0, 0, 0]) for s in mem.dynamic_entries]
-        print(f"  after snapshot {i + 1}: static pinned, dynamic={dyn} (size {len(mem)})")
+def both_banks():
+    print("both banks at capacity 4: confidence-gated FIFOs, static snapshot pinned")
+    scenario = gen_scenario(7, ScenarioParams("identity", n_frames=8, canvas=(32, 32), object_size=13))
+    pipe = Pipeline(scenario.query, PipelineConfig(capacity=4, seg_kernel_size=1, track_kernel_size=1))
+    static = pipe.memory.glm_static
+    background = scenario.frames[0].feature.copy()
+    background[:, :, :] = background[0, 0, :]
+    for t, frame in enumerate(scenario.frames):
+        result = pipe.step_frame(background if t % 3 == 2 else frame.feature, t)
+        held = " ".join(f"{s.confidence:.2f}" for s in pipe.memory.amm_entries)
+        pinned = pipe.memory.glm_static is static
+        print(
+            f"  frame {t}: s_conf {result.s_conf:.2f}  appearance=[{held}]  "
+            f"static pinned={pinned}, dynamic={len(pipe.memory.glm_dynamic)}"
+        )
+
+
+def update_source():
     history = [1.0] * 30 + [0.2] * 20
-    print(f"  weak recent responses -> refresh from '{glm.glm_update_source(history)}' snapshot")
+    print(f"weak recent responses -> refresh from '{glm.glm_update_source(history)}' snapshot")
     history = [1.0] * 50
-    print(f"  strong recent responses -> refresh from '{glm.glm_update_source(history)}' snapshot")
+    print(f"strong recent responses -> refresh from '{glm.glm_update_source(history)}' snapshot")
 
 
 if __name__ == "__main__":
-    appearance_bank()
+    both_banks()
     print()
-    localization_bank()
+    update_source()

@@ -20,13 +20,10 @@ from .core import (
     min_bounding_rect,
 )
 from .amm import (
-    AmmMemory,
     AmmSample,
-    PseudoLabelEncoder,
     SegFilter,
     TargetReweighter,
     amm_admit,
-    amm_update,
     crop_sample,
     encode_pseudo_label,
     reweight,
@@ -36,7 +33,6 @@ from .amm import (
     steepest_step_size,
 )
 from .glm import (
-    GlmMemory,
     GlmSample,
     SpatialWeightFn,
     TrackFilter,

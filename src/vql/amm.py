@@ -1,4 +1,4 @@
-"""Appearance branch: sample bank plus a steepest-descent ridge solver.
+"""Appearance branch: bank entries, their admission gate and a steepest-descent ridge solver.
 
 The segmentation model is a single convolution ``conv2d(F, sigma)`` mapping
 C feature channels to D label channels. Its weights are fit online against
@@ -35,10 +35,6 @@ gradient step uses the closed-form optimal step length:
 
 Exact line search makes the loss non-increasing at every iteration and
 convergence to the unique ridge optimum a matter of iteration count only.
-
-The bank itself is a FIFO of cropped, resampled (feature, mask) pairs; a
-new retrieval is admitted only when its mean in-mask probability clears a
-confidence threshold.
 """
 
 from __future__ import annotations
@@ -62,10 +58,8 @@ from .core import (
 )
 
 __all__ = [
-    "PseudoLabelEncoder",
     "TargetReweighter",
     "AmmSample",
-    "AmmMemory",
     "SegFilter",
     "encode_pseudo_label",
     "reweight",
@@ -75,20 +69,9 @@ __all__ = [
     "steepest_descent",
     "amm_admit",
     "crop_sample",
-    "amm_update",
 ]
 
 GRADIENT_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class PseudoLabelEncoder:
-    """Fixed mask-to-multichannel encoding (mask, boundary, center bump)."""
-
-    out_channels: int = 3
-
-    def encode(self, mask: np.ndarray) -> np.ndarray:
-        return encode_pseudo_label(mask, self.out_channels)
 
 
 @dataclass(frozen=True)
@@ -124,7 +107,7 @@ class AmmSample:
     feature: np.ndarray
     mask: np.ndarray
     confidence: float = 1.0
-    # solver statistics keyed by (kernel size, reweighter[, encoder])
+    # solver statistics (M_i, b_i, c_i) keyed by (kernel size, reweighter)
     _stats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -134,24 +117,6 @@ class AmmSample:
             raise DimensionError(
                 f"feature {self.feature.shape} and mask {self.mask.shape} dims differ"
             )
-
-
-class AmmMemory:
-    """FIFO bank of appearance samples at one canonical resolution.
-
-    Eviction is strictly first-in-first-out over all entries, including the
-    initial query sample; nothing is pinned.
-    """
-
-    def __init__(self, capacity: int = 50, resolution: int = 32):
-        if capacity < 1:
-            raise ParameterError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.resolution = resolution
-        self.entries: list[AmmSample] = []
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -167,11 +132,11 @@ class SegFilter:
             raise ParameterError(f"regularizer must be positive, got {self.regularizer}")
 
     @classmethod
-    def zeros(cls, k: int, in_channels: int, out_channels: int = 3, regularizer: float = 0.01) -> "SegFilter":
-        return cls(np.zeros((k, k, in_channels, out_channels)), regularizer)
+    def zeros(cls, k: int, in_channels: int, regularizer: float = 0.01) -> "SegFilter":
+        return cls(np.zeros((k, k, in_channels, 3)), regularizer)
 
 
-def encode_pseudo_label(mask: np.ndarray, out_channels: int = 3) -> np.ndarray:
+def encode_pseudo_label(mask: np.ndarray) -> np.ndarray:
     """Encode a binary mask as a 3-channel regression target.
 
     channel 0: the mask itself
@@ -180,8 +145,6 @@ def encode_pseudo_label(mask: np.ndarray, out_channels: int = 3) -> np.ndarray:
     channel 2: exp(-d^2 / (2 r^2)) from the mask centroid with
                r = max(1, sqrt(area) / 2), zero on background
     """
-    if out_channels != 3:
-        raise ParameterError(f"encoder is defined for 3 output channels, got {out_channels}")
     mask = np.asarray(mask)
     h, w = mask.shape
     fg = mask != 0
@@ -234,50 +197,28 @@ def reweight(mask: np.ndarray, rw: TargetReweighter) -> np.ndarray:
     return rw.background_weight + (rw.foreground_weight - rw.background_weight) * blurred
 
 
-def _weighted_patches(sample: AmmSample, ksz: int, rw: TargetReweighter) -> tuple[np.ndarray, np.ndarray]:
-    weights = reweight(sample.mask, rw).reshape(-1, 1)
-    return weights, weights * im2col(sample.feature, ksz)
-
-
-def _gram(sample: AmmSample, ksz: int, rw: TargetReweighter, patches: np.ndarray | None = None) -> np.ndarray:
-    """M_i = A_i^T W_i^2 A_i, computed once per (kernel size, reweighter).
-
-    ``patches`` are the entry's weighted patches W_i A_i when the caller
-    already has them.
-    """
+def _statistics(sample: AmmSample, ksz: int, rw: TargetReweighter) -> tuple[np.ndarray, np.ndarray, float]:
+    """(M_i, b_i, c_i) of one entry, computed once per (kernel size, reweighter) and kept on it."""
     key = (ksz, rw)
     if key not in sample._stats:
-        if patches is None:
-            _, patches = _weighted_patches(sample, ksz, rw)
-        sample._stats[key] = readonly_copy(patches.T @ patches)
+        weights = reweight(sample.mask, rw).reshape(-1, 1)
+        patches = weights * im2col(sample.feature, ksz)
+        target = weights * encode_pseudo_label(sample.mask).reshape(weights.size, -1)
+        sample._stats[key] = (
+            readonly_copy(patches.T @ patches),
+            readonly_copy(patches.T @ target),
+            float(np.sum(target**2)),
+        )
     return sample._stats[key]
 
 
-def _statistics(
-    sample: AmmSample, ksz: int, enc: PseudoLabelEncoder, rw: TargetReweighter
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """(M_i, b_i, c_i) of one entry, each computed once and kept on the entry."""
-    key = (ksz, rw, enc)
-    patches = None
-    if key not in sample._stats:
-        weights, patches = _weighted_patches(sample, ksz, rw)
-        target = weights * enc.encode(sample.mask).reshape(weights.size, -1)
-        sample._stats[key] = (readonly_copy(patches.T @ target), float(np.sum(target**2)))
-    cross, energy = sample._stats[key]
-    return _gram(sample, ksz, rw, patches), cross, energy
-
-
 def _bank_statistics(
-    mem: Sequence[AmmSample],
-    kernel_shape: Sequence[int],
-    rw: TargetReweighter,
-    enc: PseudoLabelEncoder | None = None,
+    mem: Sequence[AmmSample], kernel_shape: Sequence[int], rw: TargetReweighter
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(M, b, c): the entries' statistics summed for a kernel of the given shape.
-
-    Without an encoder only M is summed; b and c stay zero.
-    """
+    """(M, b, c): the entries' statistics summed for a kernel of the given shape."""
     ksz, _, c_in, c_out = kernel_shape
+    if c_out != 3:
+        raise DimensionError(f"kernel shape {tuple(kernel_shape)} does not map to the 3 label channels")
     gram = np.zeros((ksz * ksz * c_in,) * 2)
     cross = np.zeros((ksz * ksz * c_in, c_out))
     energy = 0.0
@@ -286,14 +227,7 @@ def _bank_statistics(
             raise DimensionError(
                 f"entry with {sample.feature.shape[2]} channels does not fit kernel shape {tuple(kernel_shape)}"
             )
-        if enc is None:
-            gram += _gram(sample, ksz, rw)
-            continue
-        m_i, b_i, c_i = _statistics(sample, ksz, enc, rw)
-        if b_i.shape[1] != c_out:
-            raise DimensionError(
-                f"entry with {b_i.shape[1]} labels does not fit kernel shape {tuple(kernel_shape)}"
-            )
+        m_i, b_i, c_i = _statistics(sample, ksz, rw)
         gram += m_i
         cross += b_i
         energy += c_i
@@ -307,21 +241,17 @@ def _exact_step(g: np.ndarray, gram: np.ndarray, delta: float) -> float:
     return g_norm2 / (float(np.sum(g * (gram @ g))) + delta * g_norm2)
 
 
-def seg_loss(
-    filt: SegFilter, mem: Sequence[AmmSample], enc: PseudoLabelEncoder, rw: TargetReweighter
-) -> float:
+def seg_loss(filt: SegFilter, mem: Sequence[AmmSample], rw: TargetReweighter) -> float:
     """Weighted half-squared-error over the bank entries plus the ridge term."""
-    gram, cross, energy = _bank_statistics(mem, filt.kernel.shape, rw, enc)
+    gram, cross, energy = _bank_statistics(mem, filt.kernel.shape, rw)
     sigma = filt.kernel.reshape(cross.shape)
     fit = float(np.sum(sigma * (gram @ sigma))) - 2.0 * float(np.sum(sigma * cross)) + energy
     return 0.5 * fit + 0.5 * filt.regularizer * float(np.sum(sigma**2))
 
 
-def seg_gradient(
-    filt: SegFilter, mem: Sequence[AmmSample], enc: PseudoLabelEncoder, rw: TargetReweighter
-) -> np.ndarray:
+def seg_gradient(filt: SegFilter, mem: Sequence[AmmSample], rw: TargetReweighter) -> np.ndarray:
     """Exact gradient of :func:`seg_loss` with respect to the kernel."""
-    gram, cross, _ = _bank_statistics(mem, filt.kernel.shape, rw, enc)
+    gram, cross, _ = _bank_statistics(mem, filt.kernel.shape, rw)
     sigma = filt.kernel.reshape(cross.shape)
     return (gram @ sigma - cross + filt.regularizer * sigma).reshape(filt.kernel.shape)
 
@@ -335,17 +265,11 @@ def steepest_step_size(
     return _exact_step(g.reshape(gram.shape[0], g.shape[3]), gram, delta)
 
 
-def steepest_descent(
-    filt: SegFilter,
-    mem: Sequence[AmmSample],
-    n_iter: int,
-    enc: PseudoLabelEncoder,
-    rw: TargetReweighter,
-) -> SegFilter:
+def steepest_descent(filt: SegFilter, mem: Sequence[AmmSample], n_iter: int, rw: TargetReweighter) -> SegFilter:
     """Run n_iter exact-line-search gradient steps; stops early once converged."""
     if n_iter < 0:
         raise ParameterError(f"n_iter must be >= 0, got {n_iter}")
-    gram, cross, _ = _bank_statistics(mem, filt.kernel.shape, rw, enc)
+    gram, cross, _ = _bank_statistics(mem, filt.kernel.shape, rw)
     delta = filt.regularizer
     sigma = filt.kernel.reshape(cross.shape)
     for _ in range(n_iter):
@@ -397,14 +321,3 @@ def crop_sample(
     sample_mask = (nearest_resize(crop_m, (resolution, resolution)) != 0).astype(np.uint8)
     return AmmSample(feature, sample_mask, confidence)
 
-
-def amm_update(mem: AmmMemory, sample: AmmSample) -> None:
-    """Append a sample, evicting the oldest entry once capacity is exceeded."""
-    if sample.feature.shape[0] != mem.resolution or sample.feature.shape[1] != mem.resolution:
-        raise DimensionError(
-            f"sample resolution {sample.feature.shape[:2]} does not match bank "
-            f"resolution {mem.resolution}"
-        )
-    mem.entries.append(sample)
-    if len(mem.entries) > mem.capacity:
-        del mem.entries[0]

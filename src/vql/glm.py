@@ -33,9 +33,6 @@ iteration therefore costs one gradient product A^T (q * r), one curvature
 product A g and one matvec per candidate step; the accepted candidate's
 scores and residuals seed the next iteration. A is rebuilt on every call
 and not kept on the samples.
-
-The bank keeps one immutable static snapshot (the initial query) plus a
-FIFO of dynamic snapshots from accepted retrievals.
 """
 
 from __future__ import annotations
@@ -61,7 +58,6 @@ from .amm import GRADIENT_EPS
 __all__ = [
     "SpatialWeightFn",
     "GlmSample",
-    "GlmMemory",
     "TrackFilter",
     "spatial_weight",
     "track_residual",
@@ -100,7 +96,6 @@ class GlmSample:
     feature: np.ndarray
     label: np.ndarray
     target_region: np.ndarray
-    kind: str = "dynamic"
 
     def __post_init__(self) -> None:
         for name in ("feature", "label", "target_region"):
@@ -114,35 +109,6 @@ class GlmSample:
             )
         if self.target_region.min() < 0 or self.target_region.max() > 1:
             raise ParameterError("target_region values must lie in [0, 1]")
-        if self.kind not in ("static", "dynamic"):
-            raise ParameterError(f"kind must be 'static' or 'dynamic', got {self.kind!r}")
-
-
-class GlmMemory:
-    """One permanent static snapshot plus a FIFO of dynamic snapshots.
-
-    The static entry is never evicted or replaced; dynamic entries are
-    capped at capacity - 1 so the whole bank honors the capacity.
-    """
-
-    def __init__(self, static_entry: GlmSample, capacity: int = 50):
-        if capacity < 1:
-            raise ParameterError(f"capacity must be >= 1, got {capacity}")
-        self.static_entry = static_entry
-        self.capacity = capacity
-        self.dynamic_entries: list[GlmSample] = []
-
-    def add_dynamic(self, sample: GlmSample) -> None:
-        self.dynamic_entries.append(sample)
-        if len(self.dynamic_entries) > self.capacity - 1:
-            del self.dynamic_entries[0]
-
-    @property
-    def samples(self) -> list[GlmSample]:
-        return [self.static_entry] + self.dynamic_entries
-
-    def __len__(self) -> int:
-        return 1 + len(self.dynamic_entries)
 
 
 @dataclass(frozen=True)
@@ -303,7 +269,6 @@ def glm_make_dynamic_sample(
     bbox: Sequence[int],
     prob_mask: np.ndarray,
     resolution: int = 32,
-    kind: str = "dynamic",
 ) -> GlmSample:
     """Build a snapshot from a detection: 1.5x-bbox crop, Gaussian label, region map.
 
@@ -328,7 +293,7 @@ def glm_make_dynamic_sample(
     feature = bilinear_resize(crop_f, (resolution, resolution))
     label = bilinear_resize(label, (resolution, resolution))
     region = np.clip(bilinear_resize(crop_p, (resolution, resolution)), 0.0, 1.0)
-    return GlmSample(feature, label, region, kind)
+    return GlmSample(feature, label, region)
 
 
 def glm_update_source(response_history: Sequence[float], window: int = 25) -> str:

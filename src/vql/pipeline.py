@@ -2,18 +2,29 @@
 frames one by one, and produce the 2D track, temporal interval, and 3D
 displacements.
 
+Memory: the appearance bank is a FIFO of cropped, resampled (feature, mask)
+pairs at one canonical resolution. Eviction is strictly first-in-first-out
+over all entries, including the query sample and its augmentations; nothing
+is pinned. The tracking bank keeps one static snapshot of the query, never
+evicted or replaced, plus a FIFO of dynamic snapshots from accepted
+retrievals, capped at capacity - 1 so the whole bank honors the capacity.
+Both banks, both filters and the tracking-peak history that picks the
+snapshot source form one immutable value: a frame builds a new value and
+the pipeline keeps it or drops it whole.
+
 Update policy, following the inference procedure the solvers were designed
-for: banks ingest admitted retrievals on every frame below the dense-update
-horizon and every update_stride frames after it; each ingest is followed by
-a few solver iterations, and is undone whole if either refit filter comes
-out non-finite. If the mean confidence over the trailing window
-drops below the halt threshold, updating stops for good and banks and
-filters revert to their post-initialization state.
+for: banks ingest retrievals whose mean in-mask probability clears the
+admit threshold, on every frame below the dense-update horizon and every
+update_stride frames after it; each ingest is followed by a few solver
+iterations, and is dropped whole, peak included, if either refit filter
+comes out non-finite. If the mean confidence over the trailing window drops
+below the halt threshold, updating stops for good and the memory reverts to
+its post-initialization value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -148,52 +159,77 @@ def _box_blur_3x3(feature: np.ndarray) -> np.ndarray:
     return out / 9.0
 
 
+def _newest(entries: tuple, limit: int) -> tuple:
+    """The last ``limit`` entries; none at limit 0, where ``entries[-0:]`` would keep all."""
+    return entries[max(0, len(entries) - limit) :]
+
+
+@dataclass(frozen=True)
+class _Memory:
+    """Both banks, both filters and the peak history of one query (see the module docstring).
+
+    Entries and filters are read-only, so values share them freely.
+    """
+
+    amm_entries: tuple[amm.AmmSample, ...]
+    glm_static: glm.GlmSample
+    glm_dynamic: tuple[glm.GlmSample, ...]
+    seg_filter: amm.SegFilter
+    track_filter: glm.TrackFilter
+    # tracking peaks of the frames kept so far, read by glm_update_source
+    responses: tuple[float, ...] = ()
+
+    @property
+    def glm_samples(self) -> tuple[glm.GlmSample, ...]:
+        return (self.glm_static,) + self.glm_dynamic
+
+    @property
+    def finite(self) -> bool:
+        return bool(np.isfinite(self.seg_filter.kernel).all() and np.isfinite(self.track_filter.kernel).all())
+
+    def admit(self, amm_entry: amm.AmmSample, glm_entry: glm.GlmSample, capacity: int) -> "_Memory":
+        """Both banks with one entry more, trimmed first-in-first-out; filters unchanged."""
+        return replace(
+            self,
+            amm_entries=_newest(self.amm_entries + (amm_entry,), capacity),
+            glm_dynamic=_newest(self.glm_dynamic + (glm_entry,), capacity - 1),
+        )
+
+
 class Pipeline:
-    """One query's stateful run over a frame sequence."""
+    """One query's stateful run over a frame sequence.
+
+    ``memory`` is the current bank value and ``initial_memory`` the
+    post-initialization one a halt returns to.
+    """
 
     def __init__(self, query: QuerySpec, cfg: PipelineConfig = PipelineConfig()):
         self.cfg = cfg
-        self.encoder = amm.PseudoLabelEncoder()
         self.reweighter = amm.TargetReweighter()
         self.weight_fn = glm.SpatialWeightFn()
 
         channels = query.feature.shape[2]
         base = amm.crop_sample(query.feature, query.mask, cfg.sample_resolution)
-        self.amm_memory = amm.AmmMemory(cfg.capacity, cfg.sample_resolution)
-        amm.amm_update(self.amm_memory, base)
-        for sample in _augmented_query_samples(base):
-            amm.amm_update(self.amm_memory, sample)
-
-        bbox = min_bounding_rect(query.mask)
+        amm_entries = _newest((base, *_augmented_query_samples(base)), cfg.capacity)
         static = glm.glm_make_dynamic_sample(
             query.feature,
-            bbox,
+            min_bounding_rect(query.mask),
             (query.mask != 0).astype(np.float64),
             cfg.sample_resolution,
-            kind="static",
         )
-        self.glm_memory = glm.GlmMemory(static, cfg.capacity)
-
-        self.seg_filter = amm.steepest_descent(
-            amm.SegFilter.zeros(cfg.seg_kernel_size, channels, regularizer=cfg.seg_regularizer),
-            self.amm_memory.entries,
+        seg_filter = amm.steepest_descent(
+            amm.SegFilter.zeros(cfg.seg_kernel_size, channels, cfg.seg_regularizer),
+            amm_entries,
             cfg.amm_iters_init,
-            self.encoder,
             self.reweighter,
         )
-        self.track_filter = glm.optimize_filter(
+        track_filter = glm.optimize_filter(
             glm.TrackFilter.zeros(cfg.track_kernel_size, channels, cfg.track_regularizer),
-            self.glm_memory.samples,
+            (static,),
             cfg.glm_iters_init,
             self.weight_fn,
         )
-
-        # state restored if updating ever halts; entries and filters are
-        # read-only, so holding the same objects keeps them bit-identical
-        self._initial_amm_entries = list(self.amm_memory.entries)
-        self._initial_glm_dynamic = list(self.glm_memory.dynamic_entries)
-        self._initial_seg_filter = self.seg_filter
-        self._initial_track_filter = self.track_filter
+        self.memory = self.initial_memory = _Memory(amm_entries, static, (), seg_filter, track_filter)
         self._frame_shape = query.feature.shape
 
         self.halted = False
@@ -213,19 +249,17 @@ class Pipeline:
         recent = [r.s_conf for r in self.results[-window:]]
         return float(np.mean(recent)) < self.cfg.halt_threshold
 
-    def _revert_to_initial(self) -> None:
-        self.amm_memory.entries = list(self._initial_amm_entries)
-        self.glm_memory.dynamic_entries = list(self._initial_glm_dynamic)
-        self.seg_filter = self._initial_seg_filter
-        self.track_filter = self._initial_track_filter
-        self.halted = True
-
     def step_frame(self, frame_feature: np.ndarray, frame_index: int) -> fusion.SegmentationResult:
         """Run one frame through both branches, fuse, and maybe update the banks.
 
-        A frame whose shape differs from the query's raises DimensionError and
-        a non-finite one ParameterError, before any state changes.
+        A frame index that does not exceed the previous frame's, or a
+        non-finite frame, raises ParameterError and a frame whose shape
+        differs from the query's DimensionError, before any state changes.
         """
+        if self.results and frame_index <= self.results[-1].frame_index:
+            raise ParameterError(
+                f"frame index {frame_index} does not follow the previous index {self.results[-1].frame_index}"
+            )
         frame_feature = np.asarray(frame_feature, dtype=np.float64)
         if frame_feature.shape != self._frame_shape:
             raise DimensionError(
@@ -233,59 +267,47 @@ class Pipeline:
             )
         if not np.isfinite(frame_feature).all():
             raise ParameterError(f"frame {frame_index} has non-finite features")
-        score = glm.track_score(frame_feature, self.track_filter)
-        prob = fusion.fuse(conv2d(frame_feature, self.seg_filter.kernel), score)
+        score = glm.track_score(frame_feature, self.memory.track_filter)
+        prob = fusion.fuse(conv2d(frame_feature, self.memory.seg_filter.kernel), score)
         result = fusion.extract_result(prob, frame_index)
+        peak = float(score.max())
 
         self.results.append(result)
-        self.peaks.append(float(score.max()))
+        self.peaks.append(peak)
 
         if self.cfg.updates_enabled and not self.halted:
             if self._halt_triggered():
-                self._revert_to_initial()
-            elif self._is_update_frame(frame_index) and amm.amm_admit(
+                self.memory, self.halted = self.initial_memory, True
+                return result
+            candidate = replace(self.memory, responses=self.memory.responses + (peak,))
+            if self._is_update_frame(frame_index) and amm.amm_admit(
                 prob, result.mask, self.cfg.admit_threshold
             ):
-                self._ingest(frame_feature, result)
+                candidate = self._ingest(candidate, frame_feature, result)
+            # a finite frame can be so large that a refit overflows
+            if candidate.finite:
+                self.memory = candidate
         return result
 
-    def _ingest(self, frame_feature: np.ndarray, result: fusion.SegmentationResult) -> None:
-        """Add the frame to both banks and refit both filters, or change nothing.
-
-        A frame can be finite yet so large that a refit overflows; if either
-        new filter is non-finite, both banks and both filters keep their
-        state from before the frame.
-        """
-        amm_entries = list(self.amm_memory.entries)
-        glm_dynamic = list(self.glm_memory.dynamic_entries)
-
-        sample = amm.crop_sample(
-            frame_feature, result.mask, self.cfg.sample_resolution, result.s_conf
+    def _ingest(
+        self, memory: _Memory, frame_feature: np.ndarray, result: fusion.SegmentationResult
+    ) -> _Memory:
+        """``memory`` with the frame added to both banks and both filters refit."""
+        cfg = self.cfg
+        memory = memory.admit(
+            amm.crop_sample(frame_feature, result.mask, cfg.sample_resolution, result.s_conf),
+            glm.glm_make_dynamic_sample(frame_feature, result.bbox, result.prob, cfg.sample_resolution),
+            cfg.capacity,
         )
-        amm.amm_update(self.amm_memory, sample)
-        seg_filter = amm.steepest_descent(
-            self.seg_filter,
-            self.amm_memory.entries,
-            self.cfg.amm_iters_update,
-            self.encoder,
-            self.reweighter,
+        source = glm.glm_update_source(memory.responses, cfg.source_window)
+        view = memory.glm_samples if source == "dynamic" else (memory.glm_static,)
+        return replace(
+            memory,
+            seg_filter=amm.steepest_descent(
+                memory.seg_filter, memory.amm_entries, cfg.amm_iters_update, self.reweighter
+            ),
+            track_filter=glm.optimize_filter(memory.track_filter, view, cfg.glm_iters_update, self.weight_fn),
         )
-
-        dyn = glm.glm_make_dynamic_sample(
-            frame_feature, result.bbox, result.prob, self.cfg.sample_resolution
-        )
-        self.glm_memory.add_dynamic(dyn)
-        source = glm.glm_update_source(self.peaks, self.cfg.source_window)
-        view = self.glm_memory.samples if source == "dynamic" else [self.glm_memory.static_entry]
-        track_filter = glm.optimize_filter(
-            self.track_filter, view, self.cfg.glm_iters_update, self.weight_fn
-        )
-
-        if np.isfinite(seg_filter.kernel).all() and np.isfinite(track_filter.kernel).all():
-            self.seg_filter, self.track_filter = seg_filter, track_filter
-        else:
-            self.amm_memory.entries = amm_entries
-            self.glm_memory.dynamic_entries = glm_dynamic
 
     def finalize_2d(self) -> TrackOutput:
         """Temporal localization over the recorded confidences."""

@@ -30,7 +30,7 @@ from .core import (
     median_filter_1d,
     min_bounding_rect,
 )
-from .pipeline import Pipeline, PipelineConfig, TrackOutput, finalize_3d
+from .pipeline import Pipeline, PipelineConfig, TrackOutput, _Memory, finalize_3d
 
 __all__ = ["CHECKS", "run_checks"]
 
@@ -167,7 +167,7 @@ def _random_glm_instance(rng, ksz=None, channels=None, size=6, region="mixed"):
     return samples, kernel
 
 
-def solve_seg_normal_equations(samples, enc, rw, kernel_shape, delta):
+def solve_seg_normal_equations(samples, rw, kernel_shape, delta):
     """Closed-form ridge optimum via dense normal equations (naive matrices)."""
     n = int(np.prod(kernel_shape))
     lhs = delta * np.eye(n)
@@ -176,7 +176,7 @@ def solve_seg_normal_equations(samples, enc, rw, kernel_shape, delta):
         a = conv_matrix_naive(sample.feature, kernel_shape)
         w2 = np.repeat(amm.reweight(sample.mask, rw).ravel(), kernel_shape[3]) ** 2
         lhs += a.T @ (w2[:, None] * a)
-        rhs += a.T @ (w2 * enc.encode(sample.mask).ravel())
+        rhs += a.T @ (w2 * amm.encode_pseudo_label(sample.mask).ravel())
     return np.linalg.solve(lhs, rhs).reshape(kernel_shape)
 
 
@@ -194,9 +194,9 @@ def solve_track_normal_equations(samples, fn, kernel_shape, lam):
     return np.linalg.solve(lhs, rhs).reshape(kernel_shape)
 
 
-def steepest_descent_naive(filt, samples, n_iter, enc, rw):
+def steepest_descent_naive(filt, samples, n_iter, rw):
     """Exact-line-search descent that convolves every entry for each gradient and step."""
-    prepared = [(s.feature, enc.encode(s.mask), amm.reweight(s.mask, rw)[:, :, None]) for s in samples]
+    prepared = [(s.feature, amm.encode_pseudo_label(s.mask), amm.reweight(s.mask, rw)[:, :, None]) for s in samples]
     delta = filt.regularizer
     kernel = filt.kernel.copy()
     for _ in range(n_iter):
@@ -290,10 +290,10 @@ SOLVER_TOL = 1e-10
 CLEAR_MARGIN = 1e-12
 
 
-def descent_deviation(start, bank, n_iter, enc, rw):
+def descent_deviation(start, bank, n_iter, rw):
     """Relative kernel deviation of steepest_descent from its per-entry oracle, and its fit."""
-    got = amm.steepest_descent(start, bank, n_iter, enc, rw)
-    want = steepest_descent_naive(start, bank, n_iter, enc, rw)
+    got = amm.steepest_descent(start, bank, n_iter, rw)
+    want = steepest_descent_naive(start, bank, n_iter, rw)
     return relative_deviation(got.kernel, want.kernel), got
 
 
@@ -432,17 +432,17 @@ def check_reweight_blur(seed=7):
 
 def check_seg_loss_naive(n_instances=10, seed=8):
     rng = np.random.default_rng(seed)
-    enc, rw = amm.PseudoLabelEncoder(), amm.TargetReweighter()
+    rw = amm.TargetReweighter()
     worst = 0.0
     for _ in range(n_instances):
         samples, kernel = _random_amm_instance(rng)
         kernel = rng.uniform(-1, 1, size=kernel.shape[:3] + (3,))
         filt = amm.SegFilter(kernel, 0.05)
-        got = amm.seg_loss(filt, samples, enc, rw)
+        got = amm.seg_loss(filt, samples, rw)
         want = 0.5 * 0.05 * float(np.sum(kernel**2))
         for s in samples:
             weights = amm.reweight(s.mask, rw)
-            target = enc.encode(s.mask)
+            target = amm.encode_pseudo_label(s.mask)
             pred = conv2d_naive(s.feature, kernel)
             for i in range(pred.shape[0]):
                 for j in range(pred.shape[1]):
@@ -454,7 +454,7 @@ def check_seg_loss_naive(n_instances=10, seed=8):
 
 def check_seg_gradient_fd(n_instances=30, seed=9):
     rng = np.random.default_rng(seed)
-    enc, rw = amm.PseudoLabelEncoder(), amm.TargetReweighter()
+    rw = amm.TargetReweighter()
     worst = 0.0
     for _ in range(n_instances):
         n_samples = int(rng.integers(1, 6))
@@ -469,9 +469,9 @@ def check_seg_gradient_fd(n_instances=30, seed=9):
         kernel = rng.uniform(-1, 1, size=(ksz, ksz, channels, 3))
         delta = float(rng.uniform(0.01, 0.2))
         filt = amm.SegFilter(kernel, delta)
-        got = amm.seg_gradient(filt, samples, enc, rw)
+        got = amm.seg_gradient(filt, samples, rw)
         want = fd_gradient(
-            lambda kk: amm.seg_loss(amm.SegFilter(kk, delta), samples, enc, rw), kernel
+            lambda kk: amm.seg_loss(amm.SegFilter(kk, delta), samples, rw), kernel
         )
         worst = max(worst, float(np.abs(got - want).max() / (np.abs(want).max() + 1e-30)))
     return worst < 1e-5, f"max relative deviation {worst:.3e} over {n_instances} instances"
@@ -479,31 +479,31 @@ def check_seg_gradient_fd(n_instances=30, seed=9):
 
 def check_seg_stationarity(seed=10):
     rng = np.random.default_rng(seed)
-    enc, rw = amm.PseudoLabelEncoder(), amm.TargetReweighter()
+    rw = amm.TargetReweighter()
     samples, _ = _random_amm_instance(rng, n_samples=2, ksz=3, channels=2, size=4)
     shape = (3, 3, 2, 3)
-    optimum = solve_seg_normal_equations(samples, enc, rw, shape, delta=0.1)
-    g = amm.seg_gradient(amm.SegFilter(optimum, 0.1), samples, enc, rw)
+    optimum = solve_seg_normal_equations(samples, rw, shape, delta=0.1)
+    g = amm.seg_gradient(amm.SegFilter(optimum, 0.1), samples, rw)
     norm = float(np.sqrt(np.sum(g**2)))
     return norm < 1e-8, f"gradient norm at closed-form optimum: {norm:.3e}"
 
 
 def check_steepest_step_scan(n_instances=5, seed=11, scan_points=10_000):
     rng = np.random.default_rng(seed)
-    enc, rw = amm.PseudoLabelEncoder(), amm.TargetReweighter()
+    rw = amm.TargetReweighter()
     for _ in range(n_instances):
         samples, _ = _random_amm_instance(rng, n_samples=1, ksz=1, channels=1, size=4)
         kernel = rng.uniform(-1, 1, size=(1, 1, 1, 3))
         delta = float(rng.uniform(0.05, 0.5))
         filt = amm.SegFilter(kernel, delta)
-        g = amm.seg_gradient(filt, samples, enc, rw)
+        g = amm.seg_gradient(filt, samples, rw)
         alpha = amm.steepest_step_size(g, samples, rw, delta)
         lambdas = np.linspace(0.0, 2.0 * alpha, scan_points)
         losses = [
-            amm.seg_loss(amm.SegFilter(kernel - lam * g, delta), samples, enc, rw)
+            amm.seg_loss(amm.SegFilter(kernel - lam * g, delta), samples, rw)
             for lam in lambdas
         ]
-        at_alpha = amm.seg_loss(amm.SegFilter(kernel - alpha * g, delta), samples, enc, rw)
+        at_alpha = amm.seg_loss(amm.SegFilter(kernel - alpha * g, delta), samples, rw)
         best = min(losses)
         if at_alpha > best * (1 + 1e-12) + 1e-15:
             return False, f"alpha loses to scan: {at_alpha} > {best}"
@@ -532,22 +532,22 @@ def check_steepest_special_cases():
 
 def check_steepest_convergence(n_instances=3, seed=12, n_iter=200, tol=1e-6):
     rng = np.random.default_rng(seed)
-    enc, rw = amm.PseudoLabelEncoder(), amm.TargetReweighter()
+    rw = amm.TargetReweighter()
     for _ in range(n_instances):
         samples, _ = _random_amm_instance(rng, n_samples=2, ksz=1, channels=2, size=4)
         shape = (1, 1, 2, 3)
         delta = 0.3
-        optimum = solve_seg_normal_equations(samples, enc, rw, shape, delta)
-        best = amm.seg_loss(amm.SegFilter(optimum, delta), samples, enc, rw)
+        optimum = solve_seg_normal_equations(samples, rw, shape, delta)
+        best = amm.seg_loss(amm.SegFilter(optimum, delta), samples, rw)
         filt = amm.SegFilter(np.zeros(shape), delta)
-        losses = [amm.seg_loss(filt, samples, enc, rw)]
+        losses = [amm.seg_loss(filt, samples, rw)]
         for _ in range(n_iter):
-            g = amm.seg_gradient(filt, samples, enc, rw)
+            g = amm.seg_gradient(filt, samples, rw)
             if float(np.sqrt(np.sum(g**2))) < 1e-12:
                 break
             alpha = amm.steepest_step_size(g, samples, rw, delta)
             filt = amm.SegFilter(filt.kernel - alpha * g, delta)
-            losses.append(amm.seg_loss(filt, samples, enc, rw))
+            losses.append(amm.seg_loss(filt, samples, rw))
         if any(b > a + 1e-12 for a, b in zip(losses, losses[1:])):
             return False, "loss increased during descent"
         gap = losses[-1] - best
@@ -558,16 +558,16 @@ def check_steepest_convergence(n_instances=3, seed=12, n_iter=200, tol=1e-6):
 
 def check_steepest_monotone(n_instances=100, seed=13, n_iter=10):
     rng = np.random.default_rng(seed)
-    enc, rw = amm.PseudoLabelEncoder(), amm.TargetReweighter()
+    rw = amm.TargetReweighter()
     for _ in range(n_instances):
         samples, kernel = _random_amm_instance(rng)
         kernel = rng.uniform(-1, 1, size=kernel.shape[:3] + (3,))
         delta = float(rng.uniform(0.01, 0.5))
         filt = amm.SegFilter(kernel, delta)
-        prev = amm.seg_loss(filt, samples, enc, rw)
+        prev = amm.seg_loss(filt, samples, rw)
         for _ in range(n_iter):
-            filt = amm.steepest_descent(filt, samples, 1, enc, rw)
-            cur = amm.seg_loss(filt, samples, enc, rw)
+            filt = amm.steepest_descent(filt, samples, 1, rw)
+            cur = amm.seg_loss(filt, samples, rw)
             if cur > prev + 1e-12:
                 return False, f"loss increased {prev} -> {cur}"
             prev = cur
@@ -610,19 +610,26 @@ def check_crop_ladder():
     return True, "ladder fallback and padded fractions match the area oracle"
 
 
+def empty_banks(static: glm.GlmSample) -> _Memory:
+    """A memory value with empty FIFOs and zero 1x1 filters, for replaying admissions."""
+    channels = static.feature.shape[2]
+    return _Memory((), static, (), amm.SegFilter.zeros(1, channels), glm.TrackFilter.zeros(1, channels))
+
+
 def check_amm_fifo_replay(seed=14):
     rng = np.random.default_rng(seed)
-    mem = amm.AmmMemory(capacity=5, resolution=4)
+    static = glm.GlmSample(np.zeros((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
+    mem = empty_banks(static)
     admitted = []
     for i in range(40):
         prob = np.full((4, 4), rng.uniform(0.3, 0.9))
         mask = np.ones((4, 4), dtype=np.uint8)
         sample = amm.AmmSample(np.full((4, 4, 1), float(i)), mask, float(prob[0, 0]))
         if amm.amm_admit(prob, mask, 0.6):
-            amm.amm_update(mem, sample)
+            mem = mem.admit(sample, static, capacity=5)
             admitted.append(i)
     want = admitted[-5:]
-    got = [int(s.feature[0, 0, 0]) for s in mem.entries]
+    got = [int(s.feature[0, 0, 0]) for s in mem.amm_entries]
     return got == want, f"bank holds {got}, expected admitted suffix {want}"
 
 
@@ -774,13 +781,13 @@ def check_optimize_filter_monotone(n_instances=100, seed=21, n_iter=8):
 
 def check_descent_vs_per_entry_loops(n_instances=20, seed=29):
     rng = np.random.default_rng(seed)
-    enc, rw = amm.PseudoLabelEncoder(), amm.TargetReweighter()
+    rw = amm.TargetReweighter()
     worst = 0.0
     for _ in range(n_instances):
         samples, kernel = _random_amm_instance(rng, n_samples=int(rng.integers(1, 9)))
         start = amm.SegFilter(rng.uniform(-1, 1, size=kernel.shape[:3] + (3,)), float(rng.uniform(0.01, 0.3)))
         for n_iter in (3, 10):
-            worst = max(worst, descent_deviation(start, samples, n_iter, enc, rw)[0])
+            worst = max(worst, descent_deviation(start, samples, n_iter, rw)[0])
     return worst <= SOLVER_TOL, f"max relative kernel deviation {worst:.3e} over {n_instances} banks"
 
 
@@ -1021,11 +1028,11 @@ def check_pipeline_identity():
 def check_pipeline_null_frame():
     scenario = scen.gen_scenario(7, _small_identity_params())
     pipe = Pipeline(scenario.query, _unit_kernel_config())
-    size_before = len(pipe.amm_memory)
+    size_before = len(pipe.memory.amm_entries)
     background = scenario.frames[0].feature.copy()
     background[:, :, :] = background[0, 0, :]  # ambient texture only, no target
     result = pipe.step_frame(background, 0)
-    grew = len(pipe.amm_memory) != size_before or pipe.glm_memory.dynamic_entries
+    grew = len(pipe.memory.amm_entries) != size_before or pipe.memory.glm_dynamic
     if result.mask.any() or result.s_conf != 0.0 or result.bbox is not None:
         return False, f"background frame produced a detection: s_conf {result.s_conf}"
     if grew:
@@ -1036,20 +1043,17 @@ def check_pipeline_null_frame():
 def check_pipeline_initialization():
     scenario = scen.gen_scenario(3, _small_identity_params())
     pipe = Pipeline(scenario.query, _unit_kernel_config())
-    if len(pipe.amm_memory) != 4:
-        return False, f"bank holds {len(pipe.amm_memory)} entries, expected query + 3 augmentations"
-    static = pipe.glm_memory.static_entry
+    if len(pipe.memory.amm_entries) != 4:
+        return False, f"bank holds {len(pipe.memory.amm_entries)} entries, expected query + 3 augmentations"
     rebuilt = glm.glm_make_dynamic_sample(
         scenario.query.feature,
         min_bounding_rect(scenario.query.mask),
         (scenario.query.mask != 0).astype(np.float64),
         pipe.cfg.sample_resolution,
-        kind="static",
     )
-    if not np.array_equal(static.feature, rebuilt.feature):
+    if not np.array_equal(pipe.memory.glm_static.feature, rebuilt.feature):
         return False, "static snapshot does not equal the un-augmented query sample"
-    finite = np.isfinite(pipe.seg_filter.kernel).all() and np.isfinite(pipe.track_filter.kernel).all()
-    return bool(finite), "bank seeded with 4 samples; filters finite"
+    return pipe.memory.finite, "bank seeded with 4 samples; filters finite"
 
 
 def check_update_cadence():
@@ -1065,26 +1069,26 @@ def check_halt_revert():
     scenario = scen.gen_scenario(11, _small_identity_params(n_frames=4))
     cfg = PipelineConfig(seg_kernel_size=1, track_kernel_size=1, halt_window=6)
     pipe = Pipeline(scenario.query, cfg)
-    initial_amm = [s.feature.copy() for s in pipe.amm_memory.entries]
+    initial_amm = [s.feature.copy() for s in pipe.memory.amm_entries]
     target = scenario.frames[0].feature
     background = target.copy()
     background[:, :, :] = background[0, 0, :]
     for t in range(3):
         pipe.step_frame(target, t)
-    if len(pipe.amm_memory) <= len(initial_amm):
+    if len(pipe.memory.amm_entries) <= len(initial_amm):
         return False, "bank did not grow on confident frames"
     for t in range(3, 3 + cfg.halt_window):
         pipe.step_frame(background, t)
     if not pipe.halted:
         return False, "halt did not trigger on sustained low confidence"
-    if len(pipe.amm_memory) != len(initial_amm) or pipe.glm_memory.dynamic_entries:
-        return False, "banks were not reverted to their initial contents"
-    for got, want in zip(pipe.amm_memory.entries, initial_amm):
+    if pipe.memory is not pipe.initial_memory or pipe.memory.glm_dynamic:
+        return False, "memory was not reverted to its post-initialization value"
+    for got, want in zip(pipe.memory.amm_entries, initial_amm):
         if not np.array_equal(got.feature, want):
             return False, "reverted bank entries are not bit-identical"
     pipe.step_frame(target, 40)
-    if len(pipe.amm_memory) != len(initial_amm):
-        return False, "bank grew after the halt"
+    if pipe.memory is not pipe.initial_memory:
+        return False, "memory changed after the halt"
     return True, "halt reverts banks bit-identically and freezes them"
 
 
@@ -1094,26 +1098,27 @@ def check_glm_static_immutable(seed=28):
         rng.uniform(-1, 1, size=(6, 6, 2)),
         gaussian_label((2.5, 2.5), 1.0, (6, 6)),
         np.ones((6, 6)),
-        kind="static",
     )
     frozen = (static.feature.copy(), static.label.copy(), static.target_region.copy())
-    mem = glm.GlmMemory(static, capacity=4)
-    for i in range(10):
-        mem.add_dynamic(
-            glm.GlmSample(
-                rng.uniform(-1, 1, size=(6, 6, 2)),
-                gaussian_label((2.5, 2.5), 1.0, (6, 6)),
-                rng.random((6, 6)),
-            )
+    mem = empty_banks(static)
+    entry = amm.AmmSample(np.zeros((6, 6, 2)), np.ones((6, 6)))
+    for _ in range(10):
+        dynamic = glm.GlmSample(
+            rng.uniform(-1, 1, size=(6, 6, 2)),
+            gaussian_label((2.5, 2.5), 1.0, (6, 6)),
+            rng.random((6, 6)),
         )
-        glm.optimize_filter(glm.TrackFilter.zeros(1, 2), mem.samples, 2, glm.SpatialWeightFn())
-        if len(mem) > 4:
-            return False, f"bank size {len(mem)} exceeded capacity"
+        mem = mem.admit(entry, dynamic, capacity=4)
+        glm.optimize_filter(glm.TrackFilter.zeros(1, 2), mem.glm_samples, 2, glm.SpatialWeightFn())
+        if len(mem.glm_samples) > 4:
+            return False, f"bank size {len(mem.glm_samples)} exceeded capacity"
+        if mem.glm_static is not static or mem.glm_dynamic[-1] is not dynamic:
+            return False, "static snapshot replaced or newest snapshot not last"
     same = all(np.array_equal(a, b) for a, b in zip(frozen, (static.feature, static.label, static.target_region)))
     if not same:
         return False, "static snapshot mutated"
-    if len(mem.dynamic_entries) != 3:
-        return False, f"dynamic FIFO holds {len(mem.dynamic_entries)}, expected capacity - 1"
+    if len(mem.glm_dynamic) != 3:
+        return False, f"dynamic FIFO holds {len(mem.glm_dynamic)}, expected capacity - 1"
     return True, "static snapshot bit-identical, FIFO capped at capacity - 1"
 
 

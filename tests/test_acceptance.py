@@ -61,7 +61,7 @@ def test_criterion_02_exact_line_search():
 
 def test_criterion_03_convergence_to_closed_form():
     rng = np.random.default_rng(104)
-    enc, rw = amm.PseudoLabelEncoder(), amm.TargetReweighter()
+    rw = amm.TargetReweighter()
     fn = glm.SpatialWeightFn()
     worst_seg_gap = worst_trk_gap = 0.0
     for _ in range(10):
@@ -76,16 +76,15 @@ def test_criterion_03_convergence_to_closed_form():
         delta = 0.3
         shape = (1, 1, 2, 3)
         target = amm.seg_loss(
-            amm.SegFilter(solve_seg_normal_equations(samples, enc, rw, shape, delta), delta),
+            amm.SegFilter(solve_seg_normal_equations(samples, rw, shape, delta), delta),
             samples,
-            enc,
             rw,
         )
         filt = amm.SegFilter(np.zeros(shape), delta)
-        prev = amm.seg_loss(filt, samples, enc, rw)
+        prev = amm.seg_loss(filt, samples, rw)
         for _ in range(200):
-            filt = amm.steepest_descent(filt, samples, 1, enc, rw)
-            cur = amm.seg_loss(filt, samples, enc, rw)
+            filt = amm.steepest_descent(filt, samples, 1, rw)
+            cur = amm.seg_loss(filt, samples, rw)
             assert cur <= prev + 1e-12, "steepest descent loss increased"
             prev = cur
         worst_seg_gap = max(worst_seg_gap, prev - target)
@@ -150,8 +149,8 @@ def test_criterion_07_memory_policy_conformance():
     capacity_ok = True
     for t in range(20):
         pipe.step_frame(sc.frames[t % 2].feature, t)
-        capacity_ok &= len(pipe.amm_memory) <= 8
-        capacity_ok &= 1 + len(pipe.glm_memory.dynamic_entries) <= 8
+        capacity_ok &= len(pipe.memory.amm_entries) <= 8
+        capacity_ok &= len(pipe.memory.glm_samples) <= 8
     checks.append(("capacity bound", (capacity_ok, f"banks stayed within capacity: {capacity_ok}")))
     failures = [f"{name}: {detail}" for name, (ok, detail) in checks if not ok]
     report(

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from vql import amm
+from vql import amm, glm
 from vql.core import DimensionError, EmptyInputError, ParameterError, conv2d, extract_square_crop
+from vql.pipeline import Pipeline, PipelineConfig
+from vql.scenario import ScenarioParams, gen_scenario
 from vql.selfcheck import (
+    empty_banks,
     fd_gradient,
     gaussian_blur_dense,
     solve_seg_normal_equations,
@@ -23,7 +26,6 @@ def random_samples(r, n, size=5, channels=2):
     return out
 
 
-ENC = amm.PseudoLabelEncoder()
 RW = amm.TargetReweighter()
 
 
@@ -51,10 +53,6 @@ class TestPseudoLabelEncoder:
         a = amm.encode_pseudo_label(mask)
         b = amm.encode_pseudo_label(mask)
         assert np.array_equal(a, b)
-
-    def test_only_three_channels_supported(self):
-        with pytest.raises(ParameterError):
-            amm.encode_pseudo_label(np.ones((3, 3)), out_channels=4)
 
 
 class TestReweight:
@@ -92,15 +90,15 @@ class TestSegLoss:
         sample = amm.AmmSample(np.ones((4, 4, 1)), np.zeros((4, 4), dtype=np.uint8))
         filt = amm.SegFilter(np.zeros((3, 3, 1, 3)), 0.01)
         # empty mask encodes to all-zero labels, zero filter fits exactly
-        assert amm.seg_loss(filt, [sample], ENC, RW) == 0.0
+        assert amm.seg_loss(filt, [sample], RW) == 0.0
 
     def test_zero_filter_single_sample(self):
         r = rng(3)
         sample = random_samples(r, 1)[0]
         filt = amm.SegFilter(np.zeros((3, 3, 2, 3)), 0.01)
         weights = amm.reweight(sample.mask, RW)[:, :, None]
-        want = 0.5 * float(np.sum((weights * ENC.encode(sample.mask)) ** 2))
-        assert amm.seg_loss(filt, [sample], ENC, RW) == pytest.approx(want, rel=1e-12)
+        want = 0.5 * float(np.sum((weights * amm.encode_pseudo_label(sample.mask)) ** 2))
+        assert amm.seg_loss(filt, [sample], RW) == pytest.approx(want, rel=1e-12)
 
     def test_matches_scalar_loop(self):
         r = rng(4)
@@ -110,20 +108,20 @@ class TestSegLoss:
         want = 0.5 * 0.05 * np.sum(kernel**2)
         for s in samples:
             weights = amm.reweight(s.mask, RW)
-            target = ENC.encode(s.mask)
+            target = amm.encode_pseudo_label(s.mask)
             pred = conv2d(s.feature, kernel)
             for i in range(5):
                 for j in range(5):
                     for d in range(3):
                         want += 0.5 * (weights[i, j] * (pred[i, j, d] - target[i, j, d])) ** 2
-        assert amm.seg_loss(filt, samples, ENC, RW) == pytest.approx(float(want), rel=1e-12)
+        assert amm.seg_loss(filt, samples, RW) == pytest.approx(float(want), rel=1e-12)
 
 
 class TestSegGradient:
     def test_zero_at_closed_form_optimum(self):
         samples = random_samples(rng(5), 2, size=4)
-        optimum = solve_seg_normal_equations(samples, ENC, RW, (3, 3, 2, 3), delta=0.1)
-        g = amm.seg_gradient(amm.SegFilter(optimum, 0.1), samples, ENC, RW)
+        optimum = solve_seg_normal_equations(samples, RW, (3, 3, 2, 3), delta=0.1)
+        g = amm.seg_gradient(amm.SegFilter(optimum, 0.1), samples, RW)
         assert np.sqrt(np.sum(g**2)) < 1e-8
 
     def test_matches_finite_differences(self):
@@ -131,9 +129,9 @@ class TestSegGradient:
         samples = random_samples(r, 2, size=4)
         kernel = r.uniform(-1, 1, size=(3, 3, 2, 3))
         filt = amm.SegFilter(kernel, 0.05)
-        got = amm.seg_gradient(filt, samples, ENC, RW)
+        got = amm.seg_gradient(filt, samples, RW)
         want = fd_gradient(
-            lambda kk: amm.seg_loss(amm.SegFilter(kk, 0.05), samples, ENC, RW), kernel
+            lambda kk: amm.seg_loss(amm.SegFilter(kk, 0.05), samples, RW), kernel
         )
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-8)
 
@@ -143,7 +141,7 @@ class TestSegGradient:
         samples = random_samples(rng(7), 2)
         kernel = rng(8).uniform(-1, 1, size=(3, 3, 2, 3))
         for t in (0.5, 2.0):
-            g = amm.seg_gradient(amm.SegFilter(t * kernel, 0.04), samples, ENC, rw_zero)
+            g = amm.seg_gradient(amm.SegFilter(t * kernel, 0.04), samples, rw_zero)
             np.testing.assert_allclose(g, 0.04 * t * kernel, rtol=0, atol=1e-15)
 
 
@@ -170,9 +168,9 @@ class TestSteepestStepSize:
         samples = random_samples(r, 2, size=4)
         kernel = r.uniform(-1, 1, size=(1, 1, 2, 3))
         filt = amm.SegFilter(kernel, 0.1)
-        g = amm.seg_gradient(filt, samples, ENC, RW)
+        g = amm.seg_gradient(filt, samples, RW)
         alpha = amm.steepest_step_size(g, samples, RW, 0.1)
-        loss_at = lambda lam: amm.seg_loss(amm.SegFilter(kernel - lam * g, 0.1), samples, ENC, RW)
+        loss_at = lambda lam: amm.seg_loss(amm.SegFilter(kernel - lam * g, 0.1), samples, RW)
         base = loss_at(alpha)
         for lam in np.linspace(0, 2 * alpha, 200):
             assert base <= loss_at(lam) + 1e-12
@@ -182,27 +180,27 @@ class TestSteepestDescent:
     def test_zero_iterations_returns_start(self):
         samples = random_samples(rng(12), 1)
         start = amm.SegFilter(rng(13).uniform(-1, 1, size=(3, 3, 2, 3)), 0.05)
-        out = amm.steepest_descent(start, samples, 0, ENC, RW)
+        out = amm.steepest_descent(start, samples, 0, RW)
         assert np.array_equal(out.kernel, start.kernel)
 
     def test_converges_to_normal_equations(self):
         samples = random_samples(rng(14), 2, size=4)
         shape = (1, 1, 2, 3)
         delta = 0.3
-        optimum = solve_seg_normal_equations(samples, ENC, RW, shape, delta)
-        best = amm.seg_loss(amm.SegFilter(optimum, delta), samples, ENC, RW)
-        out = amm.steepest_descent(amm.SegFilter(np.zeros(shape), delta), samples, 200, ENC, RW)
-        assert amm.seg_loss(out, samples, ENC, RW) - best < 1e-6
+        optimum = solve_seg_normal_equations(samples, RW, shape, delta)
+        best = amm.seg_loss(amm.SegFilter(optimum, delta), samples, RW)
+        out = amm.steepest_descent(amm.SegFilter(np.zeros(shape), delta), samples, 200, RW)
+        assert amm.seg_loss(out, samples, RW) - best < 1e-6
 
     def test_monotone_loss(self):
         r = rng(15)
         for _ in range(10):
             samples = random_samples(r, int(r.integers(1, 4)))
             filt = amm.SegFilter(r.uniform(-1, 1, size=(3, 3, 2, 3)), float(r.uniform(0.01, 0.3)))
-            prev = amm.seg_loss(filt, samples, ENC, RW)
+            prev = amm.seg_loss(filt, samples, RW)
             for _ in range(5):
-                filt = amm.steepest_descent(filt, samples, 1, ENC, RW)
-                cur = amm.seg_loss(filt, samples, ENC, RW)
+                filt = amm.steepest_descent(filt, samples, 1, RW)
+                cur = amm.seg_loss(filt, samples, RW)
                 assert cur <= prev + 1e-12
                 prev = cur
 
@@ -254,20 +252,33 @@ class TestCropSample:
 
 
 class TestMemory:
+    # the appearance FIFO of the pipeline's memory value
+    STATIC = glm.GlmSample(np.zeros((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
+
+    def admit_all(self, count, capacity):
+        mem = empty_banks(self.STATIC)
+        for i in range(count):
+            mem = mem.admit(amm.AmmSample(np.full((4, 4, 1), float(i)), np.ones((4, 4))), self.STATIC, capacity)
+        return mem
+
     def test_fifo_eviction(self):
-        mem = amm.AmmMemory(capacity=2, resolution=4)
-        for i in range(3):
-            amm.amm_update(mem, amm.AmmSample(np.full((4, 4, 1), float(i)), np.ones((4, 4))))
-        assert [s.feature[0, 0, 0] for s in mem.entries] == [1.0, 2.0]
+        mem = self.admit_all(3, capacity=2)
+        assert [s.feature[0, 0, 0] for s in mem.amm_entries] == [1.0, 2.0]
 
     def test_no_eviction_at_capacity(self):
-        mem = amm.AmmMemory(capacity=50, resolution=4)
-        for i in range(50):
-            amm.amm_update(mem, amm.AmmSample(np.full((4, 4, 1), float(i)), np.ones((4, 4))))
-        assert len(mem) == 50
-        assert mem.entries[0].feature[0, 0, 0] == 0.0
+        mem = self.admit_all(50, capacity=50)
+        assert len(mem.amm_entries) == 50
+        assert mem.amm_entries[0].feature[0, 0, 0] == 0.0
 
     def test_resolution_mismatch(self):
-        mem = amm.AmmMemory(capacity=2, resolution=8)
+        # entries come only from crops at the configured resolution, and a
+        # frame at another resolution is refused before it reaches a bank
+        sc = gen_scenario(7, ScenarioParams("identity", n_frames=3, canvas=(32, 32), object_size=13))
+        pipe = Pipeline(sc.query, PipelineConfig(seg_kernel_size=1, track_kernel_size=1, sample_resolution=16))
         with pytest.raises(DimensionError):
-            amm.amm_update(mem, amm.AmmSample(np.ones((4, 4, 1)), np.ones((4, 4))))
+            pipe.step_frame(sc.frames[0].feature[:16], 0)
+        assert pipe.memory is pipe.initial_memory
+        pipe.run([f.feature for f in sc.frames])
+        assert len(pipe.memory.amm_entries) > 4 and pipe.memory.glm_dynamic
+        for entry in pipe.memory.amm_entries + pipe.memory.glm_samples:
+            assert entry.feature.shape[:2] == (16, 16)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from vql import glm
+from vql import amm, glm
 from vql.core import DimensionError, EmptyInputError, ParameterError, conv2d, gaussian_label
-from vql.selfcheck import fd_gradient, solve_track_normal_equations
+from vql.selfcheck import empty_banks, fd_gradient, solve_track_normal_equations
 
 FN = glm.SpatialWeightFn()
 
@@ -236,22 +236,20 @@ class TestUpdateSource:
 
 class TestMemory:
     def test_static_never_replaced(self):
-        static = glm.GlmSample(np.ones((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)), kind="static")
+        static = glm.GlmSample(np.ones((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
         frozen = static.feature.copy()
-        mem = glm.GlmMemory(static, capacity=3)
+        mem = empty_banks(static)
         for i in range(6):
-            mem.add_dynamic(
-                glm.GlmSample(np.full((4, 4, 1), float(i)), np.zeros((4, 4)), np.ones((4, 4)))
-            )
-        assert mem.static_entry is static
-        assert np.array_equal(mem.static_entry.feature, frozen)
-        assert len(mem.dynamic_entries) == 2
-        assert [s.feature[0, 0, 0] for s in mem.dynamic_entries] == [4.0, 5.0]
-        assert len(mem) <= 3
+            dynamic = glm.GlmSample(np.full((4, 4, 1), float(i)), np.zeros((4, 4)), np.ones((4, 4)))
+            mem = mem.admit(amm.AmmSample(np.ones((4, 4, 1)), np.ones((4, 4))), dynamic, capacity=3)
+        assert mem.glm_static is static
+        assert np.array_equal(mem.glm_static.feature, frozen)
+        assert [s.feature[0, 0, 0] for s in mem.glm_dynamic] == [4.0, 5.0]
+        assert len(mem.glm_samples) <= 3
 
     def test_samples_order(self):
-        static = glm.GlmSample(np.ones((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)), kind="static")
-        mem = glm.GlmMemory(static, capacity=5)
-        mem.add_dynamic(glm.GlmSample(np.zeros((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4))))
-        assert mem.samples[0] is static
-        assert len(mem.samples) == 2
+        static = glm.GlmSample(np.ones((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
+        dynamic = glm.GlmSample(np.zeros((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
+        mem = empty_banks(static).admit(amm.AmmSample(np.ones((4, 4, 1)), np.ones((4, 4))), dynamic, capacity=5)
+        assert len(mem.glm_samples) == 2
+        assert mem.glm_samples[0] is static and mem.glm_samples[1] is dynamic

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vql import glm, metrics
 from vql.core import DimensionError, EmptyInputError, ParameterError, min_bounding_rect
@@ -25,7 +27,7 @@ class TestInitialize:
     def test_bank_seeded_with_query_and_augmentations(self):
         sc = small_identity()
         pipe = Pipeline(sc.query, unit_cfg())
-        assert len(pipe.amm_memory) == 4
+        assert len(pipe.memory.amm_entries) == 4
 
     def test_static_entry_is_unaugmented_query(self):
         sc = small_identity()
@@ -35,17 +37,17 @@ class TestInitialize:
             min_bounding_rect(sc.query.mask),
             (sc.query.mask != 0).astype(np.float64),
             pipe.cfg.sample_resolution,
-            kind="static",
         )
-        assert np.array_equal(pipe.glm_memory.static_entry.feature, rebuilt.feature)
-        assert np.array_equal(pipe.glm_memory.static_entry.label, rebuilt.label)
-        assert pipe.glm_memory.static_entry.kind == "static"
+        assert np.array_equal(pipe.memory.glm_static.feature, rebuilt.feature)
+        assert np.array_equal(pipe.memory.glm_static.label, rebuilt.label)
+        assert not pipe.memory.glm_dynamic
 
     def test_filters_finite(self):
         sc = small_identity()
         pipe = Pipeline(sc.query, unit_cfg())
-        assert np.isfinite(pipe.seg_filter.kernel).all()
-        assert np.isfinite(pipe.track_filter.kernel).all()
+        assert pipe.memory.finite
+        assert np.isfinite(pipe.memory.seg_filter.kernel).all()
+        assert np.isfinite(pipe.memory.track_filter.kernel).all()
 
     def test_empty_query_mask_rejected(self):
         with pytest.raises(EmptyInputError):
@@ -86,11 +88,11 @@ class TestConfig:
     def test_zero_update_iterations_leave_the_filters(self):
         sc = small_identity(n_frames=2)
         pipe = Pipeline(sc.query, unit_cfg(amm_iters_update=0, glm_iters_update=0))
-        seg, trk = pipe.seg_filter.kernel, pipe.track_filter.kernel
+        seg, trk = pipe.memory.seg_filter.kernel, pipe.memory.track_filter.kernel
         pipe.run([f.feature for f in sc.frames])
-        assert len(pipe.amm_memory) > 4
-        assert np.array_equal(pipe.seg_filter.kernel, seg)
-        assert np.array_equal(pipe.track_filter.kernel, trk)
+        assert len(pipe.memory.amm_entries) > 4
+        assert np.array_equal(pipe.memory.seg_filter.kernel, seg)
+        assert np.array_equal(pipe.memory.track_filter.kernel, trk)
 
 
 class TestStepFrame:
@@ -104,12 +106,12 @@ class TestStepFrame:
     def test_background_frame_empty(self):
         sc = small_identity()
         pipe = Pipeline(sc.query, unit_cfg())
-        before = len(pipe.amm_memory)
+        before = len(pipe.memory.amm_entries)
         result = pipe.step_frame(background_of(sc), 0)
         assert not result.mask.any()
         assert result.s_conf == 0.0 and result.bbox is None
-        assert len(pipe.amm_memory) == before
-        assert not pipe.glm_memory.dynamic_entries
+        assert len(pipe.memory.amm_entries) == before
+        assert not pipe.memory.glm_dynamic
 
     def test_update_cadence(self):
         pipe = Pipeline(small_identity().query, unit_cfg())
@@ -122,8 +124,8 @@ class TestStepFrame:
         pipe = Pipeline(sc.query, unit_cfg())
         for t in range(3):
             pipe.step_frame(sc.frames[t].feature, t)
-        assert len(pipe.amm_memory) == 4 + 3
-        assert len(pipe.glm_memory.dynamic_entries) == 3
+        assert len(pipe.memory.amm_entries) == 4 + 3
+        assert len(pipe.memory.glm_dynamic) == 3
 
 
 class TestFrameValidation:
@@ -133,16 +135,14 @@ class TestFrameValidation:
         sc = gen_scenario(3, preset_params("identity"))
         pipe = Pipeline(sc.query)
         pipe.step_frame(sc.frames[0].feature, 0)
-        entries, seg_filter = list(pipe.amm_memory.entries), pipe.seg_filter
+        memory = pipe.memory
         bad = sc.frames[1].feature.copy()
         rows, cols = np.nonzero(sc.frames[1].gt_mask)
         bad[int(round(rows.mean())), int(round(cols.mean())), 0] = np.nan
         with pytest.raises(ParameterError):
             pipe.step_frame(bad, 1)
         assert len(pipe.results) == 1
-        assert all(a is b for a, b in zip(pipe.amm_memory.entries, entries))
-        assert len(pipe.amm_memory.entries) == len(entries)
-        assert pipe.seg_filter is seg_filter
+        assert pipe.memory is memory
         assert pipe.step_frame(sc.frames[2].feature, 2).s_conf > pipe.cfg.admit_threshold
 
     def test_huge_finite_frame_leaves_banks_and_filters(self):
@@ -151,16 +151,33 @@ class TestFrameValidation:
         sc = gen_scenario(3, preset_params("identity"))
         pipe = Pipeline(sc.query)
         pipe.step_frame(sc.frames[0].feature, 0)
-        banks = [id(s) for s in pipe.amm_memory.entries + pipe.glm_memory.samples]
-        seg_filter, track_filter = pipe.seg_filter, pipe.track_filter
+        memory = pipe.memory
         with np.errstate(over="ignore", invalid="ignore"):
             huge = pipe.step_frame(sc.frames[1].feature * 1e100, 1)
         assert huge.s_conf >= pipe.cfg.admit_threshold
-        assert [id(s) for s in pipe.amm_memory.entries + pipe.glm_memory.samples] == banks
-        assert pipe.seg_filter is seg_filter and pipe.track_filter is track_filter
-        assert np.isfinite(pipe.seg_filter.kernel).all()
-        assert np.isfinite(pipe.track_filter.kernel).all()
+        assert pipe.memory is memory
+        assert pipe.memory.finite
         assert pipe.step_frame(sc.frames[2].feature, 2).s_conf > 0.6
+
+    def test_undone_frame_leaves_no_trace(self):
+        # the refit of frame 1 x 1e100 overflows; the run must go on exactly
+        # as if frame 1 never came, so its peak must not steer the choice of
+        # tracking snapshots either
+        sc = gen_scenario(3, preset_params("identity"))
+        kept = Pipeline(sc.query)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(12):
+                kept.step_frame(sc.frames[t].feature * (1e100 if t == 1 else 1.0), t)
+        skipped = Pipeline(sc.query)
+        for t in [0] + list(range(2, 12)):
+            skipped.step_frame(sc.frames[t].feature, t)
+        assert np.array_equal(kept.memory.seg_filter.kernel, skipped.memory.seg_filter.kernel)
+        assert np.array_equal(kept.memory.track_filter.kernel, skipped.memory.track_filter.kernel)
+        assert kept.memory.responses == skipped.memory.responses
+        # the track still records every frame's peak
+        peaks = kept.finalize_2d().peaks
+        assert len(peaks) == 12 and peaks[1] > 1e90
+        assert peaks[:1] + peaks[2:] == skipped.finalize_2d().peaks
 
     def test_infinite_frame_rejected(self):
         sc = small_identity()
@@ -179,32 +196,43 @@ class TestFrameValidation:
             pipe.step_frame(frame, 0)
         assert not pipe.results and not pipe.peaks
 
+    @pytest.mark.parametrize("indices", [[5, 4, 3, 2, 1, 0], [0] * 6])
+    def test_frame_indices_must_increase(self, indices):
+        sc = small_identity()
+        pipe = Pipeline(sc.query, unit_cfg())
+        pipe.step_frame(sc.frames[0].feature, indices[0])
+        results, peaks, memory = list(pipe.results), list(pipe.peaks), pipe.memory
+        for frame, index in zip(sc.frames[1:], indices[1:]):
+            with pytest.raises(ParameterError, match="index"):
+                pipe.step_frame(frame.feature, index)
+        assert pipe.results == results and pipe.peaks == peaks
+        assert pipe.memory is memory
+
 
 class TestHalt:
     def test_halt_reverts_and_freezes(self):
         sc = small_identity(n_frames=3)
         cfg = unit_cfg(halt_window=5)
         pipe = Pipeline(sc.query, cfg)
-        initial = [s.feature.copy() for s in pipe.amm_memory.entries]
-        seg_kernel = pipe.seg_filter.kernel.copy()
+        initial = [s.feature.copy() for s in pipe.memory.amm_entries]
+        seg_kernel = pipe.memory.seg_filter.kernel.copy()
         for t in range(3):
             pipe.step_frame(sc.frames[t].feature, t)
-        assert len(pipe.amm_memory) > 4
+        assert len(pipe.memory.amm_entries) > 4
         bg = background_of(sc)
         for t in range(3, 3 + cfg.halt_window):
             pipe.step_frame(bg, t)
         assert pipe.halted
-        assert len(pipe.amm_memory) == len(initial)
-        for got, want in zip(pipe.amm_memory.entries, initial):
+        # the halt returns to the post-initialization value itself
+        assert pipe.memory is pipe.initial_memory
+        assert len(pipe.memory.amm_entries) == len(initial)
+        for got, want in zip(pipe.memory.amm_entries, initial):
             assert np.array_equal(got.feature, want)
-        assert not pipe.glm_memory.dynamic_entries
-        assert np.array_equal(pipe.seg_filter.kernel, seg_kernel)
-        # the snapshot holds the initial (read-only) objects themselves
-        assert all(a is b for a, b in zip(pipe.amm_memory.entries, pipe._initial_amm_entries))
-        assert pipe.amm_memory.entries is not pipe._initial_amm_entries
-        # once halted, confident frames no longer grow the banks
+        assert not pipe.memory.glm_dynamic
+        assert np.array_equal(pipe.memory.seg_filter.kernel, seg_kernel)
+        # once halted, confident frames no longer change the memory
         pipe.step_frame(sc.frames[0].feature, 50)
-        assert len(pipe.amm_memory) == len(initial)
+        assert pipe.memory is pipe.initial_memory
 
     def test_no_halt_before_window_fills(self):
         sc = small_identity(n_frames=3)
@@ -216,15 +244,34 @@ class TestHalt:
         assert not pipe.halted
 
 
+BANK_SCENARIO = small_identity(n_frames=2)
+
+
+def ids(entries):
+    return [id(entry) for entry in entries]
+
+
 class TestBankBounds:
-    def test_capacity_never_exceeded(self):
-        sc = small_identity(n_frames=2)
-        cfg = unit_cfg(capacity=6)
-        pipe = Pipeline(sc.query, cfg)
-        for t in range(12):
-            pipe.step_frame(sc.frames[t % 2].feature, t)
-            assert len(pipe.amm_memory) <= 6
-            assert 1 + len(pipe.glm_memory.dynamic_entries) <= 6
+    @given(st.integers(1, 6), st.lists(st.booleans(), min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_capacity_never_exceeded(self, capacity, targets):
+        sc = BANK_SCENARIO
+        pipe = Pipeline(sc.query, unit_cfg(capacity=capacity))
+        static = pipe.initial_memory.glm_static
+        bg = background_of(sc)
+        for t, target in enumerate(targets):
+            before = pipe.memory
+            pipe.step_frame(sc.frames[t % 2].feature if target else bg, t)
+            after = pipe.memory
+            assert len(after.amm_entries) <= capacity
+            assert after.glm_static is static
+            assert len(after.glm_dynamic) <= capacity - 1
+            old, new = ids(before.amm_entries), ids(after.amm_entries)
+            if new != old:
+                # one admission: the newest entry is last, the oldest left first
+                assert new[-1] not in old
+                grown = old + new[-1:]
+                assert new == grown[max(0, len(grown) - capacity) :]
 
 
 class TestFinalize2d:

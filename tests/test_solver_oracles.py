@@ -14,9 +14,8 @@ from hypothesis.extra import numpy as hnp
 
 from vql import amm, glm
 from vql.core import gaussian_label
-from vql.selfcheck import CLEAR_MARGIN, SOLVER_TOL, descent_deviation, optimizer_deviation
+from vql.selfcheck import CLEAR_MARGIN, SOLVER_TOL, descent_deviation, empty_banks, optimizer_deviation
 
-ENC = amm.PseudoLabelEncoder()
 RW = amm.TargetReweighter()
 FN = glm.SpatialWeightFn()
 CASES = [(k, c, n) for k in (1, 3) for c in (1, 2, 4) for n in (1, 3, 8)]
@@ -43,7 +42,7 @@ def hinge_sample(r, channels, size=8):
 
 
 def assert_descent_matches(start, bank, n_iter):
-    deviation, got = descent_deviation(start, bank, n_iter, ENC, RW)
+    deviation, got = descent_deviation(start, bank, n_iter, RW)
     assert deviation <= SOLVER_TOL
     return got
 
@@ -76,23 +75,25 @@ def test_optimize_filter_matches_per_entry_loops(ksz, channels, entries):
 
 def test_descent_follows_fifo_eviction():
     r = np.random.default_rng(7)
-    mem = amm.AmmMemory(capacity=3, resolution=8)
+    static = glm.GlmSample(np.zeros((8, 8, 2)), np.zeros((8, 8)), np.ones((8, 8)))
+    mem = empty_banks(static)
     filt = amm.SegFilter.zeros(3, 2)
     for _ in range(6):
-        amm.amm_update(mem, amm_sample(r, 2))
-        filt = assert_descent_matches(filt, mem.entries, 3)
-    assert len(mem) == 3
+        mem = mem.admit(amm_sample(r, 2), static, capacity=3)
+        filt = assert_descent_matches(filt, mem.amm_entries, 3)
+    assert len(mem.amm_entries) == 3
 
 
 def test_optimizer_follows_fifo_eviction():
     r = np.random.default_rng(8)
-    mem = glm.GlmMemory(glm_sample(r, 2), capacity=3)
+    mem = empty_banks(glm_sample(r, 2))
+    entry = amm.AmmSample(np.zeros((8, 8, 2)), np.ones((8, 8)))
     filt = glm.TrackFilter.zeros(3, 2)
     for _ in range(5):
-        mem.add_dynamic(glm_sample(r, 2))
-        filt, fit = assert_optimizer_matches(filt, mem.samples, 3)
+        mem = mem.admit(entry, glm_sample(r, 2), capacity=3)
+        filt, fit = assert_optimizer_matches(filt, mem.glm_samples, 3)
         assert fit.margin > CLEAR_MARGIN
-    assert len(mem) == 3
+    assert len(mem.glm_samples) == 3
 
 
 @pytest.mark.parametrize("channels", (1, 2))
@@ -135,10 +136,10 @@ def glm_problems(draw):
 @settings(max_examples=40, deadline=None)
 def test_steepest_descent_never_raises_the_loss(problem):
     samples, filt = problem
-    prev = amm.seg_loss(filt, samples, ENC, RW)
+    prev = amm.seg_loss(filt, samples, RW)
     for _ in range(4):
-        filt = amm.steepest_descent(filt, samples, 1, ENC, RW)
-        cur = amm.seg_loss(filt, samples, ENC, RW)
+        filt = amm.steepest_descent(filt, samples, 1, RW)
+        cur = amm.seg_loss(filt, samples, RW)
         assert cur <= prev + 1e-12 * max(1.0, prev)
         prev = cur
 
@@ -174,9 +175,9 @@ def test_bank_entries_and_filters_are_read_only(feature, pixel, value):
     # neither the entry nor the statistics cached on it
     filt = amm.SegFilter(np.full((3, 3, 2, 3), 0.1), 0.1)
     snapshot = seg.feature.copy()
-    cached = amm.seg_loss(filt, [seg], ENC, RW)
+    cached = amm.seg_loss(filt, [seg], RW)
     feature[pixel] = value + 2.0
     mask[pixel] = 1 - mask[pixel]
     assert np.array_equal(seg.feature, snapshot)
-    assert amm.seg_loss(filt, [seg], ENC, RW) == cached
-    assert cached == amm.seg_loss(filt, [amm.AmmSample(seg.feature, seg.mask)], ENC, RW)
+    assert amm.seg_loss(filt, [seg], RW) == cached
+    assert cached == amm.seg_loss(filt, [amm.AmmSample(seg.feature, seg.mask)], RW)
