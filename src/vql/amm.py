@@ -1,5 +1,9 @@
 """Appearance branch: bank entries, their admission gate and a steepest-descent ridge solver.
 
+A retrieval enters the bank when it has a box and its confidence ``s_conf``
+(the mean probability inside its mask, from ``fusion.extract_result``)
+clears the admit threshold.
+
 The segmentation model is a single convolution ``conv2d(F, sigma)`` mapping
 C feature channels to D label channels. Its weights are fit online against
 every bank entry by minimizing the weighted squared error
@@ -56,6 +60,7 @@ from .core import (
     nearest_resize,
     readonly_copy,
 )
+from .fusion import SegmentationResult
 
 __all__ = [
     "TargetReweighter",
@@ -91,9 +96,6 @@ class TargetReweighter:
             )
         if self.blur_sigma < 0:
             raise ParameterError(f"blur_sigma must be >= 0, got {self.blur_sigma}")
-
-    def weights(self, mask: np.ndarray) -> np.ndarray:
-        return reweight(mask, self)
 
 
 @dataclass(frozen=True)
@@ -280,16 +282,9 @@ def steepest_descent(filt: SegFilter, mem: Sequence[AmmSample], n_iter: int, rw:
     return SegFilter(sigma.reshape(filt.kernel.shape), delta)
 
 
-def amm_admit(result_prob: np.ndarray, result_mask: np.ndarray, threshold: float) -> bool:
-    """Admit iff the mask is non-empty and its mean probability clears the threshold."""
-    prob = np.asarray(result_prob, dtype=np.float64)
-    mask = np.asarray(result_mask)
-    if prob.shape != mask.shape:
-        raise DimensionError(f"probability {prob.shape} and mask {mask.shape} dims differ")
-    fg = mask != 0
-    if not fg.any():
-        return False
-    return float(prob[fg].mean()) >= threshold
+def amm_admit(result: SegmentationResult, threshold: float) -> bool:
+    """Admit a retrieval iff it has a box and its confidence clears the threshold."""
+    return result.bbox is not None and result.s_conf >= threshold
 
 
 def crop_sample(

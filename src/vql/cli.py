@@ -8,14 +8,13 @@ Subcommands:
   selfcheck run the oracle suite, nonzero exit on any failure
 
 Exit codes: 0 success, 2 validation or input error, 1 internal failure.
-The EAGLE_THREADS environment variable caps selfcheck parallelism.
+Selfcheck runs the oracles one after another, in registry order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -98,9 +97,7 @@ def _cmd_eval(args) -> int:
 def _cmd_selfcheck(args) -> int:
     from .selfcheck import run_checks
 
-    workers = os.environ.get("EAGLE_THREADS")
-    max_workers = int(workers) if workers else os.cpu_count()
-    results = run_checks(args.filter, max_workers=max_workers)
+    results = run_checks(args.filter)
     if not results:
         print(f"no checks match filter {args.filter!r}", file=sys.stderr)
         return 2

@@ -32,6 +32,7 @@ __all__ = [
     "connected_components",
     "min_bounding_rect",
     "median_filter_1d",
+    "last_run",
     "extract_square_crop",
     "CROP_AREA_LADDER",
     "ladder_crop",
@@ -232,6 +233,17 @@ def median_filter_1d(seq: Sequence[float], window: int) -> np.ndarray:
         hi = min(n, i + half + 1)
         out[i] = np.median(values[lo:hi])
     return out
+
+
+def last_run(flags: Sequence[bool]) -> tuple[int, int] | None:
+    """Inclusive (start, end) of the last run of true flags, or None when no flag is true."""
+    flags = np.asarray(flags, dtype=bool)
+    true = np.flatnonzero(flags)
+    if true.size == 0:
+        return None
+    end = int(true[-1])
+    false = np.flatnonzero(~flags[:end])
+    return (int(false[-1]) + 1 if false.size else 0, end)
 
 
 # Cropping and resampling helpers shared by both memory banks. They live here

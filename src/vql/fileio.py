@@ -16,8 +16,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import asdict
-from typing import Any, Optional
+from dataclasses import asdict, fields
+from typing import Any
 
 import numpy as np
 
@@ -106,10 +106,6 @@ def _flat(arr: np.ndarray) -> list:
 
 
 def save_scenario(scenario: Scenario, path: str) -> None:
-    params = asdict(scenario.params)
-    params["canvas"] = list(scenario.params.canvas)
-    params["corrupt_views"] = list(scenario.params.corrupt_views)
-    params["absence"] = None if scenario.params.absence is None else list(scenario.params.absence)
     frames = []
     for frame in scenario.frames:
         camera = None
@@ -124,7 +120,7 @@ def save_scenario(scenario: Scenario, path: str) -> None:
             {
                 "feature": _flat(frame.feature),
                 "gt_mask": np.asarray(frame.gt_mask, dtype=np.int64).ravel().tolist(),
-                "gt_bbox": None if frame.gt_bbox is None else list(frame.gt_bbox),
+                "gt_bbox": frame.gt_bbox,
                 "camera": camera,
             }
         )
@@ -132,14 +128,14 @@ def save_scenario(scenario: Scenario, path: str) -> None:
         "version": FORMAT_VERSION,
         "kind": "scenario",
         "seed": scenario.seed,
-        "params": params,
+        "params": asdict(scenario.params),
         "query": {
             "feature": _flat(scenario.query.feature),
             "mask": np.asarray(scenario.query.mask, dtype=np.int64).ravel().tolist(),
             "frame_index": scenario.query.frame_index,
         },
         "frames": frames,
-        "gt_interval": None if scenario.gt_interval is None else list(scenario.gt_interval),
+        "gt_interval": scenario.gt_interval,
         "gt_point": None if scenario.gt_point is None else _flat(scenario.gt_point),
         "alignment_src": None if scenario.alignment_src is None else _flat(scenario.alignment_src),
         "alignment_dst": None if scenario.alignment_dst is None else _flat(scenario.alignment_dst),
@@ -151,28 +147,16 @@ def load_scenario(path: str) -> Scenario:
     document = _load_json(path)
     _check_header(document, "scenario", path)
     raw_params = _expect(document, "params", path)
-    try:
-        params = ScenarioParams(
-            preset=raw_params["preset"],
-            n_frames=raw_params["n_frames"],
-            canvas=tuple(raw_params["canvas"]),
-            channels=raw_params["channels"],
-            object_size=raw_params["object_size"],
-            background_amplitude=raw_params["background_amplitude"],
-            drift_step=raw_params["drift_step"],
-            target_motion=raw_params["target_motion"],
-            motion_period=raw_params["motion_period"],
-            distractors=raw_params["distractors"],
-            distractor_angle=raw_params["distractor_angle"],
-            absence=None if raw_params["absence"] is None else tuple(raw_params["absence"]),
-            n_views=raw_params["n_views"],
-            view_radius=raw_params["view_radius"],
-            focal=raw_params["focal"],
-            corrupt_views=tuple(raw_params["corrupt_views"]),
-            corrupt_uncertainty=raw_params["corrupt_uncertainty"],
-        )
-    except KeyError as exc:
-        raise SchemaError(f"{path}.params.{exc.args[0]}: missing required field") from None
+    if not isinstance(raw_params, dict):
+        raise SchemaError(f"{path}.params: must be an object")
+    names = [f.name for f in fields(ScenarioParams)]
+    for name in names:
+        _expect(raw_params, name, f"{path}.params")
+    unknown = sorted(set(raw_params) - set(names))
+    if unknown:
+        raise SchemaError(f"{path}.params.{unknown[0]}: unknown field")
+    # JSON has no tuples; every list-valued parameter is a tuple field
+    params = ScenarioParams(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw_params.items()})
     h, w = params.canvas
     c = params.channels
     raw_query = _expect(document, "query", path)
@@ -217,7 +201,7 @@ def load_scenario(path: str) -> Scenario:
         frames=frames,
         query=query,
         gt_interval=None if gt_interval is None else tuple(int(v) for v in gt_interval),
-        gt_point=None if gt_point is None else np.asarray(gt_point, dtype=np.float64),
+        gt_point=None if gt_point is None else _tensor(gt_point, (3,), f"{path}.gt_point"),
         alignment_src=None if src is None else _tensor(src, (len(src) // 3, 3), f"{path}.alignment_src"),
         alignment_dst=None if dst is None else _tensor(dst, (len(dst) // 3, 3), f"{path}.alignment_dst"),
     )
@@ -236,7 +220,7 @@ def save_track(track: TrackOutput, path: str) -> None:
             {
                 "frame_index": result.frame_index,
                 "prob": _flat(result.prob),
-                "bbox": None if result.bbox is None else list(result.bbox),
+                "bbox": result.bbox,
                 "s_conf": float(result.s_conf),
             }
         )
@@ -280,15 +264,16 @@ def load_track(path: str) -> TrackOutput:
         )
     interval = document.get("interval")
     world_point = document.get("world_point")
-    displacements = {
-        int(entry["frame_index"]): np.asarray(entry["delta"], dtype=np.float64)
-        for entry in document.get("displacements", [])
-    }
+    displacements = {}
+    for i, entry in enumerate(document.get("displacements", [])):
+        where = f"{path}.displacements[{i}]"
+        delta = _tensor(_expect(entry, "delta", where), (3,), f"{where}.delta")
+        displacements[int(_expect(entry, "frame_index", where))] = delta
     return TrackOutput(
         results,
         None if interval is None else TemporalInterval(int(interval[0]), int(interval[1])),
         [float(p) for p in _expect(document, "peaks", path)],
-        None if world_point is None else np.asarray(world_point, dtype=np.float64),
+        None if world_point is None else _tensor(world_point, (3,), f"{path}.world_point"),
         displacements,
     )
 

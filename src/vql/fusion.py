@@ -5,8 +5,10 @@ The two branches meet in one logit per pixel: the channel mean of the
 appearance features conv2d(F, sigma) plus the rectified tracking score
 max(0, H), squashed by a logistic into a probability map. The mask is that
 map thresholded at 0.5 and boxed by its largest 4-connected component. The
-per-frame confidence is the mean probability inside the mask; the answer
-interval is the last run of median-filtered confidences above 0.8x their
+per-frame confidence ``s_conf`` is the mean probability inside the mask,
+computed here once: the appearance bank admits on it and the temporal
+localization reads it. The answer interval is the last run
+(``core.last_run``) of median-filtered confidences at or above 0.8x their
 maximum.
 """
 
@@ -20,6 +22,7 @@ import numpy as np
 from .core import (
     DimensionError,
     connected_components,
+    last_run,
     median_filter_1d,
     min_bounding_rect,
 )
@@ -105,16 +108,5 @@ def temporal_localize(
     peak = float(filtered.max())
     if peak <= 0.0:
         return None
-    threshold = ratio * peak
-    above = filtered >= threshold
-    end = None
-    for i in range(len(above) - 1, -1, -1):
-        if above[i]:
-            end = i
-            break
-    if end is None:
-        return None
-    start = end
-    while start > 0 and above[start - 1]:
-        start -= 1
-    return TemporalInterval(start, end)
+    run = last_run(filtered >= ratio * peak)
+    return None if run is None else TemporalInterval(*run)

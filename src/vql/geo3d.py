@@ -120,12 +120,6 @@ class Sim3Transform:
             self.scale * self.rotation @ other.translation + self.translation,
         )
 
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.scale * self.rotation
-        m[:3, 3] = self.translation
-        return m
-
 
 @dataclass
 class ViewContribution:

@@ -13,11 +13,11 @@ snapshot source form one immutable value: a frame builds a new value and
 the pipeline keeps it or drops it whole.
 
 Update policy, following the inference procedure the solvers were designed
-for: banks ingest retrievals whose mean in-mask probability clears the
-admit threshold, on every frame below the dense-update horizon and every
-update_stride frames after it; each ingest is followed by a few solver
-iterations, and is dropped whole, peak included, if either refit filter
-comes out non-finite. If the mean confidence over the trailing window drops
+for: banks ingest retrievals that ``amm.amm_admit`` accepts (a box and a
+confidence at or above the admit threshold), on every frame below the
+dense-update horizon and every update_stride frames after it; each ingest
+is followed by a few solver iterations, and is dropped whole, peak
+included, if either refit filter comes out non-finite. If the mean confidence over the trailing window drops
 below the halt threshold, updating stops for good and the memory reverts to
 its post-initialization value.
 """
@@ -128,10 +128,6 @@ class TrackOutput:
     peaks: list[float]
     world_point: Optional[np.ndarray] = None
     displacements: dict[int, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def s_conf_seq(self) -> list[float]:
-        return [r.s_conf for r in self.results]
 
 
 def _augmented_query_samples(base: amm.AmmSample) -> list[amm.AmmSample]:
@@ -280,9 +276,7 @@ class Pipeline:
                 self.memory, self.halted = self.initial_memory, True
                 return result
             candidate = replace(self.memory, responses=self.memory.responses + (peak,))
-            if self._is_update_frame(frame_index) and amm.amm_admit(
-                prob, result.mask, self.cfg.admit_threshold
-            ):
+            if self._is_update_frame(frame_index) and amm.amm_admit(result, self.cfg.admit_threshold):
                 candidate = self._ingest(candidate, frame_feature, result)
             # a finite frame can be so large that a refit overflows
             if candidate.finite:

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ParameterError
+from .core import ParameterError, last_run
 from .fusion import SegmentationResult, TemporalInterval
 from .geo3d import CameraFrame, Sim3Transform
 from .pipeline import QuerySpec, TrackOutput
@@ -198,7 +198,7 @@ def gen_scenario(seed: int, params: ScenarioParams) -> Scenario:
         frames.append(FrameData(feature, mask, bbox, camera))
 
     query = QuerySpec(frames[0].feature.copy(), frames[0].gt_mask.copy(), 0)
-    gt_interval = _last_presence_run([f.gt_bbox is not None for f in frames])
+    gt_interval = last_run([f.gt_bbox is not None for f in frames])
     return Scenario(
         seed=seed,
         params=params,
@@ -209,20 +209,6 @@ def gen_scenario(seed: int, params: ScenarioParams) -> Scenario:
         alignment_src=None if geo is None else geo["src"],
         alignment_dst=None if geo is None else geo["dst"],
     )
-
-
-def _last_presence_run(present: list[bool]) -> Optional[tuple[int, int]]:
-    end = None
-    for i in range(len(present) - 1, -1, -1):
-        if present[i]:
-            end = i
-            break
-    if end is None:
-        return None
-    start = end
-    while start > 0 and present[start - 1]:
-        start -= 1
-    return (start, end)
 
 
 def _geo_setup(rng: np.random.Generator, params: ScenarioParams) -> dict:

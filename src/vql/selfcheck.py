@@ -26,6 +26,7 @@ from .core import (
     connected_components,
     extract_square_crop,
     gaussian_label,
+    im2col,
     kernel_gradient,
     median_filter_1d,
     min_bounding_rect,
@@ -325,7 +326,15 @@ def check_conv_naive(n_instances=10, seed=0):
         got = conv2d(x, k)
         want = conv2d_naive(x, k)
         worst = max(worst, float(np.abs(got - want).max() / (np.abs(want).max() + 1e-30)))
-    return worst < 1e-12, f"max relative deviation {worst:.3e}"
+    # the patch matrix both solvers build their statistics from
+    for ksz in (1, 3, 5):
+        for c_in in (1, 3):
+            x = rng.uniform(-1, 1, size=(5, 6, c_in))
+            k = rng.uniform(-1, 1, size=(ksz, ksz, c_in, 2))
+            got = im2col(x, ksz) @ k.reshape(-1, 2)
+            want = conv2d_naive(x, k).reshape(-1, 2)
+            worst = max(worst, float(np.abs(got - want).max() / (np.abs(want).max() + 1e-30)))
+    return worst < 1e-12, f"max relative deviation {worst:.3e} (conv2d and im2col)"
 
 
 def check_kernel_gradient_fd(n_instances=10, seed=2):
@@ -622,10 +631,9 @@ def check_amm_fifo_replay(seed=14):
     mem = empty_banks(static)
     admitted = []
     for i in range(40):
-        prob = np.full((4, 4), rng.uniform(0.3, 0.9))
-        mask = np.ones((4, 4), dtype=np.uint8)
-        sample = amm.AmmSample(np.full((4, 4, 1), float(i)), mask, float(prob[0, 0]))
-        if amm.amm_admit(prob, mask, 0.6):
+        result = fusion.extract_result(np.full((4, 4), rng.uniform(0.3, 0.9)), i)
+        if amm.amm_admit(result, 0.6):
+            sample = amm.AmmSample(np.full((4, 4, 1), float(i)), result.mask, result.s_conf)
             mem = mem.admit(sample, static, capacity=5)
             admitted.append(i)
     want = admitted[-5:]
@@ -1281,19 +1289,12 @@ CHECKS = {
 }
 
 
-def run_checks(name_filter: str | None = None, max_workers: int | None = None):
-    """Run (a filtered subset of) the registry, optionally in parallel.
+def run_checks(name_filter: str | None = None):
+    """Run (a filtered subset of) the registry in order.
 
     Returns a list of (name, passed, detail) in registry order.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    names = [n for n in CHECKS if name_filter is None or name_filter in n]
-    if max_workers is None or max_workers <= 1 or len(names) <= 1:
-        return [(name, *_run_one(name)) for name in names]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = {name: pool.submit(_run_one, name) for name in names}
-        return [(name, *futures[name].result()) for name in names]
+    return [(name, *_run_one(name)) for name in CHECKS if name_filter is None or name_filter in name]
 
 
 def _run_one(name: str) -> tuple[bool, str]:

