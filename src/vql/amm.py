@@ -59,6 +59,7 @@ from .core import (
     min_bounding_rect,
     nearest_resize,
     readonly_copy,
+    _zero_border,
 )
 from .fusion import SegmentationResult
 
@@ -154,8 +155,7 @@ def encode_pseudo_label(mask: np.ndarray) -> np.ndarray:
     out[:, :, 0] = fg
     if not fg.any():
         return out
-    padded = np.zeros((h + 2, w + 2), dtype=bool)
-    padded[1:-1, 1:-1] = fg
+    padded = _zero_border(fg, 1)
     interior = (
         padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
     )
@@ -181,14 +181,14 @@ def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     k = _gaussian_kernel_1d(sigma)
     r = (k.size - 1) // 2
     h, w = img.shape
-    tmp = np.zeros((h, w))
-    padded = np.pad(np.asarray(img, dtype=np.float64), ((r, r), (0, 0)))
+    padded = _zero_border(np.asarray(img, dtype=np.float64), r)
+    # the vertical pass keeps the border columns zero for the horizontal one
+    tmp = np.zeros((h, w + 2 * r))
     for i, tap in enumerate(k):
         tmp += tap * padded[i : i + h, :]
     out = np.zeros((h, w))
-    padded = np.pad(tmp, ((0, 0), (r, r)))
     for i, tap in enumerate(k):
-        out += tap * padded[:, i : i + w]
+        out += tap * tmp[:, i : i + w]
     return out
 
 

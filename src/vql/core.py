@@ -10,8 +10,11 @@ Conventions used throughout the package:
 
 All convolutions are cross-correlations with zero same-padding, so outputs
 keep the input's spatial size and stacked memory samples of one resolution
-stay shape-compatible. Everything is computed in float64; the solvers need
-headroom below their 1e-5 verification tolerances.
+stay shape-compatible. One private helper, ``_zero_border``, writes every
+zero-bordered copy the package makes: for the convolutions here, the blurs
+of ``amm`` and ``pipeline`` and the pseudo-label boundary test. Everything
+is computed in float64; the solvers need headroom below their 1e-5
+verification tolerances.
 """
 
 from __future__ import annotations
@@ -60,6 +63,14 @@ def _check_kernel(k: np.ndarray) -> None:
         raise ParameterError(f"kernel size must be odd, got {k.shape[0]}")
 
 
+def _zero_border(x: np.ndarray, r: int) -> np.ndarray:
+    """Copy of ``x`` with a border of ``r`` zeros around its first two axes."""
+    h, w = x.shape[:2]
+    out = np.zeros((h + 2 * r, w + 2 * r) + x.shape[2:], dtype=x.dtype)
+    out[r : r + h, r : r + w] = x
+    return out
+
+
 def conv2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Cross-correlate a (H, W, C) map with a (K, K, C, D) kernel.
 
@@ -79,7 +90,7 @@ def conv2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     ksz = k.shape[0]
     r = ksz // 2
     h, w = x.shape[:2]
-    xp = np.pad(x, ((r, r), (r, r), (0, 0)))
+    xp = _zero_border(x, r)
     out = np.zeros((h, w, k.shape[3]))
     for dy in range(ksz):
         for dx in range(ksz):
@@ -115,7 +126,7 @@ def kernel_gradient(x: np.ndarray, residual: np.ndarray, kernel_shape: Sequence[
         )
     r = ksz // 2
     h, w = x.shape[:2]
-    xp = np.pad(x, ((r, r), (r, r), (0, 0)))
+    xp = _zero_border(x, r)
     g = np.empty((ksz, ksz, c_in, c_out))
     for dy in range(ksz):
         for dx in range(ksz):
@@ -143,7 +154,7 @@ def im2col(x: np.ndarray, ksz: int, out: np.ndarray | None = None) -> np.ndarray
         out = np.empty((h * w, ksz * ksz * c))
     elif out.shape != (h * w, ksz * ksz * c) or not out.flags.c_contiguous:
         raise DimensionError(f"out must be a C-contiguous {(h * w, ksz * ksz * c)} array")
-    xp = np.pad(x, ((r, r), (r, r), (0, 0)))
+    xp = _zero_border(x, r)
     taps = out.reshape(h, w, ksz, ksz, c)
     for dy in range(ksz):
         for dx in range(ksz):

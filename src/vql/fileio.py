@@ -98,6 +98,23 @@ def _tensor(values: Any, shape: tuple[int, ...], path: str) -> np.ndarray:
     return arr
 
 
+def _mask(values: Any, shape: tuple[int, int], path: str) -> np.ndarray:
+    arr = _tensor(values, shape, path)
+    if not ((arr == 0) | (arr == 1)).all():
+        raise SchemaError(f"{path}: mask values must be 0 or 1")
+    return arr.astype(np.uint8)
+
+
+def _int_vector(values: Any, n: int, path: str) -> tuple[int, ...]:
+    if not (
+        isinstance(values, list)
+        and len(values) == n
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+    ):
+        raise SchemaError(f"{path}: expected a list of {n} integers, got {values!r}")
+    return tuple(values)
+
+
 def _flat(arr: np.ndarray) -> list:
     return np.asarray(arr, dtype=np.float64).ravel().tolist()
 
@@ -162,7 +179,7 @@ def load_scenario(path: str) -> Scenario:
     raw_query = _expect(document, "query", path)
     query = QuerySpec(
         _tensor(_expect(raw_query, "feature", f"{path}.query"), (h, w, c), f"{path}.query.feature"),
-        _tensor(_expect(raw_query, "mask", f"{path}.query"), (h, w), f"{path}.query.mask").astype(np.uint8),
+        _mask(_expect(raw_query, "mask", f"{path}.query"), (h, w), f"{path}.query.mask"),
         int(_expect(raw_query, "frame_index", f"{path}.query")),
     )
     frames = []
@@ -186,8 +203,8 @@ def load_scenario(path: str) -> Scenario:
         frames.append(
             FrameData(
                 _tensor(_expect(raw, "feature", where), (h, w, c), f"{where}.feature"),
-                _tensor(_expect(raw, "gt_mask", where), (h, w), f"{where}.gt_mask").astype(np.uint8),
-                None if bbox is None else tuple(int(v) for v in bbox),
+                _mask(_expect(raw, "gt_mask", where), (h, w), f"{where}.gt_mask"),
+                None if bbox is None else _int_vector(bbox, 4, f"{where}.gt_bbox"),
                 camera,
             )
         )
@@ -200,7 +217,7 @@ def load_scenario(path: str) -> Scenario:
         params=params,
         frames=frames,
         query=query,
-        gt_interval=None if gt_interval is None else tuple(int(v) for v in gt_interval),
+        gt_interval=None if gt_interval is None else _int_vector(gt_interval, 2, f"{path}.gt_interval"),
         gt_point=None if gt_point is None else _tensor(gt_point, (3,), f"{path}.gt_point"),
         alignment_src=None if src is None else _tensor(src, (len(src) // 3, 3), f"{path}.alignment_src"),
         alignment_dst=None if dst is None else _tensor(dst, (len(dst) // 3, 3), f"{path}.alignment_dst"),
@@ -246,7 +263,7 @@ def save_track(track: TrackOutput, path: str) -> None:
 def load_track(path: str) -> TrackOutput:
     document = _load_json(path)
     _check_header(document, "track", path)
-    h, w = (int(v) for v in _expect(document, "canvas", path))
+    h, w = _int_vector(_expect(document, "canvas", path), 2, f"{path}.canvas")
     results = []
     for i, raw in enumerate(_expect(document, "frames", path)):
         where = f"{path}.frames[{i}]"
@@ -257,7 +274,7 @@ def load_track(path: str) -> TrackOutput:
             SegmentationResult(
                 prob,
                 mask,
-                None if bbox is None else tuple(int(v) for v in bbox),
+                None if bbox is None else _int_vector(bbox, 4, f"{where}.bbox"),
                 float(_expect(raw, "s_conf", where)),
                 int(_expect(raw, "frame_index", where)),
             )
@@ -271,7 +288,7 @@ def load_track(path: str) -> TrackOutput:
         displacements[int(_expect(entry, "frame_index", where))] = delta
     return TrackOutput(
         results,
-        None if interval is None else TemporalInterval(int(interval[0]), int(interval[1])),
+        None if interval is None else TemporalInterval(*_int_vector(interval, 2, f"{path}.interval")),
         [float(p) for p in _expect(document, "peaks", path)],
         None if world_point is None else _tensor(world_point, (3,), f"{path}.world_point"),
         displacements,

@@ -1,13 +1,15 @@
 """Dual-branch integration: fusion, mask extraction, and temporal
 localization over per-frame confidences.
 
-The two branches meet in one logit per pixel: the channel mean of the
-appearance features conv2d(F, sigma) plus the rectified tracking score
-max(0, H), squashed by a logistic into a probability map. The mask is that
-map thresholded at 0.5 and boxed by its largest 4-connected component. The
-per-frame confidence ``s_conf`` is the mean probability inside the mask,
-computed here once: the appearance bank admits on it and the temporal
-localization reads it. The answer interval is the last run
+The two branches meet in one logit per pixel: the appearance logit, the
+channel mean of the segmentation output conv2d(F, sigma), plus the
+rectified tracking score max(0, H), squashed by a logistic into a
+probability map. The pipeline gets the appearance logit from the
+channel-mean kernel, so the 3-channel output is never built. The mask is
+that map thresholded at 0.5 and boxed by its largest 4-connected
+component. The per-frame confidence ``s_conf`` is the mean probability
+inside the mask, computed here once: the appearance bank admits on it and
+the temporal localization reads it. The answer interval is the last run
 (``core.last_run``) of median-filtered confidences at or above 0.8x their
 maximum.
 """
@@ -60,17 +62,17 @@ class TemporalInterval:
 
 
 def fuse(appearance: np.ndarray, score: np.ndarray) -> np.ndarray:
-    """Probability map sigmoid(mean_d appearance[..., d] + max(0, score)).
+    """Probability map sigmoid(appearance + max(0, score)).
 
-    ``appearance`` is the (H, W, D) segmentation output and ``score`` the
-    (H, W) tracking response; the output lies strictly inside (0, 1)
-    wherever the logit is finite.
+    ``appearance`` is the (H, W) appearance logit and ``score`` the (H, W)
+    tracking response; the output lies strictly inside (0, 1) wherever the
+    logit is finite.
     """
     appearance = np.asarray(appearance, dtype=np.float64)
     score = np.asarray(score, dtype=np.float64)
-    if appearance.ndim != 3 or appearance.shape[:2] != score.shape:
+    if appearance.ndim != 2 or appearance.shape != score.shape:
         raise DimensionError(f"cannot fuse appearance {appearance.shape} with score {score.shape}")
-    logits = appearance.mean(axis=2) + np.maximum(0.0, score)
+    logits = appearance + np.maximum(0.0, score)
     return 1.0 / (1.0 + np.exp(-logits))
 
 

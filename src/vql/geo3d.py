@@ -112,14 +112,6 @@ class Sim3Transform:
         r_inv = self.rotation.T
         return Sim3Transform(1.0 / self.scale, r_inv, -r_inv @ self.translation / self.scale)
 
-    def compose(self, other: "Sim3Transform") -> "Sim3Transform":
-        """Transform equal to applying ``other`` first, then self."""
-        return Sim3Transform(
-            self.scale * other.scale,
-            self.rotation @ other.rotation,
-            self.scale * self.rotation @ other.translation + self.translation,
-        )
-
 
 @dataclass
 class ViewContribution:

@@ -2,6 +2,12 @@
 frames one by one, and produce the 2D track, temporal interval, and 3D
 displacements.
 
+Inference: both filters share one kernel size, so each frame is convolved
+once, with a two-output kernel. Output 0 comes from the segmentation kernel
+averaged over its three label channels: conv2d is linear in its kernel, so
+that is the appearance logit ``fusion.fuse`` needs. Output 1 is the
+tracking score, whose maximum is the frame's tracking peak.
+
 Memory: the appearance bank is a FIFO of cropped, resampled (feature, mask)
 pairs at one canonical resolution. Eviction is strictly first-in-first-out
 over all entries, including the query sample and its augmentations; nothing
@@ -30,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import amm, fusion, geo3d, glm
-from .core import DimensionError, EmptyInputError, ParameterError, conv2d, min_bounding_rect
+from .core import DimensionError, EmptyInputError, ParameterError, _zero_border, conv2d, min_bounding_rect
 
 __all__ = [
     "NoDetectionError",
@@ -64,9 +70,9 @@ class PipelineConfig:
     lambda_thr: float = 0.5
     # desk-scale model knobs
     sample_resolution: int = 32
-    seg_kernel_size: int = 3
+    # both filters' kernel size, so one convolution serves both branches
+    kernel_size: int = 3
     seg_regularizer: float = 0.01
-    track_kernel_size: int = 3
     track_regularizer: float = 0.1
     source_window: int = 25
     updates_enabled: bool = True
@@ -89,7 +95,7 @@ class PipelineConfig:
         for name in ("amm_iters_init", "amm_iters_update", "glm_iters_init", "glm_iters_update"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("median_window", "seg_kernel_size", "track_kernel_size"):
+        for name in ("median_window", "kernel_size"):
             value = getattr(self, name)
             if value < 1 or value % 2 == 0:
                 raise ParameterError(f"{name} must be odd and positive, got {value}")
@@ -147,7 +153,7 @@ def _augmented_query_samples(base: amm.AmmSample) -> list[amm.AmmSample]:
 
 def _box_blur_3x3(feature: np.ndarray) -> np.ndarray:
     h, w = feature.shape[:2]
-    padded = np.pad(feature, ((1, 1), (1, 1), (0, 0)))
+    padded = _zero_border(feature, 1)
     out = np.zeros_like(feature)
     for dy in range(3):
         for dx in range(3):
@@ -214,13 +220,13 @@ class Pipeline:
             cfg.sample_resolution,
         )
         seg_filter = amm.steepest_descent(
-            amm.SegFilter.zeros(cfg.seg_kernel_size, channels, cfg.seg_regularizer),
+            amm.SegFilter.zeros(cfg.kernel_size, channels, cfg.seg_regularizer),
             amm_entries,
             cfg.amm_iters_init,
             self.reweighter,
         )
         track_filter = glm.optimize_filter(
-            glm.TrackFilter.zeros(cfg.track_kernel_size, channels, cfg.track_regularizer),
+            glm.TrackFilter.zeros(cfg.kernel_size, channels, cfg.track_regularizer),
             (static,),
             cfg.glm_iters_init,
             self.weight_fn,
@@ -263,9 +269,13 @@ class Pipeline:
             )
         if not np.isfinite(frame_feature).all():
             raise ParameterError(f"frame {frame_index} has non-finite features")
-        score = glm.track_score(frame_feature, self.memory.track_filter)
-        prob = fusion.fuse(conv2d(frame_feature, self.memory.seg_filter.kernel), score)
-        result = fusion.extract_result(prob, frame_index)
+        # outputs: appearance logit and tracking score (see the module docstring)
+        kernel = np.concatenate(
+            [self.memory.seg_filter.kernel.mean(axis=3, keepdims=True), self.memory.track_filter.kernel], axis=3
+        )
+        out = conv2d(frame_feature, kernel)
+        score = out[:, :, 1]
+        result = fusion.extract_result(fusion.fuse(out[:, :, 0], score), frame_index)
         peak = float(score.max())
 
         self.results.append(result)

@@ -851,11 +851,12 @@ def check_glm_update_source():
 
 def check_fusion_elementwise(seed=23):
     # per-pixel replay of the three-step form: the score copied into each
-    # appearance channel as max(0, H), summed, then the logistic of the mean
+    # appearance channel as max(0, H), summed, then the logistic of the mean;
+    # fuse receives the channel mean as its appearance logit
     rng = np.random.default_rng(seed)
     appearance = rng.uniform(-2, 2, size=(5, 6, 3))
     score = rng.uniform(-2, 2, size=(5, 6))
-    prob = fusion.fuse(appearance, score)
+    prob = fusion.fuse(appearance.mean(axis=2), score)
     for i in range(5):
         for j in range(6):
             encoded = max(0.0, score[i, j])
@@ -1016,7 +1017,7 @@ def _small_identity_params(n_frames=8):
 
 
 def _unit_kernel_config():
-    return PipelineConfig(seg_kernel_size=1, track_kernel_size=1)
+    return PipelineConfig(kernel_size=1)
 
 
 def check_pipeline_identity():
@@ -1075,7 +1076,7 @@ def check_update_cadence():
 
 def check_halt_revert():
     scenario = scen.gen_scenario(11, _small_identity_params(n_frames=4))
-    cfg = PipelineConfig(seg_kernel_size=1, track_kernel_size=1, halt_window=6)
+    cfg = PipelineConfig(kernel_size=1, halt_window=6)
     pipe = Pipeline(scenario.query, cfg)
     initial_amm = [s.feature.copy() for s in pipe.memory.amm_entries]
     target = scenario.frames[0].feature

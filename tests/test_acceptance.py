@@ -144,7 +144,7 @@ def test_criterion_07_memory_policy_conformance():
     ]
     # capacity bound under sustained admissions, including the initial query
     sc = gen_scenario(7, ScenarioParams("identity", n_frames=2, canvas=(32, 32), object_size=13))
-    pipe = Pipeline(sc.query, PipelineConfig(seg_kernel_size=1, track_kernel_size=1, capacity=8))
+    pipe = Pipeline(sc.query, PipelineConfig(kernel_size=1, capacity=8))
     capacity_ok = True
     for t in range(20):
         pipe.step_frame(sc.frames[t % 2].feature, t)

@@ -279,7 +279,7 @@ class TestMemory:
         # entries come only from crops at the configured resolution, and a
         # frame at another resolution is refused before it reaches a bank
         sc = gen_scenario(7, ScenarioParams("identity", n_frames=3, canvas=(32, 32), object_size=13))
-        pipe = Pipeline(sc.query, PipelineConfig(seg_kernel_size=1, track_kernel_size=1, sample_resolution=16))
+        pipe = Pipeline(sc.query, PipelineConfig(kernel_size=1, sample_resolution=16))
         with pytest.raises(DimensionError):
             pipe.step_frame(sc.frames[0].feature[:16], 0)
         assert pipe.memory is pipe.initial_memory

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vql import fusion
-from vql.core import DimensionError
+from vql.core import DimensionError, conv2d
 from vql.selfcheck import components_union_find
 
 
@@ -21,57 +21,60 @@ class TestEncodeScore:
     """The tracking score enters the fused logit as max(0, H)."""
 
     def test_negative_scores_rectified(self):
-        appearance = rng(0).uniform(-1, 1, size=(3, 3, 3))
+        appearance = rng(0).uniform(-1, 1, size=(3, 3))
         out = fusion.fuse(appearance, np.full((3, 3), -2.0))
         np.testing.assert_array_equal(out, fusion.fuse(appearance, np.zeros((3, 3))))
 
     def test_passthrough_for_positive(self):
         score = rng(1).uniform(0, 1, size=(4, 4))
-        np.testing.assert_allclose(fusion.fuse(np.zeros((4, 4, 3)), score), sigmoid(score), rtol=1e-15)
+        np.testing.assert_allclose(fusion.fuse(np.zeros((4, 4)), score), sigmoid(score), rtol=1e-15)
 
     def test_gain(self):
-        # unit gain: the score adds to the logit as is, whatever the channel count
-        for channels in (1, 3, 5):
-            out = fusion.fuse(np.zeros((2, 2, channels)), np.full((2, 2), 0.3))
-            np.testing.assert_allclose(out, sigmoid(0.3), rtol=1e-15)
+        # unit gain: the score adds to the logit as is, whatever the appearance logit
+        for logit in (-1.0, 0.0, 2.5):
+            out = fusion.fuse(np.full((2, 2), logit), np.full((2, 2), 0.3))
+            np.testing.assert_allclose(out, sigmoid(logit + 0.3), rtol=1e-15)
 
 
 class TestFuse:
     def test_zero_is_identity(self):
-        a = rng(2).uniform(-1, 1, size=(3, 4, 2))
-        np.testing.assert_array_equal(fusion.fuse(a, np.zeros((3, 4))), sigmoid(a.mean(axis=2)))
+        a = rng(2).uniform(-1, 1, size=(3, 4))
+        np.testing.assert_array_equal(fusion.fuse(a, np.zeros((3, 4))), sigmoid(a))
 
     def test_commutative_bits(self):
         # adding the two branch terms in either order gives the same bits
         r = rng(3)
-        a, h = r.uniform(-1, 1, (4, 4, 3)), r.uniform(-1, 1, (4, 4))
-        want = 1.0 / (1.0 + np.exp(-(np.maximum(0.0, h) + a.mean(axis=2))))
+        a, h = r.uniform(-1, 1, (4, 4)), r.uniform(-1, 1, (4, 4))
+        want = 1.0 / (1.0 + np.exp(-(np.maximum(0.0, h) + a)))
         assert np.array_equal(fusion.fuse(a, h), want)
 
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
-            fusion.fuse(np.zeros((3, 3, 2)), np.zeros((3, 4)))
+            fusion.fuse(np.zeros((3, 3)), np.zeros((3, 4)))
         with pytest.raises(DimensionError):
-            fusion.fuse(np.zeros((3, 3)), np.zeros((3, 3)))
+            fusion.fuse(np.zeros((3, 3, 1)), np.zeros((3, 3)))
 
 
 class TestDecode:
-    """The fused logit is squashed by a logistic over the appearance channel mean."""
+    """The fused logit is squashed by a logistic."""
 
     def test_zero_gives_half(self):
-        np.testing.assert_allclose(fusion.fuse(np.zeros((3, 3, 4)), np.zeros((3, 3))), 0.5)
+        np.testing.assert_allclose(fusion.fuse(np.zeros((3, 3)), np.zeros((3, 3))), 0.5)
 
     def test_monotone_bounded(self):
-        big = fusion.fuse(np.full((2, 2, 1), 20.0), np.zeros((2, 2)))
+        big = fusion.fuse(np.full((2, 2), 20.0), np.zeros((2, 2)))
         assert np.all(big > 0.999999) and np.all(big < 1.0)
-        small = fusion.fuse(np.full((2, 2, 1), -20.0), np.zeros((2, 2)))
+        small = fusion.fuse(np.full((2, 2), -20.0), np.zeros((2, 2)))
         assert np.all(small < 1e-6) and np.all(small > 0.0)
 
     def test_channel_mean(self):
-        appearance = rng(4).uniform(-2, 2, size=(3, 3, 5))
-        got = fusion.fuse(appearance, np.zeros((3, 3)))
-        want = 1 / (1 + np.exp(-appearance.mean(axis=2)))
-        np.testing.assert_allclose(got, want, rtol=1e-15)
+        # the channel-mean kernel gives the channel mean of the 3-channel output
+        r = rng(4)
+        x, k = r.uniform(-2, 2, size=(6, 5, 4)), r.uniform(-2, 2, size=(3, 3, 4, 3))
+        folded = conv2d(x, k.mean(axis=3, keepdims=True))[:, :, 0]
+        np.testing.assert_allclose(folded, conv2d(x, k).mean(axis=2), rtol=0, atol=1e-13)
+        got = fusion.fuse(folded, np.zeros((6, 5)))
+        np.testing.assert_allclose(got, sigmoid(conv2d(x, k).mean(axis=2)), rtol=0, atol=1e-13)
 
 
 class TestExtractResult:

@@ -32,12 +32,6 @@ class TestSim3Transform:
         p = rng(3).uniform(-2, 2, size=(10, 3))
         np.testing.assert_allclose(t.inverse().apply(t.apply(p)), p, atol=1e-12)
 
-    def test_compose(self):
-        r = rng(4)
-        a, b = random_sim3(r), random_sim3(r)
-        p = r.uniform(-2, 2, size=(6, 3))
-        np.testing.assert_allclose(a.compose(b).apply(p), a.apply(b.apply(p)), atol=1e-12)
-
     def test_rejects_reflection(self):
         bad = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ParameterError):

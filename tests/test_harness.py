@@ -96,7 +96,7 @@ class TestFileRoundTrips:
         fileio.save_config(cfg, str(path))
         assert fileio.load_config(str(path)) == cfg
 
-    @pytest.mark.parametrize("field", ["clip_length", "label_channels"])
+    @pytest.mark.parametrize("field", ["clip_length", "label_channels", "seg_kernel_size", "track_kernel_size"])
     def test_removed_config_fields_rejected(self, tmp_path, field):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({"version": 1, "kind": "config", field: 3}))
@@ -180,6 +180,84 @@ class TestLoaderVectors:
         args = ["eval", "--scenario", str(scenario_path), "--track", str(track_path), "--metrics-3d"]
         assert cli_main(args) == 2
         assert "displacements[0].delta: missing required field" in capsys.readouterr().err
+
+
+class TestLoaderIntVectors:
+    """Intervals, boxes and the track canvas are read as integer vectors of fixed length."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        sc = small_identity()
+        scenario_path, track_path = tmp_path / "s.json", tmp_path / "t.json"
+        fileio.save_scenario(sc, str(scenario_path))
+        fileio.save_track(ground_truth_track(sc), str(track_path))
+        return scenario_path, track_path
+
+    def eval_rejects(self, files, field, capsys):
+        scenario_path, track_path = files
+        assert cli_main(["eval", "--scenario", str(scenario_path), "--track", str(track_path)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_short_interval_rejected(self, files, capsys):
+        _, track_path = files
+        rewrite(track_path, lambda d: d.update(interval=[1]))
+        with pytest.raises(fileio.SchemaError, match=r"\.interval: expected a list of 2 integers"):
+            fileio.load_track(str(track_path))
+        self.eval_rejects(files, ".interval", capsys)
+
+    def test_short_gt_interval_rejected(self, files, capsys):
+        scenario_path, _ = files
+        rewrite(scenario_path, lambda d: d.update(gt_interval=[0]))
+        with pytest.raises(fileio.SchemaError, match=r"\.gt_interval: expected a list of 2 integers"):
+            fileio.load_scenario(str(scenario_path))
+        self.eval_rejects(files, ".gt_interval", capsys)
+
+    def test_short_gt_bbox_rejected(self, files, capsys):
+        scenario_path, _ = files
+        rewrite(scenario_path, lambda d: d["frames"][1].update(gt_bbox=[3, 4]))
+        with pytest.raises(fileio.SchemaError, match=r"frames\[1\]\.gt_bbox: expected a list of 4 integers"):
+            fileio.load_scenario(str(scenario_path))
+        self.eval_rejects(files, "frames[1].gt_bbox", capsys)
+
+    def test_short_canvas_rejected(self, files, capsys):
+        _, track_path = files
+        rewrite(track_path, lambda d: d.update(canvas=[48]))
+        with pytest.raises(fileio.SchemaError, match=r"\.canvas: expected a list of 2 integers"):
+            fileio.load_track(str(track_path))
+        self.eval_rejects(files, ".canvas", capsys)
+
+    def test_fractional_bbox_rejected(self, files):
+        _, track_path = files
+        rewrite(track_path, lambda d: d["frames"][0].update(bbox=[1, 2, 3.5, 4]))
+        with pytest.raises(fileio.SchemaError, match=r"frames\[0\]\.bbox"):
+            fileio.load_track(str(track_path))
+
+
+class TestLoaderMasks:
+    """Query and ground-truth masks hold only 0 and 1."""
+
+    @pytest.fixture
+    def geo_path(self, tmp_path):
+        path = tmp_path / "geo.json"
+        fileio.save_scenario(gen_scenario(7, preset_params("geo")), str(path))
+        return path
+
+    def test_negative_pixel_rejected(self, geo_path):
+        # cast to uint8 it would load as 255 and count as foreground
+        rewrite(geo_path, lambda d: d["query"]["mask"].__setitem__(0, -1.0))
+        with pytest.raises(fileio.SchemaError, match=r"query\.mask: mask values must be 0 or 1"):
+            fileio.load_scenario(str(geo_path))
+
+    def test_fractional_pixel_rejected(self, geo_path):
+        # cast to uint8 it would silently become background
+        rewrite(geo_path, lambda d: d["frames"][2]["gt_mask"].__setitem__(5, 0.4))
+        with pytest.raises(fileio.SchemaError, match=r"frames\[2\]\.gt_mask: mask values must be 0 or 1"):
+            fileio.load_scenario(str(geo_path))
+
+    def test_all_fractional_query_mask_names_the_field(self, geo_path):
+        rewrite(geo_path, lambda d: d["query"].update(mask=[0.4] * len(d["query"]["mask"])))
+        with pytest.raises(fileio.SchemaError, match=r"query\.mask"):
+            fileio.load_scenario(str(geo_path))
 
 
 class TestEval2d:

@@ -1,13 +1,15 @@
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from vql import fileio, glm, metrics
-from vql.core import DimensionError, EmptyInputError, ParameterError, min_bounding_rect
+from vql import amm, fileio, glm, metrics
+from vql.core import DimensionError, EmptyInputError, ParameterError, conv2d, min_bounding_rect
 from vql.pipeline import NoDetectionError, Pipeline, PipelineConfig, QuerySpec, finalize_3d
 from vql.scenario import ScenarioParams, gen_scenario, ground_truth_track, preset_params
 
@@ -17,7 +19,7 @@ def small_identity(n_frames=6):
 
 
 def unit_cfg(**kw):
-    return PipelineConfig(seg_kernel_size=1, track_kernel_size=1, **kw)
+    return PipelineConfig(kernel_size=1, **kw)
 
 
 def background_of(scenario):
@@ -70,8 +72,8 @@ class TestConfig:
             ("halt_window", 0),
             ("median_window", 4),
             ("median_window", 0),
-            ("seg_kernel_size", 2),
-            ("track_kernel_size", -1),
+            ("kernel_size", 2),
+            ("kernel_size", -1),
             ("amm_iters_init", -1),
             ("glm_iters_update", -1),
             ("sample_resolution", 0),
@@ -129,6 +131,31 @@ class TestStepFrame:
             pipe.step_frame(sc.frames[t].feature, t)
         assert len(pipe.memory.amm_entries) == 4 + 3
         assert len(pipe.memory.glm_dynamic) == 3
+
+
+class TestOneConvolution:
+    """One two-output convolution gives what the seg and track convolutions give apart."""
+
+    @given(st.sampled_from([1, 3]), st.integers(1, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_two_convolutions(self, ksz, channels, data):
+        def draw(shape):
+            return data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1, 1)))
+
+        frame = draw((6, 7, channels))
+        seg, track = draw((ksz, ksz, channels, 3)), draw((ksz, ksz, channels, 1))
+        mask = np.zeros((6, 7), dtype=np.uint8)
+        mask[2:4, 2:5] = 1
+        cfg = PipelineConfig(kernel_size=ksz, sample_resolution=4, amm_iters_init=0, glm_iters_init=0,
+                             updates_enabled=False)
+        pipe = Pipeline(QuerySpec(frame, mask), cfg)
+        pipe.memory = replace(pipe.memory, seg_filter=amm.SegFilter(seg), track_filter=glm.TrackFilter(track))
+        result = pipe.step_frame(frame, 0)
+
+        score = conv2d(frame, track)[:, :, 0]
+        want = 1.0 / (1.0 + np.exp(-(conv2d(frame, seg).mean(axis=2) + np.maximum(0.0, score))))
+        np.testing.assert_allclose(result.prob, want, rtol=0, atol=1e-12)
+        assert abs(pipe.peaks[-1] - score.max()) <= 1e-12
 
 
 class TestFrameValidation:
