@@ -21,13 +21,12 @@ def segmentation_descent():
         )
         for _ in range(3)
     ]
-    rw = amm.TargetReweighter()
     filt = amm.SegFilter(np.zeros((3, 3, 2, 3)), regularizer=0.05)
     print("segmentation filter (steepest descent, exact step size):")
     for i in range(12):
-        loss = amm.seg_loss(filt, samples, rw)
-        g = amm.seg_gradient(filt, samples, rw)
-        alpha = amm.steepest_step_size(g, samples, rw, filt.regularizer)
+        loss = amm.seg_loss(filt, samples)
+        g = amm.seg_gradient(filt, samples)
+        alpha = amm.steepest_step_size(g, samples, filt.regularizer)
         print(f"  iter {i:2d}  loss {loss:.6f}  step {alpha:.4f}")
         filt = amm.SegFilter(filt.kernel - alpha * g, filt.regularizer)
 
@@ -40,14 +39,13 @@ def tracking_gauss_newton():
         label = gaussian_label((3.5, 3.5), 1.3, (8, 8))
         region = (label > 0.3).astype(float)
         samples.append(glm.GlmSample(feature, label, region))
-    fn = glm.SpatialWeightFn()
     filt = glm.TrackFilter(np.zeros((3, 3, 2, 1)), regularizer=0.2)
     print("tracking filter (Gauss-Newton step size, hinge residual):")
     for i in range(12):
-        loss = glm.track_loss(filt, samples, fn)
+        loss = glm.track_loss(filt, samples)
         print(f"  iter {i:2d}  loss {loss:.6f}")
-        filt = glm.optimize_filter(filt, samples, 1, fn)
-    print(f"  final loss {glm.track_loss(filt, samples, fn):.6f}")
+        filt = glm.optimize_filter(filt, samples, 1)
+    print(f"  final loss {glm.track_loss(filt, samples):.6f}")
 
 
 if __name__ == "__main__":

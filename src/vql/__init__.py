@@ -22,7 +22,6 @@ from .core import (
 from .amm import (
     AmmSample,
     SegFilter,
-    TargetReweighter,
     amm_admit,
     crop_sample,
     encode_pseudo_label,
@@ -34,7 +33,6 @@ from .amm import (
 )
 from .glm import (
     GlmSample,
-    SpatialWeightFn,
     TrackFilter,
     gauss_newton_step,
     glm_make_dynamic_sample,

@@ -12,7 +12,9 @@ every bank entry by minimizing the weighted squared error
                + delta/2 * ||sigma||^2
 
 where E_i is the multi-channel encoding of sample i's mask and W_i a
-per-pixel weight map emphasizing the foreground.
+per-pixel weight map emphasizing the foreground: BACKGROUND_WEIGHT plus a
+step up to FOREGROUND_WEIGHT on the mask, blurred by a Gaussian of width
+BLUR_SIGMA (see :func:`reweight`).
 
 Written with the entry's im2col patch matrix A_i (one row per pixel, one
 column per kernel tap and input channel, P = K*K*C columns), the
@@ -64,7 +66,6 @@ from .core import (
 from .fusion import SegmentationResult
 
 __all__ = [
-    "TargetReweighter",
     "AmmSample",
     "SegFilter",
     "encode_pseudo_label",
@@ -78,25 +79,10 @@ __all__ = [
 ]
 
 GRADIENT_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class TargetReweighter:
-    """Per-pixel loss weights: high on the (blurred) target, low elsewhere."""
-
-    foreground_weight: float = 1.0
-    background_weight: float = 0.25
-    blur_sigma: float = 1.0
-
-    def __post_init__(self) -> None:
-        # zero weights are allowed so a pure-ridge objective stays expressible
-        if self.background_weight < 0 or self.foreground_weight < self.background_weight:
-            raise ParameterError(
-                "weights must satisfy foreground >= background >= 0, got "
-                f"({self.foreground_weight}, {self.background_weight})"
-            )
-        if self.blur_sigma < 0:
-            raise ParameterError(f"blur_sigma must be >= 0, got {self.blur_sigma}")
+# loss weights W_i: on the target, off it, and the width of the step between
+FOREGROUND_WEIGHT = 1.0
+BACKGROUND_WEIGHT = 0.25
+BLUR_SIGMA = 1.0
 
 
 @dataclass(frozen=True)
@@ -110,7 +96,7 @@ class AmmSample:
     feature: np.ndarray
     mask: np.ndarray
     confidence: float = 1.0
-    # solver statistics (M_i, b_i, c_i) keyed by (kernel size, reweighter)
+    # solver statistics (M_i, b_i, c_i) keyed by kernel size
     _stats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -167,19 +153,12 @@ def encode_pseudo_label(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gaussian_kernel_1d(sigma: float) -> np.ndarray:
-    radius = max(1, int(np.ceil(3.0 * sigma)))
-    xs = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-(xs**2) / (2.0 * sigma**2))
-    return k / k.sum()
-
-
-def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
-    # separable zero-padded blur; normalized taps keep values in [0, 1]
-    if sigma == 0:
-        return np.asarray(img, dtype=np.float64)
-    k = _gaussian_kernel_1d(sigma)
-    r = (k.size - 1) // 2
+def _gaussian_blur(img: np.ndarray) -> np.ndarray:
+    # separable zero-padded blur of width BLUR_SIGMA; normalized taps keep values in [0, 1]
+    r = max(1, int(np.ceil(3.0 * BLUR_SIGMA)))
+    xs = np.arange(-r, r + 1, dtype=np.float64)
+    k = np.exp(-(xs**2) / (2.0 * BLUR_SIGMA**2))
+    k = k / k.sum()
     h, w = img.shape
     padded = _zero_border(np.asarray(img, dtype=np.float64), r)
     # the vertical pass keeps the border columns zero for the horizontal one
@@ -192,31 +171,27 @@ def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def reweight(mask: np.ndarray, rw: TargetReweighter) -> np.ndarray:
+def reweight(mask: np.ndarray) -> np.ndarray:
     """Loss weight map: background level plus a blurred step up to the target."""
     mask = np.asarray(mask, dtype=np.float64)
-    blurred = _gaussian_blur(mask, rw.blur_sigma)
-    return rw.background_weight + (rw.foreground_weight - rw.background_weight) * blurred
+    return BACKGROUND_WEIGHT + (FOREGROUND_WEIGHT - BACKGROUND_WEIGHT) * _gaussian_blur(mask)
 
 
-def _statistics(sample: AmmSample, ksz: int, rw: TargetReweighter) -> tuple[np.ndarray, np.ndarray, float]:
-    """(M_i, b_i, c_i) of one entry, computed once per (kernel size, reweighter) and kept on it."""
-    key = (ksz, rw)
-    if key not in sample._stats:
-        weights = reweight(sample.mask, rw).reshape(-1, 1)
+def _statistics(sample: AmmSample, ksz: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(M_i, b_i, c_i) of one entry, computed once per kernel size and kept on it."""
+    if ksz not in sample._stats:
+        weights = reweight(sample.mask).reshape(-1, 1)
         patches = weights * im2col(sample.feature, ksz)
         target = weights * encode_pseudo_label(sample.mask).reshape(weights.size, -1)
-        sample._stats[key] = (
+        sample._stats[ksz] = (
             readonly_copy(patches.T @ patches),
             readonly_copy(patches.T @ target),
             float(np.sum(target**2)),
         )
-    return sample._stats[key]
+    return sample._stats[ksz]
 
 
-def _bank_statistics(
-    mem: Sequence[AmmSample], kernel_shape: Sequence[int], rw: TargetReweighter
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _bank_statistics(mem: Sequence[AmmSample], kernel_shape: Sequence[int]) -> tuple[np.ndarray, np.ndarray, float]:
     """(M, b, c): the entries' statistics summed for a kernel of the given shape."""
     ksz, _, c_in, c_out = kernel_shape
     if c_out != 3:
@@ -229,7 +204,7 @@ def _bank_statistics(
             raise DimensionError(
                 f"entry with {sample.feature.shape[2]} channels does not fit kernel shape {tuple(kernel_shape)}"
             )
-        m_i, b_i, c_i = _statistics(sample, ksz, rw)
+        m_i, b_i, c_i = _statistics(sample, ksz)
         gram += m_i
         cross += b_i
         energy += c_i
@@ -243,35 +218,33 @@ def _exact_step(g: np.ndarray, gram: np.ndarray, delta: float) -> float:
     return g_norm2 / (float(np.sum(g * (gram @ g))) + delta * g_norm2)
 
 
-def seg_loss(filt: SegFilter, mem: Sequence[AmmSample], rw: TargetReweighter) -> float:
+def seg_loss(filt: SegFilter, mem: Sequence[AmmSample]) -> float:
     """Weighted half-squared-error over the bank entries plus the ridge term."""
-    gram, cross, energy = _bank_statistics(mem, filt.kernel.shape, rw)
+    gram, cross, energy = _bank_statistics(mem, filt.kernel.shape)
     sigma = filt.kernel.reshape(cross.shape)
     fit = float(np.sum(sigma * (gram @ sigma))) - 2.0 * float(np.sum(sigma * cross)) + energy
     return 0.5 * fit + 0.5 * filt.regularizer * float(np.sum(sigma**2))
 
 
-def seg_gradient(filt: SegFilter, mem: Sequence[AmmSample], rw: TargetReweighter) -> np.ndarray:
+def seg_gradient(filt: SegFilter, mem: Sequence[AmmSample]) -> np.ndarray:
     """Exact gradient of :func:`seg_loss` with respect to the kernel."""
-    gram, cross, _ = _bank_statistics(mem, filt.kernel.shape, rw)
+    gram, cross, _ = _bank_statistics(mem, filt.kernel.shape)
     sigma = filt.kernel.reshape(cross.shape)
     return (gram @ sigma - cross + filt.regularizer * sigma).reshape(filt.kernel.shape)
 
 
-def steepest_step_size(
-    g: np.ndarray, mem: Sequence[AmmSample], rw: TargetReweighter, delta: float
-) -> float:
+def steepest_step_size(g: np.ndarray, mem: Sequence[AmmSample], delta: float) -> float:
     """Closed-form minimizer of the loss along the negative gradient direction."""
     g = np.asarray(g, dtype=np.float64)
-    gram, _, _ = _bank_statistics(mem, g.shape, rw)
+    gram, _, _ = _bank_statistics(mem, g.shape)
     return _exact_step(g.reshape(gram.shape[0], g.shape[3]), gram, delta)
 
 
-def steepest_descent(filt: SegFilter, mem: Sequence[AmmSample], n_iter: int, rw: TargetReweighter) -> SegFilter:
+def steepest_descent(filt: SegFilter, mem: Sequence[AmmSample], n_iter: int) -> SegFilter:
     """Run n_iter exact-line-search gradient steps; stops early once converged."""
     if n_iter < 0:
         raise ParameterError(f"n_iter must be >= 0, got {n_iter}")
-    gram, cross, _ = _bank_statistics(mem, filt.kernel.shape, rw)
+    gram, cross, _ = _bank_statistics(mem, filt.kernel.shape)
     delta = filt.regularizer
     sigma = filt.kernel.reshape(cross.shape)
     for _ in range(n_iter):

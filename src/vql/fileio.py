@@ -16,8 +16,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import asdict, fields
-from typing import Any
+import typing
+from dataclasses import asdict
+from typing import Any, Optional
 
 import numpy as np
 
@@ -105,14 +106,40 @@ def _mask(values: Any, shape: tuple[int, int], path: str) -> np.ndarray:
     return arr.astype(np.uint8)
 
 
-def _int_vector(values: Any, n: int, path: str) -> tuple[int, ...]:
+def _int_vector(values: Any, n: Optional[int], path: str) -> tuple[int, ...]:
+    """A list of n integers (of any length when n is None) as a tuple; a bool is not an integer."""
     if not (
         isinstance(values, list)
-        and len(values) == n
+        and (n is None or len(values) == n)
         and all(isinstance(v, int) and not isinstance(v, bool) for v in values)
     ):
-        raise SchemaError(f"{path}: expected a list of {n} integers, got {values!r}")
+        count = "" if n is None else f"{n} "
+        raise SchemaError(f"{path}: expected a list of {count}integers, got {values!r}")
     return tuple(values)
+
+
+# the type of every scenario parameter; its keys are the required fields
+_PARAM_TYPES = typing.get_type_hints(ScenarioParams)
+
+
+def _param(value: Any, hint: Any, path: str) -> Any:
+    """One scenario parameter checked against its type hint.
+
+    The hints are str, int, float, tuple[int, int], Optional[tuple[int, int]]
+    and tuple[int, ...]. A bool is neither an int nor a float, and a float
+    field takes any other JSON number.
+    """
+    if typing.get_origin(hint) is typing.Union:
+        if value is None:
+            return None
+        (hint,) = (h for h in typing.get_args(hint) if h is not type(None))
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        return _int_vector(value, None if args[-1] is Ellipsis else len(args), path)
+    accepted = (int, float) if hint is float else hint
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise SchemaError(f"{path}: expected {hint.__name__}, got {value!r}")
+    return hint(value)
 
 
 def _flat(arr: np.ndarray) -> list:
@@ -166,14 +193,14 @@ def load_scenario(path: str) -> Scenario:
     raw_params = _expect(document, "params", path)
     if not isinstance(raw_params, dict):
         raise SchemaError(f"{path}.params: must be an object")
-    names = [f.name for f in fields(ScenarioParams)]
-    for name in names:
-        _expect(raw_params, name, f"{path}.params")
-    unknown = sorted(set(raw_params) - set(names))
+    values = {
+        name: _param(_expect(raw_params, name, f"{path}.params"), hint, f"{path}.params.{name}")
+        for name, hint in _PARAM_TYPES.items()
+    }
+    unknown = sorted(set(raw_params) - set(values))
     if unknown:
         raise SchemaError(f"{path}.params.{unknown[0]}: unknown field")
-    # JSON has no tuples; every list-valued parameter is a tuple field
-    params = ScenarioParams(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw_params.items()})
+    params = ScenarioParams(**values)
     h, w = params.canvas
     c = params.channels
     raw_query = _expect(document, "query", path)

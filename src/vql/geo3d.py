@@ -47,8 +47,8 @@ class InvalidSampleError(ValueError):
     """A pixel lookup fell outside the map or hit invalid depth."""
 
 
-def _check_rotation(r: np.ndarray, tol: float = ROTATION_TOL) -> None:
-    if not np.allclose(r.T @ r, np.eye(3), atol=tol):
+def _check_rotation(r: np.ndarray) -> None:
+    if not np.allclose(r.T @ r, np.eye(3), atol=ROTATION_TOL):
         raise ParameterError("rotation block is not orthonormal")
     if abs(np.linalg.det(r) - 1.0) > 1e-6:
         raise ParameterError(f"rotation block has determinant {np.linalg.det(r):.6f}, not +1")
@@ -188,20 +188,17 @@ def backproject(
     return t_eta.apply(world)
 
 
-def semantic_confidence(
-    prob: np.ndarray,
-    mask: np.ndarray,
-    lambda_thr: float = 0.5,
-    weights: Sequence[float] = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0),
-) -> float:
-    """Convex combination of mean, above-threshold mean, and max mask probability."""
+def semantic_confidence(prob: np.ndarray, mask: np.ndarray, lambda_thr: float = 0.5) -> float:
+    """Equal-weight mean of three mask-probability statistics.
+
+    The statistics are the mean probability inside the mask, the mean of the
+    values above ``lambda_thr`` (0 when none is) and the maximum; an empty
+    mask scores 0.
+    """
     prob = np.asarray(prob, dtype=np.float64)
     mask = np.asarray(mask)
     if prob.shape != mask.shape:
         raise DimensionError(f"probability {prob.shape} and mask {mask.shape} dims differ")
-    phi, psi, mu = (float(x) for x in weights)
-    if phi < 0 or psi < 0 or mu < 0 or abs(phi + psi + mu - 1.0) > 1e-9:
-        raise ParameterError(f"weights must be non-negative and sum to 1, got {weights}")
     values = prob[mask != 0]
     if values.size == 0:
         return 0.0
@@ -209,7 +206,8 @@ def semantic_confidence(
     above = values[values > lambda_thr]
     p_lambda = float(above.mean()) if above.size else 0.0
     p_max = float(values.max())
-    return phi * p_av + psi * p_lambda + mu * p_max
+    third = 1.0 / 3.0
+    return third * p_av + third * p_lambda + third * p_max
 
 
 def geometric_confidence(tau: float, zeta: float = 1.0) -> float:

@@ -8,8 +8,8 @@ it, controlled by a per-pixel region map S in [0, 1]:
     r = sw * (S * H + (1 - S) * max(0, H) - G)
 
 so S = 1 fits G exactly, S = 0 only penalizes positive background
-responses, and intermediate S interpolates. sw is a center-emphasizing
-spatial weight derived from G. The loss is
+responses, and intermediate S interpolates. sw = W_BG + (W_FG - W_BG) * G
+is a center-emphasizing spatial weight derived from G. The loss is
 
     L(c) = 1/|O| * sum_i ||r_i||^2 + lambda^2 ||c||^2
 
@@ -56,7 +56,6 @@ from .core import (
 from .amm import GRADIENT_EPS
 
 __all__ = [
-    "SpatialWeightFn",
     "GlmSample",
     "TrackFilter",
     "spatial_weight",
@@ -72,21 +71,9 @@ __all__ = [
 ]
 
 MAX_STEP_HALVINGS = 8
-
-
-@dataclass(frozen=True)
-class SpatialWeightFn:
-    """Affine map from the Gaussian label to per-pixel residual weights."""
-
-    w_fg: float = 1.0
-    w_bg: float = 0.25
-
-    def __post_init__(self) -> None:
-        # zero weights stay expressible for pure-ridge objectives
-        if self.w_bg < 0 or self.w_fg < self.w_bg:
-            raise ParameterError(
-                f"weights must satisfy w_fg >= w_bg >= 0, got ({self.w_fg}, {self.w_bg})"
-            )
+# residual weights sw at the label peak (G = 1) and far from it (G = 0)
+W_FG = 1.0
+W_BG = 0.25
 
 
 @dataclass(frozen=True)
@@ -128,9 +115,9 @@ class TrackFilter:
         return cls(np.zeros((k, k, in_channels, 1)), regularizer)
 
 
-def spatial_weight(label: np.ndarray, fn: SpatialWeightFn) -> np.ndarray:
-    """w_bg + (w_fg - w_bg) * G, so the weight peaks with the label."""
-    return fn.w_bg + (fn.w_fg - fn.w_bg) * np.asarray(label, dtype=np.float64)
+def spatial_weight(label: np.ndarray) -> np.ndarray:
+    """W_BG + (W_FG - W_BG) * G, so the weight peaks with the label."""
+    return W_BG + (W_FG - W_BG) * np.asarray(label, dtype=np.float64)
 
 
 def track_score(feature: np.ndarray, filt: TrackFilter) -> np.ndarray:
@@ -146,12 +133,12 @@ def _blend(score, weight, region, label) -> tuple[np.ndarray, np.ndarray]:
     return weight * (blended - label), q
 
 
-def track_residual(score: np.ndarray, sample: GlmSample, fn: SpatialWeightFn) -> np.ndarray:
+def track_residual(score: np.ndarray, sample: GlmSample) -> np.ndarray:
     """sw * (S * H + (1 - S) * max(0, H) - G), elementwise."""
     score = np.asarray(score, dtype=np.float64)
     if score.shape != sample.label.shape:
         raise DimensionError(f"score {score.shape} and label {sample.label.shape} dims differ")
-    residual, _ = _blend(score, spatial_weight(sample.label, fn), sample.target_region, sample.label)
+    residual, _ = _blend(score, spatial_weight(sample.label), sample.target_region, sample.label)
     return residual
 
 
@@ -162,9 +149,7 @@ class _Problem:
     method works on a flat kernel c of length P.
     """
 
-    def __init__(
-        self, samples: Sequence[GlmSample], fn: SpatialWeightFn, kernel_shape: Sequence[int], regularizer: float
-    ):
+    def __init__(self, samples: Sequence[GlmSample], kernel_shape: Sequence[int], regularizer: float):
         if not samples:
             raise EmptyInputError("the tracking bank has no samples")
         ksz, _, c_in, c_out = kernel_shape
@@ -182,7 +167,7 @@ class _Problem:
             offset += n
         self.label = np.concatenate([s.label.ravel() for s in samples])
         self.region = np.concatenate([s.target_region.ravel() for s in samples])
-        self.weight = spatial_weight(self.label, fn)
+        self.weight = spatial_weight(self.label)
         self.scale = 1.0 / len(samples)
         self.ridge = regularizer**2
 
@@ -206,31 +191,31 @@ class _Problem:
         return g_norm2 / curvature
 
 
-def track_loss(filt: TrackFilter, mem: Sequence[GlmSample], fn: SpatialWeightFn) -> float:
+def track_loss(filt: TrackFilter, mem: Sequence[GlmSample]) -> float:
     """Mean squared residual over the bank plus lambda^2 ||c||^2."""
-    problem = _Problem(mem, fn, filt.kernel.shape, filt.regularizer)
+    problem = _Problem(mem, filt.kernel.shape, filt.regularizer)
     loss, _, _ = problem.evaluate(filt.kernel.ravel())
     return loss
 
 
-def track_gradient(filt: TrackFilter, mem: Sequence[GlmSample], fn: SpatialWeightFn) -> np.ndarray:
+def track_gradient(filt: TrackFilter, mem: Sequence[GlmSample]) -> np.ndarray:
     """Exact gradient of :func:`track_loss` wherever no score sits on the hinge kink."""
-    problem = _Problem(mem, fn, filt.kernel.shape, filt.regularizer)
+    problem = _Problem(mem, filt.kernel.shape, filt.regularizer)
     c = filt.kernel.ravel()
     _, r, q = problem.evaluate(c)
     return problem.gradient(c, r, q).reshape(filt.kernel.shape)
 
 
-def gauss_newton_step(filt: TrackFilter, mem: Sequence[GlmSample], fn: SpatialWeightFn) -> tuple[np.ndarray, float]:
+def gauss_newton_step(filt: TrackFilter, mem: Sequence[GlmSample]) -> tuple[np.ndarray, float]:
     """Gradient direction and the step length minimizing the frozen quadratic model."""
-    problem = _Problem(mem, fn, filt.kernel.shape, filt.regularizer)
+    problem = _Problem(mem, filt.kernel.shape, filt.regularizer)
     c = filt.kernel.ravel()
     _, r, q = problem.evaluate(c)
     g = problem.gradient(c, r, q)
     return g.reshape(filt.kernel.shape), problem.step_length(g, q)
 
 
-def optimize_filter(filt: TrackFilter, mem: Sequence[GlmSample], n_iter: int, fn: SpatialWeightFn) -> TrackFilter:
+def optimize_filter(filt: TrackFilter, mem: Sequence[GlmSample], n_iter: int) -> TrackFilter:
     """Iterate safeguarded Gauss-Newton steps; the loss never increases.
 
     The closed-form step is exact while the hinge activation pattern is
@@ -239,7 +224,7 @@ def optimize_filter(filt: TrackFilter, mem: Sequence[GlmSample], n_iter: int, fn
     """
     if n_iter < 0:
         raise ParameterError(f"n_iter must be >= 0, got {n_iter}")
-    problem = _Problem(mem, fn, filt.kernel.shape, filt.regularizer)
+    problem = _Problem(mem, filt.kernel.shape, filt.regularizer)
     c = filt.kernel.ravel()
     loss, r, q = problem.evaluate(c)
     for _ in range(n_iter):

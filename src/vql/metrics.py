@@ -14,7 +14,8 @@ precision degenerates to accuracy):
 - success:  100 when any annotated-interval frame reaches box IoU >= 0.05
 
 3D reports compare per-frame displacement vectors against ground truth:
-mean L2, mean angle, success (both gates pass) over interval frames,
+mean L2, mean angle, success (L2 below L2_GATE and angle below ANGLE_GATE)
+over interval frames,
 success* restricted to frames with a camera pose, and QwP, the percent of
 interval frames that have a pose.
 """
@@ -38,6 +39,10 @@ __all__ = [
     "eval_2d",
     "eval_3d",
 ]
+
+# a frame's 3D displacement succeeds when its error is below both gates
+L2_GATE = 6.0
+ANGLE_GATE = np.pi / 6.0
 
 
 @dataclass(frozen=True)
@@ -126,16 +131,13 @@ def eval_2d(pred: TrackOutput, scenario: Scenario) -> MetricsReport2D:
     return MetricsReport2D(t_ap25, st_ap25, recovery_pct, success_pct)
 
 
-def eval_3d(
-    pred: TrackOutput,
-    scenario: Scenario,
-    l2_gate: float = 6.0,
-    angle_gate: float = np.pi / 6.0,
-) -> MetricsReport3D:
+def eval_3d(pred: TrackOutput, scenario: Scenario) -> MetricsReport3D:
     """Score per-frame 3D displacements against the scenario's geometry.
 
     Ground-truth displacements re-express the annotated world point in each
     camera through the alignment recovered from the scenario's point pairs.
+    A frame succeeds when its L2 error is below L2_GATE and its angle below
+    ANGLE_GATE (radians).
     """
     if scenario.gt_point is None or scenario.alignment_src is None:
         raise ValueError("scenario carries no 3D ground truth")
@@ -159,7 +161,7 @@ def eval_3d(
         angle = _vector_angle(delta, gt_delta)
         l2_values.append(l2)
         angle_values.append(angle)
-        hits[t] = l2 < l2_gate and angle < angle_gate
+        hits[t] = l2 < L2_GATE and angle < ANGLE_GATE
 
     success_pct = 100.0 * float(np.mean([hits.get(t, False) for t in interval]))
     if with_pose:

@@ -56,10 +56,9 @@ class NoDetectionError(RuntimeError):
 class PipelineConfig:
     dense_update_horizon: int = 100
     update_stride: int = 25
-    amm_iters_init: int = 10
-    amm_iters_update: int = 3
-    glm_iters_init: int = 10
-    glm_iters_update: int = 3
+    # solver iterations of both filters, at initialization and after each ingest
+    iters_init: int = 10
+    iters_update: int = 3
     admit_threshold: float = 0.6
     halt_threshold: float = 0.4
     halt_window: int = 25
@@ -92,7 +91,7 @@ class PipelineConfig:
         ):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("amm_iters_init", "amm_iters_update", "glm_iters_init", "glm_iters_update"):
+        for name in ("iters_init", "iters_update"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("median_window", "kernel_size"):
@@ -207,8 +206,6 @@ class Pipeline:
 
     def __init__(self, query: QuerySpec, cfg: PipelineConfig = PipelineConfig()):
         self.cfg = cfg
-        self.reweighter = amm.TargetReweighter()
-        self.weight_fn = glm.SpatialWeightFn()
 
         channels = query.feature.shape[2]
         base = amm.crop_sample(query.feature, query.mask, cfg.sample_resolution)
@@ -222,14 +219,12 @@ class Pipeline:
         seg_filter = amm.steepest_descent(
             amm.SegFilter.zeros(cfg.kernel_size, channels, cfg.seg_regularizer),
             amm_entries,
-            cfg.amm_iters_init,
-            self.reweighter,
+            cfg.iters_init,
         )
         track_filter = glm.optimize_filter(
             glm.TrackFilter.zeros(cfg.kernel_size, channels, cfg.track_regularizer),
             (static,),
-            cfg.glm_iters_init,
-            self.weight_fn,
+            cfg.iters_init,
         )
         self.memory = self.initial_memory = _Memory(amm_entries, static, (), seg_filter, track_filter)
         self._frame_shape = query.feature.shape
@@ -307,10 +302,8 @@ class Pipeline:
         view = memory.glm_samples if source == "dynamic" else (memory.glm_static,)
         return replace(
             memory,
-            seg_filter=amm.steepest_descent(
-                memory.seg_filter, memory.amm_entries, cfg.amm_iters_update, self.reweighter
-            ),
-            track_filter=glm.optimize_filter(memory.track_filter, view, cfg.glm_iters_update, self.weight_fn),
+            seg_filter=amm.steepest_descent(memory.seg_filter, memory.amm_entries, cfg.iters_update),
+            track_filter=glm.optimize_filter(memory.track_filter, view, cfg.iters_update),
         )
 
     def finalize_2d(self) -> TrackOutput:
@@ -327,10 +320,14 @@ class Pipeline:
             )
         return TrackOutput(list(self.results), interval, list(self.peaks))
 
-    def run(self, frames: Sequence[np.ndarray], start_index: int = 0) -> TrackOutput:
-        """Step every frame in order, numbering them from start_index, and finalize."""
-        for offset, feature in enumerate(frames):
-            self.step_frame(feature, start_index + offset)
+    def run(self, frames: Sequence[np.ndarray]) -> TrackOutput:
+        """Step every frame in order, numbering them 0, 1, 2, ..., and finalize.
+
+        A run over frames numbered otherwise calls :meth:`step_frame` with
+        each index and then :meth:`finalize_2d`.
+        """
+        for index, feature in enumerate(frames):
+            self.step_frame(feature, index)
         return self.finalize_2d()
 
 

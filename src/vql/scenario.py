@@ -249,19 +249,20 @@ def _geo_setup(rng: np.random.Generator, params: ScenarioParams) -> dict:
     return {"cameras": cameras, "point": point, "src": src, "dst": dst}
 
 
-def ground_truth_track(scenario: Scenario, on_prob: float = 0.9, off_prob: float = 0.1) -> TrackOutput:
+def ground_truth_track(scenario: Scenario) -> TrackOutput:
     """A TrackOutput that reproduces the scenario's ground truth exactly.
 
     Useful as an oracle input for the metric and 3D stages: probability maps
-    threshold back to the ground-truth masks and the interval matches the
-    annotated one.
+    read 0.9 on the ground-truth masks and 0.1 off them, so they threshold
+    back to the masks; a frame's s_conf is 0.9 when its mask is non-empty,
+    and the interval matches the annotated one.
     """
     results = []
     peaks = []
     for t, frame in enumerate(scenario.frames):
         mask = frame.gt_mask.astype(np.uint8)
-        prob = np.where(mask != 0, on_prob, off_prob)
-        s_conf = float(on_prob) if mask.any() else 0.0
+        prob = np.where(mask != 0, 0.9, 0.1)
+        s_conf = 0.9 if mask.any() else 0.0
         results.append(SegmentationResult(prob, mask, frame.gt_bbox, s_conf, t))
         peaks.append(1.0 if mask.any() else 0.0)
     interval = None

@@ -116,8 +116,6 @@ def components_union_find(mask: np.ndarray) -> list[frozenset]:
 
 def gaussian_blur_dense(img: np.ndarray, sigma: float) -> np.ndarray:
     """Direct 2D convolution with the full truncated Gaussian kernel."""
-    if sigma == 0:
-        return np.asarray(img, dtype=np.float64)
     radius = max(1, int(np.ceil(3.0 * sigma)))
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
     k1 = np.exp(-(xs**2) / (2.0 * sigma**2))
@@ -168,20 +166,20 @@ def _random_glm_instance(rng, ksz=None, channels=None, size=6, region="mixed"):
     return samples, kernel
 
 
-def solve_seg_normal_equations(samples, rw, kernel_shape, delta):
+def solve_seg_normal_equations(samples, kernel_shape, delta):
     """Closed-form ridge optimum via dense normal equations (naive matrices)."""
     n = int(np.prod(kernel_shape))
     lhs = delta * np.eye(n)
     rhs = np.zeros(n)
     for sample in samples:
         a = conv_matrix_naive(sample.feature, kernel_shape)
-        w2 = np.repeat(amm.reweight(sample.mask, rw).ravel(), kernel_shape[3]) ** 2
+        w2 = np.repeat(amm.reweight(sample.mask).ravel(), kernel_shape[3]) ** 2
         lhs += a.T @ (w2[:, None] * a)
         rhs += a.T @ (w2 * amm.encode_pseudo_label(sample.mask).ravel())
     return np.linalg.solve(lhs, rhs).reshape(kernel_shape)
 
 
-def solve_track_normal_equations(samples, fn, kernel_shape, lam):
+def solve_track_normal_equations(samples, kernel_shape, lam):
     """Weighted-least-squares ridge optimum for the pure quadratic (S == 1) case."""
     n = int(np.prod(kernel_shape))
     lhs = lam**2 * np.eye(n)
@@ -189,15 +187,15 @@ def solve_track_normal_equations(samples, fn, kernel_shape, lam):
     count = len(samples)
     for sample in samples:
         a = conv_matrix_naive(sample.feature, kernel_shape)
-        sw2 = glm.spatial_weight(sample.label, fn).ravel() ** 2
+        sw2 = glm.spatial_weight(sample.label).ravel() ** 2
         lhs += a.T @ (sw2[:, None] * a) / count
         rhs += a.T @ (sw2 * sample.label.ravel()) / count
     return np.linalg.solve(lhs, rhs).reshape(kernel_shape)
 
 
-def steepest_descent_naive(filt, samples, n_iter, rw):
+def steepest_descent_naive(filt, samples, n_iter):
     """Exact-line-search descent that convolves every entry for each gradient and step."""
-    prepared = [(s.feature, amm.encode_pseudo_label(s.mask), amm.reweight(s.mask, rw)[:, :, None]) for s in samples]
+    prepared = [(s.feature, amm.encode_pseudo_label(s.mask), amm.reweight(s.mask)[:, :, None]) for s in samples]
     delta = filt.regularizer
     kernel = filt.kernel.copy()
     for _ in range(n_iter):
@@ -222,7 +220,7 @@ class NaiveFit(NamedTuple):
     margin: float
 
 
-def optimize_filter_naive(filt, samples, n_iter, fn) -> NaiveFit:
+def optimize_filter_naive(filt, samples, n_iter) -> NaiveFit:
     """Safeguarded Gauss-Newton that convolves every sample for each loss, gradient and step.
 
     Besides the fit it reports the step halvings taken and how clearly each
@@ -236,19 +234,19 @@ def optimize_filter_naive(filt, samples, n_iter, fn) -> NaiveFit:
         return [conv2d(s.feature, kernel)[:, :, 0] for s in samples]
 
     def loss(kernel):
-        total = sum(float(np.sum(glm.track_residual(h, s, fn) ** 2)) for h, s in zip(scores(kernel), samples))
+        total = sum(float(np.sum(glm.track_residual(h, s) ** 2)) for h, s in zip(scores(kernel), samples))
         return total / len(samples) + lam**2 * float(np.sum(kernel**2))
 
     def q_maps(kernel):
         return [
-            glm.spatial_weight(s.label, fn) * (s.target_region + (1.0 - s.target_region) * (h > 0.0))
+            glm.spatial_weight(s.label) * (s.target_region + (1.0 - s.target_region) * (h > 0.0))
             for h, s in zip(scores(kernel), samples)
         ]
 
     def gradient(kernel):
         g = 2.0 * lam**2 * kernel
         for s, h, q in zip(samples, scores(kernel), q_maps(kernel)):
-            r = glm.track_residual(h, s, fn)
+            r = glm.track_residual(h, s)
             g = g + scale * kernel_gradient(s.feature, (q * r)[:, :, None], kernel.shape)
         return g
 
@@ -291,14 +289,14 @@ SOLVER_TOL = 1e-10
 CLEAR_MARGIN = 1e-12
 
 
-def descent_deviation(start, bank, n_iter, rw):
+def descent_deviation(start, bank, n_iter):
     """Relative kernel deviation of steepest_descent from its per-entry oracle, and its fit."""
-    got = amm.steepest_descent(start, bank, n_iter, rw)
-    want = steepest_descent_naive(start, bank, n_iter, rw)
+    got = amm.steepest_descent(start, bank, n_iter)
+    want = steepest_descent_naive(start, bank, n_iter)
     return relative_deviation(got.kernel, want.kernel), got
 
 
-def optimizer_deviation(start, bank, n_iter, fn):
+def optimizer_deviation(start, bank, n_iter):
     """Deviation of optimize_filter from its per-sample oracle, the tolerance it is held to, and both fits.
 
     The kernels are compared, to SOLVER_TOL, when every decision of the
@@ -306,11 +304,11 @@ def optimizer_deviation(start, bank, n_iter, fn):
     plateau of the loss around one optimum, and their losses are compared,
     to CLEAR_MARGIN.
     """
-    got = glm.optimize_filter(start, bank, n_iter, fn)
-    fit = optimize_filter_naive(start, bank, n_iter, fn)
+    got = glm.optimize_filter(start, bank, n_iter)
+    fit = optimize_filter_naive(start, bank, n_iter)
     if fit.margin > CLEAR_MARGIN:
         return relative_deviation(got.kernel, fit.filter.kernel), SOLVER_TOL, got, fit
-    ours, theirs = (glm.track_loss(f, bank, fn) for f in (got, fit.filter))
+    ours, theirs = (glm.track_loss(f, bank) for f in (got, fit.filter))
     return abs(ours - theirs) / theirs, CLEAR_MARGIN, got, fit
 
 
@@ -427,30 +425,28 @@ def check_pseudo_label_boundary(seed=6):
 def check_reweight_blur(seed=7):
     mask = np.zeros((12, 12))
     mask[:, 5:] = 1.0
-    rw = amm.TargetReweighter()
-    got = amm.reweight(mask, rw)
-    want = rw.background_weight + (rw.foreground_weight - rw.background_weight) * gaussian_blur_dense(
-        mask, rw.blur_sigma
+    got = amm.reweight(mask)
+    want = amm.BACKGROUND_WEIGHT + (amm.FOREGROUND_WEIGHT - amm.BACKGROUND_WEIGHT) * gaussian_blur_dense(
+        mask, amm.BLUR_SIGMA
     )
     err = float(np.abs(got - want).max())
     # monotone across the half-plane boundary, away from the padded right edge
-    radius = max(1, int(np.ceil(3.0 * rw.blur_sigma)))
+    radius = max(1, int(np.ceil(3.0 * amm.BLUR_SIGMA)))
     monotone = bool(np.all(np.diff(got[:, : 12 - radius], axis=1) >= -1e-12))
     return err < 1e-12 and monotone, f"max deviation {err:.3e}, monotone across boundary: {monotone}"
 
 
 def check_seg_loss_naive(n_instances=10, seed=8):
     rng = np.random.default_rng(seed)
-    rw = amm.TargetReweighter()
     worst = 0.0
     for _ in range(n_instances):
         samples, kernel = _random_amm_instance(rng)
         kernel = rng.uniform(-1, 1, size=kernel.shape[:3] + (3,))
         filt = amm.SegFilter(kernel, 0.05)
-        got = amm.seg_loss(filt, samples, rw)
+        got = amm.seg_loss(filt, samples)
         want = 0.5 * 0.05 * float(np.sum(kernel**2))
         for s in samples:
-            weights = amm.reweight(s.mask, rw)
+            weights = amm.reweight(s.mask)
             target = amm.encode_pseudo_label(s.mask)
             pred = conv2d_naive(s.feature, kernel)
             for i in range(pred.shape[0]):
@@ -463,7 +459,6 @@ def check_seg_loss_naive(n_instances=10, seed=8):
 
 def check_seg_gradient_fd(n_instances=30, seed=9):
     rng = np.random.default_rng(seed)
-    rw = amm.TargetReweighter()
     worst = 0.0
     for _ in range(n_instances):
         n_samples = int(rng.integers(1, 6))
@@ -478,9 +473,9 @@ def check_seg_gradient_fd(n_instances=30, seed=9):
         kernel = rng.uniform(-1, 1, size=(ksz, ksz, channels, 3))
         delta = float(rng.uniform(0.01, 0.2))
         filt = amm.SegFilter(kernel, delta)
-        got = amm.seg_gradient(filt, samples, rw)
+        got = amm.seg_gradient(filt, samples)
         want = fd_gradient(
-            lambda kk: amm.seg_loss(amm.SegFilter(kk, delta), samples, rw), kernel
+            lambda kk: amm.seg_loss(amm.SegFilter(kk, delta), samples), kernel
         )
         worst = max(worst, float(np.abs(got - want).max() / (np.abs(want).max() + 1e-30)))
     return worst < 1e-5, f"max relative deviation {worst:.3e} over {n_instances} instances"
@@ -488,31 +483,29 @@ def check_seg_gradient_fd(n_instances=30, seed=9):
 
 def check_seg_stationarity(seed=10):
     rng = np.random.default_rng(seed)
-    rw = amm.TargetReweighter()
     samples, _ = _random_amm_instance(rng, n_samples=2, ksz=3, channels=2, size=4)
     shape = (3, 3, 2, 3)
-    optimum = solve_seg_normal_equations(samples, rw, shape, delta=0.1)
-    g = amm.seg_gradient(amm.SegFilter(optimum, 0.1), samples, rw)
+    optimum = solve_seg_normal_equations(samples, shape, delta=0.1)
+    g = amm.seg_gradient(amm.SegFilter(optimum, 0.1), samples)
     norm = float(np.sqrt(np.sum(g**2)))
     return norm < 1e-8, f"gradient norm at closed-form optimum: {norm:.3e}"
 
 
 def check_steepest_step_scan(n_instances=5, seed=11, scan_points=10_000):
     rng = np.random.default_rng(seed)
-    rw = amm.TargetReweighter()
     for _ in range(n_instances):
         samples, _ = _random_amm_instance(rng, n_samples=1, ksz=1, channels=1, size=4)
         kernel = rng.uniform(-1, 1, size=(1, 1, 1, 3))
         delta = float(rng.uniform(0.05, 0.5))
         filt = amm.SegFilter(kernel, delta)
-        g = amm.seg_gradient(filt, samples, rw)
-        alpha = amm.steepest_step_size(g, samples, rw, delta)
+        g = amm.seg_gradient(filt, samples)
+        alpha = amm.steepest_step_size(g, samples, delta)
         lambdas = np.linspace(0.0, 2.0 * alpha, scan_points)
         losses = [
-            amm.seg_loss(amm.SegFilter(kernel - lam * g, delta), samples, rw)
+            amm.seg_loss(amm.SegFilter(kernel - lam * g, delta), samples)
             for lam in lambdas
         ]
-        at_alpha = amm.seg_loss(amm.SegFilter(kernel - alpha * g, delta), samples, rw)
+        at_alpha = amm.seg_loss(amm.SegFilter(kernel - alpha * g, delta), samples)
         best = min(losses)
         if at_alpha > best * (1 + 1e-12) + 1e-15:
             return False, f"alpha loses to scan: {at_alpha} > {best}"
@@ -523,40 +516,42 @@ def check_steepest_step_scan(n_instances=5, seed=11, scan_points=10_000):
 
 
 def check_steepest_special_cases():
-    # identity feature, unit weights, no ridge: denominator collapses to ||g||^2
-    ones_feature = np.ones((1, 1, 1))
-    sample = amm.AmmSample(ones_feature, np.ones((1, 1), dtype=np.uint8))
-    rw_unit = amm.TargetReweighter(1.0, 1.0, 0.0)
+    # one all-foreground pixel of unit feature, no ridge: the denominator
+    # collapses to w^2 ||g||^2, with w the pixel's loss weight
+    one = np.ones((1, 1), dtype=np.uint8)
+    sample = amm.AmmSample(np.ones((1, 1, 1)), one)
+    w = amm.BACKGROUND_WEIGHT + (amm.FOREGROUND_WEIGHT - amm.BACKGROUND_WEIGHT) * float(
+        gaussian_blur_dense(one, amm.BLUR_SIGMA)[0, 0]
+    )
     g = np.array([[[[0.7, -0.3, 0.2]]]])
-    alpha = amm.steepest_step_size(g, [sample], rw_unit, delta=0.0)
-    if abs(alpha - 1.0) > 1e-12:
-        return False, f"identity case alpha {alpha} != 1"
-    # zero weights, pure ridge: alpha = 1 / delta
-    rw_zero = amm.TargetReweighter(0.0, 0.0, 0.0)
-    alpha = amm.steepest_step_size(g, [sample], rw_zero, delta=0.25)
+    alpha = amm.steepest_step_size(g, [sample], delta=0.0)
+    if abs(alpha - 1.0 / w**2) > 1e-12:
+        return False, f"identity case alpha {alpha} != 1/w^2 = {1.0 / w**2}"
+    # zero features, pure ridge: alpha = 1 / delta
+    blank = amm.AmmSample(np.zeros((1, 1, 1)), one)
+    alpha = amm.steepest_step_size(g, [blank], delta=0.25)
     if abs(alpha - 4.0) > 1e-12:
         return False, f"pure ridge alpha {alpha} != 4"
-    return True, "alpha = 1 (identity) and alpha = 1/delta (ridge) exact"
+    return True, "alpha = 1/w^2 (identity) and alpha = 1/delta (ridge) exact"
 
 
 def check_steepest_convergence(n_instances=3, seed=12, n_iter=200, tol=1e-6):
     rng = np.random.default_rng(seed)
-    rw = amm.TargetReweighter()
     for _ in range(n_instances):
         samples, _ = _random_amm_instance(rng, n_samples=2, ksz=1, channels=2, size=4)
         shape = (1, 1, 2, 3)
         delta = 0.3
-        optimum = solve_seg_normal_equations(samples, rw, shape, delta)
-        best = amm.seg_loss(amm.SegFilter(optimum, delta), samples, rw)
+        optimum = solve_seg_normal_equations(samples, shape, delta)
+        best = amm.seg_loss(amm.SegFilter(optimum, delta), samples)
         filt = amm.SegFilter(np.zeros(shape), delta)
-        losses = [amm.seg_loss(filt, samples, rw)]
+        losses = [amm.seg_loss(filt, samples)]
         for _ in range(n_iter):
-            g = amm.seg_gradient(filt, samples, rw)
+            g = amm.seg_gradient(filt, samples)
             if float(np.sqrt(np.sum(g**2))) < 1e-12:
                 break
-            alpha = amm.steepest_step_size(g, samples, rw, delta)
+            alpha = amm.steepest_step_size(g, samples, delta)
             filt = amm.SegFilter(filt.kernel - alpha * g, delta)
-            losses.append(amm.seg_loss(filt, samples, rw))
+            losses.append(amm.seg_loss(filt, samples))
         if any(b > a + 1e-12 for a, b in zip(losses, losses[1:])):
             return False, "loss increased during descent"
         gap = losses[-1] - best
@@ -567,16 +562,15 @@ def check_steepest_convergence(n_instances=3, seed=12, n_iter=200, tol=1e-6):
 
 def check_steepest_monotone(n_instances=100, seed=13, n_iter=10):
     rng = np.random.default_rng(seed)
-    rw = amm.TargetReweighter()
     for _ in range(n_instances):
         samples, kernel = _random_amm_instance(rng)
         kernel = rng.uniform(-1, 1, size=kernel.shape[:3] + (3,))
         delta = float(rng.uniform(0.01, 0.5))
         filt = amm.SegFilter(kernel, delta)
-        prev = amm.seg_loss(filt, samples, rw)
+        prev = amm.seg_loss(filt, samples)
         for _ in range(n_iter):
-            filt = amm.steepest_descent(filt, samples, 1, rw)
-            cur = amm.seg_loss(filt, samples, rw)
+            filt = amm.steepest_descent(filt, samples, 1)
+            cur = amm.seg_loss(filt, samples)
             if cur > prev + 1e-12:
                 return False, f"loss increased {prev} -> {cur}"
             prev = cur
@@ -643,19 +637,18 @@ def check_amm_fifo_replay(seed=14):
 
 def check_track_loss_naive(n_instances=10, seed=15):
     rng = np.random.default_rng(seed)
-    fn = glm.SpatialWeightFn()
     worst = 0.0
     for _ in range(n_instances):
         samples, kernel = _random_glm_instance(rng)
         lam = float(rng.uniform(0.05, 0.5))
-        got = glm.track_loss(glm.TrackFilter(kernel, lam), samples, fn)
+        got = glm.track_loss(glm.TrackFilter(kernel, lam), samples)
         want = lam**2 * float(np.sum(kernel**2))
         acc = 0.0
         for s in samples:
             score = conv2d_naive(s.feature, kernel)[:, :, 0]
             for i in range(score.shape[0]):
                 for j in range(score.shape[1]):
-                    sw = fn.w_bg + (fn.w_fg - fn.w_bg) * s.label[i, j]
+                    sw = glm.W_BG + (glm.W_FG - glm.W_BG) * s.label[i, j]
                     blended = s.target_region[i, j] * score[i, j] + (
                         1 - s.target_region[i, j]
                     ) * max(0.0, score[i, j])
@@ -667,7 +660,6 @@ def check_track_loss_naive(n_instances=10, seed=15):
 
 def check_track_gradient_fd(n_instances=30, seed=16):
     rng = np.random.default_rng(seed)
-    fn = glm.SpatialWeightFn()
     worst = 0.0
     tried = 0
     while tried < n_instances:
@@ -680,9 +672,9 @@ def check_track_gradient_fd(n_instances=30, seed=16):
         ) < 0.01:
             continue
         tried += 1
-        got = glm.track_gradient(filt, samples, fn)
+        got = glm.track_gradient(filt, samples)
         want = fd_gradient(
-            lambda kk: glm.track_loss(glm.TrackFilter(kk, lam), samples, fn), kernel
+            lambda kk: glm.track_loss(glm.TrackFilter(kk, lam), samples), kernel
         )
         worst = max(worst, float(np.abs(got - want).max() / (np.abs(want).max() + 1e-30)))
     return worst < 1e-5, f"max relative deviation {worst:.3e} over {n_instances} instances"
@@ -690,18 +682,17 @@ def check_track_gradient_fd(n_instances=30, seed=16):
 
 def check_track_gradient_wls(n_instances=10, seed=17):
     rng = np.random.default_rng(seed)
-    fn = glm.SpatialWeightFn()
     worst = 0.0
     for _ in range(n_instances):
         samples, kernel = _random_glm_instance(rng, region="ones")
         lam = float(rng.uniform(0.05, 0.5))
-        got = glm.track_gradient(glm.TrackFilter(kernel, lam), samples, fn)
+        got = glm.track_gradient(glm.TrackFilter(kernel, lam), samples)
         # independent weighted-least-squares gradient via dense matrices
         n = kernel.size
         want = 2.0 * lam**2 * kernel.ravel()
         for s in samples:
             a = conv_matrix_naive(s.feature, kernel.shape)
-            sw2 = glm.spatial_weight(s.label, fn).ravel() ** 2
+            sw2 = glm.spatial_weight(s.label).ravel() ** 2
             want = want + (2.0 / len(samples)) * a.T @ (sw2 * (a @ kernel.ravel() - s.label.ravel()))
         worst = max(
             worst, float(np.abs(got.ravel() - want).max() / (np.abs(want).max() + 1e-30))
@@ -711,21 +702,20 @@ def check_track_gradient_wls(n_instances=10, seed=17):
 
 def check_gauss_newton_beta_scan(n_instances=5, seed=18, scan_points=20_001):
     rng = np.random.default_rng(seed)
-    fn = glm.SpatialWeightFn()
     for _ in range(n_instances):
         samples, kernel = _random_glm_instance(rng, ksz=1, channels=1, size=5)
         lam = float(rng.uniform(0.1, 0.5))
         filt = glm.TrackFilter(kernel, lam)
-        g, beta = glm.gauss_newton_step(filt, samples, fn)
+        g, beta = glm.gauss_newton_step(filt, samples)
 
         # frozen quadratic model: residuals linearized at the current filter
         frozen_q = []
         for s in samples:
             score = glm.track_score(s.feature, filt)
             region = s.target_region
-            frozen_q.append(glm.spatial_weight(s.label, fn) * (region + (1 - region) * (score > 0)))
+            frozen_q.append(glm.spatial_weight(s.label) * (region + (1 - region) * (score > 0)))
         base_residuals = [
-            glm.track_residual(glm.track_score(s.feature, filt), s, fn) for s in samples
+            glm.track_residual(glm.track_score(s.feature, filt), s) for s in samples
         ]
         directions = [q * conv2d(s.feature, g)[:, :, 0] for q, s in zip(frozen_q, samples)]
 
@@ -746,28 +736,27 @@ def check_gauss_newton_beta_scan(n_instances=5, seed=18, scan_points=20_001):
 
 
 def check_gauss_newton_ridge_case():
-    fn = glm.SpatialWeightFn(0.0, 0.0)
     rng = np.random.default_rng(19)
     samples, kernel = _random_glm_instance(rng, ksz=1, channels=2, size=4)
-    samples = [glm.GlmSample(s.feature, s.label, s.target_region) for s in samples]
+    # zero features: every score and its Jacobian vanish, only the ridge curves the model
+    samples = [glm.GlmSample(np.zeros_like(s.feature), s.label, s.target_region) for s in samples]
     lam = 0.35
     filt = glm.TrackFilter(kernel, lam)
-    _, beta = glm.gauss_newton_step(filt, samples, fn)
+    _, beta = glm.gauss_newton_step(filt, samples)
     want = 1.0 / (2.0 * lam**2)
     return abs(beta - want) < 1e-12, f"ridge-only beta {beta}, expected {want}"
 
 
 def check_gauss_newton_convergence(n_instances=3, seed=20, n_iter=50, tol=1e-6):
     rng = np.random.default_rng(seed)
-    fn = glm.SpatialWeightFn()
     for _ in range(n_instances):
         samples, _ = _random_glm_instance(rng, ksz=1, channels=2, size=4, region="ones")
         shape = (1, 1, 2, 1)
         lam = 1.0
-        optimum = solve_track_normal_equations(samples, fn, shape, lam)
-        best = glm.track_loss(glm.TrackFilter(optimum, lam), samples, fn)
-        filt = glm.optimize_filter(glm.TrackFilter(np.zeros(shape), lam), samples, n_iter, fn)
-        gap = glm.track_loss(filt, samples, fn) - best
+        optimum = solve_track_normal_equations(samples, shape, lam)
+        best = glm.track_loss(glm.TrackFilter(optimum, lam), samples)
+        filt = glm.optimize_filter(glm.TrackFilter(np.zeros(shape), lam), samples, n_iter)
+        gap = glm.track_loss(filt, samples) - best
         if gap > tol:
             return False, f"loss gap to WLS-ridge optimum {gap:.3e} > {tol}"
     return True, f"converged to the WLS-ridge optimum within {tol}"
@@ -775,13 +764,12 @@ def check_gauss_newton_convergence(n_instances=3, seed=20, n_iter=50, tol=1e-6):
 
 def check_optimize_filter_monotone(n_instances=100, seed=21, n_iter=8):
     rng = np.random.default_rng(seed)
-    fn = glm.SpatialWeightFn()
     for _ in range(n_instances):
         samples, kernel = _random_glm_instance(rng)
         lam = float(rng.uniform(0.05, 0.5))
         start = glm.TrackFilter(kernel, lam)
-        before = glm.track_loss(start, samples, fn)
-        after = glm.track_loss(glm.optimize_filter(start, samples, n_iter, fn), samples, fn)
+        before = glm.track_loss(start, samples)
+        after = glm.track_loss(glm.optimize_filter(start, samples, n_iter), samples)
         if after > before + 1e-12:
             return False, f"loss increased {before} -> {after}"
     return True, f"final loss <= initial loss on {n_instances} random instances"
@@ -789,25 +777,23 @@ def check_optimize_filter_monotone(n_instances=100, seed=21, n_iter=8):
 
 def check_descent_vs_per_entry_loops(n_instances=20, seed=29):
     rng = np.random.default_rng(seed)
-    rw = amm.TargetReweighter()
     worst = 0.0
     for _ in range(n_instances):
         samples, kernel = _random_amm_instance(rng, n_samples=int(rng.integers(1, 9)))
         start = amm.SegFilter(rng.uniform(-1, 1, size=kernel.shape[:3] + (3,)), float(rng.uniform(0.01, 0.3)))
         for n_iter in (3, 10):
-            worst = max(worst, descent_deviation(start, samples, n_iter, rw)[0])
+            worst = max(worst, descent_deviation(start, samples, n_iter)[0])
     return worst <= SOLVER_TOL, f"max relative kernel deviation {worst:.3e} over {n_instances} banks"
 
 
 def check_optimizer_vs_per_sample_loops(n_instances=20, seed=30):
     rng = np.random.default_rng(seed)
-    fn = glm.SpatialWeightFn()
     worst = 0.0
     for _ in range(n_instances):
         samples, kernel = _random_glm_instance(rng)
         start = glm.TrackFilter(kernel, float(rng.uniform(0.05, 0.4)))
         for n_iter in (3, 10):
-            deviation, tolerance, _, _ = optimizer_deviation(start, samples, n_iter, fn)
+            deviation, tolerance, _, _ = optimizer_deviation(start, samples, n_iter)
             worst = max(worst, deviation / tolerance)
     return worst <= 1.0, f"worst deviation {worst:.3e} of its tolerance over {n_instances} banks"
 
@@ -1118,7 +1104,7 @@ def check_glm_static_immutable(seed=28):
             rng.random((6, 6)),
         )
         mem = mem.admit(entry, dynamic, capacity=4)
-        glm.optimize_filter(glm.TrackFilter.zeros(1, 2), mem.glm_samples, 2, glm.SpatialWeightFn())
+        glm.optimize_filter(glm.TrackFilter.zeros(1, 2), mem.glm_samples, 2)
         if len(mem.glm_samples) > 4:
             return False, f"bank size {len(mem.glm_samples)} exceeded capacity"
         if mem.glm_static is not static or mem.glm_dynamic[-1] is not dynamic:

@@ -60,8 +60,6 @@ def test_criterion_02_exact_line_search():
 
 def test_criterion_03_convergence_to_closed_form():
     rng = np.random.default_rng(104)
-    rw = amm.TargetReweighter()
-    fn = glm.SpatialWeightFn()
     worst_seg_gap = worst_trk_gap = 0.0
     for _ in range(10):
         # steepest descent against the dense ridge solution on 4x4 maps
@@ -74,16 +72,12 @@ def test_criterion_03_convergence_to_closed_form():
         ]
         delta = 0.3
         shape = (1, 1, 2, 3)
-        target = amm.seg_loss(
-            amm.SegFilter(solve_seg_normal_equations(samples, rw, shape, delta), delta),
-            samples,
-            rw,
-        )
+        target = amm.seg_loss(amm.SegFilter(solve_seg_normal_equations(samples, shape, delta), delta), samples)
         filt = amm.SegFilter(np.zeros(shape), delta)
-        prev = amm.seg_loss(filt, samples, rw)
+        prev = amm.seg_loss(filt, samples)
         for _ in range(200):
-            filt = amm.steepest_descent(filt, samples, 1, rw)
-            cur = amm.seg_loss(filt, samples, rw)
+            filt = amm.steepest_descent(filt, samples, 1)
+            cur = amm.seg_loss(filt, samples)
             assert cur <= prev + 1e-12, "steepest descent loss increased"
             prev = cur
         worst_seg_gap = max(worst_seg_gap, prev - target)
@@ -99,15 +93,13 @@ def test_criterion_03_convergence_to_closed_form():
         ]
         lam = 1.0
         target = glm.track_loss(
-            glm.TrackFilter(solve_track_normal_equations(gsamples, fn, (1, 1, 2, 1), lam), lam),
-            gsamples,
-            fn,
+            glm.TrackFilter(solve_track_normal_equations(gsamples, (1, 1, 2, 1), lam), lam), gsamples
         )
         tfilt = glm.TrackFilter(np.zeros((1, 1, 2, 1)), lam)
-        prev = glm.track_loss(tfilt, gsamples, fn)
+        prev = glm.track_loss(tfilt, gsamples)
         for _ in range(50):
-            tfilt = glm.optimize_filter(tfilt, gsamples, 1, fn)
-            cur = glm.track_loss(tfilt, gsamples, fn)
+            tfilt = glm.optimize_filter(tfilt, gsamples, 1)
+            cur = glm.track_loss(tfilt, gsamples)
             assert cur <= prev + 1e-12, "Gauss-Newton loss increased"
             prev = cur
         worst_trk_gap = max(worst_trk_gap, prev - target)

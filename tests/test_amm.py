@@ -27,9 +27,6 @@ def random_samples(r, n, size=5, channels=2):
     return out
 
 
-RW = amm.TargetReweighter()
-
-
 class TestPseudoLabelEncoder:
     def test_empty_mask(self):
         out = amm.encode_pseudo_label(np.zeros((5, 5)))
@@ -58,32 +55,23 @@ class TestPseudoLabelEncoder:
 
 class TestReweight:
     def test_empty_mask_uniform_background(self):
-        out = amm.reweight(np.zeros((6, 6)), RW)
-        np.testing.assert_allclose(out, RW.background_weight)
-
-    def test_full_mask_no_blur(self):
-        rw = amm.TargetReweighter(blur_sigma=0.0)
-        out = amm.reweight(np.ones((6, 6)), rw)
-        np.testing.assert_allclose(out, rw.foreground_weight)
+        out = amm.reweight(np.zeros((6, 6)))
+        np.testing.assert_allclose(out, amm.BACKGROUND_WEIGHT)
 
     def test_matches_dense_gaussian_oracle(self):
         mask = np.zeros((9, 9))
         mask[:, 4:] = 1
-        got = amm.reweight(mask, RW)
-        want = RW.background_weight + (
-            RW.foreground_weight - RW.background_weight
-        ) * gaussian_blur_dense(mask, RW.blur_sigma)
+        got = amm.reweight(mask)
+        want = amm.BACKGROUND_WEIGHT + (
+            amm.FOREGROUND_WEIGHT - amm.BACKGROUND_WEIGHT
+        ) * gaussian_blur_dense(mask, amm.BLUR_SIGMA)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_range(self):
         mask = (rng(2).random((8, 8)) > 0.5).astype(float)
-        out = amm.reweight(mask, RW)
-        assert out.min() >= RW.background_weight - 1e-12
-        assert out.max() <= RW.foreground_weight + 1e-12
-
-    def test_invalid_weights(self):
-        with pytest.raises(ParameterError):
-            amm.TargetReweighter(0.2, 0.5)
+        out = amm.reweight(mask)
+        assert out.min() >= amm.BACKGROUND_WEIGHT - 1e-12
+        assert out.max() <= amm.FOREGROUND_WEIGHT + 1e-12
 
 
 class TestSegLoss:
@@ -91,15 +79,15 @@ class TestSegLoss:
         sample = amm.AmmSample(np.ones((4, 4, 1)), np.zeros((4, 4), dtype=np.uint8))
         filt = amm.SegFilter(np.zeros((3, 3, 1, 3)), 0.01)
         # empty mask encodes to all-zero labels, zero filter fits exactly
-        assert amm.seg_loss(filt, [sample], RW) == 0.0
+        assert amm.seg_loss(filt, [sample]) == 0.0
 
     def test_zero_filter_single_sample(self):
         r = rng(3)
         sample = random_samples(r, 1)[0]
         filt = amm.SegFilter(np.zeros((3, 3, 2, 3)), 0.01)
-        weights = amm.reweight(sample.mask, RW)[:, :, None]
+        weights = amm.reweight(sample.mask)[:, :, None]
         want = 0.5 * float(np.sum((weights * amm.encode_pseudo_label(sample.mask)) ** 2))
-        assert amm.seg_loss(filt, [sample], RW) == pytest.approx(want, rel=1e-12)
+        assert amm.seg_loss(filt, [sample]) == pytest.approx(want, rel=1e-12)
 
     def test_matches_scalar_loop(self):
         r = rng(4)
@@ -108,21 +96,21 @@ class TestSegLoss:
         filt = amm.SegFilter(kernel, 0.05)
         want = 0.5 * 0.05 * np.sum(kernel**2)
         for s in samples:
-            weights = amm.reweight(s.mask, RW)
+            weights = amm.reweight(s.mask)
             target = amm.encode_pseudo_label(s.mask)
             pred = conv2d(s.feature, kernel)
             for i in range(5):
                 for j in range(5):
                     for d in range(3):
                         want += 0.5 * (weights[i, j] * (pred[i, j, d] - target[i, j, d])) ** 2
-        assert amm.seg_loss(filt, samples, RW) == pytest.approx(float(want), rel=1e-12)
+        assert amm.seg_loss(filt, samples) == pytest.approx(float(want), rel=1e-12)
 
 
 class TestSegGradient:
     def test_zero_at_closed_form_optimum(self):
         samples = random_samples(rng(5), 2, size=4)
-        optimum = solve_seg_normal_equations(samples, RW, (3, 3, 2, 3), delta=0.1)
-        g = amm.seg_gradient(amm.SegFilter(optimum, 0.1), samples, RW)
+        optimum = solve_seg_normal_equations(samples, (3, 3, 2, 3), delta=0.1)
+        g = amm.seg_gradient(amm.SegFilter(optimum, 0.1), samples)
         assert np.sqrt(np.sum(g**2)) < 1e-8
 
     def test_matches_finite_differences(self):
@@ -130,48 +118,49 @@ class TestSegGradient:
         samples = random_samples(r, 2, size=4)
         kernel = r.uniform(-1, 1, size=(3, 3, 2, 3))
         filt = amm.SegFilter(kernel, 0.05)
-        got = amm.seg_gradient(filt, samples, RW)
+        got = amm.seg_gradient(filt, samples)
         want = fd_gradient(
-            lambda kk: amm.seg_loss(amm.SegFilter(kk, 0.05), samples, RW), kernel
+            lambda kk: amm.seg_loss(amm.SegFilter(kk, 0.05), samples), kernel
         )
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-8)
 
     def test_regularizer_only_direction(self):
-        # zero weights kill the data term; the gradient is exactly delta * sigma
-        rw_zero = amm.TargetReweighter(0.0, 0.0, 0.0)
-        samples = random_samples(rng(7), 2)
+        # zero features and empty masks kill the data term; the gradient is exactly delta * sigma
+        samples = [amm.AmmSample(np.zeros((5, 5, 2)), np.zeros((5, 5), dtype=np.uint8)) for _ in range(2)]
         kernel = rng(8).uniform(-1, 1, size=(3, 3, 2, 3))
         for t in (0.5, 2.0):
-            g = amm.seg_gradient(amm.SegFilter(t * kernel, 0.04), samples, rw_zero)
+            g = amm.seg_gradient(amm.SegFilter(t * kernel, 0.04), samples)
             np.testing.assert_allclose(g, 0.04 * t * kernel, rtol=0, atol=1e-15)
 
 
 class TestSteepestStepSize:
     def test_identity_features_unit_weights(self):
-        sample = amm.AmmSample(np.ones((1, 1, 1)), np.ones((1, 1), dtype=np.uint8))
-        rw_unit = amm.TargetReweighter(1.0, 1.0, 0.0)
+        # unit feature on one foreground pixel, no ridge: alpha = 1 / w^2 for its weight w
+        mask = np.ones((1, 1), dtype=np.uint8)
+        sample = amm.AmmSample(np.ones((1, 1, 1)), mask)
+        w = float(amm.reweight(mask)[0, 0])
         g = rng(9).uniform(-1, 1, size=(1, 1, 1, 3))
-        assert amm.steepest_step_size(g, [sample], rw_unit, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert amm.steepest_step_size(g, [sample], 0.0) == pytest.approx(1.0 / w**2, rel=1e-12)
 
     def test_pure_ridge(self):
-        sample = amm.AmmSample(np.ones((2, 2, 1)), np.ones((2, 2), dtype=np.uint8))
-        rw_zero = amm.TargetReweighter(0.0, 0.0, 0.0)
+        # zero features leave only the ridge: alpha = 1 / delta
+        sample = amm.AmmSample(np.zeros((2, 2, 1)), np.ones((2, 2), dtype=np.uint8))
         g = rng(10).uniform(-1, 1, size=(1, 1, 1, 3))
-        assert amm.steepest_step_size(g, [sample], rw_zero, 0.2) == pytest.approx(5.0, abs=1e-12)
+        assert amm.steepest_step_size(g, [sample], 0.2) == pytest.approx(5.0, abs=1e-12)
 
     def test_zero_gradient_signals_converged(self):
         sample = amm.AmmSample(np.ones((2, 2, 1)), np.ones((2, 2), dtype=np.uint8))
         with pytest.raises(ParameterError, match="converged"):
-            amm.steepest_step_size(np.zeros((1, 1, 1, 3)), [sample], RW, 0.1)
+            amm.steepest_step_size(np.zeros((1, 1, 1, 3)), [sample], 0.1)
 
     def test_is_exact_line_minimizer(self):
         r = rng(11)
         samples = random_samples(r, 2, size=4)
         kernel = r.uniform(-1, 1, size=(1, 1, 2, 3))
         filt = amm.SegFilter(kernel, 0.1)
-        g = amm.seg_gradient(filt, samples, RW)
-        alpha = amm.steepest_step_size(g, samples, RW, 0.1)
-        loss_at = lambda lam: amm.seg_loss(amm.SegFilter(kernel - lam * g, 0.1), samples, RW)
+        g = amm.seg_gradient(filt, samples)
+        alpha = amm.steepest_step_size(g, samples, 0.1)
+        loss_at = lambda lam: amm.seg_loss(amm.SegFilter(kernel - lam * g, 0.1), samples)
         base = loss_at(alpha)
         for lam in np.linspace(0, 2 * alpha, 200):
             assert base <= loss_at(lam) + 1e-12
@@ -181,27 +170,27 @@ class TestSteepestDescent:
     def test_zero_iterations_returns_start(self):
         samples = random_samples(rng(12), 1)
         start = amm.SegFilter(rng(13).uniform(-1, 1, size=(3, 3, 2, 3)), 0.05)
-        out = amm.steepest_descent(start, samples, 0, RW)
+        out = amm.steepest_descent(start, samples, 0)
         assert np.array_equal(out.kernel, start.kernel)
 
     def test_converges_to_normal_equations(self):
         samples = random_samples(rng(14), 2, size=4)
         shape = (1, 1, 2, 3)
         delta = 0.3
-        optimum = solve_seg_normal_equations(samples, RW, shape, delta)
-        best = amm.seg_loss(amm.SegFilter(optimum, delta), samples, RW)
-        out = amm.steepest_descent(amm.SegFilter(np.zeros(shape), delta), samples, 200, RW)
-        assert amm.seg_loss(out, samples, RW) - best < 1e-6
+        optimum = solve_seg_normal_equations(samples, shape, delta)
+        best = amm.seg_loss(amm.SegFilter(optimum, delta), samples)
+        out = amm.steepest_descent(amm.SegFilter(np.zeros(shape), delta), samples, 200)
+        assert amm.seg_loss(out, samples) - best < 1e-6
 
     def test_monotone_loss(self):
         r = rng(15)
         for _ in range(10):
             samples = random_samples(r, int(r.integers(1, 4)))
             filt = amm.SegFilter(r.uniform(-1, 1, size=(3, 3, 2, 3)), float(r.uniform(0.01, 0.3)))
-            prev = amm.seg_loss(filt, samples, RW)
+            prev = amm.seg_loss(filt, samples)
             for _ in range(5):
-                filt = amm.steepest_descent(filt, samples, 1, RW)
-                cur = amm.seg_loss(filt, samples, RW)
+                filt = amm.steepest_descent(filt, samples, 1)
+                cur = amm.seg_loss(filt, samples)
                 assert cur <= prev + 1e-12
                 prev = cur
 

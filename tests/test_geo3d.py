@@ -163,10 +163,6 @@ class TestSemanticConfidence:
         got = geo3d.semantic_confidence(prob, np.ones((2, 2)), 0.5)
         assert got == pytest.approx((0.3 + 0.0 + 0.3) / 3)
 
-    def test_weight_sum_enforced(self):
-        with pytest.raises(ParameterError):
-            geo3d.semantic_confidence(np.ones((2, 2)), np.ones((2, 2)), 0.5, (0.5, 0.5, 0.5))
-
 
 class TestGeometricConfidence:
     def test_zero_uncertainty(self):

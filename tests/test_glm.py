@@ -5,9 +5,6 @@ from vql import amm, glm
 from vql.core import DimensionError, EmptyInputError, ParameterError, conv2d, gaussian_label
 from vql.selfcheck import empty_banks, fd_gradient, solve_track_normal_equations
 
-FN = glm.SpatialWeightFn()
-
-
 def rng(seed=0):
     return np.random.default_rng(seed)
 
@@ -24,43 +21,37 @@ def random_samples(r, n, size=5, channels=2, region="mixed"):
 
 class TestSpatialWeight:
     def test_zero_label(self):
-        out = glm.spatial_weight(np.zeros((4, 4)), FN)
-        np.testing.assert_allclose(out, FN.w_bg)
+        out = glm.spatial_weight(np.zeros((4, 4)))
+        np.testing.assert_allclose(out, glm.W_BG)
 
     def test_peak_label(self):
         label = np.zeros((3, 3))
         label[1, 1] = 1.0
-        assert glm.spatial_weight(label, FN)[1, 1] == FN.w_fg
+        assert glm.spatial_weight(label)[1, 1] == glm.W_FG
 
     def test_midpoint(self):
-        assert glm.spatial_weight(np.array([[0.5]]), FN)[0, 0] == pytest.approx(0.625)
-
-    def test_invalid_ordering(self):
-        with pytest.raises(ParameterError):
-            glm.SpatialWeightFn(0.1, 0.5)
+        assert glm.spatial_weight(np.array([[0.5]]))[0, 0] == pytest.approx(0.625)
 
 
 class TestTrackResidual:
     def test_exact_fit_inside_region(self):
         label = gaussian_label((2, 2), 1.0, (5, 5))
         sample = glm.GlmSample(np.zeros((5, 5, 1)), label, np.ones((5, 5)))
-        residual = glm.track_residual(label, sample, FN)
+        residual = glm.track_residual(label, sample)
         np.testing.assert_allclose(residual, 0.0, atol=1e-15)
 
     def test_hinge_clamps_negative_background(self):
         sample = glm.GlmSample(
             np.zeros((3, 3, 1)), np.zeros((3, 3)), np.zeros((3, 3))
         )
-        unit = glm.SpatialWeightFn(1.0, 1.0)
-        residual = glm.track_residual(np.full((3, 3), -5.0), sample, unit)
+        residual = glm.track_residual(np.full((3, 3), -5.0), sample)
         np.testing.assert_allclose(residual, 0.0, atol=1e-15)
 
     def test_blend_arithmetic(self):
         sample = glm.GlmSample(
             np.zeros((1, 1, 1)), np.ones((1, 1)), np.full((1, 1), 0.5)
         )
-        unit = glm.SpatialWeightFn(1.0, 1.0)
-        residual = glm.track_residual(np.full((1, 1), 2.0), sample, unit)
+        residual = glm.track_residual(np.full((1, 1), 2.0), sample)
         assert residual[0, 0] == pytest.approx(0.5 * 2 + 0.5 * 2 - 1)
 
     def test_piecewise_identities(self):
@@ -68,45 +59,45 @@ class TestTrackResidual:
         score = r.uniform(-2, 2, size=(5, 5))
         label = gaussian_label((2, 2), 1.0, (5, 5))
         ones = glm.GlmSample(np.zeros((5, 5, 1)), label, np.ones((5, 5)))
-        got = glm.track_residual(score, ones, FN)
-        np.testing.assert_array_equal(got, glm.spatial_weight(label, FN) * (score - label))
+        got = glm.track_residual(score, ones)
+        np.testing.assert_array_equal(got, glm.spatial_weight(label) * (score - label))
         zeros = glm.GlmSample(np.zeros((5, 5, 1)), label, np.zeros((5, 5)))
         negative = -np.abs(score)
-        got = glm.track_residual(negative, zeros, FN)
-        np.testing.assert_array_equal(got, -glm.spatial_weight(label, FN) * label)
+        got = glm.track_residual(negative, zeros)
+        np.testing.assert_array_equal(got, -glm.spatial_weight(label) * label)
 
     def test_shape_mismatch(self):
         sample = glm.GlmSample(np.zeros((3, 3, 1)), np.zeros((3, 3)), np.zeros((3, 3)))
         with pytest.raises(DimensionError):
-            glm.track_residual(np.zeros((4, 4)), sample, FN)
+            glm.track_residual(np.zeros((4, 4)), sample)
 
 
 class TestTrackLoss:
     def test_zero_filter_zero_labels(self):
         sample = glm.GlmSample(np.ones((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
         filt = glm.TrackFilter(np.zeros((3, 3, 1, 1)), 0.1)
-        assert glm.track_loss(filt, [sample], FN) == 0.0
+        assert glm.track_loss(filt, [sample]) == 0.0
 
     def test_zero_filter_single_sample(self):
         label = gaussian_label((2, 2), 1.0, (5, 5))
         sample = glm.GlmSample(rng(2).uniform(size=(5, 5, 1)), label, np.ones((5, 5)))
         filt = glm.TrackFilter(np.zeros((3, 3, 1, 1)), 0.1)
-        want = float(np.sum((glm.spatial_weight(label, FN) * label) ** 2))
-        assert glm.track_loss(filt, [sample], FN) == pytest.approx(want, rel=1e-12)
+        want = float(np.sum((glm.spatial_weight(label) * label) ** 2))
+        assert glm.track_loss(filt, [sample]) == pytest.approx(want, rel=1e-12)
 
     def test_matches_scalar_loop(self):
         r = rng(3)
         samples = random_samples(r, 2)
         kernel = r.uniform(-1, 1, size=(3, 3, 2, 1))
         lam = 0.2
-        got = glm.track_loss(glm.TrackFilter(kernel, lam), samples, FN)
+        got = glm.track_loss(glm.TrackFilter(kernel, lam), samples)
         want = lam**2 * float(np.sum(kernel**2))
         acc = 0.0
         for s in samples:
             score = conv2d(s.feature, kernel)[:, :, 0]
             for i in range(5):
                 for j in range(5):
-                    sw = FN.w_bg + (FN.w_fg - FN.w_bg) * s.label[i, j]
+                    sw = glm.W_BG + (glm.W_FG - glm.W_BG) * s.label[i, j]
                     blended = s.target_region[i, j] * score[i, j] + (
                         1 - s.target_region[i, j]
                     ) * max(0.0, score[i, j])
@@ -118,9 +109,8 @@ class TestTrackLoss:
 class TestTrackGradient:
     def test_zero_at_trivial_optimum(self):
         sample = glm.GlmSample(np.ones((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
-        fn_zero_label = glm.SpatialWeightFn(1.0, 1.0)
         filt = glm.TrackFilter(np.zeros((3, 3, 1, 1)), 0.1)
-        g = glm.track_gradient(filt, [sample], fn_zero_label)
+        g = glm.track_gradient(filt, [sample])
         np.testing.assert_allclose(g, 0.0, atol=1e-15)
 
     def test_matches_finite_differences_off_kink(self):
@@ -133,9 +123,9 @@ class TestTrackGradient:
             if min(float(np.abs(glm.track_score(s.feature, filt)).min()) for s in samples) < 0.01:
                 continue
             found += 1
-            got = glm.track_gradient(filt, samples, FN)
+            got = glm.track_gradient(filt, samples)
             want = fd_gradient(
-                lambda kk: glm.track_loss(glm.TrackFilter(kk, 0.2), samples, FN), kernel
+                lambda kk: glm.track_loss(glm.TrackFilter(kk, 0.2), samples), kernel
             )
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-8)
 
@@ -144,44 +134,45 @@ class TestTrackGradient:
         samples = random_samples(r, 2, size=4, region="ones")
         kernel = r.uniform(-1, 1, size=(1, 1, 2, 1))
         lam = 0.3
-        got = glm.track_gradient(glm.TrackFilter(kernel, lam), samples, FN)
+        got = glm.track_gradient(glm.TrackFilter(kernel, lam), samples)
         want = 2 * lam**2 * kernel.ravel()
         for s in samples:
             a = np.stack([s.feature[:, :, c].ravel() for c in range(2)], axis=1)
-            sw2 = glm.spatial_weight(s.label, FN).ravel() ** 2
+            sw2 = glm.spatial_weight(s.label).ravel() ** 2
             want = want + (2 / len(samples)) * a.T @ (sw2 * (a @ kernel.ravel() - s.label.ravel()))
         np.testing.assert_allclose(got.ravel(), want, rtol=1e-10)
 
 
 class TestGaussNewtonStep:
     def test_ridge_only_beta(self):
-        fn_zero = glm.SpatialWeightFn(0.0, 0.0)
-        samples = random_samples(rng(6), 2, size=4)
+        # zero features leave only the ridge in the frozen quadratic model
+        samples = [glm.GlmSample(np.zeros_like(s.feature), s.label, s.target_region)
+                   for s in random_samples(rng(6), 2, size=4)]
         lam = 0.4
         filt = glm.TrackFilter(rng(7).uniform(-1, 1, size=(3, 3, 2, 1)), lam)
-        _, beta = glm.gauss_newton_step(filt, samples, fn_zero)
+        _, beta = glm.gauss_newton_step(filt, samples)
         assert beta == pytest.approx(1.0 / (2 * lam**2), abs=1e-12)
 
     def test_zero_gradient_signals_converged(self):
         sample = glm.GlmSample(np.ones((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
         filt = glm.TrackFilter(np.zeros((3, 3, 1, 1)), 0.1)
         with pytest.raises(ParameterError, match="converged"):
-            glm.gauss_newton_step(filt, [sample], glm.SpatialWeightFn(1.0, 1.0))
+            glm.gauss_newton_step(filt, [sample])
 
     def test_pure_quadratic_one_scaled_step_sequence(self):
         samples = random_samples(rng(8), 1, size=4, region="ones")
         lam = 1.0
-        optimum = solve_track_normal_equations(samples, FN, (1, 1, 2, 1), lam)
-        best = glm.track_loss(glm.TrackFilter(optimum, lam), samples, FN)
-        filt = glm.optimize_filter(glm.TrackFilter(np.zeros((1, 1, 2, 1)), lam), samples, 50, FN)
-        assert glm.track_loss(filt, samples, FN) - best < 1e-8
+        optimum = solve_track_normal_equations(samples, (1, 1, 2, 1), lam)
+        best = glm.track_loss(glm.TrackFilter(optimum, lam), samples)
+        filt = glm.optimize_filter(glm.TrackFilter(np.zeros((1, 1, 2, 1)), lam), samples, 50)
+        assert glm.track_loss(filt, samples) - best < 1e-8
 
 
 class TestOptimizeFilter:
     def test_zero_iterations(self):
         samples = random_samples(rng(9), 1)
         start = glm.TrackFilter(rng(10).uniform(-1, 1, size=(3, 3, 2, 1)), 0.1)
-        out = glm.optimize_filter(start, samples, 0, FN)
+        out = glm.optimize_filter(start, samples, 0)
         assert np.array_equal(out.kernel, start.kernel)
 
     def test_never_increases_loss(self):
@@ -189,8 +180,8 @@ class TestOptimizeFilter:
         for _ in range(20):
             samples = random_samples(r, int(r.integers(1, 4)))
             start = glm.TrackFilter(r.uniform(-1, 1, size=(3, 3, 2, 1)), float(r.uniform(0.05, 0.4)))
-            before = glm.track_loss(start, samples, FN)
-            after = glm.track_loss(glm.optimize_filter(start, samples, 6, FN), samples, FN)
+            before = glm.track_loss(start, samples)
+            after = glm.track_loss(glm.optimize_filter(start, samples, 6), samples)
             assert after <= before + 1e-12
 
 

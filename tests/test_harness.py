@@ -96,7 +96,19 @@ class TestFileRoundTrips:
         fileio.save_config(cfg, str(path))
         assert fileio.load_config(str(path)) == cfg
 
-    @pytest.mark.parametrize("field", ["clip_length", "label_channels", "seg_kernel_size", "track_kernel_size"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "clip_length",
+            "label_channels",
+            "seg_kernel_size",
+            "track_kernel_size",
+            "amm_iters_init",
+            "glm_iters_init",
+            "amm_iters_update",
+            "glm_iters_update",
+        ],
+    )
     def test_removed_config_fields_rejected(self, tmp_path, field):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({"version": 1, "kind": "config", field: 3}))
@@ -137,6 +149,35 @@ class TestScenarioParamsSchema:
         rewrite(path, lambda d: d["params"].pop("focal"))
         with pytest.raises(fileio.SchemaError, match=r"params\.focal: missing required field"):
             fileio.load_scenario(str(path))
+
+    @pytest.mark.parametrize(
+        "edit,field",
+        [
+            pytest.param({"canvas": [32]}, "canvas", id="short-canvas"),
+            pytest.param({"canvas": [32, 32.0], "channels": 8.5}, "canvas", id="float-canvas"),
+            pytest.param({"channels": 8.5}, "channels", id="float-channels"),
+            pytest.param({"n_frames": True}, "n_frames", id="bool-n_frames"),
+            pytest.param({"n_frames": 3.0}, "n_frames", id="float-n_frames"),
+            pytest.param({"preset": 7}, "preset", id="int-preset"),
+            pytest.param({"object_size": "13"}, "object_size", id="str-object_size"),
+            pytest.param({"absence": [1]}, "absence", id="short-absence"),
+            pytest.param({"corrupt_views": "ab"}, "corrupt_views", id="str-corrupt_views"),
+            pytest.param({"focal": True}, "focal", id="bool-focal"),
+        ],
+    )
+    def test_mistyped_params_field_rejected(self, tmp_path, edit, field):
+        path = tmp_path / "s.json"
+        fileio.save_scenario(small_identity(), str(path))
+        rewrite(path, lambda d: d["params"].update(edit))
+        with pytest.raises(fileio.SchemaError, match=rf"params\.{field}: expected"):
+            fileio.load_scenario(str(path))
+
+    def test_integer_accepted_for_float_field(self, tmp_path):
+        path = tmp_path / "s.json"
+        fileio.save_scenario(small_identity(), str(path))
+        rewrite(path, lambda d: d["params"].update(focal=40))
+        focal = fileio.load_scenario(str(path)).params.focal
+        assert focal == 40.0 and type(focal) is float
 
 
 class TestLoaderVectors:

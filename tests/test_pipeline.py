@@ -74,8 +74,8 @@ class TestConfig:
             ("median_window", 0),
             ("kernel_size", 2),
             ("kernel_size", -1),
-            ("amm_iters_init", -1),
-            ("glm_iters_update", -1),
+            ("iters_init", -1),
+            ("iters_update", -1),
             ("sample_resolution", 0),
             ("seg_regularizer", 0.0),
             ("track_regularizer", -0.1),
@@ -92,7 +92,7 @@ class TestConfig:
 
     def test_zero_update_iterations_leave_the_filters(self):
         sc = small_identity(n_frames=2)
-        pipe = Pipeline(sc.query, unit_cfg(amm_iters_update=0, glm_iters_update=0))
+        pipe = Pipeline(sc.query, unit_cfg(iters_update=0))
         seg, trk = pipe.memory.seg_filter.kernel, pipe.memory.track_filter.kernel
         pipe.run([f.feature for f in sc.frames])
         assert len(pipe.memory.amm_entries) > 4
@@ -146,8 +146,7 @@ class TestOneConvolution:
         seg, track = draw((ksz, ksz, channels, 3)), draw((ksz, ksz, channels, 1))
         mask = np.zeros((6, 7), dtype=np.uint8)
         mask[2:4, 2:5] = 1
-        cfg = PipelineConfig(kernel_size=ksz, sample_resolution=4, amm_iters_init=0, glm_iters_init=0,
-                             updates_enabled=False)
+        cfg = PipelineConfig(kernel_size=ksz, sample_resolution=4, iters_init=0, updates_enabled=False)
         pipe = Pipeline(QuerySpec(frame, mask), cfg)
         pipe.memory = replace(pipe.memory, seg_filter=amm.SegFilter(seg), track_filter=glm.TrackFilter(track))
         result = pipe.step_frame(frame, 0)
@@ -344,11 +343,14 @@ class TestFinalize2d:
             pipe.finalize_2d()
 
     def test_interval_in_frame_indices(self):
+        # frames numbered 10..15: the interval reports indices, not positions 0..5
         sc = small_identity(n_frames=6)
         pipe = Pipeline(sc.query, unit_cfg())
-        out = pipe.run([f.feature for f in sc.frames], start_index=0)
+        for index, frame in enumerate(sc.frames, start=10):
+            pipe.step_frame(frame.feature, index)
+        out = pipe.finalize_2d()
         assert out.interval is not None
-        assert (out.interval.start_frame, out.interval.end_frame) == (0, 5)
+        assert (out.interval.start_frame, out.interval.end_frame) == (10, 15)
 
     def test_determinism(self):
         sc = small_identity(n_frames=5)

@@ -16,8 +16,6 @@ from vql import amm, glm
 from vql.core import gaussian_label
 from vql.selfcheck import CLEAR_MARGIN, SOLVER_TOL, descent_deviation, empty_banks, optimizer_deviation
 
-RW = amm.TargetReweighter()
-FN = glm.SpatialWeightFn()
 CASES = [(k, c, n) for k in (1, 3) for c in (1, 2, 4) for n in (1, 3, 8)]
 
 
@@ -42,13 +40,13 @@ def hinge_sample(r, channels, size=8):
 
 
 def assert_descent_matches(start, bank, n_iter):
-    deviation, got = descent_deviation(start, bank, n_iter, RW)
+    deviation, got = descent_deviation(start, bank, n_iter)
     assert deviation <= SOLVER_TOL
     return got
 
 
 def assert_optimizer_matches(start, bank, n_iter):
-    deviation, tolerance, got, fit = optimizer_deviation(start, bank, n_iter, FN)
+    deviation, tolerance, got, fit = optimizer_deviation(start, bank, n_iter)
     assert deviation <= tolerance
     return got, fit
 
@@ -136,10 +134,10 @@ def glm_problems(draw):
 @settings(max_examples=40, deadline=None)
 def test_steepest_descent_never_raises_the_loss(problem):
     samples, filt = problem
-    prev = amm.seg_loss(filt, samples, RW)
+    prev = amm.seg_loss(filt, samples)
     for _ in range(4):
-        filt = amm.steepest_descent(filt, samples, 1, RW)
-        cur = amm.seg_loss(filt, samples, RW)
+        filt = amm.steepest_descent(filt, samples, 1)
+        cur = amm.seg_loss(filt, samples)
         assert cur <= prev + 1e-12 * max(1.0, prev)
         prev = cur
 
@@ -148,10 +146,10 @@ def test_steepest_descent_never_raises_the_loss(problem):
 @settings(max_examples=40, deadline=None)
 def test_optimize_filter_never_raises_the_loss(problem):
     samples, filt = problem
-    prev = glm.track_loss(filt, samples, FN)
+    prev = glm.track_loss(filt, samples)
     for _ in range(4):
-        filt = glm.optimize_filter(filt, samples, 1, FN)
-        cur = glm.track_loss(filt, samples, FN)
+        filt = glm.optimize_filter(filt, samples, 1)
+        cur = glm.track_loss(filt, samples)
         assert cur <= prev + 1e-12 * max(1.0, prev)
         prev = cur
 
@@ -175,9 +173,9 @@ def test_bank_entries_and_filters_are_read_only(feature, pixel, value):
     # neither the entry nor the statistics cached on it
     filt = amm.SegFilter(np.full((3, 3, 2, 3), 0.1), 0.1)
     snapshot = seg.feature.copy()
-    cached = amm.seg_loss(filt, [seg], RW)
+    cached = amm.seg_loss(filt, [seg])
     feature[pixel] = value + 2.0
     mask[pixel] = 1 - mask[pixel]
     assert np.array_equal(seg.feature, snapshot)
-    assert amm.seg_loss(filt, [seg], RW) == cached
-    assert cached == amm.seg_loss(filt, [amm.AmmSample(seg.feature, seg.mask)], RW)
+    assert amm.seg_loss(filt, [seg]) == cached
+    assert cached == amm.seg_loss(filt, [amm.AmmSample(seg.feature, seg.mask)])
