@@ -22,6 +22,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+from .core import ParameterError
 from .fusion import SegmentationResult, TemporalInterval
 from .geo3d import CameraFrame
 from .pipeline import PipelineConfig, QuerySpec, TrackOutput
@@ -118,16 +119,19 @@ def _int_vector(values: Any, n: Optional[int], path: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-# the type of every scenario parameter; its keys are the required fields
+# the type of every scenario parameter (its keys are the required fields)
+# and of every config field
 _PARAM_TYPES = typing.get_type_hints(ScenarioParams)
+_CONFIG_TYPES = typing.get_type_hints(PipelineConfig)
 
 
 def _param(value: Any, hint: Any, path: str) -> Any:
-    """One scenario parameter checked against its type hint.
+    """One dataclass field checked against its type hint.
 
-    The hints are str, int, float, tuple[int, int], Optional[tuple[int, int]]
-    and tuple[int, ...]. A bool is neither an int nor a float, and a float
-    field takes any other JSON number.
+    The hints are str, int, float, bool, tuple[int, int],
+    Optional[tuple[int, int]] and tuple[int, ...]. A bool field takes only
+    true or false, a bool is neither an int nor a float, and a float field
+    takes any other JSON number.
     """
     if typing.get_origin(hint) is typing.Union:
         if value is None:
@@ -137,9 +141,20 @@ def _param(value: Any, hint: Any, path: str) -> Any:
         args = typing.get_args(hint)
         return _int_vector(value, None if args[-1] is Ellipsis else len(args), path)
     accepted = (int, float) if hint is float else hint
-    if isinstance(value, bool) or not isinstance(value, accepted):
+    if isinstance(value, bool) != (hint is bool) or not isinstance(value, accepted):
         raise SchemaError(f"{path}: expected {hint.__name__}, got {value!r}")
     return hint(value)
+
+
+def _fields(raw: dict, hints: dict, path: str) -> dict:
+    """The entries of ``raw``, each checked against the type hint of its field.
+
+    An entry that names no field is an error.
+    """
+    unknown = sorted(set(raw) - set(hints))
+    if unknown:
+        raise SchemaError(f"{path}.{unknown[0]}: unknown field")
+    return {name: _param(raw[name], hint, f"{path}.{name}") for name, hint in hints.items() if name in raw}
 
 
 def _flat(arr: np.ndarray) -> list:
@@ -193,14 +208,9 @@ def load_scenario(path: str) -> Scenario:
     raw_params = _expect(document, "params", path)
     if not isinstance(raw_params, dict):
         raise SchemaError(f"{path}.params: must be an object")
-    values = {
-        name: _param(_expect(raw_params, name, f"{path}.params"), hint, f"{path}.params.{name}")
-        for name, hint in _PARAM_TYPES.items()
-    }
-    unknown = sorted(set(raw_params) - set(values))
-    if unknown:
-        raise SchemaError(f"{path}.params.{unknown[0]}: unknown field")
-    params = ScenarioParams(**values)
+    for name in _PARAM_TYPES:
+        _expect(raw_params, name, f"{path}.params")
+    params = ScenarioParams(**_fields(raw_params, _PARAM_TYPES, f"{path}.params"))
     h, w = params.canvas
     c = params.channels
     raw_query = _expect(document, "query", path)
@@ -332,10 +342,11 @@ def save_config(cfg: PipelineConfig, path: str) -> None:
 
 
 def load_config(path: str) -> PipelineConfig:
+    """A config file; a field it leaves out keeps its default."""
     document = _load_json(path)
     _check_header(document, "config", path)
-    fields = {k: v for k, v in document.items() if k not in ("version", "kind")}
+    fields = _fields({k: v for k, v in document.items() if k not in ("version", "kind")}, _CONFIG_TYPES, path)
     try:
         return PipelineConfig(**fields)
-    except (TypeError, ValueError) as exc:
+    except ParameterError as exc:
         raise SchemaError(f"{path}: invalid config: {exc}") from exc

@@ -410,8 +410,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert "core.median_filter_sort_oracle" in out and "PASS" in out
 
+    def test_selfcheck_json(self, capsys):
+        assert self.run_cli("selfcheck", "--filter", "scalar_loop", "--json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["failures"] == 0
+
     def test_selfcheck_unknown_filter(self):
         assert self.run_cli("selfcheck", "--filter", "nonexistent.check") == 2
+
+    @pytest.mark.parametrize(
+        "field,value", [("updates_enabled", "no"), ("capacity", True), ("iters_init", 2.5), ("kernel_size", 3.0)]
+    )
+    def test_mistyped_config_field_exits_2(self, tmp_path, capsys, field, value):
+        scenario_path, config_path = tmp_path / "s.json", tmp_path / "c.json"
+        fileio.save_scenario(small_identity(), str(scenario_path))
+        config_path.write_text(json.dumps({"version": 1, "kind": "config", field: value}))
+        args = ["run2d", "--scenario", str(scenario_path), "--config", str(config_path)]
+        assert self.run_cli(*args, "--out", str(tmp_path / "t.json")) == 2
+        assert f"c.json.{field}: expected" in capsys.readouterr().err
 
     def test_eval_json_output(self, tmp_path, capsys):
         scenario_path = tmp_path / "s.json"

