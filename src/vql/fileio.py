@@ -1,19 +1,24 @@
 """Scenario, track, and config files.
 
-All three are JSON documents (UTF-8, nested key/value objects with numeric
-arrays) carrying a mandatory ``version`` and ``kind`` field. Tensors are
-stored as flat row-major float arrays with their shape implied by the
-document's ``canvas``/``channels`` fields; floats use Python's
-shortest-round-trip repr so a load/save cycle is byte-identical. Writes go
-to a temporary file in the target directory and are renamed into place, so
-a reader never sees a partial file.
+All three are JSON documents (UTF-8, nested key/value objects) carrying a
+mandatory ``version`` and ``kind`` field. Every tensor is one base64 string
+of its row-major bytes: little-endian float64 (``<f8``) for float tensors,
+one byte per pixel (``u1``) for masks. The shape follows from the
+document's ``canvas``/``channels`` fields, so the loader checks the byte
+count, and the bytes are the array's exact bits, so a load/save cycle is
+byte-identical. Version 2 introduced this encoding; version 1 files (flat
+JSON number lists) are no longer read and must be regenerated. Writes go
+to a temporary file in the target directory and are renamed into place,
+so a reader never sees a partial file.
 
 The full schema is documented in the repository README.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 import tempfile
 import typing
@@ -39,7 +44,14 @@ __all__ = [
     "load_config",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+# how to replace a file of another version, by kind
+_UPGRADE = {
+    "scenario": "regenerate it with `vql gen`",
+    "track": "regenerate it with `vql run2d`/`vql run3d`",
+    "config": f"write version {FORMAT_VERSION}",
+}
 
 
 class SchemaError(ValueError):
@@ -83,26 +95,50 @@ def _expect(document: dict, key: str, path: str) -> Any:
 def _check_header(document: dict, kind: str, path: str) -> None:
     version = _expect(document, "version", path)
     if version != FORMAT_VERSION:
-        raise SchemaError(f"{path}.version: expected {FORMAT_VERSION}, got {version!r}")
+        raise SchemaError(f"{path}.version: expected {FORMAT_VERSION}, got {version!r}; {_UPGRADE[kind]}")
     actual = _expect(document, "kind", path)
     if actual != kind:
         raise SchemaError(f"{path}.kind: expected {kind!r}, got {actual!r}")
 
 
-def _tensor(values: Any, shape: tuple[int, ...], path: str) -> np.ndarray:
-    expected = int(np.prod(shape))
-    if not isinstance(values, list) or len(values) != expected:
-        got = len(values) if isinstance(values, list) else type(values).__name__
-        raise SchemaError(f"{path}: expected {expected} numbers for shape {shape}, got {got}")
-    arr = np.asarray(values, dtype=np.float64).reshape(shape)
+def _encode(arr: np.ndarray, dtype: str = "<f8") -> str:
+    """The row-major ``dtype`` bytes of ``arr`` as one base64 string."""
+    return base64.b64encode(np.ascontiguousarray(arr, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _decode(value: Any, dtype: str, shape: tuple[int, ...], path: str) -> np.ndarray:
+    """A read-only view of shape ``shape`` on the ``dtype`` bytes a base64 string holds.
+
+    A leading -1 in ``shape`` takes as many rows as the bytes fill.
+    """
+    if not isinstance(value, str):
+        raise SchemaError(f"{path}: expected a base64 string, got {type(value).__name__}")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError:
+        raise SchemaError(f"{path}: not valid base64") from None
+    row_bytes = np.dtype(dtype).itemsize * math.prod(shape[1:])
+    if shape[0] == -1:
+        if len(raw) % row_bytes:
+            raise SchemaError(f"{path}: expected a multiple of {row_bytes} bytes, got {len(raw)}")
+        shape = (len(raw) // row_bytes, *shape[1:])
+    elif len(raw) != shape[0] * row_bytes:
+        raise SchemaError(f"{path}: expected {shape[0] * row_bytes} bytes for shape {shape}, got {len(raw)}")
+    return np.frombuffer(raw, dtype).reshape(shape)
+
+
+def _tensor(value: Any, shape: tuple[int, ...], path: str) -> np.ndarray:
+    """An owned float64 copy of a stored tensor, every value finite."""
+    arr = _decode(value, "<f8", shape, path).astype(np.float64)
     if not np.isfinite(arr).all():
         raise SchemaError(f"{path}: contains non-finite values")
     return arr
 
 
-def _mask(values: Any, shape: tuple[int, int], path: str) -> np.ndarray:
-    arr = _tensor(values, shape, path)
-    if not ((arr == 0) | (arr == 1)).all():
+def _mask(value: Any, shape: tuple[int, int], path: str) -> np.ndarray:
+    """An owned uint8 copy of a stored mask, every byte 0 or 1."""
+    arr = _decode(value, "u1", shape, path)
+    if not (arr <= 1).all():
         raise SchemaError(f"{path}: mask values must be 0 or 1")
     return arr.astype(np.uint8)
 
@@ -157,10 +193,6 @@ def _fields(raw: dict, hints: dict, path: str) -> dict:
     return {name: _param(raw[name], hint, f"{path}.{name}") for name, hint in hints.items() if name in raw}
 
 
-def _flat(arr: np.ndarray) -> list:
-    return np.asarray(arr, dtype=np.float64).ravel().tolist()
-
-
 # -- scenario ---------------------------------------------------------------
 
 
@@ -170,15 +202,15 @@ def save_scenario(scenario: Scenario, path: str) -> None:
         camera = None
         if frame.camera is not None:
             camera = {
-                "pose": _flat(frame.camera.pose),
-                "intrinsics": _flat(frame.camera.intrinsics),
-                "depth": _flat(frame.camera.depth),
-                "depth_uncertainty": _flat(frame.camera.depth_uncertainty),
+                "pose": _encode(frame.camera.pose),
+                "intrinsics": _encode(frame.camera.intrinsics),
+                "depth": _encode(frame.camera.depth),
+                "depth_uncertainty": _encode(frame.camera.depth_uncertainty),
             }
         frames.append(
             {
-                "feature": _flat(frame.feature),
-                "gt_mask": np.asarray(frame.gt_mask, dtype=np.int64).ravel().tolist(),
+                "feature": _encode(frame.feature),
+                "gt_mask": _encode(frame.gt_mask, "u1"),
                 "gt_bbox": frame.gt_bbox,
                 "camera": camera,
             }
@@ -189,15 +221,15 @@ def save_scenario(scenario: Scenario, path: str) -> None:
         "seed": scenario.seed,
         "params": asdict(scenario.params),
         "query": {
-            "feature": _flat(scenario.query.feature),
-            "mask": np.asarray(scenario.query.mask, dtype=np.int64).ravel().tolist(),
+            "feature": _encode(scenario.query.feature),
+            "mask": _encode(scenario.query.mask, "u1"),
             "frame_index": scenario.query.frame_index,
         },
         "frames": frames,
         "gt_interval": scenario.gt_interval,
-        "gt_point": None if scenario.gt_point is None else _flat(scenario.gt_point),
-        "alignment_src": None if scenario.alignment_src is None else _flat(scenario.alignment_src),
-        "alignment_dst": None if scenario.alignment_dst is None else _flat(scenario.alignment_dst),
+        "gt_point": None if scenario.gt_point is None else _encode(scenario.gt_point),
+        "alignment_src": None if scenario.alignment_src is None else _encode(scenario.alignment_src),
+        "alignment_dst": None if scenario.alignment_dst is None else _encode(scenario.alignment_dst),
     }
     _atomic_write(path, _dump(document))
 
@@ -217,7 +249,7 @@ def load_scenario(path: str) -> Scenario:
     query = QuerySpec(
         _tensor(_expect(raw_query, "feature", f"{path}.query"), (h, w, c), f"{path}.query.feature"),
         _mask(_expect(raw_query, "mask", f"{path}.query"), (h, w), f"{path}.query.mask"),
-        int(_expect(raw_query, "frame_index", f"{path}.query")),
+        _param(_expect(raw_query, "frame_index", f"{path}.query"), int, f"{path}.query.frame_index"),
     )
     frames = []
     raw_frames = _expect(document, "frames", path)
@@ -250,14 +282,14 @@ def load_scenario(path: str) -> Scenario:
     src = document.get("alignment_src")
     dst = document.get("alignment_dst")
     return Scenario(
-        seed=int(_expect(document, "seed", path)),
+        seed=_param(_expect(document, "seed", path), int, f"{path}.seed"),
         params=params,
         frames=frames,
         query=query,
         gt_interval=None if gt_interval is None else _int_vector(gt_interval, 2, f"{path}.gt_interval"),
         gt_point=None if gt_point is None else _tensor(gt_point, (3,), f"{path}.gt_point"),
-        alignment_src=None if src is None else _tensor(src, (len(src) // 3, 3), f"{path}.alignment_src"),
-        alignment_dst=None if dst is None else _tensor(dst, (len(dst) // 3, 3), f"{path}.alignment_dst"),
+        alignment_src=None if src is None else _tensor(src, (-1, 3), f"{path}.alignment_src"),
+        alignment_dst=None if dst is None else _tensor(dst, (-1, 3), f"{path}.alignment_dst"),
     )
 
 
@@ -273,13 +305,13 @@ def save_track(track: TrackOutput, path: str) -> None:
         frames.append(
             {
                 "frame_index": result.frame_index,
-                "prob": _flat(result.prob),
+                "prob": _encode(result.prob),
                 "bbox": result.bbox,
                 "s_conf": float(result.s_conf),
             }
         )
     displacements = [
-        {"frame_index": int(idx), "delta": _flat(delta)}
+        {"frame_index": int(idx), "delta": _encode(delta)}
         for idx, delta in sorted(track.displacements.items())
     ]
     document = {
@@ -291,7 +323,7 @@ def save_track(track: TrackOutput, path: str) -> None:
         "interval": None
         if track.interval is None
         else [track.interval.start_frame, track.interval.end_frame],
-        "world_point": None if track.world_point is None else _flat(track.world_point),
+        "world_point": None if track.world_point is None else _encode(track.world_point),
         "displacements": displacements,
     }
     _atomic_write(path, _dump(document))
@@ -312,8 +344,8 @@ def load_track(path: str) -> TrackOutput:
                 prob,
                 mask,
                 None if bbox is None else _int_vector(bbox, 4, f"{where}.bbox"),
-                float(_expect(raw, "s_conf", where)),
-                int(_expect(raw, "frame_index", where)),
+                _param(_expect(raw, "s_conf", where), float, f"{where}.s_conf"),
+                _param(_expect(raw, "frame_index", where), int, f"{where}.frame_index"),
             )
         )
     interval = document.get("interval")
@@ -322,11 +354,11 @@ def load_track(path: str) -> TrackOutput:
     for i, entry in enumerate(document.get("displacements", [])):
         where = f"{path}.displacements[{i}]"
         delta = _tensor(_expect(entry, "delta", where), (3,), f"{where}.delta")
-        displacements[int(_expect(entry, "frame_index", where))] = delta
+        displacements[_param(_expect(entry, "frame_index", where), int, f"{where}.frame_index")] = delta
     return TrackOutput(
         results,
         None if interval is None else TemporalInterval(*_int_vector(interval, 2, f"{path}.interval")),
-        [float(p) for p in _expect(document, "peaks", path)],
+        [_param(p, float, f"{path}.peaks[{i}]") for i, p in enumerate(_expect(document, "peaks", path))],
         None if world_point is None else _tensor(world_point, (3,), f"{path}.world_point"),
         displacements,
     )

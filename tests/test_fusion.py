@@ -90,13 +90,6 @@ class TestExtractResult:
         assert res.bbox == (3, 2, 4, 3)
         assert res.s_conf == pytest.approx(0.9)
 
-    def test_largest_component_wins(self):
-        prob = np.full((8, 8), 0.1)
-        prob[1, 1:6] = 0.9
-        prob[5, 1:4] = 0.9
-        res = fusion.extract_result(prob, 0)
-        assert res.bbox == (1, 1, 5, 1)
-
     def test_mask_consistent_with_prob(self):
         prob = rng(5).random((10, 10))
         res = fusion.extract_result(prob, 0)
@@ -146,20 +139,6 @@ class TestExtractResultProperty:
 
 
 class TestTemporalLocalize:
-    def test_all_zero(self):
-        assert fusion.temporal_localize([0.0] * 12) is None
-
-    def test_surviving_plateau(self):
-        seq = [0.0] * 20 + [1.0] * 3 + [0.0] * 20
-        got = fusion.temporal_localize(seq)
-        assert got is not None
-        assert 20 <= got.start_frame <= got.end_frame <= 22
-
-    def test_last_of_two_plateaus(self):
-        seq = [0.0] * 10 + [1.0] * 11 + [0.0] * 19 + [1.0] * 11 + [0.0] * 5
-        got = fusion.temporal_localize(seq)
-        assert (got.start_frame, got.end_frame) == (40, 50)
-
     @given(st.floats(0.1, 50.0))
     @settings(max_examples=30, deadline=None)
     def test_scale_invariance(self, k):

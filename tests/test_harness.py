@@ -1,13 +1,16 @@
+import base64
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vql import fileio, metrics
 from vql.cli import main as cli_main
-from vql.fusion import SegmentationResult, TemporalInterval
 from vql.pipeline import PipelineConfig, TrackOutput
 from vql.scenario import (
     PRESETS,
@@ -28,12 +31,6 @@ class TestGenScenario:
         first = sc.frames[0].gt_mask
         assert all(np.array_equal(f.gt_mask, first) for f in sc.frames)
         assert sc.gt_interval == (0, len(sc.frames) - 1)
-
-    def test_same_seed_identical(self):
-        a = gen_scenario(2, preset_params("drift"))
-        b = gen_scenario(2, preset_params("drift"))
-        for fa, fb in zip(a.frames, b.frames):
-            assert np.array_equal(fa.feature, fb.feature)
 
     def test_absence_interval_is_last_run(self):
         sc = gen_scenario(3, preset_params("absence"))
@@ -63,13 +60,6 @@ class TestGenScenario:
 
 
 class TestFileRoundTrips:
-    def test_scenario_round_trip_bytes(self, tmp_path):
-        sc = small_identity()
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        fileio.save_scenario(sc, str(a))
-        fileio.save_scenario(fileio.load_scenario(str(a)), str(b))
-        assert a.read_bytes() == b.read_bytes()
-
     def test_geo_scenario_round_trip(self, tmp_path):
         sc = gen_scenario(6, preset_params("geo"))
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -111,17 +101,19 @@ class TestFileRoundTrips:
     )
     def test_removed_config_fields_rejected(self, tmp_path, field):
         path = tmp_path / "old.json"
-        path.write_text(json.dumps({"version": 1, "kind": "config", field: 3}))
+        path.write_text(json.dumps({"version": fileio.FORMAT_VERSION, "kind": "config", field: 3}))
         with pytest.raises(fileio.SchemaError, match=field):
             fileio.load_config(str(path))
 
     def test_schema_errors_name_fields(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"version": 1, "kind": "config", "admit_threshold": 7}')
+        config = {"version": fileio.FORMAT_VERSION, "kind": "config", "admit_threshold": 7}
+        path.write_text(json.dumps(config))
         with pytest.raises(fileio.SchemaError, match="admit_threshold"):
             fileio.load_config(str(path))
-        path.write_text('{"version": 2, "kind": "scenario"}')
-        with pytest.raises(fileio.SchemaError, match="version"):
+        path.write_text('{"version": 1, "kind": "scenario"}')
+        upgrade = r"\.version: expected 2, got 1; regenerate it with `vql gen`$"
+        with pytest.raises(fileio.SchemaError, match=upgrade):
             fileio.load_scenario(str(path))
         path.write_text("not json")
         with pytest.raises(fileio.SchemaError, match="JSON"):
@@ -133,6 +125,16 @@ def rewrite(path, edit):
     document = json.loads(path.read_text())
     edit(document)
     path.write_text(json.dumps(document))
+
+
+def b64(values, dtype="<f8"):
+    """``values`` as the base64 string of their row-major ``dtype`` bytes, the way a file stores a tensor."""
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+def unb64(text, dtype="<f8"):
+    """The writable flat array of ``dtype`` values a base64 string holds."""
+    return np.frombuffer(base64.b64decode(text), dtype).copy()
 
 
 class TestScenarioParamsSchema:
@@ -180,23 +182,38 @@ class TestScenarioParamsSchema:
         assert focal == 40.0 and type(focal) is float
 
 
+class TestVersion:
+    """One format version for every kind; a file of an older version is not read."""
+
+    @pytest.mark.parametrize(
+        "kind,hint", [("scenario", "vql gen"), ("track", "vql run2d"), ("config", "write version 2")]
+    )
+    def test_version_1_file_rejected(self, tmp_path, kind, hint):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps({"version": 1, "kind": kind}))
+        with pytest.raises(fileio.SchemaError, match=rf"\.version: expected 2, got 1; .*{hint}"):
+            getattr(fileio, f"load_{kind}")(str(path))
+
+
+@pytest.fixture
+def geo_files(tmp_path):
+    """A geo scenario and its ground-truth track lifted to 3D by ``vql run3d``."""
+    sc = gen_scenario(11, preset_params("geo"))
+    scenario_path, track_path = tmp_path / "geo.json", tmp_path / "track.json"
+    fileio.save_scenario(sc, str(scenario_path))
+    fileio.save_track(ground_truth_track(sc), str(track_path))
+    out = tmp_path / "track3d.json"
+    args = ["run3d", "--scenario", str(scenario_path), "--track", str(track_path), "--out", str(out)]
+    assert cli_main(args) == 0
+    return scenario_path, out
+
+
 class TestLoaderVectors:
     """3-vectors in track and scenario files are read like every other tensor."""
 
-    @pytest.fixture
-    def geo_files(self, tmp_path):
-        sc = gen_scenario(11, preset_params("geo"))
-        scenario_path, track_path = tmp_path / "geo.json", tmp_path / "track.json"
-        fileio.save_scenario(sc, str(scenario_path))
-        fileio.save_track(ground_truth_track(sc), str(track_path))
-        out = tmp_path / "track3d.json"
-        args = ["run3d", "--scenario", str(scenario_path), "--track", str(track_path), "--out", str(out)]
-        assert cli_main(args) == 0
-        return scenario_path, out
-
     def test_short_nan_world_point_rejected(self, geo_files, capsys):
         scenario_path, track_path = geo_files
-        rewrite(track_path, lambda d: d.update(world_point=[float("nan"), 0.0]))
+        rewrite(track_path, lambda d: d.update(world_point=b64([float("nan"), 0.0])))
         with pytest.raises(fileio.SchemaError, match="world_point"):
             fileio.load_track(str(track_path))
         args = ["eval", "--scenario", str(scenario_path), "--track", str(track_path), "--metrics-3d"]
@@ -205,13 +222,13 @@ class TestLoaderVectors:
 
     def test_infinite_delta_rejected(self, geo_files):
         _, track_path = geo_files
-        rewrite(track_path, lambda d: d["displacements"][0].update(delta=[1.0, float("inf")]))
-        with pytest.raises(fileio.SchemaError, match=r"displacements\[0\]\.delta"):
+        rewrite(track_path, lambda d: d["displacements"][0].update(delta=b64([1.0, float("inf"), 0.0])))
+        with pytest.raises(fileio.SchemaError, match=r"displacements\[0\]\.delta: contains non-finite"):
             fileio.load_track(str(track_path))
 
     def test_short_nan_gt_point_rejected(self, geo_files):
         scenario_path, _ = geo_files
-        rewrite(scenario_path, lambda d: d.update(gt_point=[float("nan")]))
+        rewrite(scenario_path, lambda d: d.update(gt_point=b64([float("nan")])))
         with pytest.raises(fileio.SchemaError, match="gt_point"):
             fileio.load_scenario(str(scenario_path))
 
@@ -223,6 +240,57 @@ class TestLoaderVectors:
         assert "displacements[0].delta: missing required field" in capsys.readouterr().err
 
 
+class TestLoaderScalars:
+    """Indices, confidences, peaks and the seed are type-checked like config fields."""
+
+    @staticmethod
+    def put(document, keys, value):
+        *outer, last = keys
+        for key in outer:
+            document = document[key]
+        document[last] = value
+
+    @pytest.mark.parametrize(
+        "keys,value,field",
+        [
+            pytest.param(("query", "frame_index"), 2.5, r"query\.frame_index", id="float-query-frame_index"),
+            pytest.param(("seed",), "5", r"\.seed", id="str-seed"),
+            pytest.param(("seed",), True, r"\.seed", id="bool-seed"),
+        ],
+    )
+    def test_mistyped_scenario_scalar_rejected(self, geo_files, keys, value, field):
+        scenario_path, _ = geo_files
+        rewrite(scenario_path, lambda d: self.put(d, keys, value))
+        with pytest.raises(fileio.SchemaError, match=rf"{field}: expected"):
+            fileio.load_scenario(str(scenario_path))
+
+    @pytest.mark.parametrize(
+        "keys,value,field",
+        [
+            pytest.param(("frames", 1, "frame_index"), 2.5, r"frames\[1\]\.frame_index", id="float-frame_index"),
+            pytest.param(("frames", 0, "s_conf"), True, r"frames\[0\]\.s_conf", id="bool-s_conf"),
+            pytest.param(("frames", 0, "s_conf"), "0.9", r"frames\[0\]\.s_conf", id="str-s_conf"),
+            pytest.param(
+                ("displacements", 0, "frame_index"),
+                1.5,
+                r"displacements\[0\]\.frame_index",
+                id="float-displacement-frame_index",
+            ),
+            pytest.param(("peaks", 2), "0.5", r"peaks\[2\]", id="str-peak"),
+            pytest.param(("peaks", 0), None, r"peaks\[0\]", id="null-peak"),
+        ],
+    )
+    def test_mistyped_track_scalar_rejected(self, geo_files, keys, value, field):
+        _, track_path = geo_files
+        rewrite(track_path, lambda d: self.put(d, keys, value))
+        with pytest.raises(fileio.SchemaError, match=rf"{field}: expected"):
+            fileio.load_track(str(track_path))
+
+    def test_integer_accepted_for_s_conf(self, geo_files):
+        _, track_path = geo_files
+        rewrite(track_path, lambda d: d["frames"][0].update(s_conf=1))
+        s_conf = fileio.load_track(str(track_path)).results[0].s_conf
+        assert s_conf == 1.0 and type(s_conf) is float
 class TestLoaderIntVectors:
     """Intervals, boxes and the track canvas are read as integer vectors of fixed length."""
 
@@ -284,53 +352,124 @@ class TestLoaderMasks:
         return path
 
     def test_negative_pixel_rejected(self, geo_path):
-        # cast to uint8 it would load as 255 and count as foreground
-        rewrite(geo_path, lambda d: d["query"]["mask"].__setitem__(0, -1.0))
+        # -1 written as a mask byte is 255, which would count as foreground
+        def edit(document):
+            mask = unb64(document["query"]["mask"], "u1")
+            mask[0] = np.int8(-1).view(np.uint8)
+            document["query"]["mask"] = b64(mask, "u1")
+
+        rewrite(geo_path, edit)
         with pytest.raises(fileio.SchemaError, match=r"query\.mask: mask values must be 0 or 1"):
             fileio.load_scenario(str(geo_path))
 
     def test_fractional_pixel_rejected(self, geo_path):
-        # cast to uint8 it would silently become background
-        rewrite(geo_path, lambda d: d["frames"][2]["gt_mask"].__setitem__(5, 0.4))
-        with pytest.raises(fileio.SchemaError, match=r"frames\[2\]\.gt_mask: mask values must be 0 or 1"):
+        # a mask has one byte per pixel, so a fractional pixel needs wider
+        # (float) bytes, and their count does not fit the shape
+        def edit(document):
+            mask = unb64(document["frames"][2]["gt_mask"], "u1").astype(np.float64)
+            mask[5] = 0.4
+            document["frames"][2]["gt_mask"] = b64(mask)
+
+        rewrite(geo_path, edit)
+        with pytest.raises(fileio.SchemaError, match=r"frames\[2\]\.gt_mask: expected \d+ bytes"):
             fileio.load_scenario(str(geo_path))
 
     def test_all_fractional_query_mask_names_the_field(self, geo_path):
-        rewrite(geo_path, lambda d: d["query"].update(mask=[0.4] * len(d["query"]["mask"])))
+        rewrite(geo_path, lambda d: d["query"].update(mask=b64([0.4] * len(unb64(d["query"]["mask"], "u1")))))
         with pytest.raises(fileio.SchemaError, match=r"query\.mask"):
             fileio.load_scenario(str(geo_path))
 
 
-class TestEval2d:
-    def test_ground_truth_scores_perfectly(self):
-        sc = small_identity(n_frames=8)
-        report = metrics.eval_2d(ground_truth_track(sc), sc)
-        assert report == metrics.MetricsReport2D(1.0, 1.0, 100.0, 100.0)
+finite_arrays = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+)
+# signed zeros, the smallest subnormals, one near the normal boundary and the largest magnitudes
+EXTREMES = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, np.finfo(float).max, -np.finfo(float).max])
 
+
+class TestTensorCodec:
+    """A tensor is stored as the base64 of its row-major bytes; every bad string names its field."""
+
+    @given(finite_arrays)
+    @example(EXTREMES)
+    @example(EXTREMES.reshape(7, 1, 1))
+    @settings(max_examples=200, deadline=None)
+    def test_finite_float64_round_trip_bit_exact(self, arr):
+        text = fileio._encode(arr)
+        assert text == b64(arr)
+        got = fileio._tensor(text, arr.shape, "doc.x")
+        assert got.dtype == np.float64 and got.shape == arr.shape
+        assert got.tobytes() == arr.tobytes()
+        assert got.flags.owndata and got.flags.writeable and got.flags.c_contiguous
+
+    @given(hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2), elements=st.integers(0, 1)))
+    @settings(max_examples=50, deadline=None)
+    def test_mask_round_trip(self, mask):
+        got = fileio._mask(fileio._encode(mask, "u1"), mask.shape, "doc.mask")
+        assert got.dtype == np.uint8 and np.array_equal(got, mask)
+        assert got.flags.owndata and got.flags.writeable and got.flags.c_contiguous
+
+    @given(finite_arrays.filter(lambda a: a.size > 0), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_non_finite_rejected(self, arr, bad, data):
+        arr = arr.copy()
+        arr.flat[data.draw(st.integers(0, arr.size - 1))] = bad
+        with pytest.raises(fileio.SchemaError, match=r"doc\.x: contains non-finite values"):
+            fileio._tensor(b64(arr), arr.shape, "doc.x")
+
+    @given(st.integers(1, 40), st.sampled_from([-1, 1]))
+    @settings(max_examples=50, deadline=None)
+    def test_one_element_short_or_long_rejected(self, n, off):
+        want = rf"doc\.x: expected {8 * n} bytes for shape \({n},\), got {8 * (n + off)}$"
+        with pytest.raises(fileio.SchemaError, match=want):
+            fileio._tensor(b64(np.zeros(n + off)), (n,), "doc.x")
+
+    @pytest.mark.parametrize("value", [[0.0, 1.0, 2.0], None, 3.0, {"data": "AAAA"}, b"AAAAAAAAAAA="])
+    def test_non_string_rejected(self, value):
+        with pytest.raises(fileio.SchemaError, match=r"doc\.x: expected a base64 string, got"):
+            fileio._tensor(value, (3,), "doc.x")
+
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8), st.sampled_from("!-_ \n.é@"), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_invalid_base64_rejected(self, values, char, data):
+        text = b64(values)
+        at = data.draw(st.integers(0, len(text)))
+        with pytest.raises(fileio.SchemaError, match=r"doc\.x: not valid base64"):
+            fileio._tensor(text[:at] + char + text[at:], (len(values),), "doc.x")
+
+    @pytest.mark.parametrize("text", ["A", "AAA", "AA=A", "AAAAA"])
+    def test_bad_padding_rejected(self, text):
+        with pytest.raises(fileio.SchemaError, match=r"doc\.x: not valid base64"):
+            fileio._tensor(text, (3,), "doc.x")
+
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=30), st.integers(2, 255), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_mask_byte_above_one_rejected(self, pixels, bad, data):
+        pixels[data.draw(st.integers(0, len(pixels) - 1))] = bad
+        with pytest.raises(fileio.SchemaError, match=r"doc\.mask: mask values must be 0 or 1"):
+            fileio._mask(b64(pixels, "u1"), (1, len(pixels)), "doc.mask")
+
+    @given(st.integers(0, 200))
+    @settings(max_examples=50, deadline=None)
+    def test_alignment_rows_fill_the_bytes(self, n_bytes):
+        text = base64.b64encode(bytes(n_bytes)).decode("ascii")
+        if n_bytes % 24:
+            want = r"doc\.alignment_src: expected a multiple of 24 bytes"
+            with pytest.raises(fileio.SchemaError, match=want):
+                fileio._tensor(text, (-1, 3), "doc.alignment_src")
+        else:
+            assert fileio._tensor(text, (-1, 3), "doc.alignment_src").shape == (n_bytes // 24, 3)
+
+
+class TestEval2d:
     def test_no_interval_scores_zero(self):
         sc = small_identity(n_frames=8)
         track = ground_truth_track(sc)
         track.interval = None
         report = metrics.eval_2d(track, sc)
         assert report == metrics.MetricsReport2D(0.0, 0.0, 0.0, 0.0)
-
-    def test_half_overlap_hand_case(self):
-        sc = gen_scenario(7, preset_params("identity"))
-        shifted_gt = type(sc)(
-            seed=sc.seed, params=sc.params, frames=sc.frames, query=sc.query, gt_interval=(24, 47)
-        )
-        base = ground_truth_track(sc)
-        results = [
-            SegmentationResult(
-                r.prob, r.mask, r.bbox if 12 <= r.frame_index <= 35 else None, r.s_conf, r.frame_index
-            )
-            for r in base.results
-        ]
-        pred = TrackOutput(results, TemporalInterval(12, 35), base.peaks)
-        assert metrics.temporal_iou((12, 35), (24, 47)) == pytest.approx(1 / 3)
-        report = metrics.eval_2d(pred, shifted_gt)
-        assert report.t_ap25 == 1.0
-        assert report.recovery_pct == pytest.approx(50.0)
 
     def test_box_iou(self):
         assert metrics.box_iou((0, 0, 9, 9), (0, 0, 9, 9)) == 1.0
@@ -424,7 +563,7 @@ class TestCli:
     def test_mistyped_config_field_exits_2(self, tmp_path, capsys, field, value):
         scenario_path, config_path = tmp_path / "s.json", tmp_path / "c.json"
         fileio.save_scenario(small_identity(), str(scenario_path))
-        config_path.write_text(json.dumps({"version": 1, "kind": "config", field: value}))
+        config_path.write_text(json.dumps({"version": fileio.FORMAT_VERSION, "kind": "config", field: value}))
         args = ["run2d", "--scenario", str(scenario_path), "--config", str(config_path)]
         assert self.run_cli(*args, "--out", str(tmp_path / "t.json")) == 2
         assert f"c.json.{field}: expected" in capsys.readouterr().err
