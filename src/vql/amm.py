@@ -83,6 +83,8 @@ GRADIENT_EPS = 1e-12
 FOREGROUND_WEIGHT = 1.0
 BACKGROUND_WEIGHT = 0.25
 BLUR_SIGMA = 1.0
+# the confidence a retrieval needs to enter the banks
+ADMIT_THRESHOLD = 0.6
 
 
 @dataclass(frozen=True)
@@ -121,8 +123,8 @@ class SegFilter:
             raise ParameterError(f"regularizer must be positive, got {self.regularizer}")
 
     @classmethod
-    def zeros(cls, k: int, in_channels: int, regularizer: float = 0.01) -> "SegFilter":
-        return cls(np.zeros((k, k, in_channels, 3)), regularizer)
+    def zeros(cls, k: int, in_channels: int) -> "SegFilter":
+        return cls(np.zeros((k, k, in_channels, 3)))
 
 
 def encode_pseudo_label(mask: np.ndarray) -> np.ndarray:
@@ -255,7 +257,7 @@ def steepest_descent(filt: SegFilter, mem: Sequence[AmmSample], n_iter: int) -> 
     return SegFilter(sigma.reshape(filt.kernel.shape), delta)
 
 
-def amm_admit(result: SegmentationResult, threshold: float) -> bool:
+def amm_admit(result: SegmentationResult, threshold: float = ADMIT_THRESHOLD) -> bool:
     """Admit a retrieval iff it has a box and its confidence clears the threshold."""
     return result.bbox is not None and result.s_conf >= threshold
 

@@ -28,7 +28,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .core import ParameterError
-from .fusion import SegmentationResult, TemporalInterval
+from .fusion import MASK_THRESHOLD, SegmentationResult, TemporalInterval
 from .geo3d import CameraFrame
 from .pipeline import PipelineConfig, QuerySpec, TrackOutput
 from .scenario import FrameData, Scenario, ScenarioParams
@@ -81,15 +81,21 @@ def _load_json(path: str) -> dict:
             document = json.load(handle)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno})") from exc
-    if not isinstance(document, dict):
-        raise SchemaError(f"{path}: top level must be an object")
-    return document
+    return _container(document, dict, path)
 
 
-def _expect(document: dict, key: str, path: str) -> Any:
+def _container(value: Any, kind: type, path: str) -> Any:
+    """``value`` if it is a ``kind``: dict (a JSON object), list, or object for any value."""
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "a list"
+        raise SchemaError(f"{path}: expected {expected}, got {type(value).__name__}")
+    return value
+
+
+def _expect(document: dict, key: str, path: str, kind: type = object) -> Any:
     if key not in document:
         raise SchemaError(f"{path}.{key}: missing required field")
-    return document[key]
+    return _container(document[key], kind, f"{path}.{key}")
 
 
 def _check_header(document: dict, kind: str, path: str) -> None:
@@ -135,6 +141,14 @@ def _tensor(value: Any, shape: tuple[int, ...], path: str) -> np.ndarray:
     return arr
 
 
+def _encode_mask(mask: np.ndarray, path: str) -> str:
+    """The one-byte encoding of a mask whose every value is 0 or 1."""
+    mask = np.asarray(mask)
+    if not ((mask == 0) | (mask == 1)).all():
+        raise SchemaError(f"{path}: mask values must be 0 or 1")
+    return _encode(mask, "u1")
+
+
 def _mask(value: Any, shape: tuple[int, int], path: str) -> np.ndarray:
     """An owned uint8 copy of a stored mask, every byte 0 or 1."""
     arr = _decode(value, "u1", shape, path)
@@ -167,7 +181,7 @@ def _param(value: Any, hint: Any, path: str) -> Any:
     The hints are str, int, float, bool, tuple[int, int],
     Optional[tuple[int, int]] and tuple[int, ...]. A bool field takes only
     true or false, a bool is neither an int nor a float, and a float field
-    takes any other JSON number.
+    takes any other finite JSON number (``json`` reads NaN and Infinity).
     """
     if typing.get_origin(hint) is typing.Union:
         if value is None:
@@ -179,6 +193,8 @@ def _param(value: Any, hint: Any, path: str) -> Any:
     accepted = (int, float) if hint is float else hint
     if isinstance(value, bool) != (hint is bool) or not isinstance(value, accepted):
         raise SchemaError(f"{path}: expected {hint.__name__}, got {value!r}")
+    if hint is float and not abs(value) <= np.finfo(np.float64).max:
+        raise SchemaError(f"{path}: expected a finite number, got {value!r}")
     return hint(value)
 
 
@@ -198,7 +214,7 @@ def _fields(raw: dict, hints: dict, path: str) -> dict:
 
 def save_scenario(scenario: Scenario, path: str) -> None:
     frames = []
-    for frame in scenario.frames:
+    for i, frame in enumerate(scenario.frames):
         camera = None
         if frame.camera is not None:
             camera = {
@@ -210,7 +226,7 @@ def save_scenario(scenario: Scenario, path: str) -> None:
         frames.append(
             {
                 "feature": _encode(frame.feature),
-                "gt_mask": _encode(frame.gt_mask, "u1"),
+                "gt_mask": _encode_mask(frame.gt_mask, f"{path}.frames[{i}].gt_mask"),
                 "gt_bbox": frame.gt_bbox,
                 "camera": camera,
             }
@@ -222,7 +238,7 @@ def save_scenario(scenario: Scenario, path: str) -> None:
         "params": asdict(scenario.params),
         "query": {
             "feature": _encode(scenario.query.feature),
-            "mask": _encode(scenario.query.mask, "u1"),
+            "mask": _encode_mask(scenario.query.mask, f"{path}.query.mask"),
             "frame_index": scenario.query.frame_index,
         },
         "frames": frames,
@@ -237,36 +253,34 @@ def save_scenario(scenario: Scenario, path: str) -> None:
 def load_scenario(path: str) -> Scenario:
     document = _load_json(path)
     _check_header(document, "scenario", path)
-    raw_params = _expect(document, "params", path)
-    if not isinstance(raw_params, dict):
-        raise SchemaError(f"{path}.params: must be an object")
+    raw_params = _expect(document, "params", path, dict)
     for name in _PARAM_TYPES:
         _expect(raw_params, name, f"{path}.params")
     params = ScenarioParams(**_fields(raw_params, _PARAM_TYPES, f"{path}.params"))
     h, w = params.canvas
     c = params.channels
-    raw_query = _expect(document, "query", path)
+    raw_query = _expect(document, "query", path, dict)
     query = QuerySpec(
         _tensor(_expect(raw_query, "feature", f"{path}.query"), (h, w, c), f"{path}.query.feature"),
         _mask(_expect(raw_query, "mask", f"{path}.query"), (h, w), f"{path}.query.mask"),
         _param(_expect(raw_query, "frame_index", f"{path}.query"), int, f"{path}.query.frame_index"),
     )
     frames = []
-    raw_frames = _expect(document, "frames", path)
-    if not isinstance(raw_frames, list) or len(raw_frames) != params.n_frames:
+    raw_frames = _expect(document, "frames", path, list)
+    if len(raw_frames) != params.n_frames:
         raise SchemaError(f"{path}.frames: expected {params.n_frames} entries")
     for i, raw in enumerate(raw_frames):
         where = f"{path}.frames[{i}]"
+        raw = _container(raw, dict, where)
         camera = None
         if raw.get("camera") is not None:
-            raw_cam = raw["camera"]
+            at = f"{where}.camera"
+            raw_cam = _container(raw["camera"], dict, at)
             camera = CameraFrame(
-                _tensor(_expect(raw_cam, "pose", where), (4, 4), f"{where}.camera.pose"),
-                _tensor(_expect(raw_cam, "intrinsics", where), (3, 3), f"{where}.camera.intrinsics"),
-                _tensor(_expect(raw_cam, "depth", where), (h, w), f"{where}.camera.depth"),
-                _tensor(
-                    _expect(raw_cam, "depth_uncertainty", where), (h, w), f"{where}.camera.depth_uncertainty"
-                ),
+                _tensor(_expect(raw_cam, "pose", at), (4, 4), f"{at}.pose"),
+                _tensor(_expect(raw_cam, "intrinsics", at), (3, 3), f"{at}.intrinsics"),
+                _tensor(_expect(raw_cam, "depth", at), (h, w), f"{at}.depth"),
+                _tensor(_expect(raw_cam, "depth_uncertainty", at), (h, w), f"{at}.depth_uncertainty"),
             )
         bbox = raw.get("gt_bbox")
         frames.append(
@@ -334,10 +348,11 @@ def load_track(path: str) -> TrackOutput:
     _check_header(document, "track", path)
     h, w = _int_vector(_expect(document, "canvas", path), 2, f"{path}.canvas")
     results = []
-    for i, raw in enumerate(_expect(document, "frames", path)):
+    for i, raw in enumerate(_expect(document, "frames", path, list)):
         where = f"{path}.frames[{i}]"
+        raw = _container(raw, dict, where)
         prob = _tensor(_expect(raw, "prob", where), (h, w), f"{where}.prob")
-        mask = (prob >= 0.5).astype(np.uint8)
+        mask = (prob >= MASK_THRESHOLD).astype(np.uint8)
         bbox = raw.get("bbox")
         results.append(
             SegmentationResult(
@@ -351,14 +366,15 @@ def load_track(path: str) -> TrackOutput:
     interval = document.get("interval")
     world_point = document.get("world_point")
     displacements = {}
-    for i, entry in enumerate(document.get("displacements", [])):
+    for i, entry in enumerate(_container(document.get("displacements", []), list, f"{path}.displacements")):
         where = f"{path}.displacements[{i}]"
+        entry = _container(entry, dict, where)
         delta = _tensor(_expect(entry, "delta", where), (3,), f"{where}.delta")
         displacements[_param(_expect(entry, "frame_index", where), int, f"{where}.frame_index")] = delta
     return TrackOutput(
         results,
         None if interval is None else TemporalInterval(*_int_vector(interval, 2, f"{path}.interval")),
-        [_param(p, float, f"{path}.peaks[{i}]") for i, p in enumerate(_expect(document, "peaks", path))],
+        [_param(p, float, f"{path}.peaks[{i}]") for i, p in enumerate(_expect(document, "peaks", path, list))],
         None if world_point is None else _tensor(world_point, (3,), f"{path}.world_point"),
         displacements,
     )

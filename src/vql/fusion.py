@@ -10,8 +10,8 @@ that map thresholded at 0.5 and boxed by its largest 4-connected
 component. The per-frame confidence ``s_conf`` is the mean probability
 inside the mask, computed here once: the appearance bank admits on it and
 the temporal localization reads it. The answer interval is the last run
-(``core.last_run``) of median-filtered confidences at or above 0.8x their
-maximum.
+(``core.last_run``) of the confidences, median-filtered over MEDIAN_WINDOW
+frames, at or above TEMPORAL_RATIO times their maximum.
 """
 
 from __future__ import annotations
@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 MASK_THRESHOLD = 0.5
+# temporal localization: median filter width and the fraction of the peak a frame must reach
+MEDIAN_WINDOW = 5
+TEMPORAL_RATIO = 0.8
 
 
 @dataclass
@@ -97,18 +100,16 @@ def extract_result(prob: np.ndarray, frame_index: int) -> SegmentationResult:
     return SegmentationResult(prob, mask, bbox, s_conf, frame_index)
 
 
-def temporal_localize(
-    s_conf_seq: Sequence[float], window: int = 5, ratio: float = 0.8
-) -> Optional[TemporalInterval]:
-    """Last run of median-filtered confidences at or above ratio * max.
+def temporal_localize(s_conf_seq: Sequence[float]) -> Optional[TemporalInterval]:
+    """Last run of median-filtered confidences at or above TEMPORAL_RATIO * max.
 
     Returns None when the filtered sequence is identically zero. The
     interval endpoints are positions within the sequence, inclusive, and
     are invariant to positive rescaling of the scores.
     """
-    filtered = median_filter_1d(s_conf_seq, window)
+    filtered = median_filter_1d(s_conf_seq, MEDIAN_WINDOW)
     peak = float(filtered.max())
     if peak <= 0.0:
         return None
-    run = last_run(filtered >= ratio * peak)
+    run = last_run(filtered >= TEMPORAL_RATIO * peak)
     return None if run is None else TemporalInterval(*run)

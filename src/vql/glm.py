@@ -74,6 +74,8 @@ MAX_STEP_HALVINGS = 8
 # residual weights sw at the label peak (G = 1) and far from it (G = 0)
 W_FG = 1.0
 W_BG = 0.25
+# trailing frames whose peaks pick the snapshot source of a refit
+SOURCE_WINDOW = 25
 
 
 @dataclass(frozen=True)
@@ -111,8 +113,8 @@ class TrackFilter:
             raise ParameterError(f"regularizer must be positive, got {self.regularizer}")
 
     @classmethod
-    def zeros(cls, k: int, in_channels: int, regularizer: float = 0.1) -> "TrackFilter":
-        return cls(np.zeros((k, k, in_channels, 1)), regularizer)
+    def zeros(cls, k: int, in_channels: int) -> "TrackFilter":
+        return cls(np.zeros((k, k, in_channels, 1)))
 
 
 def spatial_weight(label: np.ndarray) -> np.ndarray:
@@ -281,20 +283,18 @@ def glm_make_dynamic_sample(
     return GlmSample(feature, label, region)
 
 
-def glm_update_source(response_history: Sequence[float], window: int = 25) -> str:
+def glm_update_source(response_history: Sequence[float]) -> str:
     """Pick the snapshot driving the next filter refresh.
 
     A frame counts as a high response when its peak reaches half of the
     running maximum peak seen so far. If more than 60% of the last
-    ``window`` frames are high the dynamic snapshots are trusted, otherwise
+    SOURCE_WINDOW frames are high the dynamic snapshots are trusted, otherwise
     the filter re-anchors on the static query snapshot.
     """
     history = np.asarray(response_history, dtype=np.float64)
     if history.size == 0:
         raise EmptyInputError("response history must be non-empty")
-    if window < 1:
-        raise ParameterError(f"window must be >= 1, got {window}")
     running_max = np.maximum.accumulate(history)
     high = history >= 0.5 * running_max
-    recent = high[-window:]
+    recent = high[-SOURCE_WINDOW:]
     return "dynamic" if recent.mean() > 0.6 else "static"

@@ -19,13 +19,15 @@ snapshot source form one immutable value: a frame builds a new value and
 the pipeline keeps it or drops it whole.
 
 Update policy, following the inference procedure the solvers were designed
-for: banks ingest retrievals that ``amm.amm_admit`` accepts (a box and a
-confidence at or above the admit threshold), on every frame below the
-dense-update horizon and every update_stride frames after it; each ingest
-is followed by a few solver iterations, and is dropped whole, peak
-included, if either refit filter comes out non-finite. If the mean confidence over the trailing window drops
-below the halt threshold, updating stops for good and the memory reverts to
-its post-initialization value.
+for. It is fixed; the config sets only whether it runs, the halt window,
+the solver iterations and the capacity. Banks ingest retrievals that ``amm.amm_admit``
+accepts (a box and a confidence at or above ``amm.ADMIT_THRESHOLD``), on
+every frame below DENSE_UPDATE_HORIZON and every UPDATE_STRIDE frames
+after it; each ingest is followed by a few solver iterations, and is
+dropped whole, peak included, if either refit filter comes out non-finite.
+If the mean confidence over the trailing halt window drops below
+HALT_THRESHOLD, updating stops for good and the memory reverts to its
+post-initialization value.
 """
 
 from __future__ import annotations
@@ -47,6 +49,11 @@ __all__ = [
     "finalize_3d",
 ]
 
+# the update policy (see the module docstring)
+DENSE_UPDATE_HORIZON = 100
+UPDATE_STRIDE = 25
+HALT_THRESHOLD = 0.4
+
 
 class NoDetectionError(RuntimeError):
     """The track has no temporal interval or no usable 3D observations."""
@@ -54,16 +61,10 @@ class NoDetectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    dense_update_horizon: int = 100
-    update_stride: int = 25
     # solver iterations of both filters, at initialization and after each ingest
     iters_init: int = 10
     iters_update: int = 3
-    admit_threshold: float = 0.6
-    halt_threshold: float = 0.4
     halt_window: int = 25
-    temporal_ratio: float = 0.8
-    median_window: int = 5
     capacity: int = 50
     zeta: float = 1.0
     lambda_thr: float = 0.5
@@ -71,36 +72,21 @@ class PipelineConfig:
     sample_resolution: int = 32
     # both filters' kernel size, so one convolution serves both branches
     kernel_size: int = 3
-    seg_regularizer: float = 0.01
-    track_regularizer: float = 0.1
-    source_window: int = 25
     updates_enabled: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("admit_threshold", "halt_threshold", "temporal_ratio", "lambda_thr"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ParameterError(f"{name} must lie in [0, 1], got {value}")
-        for name in (
-            "dense_update_horizon",
-            "update_stride",
-            "halt_window",
-            "capacity",
-            "sample_resolution",
-            "source_window",
-        ):
+        if not 0.0 <= self.lambda_thr <= 1.0:
+            raise ParameterError(f"lambda_thr must lie in [0, 1], got {self.lambda_thr}")
+        for name in ("halt_window", "capacity", "sample_resolution"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("iters_init", "iters_update"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("median_window", "kernel_size"):
-            value = getattr(self, name)
-            if value < 1 or value % 2 == 0:
-                raise ParameterError(f"{name} must be odd and positive, got {value}")
-        for name in ("zeta", "seg_regularizer", "track_regularizer"):
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
+            raise ParameterError(f"kernel_size must be odd and positive, got {self.kernel_size}")
+        if not self.zeta > 0:
+            raise ParameterError(f"zeta must be positive, got {self.zeta}")
 
 
 @dataclass
@@ -217,12 +203,12 @@ class Pipeline:
             cfg.sample_resolution,
         )
         seg_filter = amm.steepest_descent(
-            amm.SegFilter.zeros(cfg.kernel_size, channels, cfg.seg_regularizer),
+            amm.SegFilter.zeros(cfg.kernel_size, channels),
             amm_entries,
             cfg.iters_init,
         )
         track_filter = glm.optimize_filter(
-            glm.TrackFilter.zeros(cfg.kernel_size, channels, cfg.track_regularizer),
+            glm.TrackFilter.zeros(cfg.kernel_size, channels),
             (static,),
             cfg.iters_init,
         )
@@ -234,17 +220,12 @@ class Pipeline:
         self.peaks: list[float] = []
 
     def _is_update_frame(self, frame_index: int) -> bool:
-        return (
-            frame_index < self.cfg.dense_update_horizon
-            or frame_index % self.cfg.update_stride == 0
-        )
+        return frame_index < DENSE_UPDATE_HORIZON or frame_index % UPDATE_STRIDE == 0
 
     def _halt_triggered(self) -> bool:
-        window = self.cfg.halt_window
-        if len(self.results) < window:
-            return False
-        recent = [r.s_conf for r in self.results[-window:]]
-        return float(np.mean(recent)) < self.cfg.halt_threshold
+        """The mean confidence of the last halt_window frames is below HALT_THRESHOLD."""
+        recent = [r.s_conf for r in self.results[-self.cfg.halt_window :]]
+        return len(recent) == self.cfg.halt_window and float(np.mean(recent)) < HALT_THRESHOLD
 
     def step_frame(self, frame_feature: np.ndarray, frame_index: int) -> fusion.SegmentationResult:
         """Run one frame through both branches, fuse, and maybe update the banks.
@@ -281,7 +262,7 @@ class Pipeline:
                 self.memory, self.halted = self.initial_memory, True
                 return result
             candidate = replace(self.memory, responses=self.memory.responses + (peak,))
-            if self._is_update_frame(frame_index) and amm.amm_admit(result, self.cfg.admit_threshold):
+            if self._is_update_frame(frame_index) and amm.amm_admit(result):
                 candidate = self._ingest(candidate, frame_feature, result)
             # a finite frame can be so large that a refit overflows
             if candidate.finite:
@@ -298,7 +279,7 @@ class Pipeline:
             glm.glm_make_dynamic_sample(frame_feature, result.bbox, result.prob, cfg.sample_resolution),
             cfg.capacity,
         )
-        source = glm.glm_update_source(memory.responses, cfg.source_window)
+        source = glm.glm_update_source(memory.responses)
         view = memory.glm_samples if source == "dynamic" else (memory.glm_static,)
         return replace(
             memory,
@@ -310,9 +291,7 @@ class Pipeline:
         """Temporal localization over the recorded confidences."""
         if not self.results:
             raise EmptyInputError("no frames have been stepped")
-        interval = fusion.temporal_localize(
-            [r.s_conf for r in self.results], self.cfg.median_window, self.cfg.temporal_ratio
-        )
+        interval = fusion.temporal_localize([r.s_conf for r in self.results])
         if interval is not None:
             indices = [r.frame_index for r in self.results]
             interval = fusion.TemporalInterval(

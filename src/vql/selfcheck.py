@@ -42,7 +42,7 @@ from .core import (
     median_filter_1d,
     min_bounding_rect,
 )
-from .pipeline import Pipeline, PipelineConfig, TrackOutput, _Memory, finalize_3d
+from .pipeline import DENSE_UPDATE_HORIZON, UPDATE_STRIDE, Pipeline, PipelineConfig, TrackOutput, _Memory, finalize_3d
 
 __all__ = ["CHECKS", "run_checks"]
 
@@ -645,7 +645,7 @@ def check_amm_fifo_replay(seed=14):
     admitted = []
     for i in range(40):
         result = fusion.extract_result(np.full((4, 4), rng.uniform(0.3, 0.9)), i)
-        if amm.amm_admit(result, 0.6):
+        if amm.amm_admit(result):
             sample = amm.AmmSample(np.full((4, 4, 1), float(i)), result.mask, result.s_conf)
             mem = mem.admit(sample, static, capacity=5)
             admitted.append(i)
@@ -842,7 +842,7 @@ def check_glm_update_source():
     # exactly 15 high frames of 25 gives 0.6, not > 0.6
     history = [1.0] * 30 + [0.0] * 10 + [1.0] * 15
     running = np.maximum.accumulate(history)
-    high = [h >= 0.5 * m for h, m in zip(history, running)][-25:]
+    high = [h >= 0.5 * m for h, m in zip(history, running)][-glm.SOURCE_WINDOW :]
     if sum(high) != 15:
         return False, f"replay setup broken: {sum(high)} high frames, wanted 15"
     if glm.glm_update_source(history) != "static":
@@ -1030,7 +1030,7 @@ def check_pipeline_identity():
     if result.bbox is None:
         return False, "no detection on the query frame itself"
     iou = metrics.box_iou(result.bbox, scenario.frames[0].gt_bbox)
-    if result.s_conf <= 0.6:
+    if result.s_conf <= amm.ADMIT_THRESHOLD:
         return False, f"confidence {result.s_conf:.3f} not above the admit threshold"
     if iou != 1.0:
         return False, f"IoU on the identity frame is {iou:.3f}, not 1.0"
@@ -1069,10 +1069,9 @@ def check_pipeline_initialization():
 
 
 def check_update_cadence():
-    cfg = PipelineConfig()
     scenario = scen.gen_scenario(5, _small_identity_params())
-    pipe = Pipeline(scenario.query, cfg)
-    want = [t for t in range(201) if t < 100 or t % 25 == 0]
+    pipe = Pipeline(scenario.query)
+    want = [t for t in range(201) if t < DENSE_UPDATE_HORIZON or t % UPDATE_STRIDE == 0]
     got = [t for t in range(201) if pipe._is_update_frame(t)]
     return got == want, f"update frames over 0..200: {len(got)} events, expected {len(want)}"
 

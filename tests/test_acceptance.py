@@ -228,7 +228,7 @@ def test_criterion_10_temporal_localization():
     # [.5,.5,.5,1,1,1,.5,.5,.5] is [.5,.5,.5,1,1,1,.5,.5,.5] and the
     # 0.8 * max threshold (0.8) keeps exactly frames 3..5
     hand = [0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5]
-    got_hand = temporal_localize(hand, window=5, ratio=0.8)
+    got_hand = temporal_localize(hand)
     hand_ok = (got_hand.start_frame, got_hand.end_frame) == (3, 5)
 
     report(

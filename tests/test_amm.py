@@ -96,14 +96,14 @@ class TestSteepestDescent:
 
 class TestAdmission:
     def test_empty_mask_rejected(self):
-        assert not amm.amm_admit(extract_result(np.full((3, 3), 0.4), 0), 0.6)
+        assert not amm.amm_admit(extract_result(np.full((3, 3), 0.4), 0))
 
     def test_no_box_rejected_at_zero_threshold(self):
         # an empty mask has confidence 0.0, so only the box guard rejects it
         assert not amm.amm_admit(extract_result(np.zeros((4, 4)), 0), 0.0)
 
     def test_boundary_inclusive(self):
-        assert amm.amm_admit(extract_result(np.full((3, 3), 0.6), 0), 0.6)
+        assert amm.amm_admit(extract_result(np.full((3, 3), amm.ADMIT_THRESHOLD), 0))
 
     def test_mean_below_threshold(self):
         prob = np.zeros((1, 3))

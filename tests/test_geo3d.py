@@ -56,16 +56,6 @@ class TestAlignSim3:
         np.testing.assert_allclose(got.rotation, want.rotation, atol=1e-9)
         np.testing.assert_allclose(got.translation, want.translation, atol=1e-9)
 
-    def test_noisy_recovery(self):
-        r = rng(6)
-        want = random_sim3(r)
-        src = r.uniform(-2, 2, size=(100, 3))
-        dst = want.apply(src) + r.normal(0, 0.01, size=(100, 3))
-        got = geo3d.align_sim3(src, dst)
-        residual = got.apply(src) - dst
-        assert float(np.sqrt(np.mean(np.sum(residual**2, axis=1)))) <= 0.02
-        assert abs(got.scale - want.scale) / want.scale < 0.01
-
     def test_local_optimality_spot_check(self):
         r = rng(7)
         want = random_sim3(r)
@@ -105,24 +95,6 @@ class TestBackproject:
     def test_principal_ray(self):
         cam = simple_camera(f=50.0, cx=4.0, cy=4.0, depth_value=3.0)
         np.testing.assert_allclose(geo3d.backproject(cam, 4, 4), [0, 0, 3.0], atol=1e-12)
-
-    def test_forward_backward_round_trip(self):
-        r = rng(8)
-        for _ in range(20):
-            rot = _random_rotation(r)
-            pose = np.eye(4)
-            pose[:3, :3] = rot
-            pose[:3, 3] = r.uniform(-3, 3, size=3)
-            f = float(r.uniform(100, 1000))
-            intrinsics = np.array([[f, 0, 6.0], [0, f, 6.0], [0, 0, 1.0]])
-            depth = r.uniform(0.5, 5.0, size=(12, 12))
-            cam = geo3d.CameraFrame(pose, intrinsics, depth, np.zeros((12, 12)))
-            u, v = int(r.integers(0, 12)), int(r.integers(0, 12))
-            world = geo3d.backproject(cam, u, v)
-            cam_pt = rot.T @ (world - pose[:3, 3])
-            uv = intrinsics @ cam_pt
-            uv = uv[:2] / uv[2]
-            np.testing.assert_allclose(uv, [u, v], atol=1e-9)
 
     def test_translation_equivariance(self):
         cam = simple_camera()
@@ -228,21 +200,3 @@ class TestRelativeDisplacement:
         cam = simple_camera()
         p = np.array([0.3, -0.7, 2.2])
         np.testing.assert_allclose(geo3d.relative_displacement(cam, p), p, atol=1e-15)
-
-    def test_round_trip_with_backproject(self):
-        r = rng(11)
-        for _ in range(20):
-            rot = _random_rotation(r)
-            pose = np.eye(4)
-            pose[:3, :3] = rot
-            pose[:3, 3] = r.uniform(-3, 3, size=3)
-            f = float(r.uniform(100, 1000))
-            intrinsics = np.array([[f, 0, 5.0], [0, f, 5.0], [0, 0, 1.0]])
-            depth = r.uniform(0.5, 5.0, size=(10, 10))
-            cam = geo3d.CameraFrame(pose, intrinsics, depth, np.zeros((10, 10)))
-            t_eta = random_sim3(r)
-            u, v = int(r.integers(0, 10)), int(r.integers(0, 10))
-            world = geo3d.backproject(cam, u, v, t_eta)
-            delta = geo3d.relative_displacement(cam, world, t_eta)
-            ray = depth[v, u] * np.linalg.solve(intrinsics, np.array([u, v, 1.0]))
-            np.testing.assert_allclose(delta, ray, atol=1e-9)

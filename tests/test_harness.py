@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 import subprocess
 import sys
 
@@ -81,7 +82,7 @@ class TestFileRoundTrips:
             assert a.bbox == b.bbox
 
     def test_config_round_trip(self, tmp_path):
-        cfg = PipelineConfig(admit_threshold=0.7, capacity=20)
+        cfg = PipelineConfig(lambda_thr=0.7, capacity=20)
         path = tmp_path / "c.json"
         fileio.save_config(cfg, str(path))
         assert fileio.load_config(str(path)) == cfg
@@ -97,6 +98,15 @@ class TestFileRoundTrips:
             "glm_iters_init",
             "amm_iters_update",
             "glm_iters_update",
+            "dense_update_horizon",
+            "update_stride",
+            "admit_threshold",
+            "halt_threshold",
+            "temporal_ratio",
+            "median_window",
+            "seg_regularizer",
+            "track_regularizer",
+            "source_window",
         ],
     )
     def test_removed_config_fields_rejected(self, tmp_path, field):
@@ -107,9 +117,9 @@ class TestFileRoundTrips:
 
     def test_schema_errors_name_fields(self, tmp_path):
         path = tmp_path / "bad.json"
-        config = {"version": fileio.FORMAT_VERSION, "kind": "config", "admit_threshold": 7}
+        config = {"version": fileio.FORMAT_VERSION, "kind": "config", "lambda_thr": 7}
         path.write_text(json.dumps(config))
-        with pytest.raises(fileio.SchemaError, match="admit_threshold"):
+        with pytest.raises(fileio.SchemaError, match="invalid config: lambda_thr must lie in"):
             fileio.load_config(str(path))
         path.write_text('{"version": 1, "kind": "scenario"}')
         upgrade = r"\.version: expected 2, got 1; regenerate it with `vql gen`$"
@@ -291,6 +301,68 @@ class TestLoaderScalars:
         rewrite(track_path, lambda d: d["frames"][0].update(s_conf=1))
         s_conf = fileio.load_track(str(track_path)).results[0].s_conf
         assert s_conf == 1.0 and type(s_conf) is float
+
+    @pytest.mark.parametrize(
+        "target,keys,value,field",
+        [
+            pytest.param(1, ("frames", 0, "s_conf"), float("nan"), "frames[0].s_conf", id="nan-s_conf"),
+            pytest.param(1, ("peaks", 1), float("inf"), "peaks[1]", id="inf-peak"),
+            pytest.param(1, ("peaks", 0), -float("inf"), "peaks[0]", id="minus-inf-peak"),
+            pytest.param(
+                0, ("params", "background_amplitude"), float("nan"), "params.background_amplitude", id="nan-param"
+            ),
+        ],
+    )
+    def test_non_finite_scalar_exits_2(self, geo_files, capsys, target, keys, value, field):
+        # json reads NaN and Infinity; a float field still takes only finite numbers
+        rewrite(geo_files[target], lambda d: self.put(d, keys, value))
+        message = f"{field}: expected a finite number"
+        with pytest.raises(fileio.SchemaError, match=re.escape(message)):
+            (fileio.load_track if target else fileio.load_scenario)(str(geo_files[target]))
+        assert cli_main(["eval", "--scenario", str(geo_files[0]), "--track", str(geo_files[1])]) == 2
+        assert message in capsys.readouterr().err
+
+
+class TestLoaderContainers:
+    """Every object and list the loaders walk is type-checked before it is read."""
+
+    @pytest.mark.parametrize(
+        "target,edit,message",
+        [
+            pytest.param(1, lambda d: d.update(frames=5), ".frames: expected a list", id="track-frames"),
+            pytest.param(
+                1, lambda d: d["frames"].__setitem__(0, 7), "frames[0]: expected an object", id="track-frame"
+            ),
+            pytest.param(1, lambda d: d.update(peaks=3), ".peaks: expected a list", id="peaks"),
+            pytest.param(1, lambda d: d.update(displacements=5), ".displacements: expected a list", id="displacements"),
+            pytest.param(
+                1,
+                lambda d: d["displacements"].__setitem__(0, 7),
+                "displacements[0]: expected an object",
+                id="displacement",
+            ),
+            pytest.param(0, lambda d: d.update(query=3), ".query: expected an object", id="query"),
+            pytest.param(0, lambda d: d["frames"].__setitem__(0, 7), "frames[0]: expected an object", id="frame"),
+            pytest.param(
+                0, lambda d: d["frames"][0].update(camera=7), "frames[0].camera: expected an object", id="camera"
+            ),
+            pytest.param(
+                0,
+                lambda d: d["frames"][0]["camera"].pop("pose"),
+                "frames[0].camera.pose: missing required field",
+                id="camera-pose",
+            ),
+        ],
+    )
+    def test_wrong_container_exits_2(self, geo_files, capsys, target, edit, message):
+        rewrite(geo_files[target], edit)
+        with pytest.raises(fileio.SchemaError, match=re.escape(message)):
+            (fileio.load_track if target else fileio.load_scenario)(str(geo_files[target]))
+        args = ["eval", "--scenario", str(geo_files[0]), "--track", str(geo_files[1]), "--metrics-3d"]
+        assert cli_main(args) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestLoaderIntVectors:
     """Intervals, boxes and the track canvas are read as integer vectors of fixed length."""
 
@@ -378,6 +450,24 @@ class TestLoaderMasks:
         rewrite(geo_path, lambda d: d["query"].update(mask=b64([0.4] * len(unb64(d["query"]["mask"], "u1")))))
         with pytest.raises(fileio.SchemaError, match=r"query\.mask"):
             fileio.load_scenario(str(geo_path))
+
+    def test_save_refuses_non_binary_gt_mask(self, tmp_path):
+        sc = small_identity()
+        sc.frames[1].gt_mask[0, 0] = 2
+        path = tmp_path / "s.json"
+        with pytest.raises(fileio.SchemaError, match=r"frames\[1\]\.gt_mask: mask values must be 0 or 1"):
+            fileio.save_scenario(sc, str(path))
+        assert not list(tmp_path.iterdir())
+
+    def test_save_refuses_query_mask_that_one_byte_would_wrap(self, tmp_path):
+        # 256 cast to one byte is 0, which would save a different mask without notice
+        sc = small_identity()
+        sc.query.mask = sc.query.mask.astype(np.int64)
+        sc.query.mask[0, 0] = 256
+        path = tmp_path / "s.json"
+        with pytest.raises(fileio.SchemaError, match=r"query\.mask: mask values must be 0 or 1"):
+            fileio.save_scenario(sc, str(path))
+        assert not list(tmp_path.iterdir())
 
 
 finite_arrays = hnp.arrays(

@@ -65,19 +65,13 @@ class TestConfig:
         "field,value",
         [
             ("halt_window", 0),
-            ("median_window", 4),
-            ("median_window", 0),
             ("kernel_size", 2),
             ("kernel_size", -1),
             ("iters_init", -1),
             ("iters_update", -1),
             ("sample_resolution", 0),
-            ("seg_regularizer", 0.0),
-            ("track_regularizer", -0.1),
             ("zeta", 0.0),
             ("lambda_thr", 1.5),
-            ("admit_threshold", -0.1),
-            ("source_window", 0),
             ("capacity", 0),
         ],
     )
@@ -144,7 +138,7 @@ class TestFrameValidation:
             pipe.step_frame(bad, 1)
         assert len(pipe.results) == 1
         assert pipe.memory is memory
-        assert pipe.step_frame(sc.frames[2].feature, 2).s_conf > pipe.cfg.admit_threshold
+        assert pipe.step_frame(sc.frames[2].feature, 2).s_conf > amm.ADMIT_THRESHOLD
 
     def test_huge_finite_frame_leaves_banks_and_filters(self):
         # a finite frame scaled by 1e100 is admitted, but its refit overflows;
@@ -155,7 +149,7 @@ class TestFrameValidation:
         memory = pipe.memory
         with np.errstate(over="ignore", invalid="ignore"):
             huge = pipe.step_frame(sc.frames[1].feature * 1e100, 1)
-        assert huge.s_conf >= pipe.cfg.admit_threshold
+        assert huge.s_conf >= amm.ADMIT_THRESHOLD
         assert pipe.memory is memory
         assert pipe.memory.finite
         assert pipe.step_frame(sc.frames[2].feature, 2).s_conf > 0.6
