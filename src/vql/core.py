@@ -11,10 +11,10 @@ Conventions used throughout the package:
 All convolutions are cross-correlations with zero same-padding, so outputs
 keep the input's spatial size and stacked memory samples of one resolution
 stay shape-compatible. One private helper, ``_zero_border``, writes every
-zero-bordered copy the package makes: for the convolutions here, the blurs
-of ``amm`` and ``pipeline`` and the pseudo-label boundary test. Everything
-is computed in float64; the solvers need headroom below their 1e-5
-verification tolerances.
+zero-bordered copy the package makes: for the convolutions here and the
+kernel gradient of ``selfcheck``, the blurs of ``amm`` and ``pipeline`` and
+the pseudo-label boundary test. Everything is computed in float64; the
+solvers need headroom below their 1e-5 verification tolerances.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "ParameterError",
     "EmptyInputError",
     "conv2d",
-    "kernel_gradient",
     "im2col",
     "readonly_copy",
     "gaussian_label",
@@ -96,43 +95,6 @@ def conv2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
         for dx in range(ksz):
             out += xp[dy : dy + h, dx : dx + w, :] @ k[dy, dx]
     return out
-
-
-def kernel_gradient(x: np.ndarray, residual: np.ndarray, kernel_shape: Sequence[int]) -> np.ndarray:
-    """Adjoint of :func:`conv2d` in its kernel argument.
-
-    Returns d/dk [.5 * ||conv2d(x, k) - y||^2] evaluated at a given
-    residual conv2d(x, k) - y:
-
-        g[dy, dx, c, d] = sum over (i, j) of
-            x[i + dy - K//2, j + dx - K//2, c] * residual[i, j, d]
-    """
-    x = np.asarray(x, dtype=np.float64)
-    residual = np.asarray(residual, dtype=np.float64)
-    ksz, ksz2, c_in, c_out = kernel_shape
-    if ksz != ksz2:
-        raise DimensionError(f"kernel must be square, got shape {tuple(kernel_shape)}")
-    if ksz % 2 == 0:
-        raise ParameterError(f"kernel size must be odd, got {ksz}")
-    if x.ndim != 3 or residual.ndim != 3:
-        raise DimensionError("feature map and residual must be (H, W, C)")
-    if x.shape[:2] != residual.shape[:2]:
-        raise DimensionError(
-            f"residual spatial dims {residual.shape[:2]} do not match input {x.shape[:2]}"
-        )
-    if x.shape[2] != c_in or residual.shape[2] != c_out:
-        raise DimensionError(
-            f"channels ({x.shape[2]}, {residual.shape[2]}) do not match kernel shape {tuple(kernel_shape)}"
-        )
-    r = ksz // 2
-    h, w = x.shape[:2]
-    xp = _zero_border(x, r)
-    g = np.empty((ksz, ksz, c_in, c_out))
-    for dy in range(ksz):
-        for dx in range(ksz):
-            window = xp[dy : dy + h, dx : dx + w, :]
-            g[dy, dx] = np.tensordot(window, residual, axes=([0, 1], [0, 1]))
-    return g
 
 
 def im2col(x: np.ndarray, ksz: int, out: np.ndarray | None = None) -> np.ndarray:

@@ -169,6 +169,14 @@ def _int_vector(values: Any, n: Optional[int], path: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _interval(values: Any, path: str) -> tuple[int, int]:
+    """A list of 2 integers [start, end] with start <= end."""
+    start, end = _int_vector(values, 2, path)
+    if start > end:
+        raise SchemaError(f"{path}: expected start <= end, got {[start, end]}")
+    return start, end
+
+
 # the type of every scenario parameter (its keys are the required fields)
 # and of every config field
 _PARAM_TYPES = typing.get_type_hints(ScenarioParams)
@@ -300,7 +308,7 @@ def load_scenario(path: str) -> Scenario:
         params=params,
         frames=frames,
         query=query,
-        gt_interval=None if gt_interval is None else _int_vector(gt_interval, 2, f"{path}.gt_interval"),
+        gt_interval=None if gt_interval is None else _interval(gt_interval, f"{path}.gt_interval"),
         gt_point=None if gt_point is None else _tensor(gt_point, (3,), f"{path}.gt_point"),
         alignment_src=None if src is None else _tensor(src, (-1, 3), f"{path}.alignment_src"),
         alignment_dst=None if dst is None else _tensor(dst, (-1, 3), f"{path}.alignment_dst"),
@@ -373,7 +381,7 @@ def load_track(path: str) -> TrackOutput:
         displacements[_param(_expect(entry, "frame_index", where), int, f"{where}.frame_index")] = delta
     return TrackOutput(
         results,
-        None if interval is None else TemporalInterval(*_int_vector(interval, 2, f"{path}.interval")),
+        None if interval is None else TemporalInterval(*_interval(interval, f"{path}.interval")),
         [_param(p, float, f"{path}.peaks[{i}]") for i, p in enumerate(_expect(document, "peaks", path, list))],
         None if world_point is None else _tensor(world_point, (3,), f"{path}.world_point"),
         displacements,

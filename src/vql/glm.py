@@ -47,7 +47,6 @@ from .core import (
     EmptyInputError,
     ParameterError,
     bilinear_resize,
-    conv2d,
     gaussian_label,
     im2col,
     ladder_crop,
@@ -60,7 +59,6 @@ __all__ = [
     "TrackFilter",
     "spatial_weight",
     "track_residual",
-    "track_score",
     "track_loss",
     "track_gradient",
     "gauss_newton_step",
@@ -120,11 +118,6 @@ class TrackFilter:
 def spatial_weight(label: np.ndarray) -> np.ndarray:
     """W_BG + (W_FG - W_BG) * G, so the weight peaks with the label."""
     return W_BG + (W_FG - W_BG) * np.asarray(label, dtype=np.float64)
-
-
-def track_score(feature: np.ndarray, filt: TrackFilter) -> np.ndarray:
-    """Single-channel response map conv2d(F, c)."""
-    return conv2d(feature, filt.kernel)[:, :, 0]
 
 
 def _blend(score, weight, region, label) -> tuple[np.ndarray, np.ndarray]:

@@ -26,19 +26,21 @@ The registry is the one home of a derived-expectation oracle:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import amm, fusion, geo3d, glm, metrics, scenario as scen
 from .core import (
     CROP_AREA_LADDER,
+    DimensionError,
+    ParameterError,
+    _zero_border,
     conv2d,
     connected_components,
     extract_square_crop,
     gaussian_label,
     im2col,
-    kernel_gradient,
     median_filter_1d,
     min_bounding_rect,
 )
@@ -202,6 +204,43 @@ def solve_track_normal_equations(samples, kernel_shape, lam):
         lhs += a.T @ (sw2[:, None] * a) / count
         rhs += a.T @ (sw2 * sample.label.ravel()) / count
     return np.linalg.solve(lhs, rhs).reshape(kernel_shape)
+
+
+def kernel_gradient(x: np.ndarray, residual: np.ndarray, kernel_shape: Sequence[int]) -> np.ndarray:
+    """Adjoint of :func:`conv2d` in its kernel argument.
+
+    Returns d/dk [.5 * ||conv2d(x, k) - y||^2] evaluated at a given
+    residual conv2d(x, k) - y:
+
+        g[dy, dx, c, d] = sum over (i, j) of
+            x[i + dy - K//2, j + dx - K//2, c] * residual[i, j, d]
+    """
+    x = np.asarray(x, dtype=np.float64)
+    residual = np.asarray(residual, dtype=np.float64)
+    ksz, ksz2, c_in, c_out = kernel_shape
+    if ksz != ksz2:
+        raise DimensionError(f"kernel must be square, got shape {tuple(kernel_shape)}")
+    if ksz % 2 == 0:
+        raise ParameterError(f"kernel size must be odd, got {ksz}")
+    if x.ndim != 3 or residual.ndim != 3:
+        raise DimensionError("feature map and residual must be (H, W, C)")
+    if x.shape[:2] != residual.shape[:2]:
+        raise DimensionError(
+            f"residual spatial dims {residual.shape[:2]} do not match input {x.shape[:2]}"
+        )
+    if x.shape[2] != c_in or residual.shape[2] != c_out:
+        raise DimensionError(
+            f"channels ({x.shape[2]}, {residual.shape[2]}) do not match kernel shape {tuple(kernel_shape)}"
+        )
+    r = ksz // 2
+    h, w = x.shape[:2]
+    xp = _zero_border(x, r)
+    g = np.empty((ksz, ksz, c_in, c_out))
+    for dy in range(ksz):
+        for dx in range(ksz):
+            window = xp[dy : dy + h, dx : dx + w, :]
+            g[dy, dx] = np.tensordot(window, residual, axes=([0, 1], [0, 1]))
+    return g
 
 
 def steepest_descent_naive(filt, samples, n_iter):
@@ -687,7 +726,7 @@ def check_track_gradient_fd(n_instances=30, seed=16):
         filt = glm.TrackFilter(kernel, lam)
         # keep scores away from the hinge kink so the loss is smooth locally
         if min(
-            float(np.abs(glm.track_score(s.feature, filt)).min()) for s in samples
+            float(np.abs(conv2d(s.feature, filt.kernel)[:, :, 0]).min()) for s in samples
         ) < 0.01:
             continue
         tried += 1
@@ -728,11 +767,11 @@ def check_gauss_newton_beta_scan(n_instances=5, seed=18, scan_points=20_001):
         # frozen quadratic model: residuals linearized at the current filter
         frozen_q = []
         for s in samples:
-            score = glm.track_score(s.feature, filt)
+            score = conv2d(s.feature, filt.kernel)[:, :, 0]
             region = s.target_region
             frozen_q.append(glm.spatial_weight(s.label) * (region + (1 - region) * (score > 0)))
         base_residuals = [
-            glm.track_residual(glm.track_score(s.feature, filt), s) for s in samples
+            glm.track_residual(conv2d(s.feature, filt.kernel)[:, :, 0], s) for s in samples
         ]
         directions = [q * conv2d(s.feature, g)[:, :, 0] for q, s in zip(frozen_q, samples)]
 
@@ -1243,7 +1282,7 @@ def check_scenario_roundtrip(tmp_dir=None):
 
 CHECKS = {
     "core.conv2d_vs_naive_loop": check_conv_naive,
-    "core.kernel_gradient_finite_difference": check_kernel_gradient_fd,
+    "selfcheck.kernel_gradient_finite_difference": check_kernel_gradient_fd,
     "core.connected_components_vs_union_find": check_connected_components,
     "core.min_bounding_rect_reduction": check_min_bounding_rect,
     "core.median_filter_sort_oracle": check_median_filter,

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vql import core
+from vql.selfcheck import kernel_gradient
 
 
 def rng(seed=0):
@@ -54,20 +55,20 @@ class TestIm2col:
 class TestKernelGradient:
     def test_zero_residual(self):
         x = rng(6).uniform(-1, 1, size=(4, 4, 2))
-        g = core.kernel_gradient(x, np.zeros((4, 4, 3)), (3, 3, 2, 3))
+        g = kernel_gradient(x, np.zeros((4, 4, 3)), (3, 3, 2, 3))
         assert not g.any()
 
     def test_1x1_reduces_to_outer_product_sum(self):
         r = rng(7)
         x = r.uniform(-1, 1, size=(4, 4, 2))
         residual = r.uniform(-1, 1, size=(4, 4, 3))
-        g = core.kernel_gradient(x, residual, (1, 1, 2, 3))
+        g = kernel_gradient(x, residual, (1, 1, 2, 3))
         want = np.einsum("ijc,ijd->cd", x, residual)
         np.testing.assert_allclose(g[0, 0], want, rtol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(core.DimensionError):
-            core.kernel_gradient(np.ones((4, 4, 2)), np.ones((5, 4, 3)), (3, 3, 2, 3))
+            kernel_gradient(np.ones((4, 4, 2)), np.ones((5, 4, 3)), (3, 3, 2, 3))
 
 
 class TestGaussianLabel:

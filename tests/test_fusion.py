@@ -17,7 +17,7 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-class TestEncodeScore:
+class TestFuseRectifiedScore:
     """The tracking score enters the fused logit as max(0, H)."""
 
     def test_negative_scores_rectified(self):
@@ -55,7 +55,7 @@ class TestFuse:
             fusion.fuse(np.zeros((3, 3, 1)), np.zeros((3, 3)))
 
 
-class TestDecode:
+class TestFuseLogistic:
     """The fused logit is squashed by a logistic."""
 
     def test_zero_gives_half(self):

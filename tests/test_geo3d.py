@@ -46,16 +46,6 @@ class TestAlignSim3:
         np.testing.assert_allclose(got.rotation, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(got.translation, 0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_noiseless_recovery(self, seed):
-        r = rng(100 + seed)
-        want = random_sim3(r)
-        src = r.uniform(-2, 2, size=(20, 3))
-        got = geo3d.align_sim3(src, want.apply(src))
-        assert abs(got.scale - want.scale) < 1e-9
-        np.testing.assert_allclose(got.rotation, want.rotation, atol=1e-9)
-        np.testing.assert_allclose(got.translation, want.translation, atol=1e-9)
-
     def test_local_optimality_spot_check(self):
         r = rng(7)
         want = random_sim3(r)

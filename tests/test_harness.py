@@ -364,7 +364,8 @@ class TestLoaderContainers:
 
 
 class TestLoaderIntVectors:
-    """Intervals, boxes and the track canvas are read as integer vectors of fixed length."""
+    """Intervals, boxes and the track canvas are read as integer vectors of fixed length,
+    and an interval's start is at most its end."""
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -392,6 +393,14 @@ class TestLoaderIntVectors:
         with pytest.raises(fileio.SchemaError, match=r"\.gt_interval: expected a list of 2 integers"):
             fileio.load_scenario(str(scenario_path))
         self.eval_rejects(files, ".gt_interval", capsys)
+
+    def test_reversed_interval_exits_2(self, files, capsys):
+        rewrite(files[1], lambda d: d.update(interval=[2, 1]))
+        self.eval_rejects(files, "t.json.interval: expected start <= end, got [2, 1]", capsys)
+
+    def test_reversed_gt_interval_exits_2(self, files, capsys):
+        rewrite(files[0], lambda d: d.update(gt_interval=[2, 1]))
+        self.eval_rejects(files, "s.json.gt_interval: expected start <= end, got [2, 1]", capsys)
 
     def test_short_gt_bbox_rejected(self, files, capsys):
         scenario_path, _ = files
