@@ -6,10 +6,14 @@ of its row-major bytes: little-endian float64 (``<f8``) for float tensors,
 one byte per pixel (``u1``) for masks. The shape follows from the
 document's ``canvas``/``channels`` fields, so the loader checks the byte
 count, and the bytes are the array's exact bits, so a load/save cycle is
-byte-identical. Version 2 introduced this encoding; version 1 files (flat
-JSON number lists) are no longer read and must be regenerated. Writes go
-to a temporary file in the target directory and are renamed into place,
-so a reader never sees a partial file.
+byte-identical. A file stores nothing that follows from what it stores:
+the loader derives a scenario frame's ``gt_bbox`` and the scenario's
+``gt_interval`` from the ground-truth masks, and a track frame's mask,
+``bbox`` and ``s_conf`` from its probability map (``fusion.extract_result``).
+Version 3 dropped those stored copies and version 2 introduced the base64
+encoding; files of an older version are not read and must be regenerated.
+Writes go to a temporary file in the target directory and are renamed into
+place, so a reader never sees a partial file.
 
 The full schema is documented in the repository README.
 """
@@ -28,7 +32,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .core import ParameterError
-from .fusion import MASK_THRESHOLD, SegmentationResult, TemporalInterval
+from .fusion import TemporalInterval, extract_result
 from .geo3d import CameraFrame
 from .pipeline import PipelineConfig, QuerySpec, TrackOutput
 from .scenario import FrameData, Scenario, ScenarioParams
@@ -44,7 +48,7 @@ __all__ = [
     "load_config",
 ]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # how to replace a file of another version, by kind
 _UPGRADE = {
@@ -58,21 +62,23 @@ class SchemaError(ValueError):
     """A document is malformed; the message names the offending field."""
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, document: dict) -> None:
+    """Write ``document`` as one line of JSON with sorted keys.
+
+    The encoder streams its pieces to the file, so no copy of the whole
+    text is built in memory.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            json.dump(document, handle, sort_keys=True, separators=(",", ":"))
+            handle.write("\n")
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
-
-
-def _dump(document: dict) -> str:
-    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _load_json(path: str) -> dict:
@@ -235,7 +241,6 @@ def save_scenario(scenario: Scenario, path: str) -> None:
             {
                 "feature": _encode(frame.feature),
                 "gt_mask": _encode_mask(frame.gt_mask, f"{path}.frames[{i}].gt_mask"),
-                "gt_bbox": frame.gt_bbox,
                 "camera": camera,
             }
         )
@@ -250,12 +255,11 @@ def save_scenario(scenario: Scenario, path: str) -> None:
             "frame_index": scenario.query.frame_index,
         },
         "frames": frames,
-        "gt_interval": scenario.gt_interval,
         "gt_point": None if scenario.gt_point is None else _encode(scenario.gt_point),
         "alignment_src": None if scenario.alignment_src is None else _encode(scenario.alignment_src),
         "alignment_dst": None if scenario.alignment_dst is None else _encode(scenario.alignment_dst),
     }
-    _atomic_write(path, _dump(document))
+    _atomic_write(path, document)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -290,16 +294,13 @@ def load_scenario(path: str) -> Scenario:
                 _tensor(_expect(raw_cam, "depth", at), (h, w), f"{at}.depth"),
                 _tensor(_expect(raw_cam, "depth_uncertainty", at), (h, w), f"{at}.depth_uncertainty"),
             )
-        bbox = raw.get("gt_bbox")
         frames.append(
             FrameData(
                 _tensor(_expect(raw, "feature", where), (h, w, c), f"{where}.feature"),
                 _mask(_expect(raw, "gt_mask", where), (h, w), f"{where}.gt_mask"),
-                None if bbox is None else _int_vector(bbox, 4, f"{where}.gt_bbox"),
                 camera,
             )
         )
-    gt_interval = document.get("gt_interval")
     gt_point = document.get("gt_point")
     src = document.get("alignment_src")
     dst = document.get("alignment_dst")
@@ -308,7 +309,6 @@ def load_scenario(path: str) -> Scenario:
         params=params,
         frames=frames,
         query=query,
-        gt_interval=None if gt_interval is None else _interval(gt_interval, f"{path}.gt_interval"),
         gt_point=None if gt_point is None else _tensor(gt_point, (3,), f"{path}.gt_point"),
         alignment_src=None if src is None else _tensor(src, (-1, 3), f"{path}.alignment_src"),
         alignment_dst=None if dst is None else _tensor(dst, (-1, 3), f"{path}.alignment_dst"),
@@ -322,16 +322,7 @@ def save_track(track: TrackOutput, path: str) -> None:
     if not track.results:
         raise SchemaError("track has no per-frame results to save")
     h, w = track.results[0].prob.shape
-    frames = []
-    for result in track.results:
-        frames.append(
-            {
-                "frame_index": result.frame_index,
-                "prob": _encode(result.prob),
-                "bbox": result.bbox,
-                "s_conf": float(result.s_conf),
-            }
-        )
+    frames = [{"frame_index": result.frame_index, "prob": _encode(result.prob)} for result in track.results]
     displacements = [
         {"frame_index": int(idx), "delta": _encode(delta)}
         for idx, delta in sorted(track.displacements.items())
@@ -348,7 +339,7 @@ def save_track(track: TrackOutput, path: str) -> None:
         "world_point": None if track.world_point is None else _encode(track.world_point),
         "displacements": displacements,
     }
-    _atomic_write(path, _dump(document))
+    _atomic_write(path, document)
 
 
 def load_track(path: str) -> TrackOutput:
@@ -359,15 +350,9 @@ def load_track(path: str) -> TrackOutput:
     for i, raw in enumerate(_expect(document, "frames", path, list)):
         where = f"{path}.frames[{i}]"
         raw = _container(raw, dict, where)
-        prob = _tensor(_expect(raw, "prob", where), (h, w), f"{where}.prob")
-        mask = (prob >= MASK_THRESHOLD).astype(np.uint8)
-        bbox = raw.get("bbox")
         results.append(
-            SegmentationResult(
-                prob,
-                mask,
-                None if bbox is None else _int_vector(bbox, 4, f"{where}.bbox"),
-                _param(_expect(raw, "s_conf", where), float, f"{where}.s_conf"),
+            extract_result(
+                _tensor(_expect(raw, "prob", where), (h, w), f"{where}.prob"),
                 _param(_expect(raw, "frame_index", where), int, f"{where}.frame_index"),
             )
         )
@@ -394,7 +379,7 @@ def load_track(path: str) -> TrackOutput:
 def save_config(cfg: PipelineConfig, path: str) -> None:
     document = {"version": FORMAT_VERSION, "kind": "config"}
     document.update(asdict(cfg))
-    _atomic_write(path, _dump(document))
+    _atomic_write(path, document)
 
 
 def load_config(path: str) -> PipelineConfig:

@@ -18,6 +18,8 @@ mean L2, mean angle, success (L2 below L2_GATE and angle below ANGLE_GATE)
 over interval frames,
 success* restricted to frames with a camera pose, and QwP, the percent of
 interval frames that have a pose.
+
+A predicted interval that leaves the scenario's frames is a ValueError.
 """
 
 from __future__ import annotations
@@ -89,6 +91,20 @@ def _frame_boxes(track: TrackOutput) -> dict[int, Optional[tuple[int, int, int, 
     return {r.frame_index: r.bbox for r in track.results}
 
 
+def _pred_interval(pred: TrackOutput, scenario: Scenario) -> Optional[tuple[int, int]]:
+    """The predicted interval as (start, end), None when the track has none.
+
+    Raises ValueError when it leaves the scenario's frames [0, n_frames).
+    """
+    if pred.interval is None:
+        return None
+    start, end = pred.interval.start_frame, pred.interval.end_frame
+    n_frames = len(scenario.frames)
+    if start < 0 or end >= n_frames:
+        raise ValueError(f"interval [{start}, {end}] leaves the scenario's frames [0, {n_frames})")
+    return start, end
+
+
 def eval_2d(pred: TrackOutput, scenario: Scenario) -> MetricsReport2D:
     """Score a predicted track against the scenario's annotations.
 
@@ -97,9 +113,9 @@ def eval_2d(pred: TrackOutput, scenario: Scenario) -> MetricsReport2D:
     gt_interval = scenario.gt_interval
     if gt_interval is None:
         raise ValueError("scenario carries no ground-truth interval")
-    if pred.interval is None:
+    pred_interval = _pred_interval(pred, scenario)
+    if pred_interval is None:
         return MetricsReport2D(0.0, 0.0, 0.0, 0.0)
-    pred_interval = (pred.interval.start_frame, pred.interval.end_frame)
 
     t_iou = temporal_iou(pred_interval, gt_interval)
     t_ap25 = 1.0 if t_iou >= 0.25 else 0.0
@@ -141,12 +157,13 @@ def eval_3d(pred: TrackOutput, scenario: Scenario) -> MetricsReport3D:
     """
     if scenario.gt_point is None or scenario.alignment_src is None:
         raise ValueError("scenario carries no 3D ground truth")
-    if pred.interval is None:
+    pred_interval = _pred_interval(pred, scenario)
+    if pred_interval is None:
         return MetricsReport3D(0.0, 0.0, None, None, 0.0)
     t_eta = align_sim3(scenario.alignment_src, scenario.alignment_dst)
     cameras = scenario.cameras
-    interval = range(pred.interval.start_frame, pred.interval.end_frame + 1)
-    with_pose = [t for t in interval if t < len(cameras) and cameras[t] is not None]
+    interval = range(pred_interval[0], pred_interval[1] + 1)
+    with_pose = [t for t in interval if cameras[t] is not None]
     qwp_pct = 100.0 * len(with_pose) / len(interval)
 
     l2_values = []

@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ParameterError, last_run
-from .fusion import SegmentationResult, TemporalInterval
+from .core import ParameterError, last_run, min_bounding_rect
+from .fusion import TemporalInterval, extract_result
 from .geo3d import CameraFrame, Sim3Transform
 from .pipeline import QuerySpec, TrackOutput
 
@@ -80,8 +80,12 @@ def preset_params(name: str) -> ScenarioParams:
 class FrameData:
     feature: np.ndarray
     gt_mask: np.ndarray
-    gt_bbox: Optional[tuple[int, int, int, int]]
     camera: Optional[CameraFrame] = None
+
+    @property
+    def gt_bbox(self) -> Optional[tuple[int, int, int, int]]:
+        """The ground-truth mask's bounding box, None when the mask is empty."""
+        return min_bounding_rect(self.gt_mask) if self.gt_mask.any() else None
 
 
 @dataclass
@@ -90,7 +94,6 @@ class Scenario:
     params: ScenarioParams
     frames: list[FrameData]
     query: QuerySpec
-    gt_interval: Optional[tuple[int, int]]
     gt_point: Optional[np.ndarray] = None
     alignment_src: Optional[np.ndarray] = None
     alignment_dst: Optional[np.ndarray] = None
@@ -98,6 +101,11 @@ class Scenario:
     @property
     def cameras(self) -> list[Optional[CameraFrame]]:
         return [f.camera for f in self.frames]
+
+    @property
+    def gt_interval(self) -> Optional[tuple[int, int]]:
+        """The last run of frames whose ground-truth mask is non-empty."""
+        return last_run([f.gt_mask.any() for f in self.frames])
 
 
 def _signature_pair(rng: np.random.Generator, channels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +118,7 @@ def _signature_pair(rng: np.random.Generator, channels: int) -> tuple[np.ndarray
     return q, u
 
 
-def _draw_square(feature: np.ndarray, center: tuple[int, int], size: int, signature: np.ndarray) -> tuple[np.ndarray, tuple[int, int, int, int]]:
+def _draw_square(feature: np.ndarray, center: tuple[int, int], size: int, signature: np.ndarray) -> np.ndarray:
     h, w = feature.shape[:2]
     half = size // 2
     r0, c0 = center[0] - half, center[1] - half
@@ -120,7 +128,7 @@ def _draw_square(feature: np.ndarray, center: tuple[int, int], size: int, signat
     mask = np.zeros((h, w), dtype=np.uint8)
     mask[r0c : r1c + 1, c0c : c1c + 1] = 1
     feature[r0c : r1c + 1, c0c : c1c + 1, :] = signature
-    return mask, (c0c, r0c, c1c, r1c)
+    return mask
 
 
 def _look_at_pose(position: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -191,20 +199,18 @@ def gen_scenario(seed: int, params: ScenarioParams) -> Scenario:
         if present:
             offset = int(round(params.target_motion * np.sin(2 * np.pi * t / params.motion_period)))
             pos = (center[0], center[1] + offset)
-            mask, bbox = _draw_square(feature, pos, params.object_size, sig)
+            mask = _draw_square(feature, pos, params.object_size, sig)
         else:
-            mask, bbox = np.zeros((h, w), dtype=np.uint8), None
+            mask = np.zeros((h, w), dtype=np.uint8)
         camera = geo["cameras"][t] if geo is not None and t < len(geo["cameras"]) else None
-        frames.append(FrameData(feature, mask, bbox, camera))
+        frames.append(FrameData(feature, mask, camera))
 
     query = QuerySpec(frames[0].feature.copy(), frames[0].gt_mask.copy(), 0)
-    gt_interval = last_run([f.gt_bbox is not None for f in frames])
     return Scenario(
         seed=seed,
         params=params,
         frames=frames,
         query=query,
-        gt_interval=gt_interval,
         gt_point=None if geo is None else geo["point"],
         alignment_src=None if geo is None else geo["src"],
         alignment_dst=None if geo is None else geo["dst"],
@@ -254,18 +260,10 @@ def ground_truth_track(scenario: Scenario) -> TrackOutput:
 
     Useful as an oracle input for the metric and 3D stages: probability maps
     read 0.9 on the ground-truth masks and 0.1 off them, so they threshold
-    back to the masks; a frame's s_conf is 0.9 when its mask is non-empty,
-    and the interval matches the annotated one.
+    back to the masks; a frame's s_conf is 0.9 (to rounding) when its mask
+    is non-empty, and the interval is the scenario's ``gt_interval``.
     """
-    results = []
-    peaks = []
-    for t, frame in enumerate(scenario.frames):
-        mask = frame.gt_mask.astype(np.uint8)
-        prob = np.where(mask != 0, 0.9, 0.1)
-        s_conf = 0.9 if mask.any() else 0.0
-        results.append(SegmentationResult(prob, mask, frame.gt_bbox, s_conf, t))
-        peaks.append(1.0 if mask.any() else 0.0)
-    interval = None
-    if scenario.gt_interval is not None:
-        interval = TemporalInterval(*scenario.gt_interval)
-    return TrackOutput(results, interval, peaks)
+    results = [extract_result(np.where(f.gt_mask != 0, 0.9, 0.1), t) for t, f in enumerate(scenario.frames)]
+    peaks = [1.0 if f.gt_mask.any() else 0.0 for f in scenario.frames]
+    interval = scenario.gt_interval
+    return TrackOutput(results, None if interval is None else TemporalInterval(*interval), peaks)

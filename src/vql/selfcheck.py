@@ -1202,23 +1202,18 @@ def check_eval2d_hand_cases():
     if (report.t_ap25, report.st_ap25, report.recovery_pct, report.success_pct) != (1.0, 1.0, 100.0, 100.0):
         return False, f"ground-truth track does not score perfectly: {report}"
     # prediction shifted left by half the annotated length: tIoU 1/3, and with
-    # perfect boxes only inside the claimed interval, recovery is 50%
-    shifted = scen.Scenario(
-        seed=scenario.seed,
-        params=scenario.params,
-        frames=scenario.frames,
-        query=scenario.query,
-        gt_interval=(24, 47),
-    )
-    base = scen.ground_truth_track(scenario)
+    # perfect boxes only inside the claimed interval, recovery is 50%; the
+    # target is annotated on frames 24-47 only
+    frames = [replace(f, gt_mask=np.zeros_like(f.gt_mask)) if t < 24 else f for t, f in enumerate(scenario.frames)]
+    shifted = replace(scenario, frames=frames)
     results = [
         fusion.SegmentationResult(
             r.prob, r.mask, r.bbox if 12 <= r.frame_index <= 35 else None, r.s_conf, r.frame_index
         )
-        for r in base.results
+        for r in gt.results
     ]
-    pred = TrackOutput(results, fusion.TemporalInterval(12, 35), base.peaks)
-    t_iou = metrics.temporal_iou((12, 35), (24, 47))
+    pred = TrackOutput(results, fusion.TemporalInterval(12, 35), gt.peaks)
+    t_iou = metrics.temporal_iou((12, 35), shifted.gt_interval)
     if abs(t_iou - 1.0 / 3.0) > 1e-12:
         return False, f"temporal IoU {t_iou} != 1/3"
     report = metrics.eval_2d(pred, shifted)

@@ -7,19 +7,20 @@ the underlying oracle registry). Tolerances are pinned here, not deferred.
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from vql import amm, fileio, glm, metrics
-from vql.fusion import TemporalInterval, temporal_localize
-from vql.pipeline import Pipeline, PipelineConfig, finalize_3d
+from vql.fusion import temporal_localize
+from vql.pipeline import Pipeline, PipelineConfig
 from vql.scenario import ScenarioParams, gen_scenario, ground_truth_track, preset_params
 from vql.selfcheck import (
     check_amm_fifo_replay,
     check_gauss_newton_beta_scan,
     check_gauss_newton_ridge_case,
+    check_geo_aggregation,
+    check_geo_weight_suppression,
     check_glm_static_immutable,
     check_halt_revert,
     check_projection_round_trip,
@@ -188,30 +189,14 @@ def test_criterion_08_end_to_end_2d():
 
 
 def test_criterion_09_end_to_end_3d():
-    clean = gen_scenario(21, preset_params("geo"))
-    track = finalize_3d(
-        ground_truth_track(clean), clean.cameras, (clean.alignment_src, clean.alignment_dst)
-    )
-    point_err = float(np.abs(track.world_point - clean.gt_point).max())
-
-    corrupted = gen_scenario(21, replace(preset_params("geo"), corrupt_views=(4,)))
-    full = finalize_3d(
-        ground_truth_track(corrupted),
-        corrupted.cameras,
-        (corrupted.alignment_src, corrupted.alignment_dst),
-    )
-    pruned_track = ground_truth_track(clean)
-    pruned_track.results = pruned_track.results[:4]
-    pruned_track.interval = TemporalInterval(0, 3)
-    pruned = finalize_3d(pruned_track, clean.cameras, (clean.alignment_src, clean.alignment_dst))
-    shift = float(np.abs(full.world_point - pruned.world_point).max())
-
-    report_3d = metrics.eval_3d(track, clean)
+    checks = [
+        ("ground-truth aggregation", check_geo_aggregation()),
+        ("corrupted-view suppression", check_geo_weight_suppression()),
+    ]
     report(
         "9 end-to-end synthetic 3D",
-        point_err < 1e-6 and shift < 1e-6 and report_3d.l2 < 1e-5 and report_3d.angle < 1e-5,
-        f"aggregate error {point_err:.2e} < 1e-6; corrupted-view shift {shift:.2e} < 1e-6; "
-        f"L2 {report_3d.l2:.2e} < 1e-5 m, angle {report_3d.angle:.2e} < 1e-5 rad",
+        all(ok for _, (ok, _) in checks),
+        "; ".join(f"{name}: {detail}" for name, (_, detail) in checks),
     )
 
 

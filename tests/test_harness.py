@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from vql import fileio, metrics
 from vql.cli import main as cli_main
-from vql.pipeline import PipelineConfig, TrackOutput
+from vql.pipeline import Pipeline, PipelineConfig, TrackOutput
 from vql.scenario import (
     PRESETS,
     ScenarioParams,
@@ -61,25 +61,32 @@ class TestGenScenario:
 
 
 class TestFileRoundTrips:
-    def test_geo_scenario_round_trip(self, tmp_path):
-        sc = gen_scenario(6, preset_params("geo"))
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_scenario_round_trip(self, tmp_path, preset):
+        sc = gen_scenario(6, preset_params(preset))
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         fileio.save_scenario(sc, str(a))
         loaded = fileio.load_scenario(str(a))
         fileio.save_scenario(loaded, str(b))
         assert a.read_bytes() == b.read_bytes()
-        np.testing.assert_array_equal(loaded.gt_point, sc.gt_point)
+        # boxes and the interval are not stored; the loader derives them from the masks
+        assert [f.gt_bbox for f in loaded.frames] == [f.gt_bbox for f in sc.frames]
+        assert loaded.gt_interval == sc.gt_interval
+        if sc.gt_point is not None:
+            np.testing.assert_array_equal(loaded.gt_point, sc.gt_point)
 
     def test_track_round_trip(self, tmp_path):
-        track = ground_truth_track(small_identity())
+        sc = small_identity()
         path = tmp_path / "t.json"
-        fileio.save_track(track, str(path))
-        loaded = fileio.load_track(str(path))
-        assert loaded.interval == track.interval
-        for a, b in zip(loaded.results, track.results):
-            np.testing.assert_array_equal(a.prob, b.prob)
-            np.testing.assert_array_equal(a.mask, b.mask)
-            assert a.bbox == b.bbox
+        for track in ground_truth_track(sc), Pipeline(sc.query).run([f.feature for f in sc.frames]):
+            fileio.save_track(track, str(path))
+            loaded = fileio.load_track(str(path))
+            assert loaded.interval == track.interval
+            # masks, boxes and confidences are not stored; the loader derives them from the probabilities
+            for a, b in zip(loaded.results, track.results, strict=True):
+                np.testing.assert_array_equal(a.prob, b.prob)
+                np.testing.assert_array_equal(a.mask, b.mask)
+                assert (a.bbox, a.s_conf, a.frame_index) == (b.bbox, b.s_conf, b.frame_index)
 
     def test_config_round_trip(self, tmp_path):
         cfg = PipelineConfig(lambda_thr=0.7, capacity=20)
@@ -122,7 +129,7 @@ class TestFileRoundTrips:
         with pytest.raises(fileio.SchemaError, match="invalid config: lambda_thr must lie in"):
             fileio.load_config(str(path))
         path.write_text('{"version": 1, "kind": "scenario"}')
-        upgrade = r"\.version: expected 2, got 1; regenerate it with `vql gen`$"
+        upgrade = rf"\.version: expected {fileio.FORMAT_VERSION}, got 1; regenerate it with `vql gen`$"
         with pytest.raises(fileio.SchemaError, match=upgrade):
             fileio.load_scenario(str(path))
         path.write_text("not json")
@@ -195,14 +202,24 @@ class TestScenarioParamsSchema:
 class TestVersion:
     """One format version for every kind; a file of an older version is not read."""
 
-    @pytest.mark.parametrize(
-        "kind,hint", [("scenario", "vql gen"), ("track", "vql run2d"), ("config", "write version 2")]
-    )
-    def test_version_1_file_rejected(self, tmp_path, kind, hint):
+    HINTS = [("scenario", "vql gen"), ("track", "vql run2d"), ("config", f"write version {fileio.FORMAT_VERSION}")]
+
+    @staticmethod
+    def assert_rejected(tmp_path, version, kind, hint):
         path = tmp_path / f"{kind}.json"
-        path.write_text(json.dumps({"version": 1, "kind": kind}))
-        with pytest.raises(fileio.SchemaError, match=rf"\.version: expected 2, got 1; .*{hint}"):
+        path.write_text(json.dumps({"version": version, "kind": kind}))
+        want = rf"\.version: expected {fileio.FORMAT_VERSION}, got {version}; .*{hint}"
+        with pytest.raises(fileio.SchemaError, match=want):
             getattr(fileio, f"load_{kind}")(str(path))
+
+    @pytest.mark.parametrize("kind,hint", HINTS)
+    def test_version_1_file_rejected(self, tmp_path, kind, hint):
+        self.assert_rejected(tmp_path, 1, kind, hint)
+
+    @pytest.mark.parametrize("kind,hint", HINTS)
+    def test_version_2_file_rejected(self, tmp_path, kind, hint):
+        # version 2 stored boxes, confidences and the ground-truth interval beside their sources
+        self.assert_rejected(tmp_path, 2, kind, hint)
 
 
 @pytest.fixture
@@ -251,7 +268,7 @@ class TestLoaderVectors:
 
 
 class TestLoaderScalars:
-    """Indices, confidences, peaks and the seed are type-checked like config fields."""
+    """Indices, peaks and the seed are type-checked like config fields."""
 
     @staticmethod
     def put(document, keys, value):
@@ -278,8 +295,6 @@ class TestLoaderScalars:
         "keys,value,field",
         [
             pytest.param(("frames", 1, "frame_index"), 2.5, r"frames\[1\]\.frame_index", id="float-frame_index"),
-            pytest.param(("frames", 0, "s_conf"), True, r"frames\[0\]\.s_conf", id="bool-s_conf"),
-            pytest.param(("frames", 0, "s_conf"), "0.9", r"frames\[0\]\.s_conf", id="str-s_conf"),
             pytest.param(
                 ("displacements", 0, "frame_index"),
                 1.5,
@@ -296,16 +311,9 @@ class TestLoaderScalars:
         with pytest.raises(fileio.SchemaError, match=rf"{field}: expected"):
             fileio.load_track(str(track_path))
 
-    def test_integer_accepted_for_s_conf(self, geo_files):
-        _, track_path = geo_files
-        rewrite(track_path, lambda d: d["frames"][0].update(s_conf=1))
-        s_conf = fileio.load_track(str(track_path)).results[0].s_conf
-        assert s_conf == 1.0 and type(s_conf) is float
-
     @pytest.mark.parametrize(
         "target,keys,value,field",
         [
-            pytest.param(1, ("frames", 0, "s_conf"), float("nan"), "frames[0].s_conf", id="nan-s_conf"),
             pytest.param(1, ("peaks", 1), float("inf"), "peaks[1]", id="inf-peak"),
             pytest.param(1, ("peaks", 0), -float("inf"), "peaks[0]", id="minus-inf-peak"),
             pytest.param(
@@ -364,8 +372,8 @@ class TestLoaderContainers:
 
 
 class TestLoaderIntVectors:
-    """Intervals, boxes and the track canvas are read as integer vectors of fixed length,
-    and an interval's start is at most its end."""
+    """The track interval and canvas are read as integer vectors of fixed length,
+    and the interval's start is at most its end."""
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -387,27 +395,9 @@ class TestLoaderIntVectors:
             fileio.load_track(str(track_path))
         self.eval_rejects(files, ".interval", capsys)
 
-    def test_short_gt_interval_rejected(self, files, capsys):
-        scenario_path, _ = files
-        rewrite(scenario_path, lambda d: d.update(gt_interval=[0]))
-        with pytest.raises(fileio.SchemaError, match=r"\.gt_interval: expected a list of 2 integers"):
-            fileio.load_scenario(str(scenario_path))
-        self.eval_rejects(files, ".gt_interval", capsys)
-
     def test_reversed_interval_exits_2(self, files, capsys):
         rewrite(files[1], lambda d: d.update(interval=[2, 1]))
         self.eval_rejects(files, "t.json.interval: expected start <= end, got [2, 1]", capsys)
-
-    def test_reversed_gt_interval_exits_2(self, files, capsys):
-        rewrite(files[0], lambda d: d.update(gt_interval=[2, 1]))
-        self.eval_rejects(files, "s.json.gt_interval: expected start <= end, got [2, 1]", capsys)
-
-    def test_short_gt_bbox_rejected(self, files, capsys):
-        scenario_path, _ = files
-        rewrite(scenario_path, lambda d: d["frames"][1].update(gt_bbox=[3, 4]))
-        with pytest.raises(fileio.SchemaError, match=r"frames\[1\]\.gt_bbox: expected a list of 4 integers"):
-            fileio.load_scenario(str(scenario_path))
-        self.eval_rejects(files, "frames[1].gt_bbox", capsys)
 
     def test_short_canvas_rejected(self, files, capsys):
         _, track_path = files
@@ -415,12 +405,6 @@ class TestLoaderIntVectors:
         with pytest.raises(fileio.SchemaError, match=r"\.canvas: expected a list of 2 integers"):
             fileio.load_track(str(track_path))
         self.eval_rejects(files, ".canvas", capsys)
-
-    def test_fractional_bbox_rejected(self, files):
-        _, track_path = files
-        rewrite(track_path, lambda d: d["frames"][0].update(bbox=[1, 2, 3.5, 4]))
-        with pytest.raises(fileio.SchemaError, match=r"frames\[0\]\.bbox"):
-            fileio.load_track(str(track_path))
 
 
 class TestLoaderMasks:
@@ -620,6 +604,25 @@ class TestEval3d:
         )
         report = metrics.eval_3d(shifted, sc)
         assert report.l2 == pytest.approx(float(np.linalg.norm(eps)), rel=1e-9)
+
+
+class TestEvalInterval:
+    """Both evaluators reject a predicted interval that leaves the scenario's frames."""
+
+    @pytest.mark.parametrize(
+        "interval", [pytest.param([0, 999], id="past-end"), pytest.param([-3, 2], id="negative-start")]
+    )
+    def test_interval_outside_clip_exits_2(self, geo_files, capsys, interval):
+        scenario_path, track_path = geo_files
+        rewrite(track_path, lambda d: d.update(interval=interval))
+        scenario, track = fileio.load_scenario(str(scenario_path)), fileio.load_track(str(track_path))
+        message = f"interval {interval} leaves the scenario's frames [0, 5)"
+        for evaluate in metrics.eval_2d, metrics.eval_3d:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                evaluate(track, scenario)
+        args = ["eval", "--scenario", str(scenario_path), "--track", str(track_path), "--metrics-3d"]
+        assert cli_main(args) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestCli:
