@@ -1,17 +1,26 @@
 """Scenario, track, and config files.
 
-All three are JSON documents (UTF-8, nested key/value objects) carrying a
-mandatory ``version`` and ``kind`` field. Every tensor is one base64 string
-of its row-major bytes: little-endian float64 (``<f8``) for float tensors,
-one byte per pixel (``u1``) for masks. The shape follows from the
-document's ``canvas``/``channels`` fields, so the loader checks the byte
-count, and the bytes are the array's exact bits, so a load/save cycle is
-byte-identical. A file stores nothing that follows from what it stores:
-the loader derives a scenario frame's ``gt_bbox`` and the scenario's
-``gt_interval`` from the ground-truth masks, and a track frame's mask,
-``bbox`` and ``s_conf`` from its probability map (``fusion.extract_result``).
-Version 3 dropped those stored copies and version 2 introduced the base64
-encoding; files of an older version are not read and must be regenerated.
+A scenario or track file is one uncompressed zip archive in the ``.npz``
+layout: a ``document.json`` member holding the ``version``, the ``kind``
+and every scalar and small integer list, and one ``.npy`` member for each
+kind of tensor, the frames' tensors stacked along a leading axis. Float
+tensors are little-endian float64 (``<f8``) and masks one byte per pixel
+(``u1``). Each member's dtype and shape are checked against what the
+document implies before it is used, so the loaded arrays are the stored
+bits and a load/save cycle is byte-identical. Members are written in
+sorted order, each stamped with the same fixed date, so a file's bytes
+depend on its contents alone. The loader accepts no document field and no
+member it does not read.
+
+A config file holds no tensor and stays one JSON document with the same
+``version`` and ``kind`` header.
+
+A file stores nothing that follows from what it stores: the loader derives
+a scenario frame's ``gt_bbox`` and the scenario's ``gt_interval`` from the
+ground-truth masks, and a track frame's mask, ``bbox`` and ``s_conf`` from
+its probability map (``fusion.extract_result``). Version 4 introduced the
+archive; version 3 stored each tensor as a base64 string in one JSON
+document. Files of an older version are not read and must be regenerated.
 Writes go to a temporary file in the target directory and are renamed into
 place, so a reader never sees a partial file.
 
@@ -20,14 +29,13 @@ The full schema is documented in the repository README.
 
 from __future__ import annotations
 
-import base64
 import json
-import math
 import os
 import tempfile
 import typing
+import zipfile
 from dataclasses import asdict
-from typing import Any, Optional
+from typing import Any, BinaryIO, Callable, Optional
 
 import numpy as np
 
@@ -48,7 +56,7 @@ __all__ = [
     "load_config",
 ]
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 # how to replace a file of another version, by kind
 _UPGRADE = {
@@ -57,28 +65,130 @@ _UPGRADE = {
     "config": f"write version {FORMAT_VERSION}",
 }
 
+# the archive member holding a scenario's or track's JSON document
+_DOCUMENT = "document.json"
+# every member's zip timestamp, the earliest a zip can hold, so bytes do not depend on the clock
+_ZIP_DATE = (1980, 1, 1, 0, 0, 0)
+
 
 class SchemaError(ValueError):
     """A document is malformed; the message names the offending field."""
 
 
-def _atomic_write(path: str, document: dict) -> None:
-    """Write ``document`` as one line of JSON with sorted keys.
-
-    The encoder streams its pieces to the file, so no copy of the whole
-    text is built in memory.
-    """
+def _atomic_write(path: str, write: Callable[[BinaryIO], None]) -> None:
+    """Call ``write`` on a temporary file beside ``path``, then rename it to ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, sort_keys=True, separators=(",", ":"))
-            handle.write("\n")
+        with os.fdopen(fd, "wb") as handle:
+            write(handle)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+
+
+def _json_bytes(document: dict) -> bytes:
+    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("ascii")
+
+
+def _write_archive(path: str, document: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write ``document`` and one ``<name>.npy`` member per array to exactly ``path``.
+
+    Members are stored uncompressed, in sorted order, each stamped with
+    ``_ZIP_DATE``.
+    """
+    members: dict[str, Any] = {_DOCUMENT: _json_bytes(document)}
+    members.update((f"{name}.npy", arr) for name, arr in arrays.items())
+
+    def write(handle: BinaryIO) -> None:
+        with zipfile.ZipFile(handle, "w") as archive:
+            for name in sorted(members):
+                info = zipfile.ZipInfo(name, date_time=_ZIP_DATE)
+                with archive.open(info, "w", force_zip64=True) as member:
+                    value = members[name]
+                    if isinstance(value, bytes):
+                        member.write(value)
+                    else:
+                        np.lib.format.write_array(member, value, allow_pickle=False)
+
+    _atomic_write(path, write)
+
+
+def _read_archive(
+    path: str, kind: str, keys: tuple[str, ...], members: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """The document and the arrays of the ``kind`` archive at ``path``.
+
+    The document's header is checked, and a field other than the header and
+    ``keys`` is an error. Each name in ``members`` must be an array member,
+    each in ``optional`` may be, and any other member is an error. The
+    arrays come back as stored; ``_member`` checks each one.
+    """
+    with open(path, "rb") as handle:
+        try:
+            archive = np.load(handle, allow_pickle=False)
+        except (ValueError, EOFError, zipfile.BadZipFile):
+            archive = None
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            _check_legacy(path, kind)
+            raise SchemaError(f"{path}: not a version {FORMAT_VERSION} {kind} file (a zip archive)")
+        with archive:
+            names = set(archive.zip.namelist())
+            if _DOCUMENT not in names:
+                raise SchemaError(f"{path}.{_DOCUMENT}: missing member")
+            try:
+                document = json.loads(archive.zip.read(_DOCUMENT))
+            except (ValueError, zipfile.BadZipFile):
+                raise SchemaError(f"{path}.{_DOCUMENT}: not valid JSON") from None
+            document = _container(document, dict, path)
+            _check_header(document, kind, path)
+            unknown = sorted(set(document) - {"version", "kind", *keys})
+            if unknown:
+                raise SchemaError(f"{path}.{unknown[0]}: unknown field")
+            unknown = sorted(names - {_DOCUMENT} - {f"{name}.npy" for name in members + optional})
+            if unknown:
+                raise SchemaError(f"{path}.{unknown[0]}: unknown member")
+            arrays = {}
+            for name in members + optional:
+                if f"{name}.npy" not in names:
+                    if name in members:
+                        raise SchemaError(f"{path}.{name}: missing member")
+                    continue
+                try:
+                    arrays[name] = archive[f"{name}.npy"]
+                except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+                    raise SchemaError(f"{path}.{name}: unreadable member ({exc})") from None
+                if not isinstance(arrays[name], np.ndarray):
+                    raise SchemaError(f"{path}.{name}: expected an .npy array")
+    return document, arrays
+
+
+def _check_legacy(path: str, kind: str) -> None:
+    """Name the version of a file that is one JSON document, as versions 1-3 were."""
+    try:
+        document = _load_json(path)
+    except ValueError:
+        return
+    _check_header(document, kind, path)
+
+
+def _member(arrays: dict[str, np.ndarray], name: str, dtype: str, shape: tuple, path: str) -> np.ndarray:
+    """The array ``name``: exactly ``dtype`` (``<f8`` or ``u1``) and of ``shape``
+    (None takes any length on that axis), every float finite and every mask byte 0 or 1."""
+    arr = arrays[name]
+    where = f"{path}.{name}"
+    if arr.dtype != np.dtype(dtype):
+        raise SchemaError(f"{where}: expected dtype {dtype}, got {arr.dtype.str}")
+    if arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape)):
+        raise SchemaError(f"{where}: expected shape {shape}, got {arr.shape}")
+    if dtype == "u1":
+        if not (arr <= 1).all():
+            raise SchemaError(f"{where}: mask values must be 0 or 1")
+    elif not np.isfinite(arr).all():
+        raise SchemaError(f"{where}: contains non-finite values")
+    return arr
 
 
 def _load_json(path: str) -> dict:
@@ -113,54 +223,17 @@ def _check_header(document: dict, kind: str, path: str) -> None:
         raise SchemaError(f"{path}.kind: expected {kind!r}, got {actual!r}")
 
 
-def _encode(arr: np.ndarray, dtype: str = "<f8") -> str:
-    """The row-major ``dtype`` bytes of ``arr`` as one base64 string."""
-    return base64.b64encode(np.ascontiguousarray(arr, dtype=dtype).tobytes()).decode("ascii")
-
-
-def _decode(value: Any, dtype: str, shape: tuple[int, ...], path: str) -> np.ndarray:
-    """A read-only view of shape ``shape`` on the ``dtype`` bytes a base64 string holds.
-
-    A leading -1 in ``shape`` takes as many rows as the bytes fill.
-    """
-    if not isinstance(value, str):
-        raise SchemaError(f"{path}: expected a base64 string, got {type(value).__name__}")
-    try:
-        raw = base64.b64decode(value, validate=True)
-    except ValueError:
-        raise SchemaError(f"{path}: not valid base64") from None
-    row_bytes = np.dtype(dtype).itemsize * math.prod(shape[1:])
-    if shape[0] == -1:
-        if len(raw) % row_bytes:
-            raise SchemaError(f"{path}: expected a multiple of {row_bytes} bytes, got {len(raw)}")
-        shape = (len(raw) // row_bytes, *shape[1:])
-    elif len(raw) != shape[0] * row_bytes:
-        raise SchemaError(f"{path}: expected {shape[0] * row_bytes} bytes for shape {shape}, got {len(raw)}")
-    return np.frombuffer(raw, dtype).reshape(shape)
-
-
-def _tensor(value: Any, shape: tuple[int, ...], path: str) -> np.ndarray:
-    """An owned float64 copy of a stored tensor, every value finite."""
-    arr = _decode(value, "<f8", shape, path).astype(np.float64)
-    if not np.isfinite(arr).all():
-        raise SchemaError(f"{path}: contains non-finite values")
-    return arr
-
-
-def _encode_mask(mask: np.ndarray, path: str) -> str:
-    """The one-byte encoding of a mask whose every value is 0 or 1."""
+def _mask_bytes(mask: np.ndarray, path: str) -> np.ndarray:
+    """A mask as one byte per pixel, refusing any value but 0 and 1."""
     mask = np.asarray(mask)
     if not ((mask == 0) | (mask == 1)).all():
         raise SchemaError(f"{path}: mask values must be 0 or 1")
-    return _encode(mask, "u1")
+    return mask.astype("u1")
 
 
-def _mask(value: Any, shape: tuple[int, int], path: str) -> np.ndarray:
-    """An owned uint8 copy of a stored mask, every byte 0 or 1."""
-    arr = _decode(value, "u1", shape, path)
-    if not (arr <= 1).all():
-        raise SchemaError(f"{path}: mask values must be 0 or 1")
-    return arr.astype(np.uint8)
+def _stack(rows: list, shape: tuple[int, ...], dtype: str = "<f8") -> np.ndarray:
+    """Tensors of ``shape`` stacked along a new leading axis, which is empty when ``rows`` is."""
+    return np.asarray(rows, dtype=dtype).reshape(len(rows), *shape)
 
 
 def _int_vector(values: Any, n: Optional[int], path: str) -> tuple[int, ...]:
@@ -173,6 +246,16 @@ def _int_vector(values: Any, n: Optional[int], path: str) -> tuple[int, ...]:
         count = "" if n is None else f"{n} "
         raise SchemaError(f"{path}: expected a list of {count}integers, got {values!r}")
     return tuple(values)
+
+
+def _frame_list(values: Any, n_frames: Optional[int], path: str) -> tuple[int, ...]:
+    """A list of increasing frame indices from 0, each below ``n_frames`` when it is given."""
+    frames = _int_vector(values, None, path)
+    increasing = all(a < b for a, b in zip((-1, *frames), frames))
+    if not increasing or (n_frames is not None and frames and frames[-1] >= n_frames):
+        bound = "" if n_frames is None else f" below {n_frames}"
+        raise SchemaError(f"{path}: expected increasing frame indices from 0{bound}, got {list(frames)}")
+    return frames
 
 
 def _interval(values: Any, path: str) -> tuple[int, int]:
@@ -225,93 +308,95 @@ def _fields(raw: dict, hints: dict, path: str) -> dict:
 
 # -- scenario ---------------------------------------------------------------
 
+_SCENARIO_MEMBERS = (
+    "features",
+    "gt_masks",
+    "query_feature",
+    "query_mask",
+    "poses",
+    "intrinsics",
+    "depths",
+    "depth_uncertainties",
+)
+# the optional members and their shapes; an alignment holds any number of matched points
+_SCENARIO_OPTIONAL = {"gt_point": (3,), "alignment_src": (None, 3), "alignment_dst": (None, 3)}
+
 
 def save_scenario(scenario: Scenario, path: str) -> None:
-    frames = []
-    for i, frame in enumerate(scenario.frames):
-        camera = None
-        if frame.camera is not None:
-            camera = {
-                "pose": _encode(frame.camera.pose),
-                "intrinsics": _encode(frame.camera.intrinsics),
-                "depth": _encode(frame.camera.depth),
-                "depth_uncertainty": _encode(frame.camera.depth_uncertainty),
-            }
-        frames.append(
-            {
-                "feature": _encode(frame.feature),
-                "gt_mask": _encode_mask(frame.gt_mask, f"{path}.frames[{i}].gt_mask"),
-                "camera": camera,
-            }
-        )
+    h, w = scenario.params.canvas
+    camera_frames = [i for i, frame in enumerate(scenario.frames) if frame.camera is not None]
+    cameras = [scenario.frames[i].camera for i in camera_frames]
+    arrays = {
+        "features": _stack([frame.feature for frame in scenario.frames], (h, w, scenario.params.channels)),
+        "gt_masks": _stack(
+            [_mask_bytes(frame.gt_mask, f"{path}.frames[{i}].gt_mask") for i, frame in enumerate(scenario.frames)],
+            (h, w),
+            "u1",
+        ),
+        "query_feature": np.asarray(scenario.query.feature, dtype="<f8"),
+        "query_mask": _mask_bytes(scenario.query.mask, f"{path}.query.mask"),
+        "poses": _stack([camera.pose for camera in cameras], (4, 4)),
+        "intrinsics": _stack([camera.intrinsics for camera in cameras], (3, 3)),
+        "depths": _stack([camera.depth for camera in cameras], (h, w)),
+        "depth_uncertainties": _stack([camera.depth_uncertainty for camera in cameras], (h, w)),
+    }
+    for name in _SCENARIO_OPTIONAL:
+        value = getattr(scenario, name)
+        if value is not None:
+            arrays[name] = np.asarray(value, dtype="<f8")
     document = {
         "version": FORMAT_VERSION,
         "kind": "scenario",
         "seed": scenario.seed,
         "params": asdict(scenario.params),
-        "query": {
-            "feature": _encode(scenario.query.feature),
-            "mask": _encode_mask(scenario.query.mask, f"{path}.query.mask"),
-            "frame_index": scenario.query.frame_index,
-        },
-        "frames": frames,
-        "gt_point": None if scenario.gt_point is None else _encode(scenario.gt_point),
-        "alignment_src": None if scenario.alignment_src is None else _encode(scenario.alignment_src),
-        "alignment_dst": None if scenario.alignment_dst is None else _encode(scenario.alignment_dst),
+        "query_frame_index": scenario.query.frame_index,
+        "camera_frames": camera_frames,
     }
-    _atomic_write(path, document)
+    _write_archive(path, document, arrays)
 
 
 def load_scenario(path: str) -> Scenario:
-    document = _load_json(path)
-    _check_header(document, "scenario", path)
+    keys = ("seed", "params", "query_frame_index", "camera_frames")
+    document, arrays = _read_archive(path, "scenario", keys, _SCENARIO_MEMBERS, tuple(_SCENARIO_OPTIONAL))
     raw_params = _expect(document, "params", path, dict)
     for name in _PARAM_TYPES:
         _expect(raw_params, name, f"{path}.params")
     params = ScenarioParams(**_fields(raw_params, _PARAM_TYPES, f"{path}.params"))
+    n = params.n_frames
     h, w = params.canvas
     c = params.channels
-    raw_query = _expect(document, "query", path, dict)
-    query = QuerySpec(
-        _tensor(_expect(raw_query, "feature", f"{path}.query"), (h, w, c), f"{path}.query.feature"),
-        _mask(_expect(raw_query, "mask", f"{path}.query"), (h, w), f"{path}.query.mask"),
-        _param(_expect(raw_query, "frame_index", f"{path}.query"), int, f"{path}.query.frame_index"),
-    )
-    frames = []
-    raw_frames = _expect(document, "frames", path, list)
-    if len(raw_frames) != params.n_frames:
-        raise SchemaError(f"{path}.frames: expected {params.n_frames} entries")
-    for i, raw in enumerate(raw_frames):
-        where = f"{path}.frames[{i}]"
-        raw = _container(raw, dict, where)
-        camera = None
-        if raw.get("camera") is not None:
-            at = f"{where}.camera"
-            raw_cam = _container(raw["camera"], dict, at)
-            camera = CameraFrame(
-                _tensor(_expect(raw_cam, "pose", at), (4, 4), f"{at}.pose"),
-                _tensor(_expect(raw_cam, "intrinsics", at), (3, 3), f"{at}.intrinsics"),
-                _tensor(_expect(raw_cam, "depth", at), (h, w), f"{at}.depth"),
-                _tensor(_expect(raw_cam, "depth_uncertainty", at), (h, w), f"{at}.depth_uncertainty"),
-            )
-        frames.append(
-            FrameData(
-                _tensor(_expect(raw, "feature", where), (h, w, c), f"{where}.feature"),
-                _mask(_expect(raw, "gt_mask", where), (h, w), f"{where}.gt_mask"),
-                camera,
-            )
+    camera_frames = _frame_list(_expect(document, "camera_frames", path), n, f"{path}.camera_frames")
+    k = len(camera_frames)
+    features = _member(arrays, "features", "<f8", (n, h, w, c), path)
+    gt_masks = _member(arrays, "gt_masks", "u1", (n, h, w), path)
+    cameras = dict(
+        zip(
+            camera_frames,
+            map(
+                CameraFrame,
+                _member(arrays, "poses", "<f8", (k, 4, 4), path),
+                _member(arrays, "intrinsics", "<f8", (k, 3, 3), path),
+                _member(arrays, "depths", "<f8", (k, h, w), path),
+                _member(arrays, "depth_uncertainties", "<f8", (k, h, w), path),
+            ),
         )
-    gt_point = document.get("gt_point")
-    src = document.get("alignment_src")
-    dst = document.get("alignment_dst")
+    )
+    query = QuerySpec(
+        _member(arrays, "query_feature", "<f8", (h, w, c), path),
+        _member(arrays, "query_mask", "u1", (h, w), path),
+        _param(_expect(document, "query_frame_index", path), int, f"{path}.query_frame_index"),
+    )
+    optional = {
+        name: _member(arrays, name, "<f8", shape, path)
+        for name, shape in _SCENARIO_OPTIONAL.items()
+        if name in arrays
+    }
     return Scenario(
         seed=_param(_expect(document, "seed", path), int, f"{path}.seed"),
         params=params,
-        frames=frames,
+        frames=[FrameData(features[i], gt_masks[i], cameras.get(i)) for i in range(n)],
         query=query,
-        gt_point=None if gt_point is None else _tensor(gt_point, (3,), f"{path}.gt_point"),
-        alignment_src=None if src is None else _tensor(src, (-1, 3), f"{path}.alignment_src"),
-        alignment_dst=None if dst is None else _tensor(dst, (-1, 3), f"{path}.alignment_dst"),
+        **optional,
     )
 
 
@@ -322,54 +407,44 @@ def save_track(track: TrackOutput, path: str) -> None:
     if not track.results:
         raise SchemaError("track has no per-frame results to save")
     h, w = track.results[0].prob.shape
-    frames = [{"frame_index": result.frame_index, "prob": _encode(result.prob)} for result in track.results]
-    displacements = [
-        {"frame_index": int(idx), "delta": _encode(delta)}
-        for idx, delta in sorted(track.displacements.items())
-    ]
+    displacement_frames = sorted(track.displacements)
+    arrays = {
+        "prob": _stack([result.prob for result in track.results], (h, w)),
+        "deltas": _stack([track.displacements[t] for t in displacement_frames], (3,)),
+    }
+    if track.world_point is not None:
+        arrays["world_point"] = np.asarray(track.world_point, dtype="<f8")
     document = {
         "version": FORMAT_VERSION,
         "kind": "track",
         "canvas": [h, w],
-        "frames": frames,
+        "frame_index": [int(result.frame_index) for result in track.results],
         "peaks": [float(p) for p in track.peaks],
         "interval": None
         if track.interval is None
         else [track.interval.start_frame, track.interval.end_frame],
-        "world_point": None if track.world_point is None else _encode(track.world_point),
-        "displacements": displacements,
+        "displacement_frames": [int(t) for t in displacement_frames],
     }
-    _atomic_write(path, document)
+    _write_archive(path, document, arrays)
 
 
 def load_track(path: str) -> TrackOutput:
-    document = _load_json(path)
-    _check_header(document, "track", path)
+    keys = ("canvas", "frame_index", "peaks", "interval", "displacement_frames")
+    document, arrays = _read_archive(path, "track", keys, ("prob", "deltas"), ("world_point",))
     h, w = _int_vector(_expect(document, "canvas", path), 2, f"{path}.canvas")
-    results = []
-    for i, raw in enumerate(_expect(document, "frames", path, list)):
-        where = f"{path}.frames[{i}]"
-        raw = _container(raw, dict, where)
-        results.append(
-            extract_result(
-                _tensor(_expect(raw, "prob", where), (h, w), f"{where}.prob"),
-                _param(_expect(raw, "frame_index", where), int, f"{where}.frame_index"),
-            )
-        )
-    interval = document.get("interval")
-    world_point = document.get("world_point")
-    displacements = {}
-    for i, entry in enumerate(_container(document.get("displacements", []), list, f"{path}.displacements")):
-        where = f"{path}.displacements[{i}]"
-        entry = _container(entry, dict, where)
-        delta = _tensor(_expect(entry, "delta", where), (3,), f"{where}.delta")
-        displacements[_param(_expect(entry, "frame_index", where), int, f"{where}.frame_index")] = delta
+    frame_index = _int_vector(_expect(document, "frame_index", path), None, f"{path}.frame_index")
+    displacement_frames = _frame_list(
+        _expect(document, "displacement_frames", path), None, f"{path}.displacement_frames"
+    )
+    prob = _member(arrays, "prob", "<f8", (len(frame_index), h, w), path)
+    deltas = _member(arrays, "deltas", "<f8", (len(displacement_frames), 3), path)
+    interval = _expect(document, "interval", path)
     return TrackOutput(
-        results,
+        [extract_result(p, t) for p, t in zip(prob, frame_index)],
         None if interval is None else TemporalInterval(*_interval(interval, f"{path}.interval")),
         [_param(p, float, f"{path}.peaks[{i}]") for i, p in enumerate(_expect(document, "peaks", path, list))],
-        None if world_point is None else _tensor(world_point, (3,), f"{path}.world_point"),
-        displacements,
+        _member(arrays, "world_point", "<f8", (3,), path) if "world_point" in arrays else None,
+        dict(zip(displacement_frames, deltas)),
     )
 
 
@@ -379,7 +454,7 @@ def load_track(path: str) -> TrackOutput:
 def save_config(cfg: PipelineConfig, path: str) -> None:
     document = {"version": FORMAT_VERSION, "kind": "config"}
     document.update(asdict(cfg))
-    _atomic_write(path, document)
+    _atomic_write(path, lambda handle: handle.write(_json_bytes(document) + b"\n"))
 
 
 def load_config(path: str) -> PipelineConfig:

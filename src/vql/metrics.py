@@ -19,7 +19,8 @@ over interval frames,
 success* restricted to frames with a camera pose, and QwP, the percent of
 interval frames that have a pose.
 
-A predicted interval that leaves the scenario's frames is a ValueError.
+A track whose results are not one per scenario frame, in order, and a
+predicted interval that leaves the scenario's frames are ValueErrors.
 """
 
 from __future__ import annotations
@@ -91,6 +92,17 @@ def _frame_boxes(track: TrackOutput) -> dict[int, Optional[tuple[int, int, int, 
     return {r.frame_index: r.bbox for r in track.results}
 
 
+def _check_frames(pred: TrackOutput, scenario: Scenario) -> None:
+    """Raises ValueError unless the track's frame indices are exactly 0..n_frames-1."""
+    indices = [r.frame_index for r in pred.results]
+    n_frames = len(scenario.frames)
+    if indices != list(range(n_frames)):
+        raise ValueError(
+            f"track frame_index values are not the scenario's frames 0..{n_frames - 1} in order "
+            f"({len(indices)} results, starting {indices[:3]})"
+        )
+
+
 def _pred_interval(pred: TrackOutput, scenario: Scenario) -> Optional[tuple[int, int]]:
     """The predicted interval as (start, end), None when the track has none.
 
@@ -113,6 +125,7 @@ def eval_2d(pred: TrackOutput, scenario: Scenario) -> MetricsReport2D:
     gt_interval = scenario.gt_interval
     if gt_interval is None:
         raise ValueError("scenario carries no ground-truth interval")
+    _check_frames(pred, scenario)
     pred_interval = _pred_interval(pred, scenario)
     if pred_interval is None:
         return MetricsReport2D(0.0, 0.0, 0.0, 0.0)
@@ -157,6 +170,7 @@ def eval_3d(pred: TrackOutput, scenario: Scenario) -> MetricsReport3D:
     """
     if scenario.gt_point is None or scenario.alignment_src is None:
         raise ValueError("scenario carries no 3D ground truth")
+    _check_frames(pred, scenario)
     pred_interval = _pred_interval(pred, scenario)
     if pred_interval is None:
         return MetricsReport3D(0.0, 0.0, None, None, 0.0)

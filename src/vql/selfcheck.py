@@ -1266,8 +1266,8 @@ def check_scenario_roundtrip(tmp_dir=None):
 
     scenario = scen.gen_scenario(31, _small_identity_params(n_frames=3))
     with tempfile.TemporaryDirectory(dir=tmp_dir) as work:
-        path_a = os.path.join(work, "a.json")
-        path_b = os.path.join(work, "b.json")
+        path_a = os.path.join(work, "a.npz")
+        path_b = os.path.join(work, "b.npz")
         fileio.save_scenario(scenario, path_a)
         fileio.save_scenario(fileio.load_scenario(path_a), path_b)
         with open(path_a, "rb") as fha, open(path_b, "rb") as fhb:

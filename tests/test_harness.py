@@ -1,8 +1,12 @@
-import base64
+import io
 import json
+import os
 import re
 import subprocess
 import sys
+import tempfile
+import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -133,25 +137,63 @@ class TestFileRoundTrips:
         with pytest.raises(fileio.SchemaError, match=upgrade):
             fileio.load_scenario(str(path))
         path.write_text("not json")
-        with pytest.raises(fileio.SchemaError, match="JSON"):
+        with pytest.raises(fileio.SchemaError, match=f"not a version {fileio.FORMAT_VERSION} scenario file"):
             fileio.load_scenario(str(path))
+        with pytest.raises(fileio.SchemaError, match="JSON"):
+            fileio.load_config(str(path))
+
+    def test_bytes_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
+        # a zip member records a date; every member is stamped with the same fixed one
+        sc = small_identity()
+        track = ground_truth_track(sc)
+        fileio.save_scenario(sc, str(tmp_path / "s1"))
+        fileio.save_track(track, str(tmp_path / "t1"))
+        now = time.time()
+        monkeypatch.setattr(time, "time", lambda: now + 86400.0)
+        fileio.save_scenario(sc, str(tmp_path / "s2"))
+        fileio.save_track(track, str(tmp_path / "t2"))
+        assert (tmp_path / "s1").read_bytes() == (tmp_path / "s2").read_bytes()
+        assert (tmp_path / "t1").read_bytes() == (tmp_path / "t2").read_bytes()
+
+    def test_writes_exactly_the_path(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        fileio.save_scenario(small_identity(), str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+        assert zipfile.is_zipfile(path)
 
 
-def rewrite(path, edit):
-    """Apply ``edit`` to the JSON document at ``path`` in place."""
-    document = json.loads(path.read_text())
-    edit(document)
-    path.write_text(json.dumps(document))
+def rewrite(path, edit, member="document.json"):
+    """Rewrite one member of the archive at ``path`` in place, every other member as it was.
+
+    For ``document.json``, ``edit`` changes the document (a dict) in place.
+    For an array member it takes the stored array (None when there is
+    none) and returns the replacement, or None to drop the member; any
+    dtype may be written, objects too.
+    """
+    with zipfile.ZipFile(path) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    if member == "document.json":
+        document = json.loads(members[member])
+        edit(document)
+        members[member] = json.dumps(document).encode()
+    else:
+        old = members.get(member)
+        new = edit(None if old is None else np.lib.format.read_array(io.BytesIO(old)))
+        members.pop(member, None)
+        if new is not None:
+            buffer = io.BytesIO()
+            np.lib.format.write_array(buffer, np.asarray(new), allow_pickle=True)
+            members[member] = buffer.getvalue()
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
 
 
-def b64(values, dtype="<f8"):
-    """``values`` as the base64 string of their row-major ``dtype`` bytes, the way a file stores a tensor."""
-    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
-
-
-def unb64(text, dtype="<f8"):
-    """The writable flat array of ``dtype`` values a base64 string holds."""
-    return np.frombuffer(base64.b64decode(text), dtype).copy()
+def with_item(arr, index, value):
+    """A copy of ``arr`` with ``value`` at ``index``."""
+    arr = arr.copy()
+    arr[index] = value
+    return arr
 
 
 class TestScenarioParamsSchema:
@@ -206,6 +248,7 @@ class TestVersion:
 
     @staticmethod
     def assert_rejected(tmp_path, version, kind, hint):
+        # versions 1-3 of every kind were one JSON document
         path = tmp_path / f"{kind}.json"
         path.write_text(json.dumps({"version": version, "kind": kind}))
         want = rf"\.version: expected {fileio.FORMAT_VERSION}, got {version}; .*{hint}"
@@ -221,6 +264,11 @@ class TestVersion:
         # version 2 stored boxes, confidences and the ground-truth interval beside their sources
         self.assert_rejected(tmp_path, 2, kind, hint)
 
+    @pytest.mark.parametrize("kind,hint", HINTS)
+    def test_version_3_file_rejected(self, tmp_path, kind, hint):
+        # version 3 stored each tensor as a base64 string in the JSON document
+        self.assert_rejected(tmp_path, 3, kind, hint)
+
 
 @pytest.fixture
 def geo_files(tmp_path):
@@ -235,12 +283,41 @@ def geo_files(tmp_path):
     return scenario_path, out
 
 
+class TestUnknownEntries:
+    """A document field or an archive member the loader does not read is an error, not ignored."""
+
+    @pytest.mark.parametrize(
+        "target,key,value",
+        [
+            pytest.param(0, "gt_interval", [1, 2], id="scenario-gt_interval"),
+            pytest.param(1, "s_conf", [0.9] * 5, id="track-s_conf"),
+        ],
+    )
+    def test_unknown_document_field_exits_2(self, geo_files, capsys, target, key, value):
+        rewrite(geo_files[target], lambda d: d.update({key: value}))
+        with pytest.raises(fileio.SchemaError, match=rf"\.{key}: unknown field"):
+            (fileio.load_track if target else fileio.load_scenario)(str(geo_files[target]))
+        assert cli_main(["eval", "--scenario", str(geo_files[0]), "--track", str(geo_files[1])]) == 2
+        assert f".{key}: unknown field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "target,member",
+        [pytest.param(0, "gt_bboxes.npy", id="scenario"), pytest.param(1, "masks.npy", id="track")],
+    )
+    def test_unknown_member_exits_2(self, geo_files, capsys, target, member):
+        rewrite(geo_files[target], lambda _: np.zeros((5, 4), np.uint8), member)
+        with pytest.raises(fileio.SchemaError, match=rf"\.{re.escape(member)}: unknown member"):
+            (fileio.load_track if target else fileio.load_scenario)(str(geo_files[target]))
+        assert cli_main(["eval", "--scenario", str(geo_files[0]), "--track", str(geo_files[1])]) == 2
+        assert f".{member}: unknown member" in capsys.readouterr().err
+
+
 class TestLoaderVectors:
     """3-vectors in track and scenario files are read like every other tensor."""
 
     def test_short_nan_world_point_rejected(self, geo_files, capsys):
         scenario_path, track_path = geo_files
-        rewrite(track_path, lambda d: d.update(world_point=b64([float("nan"), 0.0])))
+        rewrite(track_path, lambda _: np.array([float("nan"), 0.0]), "world_point.npy")
         with pytest.raises(fileio.SchemaError, match="world_point"):
             fileio.load_track(str(track_path))
         args = ["eval", "--scenario", str(scenario_path), "--track", str(track_path), "--metrics-3d"]
@@ -249,22 +326,23 @@ class TestLoaderVectors:
 
     def test_infinite_delta_rejected(self, geo_files):
         _, track_path = geo_files
-        rewrite(track_path, lambda d: d["displacements"][0].update(delta=b64([1.0, float("inf"), 0.0])))
-        with pytest.raises(fileio.SchemaError, match=r"displacements\[0\]\.delta: contains non-finite"):
+        rewrite(track_path, lambda d: with_item(d, (0, 1), float("inf")), "deltas.npy")
+        with pytest.raises(fileio.SchemaError, match=r"\.deltas: contains non-finite"):
             fileio.load_track(str(track_path))
 
     def test_short_nan_gt_point_rejected(self, geo_files):
         scenario_path, _ = geo_files
-        rewrite(scenario_path, lambda d: d.update(gt_point=b64([float("nan")])))
+        rewrite(scenario_path, lambda _: np.array([float("nan")]), "gt_point.npy")
         with pytest.raises(fileio.SchemaError, match="gt_point"):
             fileio.load_scenario(str(scenario_path))
 
     def test_displacement_without_delta_exits_2(self, geo_files, capsys):
+        # one row of the stacked deltas per frame listed in displacement_frames
         scenario_path, track_path = geo_files
-        rewrite(track_path, lambda d: d["displacements"][0].pop("delta"))
+        rewrite(track_path, lambda d: d[1:], "deltas.npy")
         args = ["eval", "--scenario", str(scenario_path), "--track", str(track_path), "--metrics-3d"]
         assert cli_main(args) == 2
-        assert "displacements[0].delta: missing required field" in capsys.readouterr().err
+        assert "deltas: expected shape (5, 3), got (4, 3)" in capsys.readouterr().err
 
 
 class TestLoaderScalars:
@@ -280,7 +358,7 @@ class TestLoaderScalars:
     @pytest.mark.parametrize(
         "keys,value,field",
         [
-            pytest.param(("query", "frame_index"), 2.5, r"query\.frame_index", id="float-query-frame_index"),
+            pytest.param(("query_frame_index",), 2.5, r"\.query_frame_index", id="float-query-frame_index"),
             pytest.param(("seed",), "5", r"\.seed", id="str-seed"),
             pytest.param(("seed",), True, r"\.seed", id="bool-seed"),
         ],
@@ -294,12 +372,9 @@ class TestLoaderScalars:
     @pytest.mark.parametrize(
         "keys,value,field",
         [
-            pytest.param(("frames", 1, "frame_index"), 2.5, r"frames\[1\]\.frame_index", id="float-frame_index"),
+            pytest.param(("frame_index", 1), 2.5, r"\.frame_index", id="float-frame_index"),
             pytest.param(
-                ("displacements", 0, "frame_index"),
-                1.5,
-                r"displacements\[0\]\.frame_index",
-                id="float-displacement-frame_index",
+                ("displacement_frames", 0), 1.5, r"\.displacement_frames", id="float-displacement-frame_index"
             ),
             pytest.param(("peaks", 2), "0.5", r"peaks\[2\]", id="str-peak"),
             pytest.param(("peaks", 0), None, r"peaks\[0\]", id="null-peak"),
@@ -332,43 +407,51 @@ class TestLoaderScalars:
 
 
 class TestLoaderContainers:
-    """Every object and list the loaders walk is type-checked before it is read."""
+    """Every list of the document and every stacked member is checked before it is read:
+    a list must be one, and a stack holds one row for each frame its list names."""
+
+    DOCUMENT = "document.json"
 
     @pytest.mark.parametrize(
-        "target,edit,message",
+        "target,member,edit,message",
         [
-            pytest.param(1, lambda d: d.update(frames=5), ".frames: expected a list", id="track-frames"),
             pytest.param(
-                1, lambda d: d["frames"].__setitem__(0, 7), "frames[0]: expected an object", id="track-frame"
+                1, DOCUMENT, lambda d: d.update(frame_index=5), ".frame_index: expected a list", id="track-frames"
             ),
-            pytest.param(1, lambda d: d.update(peaks=3), ".peaks: expected a list", id="peaks"),
-            pytest.param(1, lambda d: d.update(displacements=5), ".displacements: expected a list", id="displacements"),
+            pytest.param(1, "prob.npy", lambda p: p[1:], ".prob: expected shape (5, 48, 48)", id="track-frame"),
+            pytest.param(1, DOCUMENT, lambda d: d.update(peaks=3), ".peaks: expected a list", id="peaks"),
             pytest.param(
                 1,
-                lambda d: d["displacements"].__setitem__(0, 7),
-                "displacements[0]: expected an object",
-                id="displacement",
+                DOCUMENT,
+                lambda d: d.update(displacement_frames=5),
+                ".displacement_frames: expected a list",
+                id="displacements",
             ),
-            pytest.param(0, lambda d: d.update(query=3), ".query: expected an object", id="query"),
-            pytest.param(0, lambda d: d["frames"].__setitem__(0, 7), "frames[0]: expected an object", id="frame"),
+            pytest.param(1, "deltas.npy", lambda d: d.ravel(), ".deltas: expected shape (5, 3)", id="displacement"),
+            pytest.param(0, "query_mask.npy", lambda _: None, ".query_mask: missing member", id="query"),
+            pytest.param(0, "features.npy", lambda f: f[1:], ".features: expected shape (5, 48, 48, 3)", id="frame"),
             pytest.param(
-                0, lambda d: d["frames"][0].update(camera=7), "frames[0].camera: expected an object", id="camera"
+                0, DOCUMENT, lambda d: d.update(camera_frames=7), ".camera_frames: expected a list", id="camera"
             ),
-            pytest.param(
-                0,
-                lambda d: d["frames"][0]["camera"].pop("pose"),
-                "frames[0].camera.pose: missing required field",
-                id="camera-pose",
-            ),
+            pytest.param(0, "poses.npy", lambda _: None, ".poses: missing member", id="camera-pose"),
         ],
     )
-    def test_wrong_container_exits_2(self, geo_files, capsys, target, edit, message):
-        rewrite(geo_files[target], edit)
+    def test_wrong_container_exits_2(self, geo_files, capsys, target, member, edit, message):
+        rewrite(geo_files[target], edit, member)
         with pytest.raises(fileio.SchemaError, match=re.escape(message)):
             (fileio.load_track if target else fileio.load_scenario)(str(geo_files[target]))
         args = ["eval", "--scenario", str(geo_files[0]), "--track", str(geo_files[1]), "--metrics-3d"]
         assert cli_main(args) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "frames",
+        [pytest.param([0, 2, 1, 3, 4], id="unordered"), pytest.param([0, 1, 2, 3, 5], id="past-end")],
+    )
+    def test_camera_frames_are_increasing_scenario_frames(self, geo_files, frames):
+        rewrite(geo_files[0], lambda d: d.update(camera_frames=frames))
+        with pytest.raises(fileio.SchemaError, match=r"\.camera_frames: expected increasing frame indices"):
+            fileio.load_scenario(str(geo_files[0]))
 
 
 class TestLoaderIntVectors:
@@ -418,30 +501,19 @@ class TestLoaderMasks:
 
     def test_negative_pixel_rejected(self, geo_path):
         # -1 written as a mask byte is 255, which would count as foreground
-        def edit(document):
-            mask = unb64(document["query"]["mask"], "u1")
-            mask[0] = np.int8(-1).view(np.uint8)
-            document["query"]["mask"] = b64(mask, "u1")
-
-        rewrite(geo_path, edit)
-        with pytest.raises(fileio.SchemaError, match=r"query\.mask: mask values must be 0 or 1"):
+        rewrite(geo_path, lambda m: with_item(m, (0, 0), np.int8(-1).view(np.uint8)), "query_mask.npy")
+        with pytest.raises(fileio.SchemaError, match=r"\.query_mask: mask values must be 0 or 1"):
             fileio.load_scenario(str(geo_path))
 
     def test_fractional_pixel_rejected(self, geo_path):
-        # a mask has one byte per pixel, so a fractional pixel needs wider
-        # (float) bytes, and their count does not fit the shape
-        def edit(document):
-            mask = unb64(document["frames"][2]["gt_mask"], "u1").astype(np.float64)
-            mask[5] = 0.4
-            document["frames"][2]["gt_mask"] = b64(mask)
-
-        rewrite(geo_path, edit)
-        with pytest.raises(fileio.SchemaError, match=r"frames\[2\]\.gt_mask: expected \d+ bytes"):
+        # a mask has one byte per pixel, so a fractional pixel needs a float member
+        rewrite(geo_path, lambda m: with_item(m.astype(np.float64), (2, 0, 5), 0.4), "gt_masks.npy")
+        with pytest.raises(fileio.SchemaError, match=r"\.gt_masks: expected dtype u1, got <f8"):
             fileio.load_scenario(str(geo_path))
 
     def test_all_fractional_query_mask_names_the_field(self, geo_path):
-        rewrite(geo_path, lambda d: d["query"].update(mask=b64([0.4] * len(unb64(d["query"]["mask"], "u1")))))
-        with pytest.raises(fileio.SchemaError, match=r"query\.mask"):
+        rewrite(geo_path, lambda m: np.full(m.shape, 0.4), "query_mask.npy")
+        with pytest.raises(fileio.SchemaError, match=r"\.query_mask"):
             fileio.load_scenario(str(geo_path))
 
     def test_save_refuses_non_binary_gt_mask(self, tmp_path):
@@ -472,27 +544,38 @@ finite_arrays = hnp.arrays(
 EXTREMES = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, np.finfo(float).max, -np.finfo(float).max])
 
 
+def stored(arr, dtype, shape, edit=None):
+    """``arr`` written as the member ``x`` of an archive (``edit`` rewrites it
+    first), read back and checked as a ``dtype`` tensor of ``shape``."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "doc")
+        fileio._write_archive(path, {"version": fileio.FORMAT_VERSION, "kind": "track"}, {"x": arr})
+        if edit is not None:
+            rewrite(path, edit, "x.npy")
+        _, arrays = fileio._read_archive(path, "track", (), ("x",))
+        return fileio._member(arrays, "x", dtype, shape, "doc")
+
+
 class TestTensorCodec:
-    """A tensor is stored as the base64 of its row-major bytes; every bad string names its field."""
+    """A tensor is stored as one .npy member holding its exact bits; the member
+    check accepts only the dtype and shape the document implies."""
 
     @given(finite_arrays)
     @example(EXTREMES)
     @example(EXTREMES.reshape(7, 1, 1))
     @settings(max_examples=200, deadline=None)
     def test_finite_float64_round_trip_bit_exact(self, arr):
-        text = fileio._encode(arr)
-        assert text == b64(arr)
-        got = fileio._tensor(text, arr.shape, "doc.x")
+        got = stored(arr, "<f8", arr.shape)
         assert got.dtype == np.float64 and got.shape == arr.shape
         assert got.tobytes() == arr.tobytes()
-        assert got.flags.owndata and got.flags.writeable and got.flags.c_contiguous
+        assert got.flags.writeable and got.flags.c_contiguous
 
     @given(hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2), elements=st.integers(0, 1)))
     @settings(max_examples=50, deadline=None)
     def test_mask_round_trip(self, mask):
-        got = fileio._mask(fileio._encode(mask, "u1"), mask.shape, "doc.mask")
+        got = stored(mask, "u1", mask.shape)
         assert got.dtype == np.uint8 and np.array_equal(got, mask)
-        assert got.flags.owndata and got.flags.writeable and got.flags.c_contiguous
+        assert got.flags.writeable and got.flags.c_contiguous
 
     @given(finite_arrays.filter(lambda a: a.size > 0), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
     @settings(max_examples=50, deadline=None)
@@ -500,50 +583,87 @@ class TestTensorCodec:
         arr = arr.copy()
         arr.flat[data.draw(st.integers(0, arr.size - 1))] = bad
         with pytest.raises(fileio.SchemaError, match=r"doc\.x: contains non-finite values"):
-            fileio._tensor(b64(arr), arr.shape, "doc.x")
+            stored(arr, "<f8", arr.shape)
 
     @given(st.integers(1, 40), st.sampled_from([-1, 1]))
     @settings(max_examples=50, deadline=None)
     def test_one_element_short_or_long_rejected(self, n, off):
-        want = rf"doc\.x: expected {8 * n} bytes for shape \({n},\), got {8 * (n + off)}$"
+        want = rf"doc\.x: expected shape \({n},\), got \({n + off},\)$"
         with pytest.raises(fileio.SchemaError, match=want):
-            fileio._tensor(b64(np.zeros(n + off)), (n,), "doc.x")
+            stored(np.zeros(n + off), "<f8", (n,))
 
-    @pytest.mark.parametrize("value", [[0.0, 1.0, 2.0], None, 3.0, {"data": "AAAA"}, b"AAAAAAAAAAA="])
-    def test_non_string_rejected(self, value):
-        with pytest.raises(fileio.SchemaError, match=r"doc\.x: expected a base64 string, got"):
-            fileio._tensor(value, (3,), "doc.x")
+    @pytest.mark.parametrize("dtype", ["<f4", ">f8", "<i8", "|u1", "|b1"])
+    def test_other_float_dtype_rejected(self, dtype):
+        with pytest.raises(fileio.SchemaError, match=rf"doc\.x: expected dtype <f8, got {re.escape(dtype)}$"):
+            stored(np.zeros(3, dtype), "<f8", (3,))
 
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8), st.sampled_from("!-_ \n.é@"), st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_invalid_base64_rejected(self, values, char, data):
-        text = b64(values)
-        at = data.draw(st.integers(0, len(text)))
-        with pytest.raises(fileio.SchemaError, match=r"doc\.x: not valid base64"):
-            fileio._tensor(text[:at] + char + text[at:], (len(values),), "doc.x")
+    @pytest.mark.parametrize("dtype", ["|i1", "<u2", "|b1", "<f8"])
+    def test_other_mask_dtype_rejected(self, dtype):
+        with pytest.raises(fileio.SchemaError, match=rf"doc\.x: expected dtype u1, got {re.escape(dtype)}$"):
+            stored(np.zeros((2, 2), dtype), "u1", (2, 2))
 
-    @pytest.mark.parametrize("text", ["A", "AAA", "AA=A", "AAAAA"])
-    def test_bad_padding_rejected(self, text):
-        with pytest.raises(fileio.SchemaError, match=r"doc\.x: not valid base64"):
-            fileio._tensor(text, (3,), "doc.x")
+    @pytest.mark.parametrize("shape", [(), (2, 2), (4, 1), (1, 4)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(fileio.SchemaError, match=re.escape(f"doc.x: expected shape (4,), got {shape}")):
+            stored(np.zeros(shape), "<f8", (4,))
+
+    def test_pickled_member_rejected(self):
+        # an object array is stored as a pickle, which the loader never runs
+        with pytest.raises(fileio.SchemaError, match=r"\.x: unreadable member \(Object arrays cannot be loaded"):
+            stored(np.zeros(3), "<f8", (3,), edit=lambda _: np.array([{"a": 1}, None, 3], dtype=object))
+
+    def test_member_that_is_not_npy_rejected(self):
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "doc")
+            fileio._write_archive(path, {"version": fileio.FORMAT_VERSION, "kind": "track"}, {})
+            with zipfile.ZipFile(path, "a") as archive:
+                archive.writestr("x.npy", b"[0.0, 1.0, 2.0]")
+            with pytest.raises(fileio.SchemaError, match=r"\.x: expected an \.npy array"):
+                fileio._read_archive(path, "track", (), ("x",))
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=30), st.integers(2, 255), st.data())
     @settings(max_examples=50, deadline=None)
     def test_mask_byte_above_one_rejected(self, pixels, bad, data):
         pixels[data.draw(st.integers(0, len(pixels) - 1))] = bad
-        with pytest.raises(fileio.SchemaError, match=r"doc\.mask: mask values must be 0 or 1"):
-            fileio._mask(b64(pixels, "u1"), (1, len(pixels)), "doc.mask")
+        with pytest.raises(fileio.SchemaError, match=r"doc\.x: mask values must be 0 or 1"):
+            stored(np.array([pixels], np.uint8), "u1", (1, len(pixels)))
 
-    @given(st.integers(0, 200))
+    @given(st.integers(0, 12), st.integers(1, 5))
     @settings(max_examples=50, deadline=None)
-    def test_alignment_rows_fill_the_bytes(self, n_bytes):
-        text = base64.b64encode(bytes(n_bytes)).decode("ascii")
-        if n_bytes % 24:
-            want = r"doc\.alignment_src: expected a multiple of 24 bytes"
-            with pytest.raises(fileio.SchemaError, match=want):
-                fileio._tensor(text, (-1, 3), "doc.alignment_src")
+    def test_alignment_rows_fill_the_bytes(self, rows, width):
+        # the document names no alignment length: its rows are as many as the member holds
+        arr = np.arange(rows * width, dtype=np.float64).reshape(rows, width)
+        if width != 3:
+            with pytest.raises(fileio.SchemaError, match=r"doc\.x: expected shape \(None, 3\)"):
+                stored(arr, "<f8", (None, 3))
         else:
-            assert fileio._tensor(text, (-1, 3), "doc.alignment_src").shape == (n_bytes // 24, 3)
+            assert stored(arr, "<f8", (None, 3)).shape == (rows, 3)
+
+    @pytest.fixture(scope="class")
+    def scenario_bytes(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("archive") / "s.json"
+        fileio.save_scenario(small_identity(), str(path))
+        return path.read_bytes()
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_truncated_archive_rejected(self, scenario_bytes, data):
+        cut = data.draw(st.integers(0, len(scenario_bytes) - 1))
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "cut.json")
+            with open(path, "wb") as handle:
+                handle.write(scenario_bytes[:cut])
+            with pytest.raises(fileio.SchemaError, match=rf"not a version {fileio.FORMAT_VERSION} scenario file"):
+                fileio.load_scenario(path)
+
+    def test_truncated_archive_exits_2(self, tmp_path, capsys):
+        scenario_path, track_path = tmp_path / "s.json", tmp_path / "t.json"
+        sc = small_identity()
+        fileio.save_scenario(sc, str(scenario_path))
+        fileio.save_track(ground_truth_track(sc), str(track_path))
+        track_path.write_bytes(track_path.read_bytes()[:-100])
+        assert cli_main(["eval", "--scenario", str(scenario_path), "--track", str(track_path)]) == 2
+        assert "not a version" in capsys.readouterr().err
 
 
 class TestEval2d:
@@ -623,6 +743,31 @@ class TestEvalInterval:
         args = ["eval", "--scenario", str(scenario_path), "--track", str(track_path), "--metrics-3d"]
         assert cli_main(args) == 2
         assert message in capsys.readouterr().err
+
+
+class TestEvalFrames:
+    """Both evaluators reject a track that is not one result per scenario frame, in order."""
+
+    @staticmethod
+    def shift(track_path):
+        rewrite(track_path, lambda d: d.update(frame_index=[t + 1000 for t in d["frame_index"]]))
+
+    @staticmethod
+    def cut(track_path):
+        rewrite(track_path, lambda d: d.update(frame_index=d["frame_index"][:3]))
+        rewrite(track_path, lambda p: p[:3], "prob.npy")
+
+    @pytest.mark.parametrize("edit", ["shift", "cut"])
+    def test_track_not_covering_the_frames_exits_2(self, geo_files, capsys, edit):
+        scenario_path, track_path = geo_files
+        getattr(self, edit)(track_path)
+        scenario, track = fileio.load_scenario(str(scenario_path)), fileio.load_track(str(track_path))
+        for evaluate in metrics.eval_2d, metrics.eval_3d:
+            with pytest.raises(ValueError, match="frame_index values are not the scenario's frames 0..4"):
+                evaluate(track, scenario)
+        args = ["eval", "--scenario", str(scenario_path), "--track", str(track_path), "--metrics-3d"]
+        assert cli_main(args) == 2
+        assert "frame_index" in capsys.readouterr().err
 
 
 class TestCli:
