@@ -1,3 +1,4 @@
+import base64
 import io
 import json
 import os
@@ -620,6 +621,22 @@ class TestTensorCodec:
                 archive.writestr("x.npy", b"[0.0, 1.0, 2.0]")
             with pytest.raises(fileio.SchemaError, match=r"\.x: expected an \.npy array"):
                 fileio._read_archive(path, "track", (), ("x",))
+
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8), st.sampled_from("!-_ \n.é@"), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_invalid_base64_rejected(self, values, char, data):
+        # version 3 held each tensor as base64 text in one JSON document; such a
+        # file is refused by its version and its text, valid or not, is never decoded
+        text = base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+        at = data.draw(st.integers(0, len(text)))
+        document = {"version": 3, "kind": "track", "world_point": text[:at] + char + text[at:]}
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "track.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(document, handle)
+            want = rf"\.version: expected {fileio.FORMAT_VERSION}, got 3; regenerate it with `vql run2d`"
+            with pytest.raises(fileio.SchemaError, match=want):
+                fileio.load_track(path)
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=30), st.integers(2, 255), st.data())
     @settings(max_examples=50, deadline=None)
