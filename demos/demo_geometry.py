@@ -12,7 +12,7 @@ import numpy as np
 from dataclasses import replace
 
 from vql import geo3d
-from vql.pipeline import finalize_3d
+from vql.pipeline import PipelineConfig, finalize_3d
 from vql.scenario import gen_scenario, ground_truth_track, preset_params
 
 params = preset_params("geo")
@@ -35,4 +35,6 @@ for label, scenario in (("clean", clean), ("one corrupted view", broken)):
     print(f"  error {err:.2e} m over {len(track.displacements)} views")
 
 tau = broken.frames[2].camera.depth_uncertainty[0, 0]
-print(f"\ncorrupted view weight: exp(-{tau:.0f}) = {geo3d.geometric_confidence(tau):.2e}")
+# the pipeline's default zeta is 1, so the weight is exp(-tau)
+weight = geo3d.geometric_confidence(tau, PipelineConfig().zeta)
+print(f"\ncorrupted view weight: exp(-{tau:.0f}) = {weight:.2e}")

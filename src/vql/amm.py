@@ -257,15 +257,15 @@ def steepest_descent(filt: SegFilter, mem: Sequence[AmmSample], n_iter: int) -> 
     return SegFilter(sigma.reshape(filt.kernel.shape), delta)
 
 
-def amm_admit(result: SegmentationResult, threshold: float = ADMIT_THRESHOLD) -> bool:
-    """Admit a retrieval iff it has a box and its confidence clears the threshold."""
-    return result.bbox is not None and result.s_conf >= threshold
+def amm_admit(result: SegmentationResult) -> bool:
+    """Admit a retrieval iff it has a box and its confidence reaches ADMIT_THRESHOLD."""
+    return result.bbox is not None and result.s_conf >= ADMIT_THRESHOLD
 
 
 def crop_sample(
     frame_feature: np.ndarray,
     mask: np.ndarray,
-    resolution: int = 32,
+    resolution: int,
     confidence: float = 1.0,
 ) -> AmmSample:
     """Cut a square, centroid-centered sample around the mask and resample it.

@@ -432,7 +432,7 @@ def load_track(path: str) -> TrackOutput:
     keys = ("canvas", "frame_index", "peaks", "interval", "displacement_frames")
     document, arrays = _read_archive(path, "track", keys, ("prob", "deltas"), ("world_point",))
     h, w = _int_vector(_expect(document, "canvas", path), 2, f"{path}.canvas")
-    frame_index = _int_vector(_expect(document, "frame_index", path), None, f"{path}.frame_index")
+    frame_index = _frame_list(_expect(document, "frame_index", path), None, f"{path}.frame_index")
     displacement_frames = _frame_list(
         _expect(document, "displacement_frames", path), None, f"{path}.displacement_frames"
     )

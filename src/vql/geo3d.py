@@ -16,7 +16,7 @@ re-expressed in each camera's coordinates as a relative displacement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -100,10 +100,6 @@ class Sim3Transform:
             raise ParameterError(f"scale must be positive, got {self.scale}")
         _check_rotation(self.rotation)
 
-    @classmethod
-    def identity(cls) -> "Sim3Transform":
-        return cls(1.0, np.eye(3), np.zeros(3))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
         return self.scale * points @ self.rotation.T + self.translation
@@ -164,16 +160,12 @@ def align_sim3(src: np.ndarray, dst: np.ndarray) -> Sim3Transform:
     return Sim3Transform(scale, rotation, translation)
 
 
-def backproject(
-    frame: CameraFrame, u: float, v: float, t_eta: Optional[Sim3Transform] = None
-) -> np.ndarray:
+def backproject(frame: CameraFrame, u: float, v: float, t_eta: Sim3Transform) -> np.ndarray:
     """Lift pixel (u, v) through depth, pose, and the alignment transform.
 
     Depth is read at the nearest pixel; an out-of-bounds pixel or a
     non-positive depth raises InvalidSampleError.
     """
-    if t_eta is None:
-        t_eta = Sim3Transform.identity()
     h, w = frame.depth.shape
     col = int(round(float(u)))
     row = int(round(float(v)))
@@ -188,7 +180,7 @@ def backproject(
     return t_eta.apply(world)
 
 
-def semantic_confidence(prob: np.ndarray, mask: np.ndarray, lambda_thr: float = 0.5) -> float:
+def semantic_confidence(prob: np.ndarray, mask: np.ndarray, lambda_thr: float) -> float:
     """Equal-weight mean of three mask-probability statistics.
 
     The statistics are the mean probability inside the mask, the mean of the
@@ -210,7 +202,7 @@ def semantic_confidence(prob: np.ndarray, mask: np.ndarray, lambda_thr: float = 
     return third * p_av + third * p_lambda + third * p_max
 
 
-def geometric_confidence(tau: float, zeta: float = 1.0) -> float:
+def geometric_confidence(tau: float, zeta: float) -> float:
     """exp(-zeta * tau): 1 at zero uncertainty, decaying monotonically."""
     if tau < 0:
         raise ParameterError(f"uncertainty must be non-negative, got {tau}")
@@ -231,16 +223,12 @@ def aggregate(contributions: Sequence[ViewContribution]) -> np.ndarray:
     return weights @ points / total
 
 
-def relative_displacement(
-    frame: CameraFrame, world_point: np.ndarray, t_eta: Optional[Sim3Transform] = None
-) -> np.ndarray:
+def relative_displacement(frame: CameraFrame, world_point: np.ndarray, t_eta: Sim3Transform) -> np.ndarray:
     """Express a benchmark-frame point in camera i's coordinates.
 
     Inverts the alignment transform and then the camera pose, i.e. the
     inverse of the :func:`backproject` chain.
     """
-    if t_eta is None:
-        t_eta = Sim3Transform.identity()
     point = np.asarray(world_point, dtype=np.float64).reshape(3)
     in_recon = t_eta.inverse().apply(point)
     r = frame.pose[:3, :3]

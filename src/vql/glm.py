@@ -248,7 +248,7 @@ def glm_make_dynamic_sample(
     frame_feature: np.ndarray,
     bbox: Sequence[int],
     prob_mask: np.ndarray,
-    resolution: int = 32,
+    resolution: int,
 ) -> GlmSample:
     """Build a snapshot from a detection: 1.5x-bbox crop, Gaussian label, region map.
 

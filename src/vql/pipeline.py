@@ -19,15 +19,16 @@ snapshot source form one immutable value: a frame builds a new value and
 the pipeline keeps it or drops it whole.
 
 Update policy, following the inference procedure the solvers were designed
-for. It is fixed; the config sets only whether it runs, the halt window,
-the solver iterations and the capacity. Banks ingest retrievals that ``amm.amm_admit``
-accepts (a box and a confidence at or above ``amm.ADMIT_THRESHOLD``), on
-every frame below DENSE_UPDATE_HORIZON and every UPDATE_STRIDE frames
-after it; each ingest is followed by a few solver iterations, and is
-dropped whole, peak included, if either refit filter comes out non-finite.
-If the mean confidence over the trailing halt window drops below
-HALT_THRESHOLD, updating stops for good and the memory reverts to its
-post-initialization value.
+for. It is fixed; the config sets only whether it runs and the capacity.
+Both filters are fit ITERS_INIT solver iterations at initialization, on
+crops resampled to SAMPLE_RESOLUTION. Banks ingest retrievals that
+``amm.amm_admit`` accepts (a box and a confidence at or above
+``amm.ADMIT_THRESHOLD``), on every frame below DENSE_UPDATE_HORIZON and
+every UPDATE_STRIDE frames after it; each ingest is followed by
+ITERS_UPDATE solver iterations, and is dropped whole, peak included, if
+either refit filter comes out non-finite. If the mean confidence over the
+last HALT_WINDOW frames drops below HALT_THRESHOLD, updating stops for good
+and the memory reverts to its post-initialization value.
 """
 
 from __future__ import annotations
@@ -50,9 +51,14 @@ __all__ = [
 ]
 
 # the update policy (see the module docstring)
+ITERS_INIT = 10
+ITERS_UPDATE = 3
 DENSE_UPDATE_HORIZON = 100
 UPDATE_STRIDE = 25
+HALT_WINDOW = 25
 HALT_THRESHOLD = 0.4
+# side of every resampled bank sample
+SAMPLE_RESOLUTION = 32
 
 
 class NoDetectionError(RuntimeError):
@@ -61,15 +67,9 @@ class NoDetectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    # solver iterations of both filters, at initialization and after each ingest
-    iters_init: int = 10
-    iters_update: int = 3
-    halt_window: int = 25
     capacity: int = 50
     zeta: float = 1.0
     lambda_thr: float = 0.5
-    # desk-scale model knobs
-    sample_resolution: int = 32
     # both filters' kernel size, so one convolution serves both branches
     kernel_size: int = 3
     updates_enabled: bool = True
@@ -77,12 +77,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.lambda_thr <= 1.0:
             raise ParameterError(f"lambda_thr must lie in [0, 1], got {self.lambda_thr}")
-        for name in ("halt_window", "capacity", "sample_resolution"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("iters_init", "iters_update"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.capacity < 1:
+            raise ParameterError(f"capacity must be >= 1, got {self.capacity}")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ParameterError(f"kernel_size must be odd and positive, got {self.kernel_size}")
         if not self.zeta > 0:
@@ -100,10 +96,14 @@ class QuerySpec:
     def __post_init__(self) -> None:
         self.feature = np.asarray(self.feature, dtype=np.float64)
         self.mask = np.asarray(self.mask)
+        if self.feature.ndim != 3:
+            raise DimensionError(f"query feature must be (H, W, C), got {self.feature.shape}")
         if self.feature.shape[:2] != self.mask.shape:
             raise DimensionError(
                 f"feature {self.feature.shape[:2]} and mask {self.mask.shape} dims differ"
             )
+        if not ((self.mask == 0) | (self.mask == 1)).all():
+            raise ParameterError("query mask values must be 0 or 1")
         if not (self.mask != 0).any():
             raise EmptyInputError("query mask must be non-empty")
         if not np.isfinite(self.feature).all():
@@ -194,23 +194,23 @@ class Pipeline:
         self.cfg = cfg
 
         channels = query.feature.shape[2]
-        base = amm.crop_sample(query.feature, query.mask, cfg.sample_resolution)
+        base = amm.crop_sample(query.feature, query.mask, SAMPLE_RESOLUTION)
         amm_entries = _newest((base, *_augmented_query_samples(base)), cfg.capacity)
         static = glm.glm_make_dynamic_sample(
             query.feature,
             min_bounding_rect(query.mask),
             (query.mask != 0).astype(np.float64),
-            cfg.sample_resolution,
+            SAMPLE_RESOLUTION,
         )
         seg_filter = amm.steepest_descent(
             amm.SegFilter.zeros(cfg.kernel_size, channels),
             amm_entries,
-            cfg.iters_init,
+            ITERS_INIT,
         )
         track_filter = glm.optimize_filter(
             glm.TrackFilter.zeros(cfg.kernel_size, channels),
             (static,),
-            cfg.iters_init,
+            ITERS_INIT,
         )
         self.memory = self.initial_memory = _Memory(amm_entries, static, (), seg_filter, track_filter)
         self._frame_shape = query.feature.shape
@@ -223,17 +223,20 @@ class Pipeline:
         return frame_index < DENSE_UPDATE_HORIZON or frame_index % UPDATE_STRIDE == 0
 
     def _halt_triggered(self) -> bool:
-        """The mean confidence of the last halt_window frames is below HALT_THRESHOLD."""
-        recent = [r.s_conf for r in self.results[-self.cfg.halt_window :]]
-        return len(recent) == self.cfg.halt_window and float(np.mean(recent)) < HALT_THRESHOLD
+        """The mean confidence of the last HALT_WINDOW frames is below HALT_THRESHOLD."""
+        recent = [r.s_conf for r in self.results[-HALT_WINDOW:]]
+        return len(recent) == HALT_WINDOW and float(np.mean(recent)) < HALT_THRESHOLD
 
     def step_frame(self, frame_feature: np.ndarray, frame_index: int) -> fusion.SegmentationResult:
         """Run one frame through both branches, fuse, and maybe update the banks.
 
-        A frame index that does not exceed the previous frame's, or a
-        non-finite frame, raises ParameterError and a frame whose shape
-        differs from the query's DimensionError, before any state changes.
+        A negative frame index, one that does not exceed the previous
+        frame's, or a non-finite frame, raises ParameterError and a frame
+        whose shape differs from the query's DimensionError, before any
+        state changes.
         """
+        if frame_index < 0:
+            raise ParameterError(f"frame index must be >= 0, got {frame_index}")
         if self.results and frame_index <= self.results[-1].frame_index:
             raise ParameterError(
                 f"frame index {frame_index} does not follow the previous index {self.results[-1].frame_index}"
@@ -273,18 +276,17 @@ class Pipeline:
         self, memory: _Memory, frame_feature: np.ndarray, result: fusion.SegmentationResult
     ) -> _Memory:
         """``memory`` with the frame added to both banks and both filters refit."""
-        cfg = self.cfg
         memory = memory.admit(
-            amm.crop_sample(frame_feature, result.mask, cfg.sample_resolution, result.s_conf),
-            glm.glm_make_dynamic_sample(frame_feature, result.bbox, result.prob, cfg.sample_resolution),
-            cfg.capacity,
+            amm.crop_sample(frame_feature, result.mask, SAMPLE_RESOLUTION, result.s_conf),
+            glm.glm_make_dynamic_sample(frame_feature, result.bbox, result.prob, SAMPLE_RESOLUTION),
+            self.cfg.capacity,
         )
         source = glm.glm_update_source(memory.responses)
         view = memory.glm_samples if source == "dynamic" else (memory.glm_static,)
         return replace(
             memory,
-            seg_filter=amm.steepest_descent(memory.seg_filter, memory.amm_entries, cfg.iters_update),
-            track_filter=glm.optimize_filter(memory.track_filter, view, cfg.iters_update),
+            seg_filter=amm.steepest_descent(memory.seg_filter, memory.amm_entries, ITERS_UPDATE),
+            track_filter=glm.optimize_filter(memory.track_filter, view, ITERS_UPDATE),
         )
 
     def finalize_2d(self) -> TrackOutput:

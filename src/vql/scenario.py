@@ -171,6 +171,9 @@ def gen_scenario(seed: int, params: ScenarioParams) -> Scenario:
         raise ParameterError(f"canvas must be at least 8x8, got {params.canvas}")
     if params.object_size < 1 or params.object_size > min(h, w):
         raise ParameterError(f"object size {params.object_size} does not fit canvas {params.canvas}")
+    # the target's signature and its rotation partner are orthonormal, so need two channels
+    if params.channels < 2:
+        raise ParameterError(f"channels must be at least 2, got {params.channels}")
     rng = np.random.default_rng(seed)
     q0, u0 = _signature_pair(rng, params.channels)
     distractor_sig = np.cos(params.distractor_angle) * q0 + np.sin(params.distractor_angle) * u0

@@ -44,7 +44,8 @@ from .core import (
     median_filter_1d,
     min_bounding_rect,
 )
-from .pipeline import DENSE_UPDATE_HORIZON, UPDATE_STRIDE, Pipeline, PipelineConfig, TrackOutput, _Memory, finalize_3d
+from .pipeline import DENSE_UPDATE_HORIZON, HALT_WINDOW, SAMPLE_RESOLUTION, UPDATE_STRIDE
+from .pipeline import Pipeline, PipelineConfig, TrackOutput, _Memory, finalize_3d
 
 __all__ = ["CHECKS", "run_checks"]
 
@@ -1100,7 +1101,7 @@ def check_pipeline_initialization():
         scenario.query.feature,
         min_bounding_rect(scenario.query.mask),
         (scenario.query.mask != 0).astype(np.float64),
-        pipe.cfg.sample_resolution,
+        SAMPLE_RESOLUTION,
     )
     if not np.array_equal(pipe.memory.glm_static.feature, rebuilt.feature):
         return False, "static snapshot does not equal the un-augmented query sample"
@@ -1117,8 +1118,7 @@ def check_update_cadence():
 
 def check_halt_revert():
     scenario = scen.gen_scenario(11, _small_identity_params(n_frames=4))
-    cfg = PipelineConfig(kernel_size=1, halt_window=6)
-    pipe = Pipeline(scenario.query, cfg)
+    pipe = Pipeline(scenario.query, _unit_kernel_config())
     initial_amm = [s.feature.copy() for s in pipe.memory.amm_entries]
     target = scenario.frames[0].feature
     background = target.copy()
@@ -1127,7 +1127,7 @@ def check_halt_revert():
         pipe.step_frame(target, t)
     if len(pipe.memory.amm_entries) <= len(initial_amm):
         return False, "bank did not grow on confident frames"
-    for t in range(3, 3 + cfg.halt_window):
+    for t in range(3, 3 + HALT_WINDOW):
         pipe.step_frame(background, t)
     if not pipe.halted:
         return False, "halt did not trigger on sustained low confidence"

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from vql import amm, glm
 from vql.core import DimensionError, EmptyInputError, ParameterError, extract_square_crop
 from vql.fusion import extract_result
-from vql.pipeline import Pipeline, PipelineConfig
+from vql.pipeline import SAMPLE_RESOLUTION, Pipeline, PipelineConfig
 from vql.scenario import ScenarioParams, gen_scenario
 from vql.selfcheck import empty_banks
 
@@ -98,18 +100,19 @@ class TestAdmission:
     def test_empty_mask_rejected(self):
         assert not amm.amm_admit(extract_result(np.full((3, 3), 0.4), 0))
 
-    def test_no_box_rejected_at_zero_threshold(self):
-        # an empty mask has confidence 0.0, so only the box guard rejects it
-        assert not amm.amm_admit(extract_result(np.zeros((4, 4)), 0), 0.0)
+    def test_no_box_rejected_above_threshold(self):
+        # a result with no box is refused whatever its confidence says
+        result = replace(extract_result(np.zeros((4, 4)), 0), s_conf=1.0)
+        assert not amm.amm_admit(result)
 
     def test_boundary_inclusive(self):
         assert amm.amm_admit(extract_result(np.full((3, 3), amm.ADMIT_THRESHOLD), 0))
 
     def test_mean_below_threshold(self):
         prob = np.zeros((1, 3))
-        prob[0, 0], prob[0, 1], prob[0, 2] = 0.9, 0.5, 0.2
-        # the mask is the two pixels at or above 0.5; their mean 0.7 falls short of 0.75
-        assert not amm.amm_admit(extract_result(prob, 0), 0.75)
+        prob[0, 0], prob[0, 1], prob[0, 2] = 0.65, 0.5, 0.2
+        # the mask is the two pixels at or above 0.5; their mean 0.575 falls short of 0.6
+        assert not amm.amm_admit(extract_result(prob, 0))
 
 
 class TestCropSample:
@@ -129,7 +132,7 @@ class TestCropSample:
 
     def test_empty_mask_raises(self):
         with pytest.raises(EmptyInputError):
-            amm.crop_sample(np.ones((8, 8, 1)), np.zeros((8, 8)))
+            amm.crop_sample(np.ones((8, 8, 1)), np.zeros((8, 8)), 16)
 
 
 class TestMemory:
@@ -148,14 +151,14 @@ class TestMemory:
         assert mem.amm_entries[0].feature[0, 0, 0] == 0.0
 
     def test_resolution_mismatch(self):
-        # entries come only from crops at the configured resolution, and a
+        # entries come only from crops at the sample resolution, and a
         # frame at another resolution is refused before it reaches a bank
         sc = gen_scenario(7, ScenarioParams("identity", n_frames=3, canvas=(32, 32), object_size=13))
-        pipe = Pipeline(sc.query, PipelineConfig(kernel_size=1, sample_resolution=16))
+        pipe = Pipeline(sc.query, PipelineConfig(kernel_size=1))
         with pytest.raises(DimensionError):
             pipe.step_frame(sc.frames[0].feature[:16], 0)
         assert pipe.memory is pipe.initial_memory
         pipe.run([f.feature for f in sc.frames])
         assert len(pipe.memory.amm_entries) > 4 and pipe.memory.glm_dynamic
         for entry in pipe.memory.amm_entries + pipe.memory.glm_samples:
-            assert entry.feature.shape[:2] == (16, 16)
+            assert entry.feature.shape[:2] == (SAMPLE_RESOLUTION, SAMPLE_RESOLUTION)

@@ -16,6 +16,10 @@ def random_sim3(r):
     )
 
 
+def identity_sim3():
+    return geo3d.Sim3Transform(1.0, np.eye(3), np.zeros(3))
+
+
 def simple_camera(f=100.0, cx=4.0, cy=4.0, depth_value=2.0, h=9, w=9):
     intrinsics = np.array([[f, 0, cx], [0, f, cy], [0, 0, 1.0]])
     return geo3d.CameraFrame(np.eye(4), intrinsics, np.full((h, w), depth_value), np.zeros((h, w)))
@@ -23,7 +27,7 @@ def simple_camera(f=100.0, cx=4.0, cy=4.0, depth_value=2.0, h=9, w=9):
 
 class TestSim3Transform:
     def test_identity(self):
-        t = geo3d.Sim3Transform.identity()
+        t = identity_sim3()
         p = rng(1).uniform(size=(5, 3))
         np.testing.assert_array_equal(t.apply(p), p)
 
@@ -84,24 +88,24 @@ def _random_rotation_small(r, scale):
 class TestBackproject:
     def test_principal_ray(self):
         cam = simple_camera(f=50.0, cx=4.0, cy=4.0, depth_value=3.0)
-        np.testing.assert_allclose(geo3d.backproject(cam, 4, 4), [0, 0, 3.0], atol=1e-12)
+        np.testing.assert_allclose(geo3d.backproject(cam, 4, 4, identity_sim3()), [0, 0, 3.0], atol=1e-12)
 
     def test_translation_equivariance(self):
         cam = simple_camera()
         t = np.array([1.0, -2.0, 0.5])
         t_eta = geo3d.Sim3Transform(1.0, np.eye(3), t)
-        base = geo3d.backproject(cam, 3, 5)
+        base = geo3d.backproject(cam, 3, 5, identity_sim3())
         shifted = geo3d.backproject(cam, 3, 5, t_eta)
         np.testing.assert_allclose(shifted, base + t, atol=1e-12)
 
     def test_out_of_bounds(self):
         with pytest.raises(geo3d.InvalidSampleError):
-            geo3d.backproject(simple_camera(), 99, 0)
+            geo3d.backproject(simple_camera(), 99, 0, identity_sim3())
 
     def test_invalid_depth(self):
         cam = simple_camera(depth_value=0.0)
         with pytest.raises(geo3d.InvalidSampleError):
-            geo3d.backproject(cam, 4, 4)
+            geo3d.backproject(cam, 4, 4, identity_sim3())
 
 
 class TestSemanticConfidence:
@@ -189,4 +193,4 @@ class TestRelativeDisplacement:
     def test_identity_everything(self):
         cam = simple_camera()
         p = np.array([0.3, -0.7, 2.2])
-        np.testing.assert_allclose(geo3d.relative_displacement(cam, p), p, atol=1e-15)
+        np.testing.assert_allclose(geo3d.relative_displacement(cam, p, identity_sim3()), p, atol=1e-15)

@@ -130,7 +130,7 @@ class TestDynamicSample:
 
     def test_degenerate_bbox(self):
         with pytest.raises(EmptyInputError):
-            glm.glm_make_dynamic_sample(np.ones((8, 8, 1)), (5, 5, 4, 6), np.ones((8, 8)))
+            glm.glm_make_dynamic_sample(np.ones((8, 8, 1)), (5, 5, 4, 6), np.ones((8, 8)), 16)
 
     def test_region_in_unit_interval(self):
         feature = rng(13).uniform(size=(30, 30, 1))

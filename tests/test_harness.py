@@ -64,6 +64,13 @@ class TestGenScenario:
         with pytest.raises(ParameterError):
             gen_scenario(0, ScenarioParams("identity", n_frames=2, canvas=(4, 4)))
 
+    @pytest.mark.parametrize("channels", [0, 1])
+    def test_fewer_than_two_channels_rejected(self, channels):
+        from vql.core import ParameterError
+
+        with pytest.raises(ParameterError, match=f"channels must be at least 2, got {channels}"):
+            gen_scenario(0, ScenarioParams("identity", n_frames=2, channels=channels))
+
 
 class TestFileRoundTrips:
     @pytest.mark.parametrize("preset", PRESETS)
@@ -119,6 +126,10 @@ class TestFileRoundTrips:
             "seg_regularizer",
             "track_regularizer",
             "source_window",
+            "iters_init",
+            "iters_update",
+            "halt_window",
+            "sample_resolution",
         ],
     )
     def test_removed_config_fields_rejected(self, tmp_path, field):
@@ -453,6 +464,17 @@ class TestLoaderContainers:
         rewrite(geo_files[0], lambda d: d.update(camera_frames=frames))
         with pytest.raises(fileio.SchemaError, match=r"\.camera_frames: expected increasing frame indices"):
             fileio.load_scenario(str(geo_files[0]))
+
+    @pytest.mark.parametrize(
+        "frames", [pytest.param([-1, 0, 1, 2, 3], id="negative"), pytest.param([0] * 5, id="repeated")]
+    )
+    def test_track_frames_are_increasing_from_0(self, geo_files, capsys, frames):
+        rewrite(geo_files[1], lambda d: d.update(frame_index=frames))
+        message = f".frame_index: expected increasing frame indices from 0, got {frames}"
+        with pytest.raises(fileio.SchemaError, match=re.escape(message)):
+            fileio.load_track(str(geo_files[1]))
+        assert cli_main(["eval", "--scenario", str(geo_files[0]), "--track", str(geo_files[1])]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestLoaderIntVectors:
@@ -822,7 +844,7 @@ class TestCli:
         assert self.run_cli("selfcheck", "--filter", "nonexistent.check") == 2
 
     @pytest.mark.parametrize(
-        "field,value", [("updates_enabled", "no"), ("capacity", True), ("iters_init", 2.5), ("kernel_size", 3.0)]
+        "field,value", [("updates_enabled", "no"), ("capacity", True), ("zeta", "1.0"), ("kernel_size", 3.0)]
     )
     def test_mistyped_config_field_exits_2(self, tmp_path, capsys, field, value):
         scenario_path, config_path = tmp_path / "s.json", tmp_path / "c.json"

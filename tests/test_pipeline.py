@@ -10,7 +10,15 @@ from hypothesis.extra import numpy as hnp
 
 from vql import amm, fileio, glm
 from vql.core import DimensionError, EmptyInputError, ParameterError, conv2d, min_bounding_rect
-from vql.pipeline import NoDetectionError, Pipeline, PipelineConfig, QuerySpec, finalize_3d
+from vql.pipeline import (
+    HALT_WINDOW,
+    SAMPLE_RESOLUTION,
+    NoDetectionError,
+    Pipeline,
+    PipelineConfig,
+    QuerySpec,
+    finalize_3d,
+)
 from vql.scenario import ScenarioParams, gen_scenario, ground_truth_track, preset_params
 
 
@@ -36,7 +44,7 @@ class TestInitialize:
             sc.query.feature,
             min_bounding_rect(sc.query.mask),
             (sc.query.mask != 0).astype(np.float64),
-            pipe.cfg.sample_resolution,
+            SAMPLE_RESOLUTION,
         )
         assert np.array_equal(pipe.memory.glm_static.feature, rebuilt.feature)
         assert np.array_equal(pipe.memory.glm_static.label, rebuilt.label)
@@ -59,17 +67,24 @@ class TestInitialize:
         with pytest.raises(ParameterError):
             QuerySpec(feature, np.ones((8, 8)))
 
+    def test_two_dimensional_query_feature_rejected(self):
+        with pytest.raises(DimensionError, match="query feature"):
+            QuerySpec(np.ones((8, 8)), np.ones((8, 8)))
+
+    def test_query_mask_values_must_be_0_or_1(self):
+        mask = np.zeros((8, 8))
+        mask[2:5, 2:5] = 1
+        mask[3, 3] = 2
+        with pytest.raises(ParameterError, match="query mask"):
+            QuerySpec(np.ones((8, 8, 1)), mask)
+
 
 class TestConfig:
     @pytest.mark.parametrize(
         "field,value",
         [
-            ("halt_window", 0),
             ("kernel_size", 2),
             ("kernel_size", -1),
-            ("iters_init", -1),
-            ("iters_update", -1),
-            ("sample_resolution", 0),
             ("zeta", 0.0),
             ("lambda_thr", 1.5),
             ("capacity", 0),
@@ -78,15 +93,6 @@ class TestConfig:
     def test_invalid_field_raises_at_construction(self, field, value):
         with pytest.raises(ParameterError, match=field):
             PipelineConfig(**{field: value})
-
-    def test_zero_update_iterations_leave_the_filters(self):
-        sc = small_identity(n_frames=2)
-        pipe = Pipeline(sc.query, unit_cfg(iters_update=0))
-        seg, trk = pipe.memory.seg_filter.kernel, pipe.memory.track_filter.kernel
-        pipe.run([f.feature for f in sc.frames])
-        assert len(pipe.memory.amm_entries) > 4
-        assert np.array_equal(pipe.memory.seg_filter.kernel, seg)
-        assert np.array_equal(pipe.memory.track_filter.kernel, trk)
 
 
 class TestStepFrame:
@@ -112,7 +118,7 @@ class TestOneConvolution:
         seg, track = draw((ksz, ksz, channels, 3)), draw((ksz, ksz, channels, 1))
         mask = np.zeros((6, 7), dtype=np.uint8)
         mask[2:4, 2:5] = 1
-        cfg = PipelineConfig(kernel_size=ksz, sample_resolution=4, iters_init=0, updates_enabled=False)
+        cfg = PipelineConfig(kernel_size=ksz, updates_enabled=False)
         pipe = Pipeline(QuerySpec(frame, mask), cfg)
         pipe.memory = replace(pipe.memory, seg_filter=amm.SegFilter(seg), track_filter=glm.TrackFilter(track))
         result = pipe.step_frame(frame, 0)
@@ -191,26 +197,29 @@ class TestFrameValidation:
             pipe.step_frame(frame, 0)
         assert not pipe.results and not pipe.peaks
 
-    @pytest.mark.parametrize("indices", [[5, 4, 3, 2, 1, 0], [0] * 6])
+    @pytest.mark.parametrize("indices", [[5, 4, 3, 2, 1, 0], [0] * 6, [-1, 0, 1, 2, 3, 4]])
     def test_frame_indices_must_increase(self, indices):
+        # an index is refused when it is negative or does not exceed the last
+        # accepted one, and a refused frame changes nothing
         sc = small_identity()
         pipe = Pipeline(sc.query, unit_cfg())
-        pipe.step_frame(sc.frames[0].feature, indices[0])
-        results, peaks, memory = list(pipe.results), list(pipe.peaks), pipe.memory
-        for frame, index in zip(sc.frames[1:], indices[1:]):
-            with pytest.raises(ParameterError, match="index"):
+        for frame, index in zip(sc.frames, indices):
+            results, peaks, memory = list(pipe.results), list(pipe.peaks), pipe.memory
+            if index < 0 or (results and index <= results[-1].frame_index):
+                with pytest.raises(ParameterError, match="index"):
+                    pipe.step_frame(frame.feature, index)
+                assert pipe.results == results and pipe.peaks == peaks
+                assert pipe.memory is memory
+            else:
                 pipe.step_frame(frame.feature, index)
-        assert pipe.results == results and pipe.peaks == peaks
-        assert pipe.memory is memory
 
 
 class TestHalt:
     def test_no_halt_before_window_fills(self):
         sc = small_identity(n_frames=3)
-        cfg = unit_cfg(halt_window=10)
-        pipe = Pipeline(sc.query, cfg)
+        pipe = Pipeline(sc.query, unit_cfg())
         bg = background_of(sc)
-        for t in range(9):
+        for t in range(HALT_WINDOW - 1):
             pipe.step_frame(bg, t)
         assert not pipe.halted
 
