@@ -266,7 +266,7 @@ def crop_sample(
     frame_feature: np.ndarray,
     mask: np.ndarray,
     resolution: int,
-    confidence: float = 1.0,
+    confidence: float = AmmSample.confidence,
 ) -> AmmSample:
     """Cut a square, centroid-centered sample around the mask and resample it.
 

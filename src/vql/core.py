@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "DimensionError",
@@ -76,6 +77,13 @@ def conv2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     Zero same-padding: out[i, j, d] = sum over (dy, dx, c) of
     x[i + dy - K//2, j + dx - K//2, c] * k[dy, dx, c, d], out-of-range
     input treated as zero. Linear in both arguments.
+
+    Tap-major: one (K*K*D, C) @ (C, padded pixels) product gives every
+    tap's response at every pixel of the zero-bordered map, and K*K
+    shifted adds, in row-major tap order, sum them into D planes. Each
+    plane is kept at the padded row length, so a shift is one contiguous
+    slice of the flat responses; the columns past W are scratch. The
+    result is a (H, W, D) view of those planes.
     """
     x = np.asarray(x, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
@@ -86,42 +94,43 @@ def conv2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"feature channels {x.shape[2]} do not match kernel input channels {k.shape[2]}"
         )
-    ksz = k.shape[0]
+    ksz, _, c, d = k.shape
     r = ksz // 2
     h, w = x.shape[:2]
     xp = _zero_border(x, r)
-    out = np.zeros((h, w, k.shape[3]))
+    wp = w + 2 * r
+    taps = k.transpose(0, 1, 3, 2).reshape(ksz * ksz * d, c) @ xp.reshape(-1, c).T
+    taps = taps.reshape(ksz, ksz, d, -1)
+    # out[:, i * wp + j] is output pixel (i, j) for j < w
+    span = max(0, (h - 1) * wp + w)
+    out = np.zeros((d, h * wp))
     for dy in range(ksz):
         for dx in range(ksz):
-            out += xp[dy : dy + h, dx : dx + w, :] @ k[dy, dx]
-    return out
+            start = dy * wp + dx
+            out[:, :span] += taps[dy, dx, :, start : start + span]
+    return out.reshape(d, h, wp)[:, :, :w].transpose(1, 2, 0)
 
 
-def im2col(x: np.ndarray, ksz: int, out: np.ndarray | None = None) -> np.ndarray:
+def im2col(x: np.ndarray, ksz: int) -> np.ndarray:
     """Patch matrix of a (H, W, C) map for a K x K same-padded correlation.
 
     Row ``i * W + j`` holds the K*K*C inputs under the kernel centered on
     pixel (i, j), ordered like ``k.reshape(K * K * C, D)``, so
-    ``im2col(x, K) @ k.reshape(-1, D)`` equals ``conv2d(x, k).reshape(-1, D)``.
-    The rows are written into ``out`` when it is given.
+    ``im2col(x, K) @ k.reshape(-1, D)`` equals ``conv2d(x, k).reshape(-1, D)``
+    up to rounding. The rows are one strided copy of the K x K windows of
+    the zero-bordered map.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise DimensionError(f"feature map must be (H, W, C), got {x.shape}")
     if ksz < 1 or ksz % 2 == 0:
         raise ParameterError(f"kernel size must be odd and positive, got {ksz}")
-    r = ksz // 2
     h, w, c = x.shape
-    if out is None:
-        out = np.empty((h * w, ksz * ksz * c))
-    elif out.shape != (h * w, ksz * ksz * c) or not out.flags.c_contiguous:
-        raise DimensionError(f"out must be a C-contiguous {(h * w, ksz * ksz * c)} array")
-    xp = _zero_border(x, r)
-    taps = out.reshape(h, w, ksz, ksz, c)
-    for dy in range(ksz):
-        for dx in range(ksz):
-            taps[:, :, dy, dx, :] = xp[dy : dy + h, dx : dx + w, :]
-    return out
+    rows = np.empty((h * w, ksz * ksz * c))
+    # windows are (H, W, C, K, K); the rows want (K, K, C) order
+    windows = sliding_window_view(_zero_border(x, ksz // 2), (ksz, ksz), axis=(0, 1))
+    rows.reshape(h, w, ksz, ksz, c)[...] = windows.transpose(0, 1, 3, 4, 2)
+    return rows
 
 
 def readonly_copy(a, dtype=None) -> np.ndarray:
@@ -153,18 +162,30 @@ def connected_components(mask: np.ndarray) -> np.ndarray:
     row-major index of the component's first pixel, so labels order the
     components by first pixel and the output is deterministic.
 
-    Min-label propagation over the neighbour pairs: each round hooks the
-    larger of two differing roots under the smaller, then pointer jumping
-    flattens every tree to its root, until all neighbours share a root.
+    Works on row runs, maximal horizontal stretches of foreground, which
+    are numbered in row-major order of their first pixels. Two runs in
+    adjacent rows touch where they share a column, and each touching pair
+    is listed once, at its first shared column. Min-label propagation over
+    those pairs: each round hooks the larger of two differing roots under
+    the smaller, then pointer jumping flattens every tree to its root,
+    until all touching runs share a root. The root is the component's
+    first run, whose first pixel is the component's first pixel.
     """
     fg = np.asarray(mask) != 0
     h, w = fg.shape
-    index = np.arange(h * w).reshape(h, w)
-    right = fg[:, :-1] & fg[:, 1:]
-    down = fg[:-1, :] & fg[1:, :]
-    a = np.concatenate([index[:, :-1][right], index[:-1, :][down]])
-    b = np.concatenate([index[:, 1:][right], index[1:, :][down]])
-    root = index.ravel()
+    starts = fg.copy()
+    starts[:, 1:] &= ~fg[:, :-1]
+    ends = fg.copy()
+    ends[:, :-1] &= ~fg[:, 1:]
+    run_start = np.flatnonzero(starts)
+    run_length = np.flatnonzero(ends) - run_start + 1
+    down = fg[:-1] & fg[1:]
+    touch = down.copy()
+    touch[:, 1:] &= ~down[:, :-1]
+    upper = np.flatnonzero(touch)
+    a = np.searchsorted(run_start, upper, side="right") - 1
+    b = np.searchsorted(run_start, upper + w, side="right") - 1
+    root = np.arange(run_start.size)
     while True:
         ra, rb = root[a], root[b]
         differ = ra != rb
@@ -173,10 +194,12 @@ def connected_components(mask: np.ndarray) -> np.ndarray:
         np.minimum.at(root, np.maximum(ra, rb)[differ], np.minimum(ra, rb)[differ])
         while True:
             jumped = root[root]
-            if np.array_equal(jumped, root):
+            if (jumped == root).all():
                 break
             root = jumped
-    return np.where(fg, root.reshape(h, w) + 1, 0)
+    labels = np.zeros(h * w, dtype=np.intp)
+    labels[fg.ravel()] = np.repeat(run_start[root] + 1, run_length)
+    return labels.reshape(h, w)
 
 
 def min_bounding_rect(mask: np.ndarray) -> tuple[int, int, int, int]:
@@ -191,7 +214,9 @@ def median_filter_1d(seq: Sequence[float], window: int) -> np.ndarray:
     """Sliding median with the window shrunk to the valid neighborhood at edges.
 
     A shrunk window of even length uses the mean of the two middle order
-    statistics, matching ``np.median``.
+    statistics, matching ``np.median``. The full windows take one
+    ``np.median`` over a sliding-window view; only the at most
+    2 * (window // 2) shrunk ones are taken one at a time.
     """
     if window % 2 == 0 or window <= 0:
         raise ParameterError(f"window must be odd and positive, got {window}")
@@ -201,10 +226,10 @@ def median_filter_1d(seq: Sequence[float], window: int) -> np.ndarray:
     half = window // 2
     n = values.size
     out = np.empty(n)
-    for i in range(n):
-        lo = max(0, i - half)
-        hi = min(n, i + half + 1)
-        out[i] = np.median(values[lo:hi])
+    if n >= window:
+        out[half : n - half] = np.median(sliding_window_view(values, window), axis=1)
+    for i in (*range(min(half, n)), *range(max(half, n - half), n)):
+        out[i] = np.median(values[max(0, i - half) : i + half + 1])
     return out
 
 
@@ -252,7 +277,12 @@ def extract_square_crop(
 
 
 def bilinear_resize(data: np.ndarray, out_hw: Sequence[int]) -> np.ndarray:
-    """Bilinear resample with pixel-center alignment, for (H, W) or (H, W, C)."""
+    """Bilinear resample with pixel-center alignment, for (H, W) or (H, W, C).
+
+    Each output element is (d[y0, x0] (1 - wx) + d[y0, x1] wx) (1 - wy) +
+    (d[y1, x0] (1 - wx) + d[y1, x1] wx) wy; the column pass runs once per
+    source row and the row pass reads its results.
+    """
     data = np.asarray(data, dtype=np.float64)
     h, w = data.shape[:2]
     oh, ow = int(out_hw[0]), int(out_hw[1])
@@ -269,9 +299,9 @@ def bilinear_resize(data: np.ndarray, out_hw: Sequence[int]) -> np.ndarray:
     if data.ndim == 3:
         wy = wy[..., None]
         wx = wx[..., None]
-    top = data[y0][:, x0] * (1 - wx) + data[y0][:, x1] * wx
-    bot = data[y1][:, x0] * (1 - wx) + data[y1][:, x1] * wx
-    return top * (1 - wy) + bot * wy
+    # columns first, on every source row, then rows
+    cols = data[:, x0] * (1 - wx) + data[:, x1] * wx
+    return cols[y0] * (1 - wy) + cols[y1] * wy
 
 
 def nearest_resize(data: np.ndarray, out_hw: Sequence[int]) -> np.ndarray:

@@ -381,10 +381,13 @@ def load_scenario(path: str) -> Scenario:
             ),
         )
     )
+    query_frame_index = _param(_expect(document, "query_frame_index", path), int, f"{path}.query_frame_index")
+    if not 0 <= query_frame_index < n:
+        raise SchemaError(f"{path}.query_frame_index: expected a frame index from 0 below {n}, got {query_frame_index}")
     query = QuerySpec(
         _member(arrays, "query_feature", "<f8", (h, w, c), path),
         _member(arrays, "query_mask", "u1", (h, w), path),
-        _param(_expect(document, "query_frame_index", path), int, f"{path}.query_frame_index"),
+        query_frame_index,
     )
     optional = {
         name: _member(arrays, name, "<f8", shape, path)

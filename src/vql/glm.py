@@ -14,9 +14,9 @@ is a center-emphasizing spatial weight derived from G. The loss is
     L(c) = 1/|O| * sum_i ||r_i||^2 + lambda^2 ||c||^2
 
 The solver works on the bank flattened to pixel rows: A stacks every
-sample's im2col patch matrix (one row per pixel, P = K*K*C columns), so all
-scores are one matvec h = A c, and sw, S, G and r become vectors over the
-same rows. With the hinge subgradient (zero at the kink)
+sample's im2col patch matrix A_i (one row per pixel, P = K*K*C columns),
+so all scores are one matvec h = A c, and sw, S, G and r become vectors
+over the same rows. With the hinge subgradient (zero at the kink)
 
     q        = sw * (S + (1 - S) * 1[h > 0])
     grad L   = 2/|O| * A^T (q * r) + 2 lambda^2 c.
@@ -31,13 +31,19 @@ Because the hinge makes the true objective only piecewise quadratic, a
 halving safeguard rejects any step that would increase the loss. An
 iteration therefore costs one gradient product A^T (q * r), one curvature
 product A g and one matvec per candidate step; the accepted candidate's
-scores and residuals seed the next iteration. A is rebuilt on every call
-and not kept on the samples.
+scores and residuals seed the next iteration.
+
+Each read-only sample keeps its A_i, built once per kernel size, so a
+refit builds no patch rows for a sample it has seen. A itself is never
+stacked, which would hold every row twice: A c is written sample by
+sample into one score vector, and A^T v is the sum of the samples'
+A_i^T v_i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -78,11 +84,16 @@ SOURCE_WINDOW = 25
 
 @dataclass(frozen=True)
 class GlmSample:
-    """A feature crop with its Gaussian label and target-region map (read-only copies)."""
+    """A feature crop with its Gaussian label and target-region map (read-only copies).
+
+    The patch rows cached on the sample always describe its feature.
+    """
 
     feature: np.ndarray
     label: np.ndarray
     target_region: np.ndarray
+    # read-only im2col patch rows keyed by kernel size
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("feature", "label", "target_region"):
@@ -115,6 +126,14 @@ class TrackFilter:
         return cls(np.zeros((k, k, in_channels, 1)))
 
 
+def _patch_rows(sample: GlmSample, ksz: int) -> np.ndarray:
+    """The sample's read-only im2col patch rows, built once per kernel size and kept on it."""
+    if ksz not in sample._rows:
+        sample._rows[ksz] = im2col(sample.feature, ksz)
+        sample._rows[ksz].flags.writeable = False
+    return sample._rows[ksz]
+
+
 def spatial_weight(label: np.ndarray) -> np.ndarray:
     """W_BG + (W_FG - W_BG) * G, so the weight peaks with the label."""
     return W_BG + (W_FG - W_BG) * np.asarray(label, dtype=np.float64)
@@ -140,8 +159,8 @@ def track_residual(score: np.ndarray, sample: GlmSample) -> np.ndarray:
 class _Problem:
     """The bank flattened to pixel rows for one kernel shape.
 
-    Holds the stacked patch matrix A and the per-row sw, S and G; every
-    method works on a flat kernel c of length P.
+    Holds the samples' patch rows A_i and the per-row sw, S and G of the
+    whole bank; every method works on a flat kernel c of length P.
     """
 
     def __init__(self, samples: Sequence[GlmSample], kernel_shape: Sequence[int], regularizer: float):
@@ -150,16 +169,13 @@ class _Problem:
         ksz, _, c_in, c_out = kernel_shape
         if c_out != 1:
             raise DimensionError(f"tracking kernel must have one output channel, got {tuple(kernel_shape)}")
-        rows = [s.label.size for s in samples]
-        self.patches = np.empty((sum(rows), ksz * ksz * c_in))
-        offset = 0
-        for sample, n in zip(samples, rows):
+        for sample in samples:
             if sample.feature.shape[2] != c_in:
                 raise DimensionError(
                     f"feature channels {sample.feature.shape[2]} do not match kernel shape {tuple(kernel_shape)}"
                 )
-            im2col(sample.feature, ksz, out=self.patches[offset : offset + n])
-            offset += n
+        self.rows = [_patch_rows(s, ksz) for s in samples]
+        self.bounds = np.cumsum([0] + [s.label.size for s in samples])
         self.label = np.concatenate([s.label.ravel() for s in samples])
         self.region = np.concatenate([s.target_region.ravel() for s in samples])
         self.weight = spatial_weight(self.label)
@@ -168,18 +184,29 @@ class _Problem:
 
     def evaluate(self, c: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """Loss, residual r and derivative map q at the flat kernel c."""
-        r, q = _blend(self.patches @ c, self.weight, self.region, self.label)
+        r, q = _blend(self._times(c), self.weight, self.region, self.label)
         return self.scale * float(r @ r) + self.ridge * float(c @ c), r, q
 
+    def _times(self, c: np.ndarray) -> np.ndarray:
+        """A c, one sample's rows at a time."""
+        out = np.empty(self.bounds[-1])
+        for rows, lo, hi in zip(self.rows, self.bounds, self.bounds[1:]):
+            np.matmul(rows, c, out=out[lo:hi])
+        return out
+
     def gradient(self, c: np.ndarray, r: np.ndarray, q: np.ndarray) -> np.ndarray:
-        return 2.0 * self.scale * (self.patches.T @ (q * r)) + 2.0 * self.ridge * c
+        v = q * r
+        a_t_v = np.zeros(c.size)
+        for rows, lo, hi in zip(self.rows, self.bounds, self.bounds[1:]):
+            a_t_v += rows.T @ v[lo:hi]
+        return 2.0 * self.scale * a_t_v + 2.0 * self.ridge * c
 
     def step_length(self, g: np.ndarray, q: np.ndarray) -> float:
         """beta = ||g||^2 / (g' (J'J) g) with J'J frozen at the derivative map q."""
         g_norm2 = float(g @ g)
         if g_norm2 == 0.0:
             raise ParameterError("step is undefined for a zero gradient (already converged)")
-        qag = q * (self.patches @ g)
+        qag = q * self._times(g)
         curvature = 2.0 * self.scale * float(qag @ qag) + 2.0 * self.ridge * g_norm2
         if curvature <= 0.0:
             raise ParameterError(f"curvature along the gradient is not positive: {curvature}")
@@ -268,12 +295,17 @@ def glm_make_dynamic_sample(
     longest = max(x_max - x_min + 1, y_max - y_min + 1)
     center = ((y_min + y_max) / 2.0, (x_min + x_max) / 2.0)
     side, crop_f, crop_p = ladder_crop(frame_feature, prob_mask, center, longest)
+    feature = bilinear_resize(crop_f, (resolution, resolution))
+    region = np.clip(bilinear_resize(crop_p, (resolution, resolution)), 0.0, 1.0)
+    return GlmSample(feature, _resampled_label(side, resolution), region)
+
+
+@lru_cache(maxsize=None)
+def _resampled_label(side: int, resolution: int) -> np.ndarray:
+    """The label of a side x side crop, resampled to the resolution (read-only), built once per pair."""
     crop_center = ((side - 1) / 2.0, (side - 1) / 2.0)
     label = gaussian_label(crop_center, label_sigma(side), (side, side))
-    feature = bilinear_resize(crop_f, (resolution, resolution))
-    label = bilinear_resize(label, (resolution, resolution))
-    region = np.clip(bilinear_resize(crop_p, (resolution, resolution)), 0.0, 1.0)
-    return GlmSample(feature, label, region)
+    return readonly_copy(bilinear_resize(label, (resolution, resolution)))
 
 
 def glm_update_source(response_history: Sequence[float]) -> str:

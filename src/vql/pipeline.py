@@ -6,7 +6,8 @@ Inference: both filters share one kernel size, so each frame is convolved
 once, with a two-output kernel. Output 0 comes from the segmentation kernel
 averaged over its three label channels: conv2d is linear in its kernel, so
 that is the appearance logit ``fusion.fuse`` needs. Output 1 is the
-tracking score, whose maximum is the frame's tracking peak.
+tracking score, whose maximum is the frame's tracking peak. The filters
+change only at an ingest, so the kernel is built once per memory value.
 
 Memory: the appearance bank is a FIFO of cropped, resampled (feature, mask)
 pairs at one canonical resolution. Eviction is strictly first-in-first-out
@@ -34,6 +35,7 @@ and the memory reverts to its post-initialization value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -123,7 +125,7 @@ class TrackOutput:
 
 def _augmented_query_samples(base: amm.AmmSample) -> list[amm.AmmSample]:
     """Base crop plus horizontal flip, (+2, +2) shift with zero fill, and box blur."""
-    flipped = amm.AmmSample(base.feature[:, ::-1, :], base.mask[:, ::-1], 1.0)
+    flipped = amm.AmmSample(base.feature[:, ::-1, :], base.mask[:, ::-1], base.confidence)
     shifted_f = np.zeros_like(base.feature)
     shifted_m = np.zeros_like(base.mask)
     shifted_f[2:, 2:] = base.feature[:-2, :-2]
@@ -131,8 +133,8 @@ def _augmented_query_samples(base: amm.AmmSample) -> list[amm.AmmSample]:
     blurred_f = _box_blur_3x3(base.feature)
     return [
         flipped,
-        amm.AmmSample(shifted_f, shifted_m, 1.0),
-        amm.AmmSample(blurred_f, base.mask, 1.0),
+        amm.AmmSample(shifted_f, shifted_m, base.confidence),
+        amm.AmmSample(blurred_f, base.mask, base.confidence),
     ]
 
 
@@ -155,7 +157,8 @@ def _newest(entries: tuple, limit: int) -> tuple:
 class _Memory:
     """Both banks, both filters and the peak history of one query (see the module docstring).
 
-    Entries and filters are read-only, so values share them freely.
+    Entries and filters are read-only, so values share them freely; the
+    inference kernel is built from the filters once per value.
     """
 
     amm_entries: tuple[amm.AmmSample, ...]
@@ -169,6 +172,15 @@ class _Memory:
     @property
     def glm_samples(self) -> tuple[glm.GlmSample, ...]:
         return (self.glm_static,) + self.glm_dynamic
+
+    @cached_property
+    def inference_kernel(self) -> np.ndarray:
+        """The (K, K, C, 2) kernel of one frame's convolution: the channel-mean seg kernel, then the track kernel."""
+        kernel = np.concatenate(
+            [self.seg_filter.kernel.mean(axis=3, keepdims=True), self.track_filter.kernel], axis=3
+        )
+        kernel.flags.writeable = False
+        return kernel
 
     @property
     def finite(self) -> bool:
@@ -249,10 +261,7 @@ class Pipeline:
         if not np.isfinite(frame_feature).all():
             raise ParameterError(f"frame {frame_index} has non-finite features")
         # outputs: appearance logit and tracking score (see the module docstring)
-        kernel = np.concatenate(
-            [self.memory.seg_filter.kernel.mean(axis=3, keepdims=True), self.memory.track_filter.kernel], axis=3
-        )
-        out = conv2d(frame_feature, kernel)
+        out = conv2d(frame_feature, self.memory.inference_kernel)
         score = out[:, :, 1]
         result = fusion.extract_result(fusion.fuse(out[:, :, 0], score), frame_index)
         peak = float(score.max())

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vql import core
-from vql.selfcheck import kernel_gradient
+from vql.selfcheck import components_union_find, conv2d_naive, elementwise_deviation, kernel_gradient
 
 
 def rng(seed=0):
@@ -42,14 +43,39 @@ class TestConv2d:
         with pytest.raises(core.ParameterError):
             core.conv2d(np.ones((4, 4, 2)), np.ones((2, 2, 2, 1)))
 
+    @given(
+        st.sampled_from([1, 3, 5]),
+        st.integers(1, 7),
+        st.integers(1, 7),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_loop(self, ksz, h, w, c_in, c_out, seed):
+        r = rng(seed)
+        x = r.uniform(-1, 1, size=(h, w, c_in))
+        k = r.uniform(-1, 1, size=(ksz, ksz, c_in, c_out))
+        assert elementwise_deviation(core.conv2d(x, k), conv2d_naive(x, k), rtol=1e-12) <= 1.0
+
 
 class TestIm2col:
-    def test_out_rejects_wrong_shape_or_non_contiguous(self):
-        x = np.ones((4, 5, 2))
-        with pytest.raises(core.DimensionError):
-            core.im2col(x, 3, out=np.empty((20, 17)))
-        with pytest.raises(core.DimensionError):
-            core.im2col(x, 3, out=np.empty((18, 20)).T)
+    @given(
+        st.sampled_from([1, 3, 5]), st.integers(1, 7), st.integers(1, 7), st.integers(1, 3), st.integers(0, 2**32 - 1)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_tap_loop(self, ksz, h, w, c, seed):
+        x = rng(seed).uniform(-1, 1, size=(h, w, c))
+        r = ksz // 2
+        padded = np.zeros((h + 2 * r, w + 2 * r, c))
+        padded[r : r + h, r : r + w] = x
+        want = np.empty((h, w, ksz, ksz, c))
+        for dy in range(ksz):
+            for dx in range(ksz):
+                want[:, :, dy, dx] = padded[dy : dy + h, dx : dx + w]
+        rows = core.im2col(x, ksz)
+        assert rows.flags.c_contiguous
+        np.testing.assert_array_equal(rows, want.reshape(h * w, -1))
 
 
 class TestKernelGradient:
@@ -112,6 +138,38 @@ class TestConnectedComponents:
             assert label == first + 1
 
 
+    @staticmethod
+    def assert_union_find_labels(mask):
+        labels = core.connected_components(mask)
+        assert labels.shape == mask.shape
+        np.testing.assert_array_equal(labels != 0, mask != 0)
+        for component in components_union_find(mask):
+            first = min(component)
+            rows, cols = zip(*component)
+            assert set(labels[rows, cols]) == {1 + first[0] * mask.shape[1] + first[1]}
+            assert np.count_nonzero(labels == labels[first]) == len(component)
+
+    @given(hnp.arrays(np.bool_, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12)))
+    @settings(max_examples=150, deadline=None)
+    @example(np.zeros((1, 9), dtype=bool))
+    @example(np.ones((1, 9), dtype=bool))
+    @example(np.ones((9, 1), dtype=bool))
+    @example(np.array([[1], [0], [1], [1]], dtype=bool))
+    @example(np.zeros((7, 5), dtype=bool))
+    @example(np.ones((7, 5), dtype=bool))
+    @example(np.indices((8, 9)).sum(axis=0) % 2 == 0)
+    @example(np.indices((8, 9)).sum(axis=0) % 2 == 1)
+    # a U whose arms meet only in the last row, so a hook has to travel back up
+    @example(np.array([[1, 0, 1], [1, 0, 1], [1, 1, 1]], dtype=bool))
+    def test_matches_union_find(self, mask):
+        self.assert_union_find_labels(mask)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_zero_size_mask(self, shape):
+        labels = core.connected_components(np.zeros(shape))
+        assert labels.shape == shape
+
+
 class TestMinBoundingRect:
     def test_single_pixel(self):
         mask = np.zeros((6, 7))
@@ -150,6 +208,16 @@ class TestMedianFilter:
             lo, hi = max(0, i - window // 2), min(len(seq), i + window // 2 + 1)
             assert got[i] == pytest.approx(float(np.median(sorted(seq[lo:hi]))))
 
+    @given(
+        hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(-1e6, 1e6)),
+        st.sampled_from([1, 3, 5, 7, 9]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_per_window_median(self, seq, window):
+        half = window // 2
+        want = [np.median(seq[max(0, i - half) : i + half + 1]) for i in range(seq.size)]
+        np.testing.assert_array_equal(core.median_filter_1d(seq, window), want)
+
 
 class TestLastRun:
     @given(st.lists(st.booleans(), max_size=30))
@@ -182,6 +250,36 @@ class TestCropResize:
     def test_same_size_bilinear_is_identity(self):
         data = rng(11).uniform(size=(12, 12, 3))
         np.testing.assert_allclose(core.bilinear_resize(data, (12, 12)), data, atol=1e-12)
+
+    @staticmethod
+    def bilinear_pixel(data, i, j, out_hw):
+        """One output element of the pixel-center-aligned bilinear resample, from its formula."""
+        h, w = data.shape[:2]
+        ry = min(max((i + 0.5) * (h / out_hw[0]) - 0.5, 0.0), h - 1.0)
+        rx = min(max((j + 0.5) * (w / out_hw[1]) - 0.5, 0.0), w - 1.0)
+        y0, x0 = int(np.floor(ry)), int(np.floor(rx))
+        y1, x1 = min(y0 + 1, h - 1), min(x0 + 1, w - 1)
+        wy, wx = ry - y0, rx - x0
+        top = data[y0, x0] * (1 - wx) + data[y0, x1] * wx
+        bottom = data[y1, x0] * (1 - wx) + data[y1, x1] * wx
+        return top * (1 - wy) + bottom * wy
+
+    @given(
+        st.integers(1, 12), st.integers(1, 12), st.integers(1, 20), st.integers(1, 20),
+        st.sampled_from([None, 1, 3]), st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    @example(9, 9, 32, 32, 3, 0)  # upsampling, as a small crop to the bank resolution
+    @example(40, 40, 32, 32, None, 1)  # downsampling
+    @example(7, 11, 3, 17, 1, 2)  # down in rows, up in columns
+    def test_bilinear_matches_per_pixel_formula(self, h, w, oh, ow, channels, seed):
+        shape = (h, w) if channels is None else (h, w, channels)
+        data = rng(seed).uniform(-1, 1, size=shape)
+        got = core.bilinear_resize(data, (oh, ow))
+        assert got.shape == (oh, ow) + shape[2:]
+        for i in range(oh):
+            for j in range(ow):
+                np.testing.assert_array_equal(got[i, j], self.bilinear_pixel(data, i, j, (oh, ow)))
 
     def test_nearest_keeps_binary(self):
         mask = (rng(12).random((9, 9)) > 0.5).astype(np.uint8)

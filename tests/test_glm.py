@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vql import amm, glm
-from vql.core import DimensionError, EmptyInputError, ParameterError, gaussian_label
+from vql.core import DimensionError, EmptyInputError, ParameterError, bilinear_resize, gaussian_label, im2col
 from vql.selfcheck import empty_banks, solve_track_normal_equations
 
 
@@ -165,3 +165,65 @@ class TestMemory:
         mem = empty_banks(static).admit(amm.AmmSample(np.ones((4, 4, 1)), np.ones((4, 4))), dynamic, capacity=5)
         assert len(mem.glm_samples) == 2
         assert mem.glm_samples[0] is static and mem.glm_samples[1] is dynamic
+
+
+class TestPatchRows:
+    """Each sample keeps its im2col rows; refits build them once."""
+
+    def test_rows_are_read_only_and_equal_im2col(self):
+        (sample,) = random_samples(rng(20), 1, size=6, channels=3)
+        for ksz in (1, 3, 5):
+            rows = glm._patch_rows(sample, ksz)
+            np.testing.assert_array_equal(rows, im2col(sample.feature, ksz))
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1.0
+            assert glm._patch_rows(sample, ksz) is rows
+
+    def test_refits_build_each_sample_rows_once(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(glm, "im2col", lambda x, ksz: built.append(ksz) or im2col(x, ksz))
+        samples = random_samples(rng(21), 3, size=6)
+        filt = glm.TrackFilter.zeros(3, 2)
+        for _ in range(3):
+            filt = glm.optimize_filter(filt, samples, 2)
+            glm.track_loss(filt, samples)
+        assert built == [3, 3, 3]
+
+    def test_memory_values_sharing_a_sample_share_its_rows(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(glm, "im2col", lambda x, ksz: built.append(ksz) or im2col(x, ksz))
+        static, first, second = random_samples(rng(22), 3, size=6)
+        entry = amm.AmmSample(np.ones((6, 6, 2)), np.ones((6, 6)))
+        one = empty_banks(static).admit(entry, first, capacity=4)
+        two = one.admit(entry, second, capacity=4)
+        glm.optimize_filter(glm.TrackFilter.zeros(3, 2), one.glm_samples, 1)
+        rows = [glm._patch_rows(s, 3) for s in one.glm_samples]
+        glm.optimize_filter(glm.TrackFilter.zeros(3, 2), two.glm_samples, 1)
+        # only the sample new in the second value had its rows built
+        assert len(built) == 3
+        assert all(glm._patch_rows(s, 3) is r for s, r in zip(two.glm_samples, rows))
+
+    def test_solver_matches_stacked_rows(self):
+        # the per-sample products against one stacked patch matrix
+        samples = random_samples(rng(23), 4, size=6)
+        filt = glm.TrackFilter(rng(24).uniform(-0.5, 0.5, size=(3, 3, 2, 1)))
+        stacked = np.concatenate([im2col(s.feature, 3) for s in samples])
+        label = np.concatenate([s.label.ravel() for s in samples])
+        region = np.concatenate([s.target_region.ravel() for s in samples])
+        c = filt.kernel.ravel()
+        residual, q = glm._blend(stacked @ c, glm.spatial_weight(label), region, label)
+        want = 2.0 / len(samples) * (stacked.T @ (q * residual)) + 2.0 * filt.regularizer**2 * c
+        got = glm.track_gradient(filt, samples).ravel()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+class TestResampledLabel:
+    @pytest.mark.parametrize("side,resolution", [(9, 32), (32, 32), (72, 32), (5, 17)])
+    def test_built_once_per_side_as_the_crop_label(self, side, resolution):
+        center = ((side - 1) / 2.0, (side - 1) / 2.0)
+        want = bilinear_resize(gaussian_label(center, glm.label_sigma(side), (side, side)), (resolution, resolution))
+        got = glm._resampled_label(side, resolution)
+        np.testing.assert_array_equal(got, want)
+        assert not got.flags.writeable
+        assert glm._resampled_label(side, resolution) is got

@@ -381,6 +381,19 @@ class TestLoaderScalars:
         with pytest.raises(fileio.SchemaError, match=rf"{field}: expected"):
             fileio.load_scenario(str(scenario_path))
 
+    @pytest.mark.parametrize("index", [-5, -1, 48, 999])
+    def test_query_frame_index_outside_the_clip_exits_2(self, tmp_path, capsys, index):
+        # the identity preset has 48 frames
+        scenario_path, track_path = tmp_path / "identity.npz", tmp_path / "track.npz"
+        fileio.save_scenario(gen_scenario(7, preset_params("identity")), str(scenario_path))
+        rewrite(scenario_path, lambda d: d.update(query_frame_index=index))
+        with pytest.raises(fileio.SchemaError, match=r"\.query_frame_index: expected a frame index from 0 below 48"):
+            fileio.load_scenario(str(scenario_path))
+        assert cli_main(["run2d", "--scenario", str(scenario_path), "--out", str(track_path)]) == 2
+        assert cli_main(["eval", "--scenario", str(scenario_path), "--track", str(track_path)]) == 2
+        assert "query_frame_index" in capsys.readouterr().err
+        assert not track_path.exists()
+
     @pytest.mark.parametrize(
         "keys,value,field",
         [

@@ -128,6 +128,21 @@ class TestOneConvolution:
         np.testing.assert_allclose(result.prob, want, rtol=0, atol=1e-12)
         assert abs(pipe.peaks[-1] - score.max()) <= 1e-12
 
+    def test_kernel_built_once_per_memory_value(self):
+        sc = small_identity()
+        pipe = Pipeline(sc.query, PipelineConfig(updates_enabled=False))
+        memory = pipe.memory
+        kernel = memory.inference_kernel
+        assert not kernel.flags.writeable
+        seg, track = memory.seg_filter.kernel, memory.track_filter.kernel
+        np.testing.assert_array_equal(kernel, np.concatenate([seg.mean(axis=3, keepdims=True), track], axis=3))
+        for index, frame in enumerate(sc.frames):
+            pipe.step_frame(frame.feature, index)
+        assert pipe.memory is memory and memory.inference_kernel is kernel
+        refit = replace(memory, track_filter=glm.TrackFilter(2.0 * track))
+        assert refit.inference_kernel is not kernel
+        np.testing.assert_array_equal(refit.inference_kernel[..., 1:], 2.0 * track)
+
 
 class TestFrameValidation:
     def test_nan_pixel_rejected_before_any_bank_is_touched(self):
