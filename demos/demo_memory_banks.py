@@ -16,14 +16,16 @@ def both_banks():
     scenario = gen_scenario(7, ScenarioParams("identity", n_frames=8, canvas=(32, 32), object_size=13))
     pipe = Pipeline(scenario.query, PipelineConfig(capacity=4, kernel_size=1))
     static = pipe.memory.glm_static
+    query_entries = tuple(pipe.memory.amm_entries)
     background = scenario.frames[0].feature.copy()
     background[:, :, :] = background[0, 0, :]
     for t, frame in enumerate(scenario.frames):
         result = pipe.step_frame(background if t % 3 == 2 else frame.feature, t)
-        held = " ".join(f"{s.confidence:.2f}" for s in pipe.memory.amm_entries)
         pinned = pipe.memory.glm_static is static
+        held = len(pipe.memory.amm_entries)
+        from_query = sum(any(s is q for q in query_entries) for s in pipe.memory.amm_entries)
         print(
-            f"  frame {t}: s_conf {result.s_conf:.2f}  appearance=[{held}]  "
+            f"  frame {t}: s_conf {result.s_conf:.2f}  appearance={held} ({from_query} from the query)  "
             f"static pinned={pinned}, dynamic={len(pipe.memory.glm_dynamic)}"
         )
 

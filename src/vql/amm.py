@@ -58,7 +58,6 @@ from .core import (
     gaussian_label,
     im2col,
     ladder_crop,
-    min_bounding_rect,
     nearest_resize,
     readonly_copy,
     _zero_border,
@@ -89,7 +88,7 @@ ADMIT_THRESHOLD = 0.6
 
 @dataclass(frozen=True)
 class AmmSample:
-    """One bank entry: a feature crop, its binary mask, and the retrieval confidence.
+    """One bank entry: a feature crop and its binary mask.
 
     The arrays are read-only copies, so the solver statistics cached on the
     entry always describe its contents.
@@ -97,7 +96,6 @@ class AmmSample:
 
     feature: np.ndarray
     mask: np.ndarray
-    confidence: float = 1.0
     # solver statistics (M_i, b_i, c_i) keyed by kernel size
     _stats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -266,7 +264,6 @@ def crop_sample(
     frame_feature: np.ndarray,
     mask: np.ndarray,
     resolution: int,
-    confidence: float = AmmSample.confidence,
 ) -> AmmSample:
     """Cut a square, centroid-centered sample around the mask and resample it.
 
@@ -284,10 +281,10 @@ def crop_sample(
     rows, cols = np.nonzero(mask)
     if rows.size == 0:
         raise EmptyInputError("cannot crop a sample from an empty mask")
-    x_min, y_min, x_max, y_max = min_bounding_rect(mask)
-    longest = max(x_max - x_min + 1, y_max - y_min + 1)
+    # np.nonzero lists rows in order, so the first and last rows are the ends
+    longest = int(max(cols.max() - cols.min(), rows[-1] - rows[0])) + 1
     _, crop_f, crop_m = ladder_crop(frame_feature, mask, (rows.mean(), cols.mean()), longest)
     feature = bilinear_resize(crop_f, (resolution, resolution))
     sample_mask = (nearest_resize(crop_m, (resolution, resolution)) != 0).astype(np.uint8)
-    return AmmSample(feature, sample_mask, confidence)
+    return AmmSample(feature, sample_mask)
 

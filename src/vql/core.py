@@ -156,23 +156,38 @@ def gaussian_label(center: Sequence[float], sigma: float, shape: Sequence[int]) 
 
 
 def connected_components(mask: np.ndarray) -> np.ndarray:
-    """Label map of the 4-connected components of the foreground.
+    """Label map of the 4-connected components of a 2-D mask's foreground.
 
     Background is 0; every pixel of a component holds 1 plus the flat
     row-major index of the component's first pixel, so labels order the
-    components by first pixel and the output is deterministic.
-
-    Works on row runs, maximal horizontal stretches of foreground, which
-    are numbered in row-major order of their first pixels. Two runs in
-    adjacent rows touch where they share a column, and each touching pair
-    is listed once, at its first shared column. Min-label propagation over
-    those pairs: each round hooks the larger of two differing roots under
-    the smaller, then pointer jumping flattens every tree to its root,
-    until all touching runs share a root. The root is the component's
-    first run, whose first pixel is the component's first pixel.
+    components by first pixel and the output is deterministic. The map is
+    painted run by run from :func:`_component_runs`.
     """
     fg = np.asarray(mask) != 0
-    h, w = fg.shape
+    if fg.ndim != 2:
+        raise DimensionError(f"mask must be (H, W), got {fg.shape}")
+    run_start, run_length, root = _component_runs(fg)
+    labels = np.zeros(fg.size, dtype=np.intp)
+    labels[fg.ravel()] = np.repeat(run_start[root] + 1, run_length)
+    return labels.reshape(fg.shape)
+
+
+def _component_runs(fg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row runs of a 2-D boolean foreground and the component each belongs to.
+
+    A row run is a maximal horizontal stretch of foreground. Returns each
+    run's flat row-major start, its length and its root: the index of the
+    first run of its 4-connected component, whose first pixel is the
+    component's first pixel. Runs are numbered in row-major order of their
+    starts.
+
+    Two runs in adjacent rows touch where they share a column, and each
+    touching pair is listed once, at its first shared column. Min-label
+    propagation over those pairs: each round hooks the larger of two
+    differing roots under the smaller, then pointer jumping flattens every
+    tree to its root, until all touching runs share a root.
+    """
+    w = fg.shape[1]
     starts = fg.copy()
     starts[:, 1:] &= ~fg[:, :-1]
     ends = fg.copy()
@@ -197,9 +212,7 @@ def connected_components(mask: np.ndarray) -> np.ndarray:
             if (jumped == root).all():
                 break
             root = jumped
-    labels = np.zeros(h * w, dtype=np.intp)
-    labels[fg.ravel()] = np.repeat(run_start[root] + 1, run_length)
-    return labels.reshape(h, w)
+    return run_start, run_length, root
 
 
 def min_bounding_rect(mask: np.ndarray) -> tuple[int, int, int, int]:

@@ -7,9 +7,12 @@ rectified tracking score max(0, H), squashed by a logistic into a
 probability map. The pipeline gets the appearance logit from the
 channel-mean kernel, so the 3-channel output is never built. The mask is
 that map thresholded at 0.5 and boxed by its largest 4-connected
-component. The per-frame confidence ``s_conf`` is the mean probability
-inside the mask, computed here once: the appearance bank admits on it and
-the temporal localization reads it. The answer interval is the last run
+component. No label map is built for it: the component sizes are sums of
+the lengths of the mask's row runs (``core._component_runs``) per
+component, and the box is the extent of the largest component's runs. The
+per-frame confidence ``s_conf`` is the mean probability inside the mask,
+computed here once: the appearance bank admits on it and the temporal
+localization reads it. The answer interval is the last run
 (``core.last_run``) of the confidences, median-filtered over MEDIAN_WINDOW
 frames, at or above TEMPORAL_RATIO times their maximum.
 """
@@ -21,13 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    DimensionError,
-    connected_components,
-    last_run,
-    median_filter_1d,
-    min_bounding_rect,
-)
+from .core import DimensionError, _component_runs, last_run, median_filter_1d
 
 __all__ = [
     "SegmentationResult",
@@ -88,16 +85,20 @@ def extract_result(prob: np.ndarray, frame_index: int) -> SegmentationResult:
     An empty mask yields no box and zero confidence.
     """
     prob = np.asarray(prob, dtype=np.float64)
-    mask = (prob >= MASK_THRESHOLD).astype(np.uint8)
-    if not mask.any():
+    if prob.ndim != 2:
+        raise DimensionError(f"probability map must be (H, W), got {prob.shape}")
+    fg = prob >= MASK_THRESHOLD
+    mask = fg.astype(np.uint8)
+    if not fg.any():
         return SegmentationResult(prob, mask, None, 0.0, frame_index)
-    labels = connected_components(mask)
-    sizes = np.bincount(labels.ravel())
-    sizes[0] = 0
-    # the first maximum has the smallest label, i.e. the earliest first pixel
-    bbox = min_bounding_rect(labels == np.argmax(sizes))
-    s_conf = float(prob[mask != 0].mean())
-    return SegmentationResult(prob, mask, bbox, s_conf, frame_index)
+    run_start, run_length, root = _component_runs(fg)
+    # roots number components by first pixel, so the first maximum wins ties
+    largest = root == np.argmax(np.bincount(root, weights=run_length))
+    rows, first_col = np.divmod(run_start[largest], prob.shape[1])
+    last_col = first_col + run_length[largest] - 1
+    # runs come in row-major order: the first and last rows are the ends
+    bbox = (int(first_col.min()), int(rows[0]), int(last_col.max()), int(rows[-1]))
+    return SegmentationResult(prob, mask, bbox, float(prob[fg].mean()), frame_index)
 
 
 def temporal_localize(s_conf_seq: Sequence[float]) -> Optional[TemporalInterval]:

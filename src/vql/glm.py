@@ -13,10 +13,11 @@ is a center-emphasizing spatial weight derived from G. The loss is
 
     L(c) = 1/|O| * sum_i ||r_i||^2 + lambda^2 ||c||^2
 
-The solver works on the bank flattened to pixel rows: A stacks every
-sample's im2col patch matrix A_i (one row per pixel, P = K*K*C columns),
-so all scores are one matvec h = A c, and sw, S, G and r become vectors
-over the same rows. With the hinge subgradient (zero at the kink)
+The solver works on the bank flattened to pixel rows: A holds the rows
+of every sample's im2col patch matrix A_i (one row per pixel,
+P = K*K*C columns), so all scores are one matvec h = A c, and sw, S, G
+and r become vectors over the same rows. With the hinge subgradient
+(zero at the kink)
 
     q        = sw * (S + (1 - S) * 1[h > 0])
     grad L   = 2/|O| * A^T (q * r) + 2 lambda^2 c.

@@ -125,7 +125,7 @@ class TrackOutput:
 
 def _augmented_query_samples(base: amm.AmmSample) -> list[amm.AmmSample]:
     """Base crop plus horizontal flip, (+2, +2) shift with zero fill, and box blur."""
-    flipped = amm.AmmSample(base.feature[:, ::-1, :], base.mask[:, ::-1], base.confidence)
+    flipped = amm.AmmSample(base.feature[:, ::-1, :], base.mask[:, ::-1])
     shifted_f = np.zeros_like(base.feature)
     shifted_m = np.zeros_like(base.mask)
     shifted_f[2:, 2:] = base.feature[:-2, :-2]
@@ -133,8 +133,8 @@ def _augmented_query_samples(base: amm.AmmSample) -> list[amm.AmmSample]:
     blurred_f = _box_blur_3x3(base.feature)
     return [
         flipped,
-        amm.AmmSample(shifted_f, shifted_m, base.confidence),
-        amm.AmmSample(blurred_f, base.mask, base.confidence),
+        amm.AmmSample(shifted_f, shifted_m),
+        amm.AmmSample(blurred_f, base.mask),
     ]
 
 
@@ -286,7 +286,7 @@ class Pipeline:
     ) -> _Memory:
         """``memory`` with the frame added to both banks and both filters refit."""
         memory = memory.admit(
-            amm.crop_sample(frame_feature, result.mask, SAMPLE_RESOLUTION, result.s_conf),
+            amm.crop_sample(frame_feature, result.mask, SAMPLE_RESOLUTION),
             glm.glm_make_dynamic_sample(frame_feature, result.bbox, result.prob, SAMPLE_RESOLUTION),
             self.cfg.capacity,
         )

@@ -686,7 +686,7 @@ def check_amm_fifo_replay(seed=14):
     for i in range(40):
         result = fusion.extract_result(np.full((4, 4), rng.uniform(0.3, 0.9)), i)
         if amm.amm_admit(result):
-            sample = amm.AmmSample(np.full((4, 4, 1), float(i)), result.mask, result.s_conf)
+            sample = amm.AmmSample(np.full((4, 4, 1), float(i)), result.mask)
             mem = mem.admit(sample, static, capacity=5)
             admitted.append(i)
     want = admitted[-5:]
@@ -925,6 +925,38 @@ def check_extract_result_components():
     if res.bbox != (4, 0, 5, 0):
         return False, f"tie-break bbox wrong: {res.bbox}"
     return True, "largest component and row-major tie-break verified"
+
+
+def extract_by_label_map(prob: np.ndarray) -> tuple[np.ndarray, tuple | None, float]:
+    """Mask, box and confidence by reducing the full label map of the thresholded map."""
+    mask = (prob >= fusion.MASK_THRESHOLD).astype(np.uint8)
+    if not mask.any():
+        return mask, None, 0.0
+    labels = connected_components(mask)
+    sizes = np.bincount(labels.ravel())
+    sizes[0] = 0
+    return mask, min_bounding_rect(labels == np.argmax(sizes)), float(prob[mask != 0].mean())
+
+
+def check_extract_matches_label_map(n_instances=200, seed=31):
+    rng = np.random.default_rng(seed)
+    # empty, full, one row, one column, and two equal components (the row-major first wins)
+    tie = np.full((4, 5), 0.2)
+    tie[0, 2:5] = tie[1:4, 0] = 0.7
+    probs = [np.full((5, 7), 0.3), np.full((5, 7), 0.8), rng.random((1, 17)), rng.random((17, 1)), tie]
+    for _ in range(n_instances):
+        shape = tuple(rng.integers(1, 25, size=2))
+        probs.append(rng.random(shape) ** rng.uniform(0.3, 3.0))
+    for i, prob in enumerate(probs):
+        res = fusion.extract_result(prob, 0)
+        mask, bbox, s_conf = extract_by_label_map(prob)
+        if res.mask.dtype != mask.dtype or not np.array_equal(res.mask, mask):
+            return False, f"map {i} {prob.shape}: mask differs from the threshold"
+        if res.bbox != bbox:
+            return False, f"map {i} {prob.shape}: bbox {res.bbox}, label map gives {bbox}"
+        if res.s_conf != s_conf:
+            return False, f"map {i} {prob.shape}: s_conf {res.s_conf!r}, label map gives {s_conf!r}"
+    return True, f"{len(probs)} maps bit-equal in mask, bbox and s_conf"
 
 
 def check_temporal_localize():
@@ -1305,6 +1337,7 @@ CHECKS = {
     "glm.update_source_replay": check_glm_update_source,
     "fusion.fuse_decode_elementwise": check_fusion_elementwise,
     "fusion.largest_component_bbox": check_extract_result_components,
+    "fusion.extract_matches_label_map": check_extract_matches_label_map,
     "fusion.temporal_localization": check_temporal_localize,
     "geo3d.sim3_noiseless_recovery": check_sim3_recovery,
     "geo3d.sim3_noisy_recovery": check_sim3_noisy,

@@ -169,6 +169,11 @@ class TestConnectedComponents:
         labels = core.connected_components(np.zeros(shape))
         assert labels.shape == shape
 
+    @pytest.mark.parametrize("shape", [(), (6,), (2, 3, 3)])
+    def test_non_2d_mask_rejected(self, shape):
+        with pytest.raises(core.DimensionError):
+            core.connected_components(np.ones(shape))
+
 
 class TestMinBoundingRect:
     def test_single_pixel(self):

@@ -90,6 +90,12 @@ class TestExtractResult:
         assert res.bbox == (3, 2, 4, 3)
         assert res.s_conf == pytest.approx(0.9)
 
+    @pytest.mark.parametrize("shape", [(6,), (4, 4, 1), (2, 3, 3)])
+    def test_non_2d_map_rejected(self, shape):
+        for value in (0.9, 0.1):
+            with pytest.raises(DimensionError):
+                fusion.extract_result(np.full(shape, value), 0)
+
     def test_mask_consistent_with_prob(self):
         prob = rng(5).random((10, 10))
         res = fusion.extract_result(prob, 0)
@@ -115,27 +121,33 @@ def serpentine():
     return mask
 
 
+def from_mask(mask):
+    return np.where(np.asarray(mask) != 0, 0.9, 0.1)
+
+
 @st.composite
-def binary_masks(draw):
+def probability_maps(draw):
     shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
-    return draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, 1)))
+    return draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
 
 
 class TestExtractResultProperty:
-    @given(binary_masks())
-    @example(np.array([[1, 1, 0, 1, 1, 0, 1]], dtype=np.uint8))
-    @example(np.array([[0], [1], [1], [0], [1], [1], [1]], dtype=np.uint8))
-    @example(serpentine())
+    @given(probability_maps())
+    @example(from_mask([[1, 1, 0, 1, 1, 0, 1]]))
+    @example(from_mask([[0], [1], [1], [0], [1], [1], [1]]))
+    @example(from_mask(serpentine()))
     # equal sizes: the row-major first component wins over the leftmost one
-    @example(np.array([[0, 0, 1, 1, 1], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0]], dtype=np.uint8))
+    @example(from_mask([[0, 0, 1, 1, 1], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0]]))
     @settings(max_examples=200, deadline=None)
-    def test_box_of_largest_union_find_component(self, mask):
-        prob = np.where(mask != 0, 0.9, 0.1)
+    def test_box_of_largest_union_find_component(self, prob):
         res = fusion.extract_result(prob, 0)
+        mask = (prob >= fusion.MASK_THRESHOLD).astype(np.uint8)
+        np.testing.assert_array_equal(res.mask, mask)
         if not mask.any():
-            assert res.bbox is None
+            assert res.bbox is None and res.s_conf == 0.0
         else:
             assert res.bbox == largest_component_box(mask)
+            assert res.s_conf == float(prob[mask != 0].mean())
 
 
 class TestTemporalLocalize:
