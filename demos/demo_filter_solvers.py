@@ -21,14 +21,14 @@ def segmentation_descent():
         )
         for _ in range(3)
     ]
-    filt = amm.SegFilter(np.zeros((3, 3, 2, 3)), regularizer=0.05)
+    kernel = np.zeros((3, 3, 2, 3))
     print("segmentation filter (steepest descent, exact step size):")
     for i in range(12):
-        loss = amm.seg_loss(filt, samples)
-        g = amm.seg_gradient(filt, samples)
-        alpha = amm.steepest_step_size(g, samples, filt.regularizer)
+        loss = amm.seg_loss(kernel, samples)
+        g = amm.seg_gradient(kernel, samples)
+        alpha = amm.steepest_step_size(g, samples)
         print(f"  iter {i:2d}  loss {loss:.6f}  step {alpha:.4f}")
-        filt = amm.SegFilter(filt.kernel - alpha * g, filt.regularizer)
+        kernel = kernel - alpha * g
 
 
 def tracking_gauss_newton():
@@ -39,13 +39,13 @@ def tracking_gauss_newton():
         label = gaussian_label((3.5, 3.5), 1.3, (8, 8))
         region = (label > 0.3).astype(float)
         samples.append(glm.GlmSample(feature, label, region))
-    filt = glm.TrackFilter(np.zeros((3, 3, 2, 1)), regularizer=0.2)
+    kernel = np.zeros((3, 3, 2, 1))
     print("tracking filter (Gauss-Newton step size, hinge residual):")
     for i in range(12):
-        loss = glm.track_loss(filt, samples)
+        loss = glm.track_loss(kernel, samples)
         print(f"  iter {i:2d}  loss {loss:.6f}")
-        filt = glm.optimize_filter(filt, samples, 1)
-    print(f"  final loss {glm.track_loss(filt, samples):.6f}")
+        kernel = glm.optimize_filter(kernel, samples, 1)
+    print(f"  final loss {glm.track_loss(kernel, samples):.6f}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ every bank entry by minimizing the weighted squared error
 where E_i is the multi-channel encoding of sample i's mask and W_i a
 per-pixel weight map emphasizing the foreground: BACKGROUND_WEIGHT plus a
 step up to FOREGROUND_WEIGHT on the mask, blurred by a Gaussian of width
-BLUR_SIGMA (see :func:`reweight`).
+BLUR_SIGMA (see :func:`reweight`). The ridge weight delta is the constant
+RIDGE, and a filter is its read-only (K, K, C, 3) kernel array.
 
 Written with the entry's im2col patch matrix A_i (one row per pixel, one
 column per kernel tap and input channel, P = K*K*C columns), the
@@ -66,7 +67,6 @@ from .fusion import SegmentationResult
 
 __all__ = [
     "AmmSample",
-    "SegFilter",
     "encode_pseudo_label",
     "reweight",
     "seg_loss",
@@ -78,6 +78,8 @@ __all__ = [
 ]
 
 GRADIENT_EPS = 1e-12
+# the ridge weight delta of the segmentation loss
+RIDGE = 0.01
 # loss weights W_i: on the target, off it, and the width of the step between
 FOREGROUND_WEIGHT = 1.0
 BACKGROUND_WEIGHT = 0.25
@@ -106,23 +108,6 @@ class AmmSample:
             raise DimensionError(
                 f"feature {self.feature.shape} and mask {self.mask.shape} dims differ"
             )
-
-
-@dataclass(frozen=True)
-class SegFilter:
-    """Segmentation convolution weights (read-only) plus the ridge coefficient."""
-
-    kernel: np.ndarray
-    regularizer: float = 0.01
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kernel", readonly_copy(self.kernel, np.float64))
-        if self.regularizer <= 0:
-            raise ParameterError(f"regularizer must be positive, got {self.regularizer}")
-
-    @classmethod
-    def zeros(cls, k: int, in_channels: int) -> "SegFilter":
-        return cls(np.zeros((k, k, in_channels, 3)))
 
 
 def encode_pseudo_label(mask: np.ndarray) -> np.ndarray:
@@ -211,48 +196,50 @@ def _bank_statistics(mem: Sequence[AmmSample], kernel_shape: Sequence[int]) -> t
     return gram, cross, energy
 
 
-def _exact_step(g: np.ndarray, gram: np.ndarray, delta: float) -> float:
+def _exact_step(g: np.ndarray, gram: np.ndarray) -> float:
     g_norm2 = float(np.sum(g**2))
     if g_norm2 == 0.0:
         raise ParameterError("step size is undefined for a zero gradient (already converged)")
-    return g_norm2 / (float(np.sum(g * (gram @ g))) + delta * g_norm2)
+    return g_norm2 / (float(np.sum(g * (gram @ g))) + RIDGE * g_norm2)
 
 
-def seg_loss(filt: SegFilter, mem: Sequence[AmmSample]) -> float:
+def seg_loss(kernel: np.ndarray, mem: Sequence[AmmSample]) -> float:
     """Weighted half-squared-error over the bank entries plus the ridge term."""
-    gram, cross, energy = _bank_statistics(mem, filt.kernel.shape)
-    sigma = filt.kernel.reshape(cross.shape)
+    gram, cross, energy = _bank_statistics(mem, kernel.shape)
+    sigma = kernel.reshape(cross.shape)
     fit = float(np.sum(sigma * (gram @ sigma))) - 2.0 * float(np.sum(sigma * cross)) + energy
-    return 0.5 * fit + 0.5 * filt.regularizer * float(np.sum(sigma**2))
+    return 0.5 * fit + 0.5 * RIDGE * float(np.sum(sigma**2))
 
 
-def seg_gradient(filt: SegFilter, mem: Sequence[AmmSample]) -> np.ndarray:
+def seg_gradient(kernel: np.ndarray, mem: Sequence[AmmSample]) -> np.ndarray:
     """Exact gradient of :func:`seg_loss` with respect to the kernel."""
-    gram, cross, _ = _bank_statistics(mem, filt.kernel.shape)
-    sigma = filt.kernel.reshape(cross.shape)
-    return (gram @ sigma - cross + filt.regularizer * sigma).reshape(filt.kernel.shape)
+    gram, cross, _ = _bank_statistics(mem, kernel.shape)
+    sigma = kernel.reshape(cross.shape)
+    return (gram @ sigma - cross + RIDGE * sigma).reshape(kernel.shape)
 
 
-def steepest_step_size(g: np.ndarray, mem: Sequence[AmmSample], delta: float) -> float:
+def steepest_step_size(g: np.ndarray, mem: Sequence[AmmSample]) -> float:
     """Closed-form minimizer of the loss along the negative gradient direction."""
     g = np.asarray(g, dtype=np.float64)
     gram, _, _ = _bank_statistics(mem, g.shape)
-    return _exact_step(g.reshape(gram.shape[0], g.shape[3]), gram, delta)
+    return _exact_step(g.reshape(gram.shape[0], g.shape[3]), gram)
 
 
-def steepest_descent(filt: SegFilter, mem: Sequence[AmmSample], n_iter: int) -> SegFilter:
-    """Run n_iter exact-line-search gradient steps; stops early once converged."""
+def steepest_descent(kernel: np.ndarray, mem: Sequence[AmmSample], n_iter: int) -> np.ndarray:
+    """Run n_iter exact-line-search gradient steps from ``kernel``; stops early once converged.
+
+    Returns a new read-only kernel, never a view of the start kernel.
+    """
     if n_iter < 0:
         raise ParameterError(f"n_iter must be >= 0, got {n_iter}")
-    gram, cross, _ = _bank_statistics(mem, filt.kernel.shape)
-    delta = filt.regularizer
-    sigma = filt.kernel.reshape(cross.shape)
+    gram, cross, _ = _bank_statistics(mem, kernel.shape)
+    sigma = kernel.reshape(cross.shape)
     for _ in range(n_iter):
-        g = gram @ sigma - cross + delta * sigma
+        g = gram @ sigma - cross + RIDGE * sigma
         if float(np.sqrt(np.sum(g**2))) < GRADIENT_EPS:
             break
-        sigma = sigma - _exact_step(g, gram, delta) * g
-    return SegFilter(sigma.reshape(filt.kernel.shape), delta)
+        sigma = sigma - _exact_step(g, gram) * g
+    return readonly_copy(sigma.reshape(kernel.shape), np.float64)
 
 
 def amm_admit(result: SegmentationResult) -> bool:

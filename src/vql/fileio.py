@@ -318,7 +318,8 @@ _SCENARIO_MEMBERS = (
     "depths",
     "depth_uncertainties",
 )
-# the optional members and their shapes; an alignment holds any number of matched points
+# the optional members and their shapes; an alignment holds any number of matched points,
+# so its two members come together and with the same number of rows
 _SCENARIO_OPTIONAL = {"gt_point": (3,), "alignment_src": (None, 3), "alignment_dst": (None, 3)}
 
 
@@ -394,6 +395,12 @@ def load_scenario(path: str) -> Scenario:
         for name, shape in _SCENARIO_OPTIONAL.items()
         if name in arrays
     }
+    src, dst = optional.get("alignment_src"), optional.get("alignment_dst")
+    if (src is None) != (dst is None):
+        missing = "alignment_dst" if dst is None else "alignment_src"
+        raise SchemaError(f"{path}.{missing}: missing member; an alignment holds both point sets")
+    if src is not None and len(src) != len(dst):
+        raise SchemaError(f"{path}.alignment_dst: expected shape ({len(src)}, 3) like alignment_src, got {dst.shape}")
     return Scenario(
         seed=_param(_expect(document, "seed", path), int, f"{path}.seed"),
         params=params,
@@ -441,11 +448,14 @@ def load_track(path: str) -> TrackOutput:
     )
     prob = _member(arrays, "prob", "<f8", (len(frame_index), h, w), path)
     deltas = _member(arrays, "deltas", "<f8", (len(displacement_frames), 3), path)
+    peaks = [_param(p, float, f"{path}.peaks[{i}]") for i, p in enumerate(_expect(document, "peaks", path, list))]
+    if len(peaks) != len(frame_index):
+        raise SchemaError(f"{path}.peaks: expected one peak per frame, {len(frame_index)}, got {len(peaks)}")
     interval = _expect(document, "interval", path)
     return TrackOutput(
         [extract_result(p, t) for p, t in zip(prob, frame_index)],
         None if interval is None else TemporalInterval(*_interval(interval, f"{path}.interval")),
-        [_param(p, float, f"{path}.peaks[{i}]") for i, p in enumerate(_expect(document, "peaks", path, list))],
+        peaks,
         _member(arrays, "world_point", "<f8", (3,), path) if "world_point" in arrays else None,
         dict(zip(displacement_frames, deltas)),
     )

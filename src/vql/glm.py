@@ -13,6 +13,9 @@ is a center-emphasizing spatial weight derived from G. The loss is
 
     L(c) = 1/|O| * sum_i ||r_i||^2 + lambda^2 ||c||^2
 
+The ridge weight lambda is the constant RIDGE, and a filter is its
+read-only (K, K, C, 1) kernel array.
+
 The solver works on the bank flattened to pixel rows: A holds the rows
 of every sample's im2col patch matrix A_i (one row per pixel,
 P = K*K*C columns), so all scores are one matvec h = A c, and sw, S, G
@@ -63,7 +66,6 @@ from .amm import GRADIENT_EPS
 
 __all__ = [
     "GlmSample",
-    "TrackFilter",
     "spatial_weight",
     "track_residual",
     "track_loss",
@@ -76,6 +78,8 @@ __all__ = [
 ]
 
 MAX_STEP_HALVINGS = 8
+# the ridge weight lambda of the tracking loss
+RIDGE = 0.1
 # residual weights sw at the label peak (G = 1) and far from it (G = 0)
 W_FG = 1.0
 W_BG = 0.25
@@ -108,23 +112,6 @@ class GlmSample:
             )
         if self.target_region.min() < 0 or self.target_region.max() > 1:
             raise ParameterError("target_region values must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class TrackFilter:
-    """Correlation filter weights (read-only) plus the ridge coefficient lambda."""
-
-    kernel: np.ndarray
-    regularizer: float = 0.1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kernel", readonly_copy(self.kernel, np.float64))
-        if self.regularizer <= 0:
-            raise ParameterError(f"regularizer must be positive, got {self.regularizer}")
-
-    @classmethod
-    def zeros(cls, k: int, in_channels: int) -> "TrackFilter":
-        return cls(np.zeros((k, k, in_channels, 1)))
 
 
 def _patch_rows(sample: GlmSample, ksz: int) -> np.ndarray:
@@ -164,7 +151,7 @@ class _Problem:
     whole bank; every method works on a flat kernel c of length P.
     """
 
-    def __init__(self, samples: Sequence[GlmSample], kernel_shape: Sequence[int], regularizer: float):
+    def __init__(self, samples: Sequence[GlmSample], kernel_shape: Sequence[int]):
         if not samples:
             raise EmptyInputError("the tracking bank has no samples")
         ksz, _, c_in, c_out = kernel_shape
@@ -181,12 +168,11 @@ class _Problem:
         self.region = np.concatenate([s.target_region.ravel() for s in samples])
         self.weight = spatial_weight(self.label)
         self.scale = 1.0 / len(samples)
-        self.ridge = regularizer**2
 
     def evaluate(self, c: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """Loss, residual r and derivative map q at the flat kernel c."""
         r, q = _blend(self._times(c), self.weight, self.region, self.label)
-        return self.scale * float(r @ r) + self.ridge * float(c @ c), r, q
+        return self.scale * float(r @ r) + RIDGE**2 * float(c @ c), r, q
 
     def _times(self, c: np.ndarray) -> np.ndarray:
         """A c, one sample's rows at a time."""
@@ -200,7 +186,7 @@ class _Problem:
         a_t_v = np.zeros(c.size)
         for rows, lo, hi in zip(self.rows, self.bounds, self.bounds[1:]):
             a_t_v += rows.T @ v[lo:hi]
-        return 2.0 * self.scale * a_t_v + 2.0 * self.ridge * c
+        return 2.0 * self.scale * a_t_v + 2.0 * RIDGE**2 * c
 
     def step_length(self, g: np.ndarray, q: np.ndarray) -> float:
         """beta = ||g||^2 / (g' (J'J) g) with J'J frozen at the derivative map q."""
@@ -208,47 +194,47 @@ class _Problem:
         if g_norm2 == 0.0:
             raise ParameterError("step is undefined for a zero gradient (already converged)")
         qag = q * self._times(g)
-        curvature = 2.0 * self.scale * float(qag @ qag) + 2.0 * self.ridge * g_norm2
+        curvature = 2.0 * self.scale * float(qag @ qag) + 2.0 * RIDGE**2 * g_norm2
         if curvature <= 0.0:
             raise ParameterError(f"curvature along the gradient is not positive: {curvature}")
         return g_norm2 / curvature
 
 
-def track_loss(filt: TrackFilter, mem: Sequence[GlmSample]) -> float:
+def track_loss(kernel: np.ndarray, mem: Sequence[GlmSample]) -> float:
     """Mean squared residual over the bank plus lambda^2 ||c||^2."""
-    problem = _Problem(mem, filt.kernel.shape, filt.regularizer)
-    loss, _, _ = problem.evaluate(filt.kernel.ravel())
+    loss, _, _ = _Problem(mem, kernel.shape).evaluate(kernel.ravel())
     return loss
 
 
-def track_gradient(filt: TrackFilter, mem: Sequence[GlmSample]) -> np.ndarray:
+def track_gradient(kernel: np.ndarray, mem: Sequence[GlmSample]) -> np.ndarray:
     """Exact gradient of :func:`track_loss` wherever no score sits on the hinge kink."""
-    problem = _Problem(mem, filt.kernel.shape, filt.regularizer)
-    c = filt.kernel.ravel()
+    problem = _Problem(mem, kernel.shape)
+    c = kernel.ravel()
     _, r, q = problem.evaluate(c)
-    return problem.gradient(c, r, q).reshape(filt.kernel.shape)
+    return problem.gradient(c, r, q).reshape(kernel.shape)
 
 
-def gauss_newton_step(filt: TrackFilter, mem: Sequence[GlmSample]) -> tuple[np.ndarray, float]:
+def gauss_newton_step(kernel: np.ndarray, mem: Sequence[GlmSample]) -> tuple[np.ndarray, float]:
     """Gradient direction and the step length minimizing the frozen quadratic model."""
-    problem = _Problem(mem, filt.kernel.shape, filt.regularizer)
-    c = filt.kernel.ravel()
+    problem = _Problem(mem, kernel.shape)
+    c = kernel.ravel()
     _, r, q = problem.evaluate(c)
     g = problem.gradient(c, r, q)
-    return g.reshape(filt.kernel.shape), problem.step_length(g, q)
+    return g.reshape(kernel.shape), problem.step_length(g, q)
 
 
-def optimize_filter(filt: TrackFilter, mem: Sequence[GlmSample], n_iter: int) -> TrackFilter:
-    """Iterate safeguarded Gauss-Newton steps; the loss never increases.
+def optimize_filter(kernel: np.ndarray, mem: Sequence[GlmSample], n_iter: int) -> np.ndarray:
+    """Iterate safeguarded Gauss-Newton steps from ``kernel``; the loss never increases.
 
     The closed-form step is exact while the hinge activation pattern is
     unchanged; when a step crosses the kink and would raise the true loss,
     it is halved up to MAX_STEP_HALVINGS times and dropped if that fails.
+    Returns a new read-only kernel, never a view of the start kernel.
     """
     if n_iter < 0:
         raise ParameterError(f"n_iter must be >= 0, got {n_iter}")
-    problem = _Problem(mem, filt.kernel.shape, filt.regularizer)
-    c = filt.kernel.ravel()
+    problem = _Problem(mem, kernel.shape)
+    c = kernel.ravel()
     loss, r, q = problem.evaluate(c)
     for _ in range(n_iter):
         g = problem.gradient(c, r, q)
@@ -264,7 +250,7 @@ def optimize_filter(filt: TrackFilter, mem: Sequence[GlmSample], n_iter: int) ->
             beta *= 0.5
         else:
             break
-    return TrackFilter(c.reshape(filt.kernel.shape), filt.regularizer)
+    return readonly_copy(c.reshape(kernel.shape), np.float64)
 
 
 def label_sigma(side: float) -> float:

@@ -168,7 +168,7 @@ def eval_3d(pred: TrackOutput, scenario: Scenario) -> MetricsReport3D:
     A frame succeeds when its L2 error is below L2_GATE and its angle below
     ANGLE_GATE (radians).
     """
-    if scenario.gt_point is None or scenario.alignment_src is None:
+    if scenario.gt_point is None or scenario.alignment_src is None or scenario.alignment_dst is None:
         raise ValueError("scenario carries no 3D ground truth")
     _check_frames(pred, scenario)
     pred_interval = _pred_interval(pred, scenario)

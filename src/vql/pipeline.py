@@ -155,17 +155,17 @@ def _newest(entries: tuple, limit: int) -> tuple:
 
 @dataclass(frozen=True)
 class _Memory:
-    """Both banks, both filters and the peak history of one query (see the module docstring).
+    """Both banks, both filter kernels and the peak history of one query (see the module docstring).
 
-    Entries and filters are read-only, so values share them freely; the
-    inference kernel is built from the filters once per value.
+    Entries and kernels are read-only, so values share them freely; the
+    inference kernel is built from the two kernels once per value.
     """
 
     amm_entries: tuple[amm.AmmSample, ...]
     glm_static: glm.GlmSample
     glm_dynamic: tuple[glm.GlmSample, ...]
-    seg_filter: amm.SegFilter
-    track_filter: glm.TrackFilter
+    seg_kernel: np.ndarray
+    track_kernel: np.ndarray
     # tracking peaks of the frames kept so far, read by glm_update_source
     responses: tuple[float, ...] = ()
 
@@ -176,15 +176,13 @@ class _Memory:
     @cached_property
     def inference_kernel(self) -> np.ndarray:
         """The (K, K, C, 2) kernel of one frame's convolution: the channel-mean seg kernel, then the track kernel."""
-        kernel = np.concatenate(
-            [self.seg_filter.kernel.mean(axis=3, keepdims=True), self.track_filter.kernel], axis=3
-        )
+        kernel = np.concatenate([self.seg_kernel.mean(axis=3, keepdims=True), self.track_kernel], axis=3)
         kernel.flags.writeable = False
         return kernel
 
     @property
     def finite(self) -> bool:
-        return bool(np.isfinite(self.seg_filter.kernel).all() and np.isfinite(self.track_filter.kernel).all())
+        return bool(np.isfinite(self.seg_kernel).all() and np.isfinite(self.track_kernel).all())
 
     def admit(self, amm_entry: amm.AmmSample, glm_entry: glm.GlmSample, capacity: int) -> "_Memory":
         """Both banks with one entry more, trimmed first-in-first-out; filters unchanged."""
@@ -205,7 +203,6 @@ class Pipeline:
     def __init__(self, query: QuerySpec, cfg: PipelineConfig = PipelineConfig()):
         self.cfg = cfg
 
-        channels = query.feature.shape[2]
         base = amm.crop_sample(query.feature, query.mask, SAMPLE_RESOLUTION)
         amm_entries = _newest((base, *_augmented_query_samples(base)), cfg.capacity)
         static = glm.glm_make_dynamic_sample(
@@ -214,17 +211,10 @@ class Pipeline:
             (query.mask != 0).astype(np.float64),
             SAMPLE_RESOLUTION,
         )
-        seg_filter = amm.steepest_descent(
-            amm.SegFilter.zeros(cfg.kernel_size, channels),
-            amm_entries,
-            ITERS_INIT,
-        )
-        track_filter = glm.optimize_filter(
-            glm.TrackFilter.zeros(cfg.kernel_size, channels),
-            (static,),
-            ITERS_INIT,
-        )
-        self.memory = self.initial_memory = _Memory(amm_entries, static, (), seg_filter, track_filter)
+        shape = (cfg.kernel_size, cfg.kernel_size, query.feature.shape[2])
+        seg_kernel = amm.steepest_descent(np.zeros(shape + (3,)), amm_entries, ITERS_INIT)
+        track_kernel = glm.optimize_filter(np.zeros(shape + (1,)), (static,), ITERS_INIT)
+        self.memory = self.initial_memory = _Memory(amm_entries, static, (), seg_kernel, track_kernel)
         self._frame_shape = query.feature.shape
 
         self.halted = False
@@ -294,8 +284,8 @@ class Pipeline:
         view = memory.glm_samples if source == "dynamic" else (memory.glm_static,)
         return replace(
             memory,
-            seg_filter=amm.steepest_descent(memory.seg_filter, memory.amm_entries, ITERS_UPDATE),
-            track_filter=glm.optimize_filter(memory.track_filter, view, ITERS_UPDATE),
+            seg_kernel=amm.steepest_descent(memory.seg_kernel, memory.amm_entries, ITERS_UPDATE),
+            track_kernel=glm.optimize_filter(memory.track_kernel, view, ITERS_UPDATE),
         )
 
     def finalize_2d(self) -> TrackOutput:

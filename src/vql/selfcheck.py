@@ -180,10 +180,10 @@ def _random_glm_instance(rng, ksz=None, channels=None, size=6, region="mixed"):
     return samples, kernel
 
 
-def solve_seg_normal_equations(samples, kernel_shape, delta):
+def solve_seg_normal_equations(samples, kernel_shape):
     """Closed-form ridge optimum via dense normal equations (naive matrices)."""
     n = int(np.prod(kernel_shape))
-    lhs = delta * np.eye(n)
+    lhs = amm.RIDGE * np.eye(n)
     rhs = np.zeros(n)
     for sample in samples:
         a = conv_matrix_naive(sample.feature, kernel_shape)
@@ -193,10 +193,10 @@ def solve_seg_normal_equations(samples, kernel_shape, delta):
     return np.linalg.solve(lhs, rhs).reshape(kernel_shape)
 
 
-def solve_track_normal_equations(samples, kernel_shape, lam):
+def solve_track_normal_equations(samples, kernel_shape):
     """Weighted-least-squares ridge optimum for the pure quadratic (S == 1) case."""
     n = int(np.prod(kernel_shape))
-    lhs = lam**2 * np.eye(n)
+    lhs = glm.RIDGE**2 * np.eye(n)
     rhs = np.zeros(n)
     count = len(samples)
     for sample in samples:
@@ -244,41 +244,40 @@ def kernel_gradient(x: np.ndarray, residual: np.ndarray, kernel_shape: Sequence[
     return g
 
 
-def steepest_descent_naive(filt, samples, n_iter):
+def steepest_descent_naive(kernel, samples, n_iter):
     """Exact-line-search descent that convolves every entry for each gradient and step."""
     prepared = [(s.feature, amm.encode_pseudo_label(s.mask), amm.reweight(s.mask)[:, :, None]) for s in samples]
-    delta = filt.regularizer
-    kernel = filt.kernel.copy()
+    kernel = np.array(kernel, dtype=np.float64)
     for _ in range(n_iter):
-        g = delta * kernel
+        g = amm.RIDGE * kernel
         for feature, target, weights in prepared:
             residual = conv2d(feature, kernel) - target
             g = g + kernel_gradient(feature, weights**2 * residual, kernel.shape)
         if float(np.sqrt(np.sum(g**2))) < amm.GRADIENT_EPS:
             break
         g_norm2 = float(np.sum(g**2))
-        denom = delta * g_norm2
+        denom = amm.RIDGE * g_norm2
         for feature, _target, weights in prepared:
             denom += float(np.sum((weights * conv2d(feature, g)) ** 2))
         kernel = kernel - (g_norm2 / denom) * g
-    return amm.SegFilter(kernel, delta)
+    return kernel
 
 
 class NaiveFit(NamedTuple):
-    filter: glm.TrackFilter
+    kernel: np.ndarray
     halvings: int
     # smallest |candidate loss - loss| / loss over the accept-or-halve decisions
     margin: float
 
 
-def optimize_filter_naive(filt, samples, n_iter) -> NaiveFit:
+def optimize_filter_naive(kernel, samples, n_iter) -> NaiveFit:
     """Safeguarded Gauss-Newton that convolves every sample for each loss, gradient and step.
 
     Besides the fit it reports the step halvings taken and how clearly each
     accept-or-halve decision was made: near the optimum a step moves the
     loss by less than its rounding error, and rounding alone decides it.
     """
-    lam = filt.regularizer
+    lam = glm.RIDGE
     scale = 2.0 / len(samples)
 
     def scores(kernel):
@@ -301,7 +300,7 @@ def optimize_filter_naive(filt, samples, n_iter) -> NaiveFit:
             g = g + scale * kernel_gradient(s.feature, (q * r)[:, :, None], kernel.shape)
         return g
 
-    kernel = filt.kernel.copy()
+    kernel = np.array(kernel, dtype=np.float64)
     current = loss(kernel)
     halvings = 0
     margin = np.inf
@@ -324,7 +323,7 @@ def optimize_filter_naive(filt, samples, n_iter) -> NaiveFit:
             halvings += 1
         else:
             break
-    return NaiveFit(glm.TrackFilter(kernel, lam), halvings, margin)
+    return NaiveFit(kernel, halvings, margin)
 
 
 def relative_deviation(got: np.ndarray, want: np.ndarray) -> float:
@@ -355,7 +354,7 @@ def descent_deviation(start, bank, n_iter):
     """Relative kernel deviation of steepest_descent from its per-entry oracle, and its fit."""
     got = amm.steepest_descent(start, bank, n_iter)
     want = steepest_descent_naive(start, bank, n_iter)
-    return relative_deviation(got.kernel, want.kernel), got
+    return relative_deviation(got, want), got
 
 
 def optimizer_deviation(start, bank, n_iter):
@@ -369,8 +368,8 @@ def optimizer_deviation(start, bank, n_iter):
     got = glm.optimize_filter(start, bank, n_iter)
     fit = optimize_filter_naive(start, bank, n_iter)
     if fit.margin > CLEAR_MARGIN:
-        return relative_deviation(got.kernel, fit.filter.kernel), SOLVER_TOL, got, fit
-    ours, theirs = (glm.track_loss(f, bank) for f in (got, fit.filter))
+        return relative_deviation(got, fit.kernel), SOLVER_TOL, got, fit
+    ours, theirs = (glm.track_loss(k, bank) for k in (got, fit.kernel))
     return abs(ours - theirs) / theirs, CLEAR_MARGIN, got, fit
 
 
@@ -501,9 +500,8 @@ def check_seg_loss_naive(n_instances=10, seed=8):
     for _ in range(n_instances):
         samples, kernel = _random_amm_instance(rng)
         kernel = rng.uniform(-1, 1, size=kernel.shape[:3] + (3,))
-        filt = amm.SegFilter(kernel, 0.05)
-        got = amm.seg_loss(filt, samples)
-        want = 0.5 * 0.05 * float(np.sum(kernel**2))
+        got = amm.seg_loss(kernel, samples)
+        want = 0.5 * amm.RIDGE * float(np.sum(kernel**2))
         for s in samples:
             weights = amm.reweight(s.mask)
             target = amm.encode_pseudo_label(s.mask)
@@ -530,12 +528,8 @@ def check_seg_gradient_fd(n_instances=30, seed=9):
             mask = (rng.random((size, size)) > 0.5).astype(np.uint8)
             samples.append(amm.AmmSample(feature, mask))
         kernel = rng.uniform(-1, 1, size=(ksz, ksz, channels, 3))
-        delta = float(rng.uniform(0.01, 0.2))
-        filt = amm.SegFilter(kernel, delta)
-        got = amm.seg_gradient(filt, samples)
-        want = fd_gradient(
-            lambda kk: amm.seg_loss(amm.SegFilter(kk, delta), samples), kernel
-        )
+        got = amm.seg_gradient(kernel, samples)
+        want = fd_gradient(lambda kk: amm.seg_loss(kk, samples), kernel)
         worst = max(worst, elementwise_deviation(got, want, rtol=1e-5, atol=1e-8))
     return worst <= 1.0, f"worst elementwise deviation {worst:.3e} of rtol 1e-5, atol 1e-8 ({n_instances} instances)"
 
@@ -544,8 +538,8 @@ def check_seg_stationarity(seed=10):
     rng = np.random.default_rng(seed)
     samples, _ = _random_amm_instance(rng, n_samples=2, ksz=3, channels=2, size=4)
     shape = (3, 3, 2, 3)
-    optimum = solve_seg_normal_equations(samples, shape, delta=0.1)
-    g = amm.seg_gradient(amm.SegFilter(optimum, 0.1), samples)
+    optimum = solve_seg_normal_equations(samples, shape)
+    g = amm.seg_gradient(optimum, samples)
     norm = float(np.sqrt(np.sum(g**2)))
     return norm < 1e-8, f"gradient norm at closed-form optimum: {norm:.3e}"
 
@@ -555,16 +549,11 @@ def check_steepest_step_scan(n_instances=5, seed=11, scan_points=10_000):
     for _ in range(n_instances):
         samples, _ = _random_amm_instance(rng, n_samples=1, ksz=1, channels=1, size=4)
         kernel = rng.uniform(-1, 1, size=(1, 1, 1, 3))
-        delta = float(rng.uniform(0.05, 0.5))
-        filt = amm.SegFilter(kernel, delta)
-        g = amm.seg_gradient(filt, samples)
-        alpha = amm.steepest_step_size(g, samples, delta)
+        g = amm.seg_gradient(kernel, samples)
+        alpha = amm.steepest_step_size(g, samples)
         lambdas = np.linspace(0.0, 2.0 * alpha, scan_points)
-        losses = [
-            amm.seg_loss(amm.SegFilter(kernel - lam * g, delta), samples)
-            for lam in lambdas
-        ]
-        at_alpha = amm.seg_loss(amm.SegFilter(kernel - alpha * g, delta), samples)
+        losses = [amm.seg_loss(kernel - lam * g, samples) for lam in lambdas]
+        at_alpha = amm.seg_loss(kernel - alpha * g, samples)
         best = min(losses)
         if at_alpha > best * (1 + 1e-12) + 1e-15:
             return False, f"alpha loses to scan: {at_alpha} > {best}"
@@ -575,23 +564,24 @@ def check_steepest_step_scan(n_instances=5, seed=11, scan_points=10_000):
 
 
 def check_steepest_special_cases():
-    # one all-foreground pixel of unit feature, no ridge: the denominator
-    # collapses to w^2 ||g||^2, with w the pixel's loss weight
+    # one all-foreground pixel of unit feature: the denominator collapses to
+    # (w^2 + delta) ||g||^2, with w the pixel's loss weight
     one = np.ones((1, 1), dtype=np.uint8)
     sample = amm.AmmSample(np.ones((1, 1, 1)), one)
     w = amm.BACKGROUND_WEIGHT + (amm.FOREGROUND_WEIGHT - amm.BACKGROUND_WEIGHT) * float(
         gaussian_blur_dense(one, amm.BLUR_SIGMA)[0, 0]
     )
     g = np.array([[[[0.7, -0.3, 0.2]]]])
-    alpha = amm.steepest_step_size(g, [sample], delta=0.0)
-    if abs(alpha - 1.0 / w**2) > 1e-12:
-        return False, f"identity case alpha {alpha} != 1/w^2 = {1.0 / w**2}"
+    alpha = amm.steepest_step_size(g, [sample])
+    want = 1.0 / (w**2 + amm.RIDGE)
+    if abs(alpha - want) > 1e-12:
+        return False, f"identity case alpha {alpha} != 1/(w^2 + delta) = {want}"
     # zero features, pure ridge: alpha = 1 / delta
     blank = amm.AmmSample(np.zeros((1, 1, 1)), one)
-    alpha = amm.steepest_step_size(g, [blank], delta=0.25)
-    if abs(alpha - 4.0) > 1e-12:
-        return False, f"pure ridge alpha {alpha} != 4"
-    return True, "alpha = 1/w^2 (identity) and alpha = 1/delta (ridge) exact"
+    alpha = amm.steepest_step_size(g, [blank])
+    if abs(alpha - 1.0 / amm.RIDGE) > 1e-12:
+        return False, f"pure ridge alpha {alpha} != 1/delta = {1.0 / amm.RIDGE}"
+    return True, "alpha = 1/(w^2 + delta) (identity) and alpha = 1/delta (ridge) exact"
 
 
 def check_steepest_convergence(n_instances=3, seed=12, n_iter=200, tol=1e-6):
@@ -599,18 +589,15 @@ def check_steepest_convergence(n_instances=3, seed=12, n_iter=200, tol=1e-6):
     for _ in range(n_instances):
         samples, _ = _random_amm_instance(rng, n_samples=2, ksz=1, channels=2, size=4)
         shape = (1, 1, 2, 3)
-        delta = 0.3
-        optimum = solve_seg_normal_equations(samples, shape, delta)
-        best = amm.seg_loss(amm.SegFilter(optimum, delta), samples)
-        filt = amm.SegFilter(np.zeros(shape), delta)
-        losses = [amm.seg_loss(filt, samples)]
+        best = amm.seg_loss(solve_seg_normal_equations(samples, shape), samples)
+        kernel = np.zeros(shape)
+        losses = [amm.seg_loss(kernel, samples)]
         for _ in range(n_iter):
-            g = amm.seg_gradient(filt, samples)
+            g = amm.seg_gradient(kernel, samples)
             if float(np.sqrt(np.sum(g**2))) < 1e-12:
                 break
-            alpha = amm.steepest_step_size(g, samples, delta)
-            filt = amm.SegFilter(filt.kernel - alpha * g, delta)
-            losses.append(amm.seg_loss(filt, samples))
+            kernel = kernel - amm.steepest_step_size(g, samples) * g
+            losses.append(amm.seg_loss(kernel, samples))
         if any(b > a + 1e-12 for a, b in zip(losses, losses[1:])):
             return False, "loss increased during descent"
         gap = losses[-1] - best
@@ -624,12 +611,10 @@ def check_steepest_monotone(n_instances=100, seed=13, n_iter=10):
     for _ in range(n_instances):
         samples, kernel = _random_amm_instance(rng)
         kernel = rng.uniform(-1, 1, size=kernel.shape[:3] + (3,))
-        delta = float(rng.uniform(0.01, 0.5))
-        filt = amm.SegFilter(kernel, delta)
-        prev = amm.seg_loss(filt, samples)
+        prev = amm.seg_loss(kernel, samples)
         for _ in range(n_iter):
-            filt = amm.steepest_descent(filt, samples, 1)
-            cur = amm.seg_loss(filt, samples)
+            kernel = amm.steepest_descent(kernel, samples, 1)
+            cur = amm.seg_loss(kernel, samples)
             if cur > prev + 1e-12:
                 return False, f"loss increased {prev} -> {cur}"
             prev = cur
@@ -673,9 +658,9 @@ def check_crop_ladder():
 
 
 def empty_banks(static: glm.GlmSample) -> _Memory:
-    """A memory value with empty FIFOs and zero 1x1 filters, for replaying admissions."""
+    """A memory value with empty FIFOs and zero 1x1 kernels, for replaying admissions."""
     channels = static.feature.shape[2]
-    return _Memory((), static, (), amm.SegFilter.zeros(1, channels), glm.TrackFilter.zeros(1, channels))
+    return _Memory((), static, (), np.zeros((1, 1, channels, 3)), np.zeros((1, 1, channels, 1)))
 
 
 def check_amm_fifo_replay(seed=14):
@@ -699,9 +684,8 @@ def check_track_loss_naive(n_instances=10, seed=15):
     worst = 0.0
     for _ in range(n_instances):
         samples, kernel = _random_glm_instance(rng)
-        lam = float(rng.uniform(0.05, 0.5))
-        got = glm.track_loss(glm.TrackFilter(kernel, lam), samples)
-        want = lam**2 * float(np.sum(kernel**2))
+        got = glm.track_loss(kernel, samples)
+        want = glm.RIDGE**2 * float(np.sum(kernel**2))
         acc = 0.0
         for s in samples:
             score = conv2d_naive(s.feature, kernel)[:, :, 0]
@@ -723,18 +707,12 @@ def check_track_gradient_fd(n_instances=30, seed=16):
     tried = 0
     while tried < n_instances:
         samples, kernel = _random_glm_instance(rng)
-        lam = float(rng.uniform(0.05, 0.5))
-        filt = glm.TrackFilter(kernel, lam)
         # keep scores away from the hinge kink so the loss is smooth locally
-        if min(
-            float(np.abs(conv2d(s.feature, filt.kernel)[:, :, 0]).min()) for s in samples
-        ) < 0.01:
+        if min(float(np.abs(conv2d(s.feature, kernel)[:, :, 0]).min()) for s in samples) < 0.01:
             continue
         tried += 1
-        got = glm.track_gradient(filt, samples)
-        want = fd_gradient(
-            lambda kk: glm.track_loss(glm.TrackFilter(kk, lam), samples), kernel
-        )
+        got = glm.track_gradient(kernel, samples)
+        want = fd_gradient(lambda kk: glm.track_loss(kk, samples), kernel)
         worst = max(worst, elementwise_deviation(got, want, rtol=1e-5, atol=1e-8))
     return worst <= 1.0, f"worst elementwise deviation {worst:.3e} of rtol 1e-5, atol 1e-8 ({n_instances} instances)"
 
@@ -744,11 +722,9 @@ def check_track_gradient_wls(n_instances=10, seed=17):
     worst = 0.0
     for _ in range(n_instances):
         samples, kernel = _random_glm_instance(rng, region="ones")
-        lam = float(rng.uniform(0.05, 0.5))
-        got = glm.track_gradient(glm.TrackFilter(kernel, lam), samples)
+        got = glm.track_gradient(kernel, samples)
         # independent weighted-least-squares gradient via dense matrices
-        n = kernel.size
-        want = 2.0 * lam**2 * kernel.ravel()
+        want = 2.0 * glm.RIDGE**2 * kernel.ravel()
         for s in samples:
             a = conv_matrix_naive(s.feature, kernel.shape)
             sw2 = glm.spatial_weight(s.label).ravel() ** 2
@@ -761,18 +737,16 @@ def check_gauss_newton_beta_scan(n_instances=5, seed=18, scan_points=20_001):
     rng = np.random.default_rng(seed)
     for _ in range(n_instances):
         samples, kernel = _random_glm_instance(rng, ksz=1, channels=1, size=5)
-        lam = float(rng.uniform(0.1, 0.5))
-        filt = glm.TrackFilter(kernel, lam)
-        g, beta = glm.gauss_newton_step(filt, samples)
+        g, beta = glm.gauss_newton_step(kernel, samples)
 
         # frozen quadratic model: residuals linearized at the current filter
         frozen_q = []
         for s in samples:
-            score = conv2d(s.feature, filt.kernel)[:, :, 0]
+            score = conv2d(s.feature, kernel)[:, :, 0]
             region = s.target_region
             frozen_q.append(glm.spatial_weight(s.label) * (region + (1 - region) * (score > 0)))
         base_residuals = [
-            glm.track_residual(conv2d(s.feature, filt.kernel)[:, :, 0], s) for s in samples
+            glm.track_residual(conv2d(s.feature, kernel)[:, :, 0], s) for s in samples
         ]
         directions = [q * conv2d(s.feature, g)[:, :, 0] for q, s in zip(frozen_q, samples)]
 
@@ -781,7 +755,7 @@ def check_gauss_newton_beta_scan(n_instances=5, seed=18, scan_points=20_001):
             for r0, dr in zip(base_residuals, directions):
                 acc += float(np.sum((r0 - b * dr) ** 2))
             acc /= len(samples)
-            return acc + lam**2 * float(np.sum((kernel - b * g) ** 2))
+            return acc + glm.RIDGE**2 * float(np.sum((kernel - b * g) ** 2))
 
         grid = np.linspace(0.0, 2.0 * beta, scan_points)
         values = [model(b) for b in grid]
@@ -797,10 +771,8 @@ def check_gauss_newton_ridge_case():
     samples, kernel = _random_glm_instance(rng, ksz=1, channels=2, size=4)
     # zero features: every score and its Jacobian vanish, only the ridge curves the model
     samples = [glm.GlmSample(np.zeros_like(s.feature), s.label, s.target_region) for s in samples]
-    lam = 0.35
-    filt = glm.TrackFilter(kernel, lam)
-    _, beta = glm.gauss_newton_step(filt, samples)
-    want = 1.0 / (2.0 * lam**2)
+    _, beta = glm.gauss_newton_step(kernel, samples)
+    want = 1.0 / (2.0 * glm.RIDGE**2)
     return abs(beta - want) < 1e-12, f"ridge-only beta {beta}, expected {want}"
 
 
@@ -809,11 +781,9 @@ def check_gauss_newton_convergence(n_instances=3, seed=20, n_iter=50, tol=1e-6):
     for _ in range(n_instances):
         samples, _ = _random_glm_instance(rng, ksz=1, channels=2, size=4, region="ones")
         shape = (1, 1, 2, 1)
-        lam = 1.0
-        optimum = solve_track_normal_equations(samples, shape, lam)
-        best = glm.track_loss(glm.TrackFilter(optimum, lam), samples)
-        filt = glm.optimize_filter(glm.TrackFilter(np.zeros(shape), lam), samples, n_iter)
-        gap = glm.track_loss(filt, samples) - best
+        best = glm.track_loss(solve_track_normal_equations(samples, shape), samples)
+        kernel = glm.optimize_filter(np.zeros(shape), samples, n_iter)
+        gap = glm.track_loss(kernel, samples) - best
         if gap > tol:
             return False, f"loss gap to WLS-ridge optimum {gap:.3e} > {tol}"
     return True, f"converged to the WLS-ridge optimum within {tol}"
@@ -823,10 +793,8 @@ def check_optimize_filter_monotone(n_instances=100, seed=21, n_iter=8):
     rng = np.random.default_rng(seed)
     for _ in range(n_instances):
         samples, kernel = _random_glm_instance(rng)
-        lam = float(rng.uniform(0.05, 0.5))
-        start = glm.TrackFilter(kernel, lam)
-        before = glm.track_loss(start, samples)
-        after = glm.track_loss(glm.optimize_filter(start, samples, n_iter), samples)
+        before = glm.track_loss(kernel, samples)
+        after = glm.track_loss(glm.optimize_filter(kernel, samples, n_iter), samples)
         if after > before + 1e-12:
             return False, f"loss increased {before} -> {after}"
     return True, f"final loss <= initial loss on {n_instances} random instances"
@@ -837,7 +805,7 @@ def check_descent_vs_per_entry_loops(n_instances=20, seed=29):
     worst = 0.0
     for _ in range(n_instances):
         samples, kernel = _random_amm_instance(rng, n_samples=int(rng.integers(1, 9)))
-        start = amm.SegFilter(rng.uniform(-1, 1, size=kernel.shape[:3] + (3,)), float(rng.uniform(0.01, 0.3)))
+        start = rng.uniform(-1, 1, size=kernel.shape[:3] + (3,))
         for n_iter in (3, 10):
             worst = max(worst, descent_deviation(start, samples, n_iter)[0])
     return worst <= SOLVER_TOL, f"max relative kernel deviation {worst:.3e} over {n_instances} banks"
@@ -848,9 +816,8 @@ def check_optimizer_vs_per_sample_loops(n_instances=20, seed=30):
     worst = 0.0
     for _ in range(n_instances):
         samples, kernel = _random_glm_instance(rng)
-        start = glm.TrackFilter(kernel, float(rng.uniform(0.05, 0.4)))
         for n_iter in (3, 10):
-            deviation, tolerance, _, _ = optimizer_deviation(start, samples, n_iter)
+            deviation, tolerance, _, _ = optimizer_deviation(kernel, samples, n_iter)
             worst = max(worst, deviation / tolerance)
     return worst <= 1.0, f"worst deviation {worst:.3e} of its tolerance over {n_instances} banks"
 
@@ -1191,7 +1158,7 @@ def check_glm_static_immutable(seed=28):
             rng.random((6, 6)),
         )
         mem = mem.admit(entry, dynamic, capacity=4)
-        glm.optimize_filter(glm.TrackFilter.zeros(1, 2), mem.glm_samples, 2)
+        glm.optimize_filter(np.zeros((1, 1, 2, 1)), mem.glm_samples, 2)
         if len(mem.glm_samples) > 4:
             return False, f"bank size {len(mem.glm_samples)} exceeded capacity"
         if mem.glm_static is not static or mem.glm_dynamic[-1] is not dynamic:

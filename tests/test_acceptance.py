@@ -71,14 +71,13 @@ def test_criterion_03_convergence_to_closed_form():
             )
             for _ in range(int(rng.integers(1, 3)))
         ]
-        delta = 0.3
         shape = (1, 1, 2, 3)
-        target = amm.seg_loss(amm.SegFilter(solve_seg_normal_equations(samples, shape, delta), delta), samples)
-        filt = amm.SegFilter(np.zeros(shape), delta)
-        prev = amm.seg_loss(filt, samples)
+        target = amm.seg_loss(solve_seg_normal_equations(samples, shape), samples)
+        kernel = np.zeros(shape)
+        prev = amm.seg_loss(kernel, samples)
         for _ in range(200):
-            filt = amm.steepest_descent(filt, samples, 1)
-            cur = amm.seg_loss(filt, samples)
+            kernel = amm.steepest_descent(kernel, samples, 1)
+            cur = amm.seg_loss(kernel, samples)
             assert cur <= prev + 1e-12, "steepest descent loss increased"
             prev = cur
         worst_seg_gap = max(worst_seg_gap, prev - target)
@@ -92,15 +91,12 @@ def test_criterion_03_convergence_to_closed_form():
             )
             for _ in range(int(rng.integers(1, 3)))
         ]
-        lam = 1.0
-        target = glm.track_loss(
-            glm.TrackFilter(solve_track_normal_equations(gsamples, (1, 1, 2, 1), lam), lam), gsamples
-        )
-        tfilt = glm.TrackFilter(np.zeros((1, 1, 2, 1)), lam)
-        prev = glm.track_loss(tfilt, gsamples)
+        target = glm.track_loss(solve_track_normal_equations(gsamples, (1, 1, 2, 1)), gsamples)
+        kernel = np.zeros((1, 1, 2, 1))
+        prev = glm.track_loss(kernel, gsamples)
         for _ in range(50):
-            tfilt = glm.optimize_filter(tfilt, gsamples, 1)
-            cur = glm.track_loss(tfilt, gsamples)
+            kernel = glm.optimize_filter(kernel, gsamples, 1)
+            cur = glm.track_loss(kernel, gsamples)
             assert cur <= prev + 1e-12, "Gauss-Newton loss increased"
             prev = cur
         worst_trk_gap = max(worst_trk_gap, prev - target)

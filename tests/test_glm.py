@@ -76,47 +76,41 @@ class TestTrackResidual:
 class TestTrackLoss:
     def test_zero_filter_zero_labels(self):
         sample = glm.GlmSample(np.ones((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
-        filt = glm.TrackFilter(np.zeros((3, 3, 1, 1)), 0.1)
-        assert glm.track_loss(filt, [sample]) == 0.0
+        assert glm.track_loss(np.zeros((3, 3, 1, 1)), [sample]) == 0.0
 
     def test_zero_filter_single_sample(self):
         label = gaussian_label((2, 2), 1.0, (5, 5))
         sample = glm.GlmSample(rng(2).uniform(size=(5, 5, 1)), label, np.ones((5, 5)))
-        filt = glm.TrackFilter(np.zeros((3, 3, 1, 1)), 0.1)
         want = float(np.sum((glm.spatial_weight(label) * label) ** 2))
-        assert glm.track_loss(filt, [sample]) == pytest.approx(want, rel=1e-12)
+        assert glm.track_loss(np.zeros((3, 3, 1, 1)), [sample]) == pytest.approx(want, rel=1e-12)
 
 
 class TestTrackGradient:
     def test_zero_at_trivial_optimum(self):
         sample = glm.GlmSample(np.ones((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
-        filt = glm.TrackFilter(np.zeros((3, 3, 1, 1)), 0.1)
-        g = glm.track_gradient(filt, [sample])
+        g = glm.track_gradient(np.zeros((3, 3, 1, 1)), [sample])
         np.testing.assert_allclose(g, 0.0, atol=1e-15)
 
 
 class TestGaussNewtonStep:
     def test_zero_gradient_signals_converged(self):
         sample = glm.GlmSample(np.ones((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
-        filt = glm.TrackFilter(np.zeros((3, 3, 1, 1)), 0.1)
         with pytest.raises(ParameterError, match="converged"):
-            glm.gauss_newton_step(filt, [sample])
+            glm.gauss_newton_step(np.zeros((3, 3, 1, 1)), [sample])
 
     def test_pure_quadratic_one_scaled_step_sequence(self):
         samples = random_samples(rng(8), 1, size=4, region="ones")
-        lam = 1.0
-        optimum = solve_track_normal_equations(samples, (1, 1, 2, 1), lam)
-        best = glm.track_loss(glm.TrackFilter(optimum, lam), samples)
-        filt = glm.optimize_filter(glm.TrackFilter(np.zeros((1, 1, 2, 1)), lam), samples, 50)
-        assert glm.track_loss(filt, samples) - best < 1e-8
+        best = glm.track_loss(solve_track_normal_equations(samples, (1, 1, 2, 1)), samples)
+        kernel = glm.optimize_filter(np.zeros((1, 1, 2, 1)), samples, 50)
+        assert glm.track_loss(kernel, samples) - best < 1e-8
 
 
 class TestOptimizeFilter:
     def test_zero_iterations(self):
         samples = random_samples(rng(9), 1)
-        start = glm.TrackFilter(rng(10).uniform(-1, 1, size=(3, 3, 2, 1)), 0.1)
+        start = rng(10).uniform(-1, 1, size=(3, 3, 2, 1))
         out = glm.optimize_filter(start, samples, 0)
-        assert np.array_equal(out.kernel, start.kernel)
+        assert np.array_equal(out, start)
 
 
 class TestDynamicSample:
@@ -184,10 +178,10 @@ class TestPatchRows:
         built = []
         monkeypatch.setattr(glm, "im2col", lambda x, ksz: built.append(ksz) or im2col(x, ksz))
         samples = random_samples(rng(21), 3, size=6)
-        filt = glm.TrackFilter.zeros(3, 2)
+        kernel = np.zeros((3, 3, 2, 1))
         for _ in range(3):
-            filt = glm.optimize_filter(filt, samples, 2)
-            glm.track_loss(filt, samples)
+            kernel = glm.optimize_filter(kernel, samples, 2)
+            glm.track_loss(kernel, samples)
         assert built == [3, 3, 3]
 
     def test_memory_values_sharing_a_sample_share_its_rows(self, monkeypatch):
@@ -197,9 +191,9 @@ class TestPatchRows:
         entry = amm.AmmSample(np.ones((6, 6, 2)), np.ones((6, 6)))
         one = empty_banks(static).admit(entry, first, capacity=4)
         two = one.admit(entry, second, capacity=4)
-        glm.optimize_filter(glm.TrackFilter.zeros(3, 2), one.glm_samples, 1)
+        glm.optimize_filter(np.zeros((3, 3, 2, 1)), one.glm_samples, 1)
         rows = [glm._patch_rows(s, 3) for s in one.glm_samples]
-        glm.optimize_filter(glm.TrackFilter.zeros(3, 2), two.glm_samples, 1)
+        glm.optimize_filter(np.zeros((3, 3, 2, 1)), two.glm_samples, 1)
         # only the sample new in the second value had its rows built
         assert len(built) == 3
         assert all(glm._patch_rows(s, 3) is r for s, r in zip(two.glm_samples, rows))
@@ -207,14 +201,14 @@ class TestPatchRows:
     def test_solver_matches_stacked_rows(self):
         # the per-sample products against one stacked patch matrix
         samples = random_samples(rng(23), 4, size=6)
-        filt = glm.TrackFilter(rng(24).uniform(-0.5, 0.5, size=(3, 3, 2, 1)))
+        kernel = rng(24).uniform(-0.5, 0.5, size=(3, 3, 2, 1))
         stacked = np.concatenate([im2col(s.feature, 3) for s in samples])
         label = np.concatenate([s.label.ravel() for s in samples])
         region = np.concatenate([s.target_region.ravel() for s in samples])
-        c = filt.kernel.ravel()
+        c = kernel.ravel()
         residual, q = glm._blend(stacked @ c, glm.spatial_weight(label), region, label)
-        want = 2.0 / len(samples) * (stacked.T @ (q * residual)) + 2.0 * filt.regularizer**2 * c
-        got = glm.track_gradient(filt, samples).ravel()
+        want = 2.0 / len(samples) * (stacked.T @ (q * residual)) + 2.0 * glm.RIDGE**2 * c
+        got = glm.track_gradient(kernel, samples).ravel()
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 

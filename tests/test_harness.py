@@ -433,7 +433,8 @@ class TestLoaderScalars:
 
 class TestLoaderContainers:
     """Every list of the document and every stacked member is checked before it is read:
-    a list must be one, and a stack holds one row for each frame its list names."""
+    a list must be one, and a stack holds one row for each frame its list names. A track
+    holds one peak per frame, and an alignment both point sets, with as many rows."""
 
     DOCUMENT = "document.json"
 
@@ -448,6 +449,13 @@ class TestLoaderContainers:
             pytest.param(
                 1,
                 DOCUMENT,
+                lambda d: d.update(peaks=d["peaks"][:3]),
+                ".peaks: expected one peak per frame, 5, got 3",
+                id="short-peaks",
+            ),
+            pytest.param(
+                1,
+                DOCUMENT,
                 lambda d: d.update(displacement_frames=5),
                 ".displacement_frames: expected a list",
                 id="displacements",
@@ -459,6 +467,15 @@ class TestLoaderContainers:
                 0, DOCUMENT, lambda d: d.update(camera_frames=7), ".camera_frames: expected a list", id="camera"
             ),
             pytest.param(0, "poses.npy", lambda _: None, ".poses: missing member", id="camera-pose"),
+            pytest.param(0, "alignment_dst.npy", lambda _: None, ".alignment_dst: missing member", id="alignment-dst"),
+            pytest.param(0, "alignment_src.npy", lambda _: None, ".alignment_src: missing member", id="alignment-src"),
+            pytest.param(
+                0,
+                "alignment_dst.npy",
+                lambda a: a[1:],
+                ".alignment_dst: expected shape (12, 3) like alignment_src, got (11, 3)",
+                id="alignment-rows",
+            ),
         ],
     )
     def test_wrong_container_exits_2(self, geo_files, capsys, target, member, edit, message):
@@ -761,6 +778,16 @@ class TestEval3d:
         assert report.angle == pytest.approx(np.pi)
         assert report.success_pct == 0.0
 
+    @pytest.mark.parametrize("member", ["alignment_src", "alignment_dst"])
+    def test_unpaired_alignment_rejected(self, member):
+        from dataclasses import replace
+        from vql.pipeline import finalize_3d
+
+        sc = gen_scenario(8, preset_params("geo"))
+        track = finalize_3d(ground_truth_track(sc), sc.cameras, (sc.alignment_src, sc.alignment_dst))
+        with pytest.raises(ValueError, match="scenario carries no 3D ground truth"):
+            metrics.eval_3d(track, replace(sc, **{member: None}))
+
     def test_perturbation_l2(self):
         from vql.pipeline import finalize_3d
 
@@ -806,7 +833,7 @@ class TestEvalFrames:
 
     @staticmethod
     def cut(track_path):
-        rewrite(track_path, lambda d: d.update(frame_index=d["frame_index"][:3]))
+        rewrite(track_path, lambda d: d.update(frame_index=d["frame_index"][:3], peaks=d["peaks"][:3]))
         rewrite(track_path, lambda p: p[:3], "prob.npy")
 
     @pytest.mark.parametrize("edit", ["shift", "cut"])

@@ -54,8 +54,8 @@ class TestInitialize:
         sc = small_identity()
         pipe = Pipeline(sc.query, unit_cfg())
         assert pipe.memory.finite
-        assert np.isfinite(pipe.memory.seg_filter.kernel).all()
-        assert np.isfinite(pipe.memory.track_filter.kernel).all()
+        assert np.isfinite(pipe.memory.seg_kernel).all()
+        assert np.isfinite(pipe.memory.track_kernel).all()
 
     def test_empty_query_mask_rejected(self):
         with pytest.raises(EmptyInputError):
@@ -120,7 +120,7 @@ class TestOneConvolution:
         mask[2:4, 2:5] = 1
         cfg = PipelineConfig(kernel_size=ksz, updates_enabled=False)
         pipe = Pipeline(QuerySpec(frame, mask), cfg)
-        pipe.memory = replace(pipe.memory, seg_filter=amm.SegFilter(seg), track_filter=glm.TrackFilter(track))
+        pipe.memory = replace(pipe.memory, seg_kernel=seg, track_kernel=track)
         result = pipe.step_frame(frame, 0)
 
         score = conv2d(frame, track)[:, :, 0]
@@ -134,12 +134,12 @@ class TestOneConvolution:
         memory = pipe.memory
         kernel = memory.inference_kernel
         assert not kernel.flags.writeable
-        seg, track = memory.seg_filter.kernel, memory.track_filter.kernel
+        seg, track = memory.seg_kernel, memory.track_kernel
         np.testing.assert_array_equal(kernel, np.concatenate([seg.mean(axis=3, keepdims=True), track], axis=3))
         for index, frame in enumerate(sc.frames):
             pipe.step_frame(frame.feature, index)
         assert pipe.memory is memory and memory.inference_kernel is kernel
-        refit = replace(memory, track_filter=glm.TrackFilter(2.0 * track))
+        refit = replace(memory, track_kernel=2.0 * track)
         assert refit.inference_kernel is not kernel
         np.testing.assert_array_equal(refit.inference_kernel[..., 1:], 2.0 * track)
 
@@ -187,8 +187,8 @@ class TestFrameValidation:
         skipped = Pipeline(sc.query)
         for t in [0] + list(range(2, 12)):
             skipped.step_frame(sc.frames[t].feature, t)
-        assert np.array_equal(kept.memory.seg_filter.kernel, skipped.memory.seg_filter.kernel)
-        assert np.array_equal(kept.memory.track_filter.kernel, skipped.memory.track_filter.kernel)
+        assert np.array_equal(kept.memory.seg_kernel, skipped.memory.seg_kernel)
+        assert np.array_equal(kept.memory.track_kernel, skipped.memory.track_kernel)
         assert kept.memory.responses == skipped.memory.responses
         # the track still records every frame's peak
         peaks = kept.finalize_2d().peaks
