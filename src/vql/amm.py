@@ -2,7 +2,8 @@
 
 A retrieval enters the bank when it has a box and its confidence ``s_conf``
 (the mean probability inside its mask, from ``fusion.extract_result``)
-clears the admit threshold.
+clears the admit threshold. Its entry is the feature crop and mask of the
+one window ``pipeline.crop_entries`` cuts around the box for both banks.
 
 The segmentation model is a single convolution ``conv2d(F, sigma)`` mapping
 C feature channels to D label channels. Its weights are fit online against
@@ -53,14 +54,11 @@ import numpy as np
 
 from .core import (
     DimensionError,
-    EmptyInputError,
     ParameterError,
-    bilinear_resize,
     gaussian_label,
     im2col,
-    ladder_crop,
-    nearest_resize,
     readonly_copy,
+    _check_kernel,
     _zero_border,
 )
 from .fusion import SegmentationResult
@@ -74,7 +72,6 @@ __all__ = [
     "steepest_step_size",
     "steepest_descent",
     "amm_admit",
-    "crop_sample",
 ]
 
 GRADIENT_EPS = 1e-12
@@ -178,6 +175,7 @@ def _statistics(sample: AmmSample, ksz: int) -> tuple[np.ndarray, np.ndarray, fl
 
 def _bank_statistics(mem: Sequence[AmmSample], kernel_shape: Sequence[int]) -> tuple[np.ndarray, np.ndarray, float]:
     """(M, b, c): the entries' statistics summed for a kernel of the given shape."""
+    _check_kernel(kernel_shape)
     ksz, _, c_in, c_out = kernel_shape
     if c_out != 3:
         raise DimensionError(f"kernel shape {tuple(kernel_shape)} does not map to the 3 label channels")
@@ -245,33 +243,3 @@ def steepest_descent(kernel: np.ndarray, mem: Sequence[AmmSample], n_iter: int) 
 def amm_admit(result: SegmentationResult) -> bool:
     """Admit a retrieval iff it has a box and its confidence reaches ADMIT_THRESHOLD."""
     return result.bbox is not None and result.s_conf >= ADMIT_THRESHOLD
-
-
-def crop_sample(
-    frame_feature: np.ndarray,
-    mask: np.ndarray,
-    resolution: int,
-) -> AmmSample:
-    """Cut a square, centroid-centered sample around the mask and resample it.
-
-    The crop side starts at 1.5x the larger bounding-box side (area scale
-    2.25) and steps down the ladder 2.25 -> 1.44 -> 1.0 while more than half
-    of the crop would be zero padding. Features are resampled bilinearly,
-    the mask with nearest neighbor.
-    """
-    frame_feature = np.asarray(frame_feature, dtype=np.float64)
-    mask = np.asarray(mask)
-    if frame_feature.shape[:2] != mask.shape:
-        raise DimensionError(
-            f"feature {frame_feature.shape[:2]} and mask {mask.shape} dims differ"
-        )
-    rows, cols = np.nonzero(mask)
-    if rows.size == 0:
-        raise EmptyInputError("cannot crop a sample from an empty mask")
-    # np.nonzero lists rows in order, so the first and last rows are the ends
-    longest = int(max(cols.max() - cols.min(), rows[-1] - rows[0])) + 1
-    _, crop_f, crop_m = ladder_crop(frame_feature, mask, (rows.mean(), cols.mean()), longest)
-    feature = bilinear_resize(crop_f, (resolution, resolution))
-    sample_mask = (nearest_resize(crop_m, (resolution, resolution)) != 0).astype(np.uint8)
-    return AmmSample(feature, sample_mask)
-

@@ -56,11 +56,12 @@ class EmptyInputError(ValueError):
     """An operation that needs a non-empty input received an empty one."""
 
 
-def _check_kernel(k: np.ndarray) -> None:
-    if k.ndim != 4 or k.shape[0] != k.shape[1]:
-        raise DimensionError(f"kernel must be (K, K, C_in, C_out), got {k.shape}")
-    if k.shape[0] % 2 == 0:
-        raise ParameterError(f"kernel size must be odd, got {k.shape[0]}")
+def _check_kernel(shape: Sequence[int]) -> None:
+    """A kernel shape is (K, K, C_in, C_out) with K odd."""
+    if len(shape) != 4 or shape[0] != shape[1]:
+        raise DimensionError(f"kernel must be (K, K, C_in, C_out), got {tuple(shape)}")
+    if shape[0] % 2 == 0:
+        raise ParameterError(f"kernel size must be odd, got {shape[0]}")
 
 
 def _zero_border(x: np.ndarray, r: int) -> np.ndarray:
@@ -87,7 +88,7 @@ def conv2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
-    _check_kernel(k)
+    _check_kernel(k.shape)
     if x.ndim != 3:
         raise DimensionError(f"feature map must be (H, W, C), got {x.shape}")
     if x.shape[2] != k.shape[2]:
@@ -333,19 +334,19 @@ CROP_AREA_LADDER = (2.25, 1.44, 1.0)
 
 
 def ladder_crop(
-    data: np.ndarray, second: np.ndarray, center: Sequence[float], longest: int
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """Square crops of two aligned maps on the first ladder side that fits.
+    maps: Sequence[np.ndarray], center: Sequence[float], longest: int
+) -> tuple[int, list[np.ndarray]]:
+    """Square crops of aligned maps on the first ladder side that fits.
 
     The side is round(sqrt(scale) * longest) for the first scale of
-    :data:`CROP_AREA_LADDER` whose crop of ``data`` is at most half zero
-    padding, or the last scale if none is. Returns the side, the crop of
-    ``data`` and the crop of ``second`` at that side.
+    :data:`CROP_AREA_LADDER` whose crop is at most half zero padding, or
+    the last scale if none is. The maps share their first two axes, so
+    they share the padding too. Returns the side and every map's crop at
+    that side, in order.
     """
     for area_scale in CROP_AREA_LADDER:
         side = max(1, int(round(np.sqrt(area_scale) * longest)))
-        crop, padded_fraction = extract_square_crop(data, center, side)
+        first, padded_fraction = extract_square_crop(maps[0], center, side)
         if padded_fraction <= 0.5:
             break
-    second_crop, _ = extract_square_crop(second, center, side)
-    return side, crop, second_crop
+    return side, [first] + [extract_square_crop(m, center, side)[0] for m in maps[1:]]

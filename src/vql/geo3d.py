@@ -56,7 +56,11 @@ def _check_rotation(r: np.ndarray) -> None:
 
 @dataclass
 class CameraFrame:
-    """Camera-to-world pose, intrinsics, depth, and depth-uncertainty maps."""
+    """Camera-to-world pose, intrinsics, depth, and depth-uncertainty maps.
+
+    Pose, intrinsics and uncertainty must be finite; a non-finite depth is
+    an invalid sample that :func:`backproject` refuses.
+    """
 
     pose: np.ndarray
     intrinsics: np.ndarray
@@ -68,6 +72,9 @@ class CameraFrame:
         self.intrinsics = np.asarray(self.intrinsics, dtype=np.float64)
         self.depth = np.asarray(self.depth, dtype=np.float64)
         self.depth_uncertainty = np.asarray(self.depth_uncertainty, dtype=np.float64)
+        for name in ("pose", "intrinsics", "depth_uncertainty"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ParameterError(f"{name} must be finite")
         if self.pose.shape != (4, 4):
             raise DimensionError(f"pose must be 4x4, got {self.pose.shape}")
         _check_rotation(self.pose[:3, :3])

@@ -14,7 +14,10 @@ is a center-emphasizing spatial weight derived from G. The loss is
     L(c) = 1/|O| * sum_i ||r_i||^2 + lambda^2 ||c||^2
 
 The ridge weight lambda is the constant RIDGE, and a filter is its
-read-only (K, K, C, 1) kernel array.
+read-only (K, K, C, 1) kernel array. A sample holds the feature crop of
+the window ``pipeline.crop_entries`` cuts around the target's box for both
+banks, the probability map cut with it as S, and a Gaussian G centered on
+the window with sigma = side / 6 (:func:`label_sigma`).
 
 The solver works on the bank flattened to pixel rows: A holds the rows
 of every sample's im2col patch matrix A_i (one row per pixel,
@@ -56,10 +59,10 @@ from .core import (
     DimensionError,
     EmptyInputError,
     ParameterError,
+    _check_kernel,
     bilinear_resize,
     gaussian_label,
     im2col,
-    ladder_crop,
     readonly_copy,
 )
 from .amm import GRADIENT_EPS
@@ -72,7 +75,6 @@ __all__ = [
     "track_gradient",
     "gauss_newton_step",
     "optimize_filter",
-    "glm_make_dynamic_sample",
     "label_sigma",
     "glm_update_source",
 ]
@@ -154,6 +156,7 @@ class _Problem:
     def __init__(self, samples: Sequence[GlmSample], kernel_shape: Sequence[int]):
         if not samples:
             raise EmptyInputError("the tracking bank has no samples")
+        _check_kernel(kernel_shape)
         ksz, _, c_in, c_out = kernel_shape
         if c_out != 1:
             raise DimensionError(f"tracking kernel must have one output channel, got {tuple(kernel_shape)}")
@@ -256,35 +259,6 @@ def optimize_filter(kernel: np.ndarray, mem: Sequence[GlmSample], n_iter: int) -
 def label_sigma(side: float) -> float:
     """Gaussian label width for a square crop: one sixth of its side."""
     return side / 6.0
-
-
-def glm_make_dynamic_sample(
-    frame_feature: np.ndarray,
-    bbox: Sequence[int],
-    prob_mask: np.ndarray,
-    resolution: int,
-) -> GlmSample:
-    """Build a snapshot from a detection: 1.5x-bbox crop, Gaussian label, region map.
-
-    The label is synthesized on the crop grid, centered there with
-    sigma = side / 6, then resampled to the canonical resolution together
-    with the feature crop and the cropped probability map.
-    """
-    frame_feature = np.asarray(frame_feature, dtype=np.float64)
-    prob_mask = np.asarray(prob_mask, dtype=np.float64)
-    if frame_feature.shape[:2] != prob_mask.shape:
-        raise DimensionError(
-            f"feature {frame_feature.shape[:2]} and probability map {prob_mask.shape} dims differ"
-        )
-    x_min, y_min, x_max, y_max = bbox
-    if x_max < x_min or y_max < y_min:
-        raise EmptyInputError(f"degenerate bounding box {tuple(bbox)}")
-    longest = max(x_max - x_min + 1, y_max - y_min + 1)
-    center = ((y_min + y_max) / 2.0, (x_min + x_max) / 2.0)
-    side, crop_f, crop_p = ladder_crop(frame_feature, prob_mask, center, longest)
-    feature = bilinear_resize(crop_f, (resolution, resolution))
-    region = np.clip(bilinear_resize(crop_p, (resolution, resolution)), 0.0, 1.0)
-    return GlmSample(feature, _resampled_label(side, resolution), region)
 
 
 @lru_cache(maxsize=None)

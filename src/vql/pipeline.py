@@ -9,10 +9,12 @@ that is the appearance logit ``fusion.fuse`` needs. Output 1 is the
 tracking score, whose maximum is the frame's tracking peak. The filters
 change only at an ingest, so the kernel is built once per memory value.
 
-Memory: the appearance bank is a FIFO of cropped, resampled (feature, mask)
-pairs at one canonical resolution. Eviction is strictly first-in-first-out
-over all entries, including the query sample and its augmentations; nothing
-is pinned. The tracking bank keeps one static snapshot of the query, never
+Memory: the query and every admitted frame are cut once, in one square
+window around the target's box, and both banks' entries hold that
+window's feature crop (``crop_entries``). The appearance bank is a FIFO of
+(feature, mask) pairs at one canonical resolution. Eviction is strictly
+first-in-first-out over all entries, including the query sample and its
+augmentations; nothing is pinned. The tracking bank keeps one static snapshot of the query, never
 evicted or replaced, plus a FIFO of dynamic snapshots from accepted
 retrievals, capped at capacity - 1 so the whole bank honors the capacity.
 Both banks, both filters and the tracking-peak history that picks the
@@ -41,13 +43,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import amm, fusion, geo3d, glm
-from .core import DimensionError, EmptyInputError, ParameterError, _zero_border, conv2d, min_bounding_rect
+from .core import DimensionError, EmptyInputError, ParameterError, _zero_border, bilinear_resize, conv2d
+from .core import ladder_crop, min_bounding_rect, nearest_resize
 
 __all__ = [
     "NoDetectionError",
     "PipelineConfig",
     "QuerySpec",
     "TrackOutput",
+    "crop_entries",
     "Pipeline",
     "finalize_3d",
 ]
@@ -121,6 +125,49 @@ class TrackOutput:
     peaks: list[float]
     world_point: Optional[np.ndarray] = None
     displacements: dict[int, np.ndarray] = field(default_factory=dict)
+
+
+def crop_entries(
+    frame_feature: np.ndarray,
+    mask: np.ndarray,
+    prob: np.ndarray,
+    bbox: Sequence[int],
+) -> tuple[amm.AmmSample, glm.GlmSample]:
+    """Both banks' entries cut from one square window around a box.
+
+    The window is centered on the box (x_min, y_min, x_max, y_max) and its
+    side steps down the crop ladder from 1.5x the box's longer side (see
+    ``core.ladder_crop``). The feature crop is resampled bilinearly to
+    SAMPLE_RESOLUTION once, and both entries hold it. The appearance entry's
+    mask is ``mask`` resampled by nearest neighbor; the tracking entry's
+    region is ``prob`` resampled bilinearly and clipped to [0, 1], and its
+    label is the window's Gaussian (sigma = side / 6), resampled alike.
+    """
+    frame_feature = np.asarray(frame_feature, dtype=np.float64)
+    mask = np.asarray(mask)
+    prob = np.asarray(prob, dtype=np.float64)
+    if not frame_feature.shape[:2] == mask.shape == prob.shape:
+        raise DimensionError(
+            f"feature {frame_feature.shape[:2]}, mask {mask.shape} and probability map {prob.shape} dims differ"
+        )
+    if not mask.any():
+        raise EmptyInputError("cannot cut entries for an empty mask")
+    x_min, y_min, x_max, y_max = bbox
+    if x_max < x_min or y_max < y_min:
+        raise EmptyInputError(f"degenerate bounding box {tuple(bbox)}")
+    longest = max(x_max - x_min + 1, y_max - y_min + 1)
+    center = ((y_min + y_max) / 2.0, (x_min + x_max) / 2.0)
+    side, (crop_f, crop_m, crop_p) = ladder_crop((frame_feature, mask, prob), center, longest)
+    out_hw = (SAMPLE_RESOLUTION, SAMPLE_RESOLUTION)
+    feature = bilinear_resize(crop_f, out_hw)
+    return (
+        amm.AmmSample(feature, (nearest_resize(crop_m, out_hw) != 0).astype(np.uint8)),
+        glm.GlmSample(
+            feature,
+            glm._resampled_label(side, SAMPLE_RESOLUTION),
+            np.clip(bilinear_resize(crop_p, out_hw), 0.0, 1.0),
+        ),
+    )
 
 
 def _augmented_query_samples(base: amm.AmmSample) -> list[amm.AmmSample]:
@@ -203,14 +250,9 @@ class Pipeline:
     def __init__(self, query: QuerySpec, cfg: PipelineConfig = PipelineConfig()):
         self.cfg = cfg
 
-        base = amm.crop_sample(query.feature, query.mask, SAMPLE_RESOLUTION)
+        # the query mask is certain: it is its own probability map
+        base, static = crop_entries(query.feature, query.mask, query.mask, min_bounding_rect(query.mask))
         amm_entries = _newest((base, *_augmented_query_samples(base)), cfg.capacity)
-        static = glm.glm_make_dynamic_sample(
-            query.feature,
-            min_bounding_rect(query.mask),
-            (query.mask != 0).astype(np.float64),
-            SAMPLE_RESOLUTION,
-        )
         shape = (cfg.kernel_size, cfg.kernel_size, query.feature.shape[2])
         seg_kernel = amm.steepest_descent(np.zeros(shape + (3,)), amm_entries, ITERS_INIT)
         track_kernel = glm.optimize_filter(np.zeros(shape + (1,)), (static,), ITERS_INIT)
@@ -276,9 +318,7 @@ class Pipeline:
     ) -> _Memory:
         """``memory`` with the frame added to both banks and both filters refit."""
         memory = memory.admit(
-            amm.crop_sample(frame_feature, result.mask, SAMPLE_RESOLUTION),
-            glm.glm_make_dynamic_sample(frame_feature, result.bbox, result.prob, SAMPLE_RESOLUTION),
-            self.cfg.capacity,
+            *crop_entries(frame_feature, result.mask, result.prob, result.bbox), self.cfg.capacity
         )
         source = glm.glm_update_source(memory.responses)
         view = memory.glm_samples if source == "dynamic" else (memory.glm_static,)

@@ -36,6 +36,7 @@ from .core import (
     DimensionError,
     ParameterError,
     _zero_border,
+    bilinear_resize,
     conv2d,
     connected_components,
     extract_square_crop,
@@ -45,7 +46,7 @@ from .core import (
     min_bounding_rect,
 )
 from .pipeline import DENSE_UPDATE_HORIZON, HALT_WINDOW, SAMPLE_RESOLUTION, UPDATE_STRIDE
-from .pipeline import Pipeline, PipelineConfig, TrackOutput, _Memory, finalize_3d
+from .pipeline import Pipeline, PipelineConfig, QuerySpec, TrackOutput, _Memory, crop_entries, finalize_3d
 
 __all__ = ["CHECKS", "run_checks"]
 
@@ -622,16 +623,15 @@ def check_steepest_monotone(n_instances=100, seed=13, n_iter=10):
 
 
 def check_crop_ladder():
-    # sparse corner mask engineered to pad more than half at 1.5x
+    # thin strip in the corner, engineered so its box's 1.5x window pads more than half
     mask = np.zeros((64, 64), dtype=np.uint8)
-    for r, c in ((0, 0), (0, 1), (1, 0), (19, 19)):
-        mask[r, c] = 1
+    mask[0:2, 0:16] = 1
     feature = np.random.default_rng(0).uniform(size=(64, 64, 2))
-    rows, cols = np.nonzero(mask)
-    center = (rows.mean(), cols.mean())
+    # the centre of the box (0, 0, 15, 1), whose longer side is 16
+    center = (0.5, 7.5)
     fractions = {}
     for scale in CROP_AREA_LADDER:
-        side = max(1, int(round(np.sqrt(scale) * 20)))
+        side = max(1, int(round(np.sqrt(scale) * 16)))
         _, frac = extract_square_crop(feature, center, side)
         # area oracle: intersection of the crop window with the frame
         r0 = int(np.floor(center[0] - (side - 1) / 2.0 + 0.5))
@@ -644,16 +644,17 @@ def check_crop_ladder():
         fractions[scale] = frac
     if not (fractions[2.25] > 0.5 >= fractions[1.44]):
         return False, f"expected fallback from 2.25 to 1.44, fractions {fractions}"
-    sample = amm.crop_sample(feature, mask, resolution=16)
-    if sample.feature.shape != (16, 16, 2):
-        return False, f"sample resolution wrong: {sample.feature.shape}"
-    # full-frame mask: both larger scales overflow, the ladder settles at 1.44
+    entry, _ = crop_entries(feature, mask, mask, min_bounding_rect(mask))
+    crop, _ = extract_square_crop(feature, center, int(round(1.2 * 16)))
+    if not np.array_equal(entry.feature, bilinear_resize(crop, (SAMPLE_RESOLUTION,) * 2)):
+        return False, "entry is not cut at the 1.44 rung around the box"
+    # full-frame mask: the 2.25 window overflows, the ladder settles at 1.44
     full = np.ones((32, 32), dtype=np.uint8)
     _, frac_15 = extract_square_crop(np.ones((32, 32, 1)), (15.5, 15.5), 48)
     want = 1.0 - 32 * 32 / float(48 * 48)
     if abs(frac_15 - want) > 1e-12:
         return False, f"whole-frame padded fraction {frac_15} != {want}"
-    amm.crop_sample(np.ones((32, 32, 1)), full, resolution=16)
+    crop_entries(np.ones((32, 32, 1)), full, full, (0, 0, 31, 31))
     return True, "ladder fallback and padded fractions match the area oracle"
 
 
@@ -825,18 +826,22 @@ def check_optimizer_vs_per_sample_loops(n_instances=20, seed=30):
 def check_glm_crop_geometry(seed=22):
     rng = np.random.default_rng(seed)
     feature = rng.uniform(-1, 1, size=(40, 40, 2))
-    mask = np.zeros((40, 40), dtype=np.uint8)
-    mask[10:21, 14:25] = 1
-    bbox = (14, 10, 24, 20)
-    prob = mask.astype(np.float64) * 0.9
-    amm_side = amm.crop_sample(feature, mask, resolution=16)
-    glm_side = glm.glm_make_dynamic_sample(feature, bbox, prob, resolution=16)
-    if not np.allclose(amm_side.feature, glm_side.feature, atol=1e-12):
-        return False, "feature crops from the two banks disagree on the same box"
+    prob = np.zeros((40, 40))
+    prob[10:21, 14:25] = 0.9
+    # a stray component away from the box, which the mask keeps
+    prob[33:36, 2:5] = 0.8
+    result = fusion.extract_result(prob, 0)
+    if result.bbox != (14, 10, 24, 20):
+        return False, f"setup broken: box {result.bbox} is not the largest component's"
+    pipe = Pipeline(QuerySpec(feature, result.mask), _unit_kernel_config())
+    # an ingest follows the frame's peak into the history (see Pipeline.step_frame)
+    memory = pipe._ingest(replace(pipe.initial_memory, responses=(1.0,)), feature, result)
+    if not np.array_equal(memory.amm_entries[-1].feature, memory.glm_dynamic[-1].feature):
+        return False, "the two entries of one ingest hold different features"
     # sigma rule: crop side of 30 pixels gives a label sigma of 5
     if abs(glm.label_sigma(30) - 5.0) > 1e-15:
         return False, "label sigma rule broken"
-    return True, "shared crop geometry and sigma rule hold"
+    return True, "one ingest's entries hold bit-equal features; sigma rule holds"
 
 
 def check_glm_update_source():
@@ -1096,14 +1101,12 @@ def check_pipeline_initialization():
     pipe = Pipeline(scenario.query, _unit_kernel_config())
     if len(pipe.memory.amm_entries) != 4:
         return False, f"bank holds {len(pipe.memory.amm_entries)} entries, expected query + 3 augmentations"
-    rebuilt = glm.glm_make_dynamic_sample(
-        scenario.query.feature,
-        min_bounding_rect(scenario.query.mask),
-        (scenario.query.mask != 0).astype(np.float64),
-        SAMPLE_RESOLUTION,
-    )
-    if not np.array_equal(pipe.memory.glm_static.feature, rebuilt.feature):
+    query = scenario.query
+    base, static = crop_entries(query.feature, query.mask, query.mask, min_bounding_rect(query.mask))
+    if not np.array_equal(pipe.memory.glm_static.feature, static.feature):
         return False, "static snapshot does not equal the un-augmented query sample"
+    if not np.array_equal(pipe.memory.amm_entries[0].feature, base.feature):
+        return False, "first appearance entry does not equal the un-augmented query sample"
     return pipe.memory.finite, "bank seeded with 4 samples; filters finite"
 
 

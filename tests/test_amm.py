@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from vql import amm, glm
-from vql.core import DimensionError, EmptyInputError, ParameterError, extract_square_crop
+from vql.core import (
+    DimensionError,
+    EmptyInputError,
+    ParameterError,
+    bilinear_resize,
+    extract_square_crop,
+    nearest_resize,
+)
 from vql.fusion import extract_result
-from vql.pipeline import SAMPLE_RESOLUTION, Pipeline, PipelineConfig
+from vql.pipeline import SAMPLE_RESOLUTION, Pipeline, PipelineConfig, QuerySpec, crop_entries
 from vql.scenario import ScenarioParams, gen_scenario
 from vql.selfcheck import empty_banks
 
@@ -93,6 +100,11 @@ class TestSteepestDescent:
         out = amm.steepest_descent(start, samples, 0)
         assert np.array_equal(out, start)
 
+    @pytest.mark.parametrize("shape", [(3, 3, 2), (3, 1, 2, 3), (3, 3, 2, 3, 1)])
+    def test_kernel_must_be_square_4d(self, shape):
+        with pytest.raises(DimensionError, match="kernel must be"):
+            amm.steepest_descent(np.zeros(shape), random_samples(rng(14), 1), 1)
+
 
 class TestAdmission:
     def test_empty_mask_rejected(self):
@@ -121,16 +133,32 @@ class TestCropSample:
         mask[27:37, 27:37] = 1
         crop, frac = extract_square_crop(feature, (31.5, 31.5), 15)
         assert frac == 0.0
-        sample = amm.crop_sample(feature, mask, resolution=16)
-        assert sample.feature.shape == (16, 16, 2)
-        assert sample.mask.shape == (16, 16)
-        from vql.core import bilinear_resize
-
-        np.testing.assert_array_equal(sample.feature, bilinear_resize(crop, (16, 16)))
+        sample, _ = crop_entries(feature, mask, mask, (27, 27, 36, 36))
+        assert sample.feature.shape == (SAMPLE_RESOLUTION, SAMPLE_RESOLUTION, 2)
+        assert sample.mask.shape == (SAMPLE_RESOLUTION, SAMPLE_RESOLUTION)
+        np.testing.assert_array_equal(sample.feature, bilinear_resize(crop, (SAMPLE_RESOLUTION,) * 2))
 
     def test_empty_mask_raises(self):
         with pytest.raises(EmptyInputError):
-            amm.crop_sample(np.ones((8, 8, 1)), np.zeros((8, 8)), 16)
+            crop_entries(np.ones((8, 8, 1)), np.zeros((8, 8)), np.zeros((8, 8)), (2, 2, 5, 5))
+
+    def test_ingest_cuts_around_the_box_not_a_stray_component(self):
+        # the mask keeps a stray component far from the largest one's box;
+        # the appearance entry is cut around the box, like the tracking one
+        feature = rng(17).uniform(-1, 1, size=(48, 48, 2))
+        prob = np.zeros((48, 48))
+        prob[12:23, 20:31] = 0.9
+        prob[40:44, 2:6] = 0.8
+        result = extract_result(prob, 0)
+        assert result.bbox == (20, 12, 30, 22)
+        pipe = Pipeline(QuerySpec(feature, result.mask), PipelineConfig(kernel_size=1))
+        memory = pipe._ingest(replace(pipe.initial_memory, responses=(1.0,)), feature, result)
+        crop, _ = extract_square_crop(feature, (17.0, 25.0), 16)
+        want = bilinear_resize(crop, (SAMPLE_RESOLUTION,) * 2)
+        np.testing.assert_array_equal(memory.amm_entries[-1].feature, want)
+        np.testing.assert_array_equal(memory.amm_entries[-1].feature, memory.glm_dynamic[-1].feature)
+        mask_crop, _ = extract_square_crop(result.mask, (17.0, 25.0), 16)
+        np.testing.assert_array_equal(memory.amm_entries[-1].mask, nearest_resize(mask_crop, (SAMPLE_RESOLUTION,) * 2))
 
 
 class TestMemory:

@@ -103,9 +103,21 @@ class TestBackproject:
             geo3d.backproject(simple_camera(), 99, 0, identity_sim3())
 
     def test_invalid_depth(self):
-        cam = simple_camera(depth_value=0.0)
-        with pytest.raises(geo3d.InvalidSampleError):
-            geo3d.backproject(cam, 4, 4, identity_sim3())
+        for depth in (0.0, np.nan):
+            cam = simple_camera(depth_value=depth)
+            with pytest.raises(geo3d.InvalidSampleError):
+                geo3d.backproject(cam, 4, 4, identity_sim3())
+
+
+class TestCameraFrame:
+    @pytest.mark.parametrize("field,index", [("pose", (0, 3)), ("intrinsics", (0, 2)), ("depth_uncertainty", (4, 4))])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_geometry_rejected(self, field, index, value):
+        cam = simple_camera()
+        arrays = {name: getattr(cam, name).copy() for name in ("pose", "intrinsics", "depth", "depth_uncertainty")}
+        arrays[field][index] = value
+        with pytest.raises(ParameterError, match=field):
+            geo3d.CameraFrame(**arrays)
 
 
 class TestSemanticConfidence:

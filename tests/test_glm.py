@@ -3,6 +3,7 @@ import pytest
 
 from vql import amm, glm
 from vql.core import DimensionError, EmptyInputError, ParameterError, bilinear_resize, gaussian_label, im2col
+from vql.pipeline import SAMPLE_RESOLUTION, crop_entries
 from vql.selfcheck import empty_banks, solve_track_normal_equations
 
 
@@ -112,26 +113,38 @@ class TestOptimizeFilter:
         out = glm.optimize_filter(start, samples, 0)
         assert np.array_equal(out, start)
 
+    @pytest.mark.parametrize("shape", [(3, 3, 2), (3, 1, 2, 1), (3, 3, 2, 1, 1)])
+    def test_kernel_must_be_square_4d(self, shape):
+        with pytest.raises(DimensionError, match="kernel must be"):
+            glm.optimize_filter(np.zeros(shape), random_samples(rng(11), 1), 1)
+
 
 class TestDynamicSample:
     def test_label_peaks_at_center(self):
         feature = rng(12).uniform(size=(40, 40, 2))
         prob = np.zeros((40, 40))
         prob[15:26, 15:26] = 0.9
-        sample = glm.glm_make_dynamic_sample(feature, (15, 15, 25, 25), prob, resolution=17)
+        _, sample = crop_entries(feature, prob >= 0.5, prob, (15, 15, 25, 25))
         peak = np.unravel_index(np.argmax(sample.label), sample.label.shape)
-        assert abs(peak[0] - 8) <= 1 and abs(peak[1] - 8) <= 1
+        center = (SAMPLE_RESOLUTION - 1) / 2.0
+        assert abs(peak[0] - center) <= 1 and abs(peak[1] - center) <= 1
 
     def test_degenerate_bbox(self):
-        with pytest.raises(EmptyInputError):
-            glm.glm_make_dynamic_sample(np.ones((8, 8, 1)), (5, 5, 4, 6), np.ones((8, 8)), 16)
+        for bbox in ((5, 5, 4, 6), (5, 5, 6, 4)):
+            with pytest.raises(EmptyInputError):
+                crop_entries(np.ones((8, 8, 1)), np.ones((8, 8)), np.ones((8, 8)), bbox)
 
     def test_region_in_unit_interval(self):
         feature = rng(13).uniform(size=(30, 30, 1))
         prob = rng(14).random((30, 30))
-        sample = glm.glm_make_dynamic_sample(feature, (10, 10, 20, 20), prob, resolution=16)
+        _, sample = crop_entries(feature, prob >= 0.5, prob, (10, 10, 20, 20))
         assert sample.target_region.min() >= 0.0
         assert sample.target_region.max() <= 1.0
+
+    @pytest.mark.parametrize("mask_hw,prob_hw", [((8, 9), (8, 8)), ((8, 8), (9, 8))])
+    def test_map_shapes_must_agree(self, mask_hw, prob_hw):
+        with pytest.raises(DimensionError):
+            crop_entries(np.ones((8, 8, 1)), np.ones(mask_hw), np.ones(prob_hw), (2, 2, 5, 5))
 
 
 class TestUpdateSource:

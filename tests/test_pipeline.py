@@ -8,15 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vql import amm, fileio, glm
+from vql import amm, fileio
 from vql.core import DimensionError, EmptyInputError, ParameterError, conv2d, min_bounding_rect
 from vql.pipeline import (
     HALT_WINDOW,
-    SAMPLE_RESOLUTION,
     NoDetectionError,
     Pipeline,
     PipelineConfig,
     QuerySpec,
+    crop_entries,
     finalize_3d,
 )
 from vql.scenario import ScenarioParams, gen_scenario, ground_truth_track, preset_params
@@ -40,14 +40,10 @@ class TestInitialize:
     def test_static_entry_is_unaugmented_query(self):
         sc = small_identity()
         pipe = Pipeline(sc.query, unit_cfg())
-        rebuilt = glm.glm_make_dynamic_sample(
-            sc.query.feature,
-            min_bounding_rect(sc.query.mask),
-            (sc.query.mask != 0).astype(np.float64),
-            SAMPLE_RESOLUTION,
-        )
-        assert np.array_equal(pipe.memory.glm_static.feature, rebuilt.feature)
-        assert np.array_equal(pipe.memory.glm_static.label, rebuilt.label)
+        base, static = crop_entries(sc.query.feature, sc.query.mask, sc.query.mask, min_bounding_rect(sc.query.mask))
+        assert np.array_equal(pipe.memory.glm_static.feature, static.feature)
+        assert np.array_equal(pipe.memory.glm_static.label, static.label)
+        assert np.array_equal(pipe.memory.amm_entries[0].feature, base.feature)
         assert not pipe.memory.glm_dynamic
 
     def test_filters_finite(self):
