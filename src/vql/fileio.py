@@ -6,23 +6,27 @@ and every scalar and small integer list, and one ``.npy`` member for each
 kind of tensor, the frames' tensors stacked along a leading axis. Float
 tensors are little-endian float64 (``<f8``) and masks one byte per pixel
 (``u1``). Each member's dtype and shape are checked against what the
-document implies before it is used, so the loaded arrays are the stored
-bits and a load/save cycle is byte-identical. Members are written in
-sorted order, each stamped with the same fixed date, so a file's bytes
-depend on its contents alone. The loader accepts no document field and no
-member it does not read.
+document and the other members imply before it is used, so the loaded
+arrays are the stored bits and a load/save cycle is byte-identical.
+Members are written in sorted order, each stamped with the same fixed
+date, so a file's bytes depend on its contents alone. The loader accepts
+no document field and no member it does not read.
 
 A config file holds no tensor and stays one JSON document with the same
 ``version`` and ``kind`` header.
 
-A file stores nothing that follows from what it stores: the loader derives
-a scenario frame's ``gt_bbox`` and the scenario's ``gt_interval`` from the
-ground-truth masks, and a track frame's mask, ``bbox`` and ``s_conf`` from
-its probability map (``fusion.extract_result``). Version 4 introduced the
-archive; version 3 stored each tensor as a base64 string in one JSON
-document. Files of an older version are not read and must be regenerated.
-Writes go to a temporary file in the target directory and are renamed into
-place, so a reader never sees a partial file.
+A file stores nothing that follows from what it stores: the loader reads
+every shape from the stacked tensors (a scenario's N, H, W and C from
+``features``, a track's H and W from ``prob``), derives a scenario frame's
+``gt_bbox`` and the scenario's ``gt_interval`` from the ground-truth masks,
+and a track frame's mask, ``bbox`` and ``s_conf`` from its probability map
+(``fusion.extract_result``). A scenario file holds the clip and the query,
+not the generator's seed and parameters that made them. Version 5 dropped
+those and the track's canvas; version 4 introduced the archive; version 3
+stored each tensor as a base64 string in one JSON document. Files of an
+older version are not read and must be regenerated. Writes go to a
+temporary file in the target directory and are renamed into place, so a
+reader never sees a partial file.
 
 The full schema is documented in the repository README.
 """
@@ -43,7 +47,7 @@ from .core import ParameterError
 from .fusion import TemporalInterval, extract_result
 from .geo3d import CameraFrame
 from .pipeline import PipelineConfig, QuerySpec, TrackOutput
-from .scenario import FrameData, Scenario, ScenarioParams
+from .scenario import FrameData, Scenario
 
 __all__ = [
     "SchemaError",
@@ -56,7 +60,7 @@ __all__ = [
     "load_config",
 ]
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 # how to replace a file of another version, by kind
 _UPGRADE = {
@@ -266,27 +270,17 @@ def _interval(values: Any, path: str) -> tuple[int, int]:
     return start, end
 
 
-# the type of every scenario parameter (its keys are the required fields)
-# and of every config field
-_PARAM_TYPES = typing.get_type_hints(ScenarioParams)
+# the type of every config field
 _CONFIG_TYPES = typing.get_type_hints(PipelineConfig)
 
 
-def _param(value: Any, hint: Any, path: str) -> Any:
-    """One dataclass field checked against its type hint.
+def _param(value: Any, hint: type, path: str) -> Any:
+    """One value checked against its type: int, float or bool.
 
-    The hints are str, int, float, bool, tuple[int, int],
-    Optional[tuple[int, int]] and tuple[int, ...]. A bool field takes only
-    true or false, a bool is neither an int nor a float, and a float field
-    takes any other finite JSON number (``json`` reads NaN and Infinity).
+    A bool field takes only true or false, a bool is neither an int nor a
+    float, and a float field takes any other finite JSON number (``json``
+    reads NaN and Infinity).
     """
-    if typing.get_origin(hint) is typing.Union:
-        if value is None:
-            return None
-        (hint,) = (h for h in typing.get_args(hint) if h is not type(None))
-    if typing.get_origin(hint) is tuple:
-        args = typing.get_args(hint)
-        return _int_vector(value, None if args[-1] is Ellipsis else len(args), path)
     accepted = (int, float) if hint is float else hint
     if isinstance(value, bool) != (hint is bool) or not isinstance(value, accepted):
         raise SchemaError(f"{path}: expected {hint.__name__}, got {value!r}")
@@ -324,11 +318,11 @@ _SCENARIO_OPTIONAL = {"gt_point": (3,), "alignment_src": (None, 3), "alignment_d
 
 
 def save_scenario(scenario: Scenario, path: str) -> None:
-    h, w = scenario.params.canvas
+    h, w, c = scenario.query.feature.shape
     camera_frames = [i for i, frame in enumerate(scenario.frames) if frame.camera is not None]
     cameras = [scenario.frames[i].camera for i in camera_frames]
     arrays = {
-        "features": _stack([frame.feature for frame in scenario.frames], (h, w, scenario.params.channels)),
+        "features": _stack([frame.feature for frame in scenario.frames], (h, w, c)),
         "gt_masks": _stack(
             [_mask_bytes(frame.gt_mask, f"{path}.frames[{i}].gt_mask") for i, frame in enumerate(scenario.frames)],
             (h, w),
@@ -345,31 +339,19 @@ def save_scenario(scenario: Scenario, path: str) -> None:
         value = getattr(scenario, name)
         if value is not None:
             arrays[name] = np.asarray(value, dtype="<f8")
-    document = {
-        "version": FORMAT_VERSION,
-        "kind": "scenario",
-        "seed": scenario.seed,
-        "params": asdict(scenario.params),
-        "query_frame_index": scenario.query.frame_index,
-        "camera_frames": camera_frames,
-    }
+    document = {"version": FORMAT_VERSION, "kind": "scenario", "camera_frames": camera_frames}
     _write_archive(path, document, arrays)
 
 
 def load_scenario(path: str) -> Scenario:
-    keys = ("seed", "params", "query_frame_index", "camera_frames")
+    """A scenario file; its frame count N, canvas (H, W) and channels C are the shape of ``features``."""
+    keys = ("camera_frames",)
     document, arrays = _read_archive(path, "scenario", keys, _SCENARIO_MEMBERS, tuple(_SCENARIO_OPTIONAL))
-    raw_params = _expect(document, "params", path, dict)
-    for name in _PARAM_TYPES:
-        _expect(raw_params, name, f"{path}.params")
-    params = ScenarioParams(**_fields(raw_params, _PARAM_TYPES, f"{path}.params"))
-    n = params.n_frames
-    h, w = params.canvas
-    c = params.channels
+    features = _member(arrays, "features", "<f8", (None,) * 4, path)
+    n, h, w, c = features.shape
+    gt_masks = _member(arrays, "gt_masks", "u1", (n, h, w), path)
     camera_frames = _frame_list(_expect(document, "camera_frames", path), n, f"{path}.camera_frames")
     k = len(camera_frames)
-    features = _member(arrays, "features", "<f8", (n, h, w, c), path)
-    gt_masks = _member(arrays, "gt_masks", "u1", (n, h, w), path)
     cameras = dict(
         zip(
             camera_frames,
@@ -382,13 +364,9 @@ def load_scenario(path: str) -> Scenario:
             ),
         )
     )
-    query_frame_index = _param(_expect(document, "query_frame_index", path), int, f"{path}.query_frame_index")
-    if not 0 <= query_frame_index < n:
-        raise SchemaError(f"{path}.query_frame_index: expected a frame index from 0 below {n}, got {query_frame_index}")
     query = QuerySpec(
         _member(arrays, "query_feature", "<f8", (h, w, c), path),
         _member(arrays, "query_mask", "u1", (h, w), path),
-        query_frame_index,
     )
     optional = {
         name: _member(arrays, name, "<f8", shape, path)
@@ -402,8 +380,6 @@ def load_scenario(path: str) -> Scenario:
     if src is not None and len(src) != len(dst):
         raise SchemaError(f"{path}.alignment_dst: expected shape ({len(src)}, 3) like alignment_src, got {dst.shape}")
     return Scenario(
-        seed=_param(_expect(document, "seed", path), int, f"{path}.seed"),
-        params=params,
         frames=[FrameData(features[i], gt_masks[i], cameras.get(i)) for i in range(n)],
         query=query,
         **optional,
@@ -427,7 +403,6 @@ def save_track(track: TrackOutput, path: str) -> None:
     document = {
         "version": FORMAT_VERSION,
         "kind": "track",
-        "canvas": [h, w],
         "frame_index": [int(result.frame_index) for result in track.results],
         "peaks": [float(p) for p in track.peaks],
         "interval": None
@@ -439,14 +414,14 @@ def save_track(track: TrackOutput, path: str) -> None:
 
 
 def load_track(path: str) -> TrackOutput:
-    keys = ("canvas", "frame_index", "peaks", "interval", "displacement_frames")
+    """A track file; its canvas (H, W) is the shape of each ``prob`` frame."""
+    keys = ("frame_index", "peaks", "interval", "displacement_frames")
     document, arrays = _read_archive(path, "track", keys, ("prob", "deltas"), ("world_point",))
-    h, w = _int_vector(_expect(document, "canvas", path), 2, f"{path}.canvas")
     frame_index = _frame_list(_expect(document, "frame_index", path), None, f"{path}.frame_index")
     displacement_frames = _frame_list(
         _expect(document, "displacement_frames", path), None, f"{path}.displacement_frames"
     )
-    prob = _member(arrays, "prob", "<f8", (len(frame_index), h, w), path)
+    prob = _member(arrays, "prob", "<f8", (len(frame_index), None, None), path)
     deltas = _member(arrays, "deltas", "<f8", (len(displacement_frames), 3), path)
     peaks = [_param(p, float, f"{path}.peaks[{i}]") for i, p in enumerate(_expect(document, "peaks", path, list))]
     if len(peaks) != len(frame_index):

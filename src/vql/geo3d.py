@@ -187,11 +187,15 @@ def backproject(frame: CameraFrame, u: float, v: float, t_eta: Sim3Transform) ->
     return t_eta.apply(world)
 
 
-def semantic_confidence(prob: np.ndarray, mask: np.ndarray, lambda_thr: float) -> float:
+# the probability above which a mask pixel counts toward the second statistic
+LAMBDA_THR = 0.5
+
+
+def semantic_confidence(prob: np.ndarray, mask: np.ndarray) -> float:
     """Equal-weight mean of three mask-probability statistics.
 
     The statistics are the mean probability inside the mask, the mean of the
-    values above ``lambda_thr`` (0 when none is) and the maximum; an empty
+    values above ``LAMBDA_THR`` (0 when none is) and the maximum; an empty
     mask scores 0.
     """
     prob = np.asarray(prob, dtype=np.float64)
@@ -202,7 +206,7 @@ def semantic_confidence(prob: np.ndarray, mask: np.ndarray, lambda_thr: float) -
     if values.size == 0:
         return 0.0
     p_av = float(values.mean())
-    above = values[values > lambda_thr]
+    above = values[values > LAMBDA_THR]
     p_lambda = float(above.mean()) if above.size else 0.0
     p_max = float(values.max())
     third = 1.0 / 3.0

@@ -88,10 +88,6 @@ def temporal_iou(a: Sequence[int], b: Sequence[int]) -> float:
     return inter / float(union)
 
 
-def _frame_boxes(track: TrackOutput) -> dict[int, Optional[tuple[int, int, int, int]]]:
-    return {r.frame_index: r.bbox for r in track.results}
-
-
 def _check_frames(pred: TrackOutput, scenario: Scenario) -> None:
     """Raises ValueError unless the track's frame indices are exactly 0..n_frames-1."""
     indices = [r.frame_index for r in pred.results]
@@ -133,30 +129,22 @@ def eval_2d(pred: TrackOutput, scenario: Scenario) -> MetricsReport2D:
     t_iou = temporal_iou(pred_interval, gt_interval)
     t_ap25 = 1.0 if t_iou >= 0.25 else 0.0
 
-    boxes = _frame_boxes(pred)
-    gt_boxes = {t: f.gt_bbox for t, f in enumerate(scenario.frames)}
+    # each frame's box IoU, 0 where either box is missing; results[t] is frame t (_check_frames)
+    ious = [
+        0.0 if r.bbox is None or f.gt_bbox is None else box_iou(r.bbox, f.gt_bbox)
+        for r, f in zip(pred.results, scenario.frames)
+    ]
     union_lo = min(pred_interval[0], gt_interval[0])
     union_hi = max(pred_interval[1], gt_interval[1])
-    per_frame = []
-    for t in range(union_lo, union_hi + 1):
-        in_pred = pred_interval[0] <= t <= pred_interval[1]
-        in_gt = gt_interval[0] <= t <= gt_interval[1]
-        pb = boxes.get(t)
-        gb = gt_boxes.get(t)
-        if in_pred and in_gt and pb is not None and gb is not None:
-            per_frame.append(box_iou(pb, gb))
-        else:
-            per_frame.append(0.0)
-    tube_iou = float(np.mean(per_frame)) if per_frame else 0.0
+    overlap_lo = max(pred_interval[0], gt_interval[0])
+    overlap_hi = min(pred_interval[1], gt_interval[1])
+    tube = [ious[t] if overlap_lo <= t <= overlap_hi else 0.0 for t in range(union_lo, union_hi + 1)]
+    tube_iou = float(np.mean(tube))
     st_ap25 = 1.0 if tube_iou >= 0.25 else 0.0
 
-    gt_frames = range(gt_interval[0], gt_interval[1] + 1)
-    ious = []
-    for t in gt_frames:
-        pb, gb = boxes.get(t), gt_boxes.get(t)
-        ious.append(box_iou(pb, gb) if (pb is not None and gb is not None) else 0.0)
-    recovery_pct = 100.0 * float(np.mean([v >= 0.5 for v in ious]))
-    success_pct = 100.0 if any(v >= 0.05 for v in ious) else 0.0
+    gt_ious = ious[gt_interval[0] : gt_interval[1] + 1]
+    recovery_pct = 100.0 * float(np.mean([v >= 0.5 for v in gt_ious]))
+    success_pct = 100.0 if any(v >= 0.05 for v in gt_ious) else 0.0
     return MetricsReport2D(t_ap25, st_ap25, recovery_pct, success_pct)
 
 

@@ -75,14 +75,11 @@ class NoDetectionError(RuntimeError):
 class PipelineConfig:
     capacity: int = 50
     zeta: float = 1.0
-    lambda_thr: float = 0.5
     # both filters' kernel size, so one convolution serves both branches
     kernel_size: int = 3
     updates_enabled: bool = True
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.lambda_thr <= 1.0:
-            raise ParameterError(f"lambda_thr must lie in [0, 1], got {self.lambda_thr}")
         if self.capacity < 1:
             raise ParameterError(f"capacity must be >= 1, got {self.capacity}")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
@@ -97,7 +94,6 @@ class QuerySpec:
 
     feature: np.ndarray
     mask: np.ndarray
-    frame_index: int = 0
 
     def __post_init__(self) -> None:
         self.feature = np.asarray(self.feature, dtype=np.float64)
@@ -383,7 +379,7 @@ def finalize_3d(
             world = geo3d.backproject(camera, u, v, t_eta)
         except geo3d.InvalidSampleError:
             continue
-        s_conf = geo3d.semantic_confidence(result.prob, result.mask, cfg.lambda_thr)
+        s_conf = geo3d.semantic_confidence(result.prob, result.mask)
         tau = float(camera.depth_uncertainty[int(round(v)), int(round(u))])
         g_conf = geo3d.geometric_confidence(tau, cfg.zeta)
         contributions.append(geo3d.ViewContribution(world, s_conf, g_conf, idx))

@@ -90,8 +90,12 @@ class FrameData:
 
 @dataclass
 class Scenario:
-    seed: int
-    params: ScenarioParams
+    """A clip, its ground truth and the visual query.
+
+    It keeps no record of how it was made: the seed and ``ScenarioParams``
+    are inputs of ``gen_scenario``, so a scenario file holds no recipe.
+    """
+
     frames: list[FrameData]
     query: QuerySpec
     gt_point: Optional[np.ndarray] = None
@@ -208,10 +212,8 @@ def gen_scenario(seed: int, params: ScenarioParams) -> Scenario:
         camera = geo["cameras"][t] if geo is not None and t < len(geo["cameras"]) else None
         frames.append(FrameData(feature, mask, camera))
 
-    query = QuerySpec(frames[0].feature.copy(), frames[0].gt_mask.copy(), 0)
+    query = QuerySpec(frames[0].feature.copy(), frames[0].gt_mask.copy())
     return Scenario(
-        seed=seed,
-        params=params,
         frames=frames,
         query=query,
         gt_point=None if geo is None else geo["point"],

@@ -1051,7 +1051,7 @@ def check_aggregate_oracle(seed=27):
 def check_semantic_confidence_hand_case():
     prob = np.array([[0.9, 0.3], [0.0, 0.0]])
     mask = np.array([[1, 1], [0, 0]], dtype=np.uint8)
-    got = geo3d.semantic_confidence(prob, mask, 0.5)
+    got = geo3d.semantic_confidence(prob, mask)
     want = (0.6 + 0.9 + 0.9) / 3.0
     return abs(got - want) < 1e-12, f"got {got}, expected {want}"
 

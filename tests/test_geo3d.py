@@ -125,20 +125,20 @@ class TestSemanticConfidence:
         prob = np.full((4, 4), 0.8)
         mask = np.zeros((4, 4), dtype=np.uint8)
         mask[1:3, 1:3] = 1
-        assert geo3d.semantic_confidence(prob, mask, 0.5) == pytest.approx(0.8)
+        assert geo3d.semantic_confidence(prob, mask) == pytest.approx(0.8)
 
     def test_empty_mask(self):
-        assert geo3d.semantic_confidence(np.ones((3, 3)), np.zeros((3, 3)), 0.5) == 0.0
+        assert geo3d.semantic_confidence(np.ones((3, 3)), np.zeros((3, 3))) == 0.0
 
     def test_hand_computation(self):
         prob = np.array([[0.9, 0.3]])
         mask = np.array([[1, 1]], dtype=np.uint8)
-        got = geo3d.semantic_confidence(prob, mask, 0.5)
+        got = geo3d.semantic_confidence(prob, mask)
         assert got == pytest.approx((0.6 + 0.9 + 0.9) / 3)
 
     def test_no_pixels_above_threshold(self):
         prob = np.full((2, 2), 0.3)
-        got = geo3d.semantic_confidence(prob, np.ones((2, 2)), 0.5)
+        got = geo3d.semantic_confidence(prob, np.ones((2, 2)))
         assert got == pytest.approx((0.3 + 0.0 + 0.3) / 3)
 
 

@@ -82,7 +82,6 @@ class TestConfig:
             ("kernel_size", 2),
             ("kernel_size", -1),
             ("zeta", 0.0),
-            ("lambda_thr", 1.5),
             ("capacity", 0),
         ],
     )
