@@ -7,7 +7,8 @@ Subcommands:
   eval      score a track against a scenario (optionally with 3D metrics)
   selfcheck run the oracle suite, nonzero exit on any failure
 
-Exit codes: 0 success, 2 validation or input error, 1 internal failure.
+Exit codes: 0 success, 2 validation or input error (a bad value, or a path
+that cannot be read or written), 1 internal failure.
 Selfcheck runs the oracles one after another, in registry order.
 """
 
@@ -20,7 +21,6 @@ import sys
 import numpy as np
 
 from . import fileio, metrics
-from .core import EmptyInputError, ParameterError
 from .pipeline import NoDetectionError, Pipeline, PipelineConfig, finalize_3d
 from .scenario import PRESETS, gen_scenario, preset_params
 
@@ -157,7 +157,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (fileio.SchemaError, ParameterError, EmptyInputError, ValueError, FileNotFoundError) as exc:
+    # the package's typed errors are ValueErrors; a path that cannot be read or written is an OSError
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -5,16 +5,15 @@ Conventions used throughout the package:
 - feature map: float64 array of shape (H, W, C), row-major
 - score map:   float64 array of shape (H, W)
 - binary mask: array of shape (H, W) with values exactly 0 or 1
-- label map:   int array of shape (H, W), 0 on background
 - kernel:      float64 array of shape (K, K, C_in, C_out), K odd
 
 All convolutions are cross-correlations with zero same-padding, so outputs
 keep the input's spatial size and stacked memory samples of one resolution
 stay shape-compatible. One private helper, ``_zero_border``, writes every
-zero-bordered copy the package makes: for the convolutions here and the
-kernel gradient of ``selfcheck``, the blurs of ``amm`` and ``pipeline`` and
-the pseudo-label boundary test. Everything is computed in float64; the
-solvers need headroom below their 1e-5 verification tolerances.
+zero-bordered copy the package makes: for the convolution and the patch
+matrix here, the blurs of ``amm`` and ``pipeline`` and the pseudo-label
+boundary test. Everything is computed in float64; the solvers need
+headroom below their 1e-5 verification tolerances.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ __all__ = [
     "im2col",
     "readonly_copy",
     "gaussian_label",
-    "connected_components",
     "min_bounding_rect",
     "median_filter_1d",
     "last_run",
@@ -154,23 +152,6 @@ def gaussian_label(center: Sequence[float], sigma: float, shape: Sequence[int]) 
     cols = np.arange(w, dtype=np.float64)[None, :]
     d2 = (rows - float(center[0])) ** 2 + (cols - float(center[1])) ** 2
     return np.exp(-d2 / (2.0 * float(sigma) ** 2))
-
-
-def connected_components(mask: np.ndarray) -> np.ndarray:
-    """Label map of the 4-connected components of a 2-D mask's foreground.
-
-    Background is 0; every pixel of a component holds 1 plus the flat
-    row-major index of the component's first pixel, so labels order the
-    components by first pixel and the output is deterministic. The map is
-    painted run by run from :func:`_component_runs`.
-    """
-    fg = np.asarray(mask) != 0
-    if fg.ndim != 2:
-        raise DimensionError(f"mask must be (H, W), got {fg.shape}")
-    run_start, run_length, root = _component_runs(fg)
-    labels = np.zeros(fg.size, dtype=np.intp)
-    labels[fg.ravel()] = np.repeat(run_start[root] + 1, run_length)
-    return labels.reshape(fg.shape)
 
 
 def _component_runs(fg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

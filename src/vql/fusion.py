@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DimensionError, _component_runs, last_run, median_filter_1d
+from .core import DimensionError, ParameterError, _component_runs, last_run, median_filter_1d
 
 __all__ = [
     "SegmentationResult",
@@ -58,7 +58,7 @@ class TemporalInterval:
 
     def __post_init__(self) -> None:
         if self.start_frame > self.end_frame:
-            raise ValueError(f"interval must satisfy start <= end, got {self}")
+            raise ParameterError(f"interval must satisfy start <= end, got {self}")
 
 
 def fuse(appearance: np.ndarray, score: np.ndarray) -> np.ndarray:

@@ -70,7 +70,6 @@ from .amm import GRADIENT_EPS
 __all__ = [
     "GlmSample",
     "spatial_weight",
-    "track_residual",
     "track_loss",
     "track_gradient",
     "gauss_newton_step",
@@ -135,15 +134,6 @@ def _blend(score, weight, region, label) -> tuple[np.ndarray, np.ndarray]:
     # subgradient 0 at H = 0
     q = weight * (region + (1.0 - region) * (score > 0.0))
     return weight * (blended - label), q
-
-
-def track_residual(score: np.ndarray, sample: GlmSample) -> np.ndarray:
-    """sw * (S * H + (1 - S) * max(0, H) - G), elementwise."""
-    score = np.asarray(score, dtype=np.float64)
-    if score.shape != sample.label.shape:
-        raise DimensionError(f"score {score.shape} and label {sample.label.shape} dims differ")
-    residual, _ = _blend(score, spatial_weight(sample.label), sample.target_region, sample.label)
-    return residual
 
 
 class _Problem:

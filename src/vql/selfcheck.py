@@ -26,19 +26,16 @@ The registry is the one home of a derived-expectation oracle:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from . import amm, fusion, geo3d, glm, metrics, scenario as scen
 from .core import (
     CROP_AREA_LADDER,
-    DimensionError,
-    ParameterError,
-    _zero_border,
+    _component_runs,
     bilinear_resize,
     conv2d,
-    connected_components,
     extract_square_crop,
     gaussian_label,
     im2col,
@@ -129,6 +126,30 @@ def components_union_find(mask: np.ndarray) -> list[frozenset]:
     return [frozenset(g) for g in groups.values()]
 
 
+def component_runs_mismatch(mask: np.ndarray) -> str | None:
+    """Why the components of ``core._component_runs`` differ from union-find's, or None.
+
+    The runs are grouped by root and each group expanded to its pixels. The
+    groups must be the union-find components exactly, and each root must be
+    its component's first run: the one holding its first pixel in row-major
+    order.
+    """
+    fg = np.asarray(mask) != 0
+    run_start, run_length, root = _component_runs(fg)
+    groups: dict[int, set] = {}
+    for start, length, r in zip(run_start.tolist(), run_length.tolist(), root.tolist()):
+        row, col = divmod(start, fg.shape[1])
+        groups.setdefault(r, set()).update((row, c) for c in range(col, col + length))
+    want = components_union_find(fg)
+    if {frozenset(g) for g in groups.values()} != set(want):
+        return f"{len(groups)} run components differ from the {len(want)} union-find components"
+    for r, pixels in groups.items():
+        row, col = min(pixels)
+        if run_start[r] != row * fg.shape[1] + col:
+            return f"root run {r} does not start at its component's first pixel {(row, col)}"
+    return None
+
+
 def gaussian_blur_dense(img: np.ndarray, sigma: float) -> np.ndarray:
     """Direct 2D convolution with the full truncated Gaussian kernel."""
     radius = max(1, int(np.ceil(3.0 * sigma)))
@@ -208,52 +229,23 @@ def solve_track_normal_equations(samples, kernel_shape):
     return np.linalg.solve(lhs, rhs).reshape(kernel_shape)
 
 
-def kernel_gradient(x: np.ndarray, residual: np.ndarray, kernel_shape: Sequence[int]) -> np.ndarray:
-    """Adjoint of :func:`conv2d` in its kernel argument.
-
-    Returns d/dk [.5 * ||conv2d(x, k) - y||^2] evaluated at a given
-    residual conv2d(x, k) - y:
-
-        g[dy, dx, c, d] = sum over (i, j) of
-            x[i + dy - K//2, j + dx - K//2, c] * residual[i, j, d]
-    """
-    x = np.asarray(x, dtype=np.float64)
-    residual = np.asarray(residual, dtype=np.float64)
-    ksz, ksz2, c_in, c_out = kernel_shape
-    if ksz != ksz2:
-        raise DimensionError(f"kernel must be square, got shape {tuple(kernel_shape)}")
-    if ksz % 2 == 0:
-        raise ParameterError(f"kernel size must be odd, got {ksz}")
-    if x.ndim != 3 or residual.ndim != 3:
-        raise DimensionError("feature map and residual must be (H, W, C)")
-    if x.shape[:2] != residual.shape[:2]:
-        raise DimensionError(
-            f"residual spatial dims {residual.shape[:2]} do not match input {x.shape[:2]}"
-        )
-    if x.shape[2] != c_in or residual.shape[2] != c_out:
-        raise DimensionError(
-            f"channels ({x.shape[2]}, {residual.shape[2]}) do not match kernel shape {tuple(kernel_shape)}"
-        )
-    r = ksz // 2
-    h, w = x.shape[:2]
-    xp = _zero_border(x, r)
-    g = np.empty((ksz, ksz, c_in, c_out))
-    for dy in range(ksz):
-        for dx in range(ksz):
-            window = xp[dy : dy + h, dx : dx + w, :]
-            g[dy, dx] = np.tensordot(window, residual, axes=([0, 1], [0, 1]))
-    return g
+def track_residual_map(score: np.ndarray, sample) -> np.ndarray:
+    """The tracking residual sw * (S * H + (1 - S) * max(0, H) - G), written out apart from the solver's."""
+    region = sample.target_region
+    blended = region * score + (1.0 - region) * np.maximum(0.0, score)
+    return glm.spatial_weight(sample.label) * (blended - sample.label)
 
 
 def steepest_descent_naive(kernel, samples, n_iter):
     """Exact-line-search descent that convolves every entry for each gradient and step."""
     prepared = [(s.feature, amm.encode_pseudo_label(s.mask), amm.reweight(s.mask)[:, :, None]) for s in samples]
     kernel = np.array(kernel, dtype=np.float64)
+    ksz, d = kernel.shape[0], kernel.shape[3]
     for _ in range(n_iter):
         g = amm.RIDGE * kernel
         for feature, target, weights in prepared:
-            residual = conv2d(feature, kernel) - target
-            g = g + kernel_gradient(feature, weights**2 * residual, kernel.shape)
+            residual = weights**2 * (conv2d(feature, kernel) - target)
+            g = g + (im2col(feature, ksz).T @ residual.reshape(-1, d)).reshape(kernel.shape)
         if float(np.sqrt(np.sum(g**2))) < amm.GRADIENT_EPS:
             break
         g_norm2 = float(np.sum(g**2))
@@ -285,7 +277,7 @@ def optimize_filter_naive(kernel, samples, n_iter) -> NaiveFit:
         return [conv2d(s.feature, kernel)[:, :, 0] for s in samples]
 
     def loss(kernel):
-        total = sum(float(np.sum(glm.track_residual(h, s) ** 2)) for h, s in zip(scores(kernel), samples))
+        total = sum(float(np.sum(track_residual_map(h, s) ** 2)) for h, s in zip(scores(kernel), samples))
         return total / len(samples) + lam**2 * float(np.sum(kernel**2))
 
     def q_maps(kernel):
@@ -297,8 +289,8 @@ def optimize_filter_naive(kernel, samples, n_iter) -> NaiveFit:
     def gradient(kernel):
         g = 2.0 * lam**2 * kernel
         for s, h, q in zip(samples, scores(kernel), q_maps(kernel)):
-            r = glm.track_residual(h, s)
-            g = g + scale * kernel_gradient(s.feature, (q * r)[:, :, None], kernel.shape)
+            adjoint = im2col(s.feature, kernel.shape[0]).T @ (q * track_residual_map(h, s)).reshape(-1, 1)
+            g = g + scale * adjoint.reshape(kernel.shape)
         return g
 
     kernel = np.array(kernel, dtype=np.float64)
@@ -394,37 +386,13 @@ def check_conv_naive(n_instances=10, seed=0):
     return worst <= 1.0, f"worst elementwise deviation {worst:.3e} of rtol 1e-12 (conv2d and im2col)"
 
 
-def check_kernel_gradient_fd(n_instances=10, seed=2):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_instances):
-        c_in, c_out = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        ksz = int(rng.choice([1, 3]))
-        x = rng.uniform(-1, 1, size=(5, 5, c_in))
-        y = rng.uniform(-1, 1, size=(5, 5, c_out))
-        k = rng.uniform(-1, 1, size=(ksz, ksz, c_in, c_out))
-        residual = conv2d(x, k) - y
-        got = kernel_gradient(x, residual, k.shape)
-        want = fd_gradient(lambda kk: 0.5 * float(np.sum((conv2d(x, kk) - y) ** 2)), k)
-        worst = max(worst, elementwise_deviation(got, want, rtol=1e-5, atol=1e-8))
-    return worst <= 1.0, f"worst elementwise deviation {worst:.3e} of rtol 1e-5, atol 1e-8"
-
-
-def check_connected_components(n_instances=20, seed=3):
+def check_component_runs(n_instances=20, seed=3):
     rng = np.random.default_rng(seed)
     for _ in range(n_instances):
         mask = (rng.random((16, 16)) > 0.6).astype(np.uint8)
-        labels = connected_components(mask)
-        if not np.array_equal(labels != 0, mask != 0):
-            return False, "labels do not cover exactly the foreground"
-        for component in components_union_find(mask):
-            first = min(component)
-            want = 1 + first[0] * mask.shape[1] + first[1]
-            rows, cols = zip(*component)
-            if set(np.unique(labels[rows, cols])) != {want}:
-                return False, f"component at {first} is not labelled {want}"
-            if np.count_nonzero(labels == want) != len(component):
-                return False, f"label {want} covers pixels outside its union-find component"
+        mismatch = component_runs_mismatch(mask)
+        if mismatch is not None:
+            return False, mismatch
     return True, f"{n_instances} random masks matched"
 
 
@@ -746,9 +714,7 @@ def check_gauss_newton_beta_scan(n_instances=5, seed=18, scan_points=20_001):
             score = conv2d(s.feature, kernel)[:, :, 0]
             region = s.target_region
             frozen_q.append(glm.spatial_weight(s.label) * (region + (1 - region) * (score > 0)))
-        base_residuals = [
-            glm.track_residual(conv2d(s.feature, kernel)[:, :, 0], s) for s in samples
-        ]
+        base_residuals = [track_residual_map(conv2d(s.feature, kernel)[:, :, 0], s) for s in samples]
         directions = [q * conv2d(s.feature, g)[:, :, 0] for q, s in zip(frozen_q, samples)]
 
         def model(b):
@@ -899,18 +865,21 @@ def check_extract_result_components():
     return True, "largest component and row-major tie-break verified"
 
 
-def extract_by_label_map(prob: np.ndarray) -> tuple[np.ndarray, tuple | None, float]:
-    """Mask, box and confidence by reducing the full label map of the thresholded map."""
+def extract_by_union_find(prob: np.ndarray) -> tuple[np.ndarray, tuple | None, float]:
+    """Mask, box and confidence of the thresholded map.
+
+    The box is the largest union-find component's; size ties go to the
+    component whose first pixel comes first in row-major order.
+    """
     mask = (prob >= fusion.MASK_THRESHOLD).astype(np.uint8)
     if not mask.any():
         return mask, None, 0.0
-    labels = connected_components(mask)
-    sizes = np.bincount(labels.ravel())
-    sizes[0] = 0
-    return mask, min_bounding_rect(labels == np.argmax(sizes)), float(prob[mask != 0].mean())
+    largest = min(components_union_find(mask), key=lambda component: (-len(component), min(component)))
+    rows, cols = zip(*largest)
+    return mask, (min(cols), min(rows), max(cols), max(rows)), float(prob[mask != 0].mean())
 
 
-def check_extract_matches_label_map(n_instances=200, seed=31):
+def check_extract_matches_union_find(n_instances=200, seed=31):
     rng = np.random.default_rng(seed)
     # empty, full, one row, one column, and two equal components (the row-major first wins)
     tie = np.full((4, 5), 0.2)
@@ -921,13 +890,13 @@ def check_extract_matches_label_map(n_instances=200, seed=31):
         probs.append(rng.random(shape) ** rng.uniform(0.3, 3.0))
     for i, prob in enumerate(probs):
         res = fusion.extract_result(prob, 0)
-        mask, bbox, s_conf = extract_by_label_map(prob)
+        mask, bbox, s_conf = extract_by_union_find(prob)
         if res.mask.dtype != mask.dtype or not np.array_equal(res.mask, mask):
             return False, f"map {i} {prob.shape}: mask differs from the threshold"
         if res.bbox != bbox:
-            return False, f"map {i} {prob.shape}: bbox {res.bbox}, label map gives {bbox}"
+            return False, f"map {i} {prob.shape}: bbox {res.bbox}, union-find gives {bbox}"
         if res.s_conf != s_conf:
-            return False, f"map {i} {prob.shape}: s_conf {res.s_conf!r}, label map gives {s_conf!r}"
+            return False, f"map {i} {prob.shape}: s_conf {res.s_conf!r}, union-find gives {s_conf!r}"
     return True, f"{len(probs)} maps bit-equal in mask, bbox and s_conf"
 
 
@@ -1279,8 +1248,7 @@ def check_scenario_roundtrip(tmp_dir=None):
 
 CHECKS = {
     "core.conv2d_vs_naive_loop": check_conv_naive,
-    "selfcheck.kernel_gradient_finite_difference": check_kernel_gradient_fd,
-    "core.connected_components_vs_union_find": check_connected_components,
+    "core.component_runs_vs_union_find": check_component_runs,
     "core.min_bounding_rect_reduction": check_min_bounding_rect,
     "core.median_filter_sort_oracle": check_median_filter,
     "amm.pseudo_label_boundary_scan": check_pseudo_label_boundary,
@@ -1307,7 +1275,7 @@ CHECKS = {
     "glm.update_source_replay": check_glm_update_source,
     "fusion.fuse_decode_elementwise": check_fusion_elementwise,
     "fusion.largest_component_bbox": check_extract_result_components,
-    "fusion.extract_matches_label_map": check_extract_matches_label_map,
+    "fusion.extract_matches_union_find": check_extract_matches_union_find,
     "fusion.temporal_localization": check_temporal_localize,
     "geo3d.sim3_noiseless_recovery": check_sim3_recovery,
     "geo3d.sim3_noisy_recovery": check_sim3_noisy,

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vql import core
-from vql.selfcheck import components_union_find, conv2d_naive, elementwise_deviation, kernel_gradient
+from vql.selfcheck import component_runs_mismatch, conv2d_naive, elementwise_deviation
 
 
 def rng(seed=0):
@@ -78,25 +78,6 @@ class TestIm2col:
         np.testing.assert_array_equal(rows, want.reshape(h * w, -1))
 
 
-class TestKernelGradient:
-    def test_zero_residual(self):
-        x = rng(6).uniform(-1, 1, size=(4, 4, 2))
-        g = kernel_gradient(x, np.zeros((4, 4, 3)), (3, 3, 2, 3))
-        assert not g.any()
-
-    def test_1x1_reduces_to_outer_product_sum(self):
-        r = rng(7)
-        x = r.uniform(-1, 1, size=(4, 4, 2))
-        residual = r.uniform(-1, 1, size=(4, 4, 3))
-        g = kernel_gradient(x, residual, (1, 1, 2, 3))
-        want = np.einsum("ijc,ijd->cd", x, residual)
-        np.testing.assert_allclose(g[0, 0], want, rtol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(core.DimensionError):
-            kernel_gradient(np.ones((4, 4, 2)), np.ones((5, 4, 3)), (3, 3, 2, 3))
-
-
 class TestGaussianLabel:
     def test_peak_on_pixel(self):
         g = core.gaussian_label((2, 2), 0.7, (5, 5))
@@ -117,37 +98,30 @@ class TestGaussianLabel:
 
 
 class TestConnectedComponents:
+    """The row runs ``extract_result`` labels the mask with, and the component each belongs to."""
+
     def test_empty_mask(self):
-        labels = core.connected_components(np.zeros((4, 4)))
-        assert labels.shape == (4, 4) and not labels.any()
+        run_start, run_length, root = core._component_runs(np.zeros((4, 4), dtype=bool))
+        assert run_start.size == run_length.size == root.size == 0
 
     def test_diagonal_pixels_are_two_components(self):
-        mask = np.zeros((3, 3))
-        mask[0, 0] = mask[1, 1] = 1
-        labels = core.connected_components(mask)
-        assert labels[0, 0] == 1 and labels[1, 1] == 5
-        assert np.count_nonzero(labels) == 2
+        mask = np.zeros((3, 3), dtype=bool)
+        mask[0, 0] = mask[1, 1] = True
+        run_start, run_length, root = core._component_runs(mask)
+        np.testing.assert_array_equal(run_start, [0, 4])
+        np.testing.assert_array_equal(run_length, [1, 1])
+        np.testing.assert_array_equal(root, [0, 1])
 
     def test_partition_properties(self):
-        mask = (rng(9).random((16, 16)) > 0.6).astype(np.uint8)
-        labels = core.connected_components(mask)
-        np.testing.assert_array_equal(labels != 0, mask != 0)
-        for label in np.unique(labels[labels != 0]):
-            # each label names its component's first pixel in row-major order
-            first = np.flatnonzero(labels == label)[0]
-            assert label == first + 1
-
-
-    @staticmethod
-    def assert_union_find_labels(mask):
-        labels = core.connected_components(mask)
-        assert labels.shape == mask.shape
-        np.testing.assert_array_equal(labels != 0, mask != 0)
-        for component in components_union_find(mask):
-            first = min(component)
-            rows, cols = zip(*component)
-            assert set(labels[rows, cols]) == {1 + first[0] * mask.shape[1] + first[1]}
-            assert np.count_nonzero(labels == labels[first]) == len(component)
+        mask = rng(9).random((16, 16)) > 0.6
+        run_start, run_length, root = core._component_runs(mask)
+        # the runs tile the foreground in row-major order, each inside one row
+        pixels = np.concatenate([np.arange(s, s + n) for s, n in zip(run_start, run_length)])
+        np.testing.assert_array_equal(pixels, np.flatnonzero(mask))
+        assert np.all(run_start // 16 == (run_start + run_length - 1) // 16)
+        # a root is a run of its own component that comes no later
+        np.testing.assert_array_equal(root[root], root)
+        assert np.all(root <= np.arange(root.size))
 
     @given(hnp.arrays(np.bool_, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12)))
     @settings(max_examples=150, deadline=None)
@@ -162,17 +136,12 @@ class TestConnectedComponents:
     # a U whose arms meet only in the last row, so a hook has to travel back up
     @example(np.array([[1, 0, 1], [1, 0, 1], [1, 1, 1]], dtype=bool))
     def test_matches_union_find(self, mask):
-        self.assert_union_find_labels(mask)
+        assert component_runs_mismatch(mask) is None
 
     @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
     def test_zero_size_mask(self, shape):
-        labels = core.connected_components(np.zeros(shape))
-        assert labels.shape == shape
-
-    @pytest.mark.parametrize("shape", [(), (6,), (2, 3, 3)])
-    def test_non_2d_mask_rejected(self, shape):
-        with pytest.raises(core.DimensionError):
-            core.connected_components(np.ones(shape))
+        run_start, run_length, root = core._component_runs(np.zeros(shape, dtype=bool))
+        assert run_start.size == run_length.size == root.size == 0
 
 
 class TestMinBoundingRect:

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vql import fusion
-from vql.core import DimensionError, conv2d
-from vql.selfcheck import components_union_find
+from vql.core import DimensionError, ParameterError, conv2d
+from vql.selfcheck import extract_by_union_find
 
 
 def rng(seed=0):
@@ -105,13 +105,6 @@ class TestExtractResult:
             assert res.s_conf == pytest.approx(float(prob[res.mask != 0].mean()))
 
 
-def largest_component_box(mask):
-    """Box of the largest union-find component; ties go to the row-major first."""
-    largest = min(components_union_find(mask), key=lambda comp: (-len(comp), min(comp)))
-    rows, cols = zip(*largest)
-    return (min(cols), min(rows), max(cols), max(rows))
-
-
 def serpentine():
     """One component snaking through every other row: labels must travel its whole length."""
     mask = np.zeros((9, 9), dtype=np.uint8)
@@ -141,13 +134,9 @@ class TestExtractResultProperty:
     @settings(max_examples=200, deadline=None)
     def test_box_of_largest_union_find_component(self, prob):
         res = fusion.extract_result(prob, 0)
-        mask = (prob >= fusion.MASK_THRESHOLD).astype(np.uint8)
+        mask, bbox, s_conf = extract_by_union_find(prob)
         np.testing.assert_array_equal(res.mask, mask)
-        if not mask.any():
-            assert res.bbox is None and res.s_conf == 0.0
-        else:
-            assert res.bbox == largest_component_box(mask)
-            assert res.s_conf == float(prob[mask != 0].mean())
+        assert res.bbox == bbox and res.s_conf == s_conf
 
 
 class TestTemporalLocalize:
@@ -158,5 +147,5 @@ class TestTemporalLocalize:
         assert fusion.temporal_localize(seq) == fusion.temporal_localize(k * seq)
 
     def test_interval_ordering_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             fusion.TemporalInterval(5, 3)

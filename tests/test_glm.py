@@ -35,25 +35,30 @@ class TestSpatialWeight:
         assert glm.spatial_weight(np.array([[0.5]]))[0, 0] == pytest.approx(0.625)
 
 
+def residual_of(score, sample):
+    """The residual the solver computes for one sample's score map."""
+    return glm._blend(score, glm.spatial_weight(sample.label), sample.target_region, sample.label)[0]
+
+
 class TestTrackResidual:
     def test_exact_fit_inside_region(self):
         label = gaussian_label((2, 2), 1.0, (5, 5))
         sample = glm.GlmSample(np.zeros((5, 5, 1)), label, np.ones((5, 5)))
-        residual = glm.track_residual(label, sample)
+        residual = residual_of(label, sample)
         np.testing.assert_allclose(residual, 0.0, atol=1e-15)
 
     def test_hinge_clamps_negative_background(self):
         sample = glm.GlmSample(
             np.zeros((3, 3, 1)), np.zeros((3, 3)), np.zeros((3, 3))
         )
-        residual = glm.track_residual(np.full((3, 3), -5.0), sample)
+        residual = residual_of(np.full((3, 3), -5.0), sample)
         np.testing.assert_allclose(residual, 0.0, atol=1e-15)
 
     def test_blend_arithmetic(self):
         sample = glm.GlmSample(
             np.zeros((1, 1, 1)), np.ones((1, 1)), np.full((1, 1), 0.5)
         )
-        residual = glm.track_residual(np.full((1, 1), 2.0), sample)
+        residual = residual_of(np.full((1, 1), 2.0), sample)
         assert residual[0, 0] == pytest.approx(0.5 * 2 + 0.5 * 2 - 1)
 
     def test_piecewise_identities(self):
@@ -61,17 +66,12 @@ class TestTrackResidual:
         score = r.uniform(-2, 2, size=(5, 5))
         label = gaussian_label((2, 2), 1.0, (5, 5))
         ones = glm.GlmSample(np.zeros((5, 5, 1)), label, np.ones((5, 5)))
-        got = glm.track_residual(score, ones)
+        got = residual_of(score, ones)
         np.testing.assert_array_equal(got, glm.spatial_weight(label) * (score - label))
         zeros = glm.GlmSample(np.zeros((5, 5, 1)), label, np.zeros((5, 5)))
         negative = -np.abs(score)
-        got = glm.track_residual(negative, zeros)
+        got = residual_of(negative, zeros)
         np.testing.assert_array_equal(got, -glm.spatial_weight(label) * label)
-
-    def test_shape_mismatch(self):
-        sample = glm.GlmSample(np.zeros((3, 3, 1)), np.zeros((3, 3)), np.zeros((3, 3)))
-        with pytest.raises(DimensionError):
-            glm.track_residual(np.zeros((4, 4)), sample)
 
 
 class TestTrackLoss:

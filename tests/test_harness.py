@@ -816,6 +816,11 @@ class TestCli:
         )
         assert code == 2
 
+    def test_directory_as_scenario_is_input_error(self, tmp_path, capsys):
+        code = self.run_cli("run2d", "--scenario", str(tmp_path), "--out", str(tmp_path / "o.npz"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_selfcheck_filter(self, capsys):
         assert self.run_cli("selfcheck", "--filter", "core.median") == 0
         out = capsys.readouterr().out
