@@ -4,7 +4,7 @@ The identity scenario is the sanity floor: a static target the pipeline
 must localize perfectly. The drift scenario rotates the target's feature
 signature over time; with memory updates enabled the filters follow it,
 with updates disabled the frozen query filter loses the target mid-video
-and the temporal answer collapses. Takes about half a minute.
+and the temporal answer collapses. Takes a few seconds.
 """
 
 from vql.metrics import eval_2d, temporal_iou

@@ -13,7 +13,7 @@ from vql.scenario import ScenarioParams, gen_scenario
 
 def both_banks():
     print("both banks at capacity 4: confidence-gated FIFOs, static snapshot pinned")
-    scenario = gen_scenario(7, ScenarioParams("identity", n_frames=8, canvas=(32, 32), object_size=13))
+    scenario = gen_scenario(7, ScenarioParams(n_frames=8, canvas=(32, 32), object_size=13))
     pipe = Pipeline(scenario.query, PipelineConfig(capacity=4, kernel_size=1))
     static = pipe.memory.glm_static
     query_entries = tuple(pipe.memory.amm_entries)

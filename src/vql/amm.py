@@ -54,6 +54,7 @@ import numpy as np
 
 from .core import (
     DimensionError,
+    EmptyInputError,
     ParameterError,
     gaussian_label,
     im2col,
@@ -87,7 +88,7 @@ ADMIT_THRESHOLD = 0.6
 
 @dataclass(frozen=True)
 class AmmSample:
-    """One bank entry: a feature crop and its binary mask.
+    """One bank entry: a finite feature crop and its binary (0/1) mask.
 
     The arrays are read-only copies, so the solver statistics cached on the
     entry always describe its contents.
@@ -105,6 +106,10 @@ class AmmSample:
             raise DimensionError(
                 f"feature {self.feature.shape} and mask {self.mask.shape} dims differ"
             )
+        if not np.isfinite(self.feature).all():
+            raise ParameterError("entry features must be finite")
+        if not ((self.mask == 0) | (self.mask == 1)).all():
+            raise ParameterError("entry mask values must be 0 or 1")
 
 
 def encode_pseudo_label(mask: np.ndarray) -> np.ndarray:
@@ -176,6 +181,8 @@ def _statistics(sample: AmmSample, ksz: int) -> tuple[np.ndarray, np.ndarray, fl
 def _bank_statistics(mem: Sequence[AmmSample], kernel_shape: Sequence[int]) -> tuple[np.ndarray, np.ndarray, float]:
     """(M, b, c): the entries' statistics summed for a kernel of the given shape."""
     _check_kernel(kernel_shape)
+    if not mem:
+        raise EmptyInputError("the appearance bank has no entries")
     ksz, _, c_in, c_out = kernel_shape
     if c_out != 3:
         raise DimensionError(f"kernel shape {tuple(kernel_shape)} does not map to the 3 label channels")

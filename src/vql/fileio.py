@@ -13,7 +13,8 @@ date, so a file's bytes depend on its contents alone. The loader accepts
 no document field and no member it does not read.
 
 A config file holds no tensor and stays one JSON document with the same
-``version`` and ``kind`` header.
+``version`` and ``kind`` header; ``PipelineConfig`` checks its fields'
+types and ranges, for the library and the file alike.
 
 A file stores nothing that follows from what it stores: the loader reads
 every shape from the stacked tensors (a scenario's N, H, W and C from
@@ -36,9 +37,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import typing
 import zipfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Any, BinaryIO, Callable, Optional
 
 import numpy as np
@@ -82,7 +82,11 @@ class SchemaError(ValueError):
 def _atomic_write(path: str, write: Callable[[BinaryIO], None]) -> None:
     """Call ``write`` on a temporary file beside ``path``, then rename it to ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:
+        # name the file the caller asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as handle:
             write(handle)
@@ -270,34 +274,13 @@ def _interval(values: Any, path: str) -> tuple[int, int]:
     return start, end
 
 
-# the type of every config field
-_CONFIG_TYPES = typing.get_type_hints(PipelineConfig)
-
-
-def _param(value: Any, hint: type, path: str) -> Any:
-    """One value checked against its type: int, float or bool.
-
-    A bool field takes only true or false, a bool is neither an int nor a
-    float, and a float field takes any other finite JSON number (``json``
-    reads NaN and Infinity).
-    """
-    accepted = (int, float) if hint is float else hint
-    if isinstance(value, bool) != (hint is bool) or not isinstance(value, accepted):
-        raise SchemaError(f"{path}: expected {hint.__name__}, got {value!r}")
-    if hint is float and not abs(value) <= np.finfo(np.float64).max:
+def _finite(value: Any, path: str) -> float:
+    """A finite JSON number as a float; a bool is not a number, and ``json`` reads NaN and Infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{path}: expected a number, got {value!r}")
+    if not abs(value) <= np.finfo(np.float64).max:
         raise SchemaError(f"{path}: expected a finite number, got {value!r}")
-    return hint(value)
-
-
-def _fields(raw: dict, hints: dict, path: str) -> dict:
-    """The entries of ``raw``, each checked against the type hint of its field.
-
-    An entry that names no field is an error.
-    """
-    unknown = sorted(set(raw) - set(hints))
-    if unknown:
-        raise SchemaError(f"{path}.{unknown[0]}: unknown field")
-    return {name: _param(raw[name], hint, f"{path}.{name}") for name, hint in hints.items() if name in raw}
+    return float(value)
 
 
 # -- scenario ---------------------------------------------------------------
@@ -315,6 +298,16 @@ _SCENARIO_MEMBERS = (
 # the optional members and their shapes; an alignment holds any number of matched points,
 # so its two members come together and with the same number of rows
 _SCENARIO_OPTIONAL = {"gt_point": (3,), "alignment_src": (None, 3), "alignment_dst": (None, 3)}
+
+
+def _check_alignment(arrays: dict[str, np.ndarray], path: str) -> None:
+    """An alignment in ``arrays`` holds both point sets, with as many rows."""
+    src, dst = arrays.get("alignment_src"), arrays.get("alignment_dst")
+    if (src is None) != (dst is None):
+        missing = "alignment_dst" if dst is None else "alignment_src"
+        raise SchemaError(f"{path}.{missing}: missing member; an alignment holds both point sets")
+    if src is not None and len(src) != len(dst):
+        raise SchemaError(f"{path}.alignment_dst: expected shape ({len(src)}, 3) like alignment_src, got {dst.shape}")
 
 
 def save_scenario(scenario: Scenario, path: str) -> None:
@@ -339,6 +332,7 @@ def save_scenario(scenario: Scenario, path: str) -> None:
         value = getattr(scenario, name)
         if value is not None:
             arrays[name] = np.asarray(value, dtype="<f8")
+    _check_alignment(arrays, path)
     document = {"version": FORMAT_VERSION, "kind": "scenario", "camera_frames": camera_frames}
     _write_archive(path, document, arrays)
 
@@ -373,12 +367,7 @@ def load_scenario(path: str) -> Scenario:
         for name, shape in _SCENARIO_OPTIONAL.items()
         if name in arrays
     }
-    src, dst = optional.get("alignment_src"), optional.get("alignment_dst")
-    if (src is None) != (dst is None):
-        missing = "alignment_dst" if dst is None else "alignment_src"
-        raise SchemaError(f"{path}.{missing}: missing member; an alignment holds both point sets")
-    if src is not None and len(src) != len(dst):
-        raise SchemaError(f"{path}.alignment_dst: expected shape ({len(src)}, 3) like alignment_src, got {dst.shape}")
+    _check_alignment(optional, path)
     return Scenario(
         frames=[FrameData(features[i], gt_masks[i], cameras.get(i)) for i in range(n)],
         query=query,
@@ -393,7 +382,11 @@ def save_track(track: TrackOutput, path: str) -> None:
     if not track.results:
         raise SchemaError("track has no per-frame results to save")
     h, w = track.results[0].prob.shape
-    displacement_frames = sorted(track.displacements)
+    # what the loader would refuse is refused before anything is written
+    frame_index = _frame_list([int(result.frame_index) for result in track.results], None, f"{path}.frame_index")
+    displacement_frames = _frame_list(
+        [int(t) for t in sorted(track.displacements)], None, f"{path}.displacement_frames"
+    )
     arrays = {
         "prob": _stack([result.prob for result in track.results], (h, w)),
         "deltas": _stack([track.displacements[t] for t in displacement_frames], (3,)),
@@ -403,14 +396,22 @@ def save_track(track: TrackOutput, path: str) -> None:
     document = {
         "version": FORMAT_VERSION,
         "kind": "track",
-        "frame_index": [int(result.frame_index) for result in track.results],
-        "peaks": [float(p) for p in track.peaks],
+        "frame_index": list(frame_index),
+        "peaks": _peaks([float(p) for p in track.peaks], len(frame_index), path),
         "interval": None
         if track.interval is None
         else [track.interval.start_frame, track.interval.end_frame],
-        "displacement_frames": [int(t) for t in displacement_frames],
+        "displacement_frames": list(displacement_frames),
     }
     _write_archive(path, document, arrays)
+
+
+def _peaks(values: list, n_frames: int, path: str) -> list[float]:
+    """One finite tracking peak per frame."""
+    peaks = [_finite(p, f"{path}.peaks[{i}]") for i, p in enumerate(values)]
+    if len(peaks) != n_frames:
+        raise SchemaError(f"{path}.peaks: expected one peak per frame, {n_frames}, got {len(peaks)}")
+    return peaks
 
 
 def load_track(path: str) -> TrackOutput:
@@ -423,9 +424,7 @@ def load_track(path: str) -> TrackOutput:
     )
     prob = _member(arrays, "prob", "<f8", (len(frame_index), None, None), path)
     deltas = _member(arrays, "deltas", "<f8", (len(displacement_frames), 3), path)
-    peaks = [_param(p, float, f"{path}.peaks[{i}]") for i, p in enumerate(_expect(document, "peaks", path, list))]
-    if len(peaks) != len(frame_index):
-        raise SchemaError(f"{path}.peaks: expected one peak per frame, {len(frame_index)}, got {len(peaks)}")
+    peaks = _peaks(_expect(document, "peaks", path, list), len(frame_index), path)
     interval = _expect(document, "interval", path)
     return TrackOutput(
         [extract_result(p, t) for p, t in zip(prob, frame_index)],
@@ -446,11 +445,14 @@ def save_config(cfg: PipelineConfig, path: str) -> None:
 
 
 def load_config(path: str) -> PipelineConfig:
-    """A config file; a field it leaves out keeps its default."""
+    """A config file; a field it leaves out keeps its default, and ``PipelineConfig`` checks the rest."""
     document = _load_json(path)
     _check_header(document, "config", path)
-    fields = _fields({k: v for k, v in document.items() if k not in ("version", "kind")}, _CONFIG_TYPES, path)
+    values = {k: v for k, v in document.items() if k not in ("version", "kind")}
+    unknown = sorted(set(values) - {f.name for f in fields(PipelineConfig)})
+    if unknown:
+        raise SchemaError(f"{path}.{unknown[0]}: unknown field")
     try:
-        return PipelineConfig(**fields)
+        return PipelineConfig(**values)
     except ParameterError as exc:
         raise SchemaError(f"{path}: invalid config: {exc}") from exc

@@ -90,7 +90,7 @@ SOURCE_WINDOW = 25
 
 @dataclass(frozen=True)
 class GlmSample:
-    """A feature crop with its Gaussian label and target-region map (read-only copies).
+    """A feature crop with its Gaussian label and target-region map (finite, read-only copies).
 
     The patch rows cached on the sample always describe its feature.
     """
@@ -103,7 +103,10 @@ class GlmSample:
 
     def __post_init__(self) -> None:
         for name in ("feature", "label", "target_region"):
-            object.__setattr__(self, name, readonly_copy(getattr(self, name), np.float64))
+            value = readonly_copy(getattr(self, name), np.float64)
+            if not np.isfinite(value).all():
+                raise ParameterError(f"sample {name} must be finite")
+            object.__setattr__(self, name, value)
         if self.feature.ndim != 3 or not (
             self.feature.shape[:2] == self.label.shape == self.target_region.shape
         ):

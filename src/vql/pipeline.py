@@ -36,7 +36,8 @@ and the memory reverts to its post-initialization value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -73,6 +74,9 @@ class NoDetectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Run settings, checked here for library callers and config files alike: each field takes
+    a value of its default's kind, stored as its default's type, and a bool is never a number."""
+
     capacity: int = 50
     zeta: float = 1.0
     # both filters' kernel size, so one convolution serves both branches
@@ -80,12 +84,19 @@ class PipelineConfig:
     updates_enabled: bool = True
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            is_bool = isinstance(value, (bool, np.bool_))
+            number = numbers.Integral if kind is int else numbers.Real
+            if not (is_bool if kind is bool else not is_bool and isinstance(value, number)):
+                raise ParameterError(f"{f.name} must be of type {kind.__name__}, got {value!r}")
+            object.__setattr__(self, f.name, kind(value))
         if self.capacity < 1:
             raise ParameterError(f"capacity must be >= 1, got {self.capacity}")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ParameterError(f"kernel_size must be odd and positive, got {self.kernel_size}")
-        if not self.zeta > 0:
-            raise ParameterError(f"zeta must be positive, got {self.zeta}")
+        if not 0 < self.zeta < np.inf:
+            raise ParameterError(f"zeta must be positive and finite, got {self.zeta}")
 
 
 @dataclass

@@ -37,7 +37,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScenarioParams:
-    preset: str
     n_frames: int
     canvas: tuple[int, int] = (48, 48)
     channels: int = 3
@@ -58,11 +57,11 @@ class ScenarioParams:
 
 def _preset_table() -> dict[str, ScenarioParams]:
     return {
-        "identity": ScenarioParams("identity", n_frames=48),
-        "drift": ScenarioParams("drift", n_frames=200, drift_step=(np.pi / 2.0) / 150.0),
-        "distractor": ScenarioParams("distractor", n_frames=80, distractors=1),
-        "absence": ScenarioParams("absence", n_frames=120, absence=(46, 85)),
-        "geo": ScenarioParams("geo", n_frames=5, n_views=5, object_size=9),
+        "identity": ScenarioParams(n_frames=48),
+        "drift": ScenarioParams(n_frames=200, drift_step=(np.pi / 2.0) / 150.0),
+        "distractor": ScenarioParams(n_frames=80, distractors=1),
+        "absence": ScenarioParams(n_frames=120, absence=(46, 85)),
+        "geo": ScenarioParams(n_frames=5, n_views=5, object_size=9),
     }
 
 

@@ -714,18 +714,15 @@ def check_gauss_newton_beta_scan(n_instances=5, seed=18, scan_points=20_001):
             score = conv2d(s.feature, kernel)[:, :, 0]
             region = s.target_region
             frozen_q.append(glm.spatial_weight(s.label) * (region + (1 - region) * (score > 0)))
-        base_residuals = [track_residual_map(conv2d(s.feature, kernel)[:, :, 0], s) for s in samples]
-        directions = [q * conv2d(s.feature, g)[:, :, 0] for q, s in zip(frozen_q, samples)]
+        base_residuals = np.concatenate(
+            [track_residual_map(conv2d(s.feature, kernel)[:, :, 0], s).ravel() for s in samples]
+        )
+        directions = np.concatenate([(q * conv2d(s.feature, g)[:, :, 0]).ravel() for q, s in zip(frozen_q, samples)])
 
-        def model(b):
-            acc = 0.0
-            for r0, dr in zip(base_residuals, directions):
-                acc += float(np.sum((r0 - b * dr) ** 2))
-            acc /= len(samples)
-            return acc + glm.RIDGE**2 * float(np.sum((kernel - b * g) ** 2))
-
+        # the model at every grid point at once, one row per point
         grid = np.linspace(0.0, 2.0 * beta, scan_points)
-        values = [model(b) for b in grid]
+        fit = np.sum((base_residuals - grid[:, None] * directions) ** 2, axis=1) / len(samples)
+        values = fit + glm.RIDGE**2 * np.sum((kernel.ravel() - grid[:, None] * g.ravel()) ** 2, axis=1)
         best = grid[int(np.argmin(values))]
         step = grid[1] - grid[0]
         if abs(best - beta) > step + 1e-15:
@@ -1029,7 +1026,7 @@ def check_semantic_confidence_hand_case():
 
 
 def _small_identity_params(n_frames=8):
-    return scen.ScenarioParams("identity", n_frames=n_frames, canvas=(32, 32), object_size=13)
+    return scen.ScenarioParams(n_frames=n_frames, canvas=(32, 32), object_size=13)
 
 
 def _unit_kernel_config():

@@ -132,7 +132,7 @@ def test_criterion_07_memory_policy_conformance():
         ("update cadence 0-99 then every 25", check_update_cadence()),
     ]
     # capacity bound under sustained admissions, including the initial query
-    sc = gen_scenario(7, ScenarioParams("identity", n_frames=2, canvas=(32, 32), object_size=13))
+    sc = gen_scenario(7, ScenarioParams(n_frames=2, canvas=(32, 32), object_size=13))
     pipe = Pipeline(sc.query, PipelineConfig(kernel_size=1, capacity=8))
     capacity_ok = True
     for t in range(20):
@@ -223,7 +223,7 @@ def test_criterion_10_temporal_localization():
 def test_criterion_11_determinism(tmp_path):
     scenario_2d = tmp_path / "identity.json"
     fileio.save_scenario(
-        gen_scenario(7, ScenarioParams("identity", n_frames=10, canvas=(32, 32), object_size=13)),
+        gen_scenario(7, ScenarioParams(n_frames=10, canvas=(32, 32), object_size=13)),
         str(scenario_2d),
     )
     scenario_3d = tmp_path / "geo.json"

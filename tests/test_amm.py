@@ -31,6 +31,40 @@ def random_samples(r, n, size=5, channels=2):
     return out
 
 
+class TestEntryChecks:
+    """An entry that would poison the filter is refused when it is made, and so is an empty bank."""
+
+    @pytest.mark.parametrize(
+        "index,value,message",
+        [
+            pytest.param((1, 2, 0), np.nan, "finite", id="nan-feature"),
+            pytest.param((0, 0, 1), -np.inf, "finite", id="inf-feature"),
+            pytest.param((2, 2), 2, "0 or 1", id="mask-of-two"),
+            pytest.param((3, 3), -1, "0 or 1", id="negative-mask"),
+        ],
+    )
+    def test_poisoning_entry_refused(self, index, value, message):
+        feature = rng(20).uniform(-1, 1, size=(5, 5, 2))
+        mask = np.zeros((5, 5), dtype=np.int64)
+        mask[1:4, 1:4] = 1
+        (feature if len(index) == 3 else mask)[index] = value
+        with pytest.raises(ParameterError, match=message):
+            amm.AmmSample(feature, mask)
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            pytest.param(lambda k: amm.steepest_descent(k, [], 3), id="steepest_descent"),
+            pytest.param(lambda k: amm.steepest_step_size(k, []), id="steepest_step_size"),
+            pytest.param(lambda k: amm.seg_loss(k, []), id="seg_loss"),
+            pytest.param(lambda k: amm.seg_gradient(k, []), id="seg_gradient"),
+        ],
+    )
+    def test_empty_bank_refused(self, solve):
+        with pytest.raises(EmptyInputError, match="no entries"):
+            solve(np.ones((3, 3, 2, 3)))
+
+
 class TestPseudoLabelEncoder:
     def test_empty_mask(self):
         out = amm.encode_pseudo_label(np.zeros((5, 5)))
@@ -179,7 +213,7 @@ class TestMemory:
     def test_resolution_mismatch(self):
         # entries come only from crops at the sample resolution, and a
         # frame at another resolution is refused before it reaches a bank
-        sc = gen_scenario(7, ScenarioParams("identity", n_frames=3, canvas=(32, 32), object_size=13))
+        sc = gen_scenario(7, ScenarioParams(n_frames=3, canvas=(32, 32), object_size=13))
         pipe = Pipeline(sc.query, PipelineConfig(kernel_size=1))
         with pytest.raises(DimensionError):
             pipe.step_frame(sc.frames[0].feature[:16], 0)

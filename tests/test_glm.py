@@ -21,6 +21,18 @@ def random_samples(r, n, size=5, channels=2, region="mixed"):
     return out
 
 
+class TestSampleChecks:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["feature", "label", "target_region"])
+    def test_non_finite_sample_refused(self, name, value):
+        # a non-finite entry would leave the solver's start kernel unchanged without a word
+        sample = random_samples(rng(15), 1)[0]
+        arrays = {key: np.array(getattr(sample, key)) for key in ("feature", "label", "target_region")}
+        arrays[name].flat[3] = value
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            glm.GlmSample(**arrays)
+
+
 class TestSpatialWeight:
     def test_zero_label(self):
         out = glm.spatial_weight(np.zeros((4, 4)))

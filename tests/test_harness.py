@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from vql import fileio, metrics
 from vql.cli import main as cli_main
+from vql.core import ParameterError
 from vql.pipeline import Pipeline, PipelineConfig, TrackOutput
 from vql.scenario import (
     PRESETS,
@@ -27,8 +28,12 @@ from vql.scenario import (
 )
 
 
+# JSON readers accept NaN and the infinities; no config field takes them
+NON_FINITE = (float("nan"), float("inf"), -float("inf"))
+
+
 def small_identity(n_frames=3):
-    return gen_scenario(5, ScenarioParams("identity", n_frames=n_frames, canvas=(32, 32), object_size=13))
+    return gen_scenario(5, ScenarioParams(n_frames=n_frames, canvas=(32, 32), object_size=13))
 
 
 class TestGenScenario:
@@ -61,16 +66,16 @@ class TestGenScenario:
         from vql.core import ParameterError
 
         with pytest.raises(ParameterError):
-            gen_scenario(0, ScenarioParams("identity", n_frames=0))
+            gen_scenario(0, ScenarioParams(n_frames=0))
         with pytest.raises(ParameterError):
-            gen_scenario(0, ScenarioParams("identity", n_frames=2, canvas=(4, 4)))
+            gen_scenario(0, ScenarioParams(n_frames=2, canvas=(4, 4)))
 
     @pytest.mark.parametrize("channels", [0, 1])
     def test_fewer_than_two_channels_rejected(self, channels):
         from vql.core import ParameterError
 
         with pytest.raises(ParameterError, match=f"channels must be at least 2, got {channels}"):
-            gen_scenario(0, ScenarioParams("identity", n_frames=2, channels=channels))
+            gen_scenario(0, ScenarioParams(n_frames=2, channels=channels))
 
 
 class TestFileRoundTrips:
@@ -110,6 +115,23 @@ class TestFileRoundTrips:
         path.write_text(json.dumps({"version": fileio.FORMAT_VERSION, "kind": "config", "zeta": 2}))
         zeta = fileio.load_config(str(path)).zeta
         assert zeta == 2.0 and type(zeta) is float
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            *((name, v) for name in ("capacity", "kernel_size") for v in (True, 2.5, "3", None, *NON_FINITE)),
+            *(("zeta", v) for v in (True, "1.0", None, *NON_FINITE)),
+            *(("updates_enabled", v) for v in ("no", 1, 0.0, None)),
+        ],
+    )
+    def test_library_and_loader_refuse_the_same_values(self, tmp_path, field, value):
+        # PipelineConfig states the type rules once, for library callers and config files
+        with pytest.raises(ParameterError, match=rf"^{field} must be"):
+            PipelineConfig(**{field: value})
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"version": fileio.FORMAT_VERSION, "kind": "config", field: value}))
+        with pytest.raises(fileio.SchemaError, match=rf"^{re.escape(str(path))}: invalid config: {field} must be"):
+            fileio.load_config(str(path))
 
     @pytest.mark.parametrize(
         "field",
@@ -172,6 +194,34 @@ class TestFileRoundTrips:
         fileio.save_track(track, str(tmp_path / "t2"))
         assert (tmp_path / "s1").read_bytes() == (tmp_path / "s2").read_bytes()
         assert (tmp_path / "t1").read_bytes() == (tmp_path / "t2").read_bytes()
+
+    @pytest.mark.parametrize(
+        "kind,edit,message",
+        [
+            pytest.param("track", lambda t: t.peaks.pop(), r"\.peaks: expected one peak per frame, 5, got 4", id="few-peaks"),
+            pytest.param("track", lambda t: t.results.reverse(), r"\.frame_index: expected increasing", id="frame-order"),
+            pytest.param(
+                "track", lambda t: t.peaks.__setitem__(2, np.nan), r"\.peaks\[2\]: expected a finite number", id="nan-peak"
+            ),
+            pytest.param(
+                "scenario", lambda s: setattr(s, "alignment_dst", None), r"\.alignment_dst: missing member", id="lone-src"
+            ),
+            pytest.param(
+                "scenario",
+                lambda s: setattr(s, "alignment_dst", s.alignment_dst[1:]),
+                r"\.alignment_dst: expected shape \(\d+, 3\) like alignment_src",
+                id="alignment-rows",
+            ),
+        ],
+    )
+    def test_save_refuses_what_load_refuses(self, tmp_path, kind, edit, message):
+        # the loader's own error, before anything is written
+        geo = gen_scenario(7, preset_params("geo"))
+        value = geo if kind == "scenario" else ground_truth_track(geo)
+        edit(value)
+        with pytest.raises(fileio.SchemaError, match=message):
+            getattr(fileio, f"save_{kind}")(value, str(tmp_path / "out.npz"))
+        assert not list(tmp_path.iterdir())
 
     def test_writes_exactly_the_path(self, tmp_path):
         path = tmp_path / "scenario.json"
@@ -337,7 +387,7 @@ class TestLoaderVectors:
 
 
 class TestLoaderScalars:
-    """Track indices and peaks are type-checked like config fields."""
+    """Track indices and peaks are type-checked."""
 
     @staticmethod
     def put(document, keys, value):
@@ -844,7 +894,13 @@ class TestCli:
         config_path.write_text(json.dumps({"version": fileio.FORMAT_VERSION, "kind": "config", field: value}))
         args = ["run2d", "--scenario", str(scenario_path), "--config", str(config_path)]
         assert self.run_cli(*args, "--out", str(tmp_path / "t.json")) == 2
-        assert f"c.json.{field}: expected" in capsys.readouterr().err
+        assert f"c.json: invalid config: {field} must be" in capsys.readouterr().err
+
+    def test_gen_into_missing_directory_names_the_output(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.npz"
+        assert self.run_cli("gen", "--seed", "1", "--preset", "identity", "--out", str(out)) == 2
+        # the path given, not the temporary file the write goes through
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
     def test_eval_json_output(self, tmp_path, capsys):
         scenario_path = tmp_path / "s.json"

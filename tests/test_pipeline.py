@@ -23,7 +23,7 @@ from vql.scenario import ScenarioParams, gen_scenario, ground_truth_track, prese
 
 
 def small_identity(n_frames=6):
-    return gen_scenario(7, ScenarioParams("identity", n_frames=n_frames, canvas=(32, 32), object_size=13))
+    return gen_scenario(7, ScenarioParams(n_frames=n_frames, canvas=(32, 32), object_size=13))
 
 
 def unit_cfg(**kw):
@@ -88,6 +88,12 @@ class TestConfig:
     def test_invalid_field_raises_at_construction(self, field, value):
         with pytest.raises(ParameterError, match=field):
             PipelineConfig(**{field: value})
+
+    def test_values_of_the_default_kind_construct(self):
+        # numpy scalars of a field's kind are taken, and each value is stored as its default's type
+        cfg = PipelineConfig(capacity=np.int64(5), zeta=2, updates_enabled=np.True_)
+        assert cfg == PipelineConfig(capacity=5, zeta=2.0, updates_enabled=True)
+        assert [type(cfg.capacity), type(cfg.zeta), type(cfg.updates_enabled)] == [int, float, bool]
 
 
 class TestStepFrame:
