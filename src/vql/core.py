@@ -18,10 +18,11 @@ headroom below their 1e-5 verification tolerances.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 __all__ = [
     "DimensionError",
@@ -116,8 +117,9 @@ def im2col(x: np.ndarray, ksz: int) -> np.ndarray:
     Row ``i * W + j`` holds the K*K*C inputs under the kernel centered on
     pixel (i, j), ordered like ``k.reshape(K * K * C, D)``, so
     ``im2col(x, K) @ k.reshape(-1, D)`` equals ``conv2d(x, k).reshape(-1, D)``
-    up to rounding. The rows are one strided copy of the K x K windows of
-    the zero-bordered map.
+    up to rounding. The rows are one copy of a read-only (H, W, K, K, C)
+    strided view of the zero-bordered map, whose element (i, j, dy, dx, c)
+    is bordered pixel (i + dy, j + dx), channel c.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
@@ -125,11 +127,15 @@ def im2col(x: np.ndarray, ksz: int) -> np.ndarray:
     if ksz < 1 or ksz % 2 == 0:
         raise ParameterError(f"kernel size must be odd and positive, got {ksz}")
     h, w, c = x.shape
-    rows = np.empty((h * w, ksz * ksz * c))
-    # windows are (H, W, C, K, K); the rows want (K, K, C) order
-    windows = sliding_window_view(_zero_border(x, ksz // 2), (ksz, ksz), axis=(0, 1))
-    rows.reshape(h, w, ksz, ksz, c)[...] = windows.transpose(0, 1, 3, 4, 2)
-    return rows
+    xp = _zero_border(x, ksz // 2)
+    row_step, col_step, channel_step = xp.strides
+    windows = as_strided(
+        xp,
+        (h, w, ksz, ksz, c),
+        (row_step, col_step, row_step, col_step, channel_step),
+        writeable=False,
+    )
+    return windows.copy().reshape(h * w, ksz * ksz * c)
 
 
 def readonly_copy(a, dtype=None) -> np.ndarray:
@@ -271,32 +277,35 @@ def extract_square_crop(
     return crop, padded_fraction
 
 
+@lru_cache(maxsize=None)
+def _bilinear_taps(n_in: int, n_out: int) -> tuple[np.ndarray, ...]:
+    """Source indices i0, i1 and weights 1 - t, t of a pixel-center-aligned resample of one axis (read-only)."""
+    r = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
+    i0 = np.floor(r).astype(int)
+    t = r - i0
+    taps = (i0, np.minimum(i0 + 1, n_in - 1), 1 - t, t)
+    for a in taps:
+        a.flags.writeable = False
+    return taps
+
+
 def bilinear_resize(data: np.ndarray, out_hw: Sequence[int]) -> np.ndarray:
     """Bilinear resample with pixel-center alignment, for (H, W) or (H, W, C).
 
     Each output element is (d[y0, x0] (1 - wx) + d[y0, x1] wx) (1 - wy) +
     (d[y1, x0] (1 - wx) + d[y1, x1] wx) wy; the column pass runs once per
-    source row and the row pass reads its results.
+    source row and the row pass reads its results. Each axis's indices and
+    weights are built once per pair of sizes.
     """
     data = np.asarray(data, dtype=np.float64)
     h, w = data.shape[:2]
-    oh, ow = int(out_hw[0]), int(out_hw[1])
-    ry = (np.arange(oh) + 0.5) * (h / oh) - 0.5
-    rx = (np.arange(ow) + 0.5) * (w / ow) - 0.5
-    ry = np.clip(ry, 0.0, h - 1.0)
-    rx = np.clip(rx, 0.0, w - 1.0)
-    y0 = np.floor(ry).astype(int)
-    x0 = np.floor(rx).astype(int)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ry - y0)[:, None]
-    wx = (rx - x0)[None, :]
+    y0, y1, vy, wy = _bilinear_taps(h, int(out_hw[0]))
+    x0, x1, vx, wx = _bilinear_taps(w, int(out_hw[1]))
     if data.ndim == 3:
-        wy = wy[..., None]
-        wx = wx[..., None]
+        vy, wy, vx, wx = vy[:, None], wy[:, None], vx[:, None], wx[:, None]
     # columns first, on every source row, then rows
-    cols = data[:, x0] * (1 - wx) + data[:, x1] * wx
-    return cols[y0] * (1 - wy) + cols[y1] * wy
+    cols = data[:, x0] * vx + data[:, x1] * wx
+    return cols[y0] * vy[:, None] + cols[y1] * wy[:, None]
 
 
 def nearest_resize(data: np.ndarray, out_hw: Sequence[int]) -> np.ndarray:

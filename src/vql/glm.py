@@ -21,11 +21,13 @@ the window with sigma = side / 6 (:func:`label_sigma`).
 
 The solver works on the bank flattened to pixel rows: A holds the rows
 of every sample's im2col patch matrix A_i (one row per pixel,
-P = K*K*C columns), so all scores are one matvec h = A c, and sw, S, G
-and r become vectors over the same rows. With the hinge subgradient
-(zero at the kink)
+P = K*K*C columns), so all scores are one matvec h = A c. The residual
+weights are fixed for a refit, so the solver forms ws = sw * S,
+wn = sw * (1 - S) and wg = sw * G once, as vectors over the same rows.
+With the hinge subgradient (zero at the kink)
 
-    q        = sw * (S + (1 - S) * 1[h > 0])
+    q        = ws + wn * 1[h > 0]
+    r        = q * h - wg
     grad L   = 2/|O| * A^T (q * r) + 2 lambda^2 c.
 
 Each iteration moves along -grad L with the step length that minimizes the
@@ -35,10 +37,12 @@ quadratic model built from the residual Jacobian q * A:
     beta       = ||g||^2 / (g' (J'J) g)
 
 Because the hinge makes the true objective only piecewise quadratic, a
-halving safeguard rejects any step that would increase the loss. An
-iteration therefore costs one gradient product A^T (q * r), one curvature
-product A g and one matvec per candidate step; the accepted candidate's
-scores and residuals seed the next iteration.
+halving safeguard rejects any step that would increase the loss. Scores are
+linear in c, so a candidate c - beta g has the scores h - beta (A g) from
+the accepted scores h and the curvature product A g. A refit therefore
+makes one pass over the patch rows for A c at the start, then two per
+iteration, the gradient product A^T (q * r) and the curvature product A g;
+a halving makes none.
 
 Each read-only sample keeps its A_i, built once per kernel size, so a
 refit builds no patch rows for a sample it has seen. A itself is never
@@ -131,19 +135,12 @@ def spatial_weight(label: np.ndarray) -> np.ndarray:
     return W_BG + (W_FG - W_BG) * np.asarray(label, dtype=np.float64)
 
 
-def _blend(score, weight, region, label) -> tuple[np.ndarray, np.ndarray]:
-    """Residual sw * (S * H + (1 - S) * max(0, H) - G) and its derivative q wrt H."""
-    blended = region * score + (1.0 - region) * np.maximum(0.0, score)
-    # subgradient 0 at H = 0
-    q = weight * (region + (1.0 - region) * (score > 0.0))
-    return weight * (blended - label), q
-
-
 class _Problem:
     """The bank flattened to pixel rows for one kernel shape.
 
-    Holds the samples' patch rows A_i and the per-row sw, S and G of the
-    whole bank; every method works on a flat kernel c of length P.
+    Holds the samples' patch rows A_i and the per-row residual weights
+    ws = sw * S, wn = sw * (1 - S) and wg = sw * G of the whole bank; every
+    method works on a flat kernel c of length P or on scores h = A c.
     """
 
     def __init__(self, samples: Sequence[GlmSample], kernel_shape: Sequence[int]):
@@ -160,17 +157,26 @@ class _Problem:
                 )
         self.rows = [_patch_rows(s, ksz) for s in samples]
         self.bounds = np.cumsum([0] + [s.label.size for s in samples])
-        self.label = np.concatenate([s.label.ravel() for s in samples])
-        self.region = np.concatenate([s.target_region.ravel() for s in samples])
-        self.weight = spatial_weight(self.label)
+        label = np.concatenate([s.label.ravel() for s in samples])
+        region = np.concatenate([s.target_region.ravel() for s in samples])
+        weight = spatial_weight(label)
+        self.ws = weight * region
+        self.wn = weight * (1.0 - region)
+        self.wg = weight * label
         self.scale = 1.0 / len(samples)
 
-    def evaluate(self, c: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """Loss, residual r and derivative map q at the flat kernel c."""
-        r, q = _blend(self._times(c), self.weight, self.region, self.label)
+    def residual(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Residual r = sw * (S * h + (1 - S) * max(0, h) - G) and its derivative q wrt h."""
+        # subgradient 0 at h = 0
+        q = self.ws + self.wn * (h > 0.0)
+        return q * h - self.wg, q
+
+    def evaluate(self, h: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """Loss, residual r and derivative map q at the flat kernel c with scores h = A c."""
+        r, q = self.residual(h)
         return self.scale * float(r @ r) + RIDGE**2 * float(c @ c), r, q
 
-    def _times(self, c: np.ndarray) -> np.ndarray:
+    def times(self, c: np.ndarray) -> np.ndarray:
         """A c, one sample's rows at a time."""
         out = np.empty(self.bounds[-1])
         for rows, lo, hi in zip(self.rows, self.bounds, self.bounds[1:]):
@@ -184,12 +190,11 @@ class _Problem:
             a_t_v += rows.T @ v[lo:hi]
         return 2.0 * self.scale * a_t_v + 2.0 * RIDGE**2 * c
 
-    def step_length(self, g: np.ndarray, q: np.ndarray) -> float:
-        """beta = ||g||^2 / (g' (J'J) g) with J'J frozen at the derivative map q."""
-        g_norm2 = float(g @ g)
+    def step_length(self, g_norm2: float, ag: np.ndarray, q: np.ndarray) -> float:
+        """beta = ||g||^2 / (g' (J'J) g) with J'J frozen at q, from ||g||^2 and the curvature product A g."""
         if g_norm2 == 0.0:
             raise ParameterError("step is undefined for a zero gradient (already converged)")
-        qag = q * self._times(g)
+        qag = q * ag
         curvature = 2.0 * self.scale * float(qag @ qag) + 2.0 * RIDGE**2 * g_norm2
         if curvature <= 0.0:
             raise ParameterError(f"curvature along the gradient is not positive: {curvature}")
@@ -198,7 +203,9 @@ class _Problem:
 
 def track_loss(kernel: np.ndarray, mem: Sequence[GlmSample]) -> float:
     """Mean squared residual over the bank plus lambda^2 ||c||^2."""
-    loss, _, _ = _Problem(mem, kernel.shape).evaluate(kernel.ravel())
+    problem = _Problem(mem, kernel.shape)
+    c = kernel.ravel()
+    loss, _, _ = problem.evaluate(problem.times(c), c)
     return loss
 
 
@@ -206,7 +213,7 @@ def track_gradient(kernel: np.ndarray, mem: Sequence[GlmSample]) -> np.ndarray:
     """Exact gradient of :func:`track_loss` wherever no score sits on the hinge kink."""
     problem = _Problem(mem, kernel.shape)
     c = kernel.ravel()
-    _, r, q = problem.evaluate(c)
+    _, r, q = problem.evaluate(problem.times(c), c)
     return problem.gradient(c, r, q).reshape(kernel.shape)
 
 
@@ -214,9 +221,9 @@ def gauss_newton_step(kernel: np.ndarray, mem: Sequence[GlmSample]) -> tuple[np.
     """Gradient direction and the step length minimizing the frozen quadratic model."""
     problem = _Problem(mem, kernel.shape)
     c = kernel.ravel()
-    _, r, q = problem.evaluate(c)
+    _, r, q = problem.evaluate(problem.times(c), c)
     g = problem.gradient(c, r, q)
-    return g.reshape(kernel.shape), problem.step_length(g, q)
+    return g.reshape(kernel.shape), problem.step_length(float(g @ g), problem.times(g), q)
 
 
 def optimize_filter(kernel: np.ndarray, mem: Sequence[GlmSample], n_iter: int) -> np.ndarray:
@@ -231,17 +238,20 @@ def optimize_filter(kernel: np.ndarray, mem: Sequence[GlmSample], n_iter: int) -
         raise ParameterError(f"n_iter must be >= 0, got {n_iter}")
     problem = _Problem(mem, kernel.shape)
     c = kernel.ravel()
-    loss, r, q = problem.evaluate(c)
+    h = problem.times(c)
+    loss, r, q = problem.evaluate(h, c)
     for _ in range(n_iter):
         g = problem.gradient(c, r, q)
-        if float(np.sqrt(g @ g)) < GRADIENT_EPS:
+        g_norm2 = float(g @ g)
+        if float(np.sqrt(g_norm2)) < GRADIENT_EPS:
             break
-        beta = problem.step_length(g, q)
+        ag = problem.times(g)
+        beta = problem.step_length(g_norm2, ag, q)
         for _halving in range(MAX_STEP_HALVINGS + 1):
-            candidate = c - beta * g
-            candidate_loss, candidate_r, candidate_q = problem.evaluate(candidate)
+            candidate, candidate_h = c - beta * g, h - beta * ag
+            candidate_loss, candidate_r, candidate_q = problem.evaluate(candidate_h, candidate)
             if candidate_loss <= loss:
-                c, loss, r, q = candidate, candidate_loss, candidate_r, candidate_q
+                c, h, loss, r, q = candidate, candidate_h, candidate_loss, candidate_r, candidate_q
                 break
             beta *= 0.5
         else:

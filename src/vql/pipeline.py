@@ -144,11 +144,13 @@ def crop_entries(
 
     The window is centered on the box (x_min, y_min, x_max, y_max) and its
     side steps down the crop ladder from 1.5x the box's longer side (see
-    ``core.ladder_crop``). The feature crop is resampled bilinearly to
-    SAMPLE_RESOLUTION once, and both entries hold it. The appearance entry's
-    mask is ``mask`` resampled by nearest neighbor; the tracking entry's
-    region is ``prob`` resampled bilinearly and clipped to [0, 1], and its
-    label is the window's Gaussian (sigma = side / 6), resampled alike.
+    ``core.ladder_crop``). The feature crop and the ``prob`` crop are
+    resampled bilinearly to SAMPLE_RESOLUTION together, as one stacked
+    (side, side, C + 1) map, and both entries hold the resampled feature.
+    The appearance entry's mask is ``mask`` resampled by nearest neighbor;
+    the tracking entry's region is the resampled ``prob`` clipped to
+    [0, 1], and its label is the window's Gaussian (sigma = side / 6),
+    resampled alike.
     """
     frame_feature = np.asarray(frame_feature, dtype=np.float64)
     mask = np.asarray(mask)
@@ -166,13 +168,15 @@ def crop_entries(
     center = ((y_min + y_max) / 2.0, (x_min + x_max) / 2.0)
     side, (crop_f, crop_m, crop_p) = ladder_crop((frame_feature, mask, prob), center, longest)
     out_hw = (SAMPLE_RESOLUTION, SAMPLE_RESOLUTION)
-    feature = bilinear_resize(crop_f, out_hw)
+    # bilinear weights act on each channel alone, so the stacked resample is bit-equal to two
+    resampled = bilinear_resize(np.concatenate([crop_f, crop_p[:, :, None]], axis=2), out_hw)
+    feature = resampled[:, :, :-1]
     return (
         amm.AmmSample(feature, (nearest_resize(crop_m, out_hw) != 0).astype(np.uint8)),
         glm.GlmSample(
             feature,
             glm._resampled_label(side, SAMPLE_RESOLUTION),
-            np.clip(bilinear_resize(crop_p, out_hw), 0.0, 1.0),
+            np.clip(resampled[:, :, -1], 0.0, 1.0),
         ),
     )
 

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from vql import amm, glm
-from vql.core import DimensionError, EmptyInputError, ParameterError, bilinear_resize, gaussian_label, im2col
+from vql.core import (
+    DimensionError,
+    EmptyInputError,
+    ParameterError,
+    bilinear_resize,
+    gaussian_label,
+    im2col,
+    ladder_crop,
+)
 from vql.pipeline import SAMPLE_RESOLUTION, crop_entries
 from vql.selfcheck import empty_banks, solve_track_normal_equations
 
@@ -49,7 +57,61 @@ class TestSpatialWeight:
 
 def residual_of(score, sample):
     """The residual the solver computes for one sample's score map."""
-    return glm._blend(score, glm.spatial_weight(sample.label), sample.target_region, sample.label)[0]
+    problem = glm._Problem([sample], (1, 1, sample.feature.shape[2], 1))
+    return problem.residual(score.ravel())[0].reshape(score.shape)
+
+
+def hinge_samples(r, n, size=8, channels=2):
+    """Positive features, a 2x2 target region and hinge elsewhere: a full step lifts the background over the kink."""
+    region = np.zeros((size, size))
+    c = size // 2
+    region[c - 1 : c + 1, c - 1 : c + 1] = 1.0
+    label = gaussian_label((c - 0.5, c - 0.5), 1.0, (size, size))
+    return [glm.GlmSample(r.uniform(0.5, 1.5, (size, size, channels)), label, region) for _ in range(n)]
+
+
+def count_row_passes(monkeypatch, n_samples):
+    """Make the solver's patch rows count the products taken with them; returns the passes over the bank so far."""
+    products = []
+
+    class CountingRows(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            products.append(ufunc.__name__)
+            if "out" in kwargs:
+                kwargs["out"] = tuple(np.asarray(a) for a in kwargs["out"])
+            return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+
+    rows = glm._patch_rows
+    monkeypatch.setattr(glm, "_patch_rows", lambda sample, ksz: rows(sample, ksz).view(CountingRows))
+
+    def passes():
+        assert set(products) <= {"matmul"} and len(products) % n_samples == 0
+        return len(products) // n_samples
+
+    return passes
+
+
+def record_losses(monkeypatch):
+    """Record every loss the solver evaluates, in order."""
+    losses = []
+    evaluate = glm._Problem.evaluate
+
+    def recording(self, h, c):
+        out = evaluate(self, h, c)
+        losses.append(out[0])
+        return out
+
+    monkeypatch.setattr(glm._Problem, "evaluate", recording)
+    return losses
+
+
+def accepted_steps(losses):
+    """Candidates accepted by the rule of optimize_filter: the loss does not rise."""
+    current, accepted = losses[0], 0
+    for loss in losses[1:]:
+        if loss <= current:
+            current, accepted = loss, accepted + 1
+    return accepted
 
 
 class TestTrackResidual:
@@ -79,11 +141,35 @@ class TestTrackResidual:
         label = gaussian_label((2, 2), 1.0, (5, 5))
         ones = glm.GlmSample(np.zeros((5, 5, 1)), label, np.ones((5, 5)))
         got = residual_of(score, ones)
-        np.testing.assert_array_equal(got, glm.spatial_weight(label) * (score - label))
+        sw = glm.spatial_weight(label)
+        np.testing.assert_array_equal(got, sw * score - sw * label)
         zeros = glm.GlmSample(np.zeros((5, 5, 1)), label, np.zeros((5, 5)))
         negative = -np.abs(score)
         got = residual_of(negative, zeros)
         np.testing.assert_array_equal(got, -glm.spatial_weight(label) * label)
+
+    @pytest.mark.parametrize("region", ["mixed", "zeros", "ones"])
+    def test_fused_weights_match_the_blend(self, region):
+        # q = ws + wn [h > 0] and r = q h - wg with the weights formed once per refit
+        r = rng(25)
+        samples = random_samples(r, 3, size=6, channels=1)
+        if region != "mixed":
+            value = 1.0 if region == "ones" else 0.0
+            samples = [glm.GlmSample(s.feature, s.label, np.full(s.label.shape, value)) for s in samples]
+        score = r.uniform(-1, 1, size=3 * 36)
+        score[::4] = 0.0
+        sw = glm.spatial_weight(np.concatenate([s.label.ravel() for s in samples]))
+        s_map = np.concatenate([s.target_region.ravel() for s in samples])
+        g_map = np.concatenate([s.label.ravel() for s in samples])
+        residual, q = glm._Problem(samples, (1, 1, 1, 1)).residual(score)
+        want_r = sw * (s_map * score + (1.0 - s_map) * np.maximum(0.0, score) - g_map)
+        want_q = sw * (s_map + (1.0 - s_map) * (score > 0.0))
+        np.testing.assert_allclose(residual, want_r, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(q, want_q, rtol=1e-14, atol=0)
+        # the subgradient is zero at the kink: a zero score is weighted by ws alone
+        at_kink = score == 0.0
+        np.testing.assert_array_equal(q[at_kink], (sw * s_map)[at_kink])
+        np.testing.assert_array_equal(residual[at_kink], -(sw * g_map)[at_kink])
 
 
 class TestTrackLoss:
@@ -153,6 +239,24 @@ class TestDynamicSample:
         assert sample.target_region.min() >= 0.0
         assert sample.target_region.max() <= 1.0
 
+    @pytest.mark.parametrize("bbox", [(10, 12, 20, 19), (0, 0, 6, 3), (25, 24, 29, 29)])
+    def test_entries_bit_equal_to_separate_resamples(self, bbox):
+        # feature and prob are resampled as one stacked map
+        r = rng(29)
+        feature = r.uniform(-1, 1, size=(30, 30, 3))
+        prob = r.random((30, 30))
+        mask = prob >= 0.5
+        entry, sample = crop_entries(feature, mask, prob, bbox)
+        x_min, y_min, x_max, y_max = bbox
+        center = ((y_min + y_max) / 2.0, (x_min + x_max) / 2.0)
+        side, (crop_f, crop_p) = ladder_crop((feature, prob), center, max(x_max - x_min + 1, y_max - y_min + 1))
+        out_hw = (SAMPLE_RESOLUTION, SAMPLE_RESOLUTION)
+        want_feature = bilinear_resize(crop_f, out_hw)
+        np.testing.assert_array_equal(entry.feature, want_feature)
+        np.testing.assert_array_equal(sample.feature, want_feature)
+        np.testing.assert_array_equal(sample.target_region, np.clip(bilinear_resize(crop_p, out_hw), 0.0, 1.0))
+        np.testing.assert_array_equal(sample.label, glm._resampled_label(side, SAMPLE_RESOLUTION))
+
     @pytest.mark.parametrize("mask_hw,prob_hw", [((8, 9), (8, 8)), ((8, 8), (9, 8))])
     def test_map_shapes_must_agree(self, mask_hw, prob_hw):
         with pytest.raises(DimensionError):
@@ -209,6 +313,27 @@ class TestPatchRows:
             glm.track_loss(kernel, samples)
         assert built == [3, 3, 3]
 
+    @pytest.mark.parametrize("n_iter", [1, 3, 6])
+    def test_refit_makes_two_row_passes_per_iteration(self, monkeypatch, n_iter):
+        passes = count_row_passes(monkeypatch, n_samples=3)
+        losses = record_losses(monkeypatch)
+        samples = random_samples(rng(26), 3, size=6)
+        glm.optimize_filter(rng(27).uniform(-1, 1, size=(3, 3, 2, 1)), samples, n_iter)
+        assert accepted_steps(losses) == n_iter
+        # A c at the start, then A^T (q r) and A g per iteration
+        assert passes() == 1 + 2 * n_iter
+
+    def test_step_halvings_make_no_row_pass(self, monkeypatch):
+        passes = count_row_passes(monkeypatch, n_samples=2)
+        losses = record_losses(monkeypatch)
+        samples = hinge_samples(rng(1), 2)
+        glm.optimize_filter(np.full((1, 1, 2, 1), -0.05), samples, 3)
+        accepted = accepted_steps(losses)
+        assert accepted == 3
+        # every candidate loss was evaluated, some of them after a halving
+        assert len(losses) - 1 > accepted
+        assert passes() == 1 + 2 * accepted
+
     def test_memory_values_sharing_a_sample_share_its_rows(self, monkeypatch):
         built = []
         monkeypatch.setattr(glm, "im2col", lambda x, ksz: built.append(ksz) or im2col(x, ksz))
@@ -228,10 +353,8 @@ class TestPatchRows:
         samples = random_samples(rng(23), 4, size=6)
         kernel = rng(24).uniform(-0.5, 0.5, size=(3, 3, 2, 1))
         stacked = np.concatenate([im2col(s.feature, 3) for s in samples])
-        label = np.concatenate([s.label.ravel() for s in samples])
-        region = np.concatenate([s.target_region.ravel() for s in samples])
         c = kernel.ravel()
-        residual, q = glm._blend(stacked @ c, glm.spatial_weight(label), region, label)
+        residual, q = glm._Problem(samples, kernel.shape).residual(stacked @ c)
         want = 2.0 / len(samples) * (stacked.T @ (q * residual)) + 2.0 * glm.RIDGE**2 * c
         got = glm.track_gradient(kernel, samples).ravel()
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
