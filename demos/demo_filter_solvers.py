@@ -3,21 +3,26 @@
 The segmentation filter minimizes a weighted ridge objective with exact
 line-search gradient steps; the tracking filter minimizes a hinge/least-
 squares hybrid with Gauss-Newton step sizes. Both losses are printed per
-iteration so the monotone descent is visible.
+iteration so the monotone descent is visible. Each solver reads only some
+of a bank entry's maps; the others are passed as zeros.
 """
 
 import numpy as np
 
 from vql import amm, glm
-from vql.core import gaussian_label
+from vql.core import BankEntry, gaussian_label
 
 
 def segmentation_descent():
     rng = np.random.default_rng(0)
+    zero = np.zeros((6, 6))
+    # the appearance solver reads the feature and mask, not the region and label
     samples = [
-        amm.AmmSample(
+        BankEntry(
             rng.uniform(-1, 1, size=(6, 6, 2)),
             (rng.random((6, 6)) > 0.5).astype(np.uint8),
+            zero,
+            zero,
         )
         for _ in range(3)
     ]
@@ -38,7 +43,8 @@ def tracking_gauss_newton():
         feature = rng.uniform(-1, 1, size=(8, 8, 2))
         label = gaussian_label((3.5, 3.5), 1.3, (8, 8))
         region = (label > 0.3).astype(float)
-        samples.append(glm.GlmSample(feature, label, region))
+        # the tracking solver reads the feature, region and label, not the mask
+        samples.append(BankEntry(feature, np.zeros((8, 8), dtype=np.uint8), region, label))
     kernel = np.zeros((3, 3, 2, 1))
     print("tracking filter (Gauss-Newton step size, hinge residual):")
     for i in range(12):

@@ -1,9 +1,10 @@
-"""Appearance branch: bank entries, their admission gate and a steepest-descent ridge solver.
+"""Appearance branch: the admission gate and a steepest-descent ridge solver over bank entries.
 
-A retrieval enters the bank when it has a box and its confidence ``s_conf``
+A retrieval enters the banks when it has a box and its confidence ``s_conf``
 (the mean probability inside its mask, from ``fusion.extract_result``)
-clears the admit threshold. Its entry is the feature crop and mask of the
-one window ``pipeline.crop_entries`` cuts around the box for both banks.
+clears the admit threshold. Its entry is the ``core.BankEntry`` of the one
+window ``pipeline.crop_entry`` cuts around the box, which both banks share;
+this solver reads its feature crop and mask.
 
 The segmentation model is a single convolution ``conv2d(F, sigma)`` mapping
 C feature channels to D label channels. Its weights are fit online against
@@ -32,7 +33,8 @@ and with M, b, c their sums over the bank
 
     L(sigma) = 1/2 * (<sigma, M sigma> - 2 <sigma, b> + c) + delta/2 * ||sigma||^2.
 
-The statistics are computed once per entry and kept on it (entries are
+The statistics are formed once per entry from the patch rows it keeps for
+both solvers (``core.BankEntry.rows``) and kept on it too (entries are
 read-only, so they cannot go stale); a refit sums them and then works in
 P x D space only. The objective is a strictly convex quadratic, so each
 gradient step uses the closed-form optimal step length:
@@ -47,25 +49,22 @@ convergence to the unique ridge optimum a matter of iteration count only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .core import (
-    DimensionError,
-    EmptyInputError,
+    GRADIENT_EPS,
+    BankEntry,
     ParameterError,
     gaussian_label,
-    im2col,
     readonly_copy,
-    _check_kernel,
+    _check_bank,
     _zero_border,
 )
 from .fusion import SegmentationResult
 
 __all__ = [
-    "AmmSample",
     "encode_pseudo_label",
     "reweight",
     "seg_loss",
@@ -75,7 +74,6 @@ __all__ = [
     "amm_admit",
 ]
 
-GRADIENT_EPS = 1e-12
 # the ridge weight delta of the segmentation loss
 RIDGE = 0.01
 # loss weights W_i: on the target, off it, and the width of the step between
@@ -84,32 +82,6 @@ BACKGROUND_WEIGHT = 0.25
 BLUR_SIGMA = 1.0
 # the confidence a retrieval needs to enter the banks
 ADMIT_THRESHOLD = 0.6
-
-
-@dataclass(frozen=True)
-class AmmSample:
-    """One bank entry: a finite feature crop and its binary (0/1) mask.
-
-    The arrays are read-only copies, so the solver statistics cached on the
-    entry always describe its contents.
-    """
-
-    feature: np.ndarray
-    mask: np.ndarray
-    # solver statistics (M_i, b_i, c_i) keyed by kernel size
-    _stats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "feature", readonly_copy(self.feature, np.float64))
-        object.__setattr__(self, "mask", readonly_copy(self.mask))
-        if self.feature.ndim != 3 or self.feature.shape[:2] != self.mask.shape:
-            raise DimensionError(
-                f"feature {self.feature.shape} and mask {self.mask.shape} dims differ"
-            )
-        if not np.isfinite(self.feature).all():
-            raise ParameterError("entry features must be finite")
-        if not ((self.mask == 0) | (self.mask == 1)).all():
-            raise ParameterError("entry mask values must be 0 or 1")
 
 
 def encode_pseudo_label(mask: np.ndarray) -> np.ndarray:
@@ -164,37 +136,29 @@ def reweight(mask: np.ndarray) -> np.ndarray:
     return BACKGROUND_WEIGHT + (FOREGROUND_WEIGHT - BACKGROUND_WEIGHT) * _gaussian_blur(mask)
 
 
-def _statistics(sample: AmmSample, ksz: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """(M_i, b_i, c_i) of one entry, computed once per kernel size and kept on it."""
-    if ksz not in sample._stats:
-        weights = reweight(sample.mask).reshape(-1, 1)
-        patches = weights * im2col(sample.feature, ksz)
-        target = weights * encode_pseudo_label(sample.mask).reshape(weights.size, -1)
-        sample._stats[ksz] = (
+def _statistics(entry: BankEntry, ksz: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(M_i, b_i, c_i) of one entry, formed from its patch rows once per kernel size and kept on it."""
+    if ksz not in entry._stats:
+        weights = reweight(entry.mask).reshape(-1, 1)
+        patches = weights * entry.rows(ksz)
+        target = weights * encode_pseudo_label(entry.mask).reshape(weights.size, -1)
+        entry._stats[ksz] = (
             readonly_copy(patches.T @ patches),
             readonly_copy(patches.T @ target),
             float(np.sum(target**2)),
         )
-    return sample._stats[ksz]
+    return entry._stats[ksz]
 
 
-def _bank_statistics(mem: Sequence[AmmSample], kernel_shape: Sequence[int]) -> tuple[np.ndarray, np.ndarray, float]:
+def _bank_statistics(mem: Sequence[BankEntry], kernel_shape: Sequence[int]) -> tuple[np.ndarray, np.ndarray, float]:
     """(M, b, c): the entries' statistics summed for a kernel of the given shape."""
-    _check_kernel(kernel_shape)
-    if not mem:
-        raise EmptyInputError("the appearance bank has no entries")
+    _check_bank(mem, kernel_shape, 3)
     ksz, _, c_in, c_out = kernel_shape
-    if c_out != 3:
-        raise DimensionError(f"kernel shape {tuple(kernel_shape)} does not map to the 3 label channels")
     gram = np.zeros((ksz * ksz * c_in,) * 2)
     cross = np.zeros((ksz * ksz * c_in, c_out))
     energy = 0.0
-    for sample in mem:
-        if sample.feature.shape[2] != c_in:
-            raise DimensionError(
-                f"entry with {sample.feature.shape[2]} channels does not fit kernel shape {tuple(kernel_shape)}"
-            )
-        m_i, b_i, c_i = _statistics(sample, ksz)
+    for entry in mem:
+        m_i, b_i, c_i = _statistics(entry, ksz)
         gram += m_i
         cross += b_i
         energy += c_i
@@ -208,7 +172,7 @@ def _exact_step(g: np.ndarray, gram: np.ndarray) -> float:
     return g_norm2 / (float(np.sum(g * (gram @ g))) + RIDGE * g_norm2)
 
 
-def seg_loss(kernel: np.ndarray, mem: Sequence[AmmSample]) -> float:
+def seg_loss(kernel: np.ndarray, mem: Sequence[BankEntry]) -> float:
     """Weighted half-squared-error over the bank entries plus the ridge term."""
     gram, cross, energy = _bank_statistics(mem, kernel.shape)
     sigma = kernel.reshape(cross.shape)
@@ -216,21 +180,21 @@ def seg_loss(kernel: np.ndarray, mem: Sequence[AmmSample]) -> float:
     return 0.5 * fit + 0.5 * RIDGE * float(np.sum(sigma**2))
 
 
-def seg_gradient(kernel: np.ndarray, mem: Sequence[AmmSample]) -> np.ndarray:
+def seg_gradient(kernel: np.ndarray, mem: Sequence[BankEntry]) -> np.ndarray:
     """Exact gradient of :func:`seg_loss` with respect to the kernel."""
     gram, cross, _ = _bank_statistics(mem, kernel.shape)
     sigma = kernel.reshape(cross.shape)
     return (gram @ sigma - cross + RIDGE * sigma).reshape(kernel.shape)
 
 
-def steepest_step_size(g: np.ndarray, mem: Sequence[AmmSample]) -> float:
+def steepest_step_size(g: np.ndarray, mem: Sequence[BankEntry]) -> float:
     """Closed-form minimizer of the loss along the negative gradient direction."""
     g = np.asarray(g, dtype=np.float64)
     gram, _, _ = _bank_statistics(mem, g.shape)
     return _exact_step(g.reshape(gram.shape[0], g.shape[3]), gram)
 
 
-def steepest_descent(kernel: np.ndarray, mem: Sequence[AmmSample], n_iter: int) -> np.ndarray:
+def steepest_descent(kernel: np.ndarray, mem: Sequence[BankEntry], n_iter: int) -> np.ndarray:
     """Run n_iter exact-line-search gradient steps from ``kernel``; stops early once converged.
 
     Returns a new read-only kernel, never a view of the start kernel.

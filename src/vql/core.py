@@ -14,10 +14,15 @@ zero-bordered copy the package makes: for the convolution and the patch
 matrix here, the blurs of ``amm`` and ``pipeline`` and the pseudo-label
 boundary test. Everything is computed in float64; the solvers need
 headroom below their 1e-5 verification tolerances.
+
+Both memory banks hold one entry type, :class:`BankEntry`, whose patch
+rows both solvers share; ``_check_bank`` checks a bank against either
+solver's kernel shape.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -28,6 +33,8 @@ __all__ = [
     "DimensionError",
     "ParameterError",
     "EmptyInputError",
+    "GRADIENT_EPS",
+    "BankEntry",
     "conv2d",
     "im2col",
     "readonly_copy",
@@ -53,6 +60,10 @@ class ParameterError(ValueError):
 
 class EmptyInputError(ValueError):
     """An operation that needs a non-empty input received an empty one."""
+
+
+# both solvers stop once the gradient norm falls below this
+GRADIENT_EPS = 1e-12
 
 
 def _check_kernel(shape: Sequence[int]) -> None:
@@ -143,6 +154,70 @@ def readonly_copy(a, dtype=None) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+# compared and hashed by identity: value equality over arrays has no truth value
+@dataclass(frozen=True, eq=False)
+class BankEntry:
+    """One window in both memory banks: a (H, W, C) feature crop, its binary (0/1) mask,
+    its target-region map in [0, 1] and its Gaussian label, all of one (H, W).
+
+    The arrays are finite read-only copies, so the patch rows and solver
+    statistics cached on the entry always describe its contents. A caller of
+    one solver alone passes zero maps for the fields that solver does not read.
+    """
+
+    feature: np.ndarray
+    mask: np.ndarray
+    target_region: np.ndarray
+    label: np.ndarray
+    # read-only im2col patch rows keyed by kernel size
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the appearance solver's statistics (M_i, b_i, c_i) keyed by kernel size
+    _stats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for name in ("feature", "target_region", "label"):
+            value = readonly_copy(getattr(self, name), np.float64)
+            if not np.isfinite(value).all():
+                raise ParameterError(f"entry {name} must be finite")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "mask", readonly_copy(self.mask))
+        if self.feature.ndim != 3 or not (
+            self.feature.shape[:2] == self.mask.shape == self.target_region.shape == self.label.shape
+        ):
+            raise DimensionError(
+                f"feature {self.feature.shape}, mask {self.mask.shape}, region "
+                f"{self.target_region.shape} and label {self.label.shape} dims differ"
+            )
+        if not ((self.mask == 0) | (self.mask == 1)).all():
+            raise ParameterError("entry mask values must be 0 or 1")
+        if self.target_region.min() < 0 or self.target_region.max() > 1:
+            raise ParameterError("target_region values must lie in [0, 1]")
+
+    def rows(self, ksz: int) -> np.ndarray:
+        """The feature's read-only im2col patch rows, built once per kernel size and kept on the entry."""
+        if ksz not in self._rows:
+            rows = im2col(self.feature, ksz)
+            rows.flags.writeable = False
+            self._rows[ksz] = rows
+        return self._rows[ksz]
+
+
+def _check_bank(entries: Sequence[BankEntry], kernel_shape: Sequence[int], c_out: int) -> None:
+    """A solver's bank fits its kernel: K x K with K odd, ``c_out`` outputs, and every entry's channels as inputs."""
+    _check_kernel(kernel_shape)
+    if not entries:
+        raise EmptyInputError("the bank has no entries")
+    if kernel_shape[3] != c_out:
+        raise DimensionError(
+            f"kernel shape {tuple(kernel_shape)} does not end in the solver's output channel count {c_out}"
+        )
+    for entry in entries:
+        if entry.feature.shape[2] != kernel_shape[2]:
+            raise DimensionError(
+                f"entry with {entry.feature.shape[2]} channels does not fit kernel shape {tuple(kernel_shape)}"
+            )
 
 
 def gaussian_label(center: Sequence[float], sigma: float, shape: Sequence[int]) -> np.ndarray:

@@ -380,7 +380,7 @@ def load_scenario(path: str) -> Scenario:
 
 def save_track(track: TrackOutput, path: str) -> None:
     if not track.results:
-        raise SchemaError("track has no per-frame results to save")
+        raise SchemaError(f"{path}.frame_index: expected at least one frame, got []")
     h, w = track.results[0].prob.shape
     # what the loader would refuse is refused before anything is written
     frame_index = _frame_list([int(result.frame_index) for result in track.results], None, f"{path}.frame_index")
@@ -419,6 +419,9 @@ def load_track(path: str) -> TrackOutput:
     keys = ("frame_index", "peaks", "interval", "displacement_frames")
     document, arrays = _read_archive(path, "track", keys, ("prob", "deltas"), ("world_point",))
     frame_index = _frame_list(_expect(document, "frame_index", path), None, f"{path}.frame_index")
+    if not frame_index:
+        # a track is per-frame results; save_track refuses to write one without frames
+        raise SchemaError(f"{path}.frame_index: expected at least one frame, got []")
     displacement_frames = _frame_list(
         _expect(document, "displacement_frames", path), None, f"{path}.displacement_frames"
     )

@@ -14,13 +14,14 @@ is a center-emphasizing spatial weight derived from G. The loss is
     L(c) = 1/|O| * sum_i ||r_i||^2 + lambda^2 ||c||^2
 
 The ridge weight lambda is the constant RIDGE, and a filter is its
-read-only (K, K, C, 1) kernel array. A sample holds the feature crop of
-the window ``pipeline.crop_entries`` cuts around the target's box for both
-banks, the probability map cut with it as S, and a Gaussian G centered on
-the window with sigma = side / 6 (:func:`label_sigma`).
+read-only (K, K, C, 1) kernel array. A snapshot is the ``core.BankEntry``
+of the window ``pipeline.crop_entry`` cuts around the target's box, which
+both banks share; this solver reads its feature crop, its target region
+S (the probability map cut with it) and its label G, a Gaussian centered
+on the window with sigma = side / 6 (:func:`label_sigma`).
 
 The solver works on the bank flattened to pixel rows: A holds the rows
-of every sample's im2col patch matrix A_i (one row per pixel,
+of every entry's im2col patch matrix A_i (one row per pixel,
 P = K*K*C columns), so all scores are one matvec h = A c. The residual
 weights are fixed for a refit, so the solver forms ws = sw * S,
 wn = sw * (1 - S) and wg = sw * G once, as vectors over the same rows.
@@ -44,35 +45,32 @@ makes one pass over the patch rows for A c at the start, then two per
 iteration, the gradient product A^T (q * r) and the curvature product A g;
 a halving makes none.
 
-Each read-only sample keeps its A_i, built once per kernel size, so a
-refit builds no patch rows for a sample it has seen. A itself is never
-stacked, which would hold every row twice: A c is written sample by
-sample into one score vector, and A^T v is the sum of the samples'
-A_i^T v_i.
+Each read-only entry keeps its A_i, built once per kernel size for both
+solvers (``core.BankEntry.rows``), so a refit builds no patch rows for an
+entry either solver has seen. A itself is never stacked, which would hold
+every row twice: A c is written entry by entry into one score vector, and
+A^T v is the sum of the entries' A_i^T v_i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .core import (
-    DimensionError,
+    GRADIENT_EPS,
+    BankEntry,
     EmptyInputError,
     ParameterError,
-    _check_kernel,
+    _check_bank,
     bilinear_resize,
     gaussian_label,
-    im2col,
     readonly_copy,
 )
-from .amm import GRADIENT_EPS
 
 __all__ = [
-    "GlmSample",
     "spatial_weight",
     "track_loss",
     "track_gradient",
@@ -92,44 +90,6 @@ W_BG = 0.25
 SOURCE_WINDOW = 25
 
 
-@dataclass(frozen=True)
-class GlmSample:
-    """A feature crop with its Gaussian label and target-region map (finite, read-only copies).
-
-    The patch rows cached on the sample always describe its feature.
-    """
-
-    feature: np.ndarray
-    label: np.ndarray
-    target_region: np.ndarray
-    # read-only im2col patch rows keyed by kernel size
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        for name in ("feature", "label", "target_region"):
-            value = readonly_copy(getattr(self, name), np.float64)
-            if not np.isfinite(value).all():
-                raise ParameterError(f"sample {name} must be finite")
-            object.__setattr__(self, name, value)
-        if self.feature.ndim != 3 or not (
-            self.feature.shape[:2] == self.label.shape == self.target_region.shape
-        ):
-            raise DimensionError(
-                f"feature {self.feature.shape}, label {self.label.shape} and "
-                f"region {self.target_region.shape} dims differ"
-            )
-        if self.target_region.min() < 0 or self.target_region.max() > 1:
-            raise ParameterError("target_region values must lie in [0, 1]")
-
-
-def _patch_rows(sample: GlmSample, ksz: int) -> np.ndarray:
-    """The sample's read-only im2col patch rows, built once per kernel size and kept on it."""
-    if ksz not in sample._rows:
-        sample._rows[ksz] = im2col(sample.feature, ksz)
-        sample._rows[ksz].flags.writeable = False
-    return sample._rows[ksz]
-
-
 def spatial_weight(label: np.ndarray) -> np.ndarray:
     """W_BG + (W_FG - W_BG) * G, so the weight peaks with the label."""
     return W_BG + (W_FG - W_BG) * np.asarray(label, dtype=np.float64)
@@ -138,32 +98,22 @@ def spatial_weight(label: np.ndarray) -> np.ndarray:
 class _Problem:
     """The bank flattened to pixel rows for one kernel shape.
 
-    Holds the samples' patch rows A_i and the per-row residual weights
+    Holds the entries' patch rows A_i and the per-row residual weights
     ws = sw * S, wn = sw * (1 - S) and wg = sw * G of the whole bank; every
     method works on a flat kernel c of length P or on scores h = A c.
     """
 
-    def __init__(self, samples: Sequence[GlmSample], kernel_shape: Sequence[int]):
-        if not samples:
-            raise EmptyInputError("the tracking bank has no samples")
-        _check_kernel(kernel_shape)
-        ksz, _, c_in, c_out = kernel_shape
-        if c_out != 1:
-            raise DimensionError(f"tracking kernel must have one output channel, got {tuple(kernel_shape)}")
-        for sample in samples:
-            if sample.feature.shape[2] != c_in:
-                raise DimensionError(
-                    f"feature channels {sample.feature.shape[2]} do not match kernel shape {tuple(kernel_shape)}"
-                )
-        self.rows = [_patch_rows(s, ksz) for s in samples]
-        self.bounds = np.cumsum([0] + [s.label.size for s in samples])
-        label = np.concatenate([s.label.ravel() for s in samples])
-        region = np.concatenate([s.target_region.ravel() for s in samples])
+    def __init__(self, entries: Sequence[BankEntry], kernel_shape: Sequence[int]):
+        _check_bank(entries, kernel_shape, 1)
+        self.rows = [e.rows(kernel_shape[0]) for e in entries]
+        self.bounds = np.cumsum([0] + [e.label.size for e in entries])
+        label = np.concatenate([e.label.ravel() for e in entries])
+        region = np.concatenate([e.target_region.ravel() for e in entries])
         weight = spatial_weight(label)
         self.ws = weight * region
         self.wn = weight * (1.0 - region)
         self.wg = weight * label
-        self.scale = 1.0 / len(samples)
+        self.scale = 1.0 / len(entries)
 
     def residual(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Residual r = sw * (S * h + (1 - S) * max(0, h) - G) and its derivative q wrt h."""
@@ -177,7 +127,7 @@ class _Problem:
         return self.scale * float(r @ r) + RIDGE**2 * float(c @ c), r, q
 
     def times(self, c: np.ndarray) -> np.ndarray:
-        """A c, one sample's rows at a time."""
+        """A c, one entry's rows at a time."""
         out = np.empty(self.bounds[-1])
         for rows, lo, hi in zip(self.rows, self.bounds, self.bounds[1:]):
             np.matmul(rows, c, out=out[lo:hi])
@@ -201,7 +151,7 @@ class _Problem:
         return g_norm2 / curvature
 
 
-def track_loss(kernel: np.ndarray, mem: Sequence[GlmSample]) -> float:
+def track_loss(kernel: np.ndarray, mem: Sequence[BankEntry]) -> float:
     """Mean squared residual over the bank plus lambda^2 ||c||^2."""
     problem = _Problem(mem, kernel.shape)
     c = kernel.ravel()
@@ -209,7 +159,7 @@ def track_loss(kernel: np.ndarray, mem: Sequence[GlmSample]) -> float:
     return loss
 
 
-def track_gradient(kernel: np.ndarray, mem: Sequence[GlmSample]) -> np.ndarray:
+def track_gradient(kernel: np.ndarray, mem: Sequence[BankEntry]) -> np.ndarray:
     """Exact gradient of :func:`track_loss` wherever no score sits on the hinge kink."""
     problem = _Problem(mem, kernel.shape)
     c = kernel.ravel()
@@ -217,7 +167,7 @@ def track_gradient(kernel: np.ndarray, mem: Sequence[GlmSample]) -> np.ndarray:
     return problem.gradient(c, r, q).reshape(kernel.shape)
 
 
-def gauss_newton_step(kernel: np.ndarray, mem: Sequence[GlmSample]) -> tuple[np.ndarray, float]:
+def gauss_newton_step(kernel: np.ndarray, mem: Sequence[BankEntry]) -> tuple[np.ndarray, float]:
     """Gradient direction and the step length minimizing the frozen quadratic model."""
     problem = _Problem(mem, kernel.shape)
     c = kernel.ravel()
@@ -226,7 +176,7 @@ def gauss_newton_step(kernel: np.ndarray, mem: Sequence[GlmSample]) -> tuple[np.
     return g.reshape(kernel.shape), problem.step_length(float(g @ g), problem.times(g), q)
 
 
-def optimize_filter(kernel: np.ndarray, mem: Sequence[GlmSample], n_iter: int) -> np.ndarray:
+def optimize_filter(kernel: np.ndarray, mem: Sequence[BankEntry], n_iter: int) -> np.ndarray:
     """Iterate safeguarded Gauss-Newton steps from ``kernel``; the loss never increases.
 
     The closed-form step is exact while the hinge activation pattern is

@@ -10,13 +10,14 @@ tracking score, whose maximum is the frame's tracking peak. The filters
 change only at an ingest, so the kernel is built once per memory value.
 
 Memory: the query and every admitted frame are cut once, in one square
-window around the target's box, and both banks' entries hold that
-window's feature crop (``crop_entries``). The appearance bank is a FIFO of
-(feature, mask) pairs at one canonical resolution. Eviction is strictly
-first-in-first-out over all entries, including the query sample and its
-augmentations; nothing is pinned. The tracking bank keeps one static snapshot of the query, never
-evicted or replaced, plus a FIFO of dynamic snapshots from accepted
-retrievals, capped at capacity - 1 so the whole bank honors the capacity.
+window around the target's box, into one ``core.BankEntry`` at one
+canonical resolution (``crop_entry``) that both banks share, with one
+copy of the feature crop and one cache of its patch rows. The appearance
+bank is a FIFO of entries. Eviction is strictly first-in-first-out over
+all entries, including the query entry and its augmentations; nothing is
+pinned. The tracking bank keeps the query entry as its static snapshot,
+never evicted or replaced, plus a FIFO of the admitted entries as dynamic
+snapshots, capped at capacity - 1 so the whole bank honors the capacity.
 Both banks, both filters and the tracking-peak history that picks the
 snapshot source form one immutable value: a frame builds a new value and
 the pipeline keeps it or drops it whole.
@@ -44,15 +45,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import amm, fusion, geo3d, glm
-from .core import DimensionError, EmptyInputError, ParameterError, _zero_border, bilinear_resize, conv2d
-from .core import ladder_crop, min_bounding_rect, nearest_resize
+from .core import BankEntry, DimensionError, EmptyInputError, ParameterError, _zero_border, bilinear_resize
+from .core import conv2d, ladder_crop, min_bounding_rect, nearest_resize
 
 __all__ = [
     "NoDetectionError",
     "PipelineConfig",
     "QuerySpec",
     "TrackOutput",
-    "crop_entries",
+    "crop_entry",
     "Pipeline",
     "finalize_3d",
 ]
@@ -64,7 +65,7 @@ DENSE_UPDATE_HORIZON = 100
 UPDATE_STRIDE = 25
 HALT_WINDOW = 25
 HALT_THRESHOLD = 0.4
-# side of every resampled bank sample
+# side of every resampled bank entry
 SAMPLE_RESOLUTION = 32
 
 
@@ -134,23 +135,21 @@ class TrackOutput:
     displacements: dict[int, np.ndarray] = field(default_factory=dict)
 
 
-def crop_entries(
+def crop_entry(
     frame_feature: np.ndarray,
     mask: np.ndarray,
     prob: np.ndarray,
     bbox: Sequence[int],
-) -> tuple[amm.AmmSample, glm.GlmSample]:
-    """Both banks' entries cut from one square window around a box.
+) -> BankEntry:
+    """The bank entry of one square window around a box, shared by both banks.
 
     The window is centered on the box (x_min, y_min, x_max, y_max) and its
     side steps down the crop ladder from 1.5x the box's longer side (see
     ``core.ladder_crop``). The feature crop and the ``prob`` crop are
     resampled bilinearly to SAMPLE_RESOLUTION together, as one stacked
-    (side, side, C + 1) map, and both entries hold the resampled feature.
-    The appearance entry's mask is ``mask`` resampled by nearest neighbor;
-    the tracking entry's region is the resampled ``prob`` clipped to
-    [0, 1], and its label is the window's Gaussian (sigma = side / 6),
-    resampled alike.
+    (side, side, C + 1) map. The entry's mask is ``mask`` resampled by
+    nearest neighbor, its region the resampled ``prob`` clipped to [0, 1],
+    and its label the window's Gaussian (sigma = side / 6), resampled alike.
     """
     frame_feature = np.asarray(frame_feature, dtype=np.float64)
     mask = np.asarray(mask)
@@ -160,7 +159,7 @@ def crop_entries(
             f"feature {frame_feature.shape[:2]}, mask {mask.shape} and probability map {prob.shape} dims differ"
         )
     if not mask.any():
-        raise EmptyInputError("cannot cut entries for an empty mask")
+        raise EmptyInputError("cannot cut an entry for an empty mask")
     x_min, y_min, x_max, y_max = bbox
     if x_max < x_min or y_max < y_min:
         raise EmptyInputError(f"degenerate bounding box {tuple(bbox)}")
@@ -170,29 +169,25 @@ def crop_entries(
     out_hw = (SAMPLE_RESOLUTION, SAMPLE_RESOLUTION)
     # bilinear weights act on each channel alone, so the stacked resample is bit-equal to two
     resampled = bilinear_resize(np.concatenate([crop_f, crop_p[:, :, None]], axis=2), out_hw)
-    feature = resampled[:, :, :-1]
-    return (
-        amm.AmmSample(feature, (nearest_resize(crop_m, out_hw) != 0).astype(np.uint8)),
-        glm.GlmSample(
-            feature,
-            glm._resampled_label(side, SAMPLE_RESOLUTION),
-            np.clip(resampled[:, :, -1], 0.0, 1.0),
-        ),
+    return BankEntry(
+        resampled[:, :, :-1],
+        (nearest_resize(crop_m, out_hw) != 0).astype(np.uint8),
+        np.clip(resampled[:, :, -1], 0.0, 1.0),
+        glm._resampled_label(side, SAMPLE_RESOLUTION),
     )
 
 
-def _augmented_query_samples(base: amm.AmmSample) -> list[amm.AmmSample]:
-    """Base crop plus horizontal flip, (+2, +2) shift with zero fill, and box blur."""
-    flipped = amm.AmmSample(base.feature[:, ::-1, :], base.mask[:, ::-1])
-    shifted_f = np.zeros_like(base.feature)
-    shifted_m = np.zeros_like(base.mask)
-    shifted_f[2:, 2:] = base.feature[:-2, :-2]
-    shifted_m[2:, 2:] = base.mask[:-2, :-2]
-    blurred_f = _box_blur_3x3(base.feature)
+def _augmented_query_entries(base: BankEntry) -> list[BankEntry]:
+    """The base entry flipped left-right and shifted by (+2, +2) with zero fill, both in all
+    four maps, and its feature alone blurred by a 3x3 box."""
+    maps = (base.feature, base.mask, base.target_region, base.label)
+    shifted = [np.zeros_like(m) for m in maps]
+    for out, m in zip(shifted, maps):
+        out[2:, 2:] = m[:-2, :-2]
     return [
-        flipped,
-        amm.AmmSample(shifted_f, shifted_m),
-        amm.AmmSample(blurred_f, base.mask),
+        BankEntry(*(m[:, ::-1] for m in maps)),
+        BankEntry(*shifted),
+        replace(base, feature=_box_blur_3x3(base.feature)),
     ]
 
 
@@ -219,16 +214,16 @@ class _Memory:
     inference kernel is built from the two kernels once per value.
     """
 
-    amm_entries: tuple[amm.AmmSample, ...]
-    glm_static: glm.GlmSample
-    glm_dynamic: tuple[glm.GlmSample, ...]
+    amm_entries: tuple[BankEntry, ...]
+    glm_static: BankEntry
+    glm_dynamic: tuple[BankEntry, ...]
     seg_kernel: np.ndarray
     track_kernel: np.ndarray
     # tracking peaks of the frames kept so far, read by glm_update_source
     responses: tuple[float, ...] = ()
 
     @property
-    def glm_samples(self) -> tuple[glm.GlmSample, ...]:
+    def glm_samples(self) -> tuple[BankEntry, ...]:
         return (self.glm_static,) + self.glm_dynamic
 
     @cached_property
@@ -242,12 +237,12 @@ class _Memory:
     def finite(self) -> bool:
         return bool(np.isfinite(self.seg_kernel).all() and np.isfinite(self.track_kernel).all())
 
-    def admit(self, amm_entry: amm.AmmSample, glm_entry: glm.GlmSample, capacity: int) -> "_Memory":
-        """Both banks with one entry more, trimmed first-in-first-out; filters unchanged."""
+    def admit(self, entry: BankEntry, capacity: int) -> "_Memory":
+        """Both banks with the one entry appended, trimmed first-in-first-out; filters unchanged."""
         return replace(
             self,
-            amm_entries=_newest(self.amm_entries + (amm_entry,), capacity),
-            glm_dynamic=_newest(self.glm_dynamic + (glm_entry,), capacity - 1),
+            amm_entries=_newest(self.amm_entries + (entry,), capacity),
+            glm_dynamic=_newest(self.glm_dynamic + (entry,), capacity - 1),
         )
 
 
@@ -261,13 +256,14 @@ class Pipeline:
     def __init__(self, query: QuerySpec, cfg: PipelineConfig = PipelineConfig()):
         self.cfg = cfg
 
-        # the query mask is certain: it is its own probability map
-        base, static = crop_entries(query.feature, query.mask, query.mask, min_bounding_rect(query.mask))
-        amm_entries = _newest((base, *_augmented_query_samples(base)), cfg.capacity)
+        # the query mask is certain: it is its own probability map; the base
+        # entry is the first appearance entry and the static snapshot
+        base = crop_entry(query.feature, query.mask, query.mask, min_bounding_rect(query.mask))
+        amm_entries = _newest((base, *_augmented_query_entries(base)), cfg.capacity)
         shape = (cfg.kernel_size, cfg.kernel_size, query.feature.shape[2])
         seg_kernel = amm.steepest_descent(np.zeros(shape + (3,)), amm_entries, ITERS_INIT)
-        track_kernel = glm.optimize_filter(np.zeros(shape + (1,)), (static,), ITERS_INIT)
-        self.memory = self.initial_memory = _Memory(amm_entries, static, (), seg_kernel, track_kernel)
+        track_kernel = glm.optimize_filter(np.zeros(shape + (1,)), (base,), ITERS_INIT)
+        self.memory = self.initial_memory = _Memory(amm_entries, base, (), seg_kernel, track_kernel)
         self._frame_shape = query.feature.shape
 
         self.halted = False
@@ -328,9 +324,7 @@ class Pipeline:
         self, memory: _Memory, frame_feature: np.ndarray, result: fusion.SegmentationResult
     ) -> _Memory:
         """``memory`` with the frame added to both banks and both filters refit."""
-        memory = memory.admit(
-            *crop_entries(frame_feature, result.mask, result.prob, result.bbox), self.cfg.capacity
-        )
+        memory = memory.admit(crop_entry(frame_feature, result.mask, result.prob, result.bbox), self.cfg.capacity)
         source = glm.glm_update_source(memory.responses)
         view = memory.glm_samples if source == "dynamic" else (memory.glm_static,)
         return replace(

@@ -45,7 +45,9 @@ class ScenarioParams:
     drift_step: float = 0.0
     target_motion: float = 0.0
     motion_period: int = 40
-    distractors: int = 0
+    # one look-alike square moving in the upper-left quarter, its signature
+    # distractor_angle radians from the target's
+    distractor: bool = False
     distractor_angle: float = 0.9
     absence: Optional[tuple[int, int]] = None
     n_views: int = 0
@@ -59,7 +61,7 @@ def _preset_table() -> dict[str, ScenarioParams]:
     return {
         "identity": ScenarioParams(n_frames=48),
         "drift": ScenarioParams(n_frames=200, drift_step=(np.pi / 2.0) / 150.0),
-        "distractor": ScenarioParams(n_frames=80, distractors=1),
+        "distractor": ScenarioParams(n_frames=80, distractor=True),
         "absence": ScenarioParams(n_frames=120, absence=(46, 85)),
         "geo": ScenarioParams(n_frames=5, n_views=5, object_size=9),
     }
@@ -198,7 +200,7 @@ def gen_scenario(seed: int, params: ScenarioParams) -> Scenario:
         if params.absence is not None:
             a0, a1 = params.absence
             present = not (a0 <= t <= a1)
-        if params.distractors > 0:
+        if params.distractor:
             shift = int(round(6 * np.sin(2 * np.pi * t / params.motion_period)))
             d_center = (h // 4, w // 4 + shift)
             _draw_square(feature, d_center, max(3, params.object_size // 2), distractor_sig)

@@ -33,6 +33,8 @@ import numpy as np
 from . import amm, fusion, geo3d, glm, metrics, scenario as scen
 from .core import (
     CROP_AREA_LADDER,
+    GRADIENT_EPS,
+    BankEntry,
     _component_runs,
     bilinear_resize,
     conv2d,
@@ -43,7 +45,7 @@ from .core import (
     min_bounding_rect,
 )
 from .pipeline import DENSE_UPDATE_HORIZON, HALT_WINDOW, SAMPLE_RESOLUTION, UPDATE_STRIDE
-from .pipeline import Pipeline, PipelineConfig, QuerySpec, TrackOutput, _Memory, crop_entries, finalize_3d
+from .pipeline import Pipeline, PipelineConfig, QuerySpec, TrackOutput, _Memory, crop_entry, finalize_3d
 
 __all__ = ["CHECKS", "run_checks"]
 
@@ -171,6 +173,17 @@ def gaussian_blur_dense(img: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
+def seg_entry(feature, mask) -> BankEntry:
+    """An entry for the appearance solver alone: the region and label it does not read are zero."""
+    zero = np.zeros(np.shape(mask))
+    return BankEntry(feature, mask, zero, zero)
+
+
+def track_entry(feature, label, region) -> BankEntry:
+    """An entry for the tracking solver alone: the mask it does not read is zero."""
+    return BankEntry(feature, np.zeros(np.shape(label), dtype=np.uint8), region, label)
+
+
 def _random_amm_instance(rng, n_samples=None, ksz=None, channels=None, size=6):
     n_samples = n_samples or int(rng.integers(1, 4))
     ksz = ksz or int(rng.choice([1, 3]))
@@ -180,7 +193,7 @@ def _random_amm_instance(rng, n_samples=None, ksz=None, channels=None, size=6):
     for _ in range(n_samples):
         feature = rng.uniform(-1.0, 1.0, size=(size, size, channels))
         mask = (rng.random((size, size)) > 0.5).astype(np.uint8)
-        samples.append(amm.AmmSample(feature, mask))
+        samples.append(seg_entry(feature, mask))
     kernel = rng.uniform(-1.0, 1.0, size=(ksz, ksz, channels, d))
     return samples, kernel
 
@@ -197,7 +210,7 @@ def _random_glm_instance(rng, ksz=None, channels=None, size=6, region="mixed"):
             s = np.ones((size, size))
         else:
             s = rng.random((size, size))
-        samples.append(glm.GlmSample(feature, label, s))
+        samples.append(track_entry(feature, label, s))
     kernel = rng.uniform(-1.0, 1.0, size=(ksz, ksz, channels, 1))
     return samples, kernel
 
@@ -246,7 +259,7 @@ def steepest_descent_naive(kernel, samples, n_iter):
         for feature, target, weights in prepared:
             residual = weights**2 * (conv2d(feature, kernel) - target)
             g = g + (im2col(feature, ksz).T @ residual.reshape(-1, d)).reshape(kernel.shape)
-        if float(np.sqrt(np.sum(g**2))) < amm.GRADIENT_EPS:
+        if float(np.sqrt(np.sum(g**2))) < GRADIENT_EPS:
             break
         g_norm2 = float(np.sum(g**2))
         denom = amm.RIDGE * g_norm2
@@ -299,7 +312,7 @@ def optimize_filter_naive(kernel, samples, n_iter) -> NaiveFit:
     margin = np.inf
     for _ in range(n_iter):
         g = gradient(kernel)
-        if float(np.sqrt(np.sum(g**2))) < amm.GRADIENT_EPS:
+        if float(np.sqrt(np.sum(g**2))) < GRADIENT_EPS:
             break
         curvature = 2.0 * lam**2 * float(np.sum(g**2))
         for s, q in zip(samples, q_maps(kernel)):
@@ -495,7 +508,7 @@ def check_seg_gradient_fd(n_instances=30, seed=9):
         for _ in range(n_samples):
             feature = rng.uniform(-1, 1, size=(size, size, channels))
             mask = (rng.random((size, size)) > 0.5).astype(np.uint8)
-            samples.append(amm.AmmSample(feature, mask))
+            samples.append(seg_entry(feature, mask))
         kernel = rng.uniform(-1, 1, size=(ksz, ksz, channels, 3))
         got = amm.seg_gradient(kernel, samples)
         want = fd_gradient(lambda kk: amm.seg_loss(kk, samples), kernel)
@@ -536,7 +549,7 @@ def check_steepest_special_cases():
     # one all-foreground pixel of unit feature: the denominator collapses to
     # (w^2 + delta) ||g||^2, with w the pixel's loss weight
     one = np.ones((1, 1), dtype=np.uint8)
-    sample = amm.AmmSample(np.ones((1, 1, 1)), one)
+    sample = seg_entry(np.ones((1, 1, 1)), one)
     w = amm.BACKGROUND_WEIGHT + (amm.FOREGROUND_WEIGHT - amm.BACKGROUND_WEIGHT) * float(
         gaussian_blur_dense(one, amm.BLUR_SIGMA)[0, 0]
     )
@@ -546,7 +559,7 @@ def check_steepest_special_cases():
     if abs(alpha - want) > 1e-12:
         return False, f"identity case alpha {alpha} != 1/(w^2 + delta) = {want}"
     # zero features, pure ridge: alpha = 1 / delta
-    blank = amm.AmmSample(np.zeros((1, 1, 1)), one)
+    blank = seg_entry(np.zeros((1, 1, 1)), one)
     alpha = amm.steepest_step_size(g, [blank])
     if abs(alpha - 1.0 / amm.RIDGE) > 1e-12:
         return False, f"pure ridge alpha {alpha} != 1/delta = {1.0 / amm.RIDGE}"
@@ -612,7 +625,7 @@ def check_crop_ladder():
         fractions[scale] = frac
     if not (fractions[2.25] > 0.5 >= fractions[1.44]):
         return False, f"expected fallback from 2.25 to 1.44, fractions {fractions}"
-    entry, _ = crop_entries(feature, mask, mask, min_bounding_rect(mask))
+    entry = crop_entry(feature, mask, mask, min_bounding_rect(mask))
     crop, _ = extract_square_crop(feature, center, int(round(1.2 * 16)))
     if not np.array_equal(entry.feature, bilinear_resize(crop, (SAMPLE_RESOLUTION,) * 2)):
         return False, "entry is not cut at the 1.44 rung around the box"
@@ -622,11 +635,11 @@ def check_crop_ladder():
     want = 1.0 - 32 * 32 / float(48 * 48)
     if abs(frac_15 - want) > 1e-12:
         return False, f"whole-frame padded fraction {frac_15} != {want}"
-    crop_entries(np.ones((32, 32, 1)), full, full, (0, 0, 31, 31))
+    crop_entry(np.ones((32, 32, 1)), full, full, (0, 0, 31, 31))
     return True, "ladder fallback and padded fractions match the area oracle"
 
 
-def empty_banks(static: glm.GlmSample) -> _Memory:
+def empty_banks(static: BankEntry) -> _Memory:
     """A memory value with empty FIFOs and zero 1x1 kernels, for replaying admissions."""
     channels = static.feature.shape[2]
     return _Memory((), static, (), np.zeros((1, 1, channels, 3)), np.zeros((1, 1, channels, 1)))
@@ -634,14 +647,13 @@ def empty_banks(static: glm.GlmSample) -> _Memory:
 
 def check_amm_fifo_replay(seed=14):
     rng = np.random.default_rng(seed)
-    static = glm.GlmSample(np.zeros((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
+    static = track_entry(np.zeros((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
     mem = empty_banks(static)
     admitted = []
     for i in range(40):
         result = fusion.extract_result(np.full((4, 4), rng.uniform(0.3, 0.9)), i)
         if amm.amm_admit(result):
-            sample = amm.AmmSample(np.full((4, 4, 1), float(i)), result.mask)
-            mem = mem.admit(sample, static, capacity=5)
+            mem = mem.admit(seg_entry(np.full((4, 4, 1), float(i)), result.mask), capacity=5)
             admitted.append(i)
     want = admitted[-5:]
     got = [int(s.feature[0, 0, 0]) for s in mem.amm_entries]
@@ -734,7 +746,7 @@ def check_gauss_newton_ridge_case():
     rng = np.random.default_rng(19)
     samples, kernel = _random_glm_instance(rng, ksz=1, channels=2, size=4)
     # zero features: every score and its Jacobian vanish, only the ridge curves the model
-    samples = [glm.GlmSample(np.zeros_like(s.feature), s.label, s.target_region) for s in samples]
+    samples = [replace(s, feature=np.zeros_like(s.feature)) for s in samples]
     _, beta = glm.gauss_newton_step(kernel, samples)
     want = 1.0 / (2.0 * glm.RIDGE**2)
     return abs(beta - want) < 1e-12, f"ridge-only beta {beta}, expected {want}"
@@ -799,12 +811,12 @@ def check_glm_crop_geometry(seed=22):
     pipe = Pipeline(QuerySpec(feature, result.mask), _unit_kernel_config())
     # an ingest follows the frame's peak into the history (see Pipeline.step_frame)
     memory = pipe._ingest(replace(pipe.initial_memory, responses=(1.0,)), feature, result)
-    if not np.array_equal(memory.amm_entries[-1].feature, memory.glm_dynamic[-1].feature):
-        return False, "the two entries of one ingest hold different features"
+    if memory.amm_entries[-1] is not memory.glm_dynamic[-1]:
+        return False, "one ingest put different entries in the two banks"
     # sigma rule: crop side of 30 pixels gives a label sigma of 5
     if abs(glm.label_sigma(30) - 5.0) > 1e-15:
         return False, "label sigma rule broken"
-    return True, "one ingest's entries hold bit-equal features; sigma rule holds"
+    return True, "one ingest puts one entry in both banks; sigma rule holds"
 
 
 def check_glm_update_source():
@@ -1068,11 +1080,11 @@ def check_pipeline_initialization():
     if len(pipe.memory.amm_entries) != 4:
         return False, f"bank holds {len(pipe.memory.amm_entries)} entries, expected query + 3 augmentations"
     query = scenario.query
-    base, static = crop_entries(query.feature, query.mask, query.mask, min_bounding_rect(query.mask))
-    if not np.array_equal(pipe.memory.glm_static.feature, static.feature):
-        return False, "static snapshot does not equal the un-augmented query sample"
-    if not np.array_equal(pipe.memory.amm_entries[0].feature, base.feature):
-        return False, "first appearance entry does not equal the un-augmented query sample"
+    base = crop_entry(query.feature, query.mask, query.mask, min_bounding_rect(query.mask))
+    if pipe.memory.glm_static is not pipe.memory.amm_entries[0]:
+        return False, "static snapshot is not the first appearance entry"
+    if not np.array_equal(pipe.memory.glm_static.feature, base.feature):
+        return False, "static snapshot does not equal the un-augmented query entry"
     return pipe.memory.finite, "bank seeded with 4 samples; filters finite"
 
 
@@ -1112,21 +1124,20 @@ def check_halt_revert():
 
 def check_glm_static_immutable(seed=28):
     rng = np.random.default_rng(seed)
-    static = glm.GlmSample(
+    static = track_entry(
         rng.uniform(-1, 1, size=(6, 6, 2)),
         gaussian_label((2.5, 2.5), 1.0, (6, 6)),
         np.ones((6, 6)),
     )
     frozen = (static.feature.copy(), static.label.copy(), static.target_region.copy())
     mem = empty_banks(static)
-    entry = amm.AmmSample(np.zeros((6, 6, 2)), np.ones((6, 6)))
     for _ in range(10):
-        dynamic = glm.GlmSample(
+        dynamic = track_entry(
             rng.uniform(-1, 1, size=(6, 6, 2)),
             gaussian_label((2.5, 2.5), 1.0, (6, 6)),
             rng.random((6, 6)),
         )
-        mem = mem.admit(entry, dynamic, capacity=4)
+        mem = mem.admit(dynamic, capacity=4)
         glm.optimize_filter(np.zeros((1, 1, 2, 1)), mem.glm_samples, 2)
         if len(mem.glm_samples) > 4:
             return False, f"bank size {len(mem.glm_samples)} exceeded capacity"

@@ -31,8 +31,10 @@ from vql.selfcheck import (
     check_steepest_step_scan,
     check_track_gradient_fd,
     check_update_cadence,
+    seg_entry,
     solve_seg_normal_equations,
     solve_track_normal_equations,
+    track_entry,
 )
 
 
@@ -65,7 +67,7 @@ def test_criterion_03_convergence_to_closed_form():
     for _ in range(10):
         # steepest descent against the dense ridge solution on 4x4 maps
         samples = [
-            amm.AmmSample(
+            seg_entry(
                 rng.uniform(-1, 1, size=(4, 4, 2)),
                 (rng.random((4, 4)) > 0.5).astype(np.uint8),
             )
@@ -84,7 +86,7 @@ def test_criterion_03_convergence_to_closed_form():
 
         # safeguarded Gauss-Newton on the pure quadratic (S == 1) case
         gsamples = [
-            glm.GlmSample(
+            track_entry(
                 rng.uniform(-1, 1, size=(4, 4, 2)),
                 np.clip(rng.random((4, 4)), 0.01, 1.0),
                 np.ones((4, 4)),

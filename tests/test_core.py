@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vql import core
+from vql import amm, core, glm
 from vql.selfcheck import component_runs_mismatch, conv2d_naive
 
 
@@ -79,6 +79,78 @@ class TestIm2col:
         rows = core.im2col(x, ksz)
         assert rows.flags.c_contiguous
         np.testing.assert_array_equal(rows, want.reshape(h * w, -1))
+
+
+def entry_maps(size=5, channels=2):
+    """Valid maps for a BankEntry, by field name."""
+    r = rng(40)
+    return {
+        "feature": r.uniform(-1, 1, size=(size, size, channels)),
+        "mask": (r.random((size, size)) > 0.5).astype(np.uint8),
+        "target_region": r.random((size, size)),
+        "label": core.gaussian_label((2, 2), 1.0, (size, size)),
+    }
+
+
+class TestBankEntry:
+    """One entry type keeps every check both banks need (the finite and 0/1 checks are in test_amm and test_glm)."""
+
+    @pytest.mark.parametrize("name", ["mask", "target_region", "label"])
+    @pytest.mark.parametrize("hw", [(5, 4), (4, 5)])
+    def test_maps_share_one_height_and_width(self, name, hw):
+        maps = entry_maps()
+        maps[name] = np.zeros(hw)
+        with pytest.raises(core.DimensionError, match="dims differ"):
+            core.BankEntry(**maps)
+
+    def test_feature_must_have_channels(self):
+        maps = entry_maps()
+        maps["feature"] = maps["feature"][:, :, 0]
+        with pytest.raises(core.DimensionError, match="dims differ"):
+            core.BankEntry(**maps)
+
+    def test_entries_compare_and_hash_by_identity(self):
+        a, b = core.BankEntry(**entry_maps()), core.BankEntry(**entry_maps())
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+    @pytest.mark.parametrize("value", [-1e-9, 1.5])
+    def test_region_in_unit_interval(self, value):
+        maps = entry_maps()
+        maps["target_region"][1, 2] = value
+        with pytest.raises(core.ParameterError, match="target_region values must lie in"):
+            core.BankEntry(**maps)
+
+
+SOLVER_LOSSES = [
+    pytest.param(amm.seg_loss, 3, id="amm"),
+    pytest.param(glm.track_loss, 1, id="glm"),
+]
+
+
+class TestBankCheck:
+    """Both solvers check their bank and kernel shape in one place, each with its own output channel count."""
+
+    @pytest.mark.parametrize("loss,c_out", SOLVER_LOSSES)
+    def test_empty_bank_refused(self, loss, c_out):
+        with pytest.raises(core.EmptyInputError, match="no entries"):
+            loss(np.zeros((3, 3, 2, c_out)), [])
+
+    @pytest.mark.parametrize("loss,c_out", SOLVER_LOSSES)
+    def test_other_output_channel_count_refused(self, loss, c_out):
+        with pytest.raises(core.DimensionError, match=f"output channel count {c_out}"):
+            loss(np.zeros((3, 3, 2, 4 - c_out)), [core.BankEntry(**entry_maps())])
+
+    @pytest.mark.parametrize("loss,c_out", SOLVER_LOSSES)
+    def test_entry_of_other_channel_count_refused(self, loss, c_out):
+        bank = [core.BankEntry(**entry_maps()), core.BankEntry(**entry_maps(channels=3))]
+        with pytest.raises(core.DimensionError, match="3 channels does not fit"):
+            loss(np.zeros((3, 3, 2, c_out)), bank)
+
+    @pytest.mark.parametrize("loss,c_out", SOLVER_LOSSES)
+    def test_even_kernel_refused(self, loss, c_out):
+        with pytest.raises(core.ParameterError, match="odd"):
+            loss(np.zeros((2, 2, 2, c_out)), [core.BankEntry(**entry_maps())])
 
 
 class TestGaussianLabel:

@@ -1,18 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from vql import amm, glm
+from vql import core, glm
 from vql.core import (
+    BankEntry,
     DimensionError,
     EmptyInputError,
     ParameterError,
     bilinear_resize,
     gaussian_label,
     im2col,
-    ladder_crop,
 )
-from vql.pipeline import SAMPLE_RESOLUTION, crop_entries
-from vql.selfcheck import empty_banks, solve_track_normal_equations
+from vql.selfcheck import empty_banks, solve_track_normal_equations, track_entry
 
 
 def rng(seed=0):
@@ -25,7 +26,7 @@ def random_samples(r, n, size=5, channels=2, region="mixed"):
         feature = r.uniform(-1, 1, size=(size, size, channels))
         label = gaussian_label(r.uniform(1, size - 2, size=2), 1.5, (size, size))
         s = np.ones((size, size)) if region == "ones" else r.random((size, size))
-        out.append(glm.GlmSample(feature, label, s))
+        out.append(track_entry(feature, label, s))
     return out
 
 
@@ -38,7 +39,7 @@ class TestSampleChecks:
         arrays = {key: np.array(getattr(sample, key)) for key in ("feature", "label", "target_region")}
         arrays[name].flat[3] = value
         with pytest.raises(ParameterError, match=f"{name} must be finite"):
-            glm.GlmSample(**arrays)
+            BankEntry(mask=np.zeros((5, 5)), **arrays)
 
 
 class TestSpatialWeight:
@@ -67,7 +68,7 @@ def hinge_samples(r, n, size=8, channels=2):
     c = size // 2
     region[c - 1 : c + 1, c - 1 : c + 1] = 1.0
     label = gaussian_label((c - 0.5, c - 0.5), 1.0, (size, size))
-    return [glm.GlmSample(r.uniform(0.5, 1.5, (size, size, channels)), label, region) for _ in range(n)]
+    return [track_entry(r.uniform(0.5, 1.5, (size, size, channels)), label, region) for _ in range(n)]
 
 
 def count_row_passes(monkeypatch, n_samples):
@@ -81,8 +82,8 @@ def count_row_passes(monkeypatch, n_samples):
                 kwargs["out"] = tuple(np.asarray(a) for a in kwargs["out"])
             return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
 
-    rows = glm._patch_rows
-    monkeypatch.setattr(glm, "_patch_rows", lambda sample, ksz: rows(sample, ksz).view(CountingRows))
+    rows = BankEntry.rows
+    monkeypatch.setattr(BankEntry, "rows", lambda entry, ksz: rows(entry, ksz).view(CountingRows))
 
     def passes():
         assert set(products) <= {"matmul"} and len(products) % n_samples == 0
@@ -117,19 +118,19 @@ def accepted_steps(losses):
 class TestTrackResidual:
     def test_exact_fit_inside_region(self):
         label = gaussian_label((2, 2), 1.0, (5, 5))
-        sample = glm.GlmSample(np.zeros((5, 5, 1)), label, np.ones((5, 5)))
+        sample = track_entry(np.zeros((5, 5, 1)), label, np.ones((5, 5)))
         residual = residual_of(label, sample)
         np.testing.assert_allclose(residual, 0.0, atol=1e-15)
 
     def test_hinge_clamps_negative_background(self):
-        sample = glm.GlmSample(
+        sample = track_entry(
             np.zeros((3, 3, 1)), np.zeros((3, 3)), np.zeros((3, 3))
         )
         residual = residual_of(np.full((3, 3), -5.0), sample)
         np.testing.assert_allclose(residual, 0.0, atol=1e-15)
 
     def test_blend_arithmetic(self):
-        sample = glm.GlmSample(
+        sample = track_entry(
             np.zeros((1, 1, 1)), np.ones((1, 1)), np.full((1, 1), 0.5)
         )
         residual = residual_of(np.full((1, 1), 2.0), sample)
@@ -139,11 +140,11 @@ class TestTrackResidual:
         r = rng(1)
         score = r.uniform(-2, 2, size=(5, 5))
         label = gaussian_label((2, 2), 1.0, (5, 5))
-        ones = glm.GlmSample(np.zeros((5, 5, 1)), label, np.ones((5, 5)))
+        ones = track_entry(np.zeros((5, 5, 1)), label, np.ones((5, 5)))
         got = residual_of(score, ones)
         sw = glm.spatial_weight(label)
         np.testing.assert_array_equal(got, sw * score - sw * label)
-        zeros = glm.GlmSample(np.zeros((5, 5, 1)), label, np.zeros((5, 5)))
+        zeros = track_entry(np.zeros((5, 5, 1)), label, np.zeros((5, 5)))
         negative = -np.abs(score)
         got = residual_of(negative, zeros)
         np.testing.assert_array_equal(got, -glm.spatial_weight(label) * label)
@@ -155,7 +156,7 @@ class TestTrackResidual:
         samples = random_samples(r, 3, size=6, channels=1)
         if region != "mixed":
             value = 1.0 if region == "ones" else 0.0
-            samples = [glm.GlmSample(s.feature, s.label, np.full(s.label.shape, value)) for s in samples]
+            samples = [replace(s, target_region=np.full(s.label.shape, value)) for s in samples]
         score = r.uniform(-1, 1, size=3 * 36)
         score[::4] = 0.0
         sw = glm.spatial_weight(np.concatenate([s.label.ravel() for s in samples]))
@@ -174,26 +175,26 @@ class TestTrackResidual:
 
 class TestTrackLoss:
     def test_zero_filter_zero_labels(self):
-        sample = glm.GlmSample(np.ones((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
+        sample = track_entry(np.ones((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
         assert glm.track_loss(np.zeros((3, 3, 1, 1)), [sample]) == 0.0
 
     def test_zero_filter_single_sample(self):
         label = gaussian_label((2, 2), 1.0, (5, 5))
-        sample = glm.GlmSample(rng(2).uniform(size=(5, 5, 1)), label, np.ones((5, 5)))
+        sample = track_entry(rng(2).uniform(size=(5, 5, 1)), label, np.ones((5, 5)))
         want = float(np.sum((glm.spatial_weight(label) * label) ** 2))
         assert glm.track_loss(np.zeros((3, 3, 1, 1)), [sample]) == pytest.approx(want, rel=1e-12)
 
 
 class TestTrackGradient:
     def test_zero_at_trivial_optimum(self):
-        sample = glm.GlmSample(np.ones((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
+        sample = track_entry(np.ones((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
         g = glm.track_gradient(np.zeros((3, 3, 1, 1)), [sample])
         np.testing.assert_allclose(g, 0.0, atol=1e-15)
 
 
 class TestGaussNewtonStep:
     def test_zero_gradient_signals_converged(self):
-        sample = glm.GlmSample(np.ones((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
+        sample = track_entry(np.ones((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
         with pytest.raises(ParameterError, match="converged"):
             glm.gauss_newton_step(np.zeros((3, 3, 1, 1)), [sample])
 
@@ -217,95 +218,28 @@ class TestOptimizeFilter:
             glm.optimize_filter(np.zeros(shape), random_samples(rng(11), 1), 1)
 
 
-class TestDynamicSample:
-    def test_label_peaks_at_center(self):
-        feature = rng(12).uniform(size=(40, 40, 2))
-        prob = np.zeros((40, 40))
-        prob[15:26, 15:26] = 0.9
-        _, sample = crop_entries(feature, prob >= 0.5, prob, (15, 15, 25, 25))
-        peak = np.unravel_index(np.argmax(sample.label), sample.label.shape)
-        center = (SAMPLE_RESOLUTION - 1) / 2.0
-        assert abs(peak[0] - center) <= 1 and abs(peak[1] - center) <= 1
-
-    def test_degenerate_bbox(self):
-        for bbox in ((5, 5, 4, 6), (5, 5, 6, 4)):
-            with pytest.raises(EmptyInputError):
-                crop_entries(np.ones((8, 8, 1)), np.ones((8, 8)), np.ones((8, 8)), bbox)
-
-    def test_region_in_unit_interval(self):
-        feature = rng(13).uniform(size=(30, 30, 1))
-        prob = rng(14).random((30, 30))
-        _, sample = crop_entries(feature, prob >= 0.5, prob, (10, 10, 20, 20))
-        assert sample.target_region.min() >= 0.0
-        assert sample.target_region.max() <= 1.0
-
-    @pytest.mark.parametrize("bbox", [(10, 12, 20, 19), (0, 0, 6, 3), (25, 24, 29, 29)])
-    def test_entries_bit_equal_to_separate_resamples(self, bbox):
-        # feature and prob are resampled as one stacked map
-        r = rng(29)
-        feature = r.uniform(-1, 1, size=(30, 30, 3))
-        prob = r.random((30, 30))
-        mask = prob >= 0.5
-        entry, sample = crop_entries(feature, mask, prob, bbox)
-        x_min, y_min, x_max, y_max = bbox
-        center = ((y_min + y_max) / 2.0, (x_min + x_max) / 2.0)
-        side, (crop_f, crop_p) = ladder_crop((feature, prob), center, max(x_max - x_min + 1, y_max - y_min + 1))
-        out_hw = (SAMPLE_RESOLUTION, SAMPLE_RESOLUTION)
-        want_feature = bilinear_resize(crop_f, out_hw)
-        np.testing.assert_array_equal(entry.feature, want_feature)
-        np.testing.assert_array_equal(sample.feature, want_feature)
-        np.testing.assert_array_equal(sample.target_region, np.clip(bilinear_resize(crop_p, out_hw), 0.0, 1.0))
-        np.testing.assert_array_equal(sample.label, glm._resampled_label(side, SAMPLE_RESOLUTION))
-
-    @pytest.mark.parametrize("mask_hw,prob_hw", [((8, 9), (8, 8)), ((8, 8), (9, 8))])
-    def test_map_shapes_must_agree(self, mask_hw, prob_hw):
-        with pytest.raises(DimensionError):
-            crop_entries(np.ones((8, 8, 1)), np.ones(mask_hw), np.ones(prob_hw), (2, 2, 5, 5))
-
-
 class TestUpdateSource:
     def test_empty_history(self):
         with pytest.raises(EmptyInputError):
             glm.glm_update_source([])
 
 
-class TestMemory:
-    def test_static_never_replaced(self):
-        static = glm.GlmSample(np.ones((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
-        frozen = static.feature.copy()
-        mem = empty_banks(static)
-        for i in range(6):
-            dynamic = glm.GlmSample(np.full((4, 4, 1), float(i)), np.zeros((4, 4)), np.ones((4, 4)))
-            mem = mem.admit(amm.AmmSample(np.ones((4, 4, 1)), np.ones((4, 4))), dynamic, capacity=3)
-        assert mem.glm_static is static
-        assert np.array_equal(mem.glm_static.feature, frozen)
-        assert [s.feature[0, 0, 0] for s in mem.glm_dynamic] == [4.0, 5.0]
-        assert len(mem.glm_samples) <= 3
-
-    def test_samples_order(self):
-        static = glm.GlmSample(np.ones((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
-        dynamic = glm.GlmSample(np.zeros((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
-        mem = empty_banks(static).admit(amm.AmmSample(np.ones((4, 4, 1)), np.ones((4, 4))), dynamic, capacity=5)
-        assert len(mem.glm_samples) == 2
-        assert mem.glm_samples[0] is static and mem.glm_samples[1] is dynamic
-
-
 class TestPatchRows:
-    """Each sample keeps its im2col rows; refits build them once."""
+    """Each entry keeps its im2col rows; refits build them once."""
 
     def test_rows_are_read_only_and_equal_im2col(self):
         (sample,) = random_samples(rng(20), 1, size=6, channels=3)
         for ksz in (1, 3, 5):
-            rows = glm._patch_rows(sample, ksz)
+            rows = sample.rows(ksz)
             np.testing.assert_array_equal(rows, im2col(sample.feature, ksz))
             assert not rows.flags.writeable
             with pytest.raises(ValueError):
                 rows[0, 0] = 1.0
-            assert glm._patch_rows(sample, ksz) is rows
+            assert sample.rows(ksz) is rows
 
     def test_refits_build_each_sample_rows_once(self, monkeypatch):
         built = []
-        monkeypatch.setattr(glm, "im2col", lambda x, ksz: built.append(ksz) or im2col(x, ksz))
+        monkeypatch.setattr(core, "im2col", lambda x, ksz: built.append(ksz) or im2col(x, ksz))
         samples = random_samples(rng(21), 3, size=6)
         kernel = np.zeros((3, 3, 2, 1))
         for _ in range(3):
@@ -336,17 +270,16 @@ class TestPatchRows:
 
     def test_memory_values_sharing_a_sample_share_its_rows(self, monkeypatch):
         built = []
-        monkeypatch.setattr(glm, "im2col", lambda x, ksz: built.append(ksz) or im2col(x, ksz))
+        monkeypatch.setattr(core, "im2col", lambda x, ksz: built.append(ksz) or im2col(x, ksz))
         static, first, second = random_samples(rng(22), 3, size=6)
-        entry = amm.AmmSample(np.ones((6, 6, 2)), np.ones((6, 6)))
-        one = empty_banks(static).admit(entry, first, capacity=4)
-        two = one.admit(entry, second, capacity=4)
+        one = empty_banks(static).admit(first, capacity=4)
+        two = one.admit(second, capacity=4)
         glm.optimize_filter(np.zeros((3, 3, 2, 1)), one.glm_samples, 1)
-        rows = [glm._patch_rows(s, 3) for s in one.glm_samples]
+        rows = [s.rows(3) for s in one.glm_samples]
         glm.optimize_filter(np.zeros((3, 3, 2, 1)), two.glm_samples, 1)
         # only the sample new in the second value had its rows built
         assert len(built) == 3
-        assert all(glm._patch_rows(s, 3) is r for s, r in zip(two.glm_samples, rows))
+        assert all(s.rows(3) is r for s, r in zip(two.glm_samples, rows))
 
     def test_solver_matches_stacked_rows(self):
         # the per-sample products against one stacked patch matrix

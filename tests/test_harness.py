@@ -8,6 +8,7 @@ import sys
 import tempfile
 import time
 import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,6 +62,17 @@ class TestGenScenario:
         assert sc.gt_point is not None
         assert sc.alignment_src.shape[0] >= 3
         assert all(f.camera is not None for f in sc.frames)
+
+    def test_distractor_preset_draws_one_look_alike(self):
+        params = preset_params("distractor")
+        assert params.distractor is True
+        with_one = gen_scenario(3, params)
+        without = gen_scenario(3, replace(params, distractor=False))
+        for a, b in zip(with_one.frames, without.frames):
+            # the look-alike changes only pixels away from the target
+            changed = np.any(a.feature != b.feature, axis=2)
+            assert changed.any() and not (changed & (b.gt_mask != 0)).any()
+            np.testing.assert_array_equal(a.gt_mask, b.gt_mask)
 
     def test_invalid_params(self):
         from vql.core import ParameterError
@@ -201,6 +213,12 @@ class TestFileRoundTrips:
             pytest.param("track", lambda t: t.peaks.pop(), r"\.peaks: expected one peak per frame, 5, got 4", id="few-peaks"),
             pytest.param("track", lambda t: t.results.reverse(), r"\.frame_index: expected increasing", id="frame-order"),
             pytest.param(
+                "track",
+                lambda t: (t.results.clear(), t.peaks.clear()),
+                r"\.frame_index: expected at least one frame",
+                id="no-frames",
+            ),
+            pytest.param(
                 "track", lambda t: t.peaks.__setitem__(2, np.nan), r"\.peaks\[2\]: expected a finite number", id="nan-peak"
             ),
             pytest.param(
@@ -222,6 +240,21 @@ class TestFileRoundTrips:
         with pytest.raises(fileio.SchemaError, match=message):
             getattr(fileio, f"save_{kind}")(value, str(tmp_path / "out.npz"))
         assert not list(tmp_path.iterdir())
+
+    def test_track_without_frames_refused(self, tmp_path):
+        # the file save_track refuses to write: no frame, no prob plane
+        path = str(tmp_path / "empty.npz")
+        document = {
+            "version": fileio.FORMAT_VERSION,
+            "kind": "track",
+            "frame_index": [],
+            "peaks": [],
+            "interval": None,
+            "displacement_frames": [],
+        }
+        fileio._write_archive(path, document, {"prob": np.zeros((0, 4, 4)), "deltas": np.zeros((0, 3))})
+        with pytest.raises(fileio.SchemaError, match=r"\.frame_index: expected at least one frame, got \[\]"):
+            fileio.load_track(path)
 
     def test_writes_exactly_the_path(self, tmp_path):
         path = tmp_path / "scenario.json"

@@ -8,18 +8,38 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vql import amm, fileio
-from vql.core import DimensionError, EmptyInputError, ParameterError, conv2d, min_bounding_rect
+from vql import amm, core, fileio, glm
+from vql.core import (
+    DimensionError,
+    EmptyInputError,
+    ParameterError,
+    bilinear_resize,
+    conv2d,
+    extract_square_crop,
+    ladder_crop,
+    min_bounding_rect,
+    nearest_resize,
+)
+from vql.fusion import extract_result
 from vql.pipeline import (
     HALT_WINDOW,
+    SAMPLE_RESOLUTION,
     NoDetectionError,
     Pipeline,
     PipelineConfig,
     QuerySpec,
-    crop_entries,
+    crop_entry,
     finalize_3d,
 )
 from vql.scenario import ScenarioParams, gen_scenario, ground_truth_track, preset_params
+from vql.selfcheck import empty_banks, seg_entry, track_entry
+
+
+def rng(seed=0):
+    return np.random.default_rng(seed)
+
+
+MAPS = ("feature", "mask", "target_region", "label")
 
 
 def small_identity(n_frames=6):
@@ -40,10 +60,11 @@ class TestInitialize:
     def test_static_entry_is_unaugmented_query(self):
         sc = small_identity()
         pipe = Pipeline(sc.query, unit_cfg())
-        base, static = crop_entries(sc.query.feature, sc.query.mask, sc.query.mask, min_bounding_rect(sc.query.mask))
-        assert np.array_equal(pipe.memory.glm_static.feature, static.feature)
-        assert np.array_equal(pipe.memory.glm_static.label, static.label)
-        assert np.array_equal(pipe.memory.amm_entries[0].feature, base.feature)
+        base = crop_entry(sc.query.feature, sc.query.mask, sc.query.mask, min_bounding_rect(sc.query.mask))
+        # one entry is both the first appearance entry and the static snapshot
+        assert pipe.memory.glm_static is pipe.memory.amm_entries[0]
+        for name in MAPS:
+            assert np.array_equal(getattr(pipe.memory.glm_static, name), getattr(base, name))
         assert not pipe.memory.glm_dynamic
 
     def test_filters_finite(self):
@@ -73,6 +94,230 @@ class TestInitialize:
         mask[3, 3] = 2
         with pytest.raises(ParameterError, match="query mask"):
             QuerySpec(np.ones((8, 8, 1)), mask)
+
+
+class TestCropEntry:
+    """``crop_entry`` cuts one window into the one entry both banks hold."""
+
+    def test_centered_object_keeps_top_scale(self):
+        # 10-pixel box: the 1.5x rung gives a 15-pixel crop with no padding
+        feature = rng(16).uniform(size=(64, 64, 2))
+        mask = np.zeros((64, 64), dtype=np.uint8)
+        mask[27:37, 27:37] = 1
+        crop, frac = extract_square_crop(feature, (31.5, 31.5), 15)
+        assert frac == 0.0
+        entry = crop_entry(feature, mask, mask, (27, 27, 36, 36))
+        assert entry.feature.shape == (SAMPLE_RESOLUTION, SAMPLE_RESOLUTION, 2)
+        for name in MAPS[1:]:
+            assert getattr(entry, name).shape == (SAMPLE_RESOLUTION, SAMPLE_RESOLUTION)
+        np.testing.assert_array_equal(entry.feature, bilinear_resize(crop, (SAMPLE_RESOLUTION,) * 2))
+
+    def test_empty_mask_raises(self):
+        with pytest.raises(EmptyInputError):
+            crop_entry(np.ones((8, 8, 1)), np.zeros((8, 8)), np.zeros((8, 8)), (2, 2, 5, 5))
+
+    def test_degenerate_bbox(self):
+        for bbox in ((5, 5, 4, 6), (5, 5, 6, 4)):
+            with pytest.raises(EmptyInputError):
+                crop_entry(np.ones((8, 8, 1)), np.ones((8, 8)), np.ones((8, 8)), bbox)
+
+    @pytest.mark.parametrize("mask_hw,prob_hw", [((8, 9), (8, 8)), ((8, 8), (9, 8))])
+    def test_map_shapes_must_agree(self, mask_hw, prob_hw):
+        with pytest.raises(DimensionError):
+            crop_entry(np.ones((8, 8, 1)), np.ones(mask_hw), np.ones(prob_hw), (2, 2, 5, 5))
+
+    def test_label_peaks_at_center(self):
+        feature = rng(12).uniform(size=(40, 40, 2))
+        prob = np.zeros((40, 40))
+        prob[15:26, 15:26] = 0.9
+        entry = crop_entry(feature, prob >= 0.5, prob, (15, 15, 25, 25))
+        peak = np.unravel_index(np.argmax(entry.label), entry.label.shape)
+        center = (SAMPLE_RESOLUTION - 1) / 2.0
+        assert abs(peak[0] - center) <= 1 and abs(peak[1] - center) <= 1
+
+    def test_region_in_unit_interval(self):
+        feature = rng(13).uniform(size=(30, 30, 1))
+        prob = rng(14).random((30, 30))
+        entry = crop_entry(feature, prob >= 0.5, prob, (10, 10, 20, 20))
+        assert entry.target_region.min() >= 0.0
+        assert entry.target_region.max() <= 1.0
+
+    @pytest.mark.parametrize("bbox", [(10, 12, 20, 19), (0, 0, 6, 3), (25, 24, 29, 29)])
+    def test_entry_bit_equal_to_separate_resamples(self, bbox):
+        # feature and prob are resampled as one stacked map
+        r = rng(29)
+        feature = r.uniform(-1, 1, size=(30, 30, 3))
+        prob = r.random((30, 30))
+        mask = prob >= 0.5
+        entry = crop_entry(feature, mask, prob, bbox)
+        x_min, y_min, x_max, y_max = bbox
+        center = ((y_min + y_max) / 2.0, (x_min + x_max) / 2.0)
+        longest = max(x_max - x_min + 1, y_max - y_min + 1)
+        side, (crop_f, crop_m, crop_p) = ladder_crop((feature, mask, prob), center, longest)
+        out_hw = (SAMPLE_RESOLUTION, SAMPLE_RESOLUTION)
+        np.testing.assert_array_equal(entry.feature, bilinear_resize(crop_f, out_hw))
+        np.testing.assert_array_equal(entry.mask, nearest_resize(crop_m, out_hw) != 0)
+        np.testing.assert_array_equal(entry.target_region, np.clip(bilinear_resize(crop_p, out_hw), 0.0, 1.0))
+        np.testing.assert_array_equal(entry.label, glm._resampled_label(side, SAMPLE_RESOLUTION))
+
+    def test_ingest_cuts_around_the_box_not_a_stray_component(self):
+        # the mask keeps a stray component far from the largest one's box;
+        # the entry is cut around the box and lands in both banks
+        feature = rng(17).uniform(-1, 1, size=(48, 48, 2))
+        prob = np.zeros((48, 48))
+        prob[12:23, 20:31] = 0.9
+        prob[40:44, 2:6] = 0.8
+        result = extract_result(prob, 0)
+        assert result.bbox == (20, 12, 30, 22)
+        pipe = Pipeline(QuerySpec(feature, result.mask), PipelineConfig(kernel_size=1))
+        memory = pipe._ingest(replace(pipe.initial_memory, responses=(1.0,)), feature, result)
+        crop, _ = extract_square_crop(feature, (17.0, 25.0), 16)
+        entry = memory.amm_entries[-1]
+        assert memory.glm_dynamic[-1] is entry
+        np.testing.assert_array_equal(entry.feature, bilinear_resize(crop, (SAMPLE_RESOLUTION,) * 2))
+        mask_crop, _ = extract_square_crop(result.mask, (17.0, 25.0), 16)
+        np.testing.assert_array_equal(entry.mask, nearest_resize(mask_crop, (SAMPLE_RESOLUTION,) * 2))
+
+
+def box_blur_by_hand(feature):
+    h, w = feature.shape[:2]
+    padded = np.pad(feature, ((1, 1), (1, 1), (0, 0)))
+    return sum(padded[dy : dy + h, dx : dx + w] for dy in range(3) for dx in range(3)) / 9.0
+
+
+def shift_by_hand(m):
+    out = np.zeros_like(m)
+    out[2:, 2:] = m[:-2, :-2]
+    return out
+
+
+class TestQueryAugmentations:
+    """The appearance bank starts with the query entry, then its flip, shift and blur."""
+
+    @pytest.fixture(scope="class")
+    def entries(self):
+        # an off-center, irregular target on a random feature map
+        feature = rng(31).uniform(-1, 1, size=(20, 24, 3))
+        mask = np.zeros((20, 24), dtype=np.uint8)
+        mask[4:11, 13:19] = 1
+        mask[9:13, 13:15] = 1
+        pipe = Pipeline(QuerySpec(feature, mask), unit_cfg())
+        base = crop_entry(feature, mask, mask, min_bounding_rect(mask))
+        return base, pipe.memory
+
+    def test_bank_order_is_base_flip_shift_blur(self, entries):
+        # the base entry comes first; test_maps_bit_equal_to_hand_built pins the other three by position
+        base, memory = entries
+        assert len(memory.amm_entries) == 4
+        assert memory.amm_entries[0] is memory.glm_static
+        for name in MAPS:
+            np.testing.assert_array_equal(getattr(memory.amm_entries[0], name), getattr(base, name))
+        # the target is not symmetric, so the flip and the shift each move it
+        for entry in memory.amm_entries[1:3]:
+            assert not np.array_equal(entry.mask, base.mask)
+
+    @pytest.mark.parametrize(
+        "position,build",
+        [
+            pytest.param(1, {name: (lambda m: m[:, ::-1]) for name in MAPS}, id="flip"),
+            pytest.param(2, {name: shift_by_hand for name in MAPS}, id="shift-2-2-zero-fill"),
+            pytest.param(
+                3,
+                {"feature": box_blur_by_hand, **{name: (lambda m: m) for name in MAPS[1:]}},
+                id="blur-feature-only",
+            ),
+        ],
+    )
+    def test_maps_bit_equal_to_hand_built(self, entries, position, build):
+        base, memory = entries
+        entry = memory.amm_entries[position]
+        for name in MAPS:
+            got, want = getattr(entry, name), build[name](getattr(base, name))
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == getattr(base, name).dtype
+
+
+class TestMemory:
+    """Both banks of the memory value take the one entry an admission appends."""
+
+    STATIC = track_entry(np.zeros((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
+
+    def admit_all(self, count, capacity):
+        mem = empty_banks(self.STATIC)
+        for i in range(count):
+            mem = mem.admit(seg_entry(np.full((4, 4, 1), float(i)), np.ones((4, 4))), capacity)
+        return mem
+
+    def test_no_eviction_at_capacity(self):
+        mem = self.admit_all(50, capacity=50)
+        assert len(mem.amm_entries) == 50
+        assert mem.amm_entries[0].feature[0, 0, 0] == 0.0
+        # the tracking FIFO holds the newest capacity - 1 of the same entries
+        assert len(mem.glm_dynamic) == 49
+        assert all(a is b for a, b in zip(mem.glm_dynamic, mem.amm_entries[1:]))
+
+    def test_static_never_replaced(self):
+        static = track_entry(np.ones((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
+        frozen = static.feature.copy()
+        mem = empty_banks(static)
+        for i in range(6):
+            mem = mem.admit(track_entry(np.full((4, 4, 1), float(i)), np.zeros((4, 4)), np.ones((4, 4))), capacity=3)
+        assert mem.glm_static is static
+        assert np.array_equal(mem.glm_static.feature, frozen)
+        assert [s.feature[0, 0, 0] for s in mem.glm_dynamic] == [4.0, 5.0]
+        assert [s.feature[0, 0, 0] for s in mem.amm_entries] == [3.0, 4.0, 5.0]
+        assert len(mem.glm_samples) <= 3
+
+    def test_samples_order(self):
+        static = track_entry(np.ones((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
+        dynamic = track_entry(np.zeros((4, 4, 1)), np.zeros((4, 4)), np.ones((4, 4)))
+        mem = empty_banks(static).admit(dynamic, capacity=5)
+        assert len(mem.glm_samples) == 2
+        assert mem.glm_samples[0] is static and mem.glm_samples[1] is dynamic
+        assert len(mem.amm_entries) == 1 and mem.amm_entries[0] is dynamic
+
+    def test_resolution_mismatch(self):
+        # entries come only from crops at the sample resolution, and a
+        # frame at another resolution is refused before it reaches a bank
+        sc = gen_scenario(7, ScenarioParams(n_frames=3, canvas=(32, 32), object_size=13))
+        pipe = Pipeline(sc.query, PipelineConfig(kernel_size=1))
+        with pytest.raises(DimensionError):
+            pipe.step_frame(sc.frames[0].feature[:16], 0)
+        assert pipe.memory is pipe.initial_memory
+        pipe.run([f.feature for f in sc.frames])
+        assert len(pipe.memory.amm_entries) > 4 and pipe.memory.glm_dynamic
+        for entry in pipe.memory.amm_entries + pipe.memory.glm_samples:
+            for name in MAPS:
+                assert getattr(entry, name).shape[:2] == (SAMPLE_RESOLUTION, SAMPLE_RESOLUTION)
+
+
+class TestOneUnroll:
+    """Each window is unrolled to patch rows once, for both solvers."""
+
+    @pytest.fixture
+    def unrolls(self, monkeypatch):
+        calls = []
+        im2col = core.im2col
+        monkeypatch.setattr(core, "im2col", lambda x, ksz: calls.append(ksz) or im2col(x, ksz))
+        return calls
+
+    def test_ingest_unrolls_its_window_once(self, unrolls):
+        sc = small_identity()
+        pipe = Pipeline(sc.query, PipelineConfig())
+        result = extract_result(sc.frames[1].gt_mask * 0.9, 1)
+        before = len(unrolls)
+        memory = pipe._ingest(replace(pipe.initial_memory, responses=(1.0,)), sc.frames[1].feature, result)
+        assert memory.amm_entries[-1] is memory.glm_dynamic[-1]
+        assert unrolls[before:] == [3]
+
+    def test_geo_query_unrolls_each_window_once(self, unrolls):
+        # the query entry and its three augmentations, then one entry per ingest
+        sc = gen_scenario(1000, preset_params("geo"))
+        pipe = Pipeline(sc.query)
+        pipe.run([f.feature for f in sc.frames])
+        assert len(pipe.memory.glm_dynamic) == len(sc.frames) == 5
+        assert unrolls == [3] * 9
 
 
 class TestConfig:

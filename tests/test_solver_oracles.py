@@ -21,18 +21,26 @@ from hypothesis.extra import numpy as hnp
 
 from vql import amm, glm
 from vql.core import gaussian_label
-from vql.selfcheck import CLEAR_MARGIN, SOLVER_TOL, descent_deviation, empty_banks, optimizer_deviation
+from vql.selfcheck import (
+    CLEAR_MARGIN,
+    SOLVER_TOL,
+    descent_deviation,
+    empty_banks,
+    optimizer_deviation,
+    seg_entry,
+    track_entry,
+)
 
 CASES = [(k, c, n) for k in (1, 3) for c in (1, 2, 4) for n in (1, 3, 8)]
 
 
 def amm_sample(r, channels, size=8):
-    return amm.AmmSample(r.uniform(-1, 1, (size, size, channels)), (r.random((size, size)) > 0.5).astype(np.uint8))
+    return seg_entry(r.uniform(-1, 1, (size, size, channels)), (r.random((size, size)) > 0.5).astype(np.uint8))
 
 
 def glm_sample(r, channels, size=8):
     label = gaussian_label(r.uniform(1, size - 2, size=2), r.uniform(1.0, 2.0), (size, size))
-    return glm.GlmSample(r.uniform(-1, 1, (size, size, channels)), label, r.random((size, size)))
+    return track_entry(r.uniform(-1, 1, (size, size, channels)), label, r.random((size, size)))
 
 
 def hinge_sample(r, channels, size=8):
@@ -43,7 +51,7 @@ def hinge_sample(r, channels, size=8):
     c = size // 2
     region[c - 1 : c + 1, c - 1 : c + 1] = 1.0
     label = gaussian_label((c - 0.5, c - 0.5), 1.0, (size, size))
-    return glm.GlmSample(r.uniform(0.5, 1.5, (size, size, channels)), label, region)
+    return track_entry(r.uniform(0.5, 1.5, (size, size, channels)), label, region)
 
 
 def assert_descent_matches(start, bank, n_iter):
@@ -80,11 +88,11 @@ def test_optimize_filter_matches_per_entry_loops(ksz, channels, entries):
 
 def test_descent_follows_fifo_eviction():
     r = np.random.default_rng(7)
-    static = glm.GlmSample(np.zeros((8, 8, 2)), np.zeros((8, 8)), np.ones((8, 8)))
+    static = track_entry(np.zeros((8, 8, 2)), np.zeros((8, 8)), np.ones((8, 8)))
     mem = empty_banks(static)
     kernel = np.zeros((3, 3, 2, 3))
     for _ in range(6):
-        mem = mem.admit(amm_sample(r, 2), static, capacity=3)
+        mem = mem.admit(amm_sample(r, 2), capacity=3)
         kernel = assert_descent_matches(kernel, mem.amm_entries, 3)
     assert len(mem.amm_entries) == 3
 
@@ -92,10 +100,9 @@ def test_descent_follows_fifo_eviction():
 def test_optimizer_follows_fifo_eviction():
     r = np.random.default_rng(8)
     mem = empty_banks(glm_sample(r, 2))
-    entry = amm.AmmSample(np.zeros((8, 8, 2)), np.ones((8, 8)))
     kernel = np.zeros((3, 3, 2, 1))
     for _ in range(5):
-        mem = mem.admit(entry, glm_sample(r, 2), capacity=3)
+        mem = mem.admit(glm_sample(r, 2), capacity=3)
         kernel, fit = assert_optimizer_matches(kernel, mem.glm_samples, 3)
         assert fit.margin > CLEAR_MARGIN
     assert len(mem.glm_samples) == 3
@@ -121,7 +128,7 @@ def amm_problems(draw):
     features = draw(hnp.arrays(np.float64, (entries, 5, 5, channels), elements=unit))
     masks = draw(hnp.arrays(np.uint8, (entries, 5, 5), elements=st.integers(0, 1)))
     kernel = draw(hnp.arrays(np.float64, (ksz, ksz, channels, 3), elements=unit))
-    samples = [amm.AmmSample(f, m) for f, m in zip(features, masks)]
+    samples = [seg_entry(f, m) for f, m in zip(features, masks)]
     return samples, kernel
 
 
@@ -133,7 +140,7 @@ def glm_problems(draw):
     labels = draw(hnp.arrays(np.float64, (entries, 5, 5), elements=st.floats(0, 1)))
     regions = draw(hnp.arrays(np.float64, (entries, 5, 5), elements=st.floats(0, 1)))
     kernel = draw(hnp.arrays(np.float64, (ksz, ksz, channels, 1), elements=unit))
-    samples = [glm.GlmSample(f, g, s) for f, g, s in zip(features, labels, regions)]
+    samples = [track_entry(f, g, s) for f, g, s in zip(features, labels, regions)]
     return samples, kernel
 
 
@@ -172,12 +179,12 @@ def test_optimize_filter_never_raises_the_loss(problem):
 def test_bank_entries_and_filters_are_read_only(feature, pixel, value, n_iter, at_optimum):
     mask = (feature[:, :, 0] > 0).astype(np.uint8)
     label = np.abs(feature[:, :, 1])
-    seg = amm.AmmSample(feature, mask)
-    trk = glm.GlmSample(feature, label, label)
+    seg = seg_entry(feature, mask)
+    trk = track_entry(feature, label, label)
     if at_optimum:
         # an empty mask and a zero label put the zero kernel at the optimum,
         # so both solvers take the converged break at their first gradient
-        banks = ([amm.AmmSample(feature, 0 * mask)], [glm.GlmSample(feature, 0 * label, 0 * label)])
+        banks = ([seg_entry(feature, 0 * mask)], [track_entry(feature, 0 * label, 0 * label)])
         starts = (np.zeros((3, 3, 2, 3)), np.zeros((3, 3, 2, 1)))
     else:
         banks = ([seg], [trk])
@@ -203,4 +210,4 @@ def test_bank_entries_and_filters_are_read_only(feature, pixel, value, n_iter, a
     mask[pixel] = 1 - mask[pixel]
     assert np.array_equal(seg.feature, snapshot)
     assert amm.seg_loss(kernel, [seg]) == cached
-    assert cached == amm.seg_loss(kernel, [amm.AmmSample(seg.feature, seg.mask)])
+    assert cached == amm.seg_loss(kernel, [seg_entry(seg.feature, seg.mask)])
