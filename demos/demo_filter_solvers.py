@@ -30,10 +30,9 @@ def segmentation_descent():
     print("segmentation filter (steepest descent, exact step size):")
     for i in range(12):
         loss = amm.seg_loss(kernel, samples)
-        g = amm.seg_gradient(kernel, samples)
-        alpha = amm.steepest_step_size(g, samples)
-        print(f"  iter {i:2d}  loss {loss:.6f}  step {alpha:.4f}")
-        kernel = kernel - alpha * g
+        print(f"  iter {i:2d}  loss {loss:.6f}")
+        kernel = amm.steepest_descent(kernel, samples, 1)
+    print(f"  final loss {amm.seg_loss(kernel, samples):.6f}")
 
 
 def tracking_gauss_newton():

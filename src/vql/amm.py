@@ -165,8 +165,13 @@ def _bank_statistics(mem: Sequence[BankEntry], kernel_shape: Sequence[int]) -> t
     return gram, cross, energy
 
 
-def _exact_step(g: np.ndarray, gram: np.ndarray) -> float:
-    g_norm2 = float(np.sum(g**2))
+def _gradient(gram: np.ndarray, cross: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """The loss gradient at the flattened kernel ``sigma``: M sigma - b + delta sigma."""
+    return gram @ sigma - cross + RIDGE * sigma
+
+
+def _exact_step(g: np.ndarray, gram: np.ndarray, g_norm2: float) -> float:
+    """The exact line-search step along -g, given ||g||^2."""
     if g_norm2 == 0.0:
         raise ParameterError("step size is undefined for a zero gradient (already converged)")
     return g_norm2 / (float(np.sum(g * (gram @ g))) + RIDGE * g_norm2)
@@ -184,14 +189,15 @@ def seg_gradient(kernel: np.ndarray, mem: Sequence[BankEntry]) -> np.ndarray:
     """Exact gradient of :func:`seg_loss` with respect to the kernel."""
     gram, cross, _ = _bank_statistics(mem, kernel.shape)
     sigma = kernel.reshape(cross.shape)
-    return (gram @ sigma - cross + RIDGE * sigma).reshape(kernel.shape)
+    return _gradient(gram, cross, sigma).reshape(kernel.shape)
 
 
 def steepest_step_size(g: np.ndarray, mem: Sequence[BankEntry]) -> float:
     """Closed-form minimizer of the loss along the negative gradient direction."""
     g = np.asarray(g, dtype=np.float64)
     gram, _, _ = _bank_statistics(mem, g.shape)
-    return _exact_step(g.reshape(gram.shape[0], g.shape[3]), gram)
+    g = g.reshape(gram.shape[0], g.shape[3])
+    return _exact_step(g, gram, float(np.sum(g**2)))
 
 
 def steepest_descent(kernel: np.ndarray, mem: Sequence[BankEntry], n_iter: int) -> np.ndarray:
@@ -204,10 +210,11 @@ def steepest_descent(kernel: np.ndarray, mem: Sequence[BankEntry], n_iter: int) 
     gram, cross, _ = _bank_statistics(mem, kernel.shape)
     sigma = kernel.reshape(cross.shape)
     for _ in range(n_iter):
-        g = gram @ sigma - cross + RIDGE * sigma
-        if float(np.sqrt(np.sum(g**2))) < GRADIENT_EPS:
+        g = _gradient(gram, cross, sigma)
+        g_norm2 = float(np.sum(g**2))
+        if np.sqrt(g_norm2) < GRADIENT_EPS:
             break
-        sigma = sigma - _exact_step(g, gram) * g
+        sigma = sigma - _exact_step(g, gram, g_norm2) * g
     return readonly_copy(sigma.reshape(kernel.shape), np.float64)
 
 

@@ -22,10 +22,9 @@ every shape from the stacked tensors (a scenario's N, H, W and C from
 ``gt_bbox`` and the scenario's ``gt_interval`` from the ground-truth masks,
 and a track frame's mask, ``bbox`` and ``s_conf`` from its probability map
 (``fusion.extract_result``). A scenario file holds the clip and the query,
-not the generator's seed and parameters that made them. Version 5 dropped
-those and the track's canvas; version 4 introduced the archive; version 3
-stored each tensor as a base64 string in one JSON document. Files of an
-older version are not read and must be regenerated. Writes go to a
+not the generator's seed and parameters that made them. Files of an
+older version are not read and must be regenerated; the README's
+"Format change" section lists the versions. Writes go to a
 temporary file in the target directory and are renamed into place, so a
 reader never sees a partial file.
 
@@ -388,7 +387,7 @@ def save_track(track: TrackOutput, path: str) -> None:
         [int(t) for t in sorted(track.displacements)], None, f"{path}.displacement_frames"
     )
     arrays = {
-        "prob": _stack([result.prob for result in track.results], (h, w)),
+        "prob": _probabilities(_stack([result.prob for result in track.results], (h, w)), path),
         "deltas": _stack([track.displacements[t] for t in displacement_frames], (3,)),
     }
     if track.world_point is not None:
@@ -404,6 +403,13 @@ def save_track(track: TrackOutput, path: str) -> None:
         "displacement_frames": list(displacement_frames),
     }
     _write_archive(path, document, arrays)
+
+
+def _probabilities(prob: np.ndarray, path: str) -> np.ndarray:
+    """``prob`` if every value lies in [0, 1]; NaN does not (min and max propagate it)."""
+    if not (prob.min(initial=0.0) >= 0.0 and prob.max(initial=1.0) <= 1.0):
+        raise SchemaError(f"{path}.prob: expected probabilities in [0, 1]")
+    return prob
 
 
 def _peaks(values: list, n_frames: int, path: str) -> list[float]:
@@ -425,7 +431,7 @@ def load_track(path: str) -> TrackOutput:
     displacement_frames = _frame_list(
         _expect(document, "displacement_frames", path), None, f"{path}.displacement_frames"
     )
-    prob = _member(arrays, "prob", "<f8", (len(frame_index), None, None), path)
+    prob = _probabilities(_member(arrays, "prob", "<f8", (len(frame_index), None, None), path), path)
     deltas = _member(arrays, "deltas", "<f8", (len(displacement_frames), 3), path)
     peaks = _peaks(_expect(document, "peaks", path, list), len(frame_index), path)
     interval = _expect(document, "interval", path)

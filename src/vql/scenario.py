@@ -39,22 +39,21 @@ __all__ = [
 class ScenarioParams:
     n_frames: int
     canvas: tuple[int, int] = (48, 48)
-    channels: int = 3
     object_size: int = 21
-    background_amplitude: float = 0.35
     drift_step: float = 0.0
-    target_motion: float = 0.0
-    motion_period: int = 40
-    # one look-alike square moving in the upper-left quarter, its signature
-    # distractor_angle radians from the target's
+    # one look-alike square swaying in the upper-left quarter
     distractor: bool = False
-    distractor_angle: float = 0.9
     absence: Optional[tuple[int, int]] = None
     n_views: int = 0
-    view_radius: float = 2.5
-    focal: float = 40.0
     corrupt_views: tuple[int, ...] = ()
-    corrupt_uncertainty: float = 20.0
+
+
+# at least two: the target's signature and its rotation partner are orthonormal
+CHANNELS = 3
+BACKGROUND_AMPLITUDE = 0.35
+# frames per sway of the distractor, and its signature's angle in radians from the target's
+DISTRACTOR_PERIOD = 40
+DISTRACTOR_ANGLE = 0.9
 
 
 def _preset_table() -> dict[str, ScenarioParams]:
@@ -140,10 +139,9 @@ def _look_at_pose(position: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Camera-to-world pose with the optical axis through ``target``."""
     z = target - position
     z = z / np.linalg.norm(z)
-    up = np.array([0.0, 0.0, 1.0])
-    if abs(z @ up) > 0.99:
-        up = np.array([0.0, 1.0, 0.0])
-    x = np.cross(up, z)
+    # every view sits 0.35 of its ground distance above the target, so
+    # |z . up| = 0.35 / sqrt(1.1225) < 0.34: the axis is never near up
+    x = np.cross(np.array([0.0, 0.0, 1.0]), z)
     x /= np.linalg.norm(x)
     y = np.cross(z, x)
     pose = np.eye(4)
@@ -176,13 +174,9 @@ def gen_scenario(seed: int, params: ScenarioParams) -> Scenario:
         raise ParameterError(f"canvas must be at least 8x8, got {params.canvas}")
     if params.object_size < 1 or params.object_size > min(h, w):
         raise ParameterError(f"object size {params.object_size} does not fit canvas {params.canvas}")
-    # the target's signature and its rotation partner are orthonormal, so need two channels
-    if params.channels < 2:
-        raise ParameterError(f"channels must be at least 2, got {params.channels}")
     rng = np.random.default_rng(seed)
-    q0, u0 = _signature_pair(rng, params.channels)
-    distractor_sig = np.cos(params.distractor_angle) * q0 + np.sin(params.distractor_angle) * u0
-    amp = params.background_amplitude
+    q0, u0 = _signature_pair(rng, CHANNELS)
+    distractor_sig = np.cos(DISTRACTOR_ANGLE) * q0 + np.sin(DISTRACTOR_ANGLE) * u0
 
     if params.n_views > 0:
         center = (23, 23)
@@ -195,19 +189,17 @@ def gen_scenario(seed: int, params: ScenarioParams) -> Scenario:
     for t in range(params.n_frames):
         theta = params.drift_step * t
         sig = np.cos(theta) * q0 + np.sin(theta) * u0
-        feature = np.tile(-amp * sig, (h, w, 1))
+        feature = np.tile(-BACKGROUND_AMPLITUDE * sig, (h, w, 1))
         present = True
         if params.absence is not None:
             a0, a1 = params.absence
             present = not (a0 <= t <= a1)
         if params.distractor:
-            shift = int(round(6 * np.sin(2 * np.pi * t / params.motion_period)))
+            shift = int(round(6 * np.sin(2 * np.pi * t / DISTRACTOR_PERIOD)))
             d_center = (h // 4, w // 4 + shift)
             _draw_square(feature, d_center, max(3, params.object_size // 2), distractor_sig)
         if present:
-            offset = int(round(params.target_motion * np.sin(2 * np.pi * t / params.motion_period)))
-            pos = (center[0], center[1] + offset)
-            mask = _draw_square(feature, pos, params.object_size, sig)
+            mask = _draw_square(feature, center, params.object_size, sig)
         else:
             mask = np.zeros((h, w), dtype=np.uint8)
         camera = geo["cameras"][t] if geo is not None and t < len(geo["cameras"]) else None
@@ -223,6 +215,13 @@ def gen_scenario(seed: int, params: ScenarioParams) -> Scenario:
     )
 
 
+# the views' distance from the world point along the ground, their focal
+# length in pixels, and the depth uncertainty a corrupted view reports
+VIEW_RADIUS = 2.5
+FOCAL = 40.0
+CORRUPT_UNCERTAINTY = 20.0
+
+
 def _geo_setup(rng: np.random.Generator, params: ScenarioParams) -> dict:
     """Cameras on an arc around a world point, expressed in a scaled
     reconstruction frame that a similarity transform maps back to the
@@ -235,11 +234,11 @@ def _geo_setup(rng: np.random.Generator, params: ScenarioParams) -> dict:
     to_bench = Sim3Transform(scale, rotation, translation)
     from_bench = to_bench.inverse()
 
-    intrinsics = np.array([[params.focal, 0.0, 23.0], [0.0, params.focal, 23.0], [0.0, 0.0, 1.0]])
+    intrinsics = np.array([[FOCAL, 0.0, 23.0], [0.0, FOCAL, 23.0], [0.0, 0.0, 1.0]])
     angles = np.linspace(0.0, np.pi / 2.0, params.n_views)
     cameras: list[CameraFrame] = []
     for i, angle in enumerate(angles):
-        position = point + params.view_radius * np.array([np.cos(angle), np.sin(angle), 0.35])
+        position = point + VIEW_RADIUS * np.array([np.cos(angle), np.sin(angle), 0.35])
         pose_bench = _look_at_pose(position, point)
         depth_metric = float(np.linalg.norm(point - position))
         # re-express the rigid pose in the reconstruction frame: rotations
@@ -248,7 +247,7 @@ def _geo_setup(rng: np.random.Generator, params: ScenarioParams) -> dict:
         pose_recon[:3, :3] = from_bench.rotation @ pose_bench[:3, :3]
         pose_recon[:3, 3] = from_bench.apply(pose_bench[:3, 3])
         depth_value = depth_metric / scale
-        uncertainty_value = params.corrupt_uncertainty if i in params.corrupt_views else 0.0
+        uncertainty_value = CORRUPT_UNCERTAINTY if i in params.corrupt_views else 0.0
         if i in params.corrupt_views:
             depth_value *= 1.5
         depth = np.full((h, w), depth_value)

@@ -575,10 +575,7 @@ def check_steepest_convergence(n_instances=3, seed=12, n_iter=200, tol=1e-6):
         kernel = np.zeros(shape)
         losses = [amm.seg_loss(kernel, samples)]
         for _ in range(n_iter):
-            g = amm.seg_gradient(kernel, samples)
-            if float(np.sqrt(np.sum(g**2))) < 1e-12:
-                break
-            kernel = kernel - amm.steepest_step_size(g, samples) * g
+            kernel = amm.steepest_descent(kernel, samples, 1)
             losses.append(amm.seg_loss(kernel, samples))
         if any(b > a + 1e-12 for a, b in zip(losses, losses[1:])):
             return False, "loss increased during descent"

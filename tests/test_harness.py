@@ -19,6 +19,7 @@ from hypothesis.extra import numpy as hnp
 from vql import fileio, metrics
 from vql.cli import main as cli_main
 from vql.core import ParameterError
+from vql.fusion import extract_result
 from vql.pipeline import Pipeline, PipelineConfig, TrackOutput
 from vql.scenario import (
     PRESETS,
@@ -81,13 +82,6 @@ class TestGenScenario:
             gen_scenario(0, ScenarioParams(n_frames=0))
         with pytest.raises(ParameterError):
             gen_scenario(0, ScenarioParams(n_frames=2, canvas=(4, 4)))
-
-    @pytest.mark.parametrize("channels", [0, 1])
-    def test_fewer_than_two_channels_rejected(self, channels):
-        from vql.core import ParameterError
-
-        with pytest.raises(ParameterError, match=f"channels must be at least 2, got {channels}"):
-            gen_scenario(0, ScenarioParams(n_frames=2, channels=channels))
 
 
 class TestFileRoundTrips:
@@ -221,6 +215,9 @@ class TestFileRoundTrips:
             pytest.param(
                 "track", lambda t: t.peaks.__setitem__(2, np.nan), r"\.peaks\[2\]: expected a finite number", id="nan-peak"
             ),
+            pytest.param("track", lambda t: with_prob(t, 7.5), r"\.prob: expected probabilities in \[0, 1\]", id="prob-above-1"),
+            pytest.param("track", lambda t: with_prob(t, -3.0), r"\.prob: expected probabilities in \[0, 1\]", id="prob-below-0"),
+            pytest.param("track", lambda t: with_prob(t, np.nan), r"\.prob: expected probabilities in \[0, 1\]", id="nan-prob"),
             pytest.param(
                 "scenario", lambda s: setattr(s, "alignment_dst", None), r"\.alignment_dst: missing member", id="lone-src"
             ),
@@ -254,6 +251,14 @@ class TestFileRoundTrips:
         }
         fileio._write_archive(path, document, {"prob": np.zeros((0, 4, 4)), "deltas": np.zeros((0, 3))})
         with pytest.raises(fileio.SchemaError, match=r"\.frame_index: expected at least one frame, got \[\]"):
+            fileio.load_track(path)
+
+    def test_prob_outside_unit_interval_refused(self, tmp_path):
+        # a frame's s_conf is the mean probability in its mask, so a 7.5 would reach the 3D lift's confidence
+        path = str(tmp_path / "track.npz")
+        fileio.save_track(ground_truth_track(small_identity()), path)
+        rewrite(path, lambda p: with_item(p, (1, 16, 16), 7.5), "prob.npy")
+        with pytest.raises(fileio.SchemaError, match=r"\.prob: expected probabilities in \[0, 1\]"):
             fileio.load_track(path)
 
     def test_writes_exactly_the_path(self, tmp_path):
@@ -295,6 +300,11 @@ def with_item(arr, index, value):
     arr = arr.copy()
     arr[index] = value
     return arr
+
+
+def with_prob(track, value):
+    """Put ``value`` in one pixel of the third frame's probability map."""
+    track.results[2] = extract_result(with_item(track.results[2].prob, (0, 0), value), 2)
 
 
 class TestVersion:
@@ -882,10 +892,11 @@ class TestCli:
     def run_cli(self, *args):
         return cli_main(list(args))
 
-    def test_gen_deterministic_bytes(self, tmp_path):
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_gen_deterministic_bytes(self, tmp_path, preset):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert self.run_cli("gen", "--seed", "7", "--preset", "identity", "--out", str(a)) == 0
-        assert self.run_cli("gen", "--seed", "7", "--preset", "identity", "--out", str(b)) == 0
+        assert self.run_cli("gen", "--seed", "7", "--preset", preset, "--out", str(a)) == 0
+        assert self.run_cli("gen", "--seed", "7", "--preset", preset, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_unknown_preset_is_validation_error(self, tmp_path):
