@@ -383,9 +383,7 @@ def save_track(track: TrackOutput, path: str) -> None:
     h, w = track.results[0].prob.shape
     # what the loader would refuse is refused before anything is written
     frame_index = _frame_list([int(result.frame_index) for result in track.results], None, f"{path}.frame_index")
-    displacement_frames = _frame_list(
-        [int(t) for t in sorted(track.displacements)], None, f"{path}.displacement_frames"
-    )
+    displacement_frames = _displacement_frames([int(t) for t in sorted(track.displacements)], frame_index, path)
     arrays = {
         "prob": _probabilities(_stack([result.prob for result in track.results], (h, w)), path),
         "deltas": _stack([track.displacements[t] for t in displacement_frames], (3,)),
@@ -412,6 +410,15 @@ def _probabilities(prob: np.ndarray, path: str) -> np.ndarray:
     return prob
 
 
+def _displacement_frames(values: Any, frame_index: tuple[int, ...], path: str) -> tuple[int, ...]:
+    """Increasing frame indices, each a frame of the track: only a frame with a result has a displacement."""
+    frames = _frame_list(values, None, f"{path}.displacement_frames")
+    stray = sorted(set(frames) - set(frame_index))
+    if stray:
+        raise SchemaError(f"{path}.displacement_frames: expected frames of frame_index, got {stray[0]}")
+    return frames
+
+
 def _peaks(values: list, n_frames: int, path: str) -> list[float]:
     """One finite tracking peak per frame."""
     peaks = [_finite(p, f"{path}.peaks[{i}]") for i, p in enumerate(values)]
@@ -428,9 +435,7 @@ def load_track(path: str) -> TrackOutput:
     if not frame_index:
         # a track is per-frame results; save_track refuses to write one without frames
         raise SchemaError(f"{path}.frame_index: expected at least one frame, got []")
-    displacement_frames = _frame_list(
-        _expect(document, "displacement_frames", path), None, f"{path}.displacement_frames"
-    )
+    displacement_frames = _displacement_frames(_expect(document, "displacement_frames", path), frame_index, path)
     prob = _probabilities(_member(arrays, "prob", "<f8", (len(frame_index), None, None), path), path)
     deltas = _member(arrays, "deltas", "<f8", (len(displacement_frames), 3), path)
     peaks = _peaks(_expect(document, "peaks", path, list), len(frame_index), path)

@@ -27,7 +27,6 @@ __all__ = [
     "InvalidSampleError",
     "CameraFrame",
     "Sim3Transform",
-    "ViewContribution",
     "align_sim3",
     "backproject",
     "semantic_confidence",
@@ -114,23 +113,6 @@ class Sim3Transform:
     def inverse(self) -> "Sim3Transform":
         r_inv = self.rotation.T
         return Sim3Transform(1.0 / self.scale, r_inv, -r_inv @ self.translation / self.scale)
-
-
-@dataclass
-class ViewContribution:
-    """One view's lifted 3D point and its fused aggregation weight."""
-
-    world_point: np.ndarray
-    s_conf: float
-    g_conf: float
-    frame_index: int
-
-    def __post_init__(self) -> None:
-        self.world_point = np.asarray(self.world_point, dtype=np.float64).reshape(3)
-
-    @property
-    def fused_weight(self) -> float:
-        return self.s_conf * self.g_conf
 
 
 def align_sim3(src: np.ndarray, dst: np.ndarray) -> Sim3Transform:
@@ -222,25 +204,30 @@ def geometric_confidence(tau: float, zeta: float) -> float:
     return float(np.exp(-zeta * tau))
 
 
-def aggregate(contributions: Sequence[ViewContribution]) -> np.ndarray:
-    """Fused-weight average of the per-view world points."""
-    if not contributions:
-        raise DegenerateGeometryError("no contributions to aggregate")
-    weights = np.array([c.fused_weight for c in contributions])
+def aggregate(points: np.ndarray, weights: Sequence[float]) -> np.ndarray:
+    """Weighted average of the (N, 3) per-view ``points``.
+
+    ``weights`` holds one fused weight s_conf * g_conf per point.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if points.size == 0 == weights.size:
+        raise DegenerateGeometryError("no points to aggregate")
+    if points.ndim != 2 or points.shape[1] != 3 or weights.shape != points.shape[:1]:
+        raise DimensionError(f"need (N, 3) points and N weights, got {points.shape} and {weights.shape}")
     total = float(weights.sum())
     if total <= 0.0:
         raise DegenerateGeometryError("all fused weights are zero")
-    points = np.stack([c.world_point for c in contributions])
     return weights @ points / total
 
 
-def relative_displacement(frame: CameraFrame, world_point: np.ndarray, t_eta: Sim3Transform) -> np.ndarray:
-    """Express a benchmark-frame point in camera i's coordinates.
+def relative_displacement(frame: CameraFrame, recon_point: np.ndarray) -> np.ndarray:
+    """Express a reconstruction-frame point in camera i's coordinates.
 
-    Inverts the alignment transform and then the camera pose, i.e. the
-    inverse of the :func:`backproject` chain.
+    ``R^T (p - c)`` for the camera-to-world rotation R and centre c: the
+    inverse of the pose step of :func:`backproject`. A benchmark-frame point
+    is first taken back through ``t_eta.inverse()``, once for all cameras.
     """
-    point = np.asarray(world_point, dtype=np.float64).reshape(3)
-    in_recon = t_eta.inverse().apply(point)
+    point = np.asarray(recon_point, dtype=np.float64).reshape(3)
     r = frame.pose[:3, :3]
-    return r.T @ (in_recon - frame.pose[:3, 3])
+    return r.T @ (point - frame.pose[:3, 3])

@@ -163,6 +163,8 @@ def eval_3d(pred: TrackOutput, scenario: Scenario) -> MetricsReport3D:
     if pred_interval is None:
         return MetricsReport3D(0.0, 0.0, None, None, 0.0)
     t_eta = align_sim3(scenario.alignment_src, scenario.alignment_dst)
+    # the annotated point taken back to the reconstruction frame, once for every camera
+    recon_point = t_eta.inverse().apply(scenario.gt_point)
     cameras = scenario.cameras
     interval = range(pred_interval[0], pred_interval[1] + 1)
     with_pose = [t for t in interval if cameras[t] is not None]
@@ -174,7 +176,7 @@ def eval_3d(pred: TrackOutput, scenario: Scenario) -> MetricsReport3D:
     for t in with_pose:
         if t not in pred.displacements:
             continue
-        gt_delta = relative_displacement(cameras[t], scenario.gt_point, t_eta)
+        gt_delta = relative_displacement(cameras[t], recon_point)
         delta = pred.displacements[t]
         l2 = float(np.linalg.norm(delta - gt_delta))
         angle = _vector_angle(delta, gt_delta)

@@ -374,7 +374,9 @@ def finalize_3d(
     src, dst = alignment_pairs
     t_eta = geo3d.align_sim3(src, dst)
 
-    contributions: list[geo3d.ViewContribution] = []
+    frames: list[int] = []
+    points: list[np.ndarray] = []
+    weights: list[float] = []
     for result in track.results:
         idx = result.frame_index
         if not (track.interval.start_frame <= idx <= track.interval.end_frame):
@@ -385,22 +387,18 @@ def finalize_3d(
         rows, cols = np.nonzero(result.mask)
         u, v = float(cols.mean()), float(rows.mean())
         try:
-            world = geo3d.backproject(camera, u, v, t_eta)
+            points.append(geo3d.backproject(camera, u, v, t_eta))
         except geo3d.InvalidSampleError:
             continue
         s_conf = geo3d.semantic_confidence(result.prob, result.mask)
         tau = float(camera.depth_uncertainty[int(round(v)), int(round(u))])
-        g_conf = geo3d.geometric_confidence(tau, cfg.zeta)
-        contributions.append(geo3d.ViewContribution(world, s_conf, g_conf, idx))
+        weights.append(s_conf * geo3d.geometric_confidence(tau, cfg.zeta))
+        frames.append(idx)
 
-    if not contributions:
+    if not frames:
         raise NoDetectionError("no interval frame had a usable mask and depth")
-    world_point = geo3d.aggregate(contributions)
-
-    displacements: dict[int, np.ndarray] = {}
-    for contribution in contributions:
-        camera = cameras[contribution.frame_index]
-        displacements[contribution.frame_index] = geo3d.relative_displacement(
-            camera, world_point, t_eta
-        )
+    world_point = geo3d.aggregate(points, weights)
+    # every displacement starts from the one point taken back to the reconstruction frame
+    recon_point = t_eta.inverse().apply(world_point)
+    displacements = {idx: geo3d.relative_displacement(cameras[idx], recon_point) for idx in frames}
     return TrackOutput(track.results, track.interval, track.peaks, world_point, displacements)

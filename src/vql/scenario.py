@@ -174,6 +174,11 @@ def gen_scenario(seed: int, params: ScenarioParams) -> Scenario:
         raise ParameterError(f"canvas must be at least 8x8, got {params.canvas}")
     if params.object_size < 1 or params.object_size > min(h, w):
         raise ParameterError(f"object size {params.object_size} does not fit canvas {params.canvas}")
+    # the absence window and the corrupted views must name frames and views of the clip, not be ignored
+    if params.absence is not None and not 0 <= params.absence[0] <= params.absence[1] < params.n_frames:
+        raise ParameterError(f"absence {params.absence} is not a window 0 <= start <= end < {params.n_frames}")
+    if any(not 0 <= i < params.n_views for i in params.corrupt_views):
+        raise ParameterError(f"corrupt_views {params.corrupt_views} names a view outside [0, {params.n_views})")
     rng = np.random.default_rng(seed)
     q0, u0 = _signature_pair(rng, CHANNELS)
     distractor_sig = np.cos(DISTRACTOR_ANGLE) * q0 + np.sin(DISTRACTOR_ANGLE) * u0

@@ -996,7 +996,7 @@ def check_projection_round_trip(n_instances=100, seed=26):
         worst = max(worst, float(np.abs(uv - [u, v]).max()))
         worst = max(worst, abs(cam_pt[2] - cam.depth[v, u]))
         # displacement round trip: delta of a lifted pixel equals its camera ray
-        delta = geo3d.relative_displacement(cam, world, t_eta)
+        delta = geo3d.relative_displacement(cam, back)
         ray = cam.depth[v, u] * np.linalg.solve(cam.intrinsics, np.array([u, v, 1.0]))
         worst = max(worst, float(np.abs(delta - ray).max()))
     return worst < 1e-9, f"worst round-trip error {worst:.3e} over {n_instances} cameras"
@@ -1004,22 +1004,19 @@ def check_projection_round_trip(n_instances=100, seed=26):
 
 def check_aggregate_oracle(seed=27):
     rng = np.random.default_rng(seed)
-    contribs = [
-        geo3d.ViewContribution(rng.uniform(-3, 3, size=3), float(rng.uniform(0.1, 1)), float(rng.uniform(0.1, 1)), i)
-        for i in range(6)
-    ]
-    got = geo3d.aggregate(contribs)
+    # per view: a point, then its semantic and geometric confidences
+    views = [(rng.uniform(-3, 3, size=3), float(rng.uniform(0.1, 1)), float(rng.uniform(0.1, 1))) for _ in range(6)]
+    points = np.stack([point for point, _, _ in views])
+    weights = [s_conf * g_conf for _, s_conf, g_conf in views]
+    got = geo3d.aggregate(points, weights)
     num = np.zeros(3)
     den = 0.0
-    for c in contribs:
-        weight = c.s_conf * c.g_conf
-        num += weight * c.world_point
+    for point, weight in zip(points, weights):
+        num += weight * point
         den += weight
     want = num / den
     err = float(np.abs(got - want).max())
-    lo = np.min([c.world_point for c in contribs], axis=0)
-    hi = np.max([c.world_point for c in contribs], axis=0)
-    inside = bool(np.all(got >= lo - 1e-12) and np.all(got <= hi + 1e-12))
+    inside = bool(np.all(got >= points.min(axis=0) - 1e-12) and np.all(got <= points.max(axis=0) + 1e-12))
     return err < 1e-12 and inside, f"deviation {err:.3e}, inside convex hull: {inside}"
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vql import geo3d
-from vql.core import ParameterError
+from vql.core import DimensionError, ParameterError
 from vql.scenario import _random_rotation
 
 
@@ -161,31 +161,38 @@ class TestGeometricConfidence:
 
 class TestAggregate:
     def test_single_contribution(self):
-        c = geo3d.ViewContribution([1.0, 2.0, 3.0], 0.5, 0.5, 0)
-        np.testing.assert_array_equal(geo3d.aggregate([c]), [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(geo3d.aggregate([[1.0, 2.0, 3.0]], [0.25]), [1.0, 2.0, 3.0])
 
     def test_equal_weights_centroid(self):
-        contribs = [
-            geo3d.ViewContribution([0.0, 0.0, 0.0], 0.5, 1.0, 0),
-            geo3d.ViewContribution([2.0, 0.0, 0.0], 0.5, 1.0, 1),
-        ]
-        np.testing.assert_allclose(geo3d.aggregate(contribs), [1.0, 0.0, 0.0])
+        got = geo3d.aggregate([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [0.5, 0.5])
+        np.testing.assert_allclose(got, [1.0, 0.0, 0.0])
 
     def test_inside_convex_hull(self):
         r = rng(9)
-        contribs = [
-            geo3d.ViewContribution(r.uniform(-3, 3, size=3), float(r.uniform(0.1, 1)), float(r.uniform(0.1, 1)), i)
-            for i in range(8)
-        ]
-        got = geo3d.aggregate(contribs)
-        points = np.stack([c.world_point for c in contribs])
+        points = r.uniform(-3, 3, size=(8, 3))
+        weights = r.uniform(0.1, 1, size=8) * r.uniform(0.1, 1, size=8)
+        got = geo3d.aggregate(points, weights)
         assert np.all(got >= points.min(axis=0) - 1e-12)
         assert np.all(got <= points.max(axis=0) + 1e-12)
 
     def test_zero_weights(self):
-        c = geo3d.ViewContribution([0.0, 0.0, 0.0], 0.0, 1.0, 0)
-        with pytest.raises(geo3d.DegenerateGeometryError):
-            geo3d.aggregate([c])
+        with pytest.raises(geo3d.DegenerateGeometryError, match="all fused weights are zero"):
+            geo3d.aggregate([[0.0, 0.0, 0.0]], [0.0])
+        with pytest.raises(geo3d.DegenerateGeometryError, match="no points to aggregate"):
+            geo3d.aggregate([], [])
+
+    @pytest.mark.parametrize(
+        "points,weights",
+        [
+            pytest.param([[0.0, 0.0, 0.0]], [0.5, 0.5], id="more-weights"),
+            pytest.param([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], [0.5], id="fewer-weights"),
+            pytest.param([0.0, 0.0, 0.0], [0.5], id="one-vector"),
+            pytest.param([[0.0, 0.0]], [0.5], id="2d-points"),
+        ],
+    )
+    def test_shape_mismatch(self, points, weights):
+        with pytest.raises(DimensionError, match="need \\(N, 3\\) points and N weights"):
+            geo3d.aggregate(points, weights)
 
 
 class TestRelativeDisplacement:
@@ -197,12 +204,13 @@ class TestRelativeDisplacement:
         pose[:3, 3] = r.uniform(-2, 2, size=3)
         cam = geo3d.CameraFrame(pose, simple_camera().intrinsics, np.full((9, 9), 1.0), np.zeros((9, 9)))
         t_eta = random_sim3(r)
+        # the lift's path: a benchmark-frame point goes back through t_eta first
         center_in_bench = t_eta.apply(pose[:3, 3])
         np.testing.assert_allclose(
-            geo3d.relative_displacement(cam, center_in_bench, t_eta), 0.0, atol=1e-10
+            geo3d.relative_displacement(cam, t_eta.inverse().apply(center_in_bench)), 0.0, atol=1e-10
         )
 
     def test_identity_everything(self):
         cam = simple_camera()
         p = np.array([0.3, -0.7, 2.2])
-        np.testing.assert_allclose(geo3d.relative_displacement(cam, p, identity_sim3()), p, atol=1e-15)
+        np.testing.assert_array_equal(geo3d.relative_displacement(cam, p), p)

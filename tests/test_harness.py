@@ -82,6 +82,15 @@ class TestGenScenario:
             gen_scenario(0, ScenarioParams(n_frames=0))
         with pytest.raises(ParameterError):
             gen_scenario(0, ScenarioParams(n_frames=2, canvas=(4, 4)))
+        # generator inputs outside the clip: a reversed or out-of-range absence window, a view it lacks
+        for absence in (15, 5), (-1, 3), (5, 20):
+            with pytest.raises(ParameterError, match="absence"):
+                gen_scenario(0, ScenarioParams(n_frames=20, absence=absence))
+        for corrupt in (5,), (9,), (-1,), (0, 5):
+            with pytest.raises(ParameterError, match="corrupt_views"):
+                gen_scenario(0, replace(preset_params("geo"), corrupt_views=corrupt))
+        with pytest.raises(ParameterError, match="corrupt_views"):
+            gen_scenario(0, ScenarioParams(n_frames=5, corrupt_views=(0,)))
 
 
 class TestFileRoundTrips:
@@ -219,6 +228,12 @@ class TestFileRoundTrips:
             pytest.param("track", lambda t: with_prob(t, -3.0), r"\.prob: expected probabilities in \[0, 1\]", id="prob-below-0"),
             pytest.param("track", lambda t: with_prob(t, np.nan), r"\.prob: expected probabilities in \[0, 1\]", id="nan-prob"),
             pytest.param(
+                "track",
+                lambda t: t.displacements.__setitem__(99, np.zeros(3)),
+                r"\.displacement_frames: expected frames of frame_index, got 99",
+                id="stray-displacement",
+            ),
+            pytest.param(
                 "scenario", lambda s: setattr(s, "alignment_dst", None), r"\.alignment_dst: missing member", id="lone-src"
             ),
             pytest.param(
@@ -259,6 +274,15 @@ class TestFileRoundTrips:
         fileio.save_track(ground_truth_track(small_identity()), path)
         rewrite(path, lambda p: with_item(p, (1, 16, 16), 7.5), "prob.npy")
         with pytest.raises(fileio.SchemaError, match=r"\.prob: expected probabilities in \[0, 1\]"):
+            fileio.load_track(path)
+
+    def test_displacement_outside_the_track_refused(self, tmp_path):
+        # a displacement is the lift of a frame's result, so its frame must be one of the track's
+        path = str(tmp_path / "track.npz")
+        fileio.save_track(ground_truth_track(small_identity()), path)
+        rewrite(path, lambda d: d.update(displacement_frames=[99]))
+        rewrite(path, lambda deltas: np.zeros((1, 3)), "deltas.npy")
+        with pytest.raises(fileio.SchemaError, match=r"\.displacement_frames: expected frames of frame_index, got 99"):
             fileio.load_track(path)
 
     def test_writes_exactly_the_path(self, tmp_path):
@@ -817,6 +841,18 @@ class TestEval3d:
         assert report.angle == pytest.approx(np.pi)
         assert report.success_pct == 0.0
 
+    def test_inverts_the_alignment_once(self, monkeypatch):
+        from vql import geo3d
+        from vql.pipeline import finalize_3d
+
+        sc = gen_scenario(8, preset_params("geo"))
+        track = finalize_3d(ground_truth_track(sc), sc.cameras, (sc.alignment_src, sc.alignment_dst))
+        inverse = geo3d.Sim3Transform.inverse
+        calls = []
+        monkeypatch.setattr(geo3d.Sim3Transform, "inverse", lambda t: calls.append(t) or inverse(t))
+        assert metrics.eval_3d(track, sc).qwp_pct == 100.0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("member", ["alignment_src", "alignment_dst"])
     def test_unpaired_alignment_rejected(self, member):
         from dataclasses import replace
@@ -866,14 +902,19 @@ class TestEvalInterval:
 class TestEvalFrames:
     """Both evaluators reject a track that is not one result per scenario frame, in order."""
 
+    # each edit moves the displacement frames with the frames (every frame is lifted), so the
+    # file loads and only the scenario's frame check can refuse it
     @staticmethod
     def shift(track_path):
-        rewrite(track_path, lambda d: d.update(frame_index=[t + 1000 for t in d["frame_index"]]))
+        keys = ("frame_index", "displacement_frames")
+        rewrite(track_path, lambda d: d.update({k: [t + 1000 for t in d[k]] for k in keys}))
 
     @staticmethod
     def cut(track_path):
-        rewrite(track_path, lambda d: d.update(frame_index=d["frame_index"][:3], peaks=d["peaks"][:3]))
+        keys = ("frame_index", "peaks", "displacement_frames")
+        rewrite(track_path, lambda d: d.update({k: d[k][:3] for k in keys}))
         rewrite(track_path, lambda p: p[:3], "prob.npy")
+        rewrite(track_path, lambda p: p[:3], "deltas.npy")
 
     @pytest.mark.parametrize("edit", ["shift", "cut"])
     def test_track_not_covering_the_frames_exits_2(self, geo_files, capsys, edit):
@@ -977,6 +1018,31 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["3d_l2"] < 1e-9
         assert payload["3d_qwp_pct"] == 100.0
+
+    def test_run3d_without_boxes_writes_no_world_point(self, tmp_path, capsys):
+        sc = gen_scenario(11, preset_params("geo"))
+        track = ground_truth_track(sc)
+        # an interval but no box: no frame can be lifted
+        track.results = [extract_result(np.zeros_like(r.prob), r.frame_index) for r in track.results]
+        scenario_path, track_path, out3d = tmp_path / "geo.npz", tmp_path / "track.npz", tmp_path / "track3d.npz"
+        fileio.save_scenario(sc, str(scenario_path))
+        fileio.save_track(track, str(track_path))
+        args = ["run3d", "--scenario", str(scenario_path), "--track", str(track_path), "--out", str(out3d)]
+        assert self.run_cli(*args) == 0
+        assert "no interval frame had a usable mask and depth" in capsys.readouterr().out
+        lifted = fileio.load_track(str(out3d))
+        assert lifted.world_point is None and lifted.displacements == {}
+        assert lifted.interval == track.interval
+
+    def test_run3d_without_alignment_exits_2(self, tmp_path, capsys):
+        sc = small_identity()
+        scenario_path, track_path = tmp_path / "identity.npz", tmp_path / "track.npz"
+        fileio.save_scenario(sc, str(scenario_path))
+        fileio.save_track(ground_truth_track(sc), str(track_path))
+        args = ["run3d", "--scenario", str(scenario_path), "--track", str(track_path)]
+        assert self.run_cli(*args, "--out", str(tmp_path / "track3d.npz")) == 2
+        assert "carries no alignment point pairs" in capsys.readouterr().err
+        assert not (tmp_path / "track3d.npz").exists()
 
     def test_console_script_entry_point(self, tmp_path):
         proc = subprocess.run(

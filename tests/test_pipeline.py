@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vql import amm, core, fileio, glm
+from vql import amm, core, fileio, geo3d, glm
 from vql.core import (
     DimensionError,
     EmptyInputError,
@@ -606,6 +606,31 @@ class TestFinalize3d:
         out = finalize_3d(ground_truth_track(sc), sc.cameras, (sc.alignment_src, sc.alignment_dst))
         np.testing.assert_allclose(out.world_point, sc.gt_point, atol=1e-6)
         assert len(out.displacements) == 5
+
+    def test_view_without_depth_is_skipped(self):
+        sc = gen_scenario(3, preset_params("geo"))
+        sc.frames[2].camera.depth = np.full_like(sc.frames[2].camera.depth, np.nan)
+        out = finalize_3d(ground_truth_track(sc), sc.cameras, (sc.alignment_src, sc.alignment_dst))
+        assert set(out.displacements) == {0, 1, 3, 4}
+        np.testing.assert_allclose(out.world_point, sc.gt_point, atol=1e-6)
+
+    def test_no_view_with_depth_raises(self):
+        sc = gen_scenario(3, preset_params("geo"))
+        for camera in sc.cameras:
+            camera.depth = np.full_like(camera.depth, np.nan)
+        with pytest.raises(NoDetectionError, match="no interval frame had a usable mask and depth"):
+            finalize_3d(ground_truth_track(sc), sc.cameras, (sc.alignment_src, sc.alignment_dst))
+
+    def test_inverts_the_alignment_once(self, monkeypatch):
+        # every displacement starts from one reconstruction-frame point
+        sc = gen_scenario(3, preset_params("geo"))
+        track = ground_truth_track(sc)
+        inverse = geo3d.Sim3Transform.inverse
+        calls = []
+        monkeypatch.setattr(geo3d.Sim3Transform, "inverse", lambda t: calls.append(t) or inverse(t))
+        out = finalize_3d(track, sc.cameras, (sc.alignment_src, sc.alignment_dst))
+        assert len(out.displacements) == 5
+        assert len(calls) == 1
 
     def test_full_pipeline_geo_run(self):
         # unit kernels keep the predicted masks exactly on the synthetic target,
