@@ -18,7 +18,7 @@ types and ranges, for the library and the file alike.
 
 A file stores nothing that follows from what it stores: the loader reads
 every shape from the stacked tensors (a scenario's N, H, W and C from
-``features``, a track's H and W from ``prob``), derives a scenario frame's
+``features``, a track's N, H and W from ``prob``), derives a scenario frame's
 ``gt_bbox`` and the scenario's ``gt_interval`` from the ground-truth masks,
 and a track frame's mask, ``bbox`` and ``s_conf`` from its probability map
 (``fusion.extract_result``). A scenario file holds the clip and the query,
@@ -59,7 +59,7 @@ __all__ = [
     "load_config",
 ]
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 # how to replace a file of another version, by kind
 _UPGRADE = {
@@ -255,13 +255,12 @@ def _int_vector(values: Any, n: Optional[int], path: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _frame_list(values: Any, n_frames: Optional[int], path: str) -> tuple[int, ...]:
-    """A list of increasing frame indices from 0, each below ``n_frames`` when it is given."""
+def _frame_list(values: Any, n_frames: int, path: str) -> tuple[int, ...]:
+    """A list of increasing frame indices from 0, each below ``n_frames``."""
     frames = _int_vector(values, None, path)
     increasing = all(a < b for a, b in zip((-1, *frames), frames))
-    if not increasing or (n_frames is not None and frames and frames[-1] >= n_frames):
-        bound = "" if n_frames is None else f" below {n_frames}"
-        raise SchemaError(f"{path}: expected increasing frame indices from 0{bound}, got {list(frames)}")
+    if not increasing or (frames and frames[-1] >= n_frames):
+        raise SchemaError(f"{path}: expected increasing frame indices from 0 below {n_frames}, got {list(frames)}")
     return frames
 
 
@@ -378,12 +377,12 @@ def load_scenario(path: str) -> Scenario:
 
 
 def save_track(track: TrackOutput, path: str) -> None:
-    if not track.results:
-        raise SchemaError(f"{path}.frame_index: expected at least one frame, got []")
+    n = len(track.results)
+    if not n:
+        raise SchemaError(f"{path}.prob: expected at least one frame, got none")
     h, w = track.results[0].prob.shape
     # what the loader would refuse is refused before anything is written
-    frame_index = _frame_list([int(result.frame_index) for result in track.results], None, f"{path}.frame_index")
-    displacement_frames = _displacement_frames([int(t) for t in sorted(track.displacements)], frame_index, path)
+    displacement_frames = _frame_list([int(t) for t in sorted(track.displacements)], n, f"{path}.displacement_frames")
     arrays = {
         "prob": _probabilities(_stack([result.prob for result in track.results], (h, w)), path),
         "deltas": _stack([track.displacements[t] for t in displacement_frames], (3,)),
@@ -393,8 +392,7 @@ def save_track(track: TrackOutput, path: str) -> None:
     document = {
         "version": FORMAT_VERSION,
         "kind": "track",
-        "frame_index": list(frame_index),
-        "peaks": _peaks([float(p) for p in track.peaks], len(frame_index), path),
+        "peaks": _peaks([float(p) for p in track.peaks], n, path),
         "interval": None
         if track.interval is None
         else [track.interval.start_frame, track.interval.end_frame],
@@ -410,15 +408,6 @@ def _probabilities(prob: np.ndarray, path: str) -> np.ndarray:
     return prob
 
 
-def _displacement_frames(values: Any, frame_index: tuple[int, ...], path: str) -> tuple[int, ...]:
-    """Increasing frame indices, each a frame of the track: only a frame with a result has a displacement."""
-    frames = _frame_list(values, None, f"{path}.displacement_frames")
-    stray = sorted(set(frames) - set(frame_index))
-    if stray:
-        raise SchemaError(f"{path}.displacement_frames: expected frames of frame_index, got {stray[0]}")
-    return frames
-
-
 def _peaks(values: list, n_frames: int, path: str) -> list[float]:
     """One finite tracking peak per frame."""
     peaks = [_finite(p, f"{path}.peaks[{i}]") for i, p in enumerate(values)]
@@ -428,20 +417,20 @@ def _peaks(values: list, n_frames: int, path: str) -> list[float]:
 
 
 def load_track(path: str) -> TrackOutput:
-    """A track file; its canvas (H, W) is the shape of each ``prob`` frame."""
-    keys = ("frame_index", "peaks", "interval", "displacement_frames")
+    """A track file; its frame count N and canvas (H, W) are the shape of ``prob``."""
+    keys = ("peaks", "interval", "displacement_frames")
     document, arrays = _read_archive(path, "track", keys, ("prob", "deltas"), ("world_point",))
-    frame_index = _frame_list(_expect(document, "frame_index", path), None, f"{path}.frame_index")
-    if not frame_index:
+    prob = _probabilities(_member(arrays, "prob", "<f8", (None,) * 3, path), path)
+    n = len(prob)
+    if not n:
         # a track is per-frame results; save_track refuses to write one without frames
-        raise SchemaError(f"{path}.frame_index: expected at least one frame, got []")
-    displacement_frames = _displacement_frames(_expect(document, "displacement_frames", path), frame_index, path)
-    prob = _probabilities(_member(arrays, "prob", "<f8", (len(frame_index), None, None), path), path)
+        raise SchemaError(f"{path}.prob: expected at least one frame, got none")
+    peaks = _peaks(_expect(document, "peaks", path, list), n, path)
+    displacement_frames = _frame_list(_expect(document, "displacement_frames", path), n, f"{path}.displacement_frames")
     deltas = _member(arrays, "deltas", "<f8", (len(displacement_frames), 3), path)
-    peaks = _peaks(_expect(document, "peaks", path, list), len(frame_index), path)
     interval = _expect(document, "interval", path)
     return TrackOutput(
-        [extract_result(p, t) for p, t in zip(prob, frame_index)],
+        [extract_result(p) for p in prob],
         None if interval is None else TemporalInterval(*_interval(interval, f"{path}.interval")),
         peaks,
         _member(arrays, "world_point", "<f8", (3,), path) if "world_point" in arrays else None,

@@ -48,7 +48,6 @@ class SegmentationResult:
     mask: np.ndarray
     bbox: Optional[tuple[int, int, int, int]]
     s_conf: float
-    frame_index: int
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ def fuse(appearance: np.ndarray, score: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-logits))
 
 
-def extract_result(prob: np.ndarray, frame_index: int) -> SegmentationResult:
+def extract_result(prob: np.ndarray) -> SegmentationResult:
     """Threshold at 0.5, box the largest 4-connected component.
 
     The confidence is the mean probability over the whole mask; size ties
@@ -90,7 +89,7 @@ def extract_result(prob: np.ndarray, frame_index: int) -> SegmentationResult:
     fg = prob >= MASK_THRESHOLD
     mask = fg.astype(np.uint8)
     if not fg.any():
-        return SegmentationResult(prob, mask, None, 0.0, frame_index)
+        return SegmentationResult(prob, mask, None, 0.0)
     run_start, run_length, root = _component_runs(fg)
     # roots number components by first pixel, so the first maximum wins ties
     largest = root == np.argmax(np.bincount(root, weights=run_length))
@@ -98,7 +97,7 @@ def extract_result(prob: np.ndarray, frame_index: int) -> SegmentationResult:
     last_col = first_col + run_length[largest] - 1
     # runs come in row-major order: the first and last rows are the ends
     bbox = (int(first_col.min()), int(rows[0]), int(last_col.max()), int(rows[-1]))
-    return SegmentationResult(prob, mask, bbox, float(prob[fg].mean()), frame_index)
+    return SegmentationResult(prob, mask, bbox, float(prob[fg].mean()))
 
 
 def temporal_localize(s_conf_seq: Sequence[float]) -> Optional[TemporalInterval]:

@@ -19,8 +19,9 @@ over interval frames,
 success* restricted to frames with a camera pose, and QwP, the percent of
 interval frames that have a pose.
 
-A track whose results are not one per scenario frame, in order, and a
-predicted interval that leaves the scenario's frames are ValueErrors.
+A track's t-th result is frame t. A track without one result per
+scenario frame, and a predicted interval that leaves the scenario's
+frames, are ValueErrors.
 """
 
 from __future__ import annotations
@@ -89,14 +90,9 @@ def temporal_iou(a: Sequence[int], b: Sequence[int]) -> float:
 
 
 def _check_frames(pred: TrackOutput, scenario: Scenario) -> None:
-    """Raises ValueError unless the track's frame indices are exactly 0..n_frames-1."""
-    indices = [r.frame_index for r in pred.results]
-    n_frames = len(scenario.frames)
-    if indices != list(range(n_frames)):
-        raise ValueError(
-            f"track frame_index values are not the scenario's frames 0..{n_frames - 1} in order "
-            f"({len(indices)} results, starting {indices[:3]})"
-        )
+    """Raises ValueError unless the track has one result per scenario frame."""
+    if len(pred.results) != len(scenario.frames):
+        raise ValueError(f"track has {len(pred.results)} results for the scenario's {len(scenario.frames)} frames")
 
 
 def _pred_interval(pred: TrackOutput, scenario: Scenario) -> Optional[tuple[int, int]]:
@@ -129,7 +125,7 @@ def eval_2d(pred: TrackOutput, scenario: Scenario) -> MetricsReport2D:
     t_iou = temporal_iou(pred_interval, gt_interval)
     t_ap25 = 1.0 if t_iou >= 0.25 else 0.0
 
-    # each frame's box IoU, 0 where either box is missing; results[t] is frame t (_check_frames)
+    # each frame's box IoU, 0 where either box is missing
     ious = [
         0.0 if r.bbox is None or f.gt_bbox is None else box_iou(r.bbox, f.gt_bbox)
         for r, f in zip(pred.results, scenario.frames)

@@ -126,7 +126,8 @@ class QuerySpec:
 
 @dataclass
 class TrackOutput:
-    """Everything a query run produces."""
+    """Everything a query run produces: ``results[t]`` is frame t, and the interval and the
+    ``displacements`` keys count frames the same way."""
 
     results: list[fusion.SegmentationResult]
     interval: Optional[fusion.TemporalInterval]
@@ -279,19 +280,15 @@ class Pipeline:
         return len(recent) == HALT_WINDOW and float(np.mean(recent)) < HALT_THRESHOLD
 
     def step_frame(self, frame_feature: np.ndarray, frame_index: int) -> fusion.SegmentationResult:
-        """Run one frame through both branches, fuse, and maybe update the banks.
+        """Run frame ``frame_index`` through both branches, fuse, and maybe update the banks.
 
-        A negative frame index, one that does not exceed the previous
-        frame's, or a non-finite frame, raises ParameterError and a frame
-        whose shape differs from the query's DimensionError, before any
-        state changes.
+        Frames are stepped 0, 1, 2, ... in order: an index other than the
+        number of frames stepped so far, or a non-finite frame, raises
+        ParameterError and a frame whose shape differs from the query's
+        DimensionError, before any state changes.
         """
-        if frame_index < 0:
-            raise ParameterError(f"frame index must be >= 0, got {frame_index}")
-        if self.results and frame_index <= self.results[-1].frame_index:
-            raise ParameterError(
-                f"frame index {frame_index} does not follow the previous index {self.results[-1].frame_index}"
-            )
+        if frame_index != len(self.results):
+            raise ParameterError(f"frame index {frame_index} is not the next frame, {len(self.results)}")
         frame_feature = np.asarray(frame_feature, dtype=np.float64)
         if frame_feature.shape != self._frame_shape:
             raise DimensionError(
@@ -302,7 +299,7 @@ class Pipeline:
         # outputs: appearance logit and tracking score (see the module docstring)
         out = conv2d(frame_feature, self.memory.inference_kernel)
         score = out[:, :, 1]
-        result = fusion.extract_result(fusion.fuse(out[:, :, 0], score), frame_index)
+        result = fusion.extract_result(fusion.fuse(out[:, :, 0], score))
         peak = float(score.max())
 
         self.results.append(result)
@@ -338,19 +335,10 @@ class Pipeline:
         if not self.results:
             raise EmptyInputError("no frames have been stepped")
         interval = fusion.temporal_localize([r.s_conf for r in self.results])
-        if interval is not None:
-            indices = [r.frame_index for r in self.results]
-            interval = fusion.TemporalInterval(
-                indices[interval.start_frame], indices[interval.end_frame]
-            )
         return TrackOutput(list(self.results), interval, list(self.peaks))
 
     def run(self, frames: Sequence[np.ndarray]) -> TrackOutput:
-        """Step every frame in order, numbering them 0, 1, 2, ..., and finalize.
-
-        A run over frames numbered otherwise calls :meth:`step_frame` with
-        each index and then :meth:`finalize_2d`.
-        """
+        """Step every frame in order, as frames 0, 1, 2, ..., and finalize."""
         for index, feature in enumerate(frames):
             self.step_frame(feature, index)
         return self.finalize_2d()
@@ -367,7 +355,8 @@ def finalize_3d(
     Aggregates mask-centroid back-projections over the frames inside the
     temporal interval, weighting each view by semantic x geometric
     confidence, then expresses the aggregate in every interval camera with
-    valid depth at its centroid. ``cameras`` is indexed by frame_index.
+    valid depth at its centroid. ``cameras[t]`` is frame t's camera, None
+    where the frame has none.
     """
     if track.interval is None:
         raise NoDetectionError("track has no temporal interval")
@@ -377,8 +366,7 @@ def finalize_3d(
     frames: list[int] = []
     points: list[np.ndarray] = []
     weights: list[float] = []
-    for result in track.results:
-        idx = result.frame_index
+    for idx, result in enumerate(track.results):
         if not (track.interval.start_frame <= idx <= track.interval.end_frame):
             continue
         if result.bbox is None or idx >= len(cameras) or cameras[idx] is None:

@@ -174,9 +174,13 @@ def gen_scenario(seed: int, params: ScenarioParams) -> Scenario:
         raise ParameterError(f"canvas must be at least 8x8, got {params.canvas}")
     if params.object_size < 1 or params.object_size > min(h, w):
         raise ParameterError(f"object size {params.object_size} does not fit canvas {params.canvas}")
-    # the absence window and the corrupted views must name frames and views of the clip, not be ignored
-    if params.absence is not None and not 0 <= params.absence[0] <= params.absence[1] < params.n_frames:
-        raise ParameterError(f"absence {params.absence} is not a window 0 <= start <= end < {params.n_frames}")
+    # the absence window, the views and the corrupted views must name frames and views of the clip, not be ignored
+    if params.absence is not None and not 1 <= params.absence[0] <= params.absence[1] < params.n_frames:
+        raise ParameterError(
+            f"absence {params.absence} is not a window 1 <= start <= end < {params.n_frames} (frame 0 is the query)"
+        )
+    if not 0 <= params.n_views <= params.n_frames:
+        raise ParameterError(f"n_views {params.n_views} is not in [0, {params.n_frames}]: each view is one frame's camera")
     if any(not 0 <= i < params.n_views for i in params.corrupt_views):
         raise ParameterError(f"corrupt_views {params.corrupt_views} names a view outside [0, {params.n_views})")
     rng = np.random.default_rng(seed)
@@ -273,7 +277,7 @@ def ground_truth_track(scenario: Scenario) -> TrackOutput:
     back to the masks; a frame's s_conf is 0.9 (to rounding) when its mask
     is non-empty, and the interval is the scenario's ``gt_interval``.
     """
-    results = [extract_result(np.where(f.gt_mask != 0, 0.9, 0.1), t) for t, f in enumerate(scenario.frames)]
+    results = [extract_result(np.where(f.gt_mask != 0, 0.9, 0.1)) for f in scenario.frames]
     peaks = [1.0 if f.gt_mask.any() else 0.0 for f in scenario.frames]
     interval = scenario.gt_interval
     return TrackOutput(results, None if interval is None else TemporalInterval(*interval), peaks)

@@ -648,7 +648,7 @@ def check_amm_fifo_replay(seed=14):
     mem = empty_banks(static)
     admitted = []
     for i in range(40):
-        result = fusion.extract_result(np.full((4, 4), rng.uniform(0.3, 0.9)), i)
+        result = fusion.extract_result(np.full((4, 4), rng.uniform(0.3, 0.9)))
         if amm.amm_admit(result):
             mem = mem.admit(seg_entry(np.full((4, 4, 1), float(i)), result.mask), capacity=5)
             admitted.append(i)
@@ -802,7 +802,7 @@ def check_glm_crop_geometry(seed=22):
     prob[10:21, 14:25] = 0.9
     # a stray component away from the box, which the mask keeps
     prob[33:36, 2:5] = 0.8
-    result = fusion.extract_result(prob, 0)
+    result = fusion.extract_result(prob)
     if result.bbox != (14, 10, 24, 20):
         return False, f"setup broken: box {result.bbox} is not the largest component's"
     pipe = Pipeline(QuerySpec(feature, result.mask), _unit_kernel_config())
@@ -858,14 +858,14 @@ def check_extract_result_components():
     prob = np.full((8, 8), 0.1)
     prob[1, 1:6] = 0.9      # 5-pixel row component
     prob[5:6, 1:4] = 0.9    # 3-pixel row component
-    res = fusion.extract_result(prob, 0)
+    res = fusion.extract_result(prob)
     if res.bbox != (1, 1, 5, 1):
         return False, f"largest-component bbox wrong: {res.bbox}"
     # tie: two 2x1 components, the row-major first one wins
     prob = np.full((6, 6), 0.1)
     prob[0, 4:6] = 0.9
     prob[3, 0:2] = 0.9
-    res = fusion.extract_result(prob, 0)
+    res = fusion.extract_result(prob)
     if res.bbox != (4, 0, 5, 0):
         return False, f"tie-break bbox wrong: {res.bbox}"
     return True, "largest component and row-major tie-break verified"
@@ -895,7 +895,7 @@ def check_extract_matches_union_find(n_instances=200, seed=31):
         shape = tuple(rng.integers(1, 25, size=2))
         probs.append(rng.random(shape) ** rng.uniform(0.3, 3.0))
     for i, prob in enumerate(probs):
-        res = fusion.extract_result(prob, 0)
+        res = fusion.extract_result(prob)
         mask, bbox, s_conf = extract_by_union_find(prob)
         if res.mask.dtype != mask.dtype or not np.array_equal(res.mask, mask):
             return False, f"map {i} {prob.shape}: mask differs from the threshold"
@@ -1110,7 +1110,7 @@ def check_halt_revert():
     for got, want in zip(pipe.memory.amm_entries, initial_amm):
         if not np.array_equal(got.feature, want):
             return False, "reverted bank entries are not bit-identical"
-    pipe.step_frame(target, 40)
+    pipe.step_frame(target, 3 + HALT_WINDOW)
     if pipe.memory is not pipe.initial_memory:
         return False, "memory changed after the halt"
     return True, "halt reverts banks bit-identically and freezes them"
@@ -1179,12 +1179,7 @@ def check_eval2d_hand_cases():
     # target is annotated on frames 24-47 only
     frames = [replace(f, gt_mask=np.zeros_like(f.gt_mask)) if t < 24 else f for t, f in enumerate(scenario.frames)]
     shifted = replace(scenario, frames=frames)
-    results = [
-        fusion.SegmentationResult(
-            r.prob, r.mask, r.bbox if 12 <= r.frame_index <= 35 else None, r.s_conf, r.frame_index
-        )
-        for r in gt.results
-    ]
+    results = [replace(r, bbox=r.bbox if 12 <= t <= 35 else None) for t, r in enumerate(gt.results)]
     pred = TrackOutput(results, fusion.TemporalInterval(12, 35), gt.peaks)
     t_iou = metrics.temporal_iou((12, 35), shifted.gt_interval)
     if abs(t_iou - 1.0 / 3.0) > 1e-12:

@@ -79,14 +79,13 @@ class TestFuseLogistic:
 
 class TestExtractResult:
     def test_all_below_threshold(self):
-        res = fusion.extract_result(np.full((4, 4), 0.4), 3)
+        res = fusion.extract_result(np.full((4, 4), 0.4))
         assert res.bbox is None and res.s_conf == 0.0 and not res.mask.any()
-        assert res.frame_index == 3
 
     def test_single_block(self):
         prob = np.full((6, 6), 0.1)
         prob[2:4, 3:5] = 0.9
-        res = fusion.extract_result(prob, 0)
+        res = fusion.extract_result(prob)
         assert res.bbox == (3, 2, 4, 3)
         assert res.s_conf == pytest.approx(0.9)
 
@@ -94,11 +93,11 @@ class TestExtractResult:
     def test_non_2d_map_rejected(self, shape):
         for value in (0.9, 0.1):
             with pytest.raises(DimensionError):
-                fusion.extract_result(np.full(shape, value), 0)
+                fusion.extract_result(np.full(shape, value))
 
     def test_mask_consistent_with_prob(self):
         prob = rng(5).random((10, 10))
-        res = fusion.extract_result(prob, 0)
+        res = fusion.extract_result(prob)
         np.testing.assert_array_equal(res.mask, (prob >= 0.5).astype(np.uint8))
         if res.mask.any():
             assert res.bbox is not None
@@ -133,7 +132,7 @@ class TestExtractResultProperty:
     @example(from_mask([[0, 0, 1, 1, 1], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0]]))
     @settings(max_examples=200, deadline=None)
     def test_box_of_largest_union_find_component(self, prob):
-        res = fusion.extract_result(prob, 0)
+        res = fusion.extract_result(prob)
         mask, bbox, s_conf = extract_by_union_find(prob)
         np.testing.assert_array_equal(res.mask, mask)
         assert res.bbox == bbox and res.s_conf == s_conf

@@ -82,10 +82,16 @@ class TestGenScenario:
             gen_scenario(0, ScenarioParams(n_frames=0))
         with pytest.raises(ParameterError):
             gen_scenario(0, ScenarioParams(n_frames=2, canvas=(4, 4)))
-        # generator inputs outside the clip: a reversed or out-of-range absence window, a view it lacks
-        for absence in (15, 5), (-1, 3), (5, 20):
+        # generator inputs outside the clip: a reversed or out-of-range absence window, one that hides
+        # the query frame, more views than frames, a view it lacks
+        for absence in (15, 5), (-1, 3), (5, 20), (0, 5), (0, 19):
             with pytest.raises(ParameterError, match="absence"):
                 gen_scenario(0, ScenarioParams(n_frames=20, absence=absence))
+        for n_views in 6, -1:
+            with pytest.raises(ParameterError, match="n_views"):
+                gen_scenario(0, replace(preset_params("geo"), n_views=n_views))
+        with pytest.raises(ParameterError, match="n_views"):
+            gen_scenario(0, ScenarioParams(n_frames=3, n_views=5, object_size=9, corrupt_views=(4,)))
         for corrupt in (5,), (9,), (-1,), (0, 5):
             with pytest.raises(ParameterError, match="corrupt_views"):
                 gen_scenario(0, replace(preset_params("geo"), corrupt_views=corrupt))
@@ -119,7 +125,7 @@ class TestFileRoundTrips:
             for a, b in zip(loaded.results, track.results, strict=True):
                 np.testing.assert_array_equal(a.prob, b.prob)
                 np.testing.assert_array_equal(a.mask, b.mask)
-                assert (a.bbox, a.s_conf, a.frame_index) == (b.bbox, b.s_conf, b.frame_index)
+                assert (a.bbox, a.s_conf) == (b.bbox, b.s_conf)
 
     def test_config_round_trip(self, tmp_path):
         cfg = PipelineConfig(zeta=0.7, capacity=20)
@@ -214,11 +220,10 @@ class TestFileRoundTrips:
         "kind,edit,message",
         [
             pytest.param("track", lambda t: t.peaks.pop(), r"\.peaks: expected one peak per frame, 5, got 4", id="few-peaks"),
-            pytest.param("track", lambda t: t.results.reverse(), r"\.frame_index: expected increasing", id="frame-order"),
             pytest.param(
                 "track",
                 lambda t: (t.results.clear(), t.peaks.clear()),
-                r"\.frame_index: expected at least one frame",
+                r"\.prob: expected at least one frame, got none",
                 id="no-frames",
             ),
             pytest.param(
@@ -230,7 +235,7 @@ class TestFileRoundTrips:
             pytest.param(
                 "track",
                 lambda t: t.displacements.__setitem__(99, np.zeros(3)),
-                r"\.displacement_frames: expected frames of frame_index, got 99",
+                r"\.displacement_frames: expected increasing frame indices from 0 below 5, got \[99\]",
                 id="stray-displacement",
             ),
             pytest.param(
@@ -259,13 +264,12 @@ class TestFileRoundTrips:
         document = {
             "version": fileio.FORMAT_VERSION,
             "kind": "track",
-            "frame_index": [],
             "peaks": [],
             "interval": None,
             "displacement_frames": [],
         }
         fileio._write_archive(path, document, {"prob": np.zeros((0, 4, 4)), "deltas": np.zeros((0, 3))})
-        with pytest.raises(fileio.SchemaError, match=r"\.frame_index: expected at least one frame, got \[\]"):
+        with pytest.raises(fileio.SchemaError, match=r"\.prob: expected at least one frame, got none"):
             fileio.load_track(path)
 
     def test_prob_outside_unit_interval_refused(self, tmp_path):
@@ -279,10 +283,13 @@ class TestFileRoundTrips:
     def test_displacement_outside_the_track_refused(self, tmp_path):
         # a displacement is the lift of a frame's result, so its frame must be one of the track's
         path = str(tmp_path / "track.npz")
-        fileio.save_track(ground_truth_track(small_identity()), path)
-        rewrite(path, lambda d: d.update(displacement_frames=[99]))
+        track = ground_truth_track(small_identity())
+        n = len(track.results)
+        fileio.save_track(track, path)
+        rewrite(path, lambda d: d.update(displacement_frames=[n]))
         rewrite(path, lambda deltas: np.zeros((1, 3)), "deltas.npy")
-        with pytest.raises(fileio.SchemaError, match=r"\.displacement_frames: expected frames of frame_index, got 99"):
+        message = rf"\.displacement_frames: expected increasing frame indices from 0 below {n}, got \[{n}\]"
+        with pytest.raises(fileio.SchemaError, match=message):
             fileio.load_track(path)
 
     def test_writes_exactly_the_path(self, tmp_path):
@@ -328,7 +335,7 @@ def with_item(arr, index, value):
 
 def with_prob(track, value):
     """Put ``value`` in one pixel of the third frame's probability map."""
-    track.results[2] = extract_result(with_item(track.results[2].prob, (0, 0), value), 2)
+    track.results[2] = extract_result(with_item(track.results[2].prob, (0, 0), value))
 
 
 class TestVersion:
@@ -372,6 +379,11 @@ class TestVersion:
         # and the track's canvas, and its config had a lambda_thr field
         self.assert_rejected(tmp_path, 4, kind, hint)
 
+    @pytest.mark.parametrize("kind,hint", HINTS)
+    def test_version_5_file_rejected(self, tmp_path, kind, hint):
+        # version 5 stored a track's frame_index, which the frames' order already gives
+        self.assert_rejected(tmp_path, 5, kind, hint)
+
 
 @pytest.fixture
 def geo_files(tmp_path):
@@ -399,6 +411,8 @@ class TestUnknownEntries:
             pytest.param(0, "params", {"preset": "geo", "n_frames": 5}, id="scenario-params"),
             pytest.param(0, "query_frame_index", 0, id="scenario-query_frame_index"),
             pytest.param(1, "canvas", [48, 48], id="track-canvas"),
+            # the field version 6 dropped: a track frame's index is its position
+            pytest.param(1, "frame_index", [0, 1, 2, 3, 4], id="track-frame_index"),
         ],
     )
     def test_unknown_document_field_exits_2(self, geo_files, capsys, target, key, value):
@@ -466,7 +480,6 @@ class TestLoaderScalars:
     @pytest.mark.parametrize(
         "keys,value,field",
         [
-            pytest.param(("frame_index", 1), 2.5, r"\.frame_index", id="float-frame_index"),
             pytest.param(
                 ("displacement_frames", 0), 1.5, r"\.displacement_frames", id="float-displacement-frame_index"
             ),
@@ -507,11 +520,9 @@ class TestLoaderContainers:
     @pytest.mark.parametrize(
         "target,member,edit,message",
         [
+            # the probability maps give the frame count, so the peaks are one frame too many
             pytest.param(
-                1, DOCUMENT, lambda d: d.update(frame_index=5), ".frame_index: expected a list", id="track-frames"
-            ),
-            pytest.param(
-                1, "prob.npy", lambda p: p[1:], ".prob: expected shape (5, None, None), got (4, 48, 48)", id="track-frame"
+                1, "prob.npy", lambda p: p[1:], ".peaks: expected one peak per frame, 4, got 5", id="track-frame"
             ),
             pytest.param(1, DOCUMENT, lambda d: d.update(peaks=3), ".peaks: expected a list", id="peaks"),
             pytest.param(
@@ -565,17 +576,6 @@ class TestLoaderContainers:
         rewrite(geo_files[0], lambda d: d.update(camera_frames=frames))
         with pytest.raises(fileio.SchemaError, match=r"\.camera_frames: expected increasing frame indices"):
             fileio.load_scenario(str(geo_files[0]))
-
-    @pytest.mark.parametrize(
-        "frames", [pytest.param([-1, 0, 1, 2, 3], id="negative"), pytest.param([0] * 5, id="repeated")]
-    )
-    def test_track_frames_are_increasing_from_0(self, geo_files, capsys, frames):
-        rewrite(geo_files[1], lambda d: d.update(frame_index=frames))
-        message = f".frame_index: expected increasing frame indices from 0, got {frames}"
-        with pytest.raises(fileio.SchemaError, match=re.escape(message)):
-            fileio.load_track(str(geo_files[1]))
-        assert cli_main(["eval", "--scenario", str(geo_files[0]), "--track", str(geo_files[1])]) == 2
-        assert message in capsys.readouterr().err
 
 
 class TestLoaderIntVectors:
@@ -900,33 +900,28 @@ class TestEvalInterval:
 
 
 class TestEvalFrames:
-    """Both evaluators reject a track that is not one result per scenario frame, in order."""
+    """Both evaluators reject a track that is not one result per scenario frame."""
 
-    # each edit moves the displacement frames with the frames (every frame is lifted), so the
+    # the edit cuts the displacement frames with the frames (every frame is lifted), so the
     # file loads and only the scenario's frame check can refuse it
     @staticmethod
-    def shift(track_path):
-        keys = ("frame_index", "displacement_frames")
-        rewrite(track_path, lambda d: d.update({k: [t + 1000 for t in d[k]] for k in keys}))
-
-    @staticmethod
     def cut(track_path):
-        keys = ("frame_index", "peaks", "displacement_frames")
+        keys = ("peaks", "displacement_frames")
         rewrite(track_path, lambda d: d.update({k: d[k][:3] for k in keys}))
         rewrite(track_path, lambda p: p[:3], "prob.npy")
         rewrite(track_path, lambda p: p[:3], "deltas.npy")
 
-    @pytest.mark.parametrize("edit", ["shift", "cut"])
+    @pytest.mark.parametrize("edit", ["cut"])
     def test_track_not_covering_the_frames_exits_2(self, geo_files, capsys, edit):
         scenario_path, track_path = geo_files
         getattr(self, edit)(track_path)
         scenario, track = fileio.load_scenario(str(scenario_path)), fileio.load_track(str(track_path))
         for evaluate in metrics.eval_2d, metrics.eval_3d:
-            with pytest.raises(ValueError, match="frame_index values are not the scenario's frames 0..4"):
+            with pytest.raises(ValueError, match="track has 3 results for the scenario's 5 frames"):
                 evaluate(track, scenario)
         args = ["eval", "--scenario", str(scenario_path), "--track", str(track_path), "--metrics-3d"]
         assert cli_main(args) == 2
-        assert "frame_index" in capsys.readouterr().err
+        assert "track has 3 results" in capsys.readouterr().err
 
 
 class TestCli:
@@ -1023,7 +1018,7 @@ class TestCli:
         sc = gen_scenario(11, preset_params("geo"))
         track = ground_truth_track(sc)
         # an interval but no box: no frame can be lifted
-        track.results = [extract_result(np.zeros_like(r.prob), r.frame_index) for r in track.results]
+        track.results = [extract_result(np.zeros_like(r.prob)) for r in track.results]
         scenario_path, track_path, out3d = tmp_path / "geo.npz", tmp_path / "track.npz", tmp_path / "track3d.npz"
         fileio.save_scenario(sc, str(scenario_path))
         fileio.save_track(track, str(track_path))

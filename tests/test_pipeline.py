@@ -167,7 +167,7 @@ class TestCropEntry:
         prob = np.zeros((48, 48))
         prob[12:23, 20:31] = 0.9
         prob[40:44, 2:6] = 0.8
-        result = extract_result(prob, 0)
+        result = extract_result(prob)
         assert result.bbox == (20, 12, 30, 22)
         pipe = Pipeline(QuerySpec(feature, result.mask), PipelineConfig(kernel_size=1))
         memory = pipe._ingest(replace(pipe.initial_memory, responses=(1.0,)), feature, result)
@@ -305,7 +305,7 @@ class TestOneUnroll:
     def test_ingest_unrolls_its_window_once(self, unrolls):
         sc = small_identity()
         pipe = Pipeline(sc.query, PipelineConfig())
-        result = extract_result(sc.frames[1].gt_mask * 0.9, 1)
+        result = extract_result(sc.frames[1].gt_mask * 0.9)
         before = len(unrolls)
         memory = pipe._ingest(replace(pipe.initial_memory, responses=(1.0,)), sc.frames[1].feature, result)
         assert memory.amm_entries[-1] is memory.glm_dynamic[-1]
@@ -405,7 +405,7 @@ class TestFrameValidation:
             pipe.step_frame(bad, 1)
         assert len(pipe.results) == 1
         assert pipe.memory is memory
-        assert pipe.step_frame(sc.frames[2].feature, 2).s_conf > amm.ADMIT_THRESHOLD
+        assert pipe.step_frame(sc.frames[2].feature, 1).s_conf > amm.ADMIT_THRESHOLD
 
     def test_huge_finite_frame_leaves_banks_and_filters(self):
         # a finite frame scaled by 1e100 is admitted, but its refit overflows;
@@ -431,8 +431,8 @@ class TestFrameValidation:
             for t in range(12):
                 kept.step_frame(sc.frames[t].feature * (1e100 if t == 1 else 1.0), t)
         skipped = Pipeline(sc.query)
-        for t in [0] + list(range(2, 12)):
-            skipped.step_frame(sc.frames[t].feature, t)
+        for index, t in enumerate([0] + list(range(2, 12))):
+            skipped.step_frame(sc.frames[t].feature, index)
         assert np.array_equal(kept.memory.seg_kernel, skipped.memory.seg_kernel)
         assert np.array_equal(kept.memory.track_kernel, skipped.memory.track_kernel)
         assert kept.memory.responses == skipped.memory.responses
@@ -458,16 +458,16 @@ class TestFrameValidation:
             pipe.step_frame(frame, 0)
         assert not pipe.results and not pipe.peaks
 
-    @pytest.mark.parametrize("indices", [[5, 4, 3, 2, 1, 0], [0] * 6, [-1, 0, 1, 2, 3, 4]])
+    @pytest.mark.parametrize("indices", [[5, 4, 3, 2, 1, 0], [0] * 6, [-1, 0, 1, 2, 3, 4], [0, 2]])
     def test_frame_indices_must_increase(self, indices):
-        # an index is refused when it is negative or does not exceed the last
-        # accepted one, and a refused frame changes nothing
+        # an index is refused unless it is the next frame, the number of frames
+        # stepped so far, and a refused frame changes nothing
         sc = small_identity()
         pipe = Pipeline(sc.query, unit_cfg())
         for frame, index in zip(sc.frames, indices):
             results, peaks, memory = list(pipe.results), list(pipe.peaks), pipe.memory
-            if index < 0 or (results and index <= results[-1].frame_index):
-                with pytest.raises(ParameterError, match="index"):
+            if index != len(results):
+                with pytest.raises(ParameterError, match="not the next frame"):
                     pipe.step_frame(frame.feature, index)
                 assert pipe.results == results and pipe.peaks == peaks
                 assert pipe.memory is memory
@@ -553,16 +553,6 @@ class TestFinalize2d:
         pipe = Pipeline(small_identity().query, unit_cfg())
         with pytest.raises(EmptyInputError):
             pipe.finalize_2d()
-
-    def test_interval_in_frame_indices(self):
-        # frames numbered 10..15: the interval reports indices, not positions 0..5
-        sc = small_identity(n_frames=6)
-        pipe = Pipeline(sc.query, unit_cfg())
-        for index, frame in enumerate(sc.frames, start=10):
-            pipe.step_frame(frame.feature, index)
-        out = pipe.finalize_2d()
-        assert out.interval is not None
-        assert (out.interval.start_frame, out.interval.end_frame) == (10, 15)
 
     def test_determinism(self):
         sc = small_identity(n_frames=5)
