@@ -10,7 +10,9 @@ document and the other members imply before it is used, so the loaded
 arrays are the stored bits and a load/save cycle is byte-identical.
 Members are written in sorted order, each stamped with the same fixed
 date, so a file's bytes depend on its contents alone. The loader accepts
-no document field and no member it does not read.
+no document field and no member it does not read. It reads each member
+straight from the file into its array, and refuses a member that is
+compressed or whose bytes do not match the CRC-32 the archive records.
 
 A config file holds no tensor and stays one JSON document with the same
 ``version`` and ``kind`` header; ``PipelineConfig`` checks its fields'
@@ -33,10 +35,15 @@ The full schema is documented in the repository README.
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import os
+import struct
 import tempfile
+import tokenize
 import zipfile
+import zlib
 from dataclasses import asdict, fields
 from typing import Any, BinaryIO, Callable, Optional
 
@@ -104,7 +111,8 @@ def _write_archive(path: str, document: dict, arrays: dict[str, np.ndarray]) -> 
     """Write ``document`` and one ``<name>.npy`` member per array to exactly ``path``.
 
     Members are stored uncompressed, in sorted order, each stamped with
-    ``_ZIP_DATE``.
+    ``_ZIP_DATE``. An array is written as a version 1.0 ``.npy`` header and
+    its C-order bytes, straight from its memory.
     """
     members: dict[str, Any] = {_DOCUMENT: _json_bytes(document)}
     members.update((f"{name}.npy", arr) for name, arr in arrays.items())
@@ -118,9 +126,95 @@ def _write_archive(path: str, document: dict, arrays: dict[str, np.ndarray]) -> 
                     if isinstance(value, bytes):
                         member.write(value)
                     else:
-                        np.lib.format.write_array(member, value, allow_pickle=False)
+                        value = np.require(value, requirements="C")
+                        np.lib.format.write_array_header_1_0(member, np.lib.format.header_data_from_array_1_0(value))
+                        member.write(memoryview(value))
 
     _atomic_write(path, write)
+
+
+# a zip archive starts with a member's local header, or with the end record when it has no member
+_ZIP_STARTS = (b"PK\x03\x04", b"PK\x05\x06")
+# a member's local header: signature, versions, flags, method, date, CRC, sizes, name and extra lengths
+_LOCAL_HEADER = struct.Struct("<4s5H3L2H")
+# the bytes of member data read at a time: few calls, and each chunk is still in cache for its CRC
+_CHUNK = 1 << 18
+# the readers of the .npy header versions a member may have
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
+
+
+class _StoredMember:
+    """The data of one stored archive member, read in order and folded into its CRC-32."""
+
+    def __init__(self, handle: BinaryIO, info: zipfile.ZipInfo):
+        if info.compress_type != zipfile.ZIP_STORED:
+            raise ValueError("compressed; members must be stored uncompressed")
+        if info.flag_bits & 0x1:
+            raise ValueError("encrypted")
+        if info.header_offset < 0:
+            raise ValueError("local header outside the file")
+        handle.seek(info.header_offset)
+        header = handle.read(_LOCAL_HEADER.size)
+        if len(header) != _LOCAL_HEADER.size:
+            raise ValueError("local header outside the file")
+        signature, _, _, method, _, _, _, _, _, name_length, extra_length = _LOCAL_HEADER.unpack(header)
+        if signature != b"PK\x03\x04" or method != zipfile.ZIP_STORED:
+            raise ValueError("bad local header")
+        if handle.read(name_length) != info.filename.encode("ascii"):
+            raise ValueError("local header names another member")
+        handle.seek(extra_length, os.SEEK_CUR)
+        self.handle, self.info = handle, info
+        self.left = info.file_size
+        self.crc = 0
+
+    def read(self, size: int) -> bytes:
+        data = self.handle.read(min(size, self.left))
+        self.left -= len(data)
+        self.crc = zlib.crc32(data, self.crc)
+        return data
+
+    def read_into(self, buffer: np.ndarray) -> None:
+        """Fill the bytes of ``buffer`` from the member, a chunk at a time."""
+        for start in range(0, buffer.size, _CHUNK):
+            chunk = buffer[start : start + _CHUNK]
+            if self.handle.readinto(chunk) != chunk.size:
+                raise ValueError("data ends early")
+            self.crc = zlib.crc32(chunk, self.crc)
+        self.left -= buffer.size
+
+    def check_end(self) -> None:
+        """Refuse data left unread, and a CRC-32 other than the archive's."""
+        if self.left:
+            raise ValueError(f"{self.left} bytes after the data")
+        if self.crc != self.info.CRC:
+            raise ValueError(f"CRC-32 {self.crc:08x}, the archive records {self.info.CRC:08x}")
+
+
+def _read_npy(member: _StoredMember) -> Optional[np.ndarray]:
+    """The ``.npy`` array ``member`` holds, in a new writable C-order array; None when
+    ``member`` is not an ``.npy`` file."""
+    magic = member.read(np.lib.format.MAGIC_LEN)
+    if not magic.startswith(np.lib.format.MAGIC_PREFIX):
+        return None
+    version = np.lib.format.read_magic(io.BytesIO(magic))
+    if version not in _NPY_HEADERS:
+        raise ValueError(f".npy version {version[0]}.{version[1]} is not read")
+    # on a corrupt header numpy's tokenizer and dtype parser raise their own errors, and its
+    # warning that it repaired a header is an error where warnings are errors
+    try:
+        shape, fortran_order, dtype = _NPY_HEADERS[version](member)
+    except (Warning, SyntaxError, tokenize.TokenError) as exc:
+        raise ValueError(f"bad .npy header: {exc}") from None
+    if dtype.hasobject:
+        raise ValueError("Object arrays cannot be loaded when allow_pickle=False")
+    if fortran_order:
+        raise ValueError("Fortran-order arrays are not read")
+    if member.left != math.prod(shape) * dtype.itemsize:
+        raise ValueError(f"{member.left} data bytes for shape {shape} of {dtype.str}")
+    arr = np.empty(shape, dtype)
+    member.read_into(arr.reshape(-1).view(np.uint8))
+    member.check_end()
+    return arr
 
 
 def _read_archive(
@@ -130,45 +224,55 @@ def _read_archive(
 
     The document's header is checked, and a field other than the header and
     ``keys`` is an error. Each name in ``members`` must be an array member,
-    each in ``optional`` may be, and any other member is an error. The
-    arrays come back as stored; ``_member`` checks each one.
+    each in ``optional`` may be, and any other member is an error. Every
+    member must be stored uncompressed and match its CRC-32. The arrays
+    come back as stored, writable and C-ordered; ``_member`` checks each one.
     """
     with open(path, "rb") as handle:
         try:
-            archive = np.load(handle, allow_pickle=False)
-        except (ValueError, EOFError, zipfile.BadZipFile):
-            archive = None
-        if not isinstance(archive, np.lib.npyio.NpzFile):
+            if handle.read(4) not in _ZIP_STARTS:
+                raise zipfile.BadZipFile
+            archive = zipfile.ZipFile(handle)
+        # zipfile raises NotImplementedError for a member that claims a newer zip version
+        except (zipfile.BadZipFile, EOFError, NotImplementedError):
             _check_legacy(path, kind)
-            raise SchemaError(f"{path}: not a version {FORMAT_VERSION} {kind} file (a zip archive)")
-        with archive:
-            names = set(archive.zip.namelist())
-            if _DOCUMENT not in names:
-                raise SchemaError(f"{path}.{_DOCUMENT}: missing member")
+            raise SchemaError(f"{path}: not a version {FORMAT_VERSION} {kind} file (a zip archive)") from None
+        infos = {info.filename: info for info in archive.infolist()}
+        if _DOCUMENT not in infos:
+            raise SchemaError(f"{path}.{_DOCUMENT}: missing member")
+        where = f"{path}.{_DOCUMENT}"
+        try:
+            member = _StoredMember(handle, infos[_DOCUMENT])
+            text = member.read(member.left)
+            member.check_end()
+        except ValueError as exc:
+            raise SchemaError(f"{where}: unreadable member ({exc})") from None
+        try:
+            document = json.loads(text)
+        except ValueError:
+            raise SchemaError(f"{where}: not valid JSON") from None
+        document = _container(document, dict, path)
+        _check_header(document, kind, path)
+        unknown = sorted(set(document) - {"version", "kind", *keys})
+        if unknown:
+            raise SchemaError(f"{path}.{unknown[0]}: unknown field")
+        unknown = sorted(set(infos) - {_DOCUMENT} - {f"{name}.npy" for name in members + optional})
+        if unknown:
+            raise SchemaError(f"{path}.{unknown[0]}: unknown member")
+        arrays = {}
+        for name in members + optional:
+            where = f"{path}.{name}"
+            if f"{name}.npy" not in infos:
+                if name in members:
+                    raise SchemaError(f"{where}: missing member")
+                continue
             try:
-                document = json.loads(archive.zip.read(_DOCUMENT))
-            except (ValueError, zipfile.BadZipFile):
-                raise SchemaError(f"{path}.{_DOCUMENT}: not valid JSON") from None
-            document = _container(document, dict, path)
-            _check_header(document, kind, path)
-            unknown = sorted(set(document) - {"version", "kind", *keys})
-            if unknown:
-                raise SchemaError(f"{path}.{unknown[0]}: unknown field")
-            unknown = sorted(names - {_DOCUMENT} - {f"{name}.npy" for name in members + optional})
-            if unknown:
-                raise SchemaError(f"{path}.{unknown[0]}: unknown member")
-            arrays = {}
-            for name in members + optional:
-                if f"{name}.npy" not in names:
-                    if name in members:
-                        raise SchemaError(f"{path}.{name}: missing member")
-                    continue
-                try:
-                    arrays[name] = archive[f"{name}.npy"]
-                except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-                    raise SchemaError(f"{path}.{name}: unreadable member ({exc})") from None
-                if not isinstance(arrays[name], np.ndarray):
-                    raise SchemaError(f"{path}.{name}: expected an .npy array")
+                arr = _read_npy(_StoredMember(handle, infos[f"{name}.npy"]))
+            except ValueError as exc:
+                raise SchemaError(f"{where}: unreadable member ({exc})") from None
+            if arr is None:
+                raise SchemaError(f"{where}: expected an .npy array")
+            arrays[name] = arr
     return document, arrays
 
 
@@ -264,11 +368,13 @@ def _frame_list(values: Any, n_frames: int, path: str) -> tuple[int, ...]:
     return frames
 
 
-def _interval(values: Any, path: str) -> tuple[int, int]:
-    """A list of 2 integers [start, end] with start <= end."""
+def _interval(values: Any, n_frames: int, path: str) -> tuple[int, int]:
+    """A list of 2 integers [start, end] with 0 <= start <= end < ``n_frames``."""
     start, end = _int_vector(values, 2, path)
     if start > end:
         raise SchemaError(f"{path}: expected start <= end, got {[start, end]}")
+    if start < 0 or end >= n_frames:
+        raise SchemaError(f"{path}: {[start, end]} leaves the track's frames [0, {n_frames})")
     return start, end
 
 
@@ -389,13 +495,14 @@ def save_track(track: TrackOutput, path: str) -> None:
     }
     if track.world_point is not None:
         arrays["world_point"] = np.asarray(track.world_point, dtype="<f8")
+    interval = track.interval
     document = {
         "version": FORMAT_VERSION,
         "kind": "track",
         "peaks": _peaks([float(p) for p in track.peaks], n, path),
         "interval": None
-        if track.interval is None
-        else [track.interval.start_frame, track.interval.end_frame],
+        if interval is None
+        else list(_interval([interval.start_frame, interval.end_frame], n, f"{path}.interval")),
         "displacement_frames": list(displacement_frames),
     }
     _write_archive(path, document, arrays)
@@ -431,7 +538,7 @@ def load_track(path: str) -> TrackOutput:
     interval = _expect(document, "interval", path)
     return TrackOutput(
         [extract_result(p) for p in prob],
-        None if interval is None else TemporalInterval(*_interval(interval, f"{path}.interval")),
+        None if interval is None else TemporalInterval(*_interval(interval, n, f"{path}.interval")),
         peaks,
         _member(arrays, "world_point", "<f8", (3,), path) if "world_point" in arrays else None,
         dict(zip(displacement_frames, deltas)),

@@ -35,7 +35,11 @@ __all__ = [
     "relative_displacement",
 ]
 
+# the largest deviation of any entry of R^T R from the identity a rotation block may have
 ROTATION_TOL = 1e-9
+# the largest magnitude below the diagonal of upper-triangular intrinsics
+INTRINSICS_TOL = 1e-8
+_BELOW_DIAGONAL = np.tril_indices(3, -1)
 
 
 class DegenerateGeometryError(ValueError):
@@ -47,10 +51,11 @@ class InvalidSampleError(ValueError):
 
 
 def _check_rotation(r: np.ndarray) -> None:
-    if not np.allclose(r.T @ r, np.eye(3), atol=ROTATION_TOL):
+    if not (abs(r.T @ r - np.eye(3)) <= ROTATION_TOL).all():
         raise ParameterError("rotation block is not orthonormal")
-    if abs(np.linalg.det(r) - 1.0) > 1e-6:
-        raise ParameterError(f"rotation block has determinant {np.linalg.det(r):.6f}, not +1")
+    det = np.linalg.det(r)
+    if abs(det - 1.0) > 1e-6:
+        raise ParameterError(f"rotation block has determinant {det:.6f}, not +1")
 
 
 @dataclass
@@ -79,7 +84,7 @@ class CameraFrame:
         _check_rotation(self.pose[:3, :3])
         if self.intrinsics.shape != (3, 3):
             raise DimensionError(f"intrinsics must be 3x3, got {self.intrinsics.shape}")
-        if not np.allclose(self.intrinsics, np.triu(self.intrinsics)):
+        if not (abs(self.intrinsics[_BELOW_DIAGONAL]) <= INTRINSICS_TOL).all():
             raise ParameterError("intrinsics must be upper triangular")
         if self.intrinsics[0, 0] <= 0 or self.intrinsics[1, 1] <= 0:
             raise ParameterError("focal lengths must be positive")

@@ -356,19 +356,22 @@ def finalize_3d(
     temporal interval, weighting each view by semantic x geometric
     confidence, then expresses the aggregate in every interval camera with
     valid depth at its centroid. ``cameras[t]`` is frame t's camera, None
-    where the frame has none.
+    where the frame has none. An interval that leaves the track's frames
+    is a ParameterError.
     """
     if track.interval is None:
         raise NoDetectionError("track has no temporal interval")
+    start, end = track.interval.start_frame, track.interval.end_frame
+    if start < 0 or end >= len(track.results):
+        raise ParameterError(f"interval {[start, end]} leaves the track's frames [0, {len(track.results)})")
     src, dst = alignment_pairs
     t_eta = geo3d.align_sim3(src, dst)
 
     frames: list[int] = []
     points: list[np.ndarray] = []
     weights: list[float] = []
-    for idx, result in enumerate(track.results):
-        if not (track.interval.start_frame <= idx <= track.interval.end_frame):
-            continue
+    for idx in range(start, end + 1):
+        result = track.results[idx]
         if result.bbox is None or idx >= len(cameras) or cameras[idx] is None:
             continue
         camera = cameras[idx]

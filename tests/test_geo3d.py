@@ -41,6 +41,29 @@ class TestSim3Transform:
         with pytest.raises(ParameterError):
             geo3d.Sim3Transform(1.0, bad, np.zeros(3))
 
+    def test_rotation_tolerance_is_absolute(self):
+        # R^T R is 8e-6 off the identity on the diagonal: far outside ROTATION_TOL, though inside
+        # the relative tolerance a default np.allclose would add
+        bad = np.diag([1 + 4e-6, 1 - 4e-6, 1.0])
+        with pytest.raises(ParameterError, match="rotation block is not orthonormal"):
+            geo3d.Sim3Transform(1.0, bad, np.zeros(3))
+        pose = np.eye(4)
+        pose[:3, :3] = bad
+        cam = simple_camera()
+        with pytest.raises(ParameterError, match="rotation block is not orthonormal"):
+            geo3d.CameraFrame(pose, cam.intrinsics, cam.depth, cam.depth_uncertainty)
+        # within the tolerance on every entry
+        geo3d.Sim3Transform(1.0, np.diag([1 + 4e-10, 1 - 4e-10, 1.0]), np.zeros(3))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_fitted_and_inverted_rotations_pass_the_check(self, seed):
+        # align_sim3 builds a Sim3Transform, and so does its inverse: both run the rotation check
+        r = rng(seed)
+        src = r.uniform(-2, 2, size=(12, 3))
+        dst = random_sim3(r).apply(src) + r.normal(0, 0.1, size=(12, 3))
+        fitted = geo3d.align_sim3(src, dst)
+        np.testing.assert_allclose(fitted.inverse().inverse().apply(src), fitted.apply(src), atol=1e-9)
+
 
 class TestAlignSim3:
     def test_identity_when_equal(self):
@@ -110,6 +133,16 @@ class TestBackproject:
 
 
 class TestCameraFrame:
+    @pytest.mark.parametrize("index", [(1, 0), (2, 0), (2, 1)])
+    def test_intrinsics_below_the_diagonal(self, index):
+        cam = simple_camera()
+        intrinsics = cam.intrinsics.copy()
+        intrinsics[index] = -1e-8
+        geo3d.CameraFrame(cam.pose, intrinsics, cam.depth, cam.depth_uncertainty)
+        intrinsics[index] = 2e-8
+        with pytest.raises(ParameterError, match="intrinsics must be upper triangular"):
+            geo3d.CameraFrame(cam.pose, intrinsics, cam.depth, cam.depth_uncertainty)
+
     @pytest.mark.parametrize("field,index", [("pose", (0, 3)), ("intrinsics", (0, 2)), ("depth_uncertainty", (4, 4))])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_geometry_rejected(self, field, index, value):

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -19,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 from vql import fileio, metrics
 from vql.cli import main as cli_main
 from vql.core import ParameterError
-from vql.fusion import extract_result
+from vql.fusion import TemporalInterval, extract_result
 from vql.pipeline import Pipeline, PipelineConfig, TrackOutput
 from vql.scenario import (
     PRESETS,
@@ -237,6 +238,12 @@ class TestFileRoundTrips:
                 lambda t: t.displacements.__setitem__(99, np.zeros(3)),
                 r"\.displacement_frames: expected increasing frame indices from 0 below 5, got \[99\]",
                 id="stray-displacement",
+            ),
+            pytest.param(
+                "track",
+                lambda t: setattr(t, "interval", TemporalInterval(0, 999)),
+                r"\.interval: \[0, 999\] leaves the track's frames \[0, 5\)",
+                id="interval-past-end",
             ),
             pytest.param(
                 "scenario", lambda s: setattr(s, "alignment_dst", None), r"\.alignment_dst: missing member", id="lone-src"
@@ -579,7 +586,8 @@ class TestLoaderContainers:
 
 
 class TestLoaderIntVectors:
-    """The track interval is read as a list of 2 integers, and its start is at most its end."""
+    """The track interval is read as a list of 2 integers, and its start is at most its end, both
+    frames of the track."""
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -604,6 +612,15 @@ class TestLoaderIntVectors:
     def test_reversed_interval_exits_2(self, files, capsys):
         rewrite(files[1], lambda d: d.update(interval=[2, 1]))
         self.eval_rejects(files, "t.json.interval: expected start <= end, got [2, 1]", capsys)
+
+    @pytest.mark.parametrize("interval", [[0, 999], [0, 3], [-1, 0]])
+    def test_interval_outside_the_track_rejected(self, files, capsys, interval):
+        # the track has 3 frames; an interval is a run of them
+        rewrite(files[1], lambda d: d.update(interval=interval))
+        message = f"t.json.interval: {interval} leaves the track's frames [0, 3)"
+        with pytest.raises(fileio.SchemaError, match=re.escape(message)):
+            fileio.load_track(str(files[1]))
+        self.eval_rejects(files, message, capsys)
 
 
 class TestLoaderMasks:
@@ -798,6 +815,103 @@ class TestTensorCodec:
         assert "not a version" in capsys.readouterr().err
 
 
+def member_data(archive_bytes, member):
+    """The offset and length of ``member``'s stored data in the archive ``archive_bytes``."""
+    info = zipfile.ZipFile(io.BytesIO(archive_bytes)).getinfo(member)
+    # a local header is 30 bytes, its name and extra field lengths the last two 2-byte fields
+    name_length, extra_length = struct.unpack_from("<2H", archive_bytes, info.header_offset + 26)
+    return info.header_offset + 30 + name_length + extra_length, info.file_size
+
+
+def rezip(path, member, data, compress_type=zipfile.ZIP_STORED):
+    """Rewrite the archive at ``path`` with ``data`` as ``member``, compressed by ``compress_type``."""
+    with zipfile.ZipFile(path) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    members[member] = data
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, value in members.items():
+            archive.writestr(name, value, compress_type=compress_type if name == member else zipfile.ZIP_STORED)
+
+
+class TestArchiveIntegrity:
+    """A member whose bytes are not the ones written, or are not stored as written, is refused
+    with an error that names the member."""
+
+    MEMBERS = ["document.json", *(f"{name}.npy" for name in (*fileio._SCENARIO_MEMBERS, *fileio._SCENARIO_OPTIONAL))]
+
+    @pytest.fixture(scope="class")
+    def geo_bytes(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("archive") / "geo.npz"
+        fileio.save_scenario(gen_scenario(7, preset_params("geo")), str(path))
+        return path.read_bytes()
+
+    @staticmethod
+    def refused(data, member, message=""):
+        """``data``, a scenario file, is refused with an error naming ``member``, then ``message``."""
+        name = member.removesuffix(".npy")
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "geo.npz")
+            with open(path, "wb") as handle:
+                handle.write(data)
+            with pytest.raises(fileio.SchemaError, match=rf"^{re.escape(path)}\.{re.escape(name)}: {message}"):
+                fileio.load_scenario(path)
+
+    def test_members_are_every_scenario_member(self, geo_bytes):
+        assert sorted(zipfile.ZipFile(io.BytesIO(geo_bytes)).namelist()) == sorted(self.MEMBERS)
+
+    @given(st.sampled_from(MEMBERS), st.data(), st.integers(1, 255))
+    @settings(max_examples=100, deadline=None)
+    def test_flipped_byte_refused(self, geo_bytes, member, data, mask):
+        # a flip in the data fails the member's CRC-32; one in an .npy header may fail its parse first
+        start, size = member_data(geo_bytes, member)
+        at = start + data.draw(st.integers(0, size - 1))
+        flipped = bytearray(geo_bytes)
+        flipped[at] ^= mask
+        self.refused(bytes(flipped), member)
+
+    @pytest.mark.parametrize("member", ["features.npy", "gt_masks.npy"])
+    def test_crc_mismatch_refused(self, geo_bytes, member):
+        # the last data byte is a tensor's, past the .npy header, so only the checksum can catch it
+        start, size = member_data(geo_bytes, member)
+        flipped = bytearray(geo_bytes)
+        flipped[start + size - 1] ^= 0x01
+        self.refused(bytes(flipped), member, r"unreadable member \(CRC-32 [0-9a-f]{8}, the archive records")
+
+    @pytest.mark.parametrize("member", ["document.json", "query_mask.npy", "poses.npy"])
+    def test_deflated_member_refused(self, tmp_path, geo_bytes, member):
+        path = tmp_path / "geo.npz"
+        path.write_bytes(geo_bytes)
+        rezip(path, member, zipfile.ZipFile(path).read(member), zipfile.ZIP_DEFLATED)
+        self.refused(path.read_bytes(), member, r"unreadable member \(compressed; members must be stored uncompressed\)")
+
+    @pytest.mark.parametrize("cut", [1, 8, 24])
+    @pytest.mark.parametrize("member", ["features.npy", "poses.npy", "gt_point.npy"])
+    def test_member_shorter_than_its_shape_refused(self, tmp_path, geo_bytes, member, cut):
+        path = tmp_path / "geo.npz"
+        path.write_bytes(geo_bytes)
+        rezip(path, member, zipfile.ZipFile(path).read(member)[:-cut])
+        self.refused(path.read_bytes(), member, r"unreadable member \(\d+ data bytes for shape \(")
+
+    def test_member_longer_than_its_shape_refused(self, tmp_path, geo_bytes):
+        path = tmp_path / "geo.npz"
+        path.write_bytes(geo_bytes)
+        rezip(path, "gt_point.npy", zipfile.ZipFile(path).read("gt_point.npy") + bytes(8))
+        self.refused(path.read_bytes(), "gt_point.npy", r"unreadable member \(32 data bytes for shape \(3,\) of <f8\)")
+
+    @pytest.mark.parametrize("member", ["query_feature.npy", "depths.npy"])
+    def test_member_that_is_not_npy_refused(self, tmp_path, geo_bytes, member):
+        path = tmp_path / "geo.npz"
+        path.write_bytes(geo_bytes)
+        rezip(path, member, b"[0.0, 1.0, 2.0]")
+        self.refused(path.read_bytes(), member, r"expected an \.npy array$")
+
+    def test_fortran_order_member_refused(self, tmp_path, geo_bytes):
+        path = tmp_path / "geo.npz"
+        path.write_bytes(geo_bytes)
+        rewrite(path, np.asfortranarray, "depths.npy")
+        self.refused(path.read_bytes(), "depths.npy", r"unreadable member \(Fortran-order arrays are not read\)")
+
+
 class TestEval2d:
     def test_no_interval_scores_zero(self):
         sc = small_identity(n_frames=8)
@@ -881,33 +995,35 @@ class TestEval3d:
 
 
 class TestEvalInterval:
-    """Both evaluators reject a predicted interval that leaves the scenario's frames."""
+    """Both evaluators reject a predicted interval that leaves the scenario's frames; the
+    track loader refuses it first, as one that leaves the track's frames."""
 
     @pytest.mark.parametrize(
         "interval", [pytest.param([0, 999], id="past-end"), pytest.param([-3, 2], id="negative-start")]
     )
     def test_interval_outside_clip_exits_2(self, geo_files, capsys, interval):
         scenario_path, track_path = geo_files
-        rewrite(track_path, lambda d: d.update(interval=interval))
         scenario, track = fileio.load_scenario(str(scenario_path)), fileio.load_track(str(track_path))
+        track.interval = TemporalInterval(*interval)
         message = f"interval {interval} leaves the scenario's frames [0, 5)"
         for evaluate in metrics.eval_2d, metrics.eval_3d:
             with pytest.raises(ValueError, match=re.escape(message)):
                 evaluate(track, scenario)
+        rewrite(track_path, lambda d: d.update(interval=interval))
         args = ["eval", "--scenario", str(scenario_path), "--track", str(track_path), "--metrics-3d"]
         assert cli_main(args) == 2
-        assert message in capsys.readouterr().err
+        assert f"track3d.json.interval: {interval} leaves the track's frames [0, 5)" in capsys.readouterr().err
 
 
 class TestEvalFrames:
     """Both evaluators reject a track that is not one result per scenario frame."""
 
-    # the edit cuts the displacement frames with the frames (every frame is lifted), so the
-    # file loads and only the scenario's frame check can refuse it
+    # the edit cuts the displacement frames with the frames (every frame is lifted) and ends the
+    # interval at the last frame kept, so the file loads and only the scenario's frame check can refuse it
     @staticmethod
     def cut(track_path):
         keys = ("peaks", "displacement_frames")
-        rewrite(track_path, lambda d: d.update({k: d[k][:3] for k in keys}))
+        rewrite(track_path, lambda d: d.update({k: d[k][:3] for k in keys}, interval=[d["interval"][0], 2]))
         rewrite(track_path, lambda p: p[:3], "prob.npy")
         rewrite(track_path, lambda p: p[:3], "deltas.npy")
 

@@ -20,7 +20,7 @@ from vql.core import (
     min_bounding_rect,
     nearest_resize,
 )
-from vql.fusion import extract_result
+from vql.fusion import TemporalInterval, extract_result
 from vql.pipeline import (
     HALT_WINDOW,
     SAMPLE_RESOLUTION,
@@ -610,6 +610,16 @@ class TestFinalize3d:
             camera.depth = np.full_like(camera.depth, np.nan)
         with pytest.raises(NoDetectionError, match="no interval frame had a usable mask and depth"):
             finalize_3d(ground_truth_track(sc), sc.cameras, (sc.alignment_src, sc.alignment_dst))
+
+    @pytest.mark.parametrize("interval", [pytest.param((0, 999), id="past-end"), pytest.param((-3, 2), id="negative-start")])
+    def test_interval_outside_the_track_raises(self, interval, monkeypatch):
+        # refused before the alignment is fitted, not lifted over the frames the interval shares with the track
+        sc = gen_scenario(3, preset_params("geo"))
+        track = ground_truth_track(sc)
+        track.interval = TemporalInterval(*interval)
+        monkeypatch.setattr(geo3d, "align_sim3", None)
+        with pytest.raises(ParameterError, match=rf"interval \[{interval[0]}, {interval[1]}\] leaves the track's frames \[0, 5\)"):
+            finalize_3d(track, sc.cameras, (sc.alignment_src, sc.alignment_dst))
 
     def test_inverts_the_alignment_once(self, monkeypatch):
         # every displacement starts from one reconstruction-frame point
