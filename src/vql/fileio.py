@@ -16,7 +16,9 @@ compressed or whose bytes do not match the CRC-32 the archive records.
 
 A config file holds no tensor and stays one JSON document with the same
 ``version`` and ``kind`` header; ``PipelineConfig`` checks its fields'
-types and ranges, for the library and the file alike.
+types and ranges, for the library and the file alike, and ``TrackOutput``
+checks a track's frames, its peaks and its vectors, for the pipeline and
+the track loader alike.
 
 A file stores nothing that follows from what it stores: the loader reads
 every shape from the stacked tensors (a scenario's N, H, W and C from
@@ -49,7 +51,7 @@ from typing import Any, BinaryIO, Callable, Optional
 
 import numpy as np
 
-from .core import ParameterError
+from .core import DimensionError, EmptyInputError, ParameterError
 from .fusion import TemporalInterval, extract_result
 from .geo3d import CameraFrame
 from .pipeline import PipelineConfig, QuerySpec, TrackOutput
@@ -359,23 +361,14 @@ def _int_vector(values: Any, n: Optional[int], path: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _frame_list(values: Any, n_frames: int, path: str) -> tuple[int, ...]:
-    """A list of increasing frame indices from 0, each below ``n_frames``."""
+def _frame_list(values: Any, n_frames: Optional[int], path: str) -> tuple[int, ...]:
+    """A list of increasing frame indices from 0, each below ``n_frames`` unless it is None."""
     frames = _int_vector(values, None, path)
     increasing = all(a < b for a, b in zip((-1, *frames), frames))
-    if not increasing or (frames and frames[-1] >= n_frames):
-        raise SchemaError(f"{path}: expected increasing frame indices from 0 below {n_frames}, got {list(frames)}")
+    if not increasing or (n_frames is not None and frames and frames[-1] >= n_frames):
+        below = "" if n_frames is None else f" below {n_frames}"
+        raise SchemaError(f"{path}: expected increasing frame indices from 0{below}, got {list(frames)}")
     return frames
-
-
-def _interval(values: Any, n_frames: int, path: str) -> tuple[int, int]:
-    """A list of 2 integers [start, end] with 0 <= start <= end < ``n_frames``."""
-    start, end = _int_vector(values, 2, path)
-    if start > end:
-        raise SchemaError(f"{path}: expected start <= end, got {[start, end]}")
-    if start < 0 or end >= n_frames:
-        raise SchemaError(f"{path}: {[start, end]} leaves the track's frames [0, {n_frames})")
-    return start, end
 
 
 def _finite(value: Any, path: str) -> float:
@@ -436,6 +429,10 @@ def save_scenario(scenario: Scenario, path: str) -> None:
         value = getattr(scenario, name)
         if value is not None:
             arrays[name] = np.asarray(value, dtype="<f8")
+    # what the loader would refuse is refused before anything is written
+    for name, arr in arrays.items():
+        if arr.dtype != np.uint8:
+            _member(arrays, name, "<f8", arr.shape, path)
     _check_alignment(arrays, path)
     document = {"version": FORMAT_VERSION, "kind": "scenario", "camera_frames": camera_frames}
     _write_archive(path, document, arrays)
@@ -483,27 +480,19 @@ def load_scenario(path: str) -> Scenario:
 
 
 def save_track(track: TrackOutput, path: str) -> None:
-    n = len(track.results)
-    if not n:
-        raise SchemaError(f"{path}.prob: expected at least one frame, got none")
-    h, w = track.results[0].prob.shape
-    # what the loader would refuse is refused before anything is written
-    displacement_frames = _frame_list([int(t) for t in sorted(track.displacements)], n, f"{path}.displacement_frames")
+    """Write ``track``, whose frames ``TrackOutput`` has checked, refusing a probability outside [0, 1]."""
     arrays = {
-        "prob": _probabilities(_stack([result.prob for result in track.results], (h, w)), path),
-        "deltas": _stack([track.displacements[t] for t in displacement_frames], (3,)),
+        "prob": _probabilities(_stack([result.prob for result in track.results], track.results[0].prob.shape), path),
+        "deltas": _stack(list(track.displacements.values()), (3,)),
     }
     if track.world_point is not None:
         arrays["world_point"] = np.asarray(track.world_point, dtype="<f8")
-    interval = track.interval
     document = {
         "version": FORMAT_VERSION,
         "kind": "track",
-        "peaks": _peaks([float(p) for p in track.peaks], n, path),
-        "interval": None
-        if interval is None
-        else list(_interval([interval.start_frame, interval.end_frame], n, f"{path}.interval")),
-        "displacement_frames": list(displacement_frames),
+        "peaks": list(track.peaks),
+        "interval": None if track.interval is None else [track.interval.start_frame, track.interval.end_frame],
+        "displacement_frames": list(track.displacements),
     }
     _write_archive(path, document, arrays)
 
@@ -515,34 +504,23 @@ def _probabilities(prob: np.ndarray, path: str) -> np.ndarray:
     return prob
 
 
-def _peaks(values: list, n_frames: int, path: str) -> list[float]:
-    """One finite tracking peak per frame."""
-    peaks = [_finite(p, f"{path}.peaks[{i}]") for i, p in enumerate(values)]
-    if len(peaks) != n_frames:
-        raise SchemaError(f"{path}.peaks: expected one peak per frame, {n_frames}, got {len(peaks)}")
-    return peaks
-
-
 def load_track(path: str) -> TrackOutput:
-    """A track file; its frame count N and canvas (H, W) are the shape of ``prob``."""
+    """A track file; its frame count N and canvas (H, W) are the shape of ``prob``, and a
+    track that breaks ``TrackOutput``'s contract is a ``SchemaError`` carrying its message."""
     keys = ("peaks", "interval", "displacement_frames")
     document, arrays = _read_archive(path, "track", keys, ("prob", "deltas"), ("world_point",))
     prob = _probabilities(_member(arrays, "prob", "<f8", (None,) * 3, path), path)
-    n = len(prob)
-    if not n:
-        # a track is per-frame results; save_track refuses to write one without frames
-        raise SchemaError(f"{path}.prob: expected at least one frame, got none")
-    peaks = _peaks(_expect(document, "peaks", path, list), n, path)
-    displacement_frames = _frame_list(_expect(document, "displacement_frames", path), n, f"{path}.displacement_frames")
-    deltas = _member(arrays, "deltas", "<f8", (len(displacement_frames), 3), path)
-    interval = _expect(document, "interval", path)
-    return TrackOutput(
-        [extract_result(p) for p in prob],
-        None if interval is None else TemporalInterval(*_interval(interval, n, f"{path}.interval")),
-        peaks,
-        _member(arrays, "world_point", "<f8", (3,), path) if "world_point" in arrays else None,
-        dict(zip(displacement_frames, deltas)),
-    )
+    peaks = [_finite(p, f"{path}.peaks[{i}]") for i, p in enumerate(_expect(document, "peaks", path, list))]
+    # that each is a frame of the track is TrackOutput's rule
+    frames = _frame_list(_expect(document, "displacement_frames", path), None, f"{path}.displacement_frames")
+    deltas = _member(arrays, "deltas", "<f8", (len(frames), 3), path)
+    ends = _expect(document, "interval", path)
+    world_point = _member(arrays, "world_point", "<f8", (3,), path) if "world_point" in arrays else None
+    try:
+        interval = None if ends is None else TemporalInterval(*_int_vector(ends, 2, f"{path}.interval"))
+        return TrackOutput([extract_result(p) for p in prob], interval, peaks, world_point, dict(zip(frames, deltas)))
+    except (DimensionError, EmptyInputError, ParameterError) as exc:
+        raise SchemaError(f"{path}: invalid track: {exc}") from exc
 
 
 # -- config -----------------------------------------------------------------

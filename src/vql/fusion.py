@@ -40,7 +40,7 @@ MEDIAN_WINDOW = 5
 TEMPORAL_RATIO = 0.8
 
 
-@dataclass
+@dataclass(frozen=True)
 class SegmentationResult:
     """Per-frame output: probability map, mask, bbox, and confidence."""
 

@@ -19,9 +19,9 @@ over interval frames,
 success* restricted to frames with a camera pose, and QwP, the percent of
 interval frames that have a pose.
 
-A track's t-th result is frame t. A track without one result per
-scenario frame, and a predicted interval that leaves the scenario's
-frames, are ValueErrors.
+A track's t-th result is frame t, and a track without one result per
+scenario frame is a ValueError; ``TrackOutput`` keeps the predicted
+interval inside the track's frames, so it is inside the scenario's too.
 """
 
 from __future__ import annotations
@@ -95,20 +95,6 @@ def _check_frames(pred: TrackOutput, scenario: Scenario) -> None:
         raise ValueError(f"track has {len(pred.results)} results for the scenario's {len(scenario.frames)} frames")
 
 
-def _pred_interval(pred: TrackOutput, scenario: Scenario) -> Optional[tuple[int, int]]:
-    """The predicted interval as (start, end), None when the track has none.
-
-    Raises ValueError when it leaves the scenario's frames [0, n_frames).
-    """
-    if pred.interval is None:
-        return None
-    start, end = pred.interval.start_frame, pred.interval.end_frame
-    n_frames = len(scenario.frames)
-    if start < 0 or end >= n_frames:
-        raise ValueError(f"interval [{start}, {end}] leaves the scenario's frames [0, {n_frames})")
-    return start, end
-
-
 def eval_2d(pred: TrackOutput, scenario: Scenario) -> MetricsReport2D:
     """Score a predicted track against the scenario's annotations.
 
@@ -118,9 +104,9 @@ def eval_2d(pred: TrackOutput, scenario: Scenario) -> MetricsReport2D:
     if gt_interval is None:
         raise ValueError("scenario carries no ground-truth interval")
     _check_frames(pred, scenario)
-    pred_interval = _pred_interval(pred, scenario)
-    if pred_interval is None:
+    if pred.interval is None:
         return MetricsReport2D(0.0, 0.0, 0.0, 0.0)
+    pred_interval = (pred.interval.start_frame, pred.interval.end_frame)
 
     t_iou = temporal_iou(pred_interval, gt_interval)
     t_ap25 = 1.0 if t_iou >= 0.25 else 0.0
@@ -155,14 +141,13 @@ def eval_3d(pred: TrackOutput, scenario: Scenario) -> MetricsReport3D:
     if scenario.gt_point is None or scenario.alignment_src is None or scenario.alignment_dst is None:
         raise ValueError("scenario carries no 3D ground truth")
     _check_frames(pred, scenario)
-    pred_interval = _pred_interval(pred, scenario)
-    if pred_interval is None:
+    if pred.interval is None:
         return MetricsReport3D(0.0, 0.0, None, None, 0.0)
     t_eta = align_sim3(scenario.alignment_src, scenario.alignment_dst)
     # the annotated point taken back to the reconstruction frame, once for every camera
     recon_point = t_eta.inverse().apply(scenario.gt_point)
     cameras = scenario.cameras
-    interval = range(pred_interval[0], pred_interval[1] + 1)
+    interval = range(pred.interval.start_frame, pred.interval.end_frame + 1)
     with_pose = [t for t in interval if cameras[t] is not None]
     qwp_pct = 100.0 * len(with_pose) / len(interval)
 

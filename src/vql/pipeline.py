@@ -40,7 +40,8 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -124,16 +125,62 @@ class QuerySpec:
             raise ParameterError("query features must be finite")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrackOutput:
     """Everything a query run produces: ``results[t]`` is frame t, and the interval and the
-    ``displacements`` keys count frames the same way."""
+    ``displacements`` keys count frames the same way.
 
-    results: list[fusion.SegmentationResult]
+    The track contract, checked here for the pipeline, the file loader and ``replace`` alike:
+    at least one result, all of one (H, W); one finite peak per result; an interval that is
+    None or inside the frames [0, n); displacement keys that are frames of the track, each
+    mapped to a finite 3-vector; a ``world_point`` that is None or a finite 3-vector. Results
+    and peaks are kept as tuples and the displacements as a read-only mapping, in frame order,
+    of read-only vectors, so the contract holds for the value's whole life.
+    """
+
+    results: tuple[fusion.SegmentationResult, ...]
     interval: Optional[fusion.TemporalInterval]
-    peaks: list[float]
+    peaks: tuple[float, ...]
     world_point: Optional[np.ndarray] = None
-    displacements: dict[int, np.ndarray] = field(default_factory=dict)
+    displacements: Mapping[int, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        results, peaks = tuple(self.results), tuple(map(float, self.peaks))
+        n = len(results)
+        if not n:
+            raise EmptyInputError("a track needs at least one result")
+        canvas = results[0].prob.shape
+        for t, result in enumerate(results):
+            if len(result.prob.shape) != 2 or result.prob.shape != canvas:
+                raise DimensionError(f"result {t}'s map is {result.prob.shape}, not result 0's (H, W) {canvas}")
+        if len(peaks) != n:
+            raise ParameterError(f"expected one peak per frame, {n}, got {len(peaks)}")
+        for t, peak in enumerate(peaks):
+            if not np.isfinite(peak):
+                raise ParameterError(f"peak {t} must be finite, got {peak}")
+        ends = None if self.interval is None else [self.interval.start_frame, self.interval.end_frame]
+        if ends and (ends[0] < 0 or ends[1] >= n):
+            raise ParameterError(f"interval {ends} leaves the track's frames [0, {n})")
+        for t in self.displacements:
+            if not (isinstance(t, numbers.Integral) and 0 <= t < n):
+                raise ParameterError(f"displacement frame {t!r} is not a frame of the track, [0, {n})")
+        deltas = {int(t): _vector3(v, f"frame {t}'s displacement") for t, v in sorted(self.displacements.items())}
+        object.__setattr__(self, "results", results)
+        object.__setattr__(self, "peaks", peaks)
+        object.__setattr__(self, "displacements", MappingProxyType(deltas))
+        if self.world_point is not None:
+            object.__setattr__(self, "world_point", _vector3(self.world_point, "world_point"))
+
+
+def _vector3(value: np.ndarray, name: str) -> np.ndarray:
+    """A read-only float64 copy of ``value``, which must be a finite 3-vector."""
+    vector = np.array(value, dtype=np.float64)
+    if vector.shape != (3,):
+        raise DimensionError(f"{name} must be a 3-vector, got shape {vector.shape}")
+    if not np.isfinite(vector).all():
+        raise ParameterError(f"{name} must be finite, got {vector}")
+    vector.flags.writeable = False
+    return vector
 
 
 def crop_entry(
@@ -331,11 +378,11 @@ class Pipeline:
         )
 
     def finalize_2d(self) -> TrackOutput:
-        """Temporal localization over the recorded confidences."""
+        """Temporal localization over the recorded confidences; ``TrackOutput`` checks the peaks."""
         if not self.results:
             raise EmptyInputError("no frames have been stepped")
         interval = fusion.temporal_localize([r.s_conf for r in self.results])
-        return TrackOutput(list(self.results), interval, list(self.peaks))
+        return TrackOutput(self.results, interval, self.peaks)
 
     def run(self, frames: Sequence[np.ndarray]) -> TrackOutput:
         """Step every frame in order, as frames 0, 1, 2, ..., and finalize."""
@@ -356,21 +403,17 @@ def finalize_3d(
     temporal interval, weighting each view by semantic x geometric
     confidence, then expresses the aggregate in every interval camera with
     valid depth at its centroid. ``cameras[t]`` is frame t's camera, None
-    where the frame has none. An interval that leaves the track's frames
-    is a ParameterError.
+    where the frame has none; ``TrackOutput`` keeps the interval inside the
+    track's frames.
     """
     if track.interval is None:
         raise NoDetectionError("track has no temporal interval")
-    start, end = track.interval.start_frame, track.interval.end_frame
-    if start < 0 or end >= len(track.results):
-        raise ParameterError(f"interval {[start, end]} leaves the track's frames [0, {len(track.results)})")
-    src, dst = alignment_pairs
-    t_eta = geo3d.align_sim3(src, dst)
+    t_eta = geo3d.align_sim3(*alignment_pairs)
 
     frames: list[int] = []
     points: list[np.ndarray] = []
     weights: list[float] = []
-    for idx in range(start, end + 1):
+    for idx in range(track.interval.start_frame, track.interval.end_frame + 1):
         result = track.results[idx]
         if result.bbox is None or idx >= len(cameras) or cameras[idx] is None:
             continue
@@ -392,4 +435,4 @@ def finalize_3d(
     # every displacement starts from the one point taken back to the reconstruction frame
     recon_point = t_eta.inverse().apply(world_point)
     displacements = {idx: geo3d.relative_displacement(cameras[idx], recon_point) for idx in frames}
-    return TrackOutput(track.results, track.interval, track.peaks, world_point, displacements)
+    return replace(track, world_point=world_point, displacements=displacements)

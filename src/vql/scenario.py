@@ -145,10 +145,7 @@ def _look_at_pose(position: np.ndarray, target: np.ndarray) -> np.ndarray:
     x /= np.linalg.norm(x)
     y = np.cross(z, x)
     pose = np.eye(4)
-    pose[:3, 0] = x
-    pose[:3, 1] = y
-    pose[:3, 2] = z
-    pose[:3, 3] = position
+    pose[:3] = np.column_stack([x, y, z, position])
     return pose
 
 
@@ -187,22 +184,16 @@ def gen_scenario(seed: int, params: ScenarioParams) -> Scenario:
     q0, u0 = _signature_pair(rng, CHANNELS)
     distractor_sig = np.cos(DISTRACTOR_ANGLE) * q0 + np.sin(DISTRACTOR_ANGLE) * u0
 
-    if params.n_views > 0:
-        center = (23, 23)
-    else:
-        center = (h // 2, w // 2)
-
-    geo = _geo_setup(rng, params) if params.n_views > 0 else None
+    # a geo target sits on the principal point, the canvas's central pixel
+    center = ((h - 1) // 2, (w - 1) // 2) if params.n_views > 0 else (h // 2, w // 2)
+    geo = _geo_setup(rng, params, center) if params.n_views > 0 else None
 
     frames: list[FrameData] = []
     for t in range(params.n_frames):
         theta = params.drift_step * t
         sig = np.cos(theta) * q0 + np.sin(theta) * u0
         feature = np.tile(-BACKGROUND_AMPLITUDE * sig, (h, w, 1))
-        present = True
-        if params.absence is not None:
-            a0, a1 = params.absence
-            present = not (a0 <= t <= a1)
+        present = params.absence is None or not params.absence[0] <= t <= params.absence[1]
         if params.distractor:
             shift = int(round(6 * np.sin(2 * np.pi * t / DISTRACTOR_PERIOD)))
             d_center = (h // 4, w // 4 + shift)
@@ -231,10 +222,11 @@ FOCAL = 40.0
 CORRUPT_UNCERTAINTY = 20.0
 
 
-def _geo_setup(rng: np.random.Generator, params: ScenarioParams) -> dict:
+def _geo_setup(rng: np.random.Generator, params: ScenarioParams, center: tuple[int, int]) -> dict:
     """Cameras on an arc around a world point, expressed in a scaled
     reconstruction frame that a similarity transform maps back to the
-    benchmark frame; depth maps are constant at the target's depth."""
+    benchmark frame; each camera's principal point is the (row, col)
+    ``center`` and its depth map is constant at the target's depth."""
     h, w = params.canvas
     point = rng.uniform(-1.0, 1.0, size=3) + np.array([0.0, 0.0, 1.0])
     scale = float(rng.uniform(0.6, 1.8))
@@ -243,7 +235,8 @@ def _geo_setup(rng: np.random.Generator, params: ScenarioParams) -> dict:
     to_bench = Sim3Transform(scale, rotation, translation)
     from_bench = to_bench.inverse()
 
-    intrinsics = np.array([[FOCAL, 0.0, 23.0], [0.0, FOCAL, 23.0], [0.0, 0.0, 1.0]])
+    cy, cx = center
+    intrinsics = np.array([[FOCAL, 0.0, cx], [0.0, FOCAL, cy], [0.0, 0.0, 1.0]])
     angles = np.linspace(0.0, np.pi / 2.0, params.n_views)
     cameras: list[CameraFrame] = []
     for i, angle in enumerate(angles):

@@ -1215,9 +1215,8 @@ def check_geo_weight_suppression():
         corrupted.cameras,
         (corrupted.alignment_src, corrupted.alignment_dst),
     )
-    pruned_track = scen.ground_truth_track(clean_subset)
-    pruned_track.results = pruned_track.results[:4]
-    pruned_track.interval = fusion.TemporalInterval(0, 3)
+    gt = scen.ground_truth_track(clean_subset)
+    pruned_track = replace(gt, results=gt.results[:4], peaks=gt.peaks[:4], interval=fusion.TemporalInterval(0, 3))
     pruned = finalize_3d(
         pruned_track, clean_subset.cameras, (clean_subset.alignment_src, clean_subset.alignment_dst)
     )

@@ -19,7 +19,7 @@ from hypothesis.extra import numpy as hnp
 
 from vql import fileio, metrics
 from vql.cli import main as cli_main
-from vql.core import ParameterError
+from vql.core import DimensionError, EmptyInputError, ParameterError
 from vql.fusion import TemporalInterval, extract_result
 from vql.pipeline import Pipeline, PipelineConfig, TrackOutput
 from vql.scenario import (
@@ -64,6 +64,20 @@ class TestGenScenario:
         assert sc.gt_point is not None
         assert sc.alignment_src.shape[0] >= 3
         assert all(f.camera is not None for f in sc.frames)
+
+    @pytest.mark.parametrize("canvas", [(16, 16), (24, 24), (16, 24), (48, 48)])
+    def test_geo_target_follows_the_canvas(self, canvas):
+        # the target sits whole on the principal point, the canvas's central pixel, so the
+        # ground-truth track lifts to the annotated point
+        from vql.pipeline import finalize_3d
+
+        sc = gen_scenario(7, replace(preset_params("geo"), canvas=canvas))
+        size = preset_params("geo").object_size
+        x0, y0, x1, y1 = sc.frames[0].gt_bbox
+        assert ((y0 + y1) // 2, (x0 + x1) // 2) == ((canvas[0] - 1) // 2, (canvas[1] - 1) // 2)
+        assert (x1 - x0 + 1, y1 - y0 + 1) == (size, size)
+        track = finalize_3d(ground_truth_track(sc), sc.cameras, (sc.alignment_src, sc.alignment_dst))
+        np.testing.assert_allclose(track.world_point, sc.gt_point, atol=1e-6)
 
     def test_distractor_preset_draws_one_look_alike(self):
         params = preset_params("distractor")
@@ -218,52 +232,165 @@ class TestFileRoundTrips:
         assert (tmp_path / "t1").read_bytes() == (tmp_path / "t2").read_bytes()
 
     @pytest.mark.parametrize(
-        "kind,edit,message",
+        "kind,edit,error,message",
         [
-            pytest.param("track", lambda t: t.peaks.pop(), r"\.peaks: expected one peak per frame, 5, got 4", id="few-peaks"),
+            # TrackOutput's contract: the edited track is refused as it is built, with the message the loader wraps
             pytest.param(
                 "track",
-                lambda t: (t.results.clear(), t.peaks.clear()),
-                r"\.prob: expected at least one frame, got none",
+                lambda t: replace(t, peaks=t.peaks[:-1]),
+                ParameterError,
+                r"^expected one peak per frame, 5, got 4$",
+                id="few-peaks",
+            ),
+            pytest.param(
+                "track",
+                lambda t: replace(t, results=(), peaks=()),
+                EmptyInputError,
+                r"^a track needs at least one result$",
                 id="no-frames",
             ),
             pytest.param(
-                "track", lambda t: t.peaks.__setitem__(2, np.nan), r"\.peaks\[2\]: expected a finite number", id="nan-peak"
+                "track",
+                lambda t: replace(t, peaks=(*t.peaks[:2], np.nan, *t.peaks[3:])),
+                ParameterError,
+                r"^peak 2 must be finite, got nan$",
+                id="nan-peak",
             ),
-            pytest.param("track", lambda t: with_prob(t, 7.5), r"\.prob: expected probabilities in \[0, 1\]", id="prob-above-1"),
-            pytest.param("track", lambda t: with_prob(t, -3.0), r"\.prob: expected probabilities in \[0, 1\]", id="prob-below-0"),
-            pytest.param("track", lambda t: with_prob(t, np.nan), r"\.prob: expected probabilities in \[0, 1\]", id="nan-prob"),
             pytest.param(
                 "track",
-                lambda t: t.displacements.__setitem__(99, np.zeros(3)),
-                r"\.displacement_frames: expected increasing frame indices from 0 below 5, got \[99\]",
+                lambda t: replace(t, displacements={99: np.zeros(3)}),
+                ParameterError,
+                r"^displacement frame 99 is not a frame of the track, \[0, 5\)$",
                 id="stray-displacement",
             ),
             pytest.param(
                 "track",
-                lambda t: setattr(t, "interval", TemporalInterval(0, 999)),
-                r"\.interval: \[0, 999\] leaves the track's frames \[0, 5\)",
-                id="interval-past-end",
+                lambda t: replace(t, displacements={1: np.array([0.0, np.nan, 0.0])}),
+                ParameterError,
+                r"^frame 1's displacement must be finite",
+                id="nan-displacement",
             ),
             pytest.param(
-                "scenario", lambda s: setattr(s, "alignment_dst", None), r"\.alignment_dst: missing member", id="lone-src"
+                "track",
+                lambda t: replace(t, displacements={1: np.zeros(2)}),
+                DimensionError,
+                r"^frame 1's displacement must be a 3-vector, got shape \(2,\)$",
+                id="short-displacement",
+            ),
+            pytest.param(
+                "track",
+                lambda t: replace(t, world_point=np.array([0.0, np.inf, 0.0])),
+                ParameterError,
+                r"^world_point must be finite",
+                id="inf-world-point",
+            ),
+            pytest.param(
+                "track",
+                lambda t: replace(t, results=(*t.results[:4], extract_result(np.zeros((16, 16))))),
+                DimensionError,
+                r"^result 4's map is \(16, 16\), not result 0's \(H, W\) \(48, 48\)$",
+                id="other-canvas",
+            ),
+            pytest.param(
+                "track",
+                lambda t: replace(t, interval=TemporalInterval(0, 999)),
+                ParameterError,
+                r"^interval \[0, 999\] leaves the track's frames \[0, 5\)$",
+                id="interval-past-end",
+            ),
+            # what belongs to the file: the saver raises the loader's own SchemaError
+            pytest.param(
+                "track",
+                lambda t: with_prob(t, 7.5),
+                fileio.SchemaError,
+                r"\.prob: expected probabilities in \[0, 1\]",
+                id="prob-above-1",
+            ),
+            pytest.param(
+                "track",
+                lambda t: with_prob(t, -3.0),
+                fileio.SchemaError,
+                r"\.prob: expected probabilities in \[0, 1\]",
+                id="prob-below-0",
+            ),
+            pytest.param(
+                "track",
+                lambda t: with_prob(t, np.nan),
+                fileio.SchemaError,
+                r"\.prob: expected probabilities in \[0, 1\]",
+                id="nan-prob",
             ),
             pytest.param(
                 "scenario",
-                lambda s: setattr(s, "alignment_dst", s.alignment_dst[1:]),
+                lambda s: replace(s, alignment_dst=None),
+                fileio.SchemaError,
+                r"\.alignment_dst: missing member",
+                id="lone-src",
+            ),
+            pytest.param(
+                "scenario",
+                lambda s: replace(s, alignment_dst=s.alignment_dst[1:]),
+                fileio.SchemaError,
                 r"\.alignment_dst: expected shape \(\d+, 3\) like alignment_src",
                 id="alignment-rows",
             ),
+            # a camera takes a NaN depth as an invalid sample, but a file holds only finite floats
+            pytest.param(
+                "scenario",
+                lambda s: with_frame(s, 2, camera=replace(s.cameras[2], depth=s.cameras[2].depth * np.nan)),
+                fileio.SchemaError,
+                r"out\.npz\.depths: contains non-finite values$",
+                id="nan-depth",
+            ),
+            pytest.param(
+                "scenario",
+                lambda s: with_frame(s, 3, feature=with_item(s.frames[3].feature, (0, 0, 0), np.inf)),
+                fileio.SchemaError,
+                r"out\.npz\.features: contains non-finite values$",
+                id="inf-feature",
+            ),
         ],
     )
-    def test_save_refuses_what_load_refuses(self, tmp_path, kind, edit, message):
-        # the loader's own error, before anything is written
+    def test_save_refuses_what_load_refuses(self, tmp_path, kind, edit, error, message):
+        # refused with the loader's own words, and before anything is written
         geo = gen_scenario(7, preset_params("geo"))
         value = geo if kind == "scenario" else ground_truth_track(geo)
-        edit(value)
-        with pytest.raises(fileio.SchemaError, match=message):
-            getattr(fileio, f"save_{kind}")(value, str(tmp_path / "out.npz"))
+        with pytest.raises(error, match=message):
+            getattr(fileio, f"save_{kind}")(edit(value), str(tmp_path / "out.npz"))
         assert not list(tmp_path.iterdir())
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_valid_track_round_trip(self, data):
+        # any track TrackOutput accepts survives the file: the same fields, and a re-save writes the same bytes
+        n = data.draw(st.integers(1, 6))
+        canvas = (data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        vectors = hnp.arrays(np.float64, 3, elements=finite)
+        ends = st.lists(st.integers(0, n - 1), min_size=2, max_size=2)
+        track = TrackOutput(
+            [extract_result(p) for p in data.draw(hnp.arrays(np.float64, (n, *canvas), elements=st.floats(0.0, 1.0)))],
+            data.draw(st.none() | ends.map(lambda e: TemporalInterval(*sorted(e)))),
+            data.draw(st.lists(finite, min_size=n, max_size=n)),
+            data.draw(st.none() | vectors),
+            {t: data.draw(vectors) for t in data.draw(st.lists(st.integers(0, n - 1), unique=True))},
+        )
+        with tempfile.TemporaryDirectory() as work:
+            first, second = os.path.join(work, "a.npz"), os.path.join(work, "b.npz")
+            fileio.save_track(track, first)
+            loaded = fileio.load_track(first)
+            fileio.save_track(loaded, second)
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read()
+        assert (loaded.interval, loaded.peaks) == (track.interval, track.peaks)
+        for got, want in zip(loaded.results, track.results, strict=True):
+            assert got.prob.tobytes() == want.prob.tobytes()
+            assert (got.bbox, got.s_conf) == (want.bbox, want.s_conf)
+        assert (loaded.world_point is None) == (track.world_point is None)
+        if track.world_point is not None:
+            assert loaded.world_point.tobytes() == track.world_point.tobytes()
+        assert list(loaded.displacements) == list(track.displacements)
+        assert all(loaded.displacements[t].tobytes() == d.tobytes() for t, d in track.displacements.items())
 
     def test_track_without_frames_refused(self, tmp_path):
         # the file save_track refuses to write: no frame, no prob plane
@@ -276,7 +403,7 @@ class TestFileRoundTrips:
             "displacement_frames": [],
         }
         fileio._write_archive(path, document, {"prob": np.zeros((0, 4, 4)), "deltas": np.zeros((0, 3))})
-        with pytest.raises(fileio.SchemaError, match=r"\.prob: expected at least one frame, got none"):
+        with pytest.raises(fileio.SchemaError, match=r"empty\.npz: invalid track: a track needs at least one result$"):
             fileio.load_track(path)
 
     def test_prob_outside_unit_interval_refused(self, tmp_path):
@@ -295,7 +422,7 @@ class TestFileRoundTrips:
         fileio.save_track(track, path)
         rewrite(path, lambda d: d.update(displacement_frames=[n]))
         rewrite(path, lambda deltas: np.zeros((1, 3)), "deltas.npy")
-        message = rf"\.displacement_frames: expected increasing frame indices from 0 below {n}, got \[{n}\]"
+        message = rf"track\.npz: invalid track: displacement frame {n} is not a frame of the track, \[0, {n}\)$"
         with pytest.raises(fileio.SchemaError, match=message):
             fileio.load_track(path)
 
@@ -341,8 +468,17 @@ def with_item(arr, index, value):
 
 
 def with_prob(track, value):
-    """Put ``value`` in one pixel of the third frame's probability map."""
-    track.results[2] = extract_result(with_item(track.results[2].prob, (0, 0), value))
+    """The track with ``value`` in one pixel of the third frame's probability map."""
+    results = list(track.results)
+    results[2] = extract_result(with_item(results[2].prob, (0, 0), value))
+    return replace(track, results=results)
+
+
+def with_frame(scenario, t, **changes):
+    """The scenario with the given fields of frame t replaced."""
+    frames = list(scenario.frames)
+    frames[t] = replace(frames[t], **changes)
+    return replace(scenario, frames=frames)
 
 
 class TestVersion:
@@ -529,14 +665,14 @@ class TestLoaderContainers:
         [
             # the probability maps give the frame count, so the peaks are one frame too many
             pytest.param(
-                1, "prob.npy", lambda p: p[1:], ".peaks: expected one peak per frame, 4, got 5", id="track-frame"
+                1, "prob.npy", lambda p: p[1:], "invalid track: expected one peak per frame, 4, got 5", id="track-frame"
             ),
             pytest.param(1, DOCUMENT, lambda d: d.update(peaks=3), ".peaks: expected a list", id="peaks"),
             pytest.param(
                 1,
                 DOCUMENT,
                 lambda d: d.update(peaks=d["peaks"][:3]),
-                ".peaks: expected one peak per frame, 5, got 3",
+                "invalid track: expected one peak per frame, 5, got 3",
                 id="short-peaks",
             ),
             pytest.param(
@@ -586,8 +722,8 @@ class TestLoaderContainers:
 
 
 class TestLoaderIntVectors:
-    """The track interval is read as a list of 2 integers, and its start is at most its end, both
-    frames of the track."""
+    """The track interval is read as a list of 2 integers; ``TemporalInterval`` keeps its start
+    at most its end, and ``TrackOutput`` both in the track's frames."""
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -611,13 +747,13 @@ class TestLoaderIntVectors:
 
     def test_reversed_interval_exits_2(self, files, capsys):
         rewrite(files[1], lambda d: d.update(interval=[2, 1]))
-        self.eval_rejects(files, "t.json.interval: expected start <= end, got [2, 1]", capsys)
+        self.eval_rejects(files, "t.json: invalid track: interval must satisfy start <= end", capsys)
 
     @pytest.mark.parametrize("interval", [[0, 999], [0, 3], [-1, 0]])
     def test_interval_outside_the_track_rejected(self, files, capsys, interval):
         # the track has 3 frames; an interval is a run of them
         rewrite(files[1], lambda d: d.update(interval=interval))
-        message = f"t.json.interval: {interval} leaves the track's frames [0, 3)"
+        message = f"t.json: invalid track: interval {interval} leaves the track's frames [0, 3)"
         with pytest.raises(fileio.SchemaError, match=re.escape(message)):
             fileio.load_track(str(files[1]))
         self.eval_rejects(files, message, capsys)
@@ -915,8 +1051,7 @@ class TestArchiveIntegrity:
 class TestEval2d:
     def test_no_interval_scores_zero(self):
         sc = small_identity(n_frames=8)
-        track = ground_truth_track(sc)
-        track.interval = None
+        track = replace(ground_truth_track(sc), interval=None)
         report = metrics.eval_2d(track, sc)
         assert report == metrics.MetricsReport2D(0.0, 0.0, 0.0, 0.0)
 
@@ -995,24 +1130,22 @@ class TestEval3d:
 
 
 class TestEvalInterval:
-    """Both evaluators reject a predicted interval that leaves the scenario's frames; the
-    track loader refuses it first, as one that leaves the track's frames."""
+    """Neither evaluator can be given a predicted interval that leaves the track's frames:
+    ``TrackOutput`` refuses it as the track is built, and the loader refuses it in a file."""
 
     @pytest.mark.parametrize(
         "interval", [pytest.param([0, 999], id="past-end"), pytest.param([-3, 2], id="negative-start")]
     )
     def test_interval_outside_clip_exits_2(self, geo_files, capsys, interval):
         scenario_path, track_path = geo_files
-        scenario, track = fileio.load_scenario(str(scenario_path)), fileio.load_track(str(track_path))
-        track.interval = TemporalInterval(*interval)
-        message = f"interval {interval} leaves the scenario's frames [0, 5)"
-        for evaluate in metrics.eval_2d, metrics.eval_3d:
-            with pytest.raises(ValueError, match=re.escape(message)):
-                evaluate(track, scenario)
+        track = fileio.load_track(str(track_path))
+        message = f"interval {interval} leaves the track's frames [0, 5)"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            replace(track, interval=TemporalInterval(*interval))
         rewrite(track_path, lambda d: d.update(interval=interval))
         args = ["eval", "--scenario", str(scenario_path), "--track", str(track_path), "--metrics-3d"]
         assert cli_main(args) == 2
-        assert f"track3d.json.interval: {interval} leaves the track's frames [0, 5)" in capsys.readouterr().err
+        assert f"track3d.json: invalid track: {message}" in capsys.readouterr().err
 
 
 class TestEvalFrames:
@@ -1134,7 +1267,7 @@ class TestCli:
         sc = gen_scenario(11, preset_params("geo"))
         track = ground_truth_track(sc)
         # an interval but no box: no frame can be lifted
-        track.results = [extract_result(np.zeros_like(r.prob)) for r in track.results]
+        track = replace(track, results=[extract_result(np.zeros_like(r.prob)) for r in track.results])
         scenario_path, track_path, out3d = tmp_path / "geo.npz", tmp_path / "track.npz", tmp_path / "track3d.npz"
         fileio.save_scenario(sc, str(scenario_path))
         fileio.save_track(track, str(track_path))

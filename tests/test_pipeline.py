@@ -1,6 +1,6 @@
 import os
 import tempfile
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -28,6 +28,7 @@ from vql.pipeline import (
     Pipeline,
     PipelineConfig,
     QuerySpec,
+    TrackOutput,
     crop_entry,
     finalize_3d,
 )
@@ -566,22 +567,75 @@ class TestFinalize2d:
             assert a.bbox == b.bbox and a.s_conf == b.s_conf
         assert runs[0].peaks == runs[1].peaks
 
+    def test_non_finite_peak_raises(self):
+        # a finite frame can still overflow the convolution; the track refuses the peak
+        sc = small_identity(n_frames=3)
+        pipe = Pipeline(sc.query, unit_cfg())
+        for index, frame in enumerate(sc.frames):
+            pipe.step_frame(frame.feature, index)
+        pipe.peaks[1] = np.inf
+        with pytest.raises(ParameterError, match="peak 1 must be finite, got inf"):
+            pipe.finalize_2d()
+
+
+class TestTrackOutput:
+    """The track contract lives in ``TrackOutput``; every way a track can break it is in
+    test_harness's test_save_refuses_what_load_refuses, which also checks that nothing is written."""
+
+    @staticmethod
+    def lifted():
+        sc = gen_scenario(3, preset_params("geo"))
+        return finalize_3d(ground_truth_track(sc), sc.cameras, (sc.alignment_src, sc.alignment_dst))
+
+    @pytest.mark.parametrize(
+        "interval",
+        [
+            pytest.param((0, 999), id="past-end"),
+            pytest.param((-3, 2), id="negative-start"),
+            pytest.param((0, 5), id="one-past-end"),
+        ],
+    )
+    def test_interval_outside_the_track_raises(self, interval):
+        track = ground_truth_track(gen_scenario(3, preset_params("geo")))
+        message = rf"^interval \[{interval[0]}, {interval[1]}\] leaves the track's frames \[0, 5\)$"
+        with pytest.raises(ParameterError, match=message):
+            TrackOutput(track.results, TemporalInterval(*interval), track.peaks)
+        with pytest.raises(ParameterError, match=message):
+            replace(track, interval=TemporalInterval(*interval))
+
+    def test_frozen_and_read_only(self):
+        track = self.lifted()
+        assert isinstance(track.results, tuple) and isinstance(track.peaks, tuple)
+        with pytest.raises(FrozenInstanceError):
+            track.interval = None
+        with pytest.raises(FrozenInstanceError):
+            track.results[0].prob = np.zeros((2, 2))
+        with pytest.raises(TypeError):
+            track.displacements[0] = np.zeros(3)
+        for vector in track.world_point, track.displacements[0]:
+            with pytest.raises(ValueError, match="read-only"):
+                vector[0] = 1.0
+
+    def test_keeps_its_own_vectors_in_frame_order(self):
+        track = self.lifted()
+        vector = np.zeros(3)
+        edited = replace(track, world_point=vector, displacements={3: vector, 1: vector.tolist()})
+        vector[0] = np.nan
+        assert list(edited.displacements) == [1, 3]
+        assert all(np.isfinite(v).all() for v in (edited.world_point, *edited.displacements.values()))
+
 
 class TestFinalize3d:
     def test_no_interval_raises(self):
         sc = gen_scenario(3, preset_params("geo"))
-        track = ground_truth_track(sc)
-        track.interval = None
+        track = replace(ground_truth_track(sc), interval=None)
         with pytest.raises(NoDetectionError):
             finalize_3d(track, sc.cameras, (sc.alignment_src, sc.alignment_dst))
 
     def test_single_response_frame_is_its_own_ray(self):
         sc = gen_scenario(3, preset_params("geo"))
-        track = ground_truth_track(sc)
-        track.results = track.results[:1]
-        from vql.fusion import TemporalInterval
-
-        track.interval = TemporalInterval(0, 0)
+        gt = ground_truth_track(sc)
+        track = replace(gt, results=gt.results[:1], peaks=gt.peaks[:1], interval=TemporalInterval(0, 0))
         out = finalize_3d(track, sc.cameras, (sc.alignment_src, sc.alignment_dst))
         from vql.geo3d import align_sim3, backproject
 
@@ -613,12 +667,11 @@ class TestFinalize3d:
 
     @pytest.mark.parametrize("interval", [pytest.param((0, 999), id="past-end"), pytest.param((-3, 2), id="negative-start")])
     def test_interval_outside_the_track_raises(self, interval, monkeypatch):
-        # refused before the alignment is fitted, not lifted over the frames the interval shares with the track
+        # the track is refused as it is built, so no alignment is fitted and nothing is lifted
         sc = gen_scenario(3, preset_params("geo"))
-        track = ground_truth_track(sc)
-        track.interval = TemporalInterval(*interval)
         monkeypatch.setattr(geo3d, "align_sim3", None)
         with pytest.raises(ParameterError, match=rf"interval \[{interval[0]}, {interval[1]}\] leaves the track's frames \[0, 5\)"):
+            track = replace(ground_truth_track(sc), interval=TemporalInterval(*interval))
             finalize_3d(track, sc.cameras, (sc.alignment_src, sc.alignment_dst))
 
     def test_inverts_the_alignment_once(self, monkeypatch):
