@@ -48,7 +48,7 @@ def _cmd_run2d(args) -> int:
 def _cmd_run3d(args) -> int:
     scenario = fileio.load_scenario(args.scenario)
     track = fileio.load_track(args.track)
-    if scenario.alignment_src is None or scenario.alignment_dst is None:
+    if scenario.alignment_src is None:
         raise fileio.SchemaError(f"{args.scenario}: scenario carries no alignment point pairs")
     try:
         track = finalize_3d(

@@ -22,9 +22,10 @@ solver's kernel shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -33,11 +34,14 @@ __all__ = [
     "DimensionError",
     "ParameterError",
     "EmptyInputError",
+    "ArrayValue",
+    "as_index",
     "GRADIENT_EPS",
     "BankEntry",
     "conv2d",
     "im2col",
     "readonly_copy",
+    "frozen_array",
     "gaussian_label",
     "min_bounding_rect",
     "median_filter_1d",
@@ -60,6 +64,36 @@ class ParameterError(ValueError):
 
 class EmptyInputError(ValueError):
     """An operation that needs a non-empty input received an empty one."""
+
+
+def _equal(a: Any, b: Any) -> bool:
+    """Equality that compares arrays with ``np.array_equal`` and mappings member by member; a tuple
+    compares its members with their own ``==``, which an ``ArrayValue`` member defines."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        # a NaN equals a NaN, so a value holding one (a camera's invalid depth sample) equals itself
+        return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b, a.dtype.kind in "fc")
+    if isinstance(a, Mapping) and isinstance(b, Mapping):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    return bool(a == b)
+
+
+class ArrayValue:
+    """Base of the frozen dataclass values with array fields, each declared ``eq=False``: equal when of
+    one type and ``_equal`` field by field, and unhashable, as a consistent hash would read every array."""
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+def as_index(value: Any, name: str) -> int:
+    """``value`` as a Python int (``operator.index``); a bool, a float or any other non-integer is a ParameterError."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 # both solvers stop once the gradient norm falls below this
@@ -156,7 +190,16 @@ def readonly_copy(a, dtype=None) -> np.ndarray:
     return out
 
 
-# compared and hashed by identity: value equality over arrays has no truth value
+def frozen_array(a, dtype=None) -> np.ndarray:
+    """``a`` as a ``dtype`` array that nothing can change: ``a`` itself when it and the array it views
+    are read-only (a loaded stack's slice stays a view), else a read-only copy."""
+    arr = np.asarray(a, dtype=dtype)
+    if arr.flags.writeable or (isinstance(arr.base, np.ndarray) and arr.base.flags.writeable):
+        arr = readonly_copy(arr)
+    return arr
+
+
+# compared and hashed by identity, not as an ArrayValue: an entry is one window the banks share, caches and all
 @dataclass(frozen=True, eq=False)
 class BankEntry:
     """One window in both memory banks: a (H, W, C) feature crop, its binary (0/1) mask,

@@ -5,20 +5,22 @@ layout: a ``document.json`` member holding the ``version``, the ``kind``
 and every scalar and small integer list, and one ``.npy`` member for each
 kind of tensor, the frames' tensors stacked along a leading axis. Float
 tensors are little-endian float64 (``<f8``) and masks one byte per pixel
-(``u1``). Each member's dtype and shape are checked against what the
-document and the other members imply before it is used, so the loaded
-arrays are the stored bits and a load/save cycle is byte-identical.
-Members are written in sorted order, each stamped with the same fixed
-date, so a file's bytes depend on its contents alone. The loader accepts
-no document field and no member it does not read. It reads each member
-straight from the file into its array, and refuses a member that is
-compressed or whose bytes do not match the CRC-32 the archive records.
+(``u1``). Members are written in sorted order, each stamped with the same
+fixed date, so a file's bytes depend on its contents alone and a
+load/save cycle is byte-identical. A config file holds no tensor and
+stays one JSON document with the same ``version`` and ``kind`` header.
 
-A config file holds no tensor and stays one JSON document with the same
-``version`` and ``kind`` header; ``PipelineConfig`` checks its fields'
-types and ranges, for the library and the file alike, and ``TrackOutput``
-checks a track's frames, its peaks and its vectors, for the pipeline and
-the track loader alike.
+The files check only their own rules. The loader accepts no document
+field and no member it does not read, reads each member straight from the
+file into its array, refuses a member that is compressed or whose bytes do
+not match the CRC-32 the archive records, and checks each member's dtype
+and shape against what the document and the other members imply; depths
+must be finite, as a ``CameraFrame`` takes a NaN depth that no file
+stores. Every other rule belongs to the value a file holds and is checked
+as it is built, for the library and the loader alike: ``Scenario`` (with
+``QuerySpec`` and ``CameraFrame``), ``TrackOutput`` and ``PipelineConfig``.
+A loader reports a broken rule as a ``SchemaError`` carrying its message.
+A loaded scenario's frames hold read-only views of the loaded stacks.
 
 A file stores nothing that follows from what it stores: the loader reads
 every shape from the stacked tensors (a scenario's N, H, W and C from
@@ -289,18 +291,13 @@ def _check_legacy(path: str, kind: str) -> None:
 
 def _member(arrays: dict[str, np.ndarray], name: str, dtype: str, shape: tuple, path: str) -> np.ndarray:
     """The array ``name``: exactly ``dtype`` (``<f8`` or ``u1``) and of ``shape``
-    (None takes any length on that axis), every float finite and every mask byte 0 or 1."""
+    (None takes any length on that axis)."""
     arr = arrays[name]
     where = f"{path}.{name}"
     if arr.dtype != np.dtype(dtype):
         raise SchemaError(f"{where}: expected dtype {dtype}, got {arr.dtype.str}")
     if arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape)):
         raise SchemaError(f"{where}: expected shape {shape}, got {arr.shape}")
-    if dtype == "u1":
-        if not (arr <= 1).all():
-            raise SchemaError(f"{where}: mask values must be 0 or 1")
-    elif not np.isfinite(arr).all():
-        raise SchemaError(f"{where}: contains non-finite values")
     return arr
 
 
@@ -336,35 +333,17 @@ def _check_header(document: dict, kind: str, path: str) -> None:
         raise SchemaError(f"{path}.kind: expected {kind!r}, got {actual!r}")
 
 
-def _mask_bytes(mask: np.ndarray, path: str) -> np.ndarray:
-    """A mask as one byte per pixel, refusing any value but 0 and 1."""
-    mask = np.asarray(mask)
-    if not ((mask == 0) | (mask == 1)).all():
-        raise SchemaError(f"{path}: mask values must be 0 or 1")
-    return mask.astype("u1")
-
-
 def _stack(rows: list, shape: tuple[int, ...], dtype: str = "<f8") -> np.ndarray:
     """Tensors of ``shape`` stacked along a new leading axis, which is empty when ``rows`` is."""
     return np.asarray(rows, dtype=dtype).reshape(len(rows), *shape)
 
 
-def _int_vector(values: Any, n: Optional[int], path: str) -> tuple[int, ...]:
-    """A list of n integers (of any length when n is None) as a tuple; a bool is not an integer."""
-    if not (
-        isinstance(values, list)
-        and (n is None or len(values) == n)
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in values)
-    ):
-        count = "" if n is None else f"{n} "
-        raise SchemaError(f"{path}: expected a list of {count}integers, got {values!r}")
-    return tuple(values)
-
-
 def _frame_list(values: Any, n_frames: Optional[int], path: str) -> tuple[int, ...]:
-    """A list of increasing frame indices from 0, each below ``n_frames`` unless it is None."""
-    frames = _int_vector(values, None, path)
-    increasing = all(a < b for a, b in zip((-1, *frames), frames))
+    """A list of increasing integer frame indices from 0, each below ``n_frames`` unless it is None;
+    a bool is not an integer."""
+    frames = tuple(_container(values, list, path))
+    integers = all(isinstance(v, int) and not isinstance(v, bool) for v in frames)
+    increasing = integers and all(a < b for a, b in zip((-1, *frames), frames))
     if not increasing or (n_frames is not None and frames and frames[-1] >= n_frames):
         below = "" if n_frames is None else f" below {n_frames}"
         raise SchemaError(f"{path}: expected increasing frame indices from 0{below}, got {list(frames)}")
@@ -392,54 +371,45 @@ _SCENARIO_MEMBERS = (
     "depths",
     "depth_uncertainties",
 )
-# the optional members and their shapes; an alignment holds any number of matched points,
-# so its two members come together and with the same number of rows
+# the optional members and their shapes; an alignment holds any number of matched points
 _SCENARIO_OPTIONAL = {"gt_point": (3,), "alignment_src": (None, 3), "alignment_dst": (None, 3)}
 
 
-def _check_alignment(arrays: dict[str, np.ndarray], path: str) -> None:
-    """An alignment in ``arrays`` holds both point sets, with as many rows."""
-    src, dst = arrays.get("alignment_src"), arrays.get("alignment_dst")
-    if (src is None) != (dst is None):
-        missing = "alignment_dst" if dst is None else "alignment_src"
-        raise SchemaError(f"{path}.{missing}: missing member; an alignment holds both point sets")
-    if src is not None and len(src) != len(dst):
-        raise SchemaError(f"{path}.alignment_dst: expected shape ({len(src)}, 3) like alignment_src, got {dst.shape}")
+def _finite_array(arr: np.ndarray, where: str) -> np.ndarray:
+    """``arr`` if every value is finite. Only depths need it: the contracts hold every other float
+    finite, but a ``CameraFrame`` takes a NaN depth as an invalid sample, which a file does not store."""
+    if not np.isfinite(arr).all():
+        raise SchemaError(f"{where}: contains non-finite values")
+    return arr
 
 
 def save_scenario(scenario: Scenario, path: str) -> None:
+    """Write ``scenario``, whose contract ``Scenario`` has checked, refusing a non-finite depth."""
     h, w, c = scenario.query.feature.shape
     camera_frames = [i for i, frame in enumerate(scenario.frames) if frame.camera is not None]
     cameras = [scenario.frames[i].camera for i in camera_frames]
     arrays = {
         "features": _stack([frame.feature for frame in scenario.frames], (h, w, c)),
-        "gt_masks": _stack(
-            [_mask_bytes(frame.gt_mask, f"{path}.frames[{i}].gt_mask") for i, frame in enumerate(scenario.frames)],
-            (h, w),
-            "u1",
-        ),
+        "gt_masks": _stack([frame.gt_mask for frame in scenario.frames], (h, w), "u1"),
         "query_feature": np.asarray(scenario.query.feature, dtype="<f8"),
-        "query_mask": _mask_bytes(scenario.query.mask, f"{path}.query.mask"),
+        "query_mask": np.asarray(scenario.query.mask, dtype="u1"),
         "poses": _stack([camera.pose for camera in cameras], (4, 4)),
         "intrinsics": _stack([camera.intrinsics for camera in cameras], (3, 3)),
-        "depths": _stack([camera.depth for camera in cameras], (h, w)),
+        "depths": _finite_array(_stack([camera.depth for camera in cameras], (h, w)), f"{path}.depths"),
         "depth_uncertainties": _stack([camera.depth_uncertainty for camera in cameras], (h, w)),
     }
     for name in _SCENARIO_OPTIONAL:
         value = getattr(scenario, name)
         if value is not None:
             arrays[name] = np.asarray(value, dtype="<f8")
-    # what the loader would refuse is refused before anything is written
-    for name, arr in arrays.items():
-        if arr.dtype != np.uint8:
-            _member(arrays, name, "<f8", arr.shape, path)
-    _check_alignment(arrays, path)
     document = {"version": FORMAT_VERSION, "kind": "scenario", "camera_frames": camera_frames}
     _write_archive(path, document, arrays)
 
 
 def load_scenario(path: str) -> Scenario:
-    """A scenario file; its frame count N, canvas (H, W) and channels C are the shape of ``features``."""
+    """A scenario file; its frame count N, canvas (H, W) and channels C are the shape of ``features``,
+    and a scenario that breaks ``Scenario``'s contract is a ``SchemaError`` carrying its message.
+    Its frames' arrays are read-only views of the loaded stacks."""
     keys = ("camera_frames",)
     document, arrays = _read_archive(path, "scenario", keys, _SCENARIO_MEMBERS, tuple(_SCENARIO_OPTIONAL))
     features = _member(arrays, "features", "<f8", (None,) * 4, path)
@@ -447,33 +417,25 @@ def load_scenario(path: str) -> Scenario:
     gt_masks = _member(arrays, "gt_masks", "u1", (n, h, w), path)
     camera_frames = _frame_list(_expect(document, "camera_frames", path), n, f"{path}.camera_frames")
     k = len(camera_frames)
-    cameras = dict(
-        zip(
-            camera_frames,
-            map(
-                CameraFrame,
-                _member(arrays, "poses", "<f8", (k, 4, 4), path),
-                _member(arrays, "intrinsics", "<f8", (k, 3, 3), path),
-                _member(arrays, "depths", "<f8", (k, h, w), path),
-                _member(arrays, "depth_uncertainties", "<f8", (k, h, w), path),
-            ),
-        )
-    )
-    query = QuerySpec(
-        _member(arrays, "query_feature", "<f8", (h, w, c), path),
-        _member(arrays, "query_mask", "u1", (h, w), path),
-    )
+    shapes = {"poses": (4, 4), "intrinsics": (3, 3), "depths": (h, w), "depth_uncertainties": (h, w)}
+    camera_members = [_member(arrays, name, "<f8", (k, *shape), path) for name, shape in shapes.items()]
+    _finite_array(arrays["depths"], f"{path}.depths")
+    query_feature = _member(arrays, "query_feature", "<f8", (h, w, c), path)
+    query_mask = _member(arrays, "query_mask", "u1", (h, w), path)
     optional = {
         name: _member(arrays, name, "<f8", shape, path)
         for name, shape in _SCENARIO_OPTIONAL.items()
         if name in arrays
     }
-    _check_alignment(optional, path)
-    return Scenario(
-        frames=[FrameData(features[i], gt_masks[i], cameras.get(i)) for i in range(n)],
-        query=query,
-        **optional,
-    )
+    # read-only stacks, so the frames' slices of them stay views that nothing can change
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    try:
+        cameras = dict(zip(camera_frames, map(CameraFrame, *camera_members)))
+        frames = [FrameData(features[i], gt_masks[i], cameras.get(i)) for i in range(n)]
+        return Scenario(frames, QuerySpec(query_feature, query_mask), **optional)
+    except (DimensionError, EmptyInputError, ParameterError) as exc:
+        raise SchemaError(f"{path}: invalid scenario: {exc}") from exc
 
 
 # -- track ------------------------------------------------------------------
@@ -515,9 +477,12 @@ def load_track(path: str) -> TrackOutput:
     frames = _frame_list(_expect(document, "displacement_frames", path), None, f"{path}.displacement_frames")
     deltas = _member(arrays, "deltas", "<f8", (len(frames), 3), path)
     ends = _expect(document, "interval", path)
+    # TemporalInterval refuses an end that is not an integer
+    if ends is not None and not (isinstance(ends, list) and len(ends) == 2):
+        raise SchemaError(f"{path}.interval: expected a list of 2 integers, got {ends!r}")
     world_point = _member(arrays, "world_point", "<f8", (3,), path) if "world_point" in arrays else None
     try:
-        interval = None if ends is None else TemporalInterval(*_int_vector(ends, 2, f"{path}.interval"))
+        interval = None if ends is None else TemporalInterval(*ends)
         return TrackOutput([extract_result(p) for p in prob], interval, peaks, world_point, dict(zip(frames, deltas)))
     except (DimensionError, EmptyInputError, ParameterError) as exc:
         raise SchemaError(f"{path}: invalid track: {exc}") from exc

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DimensionError, ParameterError, _component_runs, last_run, median_filter_1d
+from .core import ArrayValue, DimensionError, ParameterError, _component_runs, as_index, last_run, median_filter_1d
 
 __all__ = [
     "SegmentationResult",
@@ -40,8 +40,8 @@ MEDIAN_WINDOW = 5
 TEMPORAL_RATIO = 0.8
 
 
-@dataclass(frozen=True)
-class SegmentationResult:
+@dataclass(frozen=True, eq=False)
+class SegmentationResult(ArrayValue):
     """Per-frame output: probability map, mask, bbox, and confidence."""
 
     prob: np.ndarray
@@ -52,10 +52,14 @@ class SegmentationResult:
 
 @dataclass(frozen=True)
 class TemporalInterval:
+    """An inclusive run of frames; its ends are stored as Python ints, and a bool or a float is not one."""
+
     start_frame: int
     end_frame: int
 
     def __post_init__(self) -> None:
+        for name in ("start_frame", "end_frame"):
+            object.__setattr__(self, name, as_index(getattr(self, name), name))
         if self.start_frame > self.end_frame:
             raise ParameterError(f"interval must satisfy start <= end, got {self}")
 

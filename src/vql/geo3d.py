@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DimensionError, ParameterError
+from .core import ArrayValue, DimensionError, ParameterError, frozen_array
 
 __all__ = [
     "DegenerateGeometryError",
@@ -58,9 +58,9 @@ def _check_rotation(r: np.ndarray) -> None:
         raise ParameterError(f"rotation block has determinant {det:.6f}, not +1")
 
 
-@dataclass
-class CameraFrame:
-    """Camera-to-world pose, intrinsics, depth, and depth-uncertainty maps.
+@dataclass(frozen=True, eq=False)
+class CameraFrame(ArrayValue):
+    """Camera-to-world pose, intrinsics, depth, and depth-uncertainty maps, kept read-only.
 
     Pose, intrinsics and uncertainty must be finite; a non-finite depth is
     an invalid sample that :func:`backproject` refuses.
@@ -72,10 +72,8 @@ class CameraFrame:
     depth_uncertainty: np.ndarray
 
     def __post_init__(self) -> None:
-        self.pose = np.asarray(self.pose, dtype=np.float64)
-        self.intrinsics = np.asarray(self.intrinsics, dtype=np.float64)
-        self.depth = np.asarray(self.depth, dtype=np.float64)
-        self.depth_uncertainty = np.asarray(self.depth_uncertainty, dtype=np.float64)
+        for name in ("pose", "intrinsics", "depth", "depth_uncertainty"):
+            object.__setattr__(self, name, frozen_array(getattr(self, name), np.float64))
         for name in ("pose", "intrinsics", "depth_uncertainty"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ParameterError(f"{name} must be finite")
@@ -96,17 +94,17 @@ class CameraFrame:
             raise ParameterError("depth uncertainty must be non-negative")
 
 
-@dataclass
-class Sim3Transform:
-    """Similarity transform p -> scale * R p + t."""
+@dataclass(frozen=True, eq=False)
+class Sim3Transform(ArrayValue):
+    """Similarity transform p -> scale * R p + t, its arrays kept read-only."""
 
     scale: float
     rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self) -> None:
-        self.rotation = np.asarray(self.rotation, dtype=np.float64)
-        self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        object.__setattr__(self, "rotation", frozen_array(self.rotation, np.float64))
+        object.__setattr__(self, "translation", frozen_array(self.translation, np.float64).reshape(3))
         if self.scale <= 0:
             raise ParameterError(f"scale must be positive, got {self.scale}")
         _check_rotation(self.rotation)

@@ -20,8 +20,9 @@ success* restricted to frames with a camera pose, and QwP, the percent of
 interval frames that have a pose.
 
 A track's t-th result is frame t, and a track without one result per
-scenario frame is a ValueError; ``TrackOutput`` keeps the predicted
-interval inside the track's frames, so it is inside the scenario's too.
+scenario frame, or on another canvas, is a DimensionError; ``TrackOutput``
+keeps the predicted interval inside the track's frames, so it is inside
+the scenario's too.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .core import DimensionError
 from .geo3d import align_sim3, relative_displacement
 from .pipeline import TrackOutput
 from .scenario import Scenario
@@ -90,9 +92,12 @@ def temporal_iou(a: Sequence[int], b: Sequence[int]) -> float:
 
 
 def _check_frames(pred: TrackOutput, scenario: Scenario) -> None:
-    """Raises ValueError unless the track has one result per scenario frame."""
+    """Raises DimensionError unless the track has one result per scenario frame, on the scenario's canvas."""
     if len(pred.results) != len(scenario.frames):
-        raise ValueError(f"track has {len(pred.results)} results for the scenario's {len(scenario.frames)} frames")
+        raise DimensionError(f"track has {len(pred.results)} results for the scenario's {len(scenario.frames)} frames")
+    canvas, track_canvas = scenario.query.mask.shape, pred.results[0].prob.shape
+    if track_canvas != canvas:
+        raise DimensionError(f"track's (H, W) {track_canvas} is not the scenario's {canvas}")
 
 
 def eval_2d(pred: TrackOutput, scenario: Scenario) -> MetricsReport2D:
@@ -138,7 +143,8 @@ def eval_3d(pred: TrackOutput, scenario: Scenario) -> MetricsReport3D:
     A frame succeeds when its L2 error is below L2_GATE and its angle below
     ANGLE_GATE (radians).
     """
-    if scenario.gt_point is None or scenario.alignment_src is None or scenario.alignment_dst is None:
+    # Scenario keeps the two alignment point sets together
+    if scenario.gt_point is None or scenario.alignment_src is None:
         raise ValueError("scenario carries no 3D ground truth")
     _check_frames(pred, scenario)
     if pred.interval is None:

@@ -46,8 +46,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import amm, fusion, geo3d, glm
-from .core import BankEntry, DimensionError, EmptyInputError, ParameterError, _zero_border, bilinear_resize
-from .core import conv2d, ladder_crop, min_bounding_rect, nearest_resize
+from .core import ArrayValue, BankEntry, DimensionError, EmptyInputError, ParameterError, _zero_border, bilinear_resize
+from .core import conv2d, frozen_array, ladder_crop, min_bounding_rect, nearest_resize
 
 __all__ = [
     "NoDetectionError",
@@ -101,32 +101,34 @@ class PipelineConfig:
             raise ParameterError(f"zeta must be positive and finite, got {self.zeta}")
 
 
-@dataclass
-class QuerySpec:
-    """The visual query: a feature map with the target's binary mask."""
+@dataclass(frozen=True, eq=False)
+class QuerySpec(ArrayValue):
+    """The visual query: a finite (H, W, C) feature map with the target's non-empty binary mask,
+    both kept read-only."""
 
     feature: np.ndarray
     mask: np.ndarray
 
     def __post_init__(self) -> None:
-        self.feature = np.asarray(self.feature, dtype=np.float64)
-        self.mask = np.asarray(self.mask)
-        if self.feature.ndim != 3:
-            raise DimensionError(f"query feature must be (H, W, C), got {self.feature.shape}")
-        if self.feature.shape[:2] != self.mask.shape:
-            raise DimensionError(
-                f"feature {self.feature.shape[:2]} and mask {self.mask.shape} dims differ"
-            )
-        if not ((self.mask == 0) | (self.mask == 1)).all():
-            raise ParameterError("query mask values must be 0 or 1")
-        if not (self.mask != 0).any():
+        object.__setattr__(self, "feature", frozen_array(self.feature, np.float64))
+        object.__setattr__(self, "mask", frozen_array(self.mask))
+        _check_frame(self.feature, self.mask, "query")
+        if not self.mask.any():
             raise EmptyInputError("query mask must be non-empty")
-        if not np.isfinite(self.feature).all():
-            raise ParameterError("query features must be finite")
 
 
-@dataclass(frozen=True)
-class TrackOutput:
+def _check_frame(feature: np.ndarray, mask: np.ndarray, name: str) -> None:
+    """Refuse a feature map that is not finite (H, W, C), and a mask that is not (H, W) of only 0 and 1."""
+    if feature.ndim != 3 or feature.shape[:2] != mask.shape:
+        raise DimensionError(f"{name} feature {feature.shape} and mask {mask.shape} are not (H, W, C) and (H, W)")
+    if not ((mask == 0) | (mask == 1)).all():
+        raise ParameterError(f"{name} mask values must be 0 or 1")
+    if not np.isfinite(feature).all():
+        raise ParameterError(f"{name} features must be finite")
+
+
+@dataclass(frozen=True, eq=False)
+class TrackOutput(ArrayValue):
     """Everything a query run produces: ``results[t]`` is frame t, and the interval and the
     ``displacements`` keys count frames the same way.
 
@@ -164,23 +166,24 @@ class TrackOutput:
         for t in self.displacements:
             if not (isinstance(t, numbers.Integral) and 0 <= t < n):
                 raise ParameterError(f"displacement frame {t!r} is not a frame of the track, [0, {n})")
-        deltas = {int(t): _vector3(v, f"frame {t}'s displacement") for t, v in sorted(self.displacements.items())}
+        deltas = {int(t): _finite_points(v, f"frame {t}'s displacement") for t, v in sorted(self.displacements.items())}
         object.__setattr__(self, "results", results)
         object.__setattr__(self, "peaks", peaks)
         object.__setattr__(self, "displacements", MappingProxyType(deltas))
         if self.world_point is not None:
-            object.__setattr__(self, "world_point", _vector3(self.world_point, "world_point"))
+            object.__setattr__(self, "world_point", _finite_points(self.world_point, "world_point"))
 
 
-def _vector3(value: np.ndarray, name: str) -> np.ndarray:
-    """A read-only float64 copy of ``value``, which must be a finite 3-vector."""
-    vector = np.array(value, dtype=np.float64)
-    if vector.shape != (3,):
-        raise DimensionError(f"{name} must be a 3-vector, got shape {vector.shape}")
-    if not np.isfinite(vector).all():
-        raise ParameterError(f"{name} must be finite, got {vector}")
-    vector.flags.writeable = False
-    return vector
+def _finite_points(value: np.ndarray, name: str, shape: tuple = (3,)) -> np.ndarray:
+    """``value`` as a read-only float64 array of ``shape`` (a 3-vector unless given; -1 takes any
+    length), which must be finite."""
+    points = frozen_array(value, np.float64)
+    if points.ndim != len(shape) or any(want not in (-1, got) for want, got in zip(shape, points.shape)):
+        wanted = "a 3-vector" if shape == (3,) else f"of shape {shape}"
+        raise DimensionError(f"{name} must be {wanted}, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise ParameterError(f"{name} must be finite")
+    return points
 
 
 def crop_entry(
@@ -403,9 +406,13 @@ def finalize_3d(
     temporal interval, weighting each view by semantic x geometric
     confidence, then expresses the aggregate in every interval camera with
     valid depth at its centroid. ``cameras[t]`` is frame t's camera, None
-    where the frame has none; ``TrackOutput`` keeps the interval inside the
-    track's frames.
+    where the frame has none, and its depth map must be on the track's
+    canvas; ``TrackOutput`` keeps the interval inside the track's frames.
     """
+    canvas = track.results[0].prob.shape
+    for t, camera in enumerate(cameras):
+        if camera is not None and camera.depth.shape != canvas:
+            raise DimensionError(f"camera {t}'s depth map is {camera.depth.shape}, not the track's (H, W) {canvas}")
     if track.interval is None:
         raise NoDetectionError("track has no temporal interval")
     t_eta = geo3d.align_sim3(*alignment_pairs)

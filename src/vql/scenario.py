@@ -19,10 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ParameterError, last_run, min_bounding_rect
+from .core import ArrayValue, DimensionError, ParameterError, as_index, frozen_array, last_run, min_bounding_rect
 from .fusion import TemporalInterval, extract_result
 from .geo3d import CameraFrame, Sim3Transform
-from .pipeline import QuerySpec, TrackOutput
+from .pipeline import QuerySpec, TrackOutput, _check_frame, _finite_points
 
 __all__ = [
     "ScenarioParams",
@@ -37,6 +37,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScenarioParams:
+    """A generator recipe, checked here: counts, sizes and frame or view indices are integers
+    (a bool or a float is not one), stored as Python ints; the canvas is at least 8x8 and holds
+    the object; an absence window is 1 <= start <= end < n_frames (frame 0 is the query); each
+    of the n_views <= n_frames views is one frame's camera, and the corrupted views are views."""
+
     n_frames: int
     canvas: tuple[int, int] = (48, 48)
     object_size: int = 21
@@ -46,6 +51,32 @@ class ScenarioParams:
     absence: Optional[tuple[int, int]] = None
     n_views: int = 0
     corrupt_views: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name in ("n_frames", "object_size", "n_views"):
+            object.__setattr__(self, name, as_index(getattr(self, name), name))
+        for name, n in ("canvas", 2), ("absence", 2), ("corrupt_views", None):
+            value = getattr(self, name)
+            if name == "absence" and value is None:
+                continue
+            if not isinstance(value, tuple) or n not in (None, len(value)):
+                raise ParameterError(f"{name} must be a tuple of {n or 'any number of'} integers, got {value!r}")
+            object.__setattr__(self, name, tuple(as_index(v, name) for v in value))
+        if self.n_frames < 1:
+            raise ParameterError(f"need at least one frame, got {self.n_frames}")
+        h, w = self.canvas
+        if h < 8 or w < 8:
+            raise ParameterError(f"canvas must be at least 8x8, got {self.canvas}")
+        if not 1 <= self.object_size <= min(h, w):
+            raise ParameterError(f"object size {self.object_size} does not fit canvas {self.canvas}")
+        if self.absence is not None and not 1 <= self.absence[0] <= self.absence[1] < self.n_frames:
+            raise ParameterError(
+                f"absence {self.absence} is not a window 1 <= start <= end < {self.n_frames} (frame 0 is the query)"
+            )
+        if not 0 <= self.n_views <= self.n_frames:
+            raise ParameterError(f"n_views {self.n_views} is not in [0, {self.n_frames}]: a view is one frame's camera")
+        if any(not 0 <= i < self.n_views for i in self.corrupt_views):
+            raise ParameterError(f"corrupt_views {self.corrupt_views} names a view outside [0, {self.n_views})")
 
 
 # at least two: the target's signature and its rotation partner are orthonormal
@@ -76,11 +107,18 @@ def preset_params(name: str) -> ScenarioParams:
         raise ParameterError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}") from None
 
 
-@dataclass
-class FrameData:
+@dataclass(frozen=True, eq=False)
+class FrameData(ArrayValue):
+    """One frame's (H, W, C) features, its ground-truth mask and its camera, if any, the arrays
+    kept read-only; ``Scenario`` checks them."""
+
     feature: np.ndarray
     gt_mask: np.ndarray
     camera: Optional[CameraFrame] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "feature", frozen_array(self.feature, np.float64))
+        object.__setattr__(self, "gt_mask", frozen_array(self.gt_mask))
 
     @property
     def gt_bbox(self) -> Optional[tuple[int, int, int, int]]:
@@ -88,19 +126,45 @@ class FrameData:
         return min_bounding_rect(self.gt_mask) if self.gt_mask.any() else None
 
 
-@dataclass
-class Scenario:
+@dataclass(frozen=True, eq=False)
+class Scenario(ArrayValue):
     """A clip, its ground truth and the visual query.
+
+    The scenario contract, checked here for the generator, the file loader and ``replace``
+    alike: every frame's features are finite and of the query's (H, W, C), and its
+    ground-truth mask (H, W) of only 0 and 1, as ``QuerySpec`` holds the query's (and its
+    mask non-empty); each camera's depth map, and so its uncertainty map, is (H, W);
+    ``gt_point`` is None or a finite 3-vector; an alignment is None or both point sets, finite
+    (M, 3) arrays of one M. Frames are a tuple and every array read-only, so the contract
+    holds for the value's whole life.
 
     It keeps no record of how it was made: the seed and ``ScenarioParams``
     are inputs of ``gen_scenario``, so a scenario file holds no recipe.
     """
 
-    frames: list[FrameData]
+    frames: tuple[FrameData, ...]
     query: QuerySpec
     gt_point: Optional[np.ndarray] = None
     alignment_src: Optional[np.ndarray] = None
     alignment_dst: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        frames, canvas = tuple(self.frames), self.query.feature.shape
+        for t, frame in enumerate(frames):
+            _check_frame(frame.feature, frame.gt_mask, f"frame {t}")
+            depth = canvas[:2] if frame.camera is None else frame.camera.depth.shape
+            if frame.feature.shape != canvas or depth != canvas[:2]:
+                raise DimensionError(f"frame {t}: feature {frame.feature.shape}, depth {depth}; the canvas is {canvas}")
+        object.__setattr__(self, "frames", frames)
+        if self.gt_point is not None:
+            object.__setattr__(self, "gt_point", _finite_points(self.gt_point, "gt_point"))
+        if (self.alignment_src is None) != (self.alignment_dst is None):
+            missing = "alignment_dst" if self.alignment_dst is None else "alignment_src"
+            raise ParameterError(f"{missing} is missing; an alignment holds both point sets")
+        if self.alignment_src is not None:
+            src = _finite_points(self.alignment_src, "alignment_src", (-1, 3))
+            object.__setattr__(self, "alignment_src", src)
+            object.__setattr__(self, "alignment_dst", _finite_points(self.alignment_dst, "alignment_dst", src.shape))
 
     @property
     def cameras(self) -> list[Optional[CameraFrame]]:
@@ -164,22 +228,7 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
 
 def gen_scenario(seed: int, params: ScenarioParams) -> Scenario:
     """Build a scenario deterministically from the seed and parameters."""
-    if params.n_frames < 1:
-        raise ParameterError(f"need at least one frame, got {params.n_frames}")
     h, w = params.canvas
-    if h < 8 or w < 8:
-        raise ParameterError(f"canvas must be at least 8x8, got {params.canvas}")
-    if params.object_size < 1 or params.object_size > min(h, w):
-        raise ParameterError(f"object size {params.object_size} does not fit canvas {params.canvas}")
-    # the absence window, the views and the corrupted views must name frames and views of the clip, not be ignored
-    if params.absence is not None and not 1 <= params.absence[0] <= params.absence[1] < params.n_frames:
-        raise ParameterError(
-            f"absence {params.absence} is not a window 1 <= start <= end < {params.n_frames} (frame 0 is the query)"
-        )
-    if not 0 <= params.n_views <= params.n_frames:
-        raise ParameterError(f"n_views {params.n_views} is not in [0, {params.n_frames}]: each view is one frame's camera")
-    if any(not 0 <= i < params.n_views for i in params.corrupt_views):
-        raise ParameterError(f"corrupt_views {params.corrupt_views} names a view outside [0, {params.n_views})")
     rng = np.random.default_rng(seed)
     q0, u0 = _signature_pair(rng, CHANNELS)
     distractor_sig = np.cos(DISTRACTOR_ANGLE) * q0 + np.sin(DISTRACTOR_ANGLE) * u0
@@ -205,10 +254,9 @@ def gen_scenario(seed: int, params: ScenarioParams) -> Scenario:
         camera = geo["cameras"][t] if geo is not None and t < len(geo["cameras"]) else None
         frames.append(FrameData(feature, mask, camera))
 
-    query = QuerySpec(frames[0].feature.copy(), frames[0].gt_mask.copy())
     return Scenario(
         frames=frames,
-        query=query,
+        query=QuerySpec(frames[0].feature, frames[0].gt_mask),
         gt_point=None if geo is None else geo["point"],
         alignment_src=None if geo is None else geo["src"],
         alignment_dst=None if geo is None else geo["dst"],

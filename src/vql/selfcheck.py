@@ -1148,11 +1148,7 @@ def check_glm_static_immutable(seed=28):
 def check_scenario_determinism():
     a = scen.gen_scenario(9, scen.preset_params("identity"))
     b = scen.gen_scenario(9, scen.preset_params("identity"))
-    same = all(
-        np.array_equal(fa.feature, fb.feature) and np.array_equal(fa.gt_mask, fb.gt_mask)
-        for fa, fb in zip(a.frames, b.frames)
-    )
-    return same, "same seed reproduces identical frames"
+    return a == b, "same seed reproduces identical frames"
 
 
 def check_drift_similarity_decay():

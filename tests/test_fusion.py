@@ -148,3 +148,13 @@ class TestTemporalLocalize:
     def test_interval_ordering_enforced(self):
         with pytest.raises(ParameterError):
             fusion.TemporalInterval(5, 3)
+
+    @pytest.mark.parametrize("ends", [(0.5, 3.0), (0, 3.0), (False, True), (np.bool_(False), 3), ("0", 3)])
+    def test_interval_ends_are_integers(self, ends):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            fusion.TemporalInterval(*ends)
+
+    def test_interval_ends_are_stored_as_int(self):
+        interval = fusion.TemporalInterval(np.int64(2), np.uint8(4))
+        assert interval == fusion.TemporalInterval(2, 4)
+        assert type(interval.start_frame) is int and type(interval.end_frame) is int

@@ -9,7 +9,7 @@ import sys
 import tempfile
 import time
 import zipfile
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -17,14 +17,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vql import fileio, metrics
+from vql import fileio, geo3d, metrics
 from vql.cli import main as cli_main
 from vql.core import DimensionError, EmptyInputError, ParameterError
 from vql.fusion import TemporalInterval, extract_result
-from vql.pipeline import Pipeline, PipelineConfig, TrackOutput
+from vql.geo3d import CameraFrame
+from vql.pipeline import Pipeline, PipelineConfig, QuerySpec, TrackOutput
 from vql.scenario import (
     PRESETS,
+    FrameData,
+    Scenario,
     ScenarioParams,
+    _random_rotation,
     gen_scenario,
     ground_truth_track,
     preset_params,
@@ -113,6 +117,97 @@ class TestGenScenario:
         with pytest.raises(ParameterError, match="corrupt_views"):
             gen_scenario(0, ScenarioParams(n_frames=5, corrupt_views=(0,)))
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"n_frames": 3.0},
+            {"n_frames": True},
+            {"object_size": "9"},
+            {"n_views": 1.5},
+            {"canvas": (32.0, 32)},
+            {"canvas": [32, 32]},
+            {"canvas": (32, 32, 3)},
+            {"absence": (1, 2.0)},
+            {"absence": (False, 1)},
+            {"corrupt_views": (0.0,)},
+            {"corrupt_views": 0},
+            {"corrupt_views": None},
+            {"canvas": None},
+        ],
+    )
+    def test_params_refuse_non_integers_at_construction(self, changes):
+        field = next(iter(changes))
+        with pytest.raises(ParameterError, match=rf"^{field} must be"):
+            ScenarioParams(**{"n_frames": 4, **changes})
+
+    def test_params_store_python_ints(self):
+        params = ScenarioParams(
+            n_frames=np.int64(4), canvas=(np.int32(32), 32), corrupt_views=(np.uint8(0),), n_views=1
+        )
+        assert params == ScenarioParams(n_frames=4, canvas=(32, 32), corrupt_views=(0,), n_views=1)
+        assert all(type(v) is int for v in (params.n_frames, *params.canvas, *params.corrupt_views))
+
+
+class TestValues:
+    """Scenarios, their parts and tracks are frozen values: equal field by field, arrays by
+    ``np.array_equal``, unhashable, and their arrays are read-only."""
+
+    @staticmethod
+    def values(seed):
+        # a geo scenario's masks do not depend on the seed, so the track holds its world point
+        sc = gen_scenario(seed, preset_params("geo"))
+        track = replace(ground_truth_track(sc), world_point=sc.gt_point)
+        t_eta = geo3d.align_sim3(sc.alignment_src, sc.alignment_dst)
+        return [sc, sc.frames[0], sc.query, sc.cameras[0], t_eta, track, extract_result(sc.query.feature[:, :, 0])]
+
+    def test_equal_values_compare_equal(self):
+        for a, b, other in zip(self.values(7), self.values(7), self.values(8), strict=True):
+            assert a is not b and a == b and not a != b, type(a).__name__
+            assert a != other, type(a).__name__
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(a)
+        track = ground_truth_track(small_identity())
+        assert track != replace(track, peaks=(0.0, *track.peaks[1:]))
+        assert track != "a track" and track.results[0] != track
+
+    def test_nan_depth_equals_itself(self):
+        # a NaN depth is an invalid sample a camera may hold; it must not make the value unequal to itself
+        sc = gen_scenario(7, preset_params("geo"))
+        depth = sc.cameras[0].depth.copy()
+        depth[0, 0] = np.nan
+        frames = (replace(sc.frames[0], camera=replace(sc.cameras[0], depth=depth)), *sc.frames[1:])
+        with_nan = replace(sc, frames=frames)
+        assert with_nan == with_nan and with_nan.cameras[0] == replace(sc.cameras[0], depth=depth.copy())
+        assert with_nan != sc
+
+    def test_source_arrays_cannot_change_the_value(self, tmp_path):
+        # a writable input is copied; only an input that nothing can write is kept as it is
+        sc = gen_scenario(7, preset_params("geo"))
+        feature, mask, depth = (np.array(a) for a in (sc.frames[1].feature, sc.frames[1].gt_mask, sc.cameras[1].depth))
+        points = np.array(sc.alignment_dst)
+        camera = replace(sc.cameras[1], depth=depth)
+        changed = replace(sc, frames=(sc.frames[0], FrameData(feature, mask, camera), *sc.frames[2:]), alignment_dst=points)
+        assert changed == sc
+        feature[0, 0, 0], mask[0, 0], depth[0, 0], points[0, 0] = np.nan, 2, np.nan, np.inf
+        assert changed == sc
+        fileio.save_scenario(changed, str(tmp_path / "a.npz"))
+        assert fileio.load_scenario(str(tmp_path / "a.npz")) == sc
+        # a read-only view of a writable array is still copied: its base could change
+        view = np.array(sc.frames[1].feature).view()
+        view.flags.writeable = False
+        assert FrameData(view, mask).feature is not view
+
+    def test_frozen_and_read_only(self):
+        sc = gen_scenario(7, preset_params("geo"))
+        assert isinstance(sc.frames, tuple)
+        for value, name in (sc, "frames"), (sc.frames[0], "gt_mask"), (sc.query, "mask"), (sc.cameras[0], "depth"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, name, None)
+        frame, camera = sc.frames[0], sc.cameras[0]
+        for arr in frame.feature, frame.gt_mask, sc.query.mask, camera.pose, sc.gt_point, sc.alignment_src:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1
+
 
 class TestFileRoundTrips:
     @pytest.mark.parametrize("preset", PRESETS)
@@ -123,24 +218,15 @@ class TestFileRoundTrips:
         loaded = fileio.load_scenario(str(a))
         fileio.save_scenario(loaded, str(b))
         assert a.read_bytes() == b.read_bytes()
-        # boxes and the interval are not stored; the loader derives them from the masks
-        assert [f.gt_bbox for f in loaded.frames] == [f.gt_bbox for f in sc.frames]
-        assert loaded.gt_interval == sc.gt_interval
-        if sc.gt_point is not None:
-            np.testing.assert_array_equal(loaded.gt_point, sc.gt_point)
+        assert loaded == sc
 
     def test_track_round_trip(self, tmp_path):
         sc = small_identity()
         path = tmp_path / "t.json"
         for track in ground_truth_track(sc), Pipeline(sc.query).run([f.feature for f in sc.frames]):
             fileio.save_track(track, str(path))
-            loaded = fileio.load_track(str(path))
-            assert loaded.interval == track.interval
             # masks, boxes and confidences are not stored; the loader derives them from the probabilities
-            for a, b in zip(loaded.results, track.results, strict=True):
-                np.testing.assert_array_equal(a.prob, b.prob)
-                np.testing.assert_array_equal(a.mask, b.mask)
-                assert (a.bbox, a.s_conf) == (b.bbox, b.s_conf)
+            assert fileio.load_track(str(path)) == track
 
     def test_config_round_trip(self, tmp_path):
         cfg = PipelineConfig(zeta=0.7, capacity=20)
@@ -298,6 +384,58 @@ class TestFileRoundTrips:
                 r"^interval \[0, 999\] leaves the track's frames \[0, 5\)$",
                 id="interval-past-end",
             ),
+            # Scenario's contract, likewise refused as the scenario is built
+            pytest.param(
+                "scenario",
+                lambda s: replace(s, alignment_dst=None),
+                ParameterError,
+                r"^alignment_dst is missing; an alignment holds both point sets$",
+                id="lone-src",
+            ),
+            pytest.param(
+                "scenario",
+                lambda s: replace(s, alignment_dst=s.alignment_dst[1:]),
+                DimensionError,
+                r"^alignment_dst must be of shape \(12, 3\), got shape \(11, 3\)$",
+                id="alignment-rows",
+            ),
+            pytest.param(
+                "scenario",
+                lambda s: with_frame(s, 3, feature=with_item(s.frames[3].feature, (0, 0, 0), np.inf)),
+                ParameterError,
+                r"^frame 3 features must be finite$",
+                id="inf-feature",
+            ),
+            pytest.param(
+                "scenario",
+                lambda s: replace(s, gt_point=s.gt_point[:2]),
+                DimensionError,
+                r"^gt_point must be a 3-vector, got shape \(2,\)$",
+                id="short-gt-point",
+            ),
+            pytest.param(
+                "scenario",
+                lambda s: with_frame(s, 1, feature=np.zeros((32, 32, 3)), gt_mask=np.zeros((32, 32))),
+                DimensionError,
+                r"^frame 1: feature \(32, 32, 3\), depth \(48, 48\); the canvas is \(48, 48, 3\)$",
+                id="other-canvas-frame",
+            ),
+            pytest.param(
+                "scenario",
+                lambda s: with_frame(
+                    s, 1, camera=replace(s.cameras[1], depth=np.ones((32, 32)), depth_uncertainty=np.zeros((32, 32)))
+                ),
+                DimensionError,
+                r"^frame 1: feature \(48, 48, 3\), depth \(32, 32\); the canvas is \(48, 48, 3\)$",
+                id="other-canvas-camera",
+            ),
+            pytest.param(
+                "scenario",
+                lambda s: with_frame(s, 2, gt_mask=with_item(s.frames[2].gt_mask, (0, 0), 2)),
+                ParameterError,
+                r"^frame 2 mask values must be 0 or 1$",
+                id="gt-mask-2",
+            ),
             # what belongs to the file: the saver raises the loader's own SchemaError
             pytest.param(
                 "track",
@@ -320,20 +458,6 @@ class TestFileRoundTrips:
                 r"\.prob: expected probabilities in \[0, 1\]",
                 id="nan-prob",
             ),
-            pytest.param(
-                "scenario",
-                lambda s: replace(s, alignment_dst=None),
-                fileio.SchemaError,
-                r"\.alignment_dst: missing member",
-                id="lone-src",
-            ),
-            pytest.param(
-                "scenario",
-                lambda s: replace(s, alignment_dst=s.alignment_dst[1:]),
-                fileio.SchemaError,
-                r"\.alignment_dst: expected shape \(\d+, 3\) like alignment_src",
-                id="alignment-rows",
-            ),
             # a camera takes a NaN depth as an invalid sample, but a file holds only finite floats
             pytest.param(
                 "scenario",
@@ -341,13 +465,6 @@ class TestFileRoundTrips:
                 fileio.SchemaError,
                 r"out\.npz\.depths: contains non-finite values$",
                 id="nan-depth",
-            ),
-            pytest.param(
-                "scenario",
-                lambda s: with_frame(s, 3, feature=with_item(s.frames[3].feature, (0, 0, 0), np.inf)),
-                fileio.SchemaError,
-                r"out\.npz\.features: contains non-finite values$",
-                id="inf-feature",
             ),
         ],
     )
@@ -362,7 +479,7 @@ class TestFileRoundTrips:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_valid_track_round_trip(self, data):
-        # any track TrackOutput accepts survives the file: the same fields, and a re-save writes the same bytes
+        # any track TrackOutput accepts survives the file: it loads equal, and a re-save writes the same bytes
         n = data.draw(st.integers(1, 6))
         canvas = (data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)))
         finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -382,15 +499,75 @@ class TestFileRoundTrips:
             fileio.save_track(loaded, second)
             with open(first, "rb") as a, open(second, "rb") as b:
                 assert a.read() == b.read()
-        assert (loaded.interval, loaded.peaks) == (track.interval, track.peaks)
-        for got, want in zip(loaded.results, track.results, strict=True):
-            assert got.prob.tobytes() == want.prob.tobytes()
-            assert (got.bbox, got.s_conf) == (want.bbox, want.s_conf)
-        assert (loaded.world_point is None) == (track.world_point is None)
-        if track.world_point is not None:
-            assert loaded.world_point.tobytes() == track.world_point.tobytes()
-        assert list(loaded.displacements) == list(track.displacements)
-        assert all(loaded.displacements[t].tobytes() == d.tobytes() for t, d in track.displacements.items())
+        assert loaded == track
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_valid_scenario_round_trip(self, data):
+        # any scenario Scenario accepts survives the file: it loads equal, and a re-save writes the same bytes;
+        # a camera's non-finite depth, which no file stores, is refused before anything is written
+        n, h, w, c = (data.draw(st.integers(1, 4)) for _ in range(4))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        positive = st.floats(1e-3, 1e6)
+        features = data.draw(hnp.arrays(np.float64, (n + 1, h, w, c), elements=finite))
+        masks = data.draw(hnp.arrays(np.uint8, (n + 1, h, w), elements=st.integers(0, 1)))
+        masks[0].flat[data.draw(st.integers(0, h * w - 1))] = 1
+
+        def camera():
+            pose = np.eye(4)
+            pose[:3, :3] = _random_rotation(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+            pose[:3, 3] = data.draw(hnp.arrays(np.float64, 3, elements=finite))
+            fx, fy, skew, cx, cy = (data.draw(s) for s in (positive, positive, finite, finite, finite))
+            depth = data.draw(hnp.arrays(np.float64, (h, w), elements=finite))
+            if data.draw(st.integers(0, 3)) == 0:
+                depth.flat[data.draw(st.integers(0, h * w - 1))] = data.draw(st.sampled_from(NON_FINITE))
+            uncertainty = data.draw(hnp.arrays(np.float64, (h, w), elements=st.floats(0.0, 1e300)))
+            return CameraFrame(pose, [[fx, skew, cx], [0.0, fy, cy], [0.0, 0.0, 1.0]], depth, uncertainty)
+
+        m = data.draw(st.integers(0, 5))
+        alignment = data.draw(st.none() | hnp.arrays(np.float64, (2, m, 3), elements=finite))
+        scenario = Scenario(
+            [FrameData(features[t], masks[t], camera() if data.draw(st.booleans()) else None) for t in range(1, n + 1)],
+            QuerySpec(features[0], masks[0]),
+            data.draw(st.none() | hnp.arrays(np.float64, 3, elements=finite)),
+            *((None, None) if alignment is None else alignment),
+        )
+        with tempfile.TemporaryDirectory() as work:
+            first, second = os.path.join(work, "a.npz"), os.path.join(work, "b.npz")
+            if not all(np.isfinite(camera.depth).all() for camera in scenario.cameras if camera is not None):
+                with pytest.raises(fileio.SchemaError, match=r"a\.npz\.depths: contains non-finite values$"):
+                    fileio.save_scenario(scenario, first)
+                assert not os.listdir(work)
+                return
+            fileio.save_scenario(scenario, first)
+            loaded = fileio.load_scenario(first)
+            fileio.save_scenario(loaded, second)
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read()
+        assert loaded == scenario
+
+    def test_loaded_frames_are_read_only_views_of_the_stacks(self, tmp_path):
+        path = str(tmp_path / "geo.npz")
+        fileio.save_scenario(gen_scenario(7, preset_params("geo")), path)
+        loaded = fileio.load_scenario(path)
+        tensors = {"feature": [f.feature for f in loaded.frames], "gt_mask": [f.gt_mask for f in loaded.frames]}
+        tensors.update(depth=[camera.depth for camera in loaded.cameras])
+        for name, arrays in tensors.items():
+            assert not any(a.flags.writeable or a.flags.owndata for a in arrays), name
+            # one stack under every frame's tensor, each frame its own slice of it
+            stack = arrays[0].base
+            assert all(a.base is stack for a in arrays) and stack.shape == (5, *arrays[0].shape), name
+            assert all(a.ctypes.data == stack.ctypes.data + t * a.nbytes for t, a in enumerate(arrays)), name
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.frames[0].feature[0, 0, 0] = 1.0
+
+    def test_numpy_integer_interval_saves_like_int(self, tmp_path):
+        track = ground_truth_track(small_identity())
+        as_int64 = replace(track, interval=TemporalInterval(np.int64(0), np.int64(2)))
+        assert as_int64 == track and type(as_int64.interval.start_frame) is int
+        fileio.save_track(track, str(tmp_path / "a.npz"))
+        fileio.save_track(as_int64, str(tmp_path / "b.npz"))
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
 
     def test_track_without_frames_refused(self, tmp_path):
         # the file save_track refuses to write: no frame, no prob plane
@@ -592,7 +769,8 @@ class TestLoaderVectors:
     def test_infinite_delta_rejected(self, geo_files):
         _, track_path = geo_files
         rewrite(track_path, lambda d: with_item(d, (0, 1), float("inf")), "deltas.npy")
-        with pytest.raises(fileio.SchemaError, match=r"\.deltas: contains non-finite"):
+        message = r"track3d\.json: invalid track: frame 0's displacement must be finite"
+        with pytest.raises(fileio.SchemaError, match=message):
             fileio.load_track(str(track_path))
 
     def test_short_nan_gt_point_rejected(self, geo_files):
@@ -692,13 +870,26 @@ class TestLoaderContainers:
                 0, DOCUMENT, lambda d: d.update(camera_frames=7), ".camera_frames: expected a list", id="camera"
             ),
             pytest.param(0, "poses.npy", lambda _: None, ".poses: missing member", id="camera-pose"),
-            pytest.param(0, "alignment_dst.npy", lambda _: None, ".alignment_dst: missing member", id="alignment-dst"),
-            pytest.param(0, "alignment_src.npy", lambda _: None, ".alignment_src: missing member", id="alignment-src"),
+            # an alignment is Scenario's contract, which the loader wraps
+            pytest.param(
+                0,
+                "alignment_dst.npy",
+                lambda _: None,
+                "invalid scenario: alignment_dst is missing; an alignment holds both point sets",
+                id="alignment-dst",
+            ),
+            pytest.param(
+                0,
+                "alignment_src.npy",
+                lambda _: None,
+                "invalid scenario: alignment_src is missing; an alignment holds both point sets",
+                id="alignment-src",
+            ),
             pytest.param(
                 0,
                 "alignment_dst.npy",
                 lambda a: a[1:],
-                ".alignment_dst: expected shape (12, 3) like alignment_src, got (11, 3)",
+                "invalid scenario: alignment_dst must be of shape (12, 3), got shape (11, 3)",
                 id="alignment-rows",
             ),
         ],
@@ -722,8 +913,8 @@ class TestLoaderContainers:
 
 
 class TestLoaderIntVectors:
-    """The track interval is read as a list of 2 integers; ``TemporalInterval`` keeps its start
-    at most its end, and ``TrackOutput`` both in the track's frames."""
+    """The track interval is read as a list of 2; ``TemporalInterval`` keeps its ends integers and
+    its start at most its end, and ``TrackOutput`` both in the track's frames."""
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -744,6 +935,14 @@ class TestLoaderIntVectors:
         with pytest.raises(fileio.SchemaError, match=r"\.interval: expected a list of 2 integers"):
             fileio.load_track(str(track_path))
         self.eval_rejects(files, ".interval", capsys)
+
+    @pytest.mark.parametrize("ends,end", [([0.0, 2], "start_frame"), ([0, True], "end_frame"), ([0, "2"], "end_frame")])
+    def test_non_integer_end_rejected_by_the_interval(self, files, capsys, ends, end):
+        rewrite(files[1], lambda d: d.update(interval=ends))
+        message = f"t.json: invalid track: {end} must be an integer, got {ends[end == 'end_frame']!r}"
+        with pytest.raises(fileio.SchemaError, match=re.escape(message)):
+            fileio.load_track(str(files[1]))
+        self.eval_rejects(files, message, capsys)
 
     def test_reversed_interval_exits_2(self, files, capsys):
         rewrite(files[1], lambda d: d.update(interval=[2, 1]))
@@ -771,7 +970,7 @@ class TestLoaderMasks:
     def test_negative_pixel_rejected(self, geo_path):
         # -1 written as a mask byte is 255, which would count as foreground
         rewrite(geo_path, lambda m: with_item(m, (0, 0), np.int8(-1).view(np.uint8)), "query_mask.npy")
-        with pytest.raises(fileio.SchemaError, match=r"\.query_mask: mask values must be 0 or 1"):
+        with pytest.raises(fileio.SchemaError, match=r"geo\.json: invalid scenario: query mask values must be 0 or 1$"):
             fileio.load_scenario(str(geo_path))
 
     def test_fractional_pixel_rejected(self, geo_path):
@@ -786,21 +985,19 @@ class TestLoaderMasks:
             fileio.load_scenario(str(geo_path))
 
     def test_save_refuses_non_binary_gt_mask(self, tmp_path):
+        # Scenario refuses the mask as it is built, so there is nothing to save
         sc = small_identity()
-        sc.frames[1].gt_mask[0, 0] = 2
-        path = tmp_path / "s.json"
-        with pytest.raises(fileio.SchemaError, match=r"frames\[1\]\.gt_mask: mask values must be 0 or 1"):
-            fileio.save_scenario(sc, str(path))
+        with pytest.raises(ParameterError, match=r"^frame 1 mask values must be 0 or 1$"):
+            edited = with_frame(sc, 1, gt_mask=with_item(sc.frames[1].gt_mask, (0, 0), 2))
+            fileio.save_scenario(edited, str(tmp_path / "s.json"))
         assert not list(tmp_path.iterdir())
 
     def test_save_refuses_query_mask_that_one_byte_would_wrap(self, tmp_path):
-        # 256 cast to one byte is 0, which would save a different mask without notice
+        # 256 cast to one byte is 0, which would save a different mask without notice; QuerySpec refuses it
         sc = small_identity()
-        sc.query.mask = sc.query.mask.astype(np.int64)
-        sc.query.mask[0, 0] = 256
-        path = tmp_path / "s.json"
-        with pytest.raises(fileio.SchemaError, match=r"query\.mask: mask values must be 0 or 1"):
-            fileio.save_scenario(sc, str(path))
+        mask = with_item(sc.query.mask.astype(np.int64), (0, 0), 256)
+        with pytest.raises(ParameterError, match=r"^query mask values must be 0 or 1$"):
+            fileio.save_scenario(replace(sc, query=QuerySpec(sc.query.feature, mask)), str(tmp_path / "s.json"))
         assert not list(tmp_path.iterdir())
 
 
@@ -849,10 +1046,11 @@ class TestTensorCodec:
     @given(finite_arrays.filter(lambda a: a.size > 0), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
     @settings(max_examples=50, deadline=None)
     def test_non_finite_rejected(self, arr, bad, data):
+        # the member keeps the stored bits; the file's finite rule, which depths need, refuses them
         arr = arr.copy()
         arr.flat[data.draw(st.integers(0, arr.size - 1))] = bad
         with pytest.raises(fileio.SchemaError, match=r"doc\.x: contains non-finite values"):
-            stored(arr, "<f8", arr.shape)
+            fileio._finite_array(stored(arr, "<f8", arr.shape), "doc.x")
 
     @given(st.integers(1, 40), st.sampled_from([-1, 1]))
     @settings(max_examples=50, deadline=None)
@@ -909,9 +1107,12 @@ class TestTensorCodec:
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=30), st.integers(2, 255), st.data())
     @settings(max_examples=50, deadline=None)
     def test_mask_byte_above_one_rejected(self, pixels, bad, data):
+        # the member keeps the stored byte; the mask rule is the contracts', here the query's
         pixels[data.draw(st.integers(0, len(pixels) - 1))] = bad
-        with pytest.raises(fileio.SchemaError, match=r"doc\.x: mask values must be 0 or 1"):
-            stored(np.array([pixels], np.uint8), "u1", (1, len(pixels)))
+        mask = stored(np.array([pixels], np.uint8), "u1", (1, len(pixels)))
+        assert mask.max() == bad
+        with pytest.raises(ParameterError, match=r"^query mask values must be 0 or 1$"):
+            QuerySpec(np.zeros((*mask.shape, 1)), mask)
 
     @given(st.integers(0, 12), st.integers(1, 5))
     @settings(max_examples=50, deadline=None)
@@ -1109,8 +1310,12 @@ class TestEval3d:
 
         sc = gen_scenario(8, preset_params("geo"))
         track = finalize_3d(ground_truth_track(sc), sc.cameras, (sc.alignment_src, sc.alignment_dst))
+        # a lone point set breaks Scenario's contract; a scenario without an alignment cannot be scored
+        other = "alignment_dst" if member == "alignment_src" else "alignment_src"
+        with pytest.raises(ParameterError, match=f"^{other} is missing; an alignment holds both point sets$"):
+            replace(sc, **{other: None})
         with pytest.raises(ValueError, match="scenario carries no 3D ground truth"):
-            metrics.eval_3d(track, replace(sc, **{member: None}))
+            metrics.eval_3d(track, replace(sc, alignment_src=None, alignment_dst=None))
 
     def test_perturbation_l2(self):
         from vql.pipeline import finalize_3d
@@ -1171,6 +1376,20 @@ class TestEvalFrames:
         args = ["eval", "--scenario", str(scenario_path), "--track", str(track_path), "--metrics-3d"]
         assert cli_main(args) == 2
         assert "track has 3 results" in capsys.readouterr().err
+
+    def test_track_on_another_canvas_exits_2(self, geo_files, capsys):
+        # a 32x32 track for the 48x48 geo scenario: as many frames, none of them scored against its masks
+        scenario_path, track_path = geo_files
+        small = gen_scenario(7, replace(preset_params("geo"), canvas=(32, 32)))
+        fileio.save_track(ground_truth_track(small), str(track_path))
+        scenario, track = fileio.load_scenario(str(scenario_path)), fileio.load_track(str(track_path))
+        message = "track's (H, W) (32, 32) is not the scenario's (48, 48)"
+        for evaluate in metrics.eval_2d, metrics.eval_3d:
+            with pytest.raises(DimensionError, match=re.escape(message)):
+                evaluate(track, scenario)
+        args = ["eval", "--scenario", str(scenario_path), "--track", str(track_path), "--metrics-3d"]
+        assert cli_main(args) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestCli:

@@ -626,6 +626,14 @@ class TestTrackOutput:
 
 
 class TestFinalize3d:
+    def test_camera_on_another_canvas_raises(self):
+        # a 32x32 track lifted through 48x48 depth maps would read depth at the wrong pixels
+        sc = gen_scenario(3, preset_params("geo"))
+        track = ground_truth_track(gen_scenario(3, replace(preset_params("geo"), canvas=(32, 32))))
+        message = r"^camera 0's depth map is \(48, 48\), not the track's \(H, W\) \(32, 32\)$"
+        with pytest.raises(DimensionError, match=message):
+            finalize_3d(track, sc.cameras, (sc.alignment_src, sc.alignment_dst))
+
     def test_no_interval_raises(self):
         sc = gen_scenario(3, preset_params("geo"))
         track = replace(ground_truth_track(sc), interval=None)
@@ -653,17 +661,17 @@ class TestFinalize3d:
 
     def test_view_without_depth_is_skipped(self):
         sc = gen_scenario(3, preset_params("geo"))
-        sc.frames[2].camera.depth = np.full_like(sc.frames[2].camera.depth, np.nan)
-        out = finalize_3d(ground_truth_track(sc), sc.cameras, (sc.alignment_src, sc.alignment_dst))
+        cameras = sc.cameras
+        cameras[2] = replace(cameras[2], depth=np.full_like(cameras[2].depth, np.nan))
+        out = finalize_3d(ground_truth_track(sc), cameras, (sc.alignment_src, sc.alignment_dst))
         assert set(out.displacements) == {0, 1, 3, 4}
         np.testing.assert_allclose(out.world_point, sc.gt_point, atol=1e-6)
 
     def test_no_view_with_depth_raises(self):
         sc = gen_scenario(3, preset_params("geo"))
-        for camera in sc.cameras:
-            camera.depth = np.full_like(camera.depth, np.nan)
+        cameras = [replace(camera, depth=np.full_like(camera.depth, np.nan)) for camera in sc.cameras]
         with pytest.raises(NoDetectionError, match="no interval frame had a usable mask and depth"):
-            finalize_3d(ground_truth_track(sc), sc.cameras, (sc.alignment_src, sc.alignment_dst))
+            finalize_3d(ground_truth_track(sc), cameras, (sc.alignment_src, sc.alignment_dst))
 
     @pytest.mark.parametrize("interval", [pytest.param((0, 999), id="past-end"), pytest.param((-3, 2), id="negative-start")])
     def test_interval_outside_the_track_raises(self, interval, monkeypatch):
