@@ -57,8 +57,8 @@ from .core import (
     GRADIENT_EPS,
     BankEntry,
     ParameterError,
+    frozen_array,
     gaussian_label,
-    readonly_copy,
     _check_bank,
     _zero_border,
 )
@@ -143,8 +143,8 @@ def _statistics(entry: BankEntry, ksz: int) -> tuple[np.ndarray, np.ndarray, flo
         patches = weights * entry.rows(ksz)
         target = weights * encode_pseudo_label(entry.mask).reshape(weights.size, -1)
         entry._stats[ksz] = (
-            readonly_copy(patches.T @ patches),
-            readonly_copy(patches.T @ target),
+            frozen_array(patches.T @ patches),
+            frozen_array(patches.T @ target),
             float(np.sum(target**2)),
         )
     return entry._stats[ksz]
@@ -203,7 +203,7 @@ def steepest_step_size(g: np.ndarray, mem: Sequence[BankEntry]) -> float:
 def steepest_descent(kernel: np.ndarray, mem: Sequence[BankEntry], n_iter: int) -> np.ndarray:
     """Run n_iter exact-line-search gradient steps from ``kernel``; stops early once converged.
 
-    Returns a new read-only kernel, never a view of the start kernel.
+    Returns a kernel that nothing can change (``core.frozen_array``).
     """
     if n_iter < 0:
         raise ParameterError(f"n_iter must be >= 0, got {n_iter}")
@@ -215,7 +215,7 @@ def steepest_descent(kernel: np.ndarray, mem: Sequence[BankEntry], n_iter: int) 
         if np.sqrt(g_norm2) < GRADIENT_EPS:
             break
         sigma = sigma - _exact_step(g, gram, g_norm2) * g
-    return readonly_copy(sigma.reshape(kernel.shape), np.float64)
+    return frozen_array(sigma.reshape(kernel.shape), np.float64)
 
 
 def amm_admit(result: SegmentationResult) -> bool:

@@ -15,9 +15,12 @@ matrix here, the blurs of ``amm`` and ``pipeline`` and the pseudo-label
 boundary test. Everything is computed in float64; the solvers need
 headroom below their 1e-5 verification tolerances.
 
-Both memory banks hold one entry type, :class:`BankEntry`, whose patch
-rows both solvers share; ``_check_bank`` checks a bank against either
-solver's kernel shape.
+Every value type checks its arrays with :func:`checked_array` (finite
+float64 of a given shape) or :func:`checked_mask` (only 0 and 1), each a
+:func:`frozen_array` that nothing can change; a camera's depth, which may
+be NaN, is only frozen. Both memory banks hold one entry type,
+:class:`BankEntry`, whose patch rows both solvers share; ``_check_bank``
+checks a bank against either solver's kernel shape.
 """
 
 from __future__ import annotations
@@ -40,8 +43,9 @@ __all__ = [
     "BankEntry",
     "conv2d",
     "im2col",
-    "readonly_copy",
     "frozen_array",
+    "checked_array",
+    "checked_mask",
     "gaussian_label",
     "min_bounding_rect",
     "median_filter_1d",
@@ -183,19 +187,37 @@ def im2col(x: np.ndarray, ksz: int) -> np.ndarray:
     return windows.copy().reshape(h * w, ksz * ksz * c)
 
 
-def readonly_copy(a, dtype=None) -> np.ndarray:
-    """A copy of ``a`` that raises on assignment, for state a cache describes."""
-    out = np.array(a, dtype=dtype)
-    out.flags.writeable = False
-    return out
-
-
 def frozen_array(a, dtype=None) -> np.ndarray:
     """``a`` as a ``dtype`` array that nothing can change: ``a`` itself when it and the array it views
     are read-only (a loaded stack's slice stays a view), else a read-only copy."""
     arr = np.asarray(a, dtype=dtype)
     if arr.flags.writeable or (isinstance(arr.base, np.ndarray) and arr.base.flags.writeable):
-        arr = readonly_copy(arr)
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
+
+
+def _check_shape(arr: np.ndarray, name: str, shape: Sequence[int]) -> np.ndarray:
+    """``arr`` if it has ``shape``, where -1 takes any length on that axis."""
+    if arr.shape != shape and (arr.ndim != len(shape) or any(w not in (-1, g) for w, g in zip(shape, arr.shape))):
+        wanted = "a 3-vector" if tuple(shape) == (3,) else f"of shape {tuple(shape)}"
+        raise DimensionError(f"{name} must be {wanted}, got shape {arr.shape}")
+    return arr
+
+
+def checked_array(value, name: str, shape: Sequence[int]) -> np.ndarray:
+    """``value`` as a float64 ``frozen_array`` of ``shape`` (-1 takes any length), which must be finite."""
+    arr = _check_shape(frozen_array(value, np.float64), name, shape)
+    if not np.isfinite(arr).all():
+        raise ParameterError(f"{name} must be finite")
+    return arr
+
+
+def checked_mask(value, name: str, shape: Sequence[int]) -> np.ndarray:
+    """``value`` as a ``frozen_array`` of ``shape`` (-1 takes any length) holding only 0 and 1."""
+    arr = _check_shape(frozen_array(value), name, shape)
+    if not ((arr == 0) | (arr == 1)).all():
+        raise ParameterError(f"{name} values must be 0 or 1")
     return arr
 
 
@@ -205,9 +227,10 @@ class BankEntry:
     """One window in both memory banks: a (H, W, C) feature crop, its binary (0/1) mask,
     its target-region map in [0, 1] and its Gaussian label, all of one (H, W).
 
-    The arrays are finite read-only copies, so the patch rows and solver
-    statistics cached on the entry always describe its contents. A caller of
-    one solver alone passes zero maps for the fields that solver does not read.
+    The maps are ``checked_array`` values and the mask a ``checked_mask``, so
+    the patch rows and solver statistics cached on the entry always describe
+    its contents. A caller of one solver alone passes zero maps for the
+    fields that solver does not read.
     """
 
     feature: np.ndarray
@@ -220,21 +243,11 @@ class BankEntry:
     _stats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("feature", "target_region", "label"):
-            value = readonly_copy(getattr(self, name), np.float64)
-            if not np.isfinite(value).all():
-                raise ParameterError(f"entry {name} must be finite")
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "mask", readonly_copy(self.mask))
-        if self.feature.ndim != 3 or not (
-            self.feature.shape[:2] == self.mask.shape == self.target_region.shape == self.label.shape
-        ):
-            raise DimensionError(
-                f"feature {self.feature.shape}, mask {self.mask.shape}, region "
-                f"{self.target_region.shape} and label {self.label.shape} dims differ"
-            )
-        if not ((self.mask == 0) | (self.mask == 1)).all():
-            raise ParameterError("entry mask values must be 0 or 1")
+        feature = checked_array(self.feature, "entry feature", (-1, -1, -1))
+        object.__setattr__(self, "feature", feature)
+        object.__setattr__(self, "mask", checked_mask(self.mask, "entry mask", feature.shape[:2]))
+        for name in ("target_region", "label"):
+            object.__setattr__(self, name, checked_array(getattr(self, name), f"entry {name}", feature.shape[:2]))
         if self.target_region.min() < 0 or self.target_region.max() > 1:
             raise ParameterError("target_region values must lie in [0, 1]")
 

@@ -143,8 +143,6 @@ _ZIP_STARTS = (b"PK\x03\x04", b"PK\x05\x06")
 _LOCAL_HEADER = struct.Struct("<4s5H3L2H")
 # the bytes of member data read at a time: few calls, and each chunk is still in cache for its CRC
 _CHUNK = 1 << 18
-# the readers of the .npy header versions a member may have
-_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
 
 
 class _StoredMember:
@@ -196,17 +194,17 @@ class _StoredMember:
 
 def _read_npy(member: _StoredMember) -> Optional[np.ndarray]:
     """The ``.npy`` array ``member`` holds, in a new writable C-order array; None when
-    ``member`` is not an ``.npy`` file."""
+    ``member`` is not an ``.npy`` file. Only a version 1.0 header, the one ``_write_archive`` writes, is read."""
     magic = member.read(np.lib.format.MAGIC_LEN)
     if not magic.startswith(np.lib.format.MAGIC_PREFIX):
         return None
     version = np.lib.format.read_magic(io.BytesIO(magic))
-    if version not in _NPY_HEADERS:
-        raise ValueError(f".npy version {version[0]}.{version[1]} is not read")
+    if version != (1, 0):
+        raise ValueError(f".npy version {version[0]}.{version[1]} is not read, only 1.0")
     # on a corrupt header numpy's tokenizer and dtype parser raise their own errors, and its
     # warning that it repaired a header is an error where warnings are errors
     try:
-        shape, fortran_order, dtype = _NPY_HEADERS[version](member)
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
     except (Warning, SyntaxError, tokenize.TokenError) as exc:
         raise ValueError(f"bad .npy header: {exc}") from None
     if dtype.hasobject:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ArrayValue, DimensionError, ParameterError, frozen_array
+from .core import ArrayValue, DimensionError, ParameterError, checked_array, frozen_array
 
 __all__ = [
     "DegenerateGeometryError",
@@ -72,24 +72,16 @@ class CameraFrame(ArrayValue):
     depth_uncertainty: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("pose", "intrinsics", "depth", "depth_uncertainty"):
-            object.__setattr__(self, name, frozen_array(getattr(self, name), np.float64))
-        for name in ("pose", "intrinsics", "depth_uncertainty"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ParameterError(f"{name} must be finite")
-        if self.pose.shape != (4, 4):
-            raise DimensionError(f"pose must be 4x4, got {self.pose.shape}")
+        object.__setattr__(self, "pose", checked_array(self.pose, "pose", (4, 4)))
+        object.__setattr__(self, "intrinsics", checked_array(self.intrinsics, "intrinsics", (3, 3)))
+        object.__setattr__(self, "depth", frozen_array(self.depth, np.float64))
+        uncertainty = checked_array(self.depth_uncertainty, "depth_uncertainty", self.depth.shape)
+        object.__setattr__(self, "depth_uncertainty", uncertainty)
         _check_rotation(self.pose[:3, :3])
-        if self.intrinsics.shape != (3, 3):
-            raise DimensionError(f"intrinsics must be 3x3, got {self.intrinsics.shape}")
         if not (abs(self.intrinsics[_BELOW_DIAGONAL]) <= INTRINSICS_TOL).all():
             raise ParameterError("intrinsics must be upper triangular")
         if self.intrinsics[0, 0] <= 0 or self.intrinsics[1, 1] <= 0:
             raise ParameterError("focal lengths must be positive")
-        if self.depth.shape != self.depth_uncertainty.shape:
-            raise DimensionError(
-                f"depth {self.depth.shape} and uncertainty {self.depth_uncertainty.shape} dims differ"
-            )
         if (self.depth_uncertainty < 0).any():
             raise ParameterError("depth uncertainty must be non-negative")
 
@@ -103,11 +95,11 @@ class Sim3Transform(ArrayValue):
     translation: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rotation", frozen_array(self.rotation, np.float64))
-        object.__setattr__(self, "translation", frozen_array(self.translation, np.float64).reshape(3))
-        if self.scale <= 0:
-            raise ParameterError(f"scale must be positive, got {self.scale}")
+        if not 0 < self.scale < np.inf:
+            raise ParameterError(f"scale must be positive and finite, got {self.scale}")
+        object.__setattr__(self, "rotation", checked_array(self.rotation, "rotation", (3, 3)))
         _check_rotation(self.rotation)
+        object.__setattr__(self, "translation", checked_array(self.translation, "translation", (3,)))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)

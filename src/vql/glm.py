@@ -66,8 +66,8 @@ from .core import (
     ParameterError,
     _check_bank,
     bilinear_resize,
+    frozen_array,
     gaussian_label,
-    readonly_copy,
 )
 
 __all__ = [
@@ -182,7 +182,7 @@ def optimize_filter(kernel: np.ndarray, mem: Sequence[BankEntry], n_iter: int) -
     The closed-form step is exact while the hinge activation pattern is
     unchanged; when a step crosses the kink and would raise the true loss,
     it is halved up to MAX_STEP_HALVINGS times and dropped if that fails.
-    Returns a new read-only kernel, never a view of the start kernel.
+    Returns a kernel that nothing can change (``core.frozen_array``).
     """
     if n_iter < 0:
         raise ParameterError(f"n_iter must be >= 0, got {n_iter}")
@@ -206,7 +206,7 @@ def optimize_filter(kernel: np.ndarray, mem: Sequence[BankEntry], n_iter: int) -
             beta *= 0.5
         else:
             break
-    return readonly_copy(c.reshape(kernel.shape), np.float64)
+    return frozen_array(c.reshape(kernel.shape), np.float64)
 
 
 def label_sigma(side: float) -> float:
@@ -219,7 +219,7 @@ def _resampled_label(side: int, resolution: int) -> np.ndarray:
     """The label of a side x side crop, resampled to the resolution (read-only), built once per pair."""
     crop_center = ((side - 1) / 2.0, (side - 1) / 2.0)
     label = gaussian_label(crop_center, label_sigma(side), (side, side))
-    return readonly_copy(bilinear_resize(label, (resolution, resolution)))
+    return frozen_array(bilinear_resize(label, (resolution, resolution)))
 
 
 def glm_update_source(response_history: Sequence[float]) -> str:

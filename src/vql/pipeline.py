@@ -46,8 +46,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import amm, fusion, geo3d, glm
-from .core import ArrayValue, BankEntry, DimensionError, EmptyInputError, ParameterError, _zero_border, bilinear_resize
-from .core import conv2d, frozen_array, ladder_crop, min_bounding_rect, nearest_resize
+from .core import ArrayValue, BankEntry, DimensionError, EmptyInputError, ParameterError, _zero_border, as_index
+from .core import bilinear_resize, checked_array, checked_mask, conv2d, ladder_crop, min_bounding_rect, nearest_resize
 
 __all__ = [
     "NoDetectionError",
@@ -110,21 +110,10 @@ class QuerySpec(ArrayValue):
     mask: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "feature", frozen_array(self.feature, np.float64))
-        object.__setattr__(self, "mask", frozen_array(self.mask))
-        _check_frame(self.feature, self.mask, "query")
+        object.__setattr__(self, "feature", checked_array(self.feature, "query features", (-1, -1, -1)))
+        object.__setattr__(self, "mask", checked_mask(self.mask, "query mask", self.feature.shape[:2]))
         if not self.mask.any():
             raise EmptyInputError("query mask must be non-empty")
-
-
-def _check_frame(feature: np.ndarray, mask: np.ndarray, name: str) -> None:
-    """Refuse a feature map that is not finite (H, W, C), and a mask that is not (H, W) of only 0 and 1."""
-    if feature.ndim != 3 or feature.shape[:2] != mask.shape:
-        raise DimensionError(f"{name} feature {feature.shape} and mask {mask.shape} are not (H, W, C) and (H, W)")
-    if not ((mask == 0) | (mask == 1)).all():
-        raise ParameterError(f"{name} mask values must be 0 or 1")
-    if not np.isfinite(feature).all():
-        raise ParameterError(f"{name} features must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,33 +146,20 @@ class TrackOutput(ArrayValue):
                 raise DimensionError(f"result {t}'s map is {result.prob.shape}, not result 0's (H, W) {canvas}")
         if len(peaks) != n:
             raise ParameterError(f"expected one peak per frame, {n}, got {len(peaks)}")
-        for t, peak in enumerate(peaks):
-            if not np.isfinite(peak):
-                raise ParameterError(f"peak {t} must be finite, got {peak}")
+        checked_array(peaks, "peaks", (n,))
         ends = None if self.interval is None else [self.interval.start_frame, self.interval.end_frame]
         if ends and (ends[0] < 0 or ends[1] >= n):
             raise ParameterError(f"interval {ends} leaves the track's frames [0, {n})")
         for t in self.displacements:
-            if not (isinstance(t, numbers.Integral) and 0 <= t < n):
+            if not 0 <= as_index(t, "displacement frame") < n:
                 raise ParameterError(f"displacement frame {t!r} is not a frame of the track, [0, {n})")
-        deltas = {int(t): _finite_points(v, f"frame {t}'s displacement") for t, v in sorted(self.displacements.items())}
+        deltas = {int(t): checked_array(v, f"frame {t}'s displacement", (3,))
+                  for t, v in sorted(self.displacements.items())}
         object.__setattr__(self, "results", results)
         object.__setattr__(self, "peaks", peaks)
         object.__setattr__(self, "displacements", MappingProxyType(deltas))
         if self.world_point is not None:
-            object.__setattr__(self, "world_point", _finite_points(self.world_point, "world_point"))
-
-
-def _finite_points(value: np.ndarray, name: str, shape: tuple = (3,)) -> np.ndarray:
-    """``value`` as a read-only float64 array of ``shape`` (a 3-vector unless given; -1 takes any
-    length), which must be finite."""
-    points = frozen_array(value, np.float64)
-    if points.ndim != len(shape) or any(want not in (-1, got) for want, got in zip(shape, points.shape)):
-        wanted = "a 3-vector" if shape == (3,) else f"of shape {shape}"
-        raise DimensionError(f"{name} must be {wanted}, got shape {points.shape}")
-    if not np.isfinite(points).all():
-        raise ParameterError(f"{name} must be finite")
-    return points
+            object.__setattr__(self, "world_point", checked_array(self.world_point, "world_point", (3,)))
 
 
 def crop_entry(
@@ -339,13 +315,7 @@ class Pipeline:
         """
         if frame_index != len(self.results):
             raise ParameterError(f"frame index {frame_index} is not the next frame, {len(self.results)}")
-        frame_feature = np.asarray(frame_feature, dtype=np.float64)
-        if frame_feature.shape != self._frame_shape:
-            raise DimensionError(
-                f"frame {frame_feature.shape} does not match the query's {self._frame_shape}"
-            )
-        if not np.isfinite(frame_feature).all():
-            raise ParameterError(f"frame {frame_index} has non-finite features")
+        frame_feature = checked_array(frame_feature, f"frame {frame_index} features", self._frame_shape)
         # outputs: appearance logit and tracking score (see the module docstring)
         out = conv2d(frame_feature, self.memory.inference_kernel)
         score = out[:, :, 1]

@@ -19,10 +19,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ArrayValue, DimensionError, ParameterError, as_index, frozen_array, last_run, min_bounding_rect
+from .core import ArrayValue, DimensionError, ParameterError, as_index, checked_array, checked_mask, frozen_array
+from .core import last_run, min_bounding_rect
 from .fusion import TemporalInterval, extract_result
 from .geo3d import CameraFrame, Sim3Transform
-from .pipeline import QuerySpec, TrackOutput, _check_frame, _finite_points
+from .pipeline import QuerySpec, TrackOutput
 
 __all__ = [
     "ScenarioParams",
@@ -151,20 +152,21 @@ class Scenario(ArrayValue):
     def __post_init__(self) -> None:
         frames, canvas = tuple(self.frames), self.query.feature.shape
         for t, frame in enumerate(frames):
-            _check_frame(frame.feature, frame.gt_mask, f"frame {t}")
+            checked_array(frame.feature, f"frame {t} features", canvas)
+            checked_mask(frame.gt_mask, f"frame {t} mask", canvas[:2])
             depth = canvas[:2] if frame.camera is None else frame.camera.depth.shape
-            if frame.feature.shape != canvas or depth != canvas[:2]:
-                raise DimensionError(f"frame {t}: feature {frame.feature.shape}, depth {depth}; the canvas is {canvas}")
+            if depth != canvas[:2]:
+                raise DimensionError(f"frame {t} depth must be of shape {canvas[:2]}, got shape {depth}")
         object.__setattr__(self, "frames", frames)
         if self.gt_point is not None:
-            object.__setattr__(self, "gt_point", _finite_points(self.gt_point, "gt_point"))
+            object.__setattr__(self, "gt_point", checked_array(self.gt_point, "gt_point", (3,)))
         if (self.alignment_src is None) != (self.alignment_dst is None):
             missing = "alignment_dst" if self.alignment_dst is None else "alignment_src"
             raise ParameterError(f"{missing} is missing; an alignment holds both point sets")
         if self.alignment_src is not None:
-            src = _finite_points(self.alignment_src, "alignment_src", (-1, 3))
+            src = checked_array(self.alignment_src, "alignment_src", (-1, 3))
             object.__setattr__(self, "alignment_src", src)
-            object.__setattr__(self, "alignment_dst", _finite_points(self.alignment_dst, "alignment_dst", src.shape))
+            object.__setattr__(self, "alignment_dst", checked_array(self.alignment_dst, "alignment_dst", src.shape))
 
     @property
     def cameras(self) -> list[Optional[CameraFrame]]:

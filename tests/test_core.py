@@ -100,13 +100,14 @@ class TestBankEntry:
     def test_maps_share_one_height_and_width(self, name, hw):
         maps = entry_maps()
         maps[name] = np.zeros(hw)
-        with pytest.raises(core.DimensionError, match="dims differ"):
+        with pytest.raises(core.DimensionError, match=rf"^entry {name} must be of shape \(5, 5\), got shape"):
             core.BankEntry(**maps)
 
     def test_feature_must_have_channels(self):
         maps = entry_maps()
         maps["feature"] = maps["feature"][:, :, 0]
-        with pytest.raises(core.DimensionError, match="dims differ"):
+        message = r"^entry feature must be of shape \(-1, -1, -1\), got shape \(5, 5\)$"
+        with pytest.raises(core.DimensionError, match=message):
             core.BankEntry(**maps)
 
     def test_entries_compare_and_hash_by_identity(self):
@@ -120,6 +121,73 @@ class TestBankEntry:
         maps["target_region"][1, 2] = value
         with pytest.raises(core.ParameterError, match="target_region values must lie in"):
             core.BankEntry(**maps)
+
+
+CHECKS = [core.checked_array, core.checked_mask]
+
+
+class TestCheckedArrays:
+    """The one array rule of every value type: ``checked_array`` (finite float64 of a shape) and
+    ``checked_mask`` (0 and 1 only, of a shape), both returning arrays that nothing can change."""
+
+    @staticmethod
+    def sample(check):
+        """A new writable (2, 3) array that ``check`` accepts."""
+        return np.array([[0.0, 1, 2], [3, 4, 5]]) if check is core.checked_array else np.eye(2, 3, dtype=np.uint8)
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_minus_one_takes_any_length(self, check):
+        for n in (0, 1, 7):
+            assert check(np.zeros((n, 3)), "points", (-1, 3)).shape == (n, 3)
+        with pytest.raises(core.DimensionError, match=r"^points must be of shape \(-1, 3\), got shape \(4, 2\)$"):
+            check(np.zeros((4, 2)), "points", (-1, 3))
+        with pytest.raises(core.DimensionError, match=r"^points must be of shape \(-1, 3\), got shape \(3,\)$"):
+            check(np.zeros(3), "points", (-1, 3))
+
+    def test_a_3_vector_is_named(self):
+        with pytest.raises(core.DimensionError, match=r"^point must be a 3-vector, got shape \(1, 3\)$"):
+            core.checked_array(np.zeros((1, 3)), "point", (3,))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_refused(self, value):
+        arr = np.zeros((2, 3))
+        arr[1, 2] = value
+        with pytest.raises(core.ParameterError, match=r"^points must be finite$"):
+            core.checked_array(arr, "points", (2, 3))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64])
+    def test_a_2_in_a_mask_refused(self, dtype):
+        mask = np.zeros((3, 4), dtype=dtype)
+        mask[2, 1] = 2
+        with pytest.raises(core.ParameterError, match=r"^mask values must be 0 or 1$"):
+            core.checked_mask(mask, "mask", (3, 4))
+        mask[2, 1] = 1
+        assert core.checked_mask(mask, "mask", (3, 4)).dtype == dtype
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_frozen_input_is_kept(self, check):
+        value = self.sample(check)
+        value.flags.writeable = False
+        assert check(value, "x", (2, 3)) is value
+        # a read-only view of a read-only array is kept too, and stays a view
+        row = value[1]
+        assert check(row, "x", (3,)) is row
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_writable_input_is_copied(self, check):
+        value = self.sample(check)
+        want = value.copy()
+        # a read-only view of a writable array changes with it, so it is copied too
+        view = value[:]
+        view.flags.writeable = False
+        for source in value, view:
+            out = check(source, "x", (2, 3))
+            assert out is not source and not out.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                out[0, 0] = 1
+            value[0, 0] = 0 if value[0, 0] else 1
+            np.testing.assert_array_equal(out, want)
+            value[...] = want
 
 
 SOLVER_LOSSES = [

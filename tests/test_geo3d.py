@@ -55,6 +55,22 @@ class TestSim3Transform:
         # within the tolerance on every entry
         geo3d.Sim3Transform(1.0, np.diag([1 + 4e-10, 1 - 4e-10, 1.0]), np.zeros(3))
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(ParameterError, match=r"^scale must be positive and finite, got"):
+            geo3d.Sim3Transform(scale, np.eye(3), np.zeros(3))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_translation_must_be_finite(self, value):
+        with pytest.raises(ParameterError, match=r"^translation must be finite$"):
+            geo3d.Sim3Transform(1.0, np.eye(3), np.array([0.0, value, 0.0]))
+
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 1), (2,)])
+    def test_translation_must_be_a_3_vector(self, shape):
+        # three numbers in another shape are refused, not reshaped: the shape is the caller's mistake
+        with pytest.raises(DimensionError, match=r"^translation must be a 3-vector, got shape"):
+            geo3d.Sim3Transform(1.0, np.eye(3), np.zeros(shape))
+
     @pytest.mark.parametrize("seed", range(20))
     def test_fitted_and_inverted_rotations_pass_the_check(self, seed):
         # align_sim3 builds a Sim3Transform, and so does its inverse: both run the rotation check

@@ -339,7 +339,7 @@ class TestFileRoundTrips:
                 "track",
                 lambda t: replace(t, peaks=(*t.peaks[:2], np.nan, *t.peaks[3:])),
                 ParameterError,
-                r"^peak 2 must be finite, got nan$",
+                r"^peaks must be finite$",
                 id="nan-peak",
             ),
             pytest.param(
@@ -348,6 +348,13 @@ class TestFileRoundTrips:
                 ParameterError,
                 r"^displacement frame 99 is not a frame of the track, \[0, 5\)$",
                 id="stray-displacement",
+            ),
+            pytest.param(
+                "track",
+                lambda t: replace(t, displacements={True: np.zeros(3)}),
+                ParameterError,
+                r"^displacement frame must be an integer, got True$",
+                id="bool-displacement-frame",
             ),
             pytest.param(
                 "track",
@@ -417,7 +424,7 @@ class TestFileRoundTrips:
                 "scenario",
                 lambda s: with_frame(s, 1, feature=np.zeros((32, 32, 3)), gt_mask=np.zeros((32, 32))),
                 DimensionError,
-                r"^frame 1: feature \(32, 32, 3\), depth \(48, 48\); the canvas is \(48, 48, 3\)$",
+                r"^frame 1 features must be of shape \(48, 48, 3\), got shape \(32, 32, 3\)$",
                 id="other-canvas-frame",
             ),
             pytest.param(
@@ -426,7 +433,7 @@ class TestFileRoundTrips:
                     s, 1, camera=replace(s.cameras[1], depth=np.ones((32, 32)), depth_uncertainty=np.zeros((32, 32)))
                 ),
                 DimensionError,
-                r"^frame 1: feature \(48, 48, 3\), depth \(32, 32\); the canvas is \(48, 48, 3\)$",
+                r"^frame 1 depth must be of shape \(48, 48\), got shape \(32, 32\)$",
                 id="other-canvas-camera",
             ),
             pytest.param(
@@ -1247,6 +1254,17 @@ class TestArchiveIntegrity:
         path.write_bytes(geo_bytes)
         rewrite(path, np.asfortranarray, "depths.npy")
         self.refused(path.read_bytes(), "depths.npy", r"unreadable member \(Fortran-order arrays are not read\)")
+
+    @pytest.mark.parametrize("member", ["features.npy", "gt_point.npy"])
+    def test_version_2_header_refused(self, tmp_path, geo_bytes, member):
+        # the writer writes only 1.0 headers; the same array and bytes behind a 2.0 header are not read
+        path = tmp_path / "geo.npz"
+        path.write_bytes(geo_bytes)
+        arr = np.lib.format.read_array(io.BytesIO(zipfile.ZipFile(path).read(member)))
+        header = io.BytesIO()
+        np.lib.format.write_array_header_2_0(header, np.lib.format.header_data_from_array_1_0(arr))
+        rezip(path, member, header.getvalue() + arr.tobytes())
+        self.refused(path.read_bytes(), member, r"unreadable member \(\.npy version 2\.0 is not read, only 1\.0\)$")
 
 
 class TestEval2d:
