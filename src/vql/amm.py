@@ -1,10 +1,12 @@
 """Appearance branch: the admission gate and a steepest-descent ridge solver over bank entries.
 
-A retrieval enters the banks when it has a box and its confidence ``s_conf``
-(the mean probability inside its mask, from ``fusion.extract_result``)
-clears the admit threshold. Its entry is the ``core.BankEntry`` of the one
-window ``pipeline.crop_entry`` cuts around the box, which both banks share;
-this solver reads its feature crop and mask.
+A retrieval enters the banks when its confidence ``s_conf`` (the mean
+probability inside its mask, from ``fusion.extract_result``) clears the
+admit threshold and it has a box; the confidence is tested first, so a
+refused retrieval's box is never worked out. Its entry is the
+``core.BankEntry`` of the one window ``pipeline.crop_entry`` cuts around
+the box, which both banks share; this solver reads its feature crop and
+mask.
 
 The segmentation model is a single convolution ``conv2d(F, sigma)`` mapping
 C feature channels to D label channels. Its weights are fit online against
@@ -58,6 +60,7 @@ from .core import (
     BankEntry,
     ParameterError,
     frozen_array,
+    frozen_in_place,
     gaussian_label,
     _check_bank,
     _zero_border,
@@ -143,8 +146,8 @@ def _statistics(entry: BankEntry, ksz: int) -> tuple[np.ndarray, np.ndarray, flo
         patches = weights * entry.rows(ksz)
         target = weights * encode_pseudo_label(entry.mask).reshape(weights.size, -1)
         entry._stats[ksz] = (
-            frozen_array(patches.T @ patches),
-            frozen_array(patches.T @ target),
+            frozen_in_place(patches.T @ patches),
+            frozen_in_place(patches.T @ target),
             float(np.sum(target**2)),
         )
     return entry._stats[ksz]
@@ -203,21 +206,28 @@ def steepest_step_size(g: np.ndarray, mem: Sequence[BankEntry]) -> float:
 def steepest_descent(kernel: np.ndarray, mem: Sequence[BankEntry], n_iter: int) -> np.ndarray:
     """Run n_iter exact-line-search gradient steps from ``kernel``; stops early once converged.
 
-    Returns a kernel that nothing can change (``core.frozen_array``).
+    Returns a kernel that nothing can change: a step's fresh product made read-only in place, or
+    the start kernel as a ``core.frozen_array`` when no step is taken.
     """
     if n_iter < 0:
         raise ParameterError(f"n_iter must be >= 0, got {n_iter}")
     gram, cross, _ = _bank_statistics(mem, kernel.shape)
-    sigma = kernel.reshape(cross.shape)
+    start = sigma = kernel.reshape(cross.shape)
     for _ in range(n_iter):
         g = _gradient(gram, cross, sigma)
         g_norm2 = float(np.sum(g**2))
         if np.sqrt(g_norm2) < GRADIENT_EPS:
             break
         sigma = sigma - _exact_step(g, gram, g_norm2) * g
+    if sigma is not start:
+        frozen_in_place(sigma)
     return frozen_array(sigma.reshape(kernel.shape), np.float64)
 
 
 def amm_admit(result: SegmentationResult) -> bool:
-    """Admit a retrieval iff it has a box and its confidence reaches ADMIT_THRESHOLD."""
-    return result.bbox is not None and result.s_conf >= ADMIT_THRESHOLD
+    """Admit a retrieval iff its confidence reaches ADMIT_THRESHOLD and it has a box.
+
+    A confidence above 0 already implies a non-empty mask, so the box is read only for a
+    retrieval the confidence admits.
+    """
+    return result.s_conf >= ADMIT_THRESHOLD and result.bbox is not None

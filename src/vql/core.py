@@ -18,9 +18,11 @@ headroom below their 1e-5 verification tolerances.
 Every value type checks its arrays with :func:`checked_array` (finite
 float64 of a given shape) or :func:`checked_mask` (only 0 and 1), each a
 :func:`frozen_array` that nothing can change; a camera's depth, which may
-be NaN, is only frozen. Both memory banks hold one entry type,
-:class:`BankEntry`, whose patch rows both solvers share; ``_check_bank``
-checks a bank against either solver's kernel shape.
+be NaN, is only frozen. An array a function has just computed, which
+nothing else holds, is made read-only where it is made
+(:func:`frozen_in_place`) instead of copied. Both memory banks hold one
+entry type, :class:`BankEntry`, whose patch rows both solvers share;
+``_check_bank`` checks a bank against either solver's kernel shape.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "conv2d",
     "im2col",
     "frozen_array",
+    "frozen_in_place",
     "checked_array",
     "checked_mask",
     "gaussian_label",
@@ -197,6 +200,13 @@ def frozen_array(a, dtype=None) -> np.ndarray:
     return arr
 
 
+def frozen_in_place(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, made read-only: for an array just computed that nothing else holds, which
+    ``frozen_array`` would copy."""
+    arr.flags.writeable = False
+    return arr
+
+
 def _check_shape(arr: np.ndarray, name: str, shape: Sequence[int]) -> np.ndarray:
     """``arr`` if it has ``shape``, where -1 takes any length on that axis."""
     if arr.shape != shape and (arr.ndim != len(shape) or any(w not in (-1, g) for w, g in zip(shape, arr.shape))):
@@ -254,9 +264,7 @@ class BankEntry:
     def rows(self, ksz: int) -> np.ndarray:
         """The feature's read-only im2col patch rows, built once per kernel size and kept on the entry."""
         if ksz not in self._rows:
-            rows = im2col(self.feature, ksz)
-            rows.flags.writeable = False
-            self._rows[ksz] = rows
+            self._rows[ksz] = frozen_in_place(im2col(self.feature, ksz))
         return self._rows[ksz]
 
 
@@ -414,10 +422,7 @@ def _bilinear_taps(n_in: int, n_out: int) -> tuple[np.ndarray, ...]:
     r = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
     i0 = np.floor(r).astype(int)
     t = r - i0
-    taps = (i0, np.minimum(i0 + 1, n_in - 1), 1 - t, t)
-    for a in taps:
-        a.flags.writeable = False
-    return taps
+    return tuple(map(frozen_in_place, (i0, np.minimum(i0 + 1, n_in - 1), 1 - t, t)))
 
 
 def bilinear_resize(data: np.ndarray, out_hw: Sequence[int]) -> np.ndarray:

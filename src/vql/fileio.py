@@ -20,19 +20,20 @@ stores. Every other rule belongs to the value a file holds and is checked
 as it is built, for the library and the loader alike: ``Scenario`` (with
 ``QuerySpec`` and ``CameraFrame``), ``TrackOutput`` and ``PipelineConfig``.
 A loader reports a broken rule as a ``SchemaError`` carrying its message.
-A loaded scenario's frames hold read-only views of the loaded stacks.
+A loaded scenario's frames and a loaded track's probability maps are
+read-only views of the loaded stacks.
 
 A file stores nothing that follows from what it stores: the loader reads
 every shape from the stacked tensors (a scenario's N, H, W and C from
 ``features``, a track's N, H and W from ``prob``), derives a scenario frame's
 ``gt_bbox`` and the scenario's ``gt_interval`` from the ground-truth masks,
-and a track frame's mask, ``bbox`` and ``s_conf`` from its probability map
-(``fusion.extract_result``). A scenario file holds the clip and the query,
-not the generator's seed and parameters that made them. Files of an
-older version are not read and must be regenerated; the README's
-"Format change" section lists the versions. Writes go to a
-temporary file in the target directory and are renamed into place, so a
-reader never sees a partial file.
+and a track frame's mask and ``s_conf`` from its probability map
+(``fusion.extract_result``); a frame's ``bbox`` follows from its mask when
+first read. A scenario file holds the clip and the query, not the
+generator's seed and parameters that made them. Files of an older version
+are not read and must be regenerated; the README's "Format change" section
+lists the versions. Writes go to a temporary file in the target directory
+and are renamed into place, so a reader never sees a partial file.
 
 The full schema is documented in the repository README.
 """
@@ -479,6 +480,8 @@ def load_track(path: str) -> TrackOutput:
     if ends is not None and not (isinstance(ends, list) and len(ends) == 2):
         raise SchemaError(f"{path}.interval: expected a list of 2 integers, got {ends!r}")
     world_point = _member(arrays, "world_point", "<f8", (3,), path) if "world_point" in arrays else None
+    # read-only, so each frame's result keeps its slice as a view that nothing can change
+    prob.flags.writeable = False
     try:
         interval = None if ends is None else TemporalInterval(*ends)
         return TrackOutput([extract_result(p) for p in prob], interval, peaks, world_point, dict(zip(frames, deltas)))

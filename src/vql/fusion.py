@@ -6,25 +6,32 @@ channel mean of the segmentation output conv2d(F, sigma), plus the
 rectified tracking score max(0, H), squashed by a logistic into a
 probability map. The pipeline gets the appearance logit from the
 channel-mean kernel, so the 3-channel output is never built. The mask is
-that map thresholded at 0.5 and boxed by its largest 4-connected
-component. No label map is built for it: the component sizes are sums of
-the lengths of the mask's row runs (``core._component_runs``) per
-component, and the box is the extent of the largest component's runs. The
-per-frame confidence ``s_conf`` is the mean probability inside the mask,
-computed here once: the appearance bank admits on it and the temporal
-localization reads it. The answer interval is the last run
-(``core.last_run``) of the confidences, median-filtered over MEDIAN_WINDOW
-frames, at or above TEMPORAL_RATIO times their maximum.
+that map thresholded at 0.5, and the per-frame confidence ``s_conf`` the
+mean probability inside the mask, computed here once: the appearance bank
+admits on it and the temporal localization reads it.
+
+A result's box is that of its mask's largest 4-connected component, worked
+out from the mask the first time something reads it (the bank admission,
+the crop of a bank entry, the 3D lift and the 2D metrics) and then kept: a
+frame nothing asks a box of is never labelled. No label map is built for
+it: the component sizes are sums of the lengths of the mask's row runs
+(``core._component_runs``) per component, and the box is the extent of the
+largest component's runs. A result's maps are read-only, so its box cannot
+go stale. The answer interval is the last run (``core.last_run``) of the
+confidences, median-filtered over MEDIAN_WINDOW frames, at or above
+TEMPORAL_RATIO times their maximum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ArrayValue, DimensionError, ParameterError, _component_runs, as_index, last_run, median_filter_1d
+from .core import ArrayValue, DimensionError, ParameterError, _component_runs, as_index, frozen_array, frozen_in_place
+from .core import last_run, median_filter_1d
 
 __all__ = [
     "SegmentationResult",
@@ -42,12 +49,38 @@ TEMPORAL_RATIO = 0.8
 
 @dataclass(frozen=True, eq=False)
 class SegmentationResult(ArrayValue):
-    """Per-frame output: probability map, mask, bbox, and confidence."""
+    """Per-frame output: an (H, W) probability map, its 0/1 mask of the same (H, W) and the
+    confidence, with both maps kept read-only (``core.frozen_array``); the box follows from the
+    mask when first read."""
 
     prob: np.ndarray
     mask: np.ndarray
-    bbox: Optional[tuple[int, int, int, int]]
     s_conf: float
+
+    def __post_init__(self) -> None:
+        prob, mask = frozen_array(self.prob, np.float64), frozen_array(self.mask)
+        if prob.ndim != 2:
+            raise DimensionError(f"probability map must be (H, W), got {prob.shape}")
+        if mask.shape != prob.shape:
+            raise DimensionError(f"mask {mask.shape} is not the probability map's (H, W) {prob.shape}")
+        object.__setattr__(self, "prob", prob)
+        object.__setattr__(self, "mask", mask)
+
+    @cached_property
+    def bbox(self) -> Optional[tuple[int, int, int, int]]:
+        """(x_min, y_min, x_max, y_max), inclusive, of the mask's largest 4-connected component, or
+        None for an empty mask; size ties go to the component whose first pixel comes first in
+        row-major order."""
+        fg = self.mask != 0
+        if not fg.any():
+            return None
+        run_start, run_length, root = _component_runs(fg)
+        # roots number components by first pixel, so the first maximum wins ties
+        largest = root == np.argmax(np.bincount(root, weights=run_length))
+        rows, first_col = np.divmod(run_start[largest], fg.shape[1])
+        last_col = first_col + run_length[largest] - 1
+        # runs come in row-major order: the first and last rows are the ends
+        return (int(first_col.min()), int(rows[0]), int(last_col.max()), int(rows[-1]))
 
 
 @dataclass(frozen=True)
@@ -80,28 +113,15 @@ def fuse(appearance: np.ndarray, score: np.ndarray) -> np.ndarray:
 
 
 def extract_result(prob: np.ndarray) -> SegmentationResult:
-    """Threshold at 0.5, box the largest 4-connected component.
+    """The (H, W) map thresholded at 0.5 and its confidence, the mean probability over the whole
+    mask; an empty mask has zero confidence (and no box).
 
-    The confidence is the mean probability over the whole mask; size ties
-    between components go to the one whose first pixel comes first in
-    row-major order.
-    An empty mask yields no box and zero confidence.
+    The result keeps ``prob`` itself when nothing can write it, else a read-only copy.
     """
     prob = np.asarray(prob, dtype=np.float64)
-    if prob.ndim != 2:
-        raise DimensionError(f"probability map must be (H, W), got {prob.shape}")
     fg = prob >= MASK_THRESHOLD
-    mask = fg.astype(np.uint8)
-    if not fg.any():
-        return SegmentationResult(prob, mask, None, 0.0)
-    run_start, run_length, root = _component_runs(fg)
-    # roots number components by first pixel, so the first maximum wins ties
-    largest = root == np.argmax(np.bincount(root, weights=run_length))
-    rows, first_col = np.divmod(run_start[largest], prob.shape[1])
-    last_col = first_col + run_length[largest] - 1
-    # runs come in row-major order: the first and last rows are the ends
-    bbox = (int(first_col.min()), int(rows[0]), int(last_col.max()), int(rows[-1]))
-    return SegmentationResult(prob, mask, bbox, float(prob[fg].mean()))
+    s_conf = float(prob[fg].mean()) if fg.any() else 0.0
+    return SegmentationResult(prob, frozen_in_place(fg.astype(np.uint8)), s_conf)
 
 
 def temporal_localize(s_conf_seq: Sequence[float]) -> Optional[TemporalInterval]:

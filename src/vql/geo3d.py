@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ArrayValue, DimensionError, ParameterError, checked_array, frozen_array
+from .core import ArrayValue, DimensionError, ParameterError, _check_shape, checked_array, frozen_array
 
 __all__ = [
     "DegenerateGeometryError",
@@ -62,8 +62,9 @@ def _check_rotation(r: np.ndarray) -> None:
 class CameraFrame(ArrayValue):
     """Camera-to-world pose, intrinsics, depth, and depth-uncertainty maps, kept read-only.
 
-    Pose, intrinsics and uncertainty must be finite; a non-finite depth is
-    an invalid sample that :func:`backproject` refuses.
+    The depth map is (H, W) and the uncertainty of its shape. Pose,
+    intrinsics and uncertainty must be finite; a non-finite depth is an
+    invalid sample that :func:`backproject` refuses.
     """
 
     pose: np.ndarray
@@ -74,7 +75,7 @@ class CameraFrame(ArrayValue):
     def __post_init__(self) -> None:
         object.__setattr__(self, "pose", checked_array(self.pose, "pose", (4, 4)))
         object.__setattr__(self, "intrinsics", checked_array(self.intrinsics, "intrinsics", (3, 3)))
-        object.__setattr__(self, "depth", frozen_array(self.depth, np.float64))
+        object.__setattr__(self, "depth", _check_shape(frozen_array(self.depth, np.float64), "depth", (-1, -1)))
         uncertainty = checked_array(self.depth_uncertainty, "depth_uncertainty", self.depth.shape)
         object.__setattr__(self, "depth_uncertainty", uncertainty)
         _check_rotation(self.pose[:3, :3])

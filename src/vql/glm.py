@@ -67,6 +67,7 @@ from .core import (
     _check_bank,
     bilinear_resize,
     frozen_array,
+    frozen_in_place,
     gaussian_label,
 )
 
@@ -182,12 +183,13 @@ def optimize_filter(kernel: np.ndarray, mem: Sequence[BankEntry], n_iter: int) -
     The closed-form step is exact while the hinge activation pattern is
     unchanged; when a step crosses the kink and would raise the true loss,
     it is halved up to MAX_STEP_HALVINGS times and dropped if that fails.
-    Returns a kernel that nothing can change (``core.frozen_array``).
+    Returns a kernel that nothing can change: a step's fresh product made read-only in place, or
+    the start kernel as a ``core.frozen_array`` when no step is taken.
     """
     if n_iter < 0:
         raise ParameterError(f"n_iter must be >= 0, got {n_iter}")
     problem = _Problem(mem, kernel.shape)
-    c = kernel.ravel()
+    start = c = kernel.ravel()
     h = problem.times(c)
     loss, r, q = problem.evaluate(h, c)
     for _ in range(n_iter):
@@ -206,6 +208,8 @@ def optimize_filter(kernel: np.ndarray, mem: Sequence[BankEntry], n_iter: int) -
             beta *= 0.5
         else:
             break
+    if c is not start:
+        frozen_in_place(c)
     return frozen_array(c.reshape(kernel.shape), np.float64)
 
 
@@ -219,7 +223,7 @@ def _resampled_label(side: int, resolution: int) -> np.ndarray:
     """The label of a side x side crop, resampled to the resolution (read-only), built once per pair."""
     crop_center = ((side - 1) / 2.0, (side - 1) / 2.0)
     label = gaussian_label(crop_center, label_sigma(side), (side, side))
-    return frozen_array(bilinear_resize(label, (resolution, resolution)))
+    return frozen_in_place(bilinear_resize(label, (resolution, resolution)))
 
 
 def glm_update_source(response_history: Sequence[float]) -> str:

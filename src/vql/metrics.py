@@ -118,7 +118,7 @@ def eval_2d(pred: TrackOutput, scenario: Scenario) -> MetricsReport2D:
 
     # each frame's box IoU, 0 where either box is missing
     ious = [
-        0.0 if r.bbox is None or f.gt_bbox is None else box_iou(r.bbox, f.gt_bbox)
+        0.0 if f.gt_bbox is None or r.bbox is None else box_iou(r.bbox, f.gt_bbox)
         for r, f in zip(pred.results, scenario.frames)
     ]
     union_lo = min(pred_interval[0], gt_interval[0])

@@ -8,6 +8,11 @@ averaged over its three label channels: conv2d is linear in its kernel, so
 that is the appearance logit ``fusion.fuse`` needs. Output 1 is the
 tracking score, whose maximum is the frame's tracking peak. The filters
 change only at an ingest, so the kernel is built once per memory value.
+The fused probability map is made read-only where it is made and kept by
+the frame's result without a copy. A frame's box is worked out only when
+something reads it: the admission of an update frame whose confidence
+clears the threshold, the crop of its entry and the 3D lift; an
+updates-off run labels no components.
 
 Memory: the query and every admitted frame are cut once, in one square
 window around the target's box, into one ``core.BankEntry`` at one
@@ -47,7 +52,8 @@ import numpy as np
 
 from . import amm, fusion, geo3d, glm
 from .core import ArrayValue, BankEntry, DimensionError, EmptyInputError, ParameterError, _zero_border, as_index
-from .core import bilinear_resize, checked_array, checked_mask, conv2d, ladder_crop, min_bounding_rect, nearest_resize
+from .core import bilinear_resize, checked_array, checked_mask, conv2d, frozen_in_place, ladder_crop, min_bounding_rect
+from .core import nearest_resize
 
 __all__ = [
     "NoDetectionError",
@@ -256,9 +262,8 @@ class _Memory:
     @cached_property
     def inference_kernel(self) -> np.ndarray:
         """The (K, K, C, 2) kernel of one frame's convolution: the channel-mean seg kernel, then the track kernel."""
-        kernel = np.concatenate([self.seg_kernel.mean(axis=3, keepdims=True), self.track_kernel], axis=3)
-        kernel.flags.writeable = False
-        return kernel
+        seg_mean = self.seg_kernel.mean(axis=3, keepdims=True)
+        return frozen_in_place(np.concatenate([seg_mean, self.track_kernel], axis=3))
 
     @property
     def finite(self) -> bool:
@@ -319,7 +324,8 @@ class Pipeline:
         # outputs: appearance logit and tracking score (see the module docstring)
         out = conv2d(frame_feature, self.memory.inference_kernel)
         score = out[:, :, 1]
-        result = fusion.extract_result(fusion.fuse(out[:, :, 0], score))
+        # the fresh map is frozen where it is made, so the result keeps it without a copy
+        result = fusion.extract_result(frozen_in_place(fusion.fuse(out[:, :, 0], score)))
         peak = float(score.max())
 
         self.results.append(result)

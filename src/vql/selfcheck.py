@@ -1171,11 +1171,11 @@ def check_eval2d_hand_cases():
     if (report.t_ap25, report.st_ap25, report.recovery_pct, report.success_pct) != (1.0, 1.0, 100.0, 100.0):
         return False, f"ground-truth track does not score perfectly: {report}"
     # prediction shifted left by half the annotated length: tIoU 1/3, and with
-    # perfect boxes only inside the claimed interval, recovery is 50%; the
-    # target is annotated on frames 24-47 only
+    # perfect boxes only inside the claimed interval (an empty map elsewhere),
+    # recovery is 50%; the target is annotated on frames 24-47 only
     frames = [replace(f, gt_mask=np.zeros_like(f.gt_mask)) if t < 24 else f for t, f in enumerate(scenario.frames)]
     shifted = replace(scenario, frames=frames)
-    results = [replace(r, bbox=r.bbox if 12 <= t <= 35 else None) for t, r in enumerate(gt.results)]
+    results = [r if 12 <= t <= 35 else fusion.extract_result(np.zeros_like(r.prob)) for t, r in enumerate(gt.results)]
     pred = TrackOutput(results, fusion.TemporalInterval(12, 35), gt.peaks)
     t_iou = metrics.temporal_iou((12, 35), shifted.gt_interval)
     if abs(t_iou - 1.0 / 3.0) > 1e-12:

@@ -190,6 +190,50 @@ class TestCheckedArrays:
             value[...] = want
 
 
+def record_freezes(monkeypatch, module):
+    """A list of the arrays ``module`` freezes in place, in order."""
+    frozen = []
+    monkeypatch.setattr(module, "frozen_in_place", lambda arr: frozen.append(arr) or core.frozen_in_place(arr))
+    return frozen
+
+
+class TestFreshProducts:
+    """An array a function has just computed is made read-only where it is made, not copied."""
+
+    def test_frozen_in_place_is_the_array(self):
+        arr = np.arange(6.0)
+        assert core.frozen_in_place(arr) is arr and not arr.flags.writeable
+
+    def test_statistics_are_the_products(self, monkeypatch):
+        frozen = record_freezes(monkeypatch, amm)
+        entry = core.BankEntry(**entry_maps())
+        gram, cross, _ = amm._statistics(entry, 3)
+        assert gram is frozen[0] and cross is frozen[1]
+        assert not gram.flags.writeable and not cross.flags.writeable
+
+    @pytest.mark.parametrize("solve,c_out", [(amm.steepest_descent, 3), (glm.optimize_filter, 1)])
+    def test_a_stepped_kernel_is_a_view_of_its_product(self, monkeypatch, solve, c_out):
+        module = amm if solve is amm.steepest_descent else glm
+        frozen = record_freezes(monkeypatch, module)
+        start, bank = np.full((3, 3, 2, c_out), 0.1), [core.BankEntry(**entry_maps())]
+        out = solve(start, bank, 2)
+        assert out.base is frozen[-1] and not out.flags.writeable
+        assert not np.shares_memory(out, start)
+        # no step: the writable start kernel is copied, a frozen one kept as is
+        made = len(frozen)
+        still = solve(start, bank, 0)
+        assert len(frozen) == made and not np.shares_memory(still, start) and not still.flags.writeable
+        start.flags.writeable = False
+        assert np.shares_memory(solve(start, bank, 0), start)
+
+    def test_resampled_label_is_the_resample(self, monkeypatch):
+        resampled = []
+        resize = glm.bilinear_resize
+        monkeypatch.setattr(glm, "bilinear_resize", lambda *a: resampled.append(resize(*a)) or resampled[-1])
+        label = glm._resampled_label.__wrapped__(9, 32)
+        assert label is resampled[0] and not label.flags.writeable
+
+
 SOLVER_LOSSES = [
     pytest.param(amm.seg_loss, 3, id="amm"),
     pytest.param(glm.track_loss, 1, id="glm"),

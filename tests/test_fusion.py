@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vql import fusion
+from vql import amm, fusion
 from vql.core import DimensionError, ParameterError, conv2d
 from vql.selfcheck import extract_by_union_find
 
@@ -133,9 +135,67 @@ class TestExtractResultProperty:
     @settings(max_examples=200, deadline=None)
     def test_box_of_largest_union_find_component(self, prob):
         res = fusion.extract_result(prob)
+        # the maps are read-only, so the box worked out from the mask when read cannot go stale
+        for name in ("prob", "mask"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(res, name)[0, 0] = 1
         mask, bbox, s_conf = extract_by_union_find(prob)
         np.testing.assert_array_equal(res.mask, mask)
         assert res.bbox == bbox and res.s_conf == s_conf
+
+
+def count_labellings(monkeypatch):
+    """A list that gains one entry per call of the component labelling behind a result's box."""
+    calls = []
+    runs = fusion._component_runs
+    monkeypatch.setattr(fusion, "_component_runs", lambda fg: calls.append(fg.shape) or runs(fg))
+    return calls
+
+
+class TestLazyBox:
+    """A result's box is worked out from its read-only mask the first time it is read, and kept."""
+
+    def test_read_once_per_non_empty_map(self, monkeypatch):
+        calls = count_labellings(monkeypatch)
+        maps = [np.full((5, 6), 0.2), from_mask(serpentine()), rng(7).random((8, 8)), np.zeros((3, 3))]
+        results = [fusion.extract_result(prob) for prob in maps]
+        assert calls == []
+        boxes = [r.bbox for r in results]
+        assert calls == [(9, 9), (8, 8)]
+        assert [r.bbox for r in results] == boxes and len(calls) == 2
+        assert boxes[0] is None and boxes[3] is None
+
+    def test_refused_admission_labels_nothing(self, monkeypatch):
+        calls = count_labellings(monkeypatch)
+        prob = np.zeros((1, 3))
+        prob[0, 0], prob[0, 1] = 0.65, 0.5
+        below = fusion.extract_result(prob)
+        assert 0.0 < below.s_conf < amm.ADMIT_THRESHOLD
+        assert not amm.amm_admit(below) and calls == []
+        assert amm.amm_admit(fusion.extract_result(np.full((2, 2), 0.9))) and len(calls) == 1
+
+    def test_box_is_not_a_field(self):
+        result = fusion.extract_result(from_mask(serpentine()))
+        with pytest.raises(TypeError):
+            replace(result, bbox=(0, 0, 1, 1))
+        with pytest.raises(TypeError):
+            fusion.SegmentationResult(result.prob, result.mask, (0, 0, 8, 8), result.s_conf)
+        # equal values are equal whether or not either box has been read
+        other = fusion.extract_result(from_mask(serpentine()))
+        assert other.bbox == (0, 0, 8, 8) and result == other
+
+    def test_read_only_map_is_kept_and_a_writable_one_copied(self):
+        prob = from_mask(serpentine())
+        result = fusion.extract_result(prob)
+        assert result.prob is not prob and not result.prob.flags.writeable
+        prob[...] = 0.0
+        assert result.mask.all(axis=1)[::2].all() and result.bbox == (0, 0, 8, 8)
+        prob.flags.writeable = False
+        assert fusion.extract_result(prob).prob is prob
+
+    def test_mask_must_be_the_map_shape(self):
+        with pytest.raises(DimensionError, match=r"^mask \(3, 4\) is not the probability map's \(H, W\) \(4, 3\)$"):
+            fusion.SegmentationResult(np.zeros((4, 3)), np.zeros((3, 4), dtype=np.uint8), 0.0)
 
 
 class TestTemporalLocalize:

@@ -168,6 +168,18 @@ class TestCameraFrame:
         with pytest.raises(ParameterError, match=field):
             geo3d.CameraFrame(**arrays)
 
+    @pytest.mark.parametrize("shape", [(5, 5, 2), (25,), ()])
+    def test_depth_must_be_a_map(self, shape):
+        cam = simple_camera(h=5, w=5)
+        with pytest.raises(DimensionError, match=r"^depth must be of shape \(-1, -1\), got shape"):
+            geo3d.CameraFrame(cam.pose, cam.intrinsics, np.ones(shape), np.zeros(shape))
+
+    def test_nan_depth_kept(self):
+        cam = simple_camera(h=5, w=5)
+        depth = cam.depth.copy()
+        depth[2, 3] = np.nan
+        assert np.isnan(geo3d.CameraFrame(cam.pose, cam.intrinsics, depth, cam.depth_uncertainty).depth[2, 3])
+
 
 class TestSemanticConfidence:
     def test_constant_field(self):

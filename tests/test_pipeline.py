@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vql import amm, core, fileio, geo3d, glm
+from vql import amm, core, fileio, fusion, geo3d, glm
 from vql.core import (
     DimensionError,
     EmptyInputError,
@@ -350,6 +350,61 @@ class TestStepFrame:
             pipe.step_frame(sc.frames[t].feature, t)
         assert len(pipe.memory.amm_entries) == 4 + 3
         assert len(pipe.memory.glm_dynamic) == 3
+
+
+def count_labellings(monkeypatch):
+    """A list that gains one entry per call of the component labelling behind a result's box."""
+    calls = []
+    runs = fusion._component_runs
+    monkeypatch.setattr(fusion, "_component_runs", lambda fg: calls.append(fg.shape) or runs(fg))
+    return calls
+
+
+class TestLazyBox:
+    """A frame is labelled only when something reads its box, and its maps are frozen, not copied."""
+
+    def test_updates_off_run_labels_nothing(self, monkeypatch, tmp_path):
+        sc = small_identity(n_frames=20)
+        calls = count_labellings(monkeypatch)
+        pipe = Pipeline(sc.query, PipelineConfig(updates_enabled=False))
+        for index, frame in enumerate(sc.frames):
+            pipe.step_frame(frame.feature, index)
+        track = pipe.finalize_2d()
+        fileio.save_track(track, str(tmp_path / "track.npz"))
+        assert calls == [] and track.interval is not None
+        boxes = [r.bbox for r in track.results]
+        non_empty = sum(bool(r.mask.any()) for r in track.results)
+        assert non_empty > 0 and len(calls) == non_empty
+        assert [r.bbox for r in track.results] == boxes and len(calls) == non_empty
+
+    def test_updates_on_run_labels_the_admitted_frames(self, monkeypatch):
+        sc = small_identity(n_frames=20)
+        # every third frame shows no target, so some frames are refused
+        frames = [background_of(sc) if t % 3 == 2 else f.feature for t, f in enumerate(sc.frames)]
+        calls = count_labellings(monkeypatch)
+        track = Pipeline(sc.query).run(frames)
+        admitted = sum(r.s_conf >= amm.ADMIT_THRESHOLD for r in track.results)
+        assert 0 < admitted < 20 and len(calls) == admitted
+
+    def test_fresh_map_kept_without_a_copy(self, monkeypatch):
+        sc = small_identity(n_frames=1)
+        made = []
+        fuse = fusion.fuse
+        monkeypatch.setattr(fusion, "fuse", lambda a, h: made.append(fuse(a, h)) or made[-1])
+        result = Pipeline(sc.query, PipelineConfig(updates_enabled=False)).step_frame(sc.frames[0].feature, 0)
+        assert result.prob is made[0]
+        for name in ("prob", "mask"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(result, name)[0, 0] = 1
+
+    def test_loaded_maps_are_views_of_one_read_only_stack(self, tmp_path):
+        sc = small_identity(n_frames=4)
+        path = str(tmp_path / "track.npz")
+        fileio.save_track(Pipeline(sc.query).run([f.feature for f in sc.frames]), path)
+        track = fileio.load_track(path)
+        stack = track.results[0].prob.base
+        assert isinstance(stack, np.ndarray) and stack.shape == (4, 32, 32) and not stack.flags.writeable
+        assert all(r.prob.base is stack and not r.prob.flags.writeable for r in track.results)
 
 
 class TestOneConvolution:
