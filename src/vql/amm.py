@@ -1,12 +1,11 @@
 """Appearance branch: the admission gate and a steepest-descent ridge solver over bank entries.
 
 A retrieval enters the banks when its confidence ``s_conf`` (the mean
-probability inside its mask, from ``fusion.extract_result``) clears the
-admit threshold and it has a box; the confidence is tested first, so a
-refused retrieval's box is never worked out. Its entry is the
-``core.BankEntry`` of the one window ``pipeline.crop_entry`` cuts around
-the box, which both banks share; this solver reads its feature crop and
-mask.
+probability inside its mask, which ``fusion.SegmentationResult`` works out
+from its map) clears the admit threshold; a retrieval that clears it has a
+non-empty mask, and so a box. Its entry is the ``core.BankEntry`` of the
+one window ``pipeline.crop_entry`` cuts around the box, which both banks
+share; this solver reads its feature crop and mask.
 
 The segmentation model is a single convolution ``conv2d(F, sigma)`` mapping
 C feature channels to D label channels. Its weights are fit online against
@@ -225,9 +224,9 @@ def steepest_descent(kernel: np.ndarray, mem: Sequence[BankEntry], n_iter: int) 
 
 
 def amm_admit(result: SegmentationResult) -> bool:
-    """Admit a retrieval iff its confidence reaches ADMIT_THRESHOLD and it has a box.
+    """Admit a retrieval iff its confidence reaches ADMIT_THRESHOLD.
 
-    A confidence above 0 already implies a non-empty mask, so the box is read only for a
-    retrieval the confidence admits.
+    A non-empty mask has a confidence of at least ``fusion.MASK_THRESHOLD`` and an empty one of
+    0, so a confidence at or above ADMIT_THRESHOLD, which is above it, always comes with a box.
     """
-    return result.s_conf >= ADMIT_THRESHOLD and result.bbox is not None
+    return result.s_conf >= ADMIT_THRESHOLD

@@ -27,9 +27,9 @@ A file stores nothing that follows from what it stores: the loader reads
 every shape from the stacked tensors (a scenario's N, H, W and C from
 ``features``, a track's N, H and W from ``prob``), derives a scenario frame's
 ``gt_bbox`` and the scenario's ``gt_interval`` from the ground-truth masks,
-and a track frame's mask and ``s_conf`` from its probability map
-(``fusion.extract_result``); a frame's ``bbox`` follows from its mask when
-first read. A scenario file holds the clip and the query, not the
+and builds a track frame's ``fusion.SegmentationResult`` from its probability
+map alone, which works out its mask and ``s_conf`` (and its ``bbox`` when
+first read). A scenario file holds the clip and the query, not the
 generator's seed and parameters that made them. Files of an older version
 are not read and must be regenerated; the README's "Format change" section
 lists the versions. Writes go to a temporary file in the target directory
@@ -55,7 +55,7 @@ from typing import Any, BinaryIO, Callable, Optional
 import numpy as np
 
 from .core import DimensionError, EmptyInputError, ParameterError
-from .fusion import TemporalInterval, extract_result
+from .fusion import SegmentationResult, TemporalInterval
 from .geo3d import CameraFrame
 from .pipeline import PipelineConfig, QuerySpec, TrackOutput
 from .scenario import FrameData, Scenario
@@ -484,7 +484,8 @@ def load_track(path: str) -> TrackOutput:
     prob.flags.writeable = False
     try:
         interval = None if ends is None else TemporalInterval(*ends)
-        return TrackOutput([extract_result(p) for p in prob], interval, peaks, world_point, dict(zip(frames, deltas)))
+        results = [SegmentationResult(p) for p in prob]
+        return TrackOutput(results, interval, peaks, world_point, dict(zip(frames, deltas)))
     except (DimensionError, EmptyInputError, ParameterError) as exc:
         raise SchemaError(f"{path}: invalid track: {exc}") from exc
 

@@ -5,26 +5,26 @@ The two branches meet in one logit per pixel: the appearance logit, the
 channel mean of the segmentation output conv2d(F, sigma), plus the
 rectified tracking score max(0, H), squashed by a logistic into a
 probability map. The pipeline gets the appearance logit from the
-channel-mean kernel, so the 3-channel output is never built. The mask is
-that map thresholded at 0.5, and the per-frame confidence ``s_conf`` the
-mean probability inside the mask, computed here once: the appearance bank
-admits on it and the temporal localization reads it.
+channel-mean kernel, so the 3-channel output is never built. A frame's
+``SegmentationResult`` is a function of that map: its mask is the map
+thresholded at 0.5 and its confidence ``s_conf`` the mean probability inside
+the mask (0 when empty), read by the bank admission and the localization.
 
 A result's box is that of its mask's largest 4-connected component, worked
-out from the mask the first time something reads it (the bank admission,
-the crop of a bank entry, the 3D lift and the 2D metrics) and then kept: a
-frame nothing asks a box of is never labelled. No label map is built for
-it: the component sizes are sums of the lengths of the mask's row runs
-(``core._component_runs``) per component, and the box is the extent of the
-largest component's runs. A result's maps are read-only, so its box cannot
-go stale. The answer interval is the last run (``core.last_run``) of the
-confidences, median-filtered over MEDIAN_WINDOW frames, at or above
-TEMPORAL_RATIO times their maximum.
+out from the mask the first time something reads it (the crop of a bank
+entry and the 2D metrics) and then kept: a frame nothing asks a box of is
+never labelled. No label map is built for it: the component sizes are sums
+of the lengths of the mask's row runs (``core._component_runs``) per
+component, and the box is the extent of the largest component's runs. A
+result's maps are read-only, so its box cannot go stale. The answer
+interval is the last run (``core.last_run``) of the confidences,
+median-filtered over MEDIAN_WINDOW frames, at or above TEMPORAL_RATIO times
+their maximum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -37,7 +37,6 @@ __all__ = [
     "SegmentationResult",
     "TemporalInterval",
     "fuse",
-    "extract_result",
     "temporal_localize",
 ]
 
@@ -49,22 +48,22 @@ TEMPORAL_RATIO = 0.8
 
 @dataclass(frozen=True, eq=False)
 class SegmentationResult(ArrayValue):
-    """Per-frame output: an (H, W) probability map, its 0/1 mask of the same (H, W) and the
-    confidence, with both maps kept read-only (``core.frozen_array``); the box follows from the
-    mask when first read."""
+    """Per-frame output, a function of its one argument, the (H, W) probability map: the 0/1 mask of
+    the map at or above MASK_THRESHOLD and the confidence, the mean over the mask (0.0 when empty).
+    Both maps are read-only (``core.frozen_array``); the box follows from the mask when first read."""
 
     prob: np.ndarray
-    mask: np.ndarray
-    s_conf: float
+    mask: np.ndarray = field(init=False)
+    s_conf: float = field(init=False)
 
     def __post_init__(self) -> None:
-        prob, mask = frozen_array(self.prob, np.float64), frozen_array(self.mask)
+        prob = frozen_array(self.prob, np.float64)
         if prob.ndim != 2:
             raise DimensionError(f"probability map must be (H, W), got {prob.shape}")
-        if mask.shape != prob.shape:
-            raise DimensionError(f"mask {mask.shape} is not the probability map's (H, W) {prob.shape}")
+        fg = prob >= MASK_THRESHOLD
         object.__setattr__(self, "prob", prob)
-        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "mask", frozen_in_place(fg.astype(np.uint8)))
+        object.__setattr__(self, "s_conf", float(prob[fg].mean()) if fg.any() else 0.0)
 
     @cached_property
     def bbox(self) -> Optional[tuple[int, int, int, int]]:
@@ -110,18 +109,6 @@ def fuse(appearance: np.ndarray, score: np.ndarray) -> np.ndarray:
         raise DimensionError(f"cannot fuse appearance {appearance.shape} with score {score.shape}")
     logits = appearance + np.maximum(0.0, score)
     return 1.0 / (1.0 + np.exp(-logits))
-
-
-def extract_result(prob: np.ndarray) -> SegmentationResult:
-    """The (H, W) map thresholded at 0.5 and its confidence, the mean probability over the whole
-    mask; an empty mask has zero confidence (and no box).
-
-    The result keeps ``prob`` itself when nothing can write it, else a read-only copy.
-    """
-    prob = np.asarray(prob, dtype=np.float64)
-    fg = prob >= MASK_THRESHOLD
-    s_conf = float(prob[fg].mean()) if fg.any() else 0.0
-    return SegmentationResult(prob, frozen_in_place(fg.astype(np.uint8)), s_conf)
 
 
 def temporal_localize(s_conf_seq: Sequence[float]) -> Optional[TemporalInterval]:

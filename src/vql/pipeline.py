@@ -9,10 +9,10 @@ that is the appearance logit ``fusion.fuse`` needs. Output 1 is the
 tracking score, whose maximum is the frame's tracking peak. The filters
 change only at an ingest, so the kernel is built once per memory value.
 The fused probability map is made read-only where it is made and kept by
-the frame's result without a copy. A frame's box is worked out only when
-something reads it: the admission of an update frame whose confidence
-clears the threshold, the crop of its entry and the 3D lift; an
-updates-off run labels no components.
+the frame's result without a copy, which works out the frame's mask and
+confidence from it. A frame's box is worked out only when something reads
+it, the crop of an admitted frame's entry: an updates-off run and its 3D
+lift label no components.
 
 Memory: the query and every admitted frame are cut once, in one square
 window around the target's box, into one ``core.BankEntry`` at one
@@ -31,7 +31,7 @@ Update policy, following the inference procedure the solvers were designed
 for. It is fixed; the config sets only whether it runs and the capacity.
 Both filters are fit ITERS_INIT solver iterations at initialization, on
 crops resampled to SAMPLE_RESOLUTION. Banks ingest retrievals that
-``amm.amm_admit`` accepts (a box and a confidence at or above
+``amm.amm_admit`` accepts (a confidence at or above
 ``amm.ADMIT_THRESHOLD``), on every frame below DENSE_UPDATE_HORIZON and
 every UPDATE_STRIDE frames after it; each ingest is followed by
 ITERS_UPDATE solver iterations, and is dropped whole, peak included, if
@@ -148,7 +148,7 @@ class TrackOutput(ArrayValue):
             raise EmptyInputError("a track needs at least one result")
         canvas = results[0].prob.shape
         for t, result in enumerate(results):
-            if len(result.prob.shape) != 2 or result.prob.shape != canvas:
+            if result.prob.shape != canvas:
                 raise DimensionError(f"result {t}'s map is {result.prob.shape}, not result 0's (H, W) {canvas}")
         if len(peaks) != n:
             raise ParameterError(f"expected one peak per frame, {n}, got {len(peaks)}")
@@ -325,7 +325,7 @@ class Pipeline:
         out = conv2d(frame_feature, self.memory.inference_kernel)
         score = out[:, :, 1]
         # the fresh map is frozen where it is made, so the result keeps it without a copy
-        result = fusion.extract_result(frozen_in_place(fusion.fuse(out[:, :, 0], score)))
+        result = fusion.SegmentationResult(frozen_in_place(fusion.fuse(out[:, :, 0], score)))
         peak = float(score.max())
 
         self.results.append(result)
@@ -398,7 +398,7 @@ def finalize_3d(
     weights: list[float] = []
     for idx in range(track.interval.start_frame, track.interval.end_frame + 1):
         result = track.results[idx]
-        if result.bbox is None or idx >= len(cameras) or cameras[idx] is None:
+        if result.s_conf == 0.0 or idx >= len(cameras) or cameras[idx] is None:
             continue
         camera = cameras[idx]
         rows, cols = np.nonzero(result.mask)

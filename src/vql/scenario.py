@@ -15,13 +15,14 @@ which makes generated files byte-identical across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .core import ArrayValue, DimensionError, ParameterError, as_index, checked_array, checked_mask, frozen_array
 from .core import last_run, min_bounding_rect
-from .fusion import TemporalInterval, extract_result
+from .fusion import SegmentationResult, TemporalInterval
 from .geo3d import CameraFrame, Sim3Transform
 from .pipeline import QuerySpec, TrackOutput
 
@@ -121,9 +122,9 @@ class FrameData(ArrayValue):
         object.__setattr__(self, "feature", frozen_array(self.feature, np.float64))
         object.__setattr__(self, "gt_mask", frozen_array(self.gt_mask))
 
-    @property
+    @cached_property
     def gt_bbox(self) -> Optional[tuple[int, int, int, int]]:
-        """The ground-truth mask's bounding box, None when the mask is empty."""
+        """The ground-truth mask's bounding box, None when it is empty; kept once read, as the mask is read-only."""
         return min_bounding_rect(self.gt_mask) if self.gt_mask.any() else None
 
 
@@ -320,7 +321,7 @@ def ground_truth_track(scenario: Scenario) -> TrackOutput:
     back to the masks; a frame's s_conf is 0.9 (to rounding) when its mask
     is non-empty, and the interval is the scenario's ``gt_interval``.
     """
-    results = [extract_result(np.where(f.gt_mask != 0, 0.9, 0.1)) for f in scenario.frames]
+    results = [SegmentationResult(np.where(f.gt_mask != 0, 0.9, 0.1)) for f in scenario.frames]
     peaks = [1.0 if f.gt_mask.any() else 0.0 for f in scenario.frames]
     interval = scenario.gt_interval
     return TrackOutput(results, None if interval is None else TemporalInterval(*interval), peaks)

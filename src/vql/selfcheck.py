@@ -648,7 +648,7 @@ def check_amm_fifo_replay(seed=14):
     mem = empty_banks(static)
     admitted = []
     for i in range(40):
-        result = fusion.extract_result(np.full((4, 4), rng.uniform(0.3, 0.9)))
+        result = fusion.SegmentationResult(np.full((4, 4), rng.uniform(0.3, 0.9)))
         if amm.amm_admit(result):
             mem = mem.admit(seg_entry(np.full((4, 4, 1), float(i)), result.mask), capacity=5)
             admitted.append(i)
@@ -802,7 +802,7 @@ def check_glm_crop_geometry(seed=22):
     prob[10:21, 14:25] = 0.9
     # a stray component away from the box, which the mask keeps
     prob[33:36, 2:5] = 0.8
-    result = fusion.extract_result(prob)
+    result = fusion.SegmentationResult(prob)
     if result.bbox != (14, 10, 24, 20):
         return False, f"setup broken: box {result.bbox} is not the largest component's"
     pipe = Pipeline(QuerySpec(feature, result.mask), _unit_kernel_config())
@@ -854,18 +854,18 @@ def check_fusion_elementwise(seed=23):
     return True, "fuse matches the per-pixel encode, sum and decode loop"
 
 
-def check_extract_result_components():
+def check_largest_component_bbox():
     prob = np.full((8, 8), 0.1)
     prob[1, 1:6] = 0.9      # 5-pixel row component
     prob[5:6, 1:4] = 0.9    # 3-pixel row component
-    res = fusion.extract_result(prob)
+    res = fusion.SegmentationResult(prob)
     if res.bbox != (1, 1, 5, 1):
         return False, f"largest-component bbox wrong: {res.bbox}"
     # tie: two 2x1 components, the row-major first one wins
     prob = np.full((6, 6), 0.1)
     prob[0, 4:6] = 0.9
     prob[3, 0:2] = 0.9
-    res = fusion.extract_result(prob)
+    res = fusion.SegmentationResult(prob)
     if res.bbox != (4, 0, 5, 0):
         return False, f"tie-break bbox wrong: {res.bbox}"
     return True, "largest component and row-major tie-break verified"
@@ -895,7 +895,7 @@ def check_extract_matches_union_find(n_instances=200, seed=31):
         shape = tuple(rng.integers(1, 25, size=2))
         probs.append(rng.random(shape) ** rng.uniform(0.3, 3.0))
     for i, prob in enumerate(probs):
-        res = fusion.extract_result(prob)
+        res = fusion.SegmentationResult(prob)
         mask, bbox, s_conf = extract_by_union_find(prob)
         if res.mask.dtype != mask.dtype or not np.array_equal(res.mask, mask):
             return False, f"map {i} {prob.shape}: mask differs from the threshold"
@@ -1175,7 +1175,8 @@ def check_eval2d_hand_cases():
     # recovery is 50%; the target is annotated on frames 24-47 only
     frames = [replace(f, gt_mask=np.zeros_like(f.gt_mask)) if t < 24 else f for t, f in enumerate(scenario.frames)]
     shifted = replace(scenario, frames=frames)
-    results = [r if 12 <= t <= 35 else fusion.extract_result(np.zeros_like(r.prob)) for t, r in enumerate(gt.results)]
+    empty = fusion.SegmentationResult(np.zeros_like(gt.results[0].prob))
+    results = [r if 12 <= t <= 35 else empty for t, r in enumerate(gt.results)]
     pred = TrackOutput(results, fusion.TemporalInterval(12, 35), gt.peaks)
     t_iou = metrics.temporal_iou((12, 35), shifted.gt_interval)
     if abs(t_iou - 1.0 / 3.0) > 1e-12:
@@ -1266,7 +1267,7 @@ CHECKS = {
     "glm.crop_geometry_shared": check_glm_crop_geometry,
     "glm.update_source_replay": check_glm_update_source,
     "fusion.fuse_decode_elementwise": check_fusion_elementwise,
-    "fusion.largest_component_bbox": check_extract_result_components,
+    "fusion.largest_component_bbox": check_largest_component_bbox,
     "fusion.extract_matches_union_find": check_extract_matches_union_find,
     "fusion.temporal_localization": check_temporal_localize,
     "geo3d.sim3_noiseless_recovery": check_sim3_recovery,

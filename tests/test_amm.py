@@ -5,7 +5,7 @@ import pytest
 
 from vql import amm
 from vql.core import DimensionError, EmptyInputError, ParameterError
-from vql.fusion import extract_result
+from vql.fusion import SegmentationResult
 from vql.selfcheck import seg_entry
 
 
@@ -133,18 +133,18 @@ class TestSteepestDescent:
 
 class TestAdmission:
     def test_empty_mask_rejected(self):
-        assert not amm.amm_admit(extract_result(np.full((3, 3), 0.4)))
+        assert not amm.amm_admit(SegmentationResult(np.full((3, 3), 0.4)))
 
     def test_no_box_rejected_above_threshold(self):
-        # a result with no box is refused whatever its confidence says
-        result = replace(extract_result(np.zeros((4, 4))), s_conf=1.0)
-        assert not amm.amm_admit(result)
+        # a confidence follows from the map, so no result is confident without a box
+        with pytest.raises(ValueError, match="init=False"):
+            replace(SegmentationResult(np.zeros((4, 4))), s_conf=1.0)
 
     def test_boundary_inclusive(self):
-        assert amm.amm_admit(extract_result(np.full((3, 3), amm.ADMIT_THRESHOLD)))
+        assert amm.amm_admit(SegmentationResult(np.full((3, 3), amm.ADMIT_THRESHOLD)))
 
     def test_mean_below_threshold(self):
         prob = np.zeros((1, 3))
         prob[0, 0], prob[0, 1], prob[0, 2] = 0.65, 0.5, 0.2
         # the mask is the two pixels at or above 0.5; their mean 0.575 falls short of 0.6
-        assert not amm.amm_admit(extract_result(prob))
+        assert not amm.amm_admit(SegmentationResult(prob))

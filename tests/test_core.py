@@ -285,7 +285,7 @@ class TestGaussianLabel:
 
 
 class TestConnectedComponents:
-    """The row runs ``extract_result`` labels the mask with, and the component each belongs to."""
+    """The row runs a ``fusion.SegmentationResult``'s box labels its mask with, and the component each belongs to."""
 
     def test_empty_mask(self):
         run_start, run_length, root = core._component_runs(np.zeros((4, 4), dtype=bool))

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -81,13 +81,13 @@ class TestFuseLogistic:
 
 class TestExtractResult:
     def test_all_below_threshold(self):
-        res = fusion.extract_result(np.full((4, 4), 0.4))
+        res = fusion.SegmentationResult(np.full((4, 4), 0.4))
         assert res.bbox is None and res.s_conf == 0.0 and not res.mask.any()
 
     def test_single_block(self):
         prob = np.full((6, 6), 0.1)
         prob[2:4, 3:5] = 0.9
-        res = fusion.extract_result(prob)
+        res = fusion.SegmentationResult(prob)
         assert res.bbox == (3, 2, 4, 3)
         assert res.s_conf == pytest.approx(0.9)
 
@@ -95,11 +95,11 @@ class TestExtractResult:
     def test_non_2d_map_rejected(self, shape):
         for value in (0.9, 0.1):
             with pytest.raises(DimensionError):
-                fusion.extract_result(np.full(shape, value))
+                fusion.SegmentationResult(np.full(shape, value))
 
     def test_mask_consistent_with_prob(self):
         prob = rng(5).random((10, 10))
-        res = fusion.extract_result(prob)
+        res = fusion.SegmentationResult(prob)
         np.testing.assert_array_equal(res.mask, (prob >= 0.5).astype(np.uint8))
         if res.mask.any():
             assert res.bbox is not None
@@ -134,7 +134,7 @@ class TestExtractResultProperty:
     @example(from_mask([[0, 0, 1, 1, 1], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0]]))
     @settings(max_examples=200, deadline=None)
     def test_box_of_largest_union_find_component(self, prob):
-        res = fusion.extract_result(prob)
+        res = fusion.SegmentationResult(prob)
         # the maps are read-only, so the box worked out from the mask when read cannot go stale
         for name in ("prob", "mask"):
             with pytest.raises(ValueError, match="read-only"):
@@ -142,6 +142,16 @@ class TestExtractResultProperty:
         mask, bbox, s_conf = extract_by_union_find(prob)
         np.testing.assert_array_equal(res.mask, mask)
         assert res.bbox == bbox and res.s_conf == s_conf
+
+    @given(probability_maps())
+    @example(np.full((3, 3), fusion.MASK_THRESHOLD))
+    @example(np.full((3, 3), amm.ADMIT_THRESHOLD))
+    @settings(max_examples=200, deadline=None)
+    def test_confidence_is_zero_exactly_when_the_mask_is_empty(self, prob):
+        res = fusion.SegmentationResult(prob)
+        assert (res.s_conf == 0.0) == (not res.mask.any())
+        # so an admitted result always has a box to crop
+        assert not amm.amm_admit(res) or res.bbox is not None
 
 
 def count_labellings(monkeypatch):
@@ -158,7 +168,7 @@ class TestLazyBox:
     def test_read_once_per_non_empty_map(self, monkeypatch):
         calls = count_labellings(monkeypatch)
         maps = [np.full((5, 6), 0.2), from_mask(serpentine()), rng(7).random((8, 8)), np.zeros((3, 3))]
-        results = [fusion.extract_result(prob) for prob in maps]
+        results = [fusion.SegmentationResult(prob) for prob in maps]
         assert calls == []
         boxes = [r.bbox for r in results]
         assert calls == [(9, 9), (8, 8)]
@@ -169,33 +179,40 @@ class TestLazyBox:
         calls = count_labellings(monkeypatch)
         prob = np.zeros((1, 3))
         prob[0, 0], prob[0, 1] = 0.65, 0.5
-        below = fusion.extract_result(prob)
+        below = fusion.SegmentationResult(prob)
         assert 0.0 < below.s_conf < amm.ADMIT_THRESHOLD
         assert not amm.amm_admit(below) and calls == []
-        assert amm.amm_admit(fusion.extract_result(np.full((2, 2), 0.9))) and len(calls) == 1
+        # admission reads the confidence alone: an admitted result is labelled only by its crop
+        assert amm.amm_admit(fusion.SegmentationResult(np.full((2, 2), 0.9))) and calls == []
 
     def test_box_is_not_a_field(self):
-        result = fusion.extract_result(from_mask(serpentine()))
+        result = fusion.SegmentationResult(from_mask(serpentine()))
         with pytest.raises(TypeError):
             replace(result, bbox=(0, 0, 1, 1))
         with pytest.raises(TypeError):
             fusion.SegmentationResult(result.prob, result.mask, (0, 0, 8, 8), result.s_conf)
         # equal values are equal whether or not either box has been read
-        other = fusion.extract_result(from_mask(serpentine()))
+        other = fusion.SegmentationResult(from_mask(serpentine()))
         assert other.bbox == (0, 0, 8, 8) and result == other
 
     def test_read_only_map_is_kept_and_a_writable_one_copied(self):
         prob = from_mask(serpentine())
-        result = fusion.extract_result(prob)
+        result = fusion.SegmentationResult(prob)
         assert result.prob is not prob and not result.prob.flags.writeable
         prob[...] = 0.0
         assert result.mask.all(axis=1)[::2].all() and result.bbox == (0, 0, 8, 8)
         prob.flags.writeable = False
-        assert fusion.extract_result(prob).prob is prob
+        assert fusion.SegmentationResult(prob).prob is prob
 
     def test_mask_must_be_the_map_shape(self):
-        with pytest.raises(DimensionError, match=r"^mask \(3, 4\) is not the probability map's \(H, W\) \(4, 3\)$"):
-            fusion.SegmentationResult(np.zeros((4, 3)), np.zeros((3, 4), dtype=np.uint8), 0.0)
+        # the mask follows from the map, so it is not an argument and cannot disagree with it
+        with pytest.raises(TypeError):
+            fusion.SegmentationResult(np.zeros((4, 3)), np.zeros((3, 4), dtype=np.uint8))
+        result = fusion.SegmentationResult(np.zeros((4, 3)))
+        assert [f.name for f in fields(result) if f.init] == ["prob"]
+        for name, value in (("mask", np.ones((4, 3), dtype=np.uint8)), ("s_conf", 0.9)):
+            with pytest.raises(ValueError, match="init=False"):
+                replace(result, **{name: value})
 
 
 class TestTemporalLocalize:

@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vql import fileio, geo3d, metrics
+from vql import scenario as scenario_module
 from vql.cli import main as cli_main
 from vql.core import DimensionError, EmptyInputError, ParameterError
-from vql.fusion import TemporalInterval, extract_result
+from vql.fusion import SegmentationResult, TemporalInterval
 from vql.geo3d import CameraFrame
 from vql.pipeline import Pipeline, PipelineConfig, QuerySpec, TrackOutput
 from vql.scenario import (
@@ -158,7 +159,7 @@ class TestValues:
         sc = gen_scenario(seed, preset_params("geo"))
         track = replace(ground_truth_track(sc), world_point=sc.gt_point)
         t_eta = geo3d.align_sim3(sc.alignment_src, sc.alignment_dst)
-        return [sc, sc.frames[0], sc.query, sc.cameras[0], t_eta, track, extract_result(sc.query.feature[:, :, 0])]
+        return [sc, sc.frames[0], sc.query, sc.cameras[0], t_eta, track, SegmentationResult(sc.query.feature[:, :, 0])]
 
     def test_equal_values_compare_equal(self):
         for a, b, other in zip(self.values(7), self.values(7), self.values(8), strict=True):
@@ -379,7 +380,7 @@ class TestFileRoundTrips:
             ),
             pytest.param(
                 "track",
-                lambda t: replace(t, results=(*t.results[:4], extract_result(np.zeros((16, 16))))),
+                lambda t: replace(t, results=(*t.results[:4], SegmentationResult(np.zeros((16, 16))))),
                 DimensionError,
                 r"^result 4's map is \(16, 16\), not result 0's \(H, W\) \(48, 48\)$",
                 id="other-canvas",
@@ -492,8 +493,9 @@ class TestFileRoundTrips:
         finite = st.floats(allow_nan=False, allow_infinity=False)
         vectors = hnp.arrays(np.float64, 3, elements=finite)
         ends = st.lists(st.integers(0, n - 1), min_size=2, max_size=2)
+        maps = data.draw(hnp.arrays(np.float64, (n, *canvas), elements=st.floats(0.0, 1.0)))
         track = TrackOutput(
-            [extract_result(p) for p in data.draw(hnp.arrays(np.float64, (n, *canvas), elements=st.floats(0.0, 1.0)))],
+            [SegmentationResult(p) for p in maps],
             data.draw(st.none() | ends.map(lambda e: TemporalInterval(*sorted(e)))),
             data.draw(st.lists(finite, min_size=n, max_size=n)),
             data.draw(st.none() | vectors),
@@ -654,7 +656,7 @@ def with_item(arr, index, value):
 def with_prob(track, value):
     """The track with ``value`` in one pixel of the third frame's probability map."""
     results = list(track.results)
-    results[2] = extract_result(with_item(results[2].prob, (0, 0), value))
+    results[2] = SegmentationResult(with_item(results[2].prob, (0, 0), value))
     return replace(track, results=results)
 
 
@@ -1274,6 +1276,17 @@ class TestEval2d:
         report = metrics.eval_2d(track, sc)
         assert report == metrics.MetricsReport2D(0.0, 0.0, 0.0, 0.0)
 
+    def test_ground_truth_boxes_worked_out_once(self, monkeypatch):
+        sc = gen_scenario(5, ScenarioParams(n_frames=12, canvas=(32, 32), object_size=13, absence=(4, 7)))
+        calls = []
+        rect = scenario_module.min_bounding_rect
+        monkeypatch.setattr(scenario_module, "min_bounding_rect", lambda mask: calls.append(mask.shape) or rect(mask))
+        track = ground_truth_track(sc)
+        first = metrics.eval_2d(track, sc)
+        non_empty = sum(bool(f.gt_mask.any()) for f in sc.frames)
+        assert 0 < non_empty < 12 and len(calls) == non_empty
+        assert metrics.eval_2d(track, sc) == first and len(calls) == non_empty
+
     def test_box_iou(self):
         assert metrics.box_iou((0, 0, 9, 9), (0, 0, 9, 9)) == 1.0
         assert metrics.box_iou((0, 0, 4, 4), (5, 5, 9, 9)) == 0.0
@@ -1504,7 +1517,7 @@ class TestCli:
         sc = gen_scenario(11, preset_params("geo"))
         track = ground_truth_track(sc)
         # an interval but no box: no frame can be lifted
-        track = replace(track, results=[extract_result(np.zeros_like(r.prob)) for r in track.results])
+        track = replace(track, results=[SegmentationResult(np.zeros_like(r.prob)) for r in track.results])
         scenario_path, track_path, out3d = tmp_path / "geo.npz", tmp_path / "track.npz", tmp_path / "track3d.npz"
         fileio.save_scenario(sc, str(scenario_path))
         fileio.save_track(track, str(track_path))

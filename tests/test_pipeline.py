@@ -20,7 +20,7 @@ from vql.core import (
     min_bounding_rect,
     nearest_resize,
 )
-from vql.fusion import TemporalInterval, extract_result
+from vql.fusion import SegmentationResult, TemporalInterval
 from vql.pipeline import (
     HALT_WINDOW,
     SAMPLE_RESOLUTION,
@@ -168,7 +168,7 @@ class TestCropEntry:
         prob = np.zeros((48, 48))
         prob[12:23, 20:31] = 0.9
         prob[40:44, 2:6] = 0.8
-        result = extract_result(prob)
+        result = SegmentationResult(prob)
         assert result.bbox == (20, 12, 30, 22)
         pipe = Pipeline(QuerySpec(feature, result.mask), PipelineConfig(kernel_size=1))
         memory = pipe._ingest(replace(pipe.initial_memory, responses=(1.0,)), feature, result)
@@ -306,7 +306,7 @@ class TestOneUnroll:
     def test_ingest_unrolls_its_window_once(self, unrolls):
         sc = small_identity()
         pipe = Pipeline(sc.query, PipelineConfig())
-        result = extract_result(sc.frames[1].gt_mask * 0.9)
+        result = SegmentationResult(sc.frames[1].gt_mask * 0.9)
         before = len(unrolls)
         memory = pipe._ingest(replace(pipe.initial_memory, responses=(1.0,)), sc.frames[1].feature, result)
         assert memory.amm_entries[-1] is memory.glm_dynamic[-1]
@@ -396,6 +396,27 @@ class TestLazyBox:
         for name in ("prob", "mask"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(result, name)[0, 0] = 1
+
+    def test_lift_skips_an_empty_frame_without_labelling_it(self, monkeypatch, tmp_path):
+        sc = gen_scenario(7, preset_params("geo"))
+        track = Pipeline(sc.query, PipelineConfig(updates_enabled=False)).run([f.feature for f in sc.frames])
+        # an empty frame inside the interval is skipped as a frame without a camera is
+        empty = track.interval.start_frame
+        blanked = replace(track, results=[SegmentationResult(np.zeros_like(r.prob)) if t == empty else r
+                                          for t, r in enumerate(track.results)])
+        pairs = (sc.alignment_src, sc.alignment_dst)
+        calls = count_labellings(monkeypatch)
+        lifted = [finalize_3d(track, sc.cameras, pairs), finalize_3d(blanked, sc.cameras, pairs)]
+        assert calls == [] and empty not in lifted[1].displacements
+        no_camera = [None if t == empty else c for t, c in enumerate(sc.cameras)]
+        lifted.append(replace(finalize_3d(track, no_camera, pairs), results=blanked.results))
+        # reading every box afterwards changes none of the lifted track's bytes
+        fileio.save_track(lifted[0], str(tmp_path / "before.npz"))
+        assert all(r.bbox is not None for r in lifted[0].results) and len(calls) == len(track.results)
+        for name, out in zip(("after", "blanked", "no_camera"), lifted):
+            fileio.save_track(out, str(tmp_path / f"{name}.npz"))
+        data = {path.stem: path.read_bytes() for path in tmp_path.iterdir()}
+        assert data["after"] == data["before"] and data["blanked"] == data["no_camera"]
 
     def test_loaded_maps_are_views_of_one_read_only_stack(self, tmp_path):
         sc = small_identity(n_frames=4)
