@@ -10,6 +10,10 @@ fixed date, so a file's bytes depend on its contents alone and a
 load/save cycle is byte-identical. A config file holds no tensor and
 stays one JSON document with the same ``version`` and ``kind`` header.
 
+An ``.npy`` member's header has one layout, ``_npy_header``'s: the version
+1.0 header numpy writes for a C-order array. The loader refuses any other
+header, byte for byte, and evaluates no header text.
+
 The files check only their own rules. The loader accepts no document
 field and no member it does not read, reads each member straight from the
 file into its array, refuses a member that is compressed or whose bytes do
@@ -40,13 +44,12 @@ The full schema is documented in the repository README.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
+import re
 import struct
 import tempfile
-import tokenize
 import zipfile
 import zlib
 from dataclasses import asdict, fields
@@ -112,12 +115,32 @@ def _json_bytes(document: dict) -> bytes:
     return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
+# an .npy file starts with this magic string, a 2-byte format version and, in version 1.0, a 2-byte header length
+_NPY_MAGIC = b"\x93NUMPY"
+_NPY_PREFIX_LEN = len(_NPY_MAGIC) + 4
+# the dtype and the shape's integers (each fits int64) of a header in the text ``_npy_header`` writes
+_NPY_FIELDS = re.compile(
+    rb"\{'descr': '(<f8|\|u1)', 'fortran_order': False, 'shape': \((\d{1,19},|(?:\d{1,19}(?:, \d{1,19})*)?)\)"
+)
+
+
+def _npy_header(descr: str, shape: tuple[int, ...]) -> bytes:
+    """The version 1.0 ``.npy`` header of a C-order ``descr`` array of ``shape``, laid out as numpy
+    lays it out: the dict, room for the first axis to grow to 21 digits, then spaces and a newline
+    that end the header on a multiple of 64 bytes, a whole 64 of them when it would end on one."""
+    text = f"{{'descr': {descr!r}, 'fortran_order': False, 'shape': {shape!r}, }}"
+    if shape:
+        text += " " * (21 - len(str(shape[0])))
+    pad = 64 - (_NPY_PREFIX_LEN + len(text) + 1) % 64
+    return _NPY_MAGIC + struct.pack("<2BH", 1, 0, len(text) + pad + 1) + text.encode("ascii") + b" " * pad + b"\n"
+
+
 def _write_archive(path: str, document: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write ``document`` and one ``<name>.npy`` member per array to exactly ``path``.
 
     Members are stored uncompressed, in sorted order, each stamped with
-    ``_ZIP_DATE``. An array is written as a version 1.0 ``.npy`` header and
-    its C-order bytes, straight from its memory.
+    ``_ZIP_DATE``. An array is written as its ``_npy_header`` and its
+    C-order bytes, straight from its memory.
     """
     members: dict[str, Any] = {_DOCUMENT: _json_bytes(document)}
     members.update((f"{name}.npy", arr) for name, arr in arrays.items())
@@ -132,7 +155,7 @@ def _write_archive(path: str, document: dict, arrays: dict[str, np.ndarray]) -> 
                         member.write(value)
                     else:
                         value = np.require(value, requirements="C")
-                        np.lib.format.write_array_header_1_0(member, np.lib.format.header_data_from_array_1_0(value))
+                        member.write(_npy_header(value.dtype.str, value.shape))
                         member.write(memoryview(value))
 
     _atomic_write(path, write)
@@ -194,24 +217,18 @@ class _StoredMember:
 
 
 def _read_npy(member: _StoredMember) -> Optional[np.ndarray]:
-    """The ``.npy`` array ``member`` holds, in a new writable C-order array; None when
-    ``member`` is not an ``.npy`` file. Only a version 1.0 header, the one ``_write_archive`` writes, is read."""
-    magic = member.read(np.lib.format.MAGIC_LEN)
-    if not magic.startswith(np.lib.format.MAGIC_PREFIX):
+    """The ``.npy`` array ``member`` holds, in a new writable C-order array; None when ``member`` is
+    not an ``.npy`` file. Its header must be the one ``_npy_header`` lays out, byte for byte."""
+    header = member.read(_NPY_PREFIX_LEN)
+    if not header.startswith(_NPY_MAGIC):
         return None
-    version = np.lib.format.read_magic(io.BytesIO(magic))
-    if version != (1, 0):
-        raise ValueError(f".npy version {version[0]}.{version[1]} is not read, only 1.0")
-    # on a corrupt header numpy's tokenizer and dtype parser raise their own errors, and its
-    # warning that it repaired a header is an error where warnings are errors
-    try:
-        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
-    except (Warning, SyntaxError, tokenize.TokenError) as exc:
-        raise ValueError(f"bad .npy header: {exc}") from None
-    if dtype.hasobject:
-        raise ValueError("Object arrays cannot be loaded when allow_pickle=False")
-    if fortran_order:
-        raise ValueError("Fortran-order arrays are not read")
+    header += member.read(int.from_bytes(header[-2:], "little"))
+    found = _NPY_FIELDS.match(header, _NPY_PREFIX_LEN)
+    if found is not None:
+        descr, shape = found[1].decode("ascii"), tuple(int(n) for n in found[2].split(b",") if n)
+    if found is None or header != _npy_header(descr, shape):
+        raise ValueError("not a version 1.0 .npy header of a C-order <f8 or |u1 array")
+    dtype = np.dtype(descr)
     if member.left != math.prod(shape) * dtype.itemsize:
         raise ValueError(f"{member.left} data bytes for shape {shape} of {dtype.str}")
     arr = np.empty(shape, dtype)

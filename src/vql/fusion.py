@@ -108,7 +108,9 @@ def fuse(appearance: np.ndarray, score: np.ndarray) -> np.ndarray:
     if appearance.ndim != 2 or appearance.shape != score.shape:
         raise DimensionError(f"cannot fuse appearance {appearance.shape} with score {score.shape}")
     logits = appearance + np.maximum(0.0, score)
-    return 1.0 / (1.0 + np.exp(-logits))
+    # a logit below about -709 overflows exp to inf, and the map reads exactly 0 there
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-logits))
 
 
 def temporal_localize(s_conf_seq: Sequence[float]) -> Optional[TemporalInterval]:

@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ArrayValue, DimensionError, ParameterError, _check_shape, checked_array, frozen_array
+from .fusion import SegmentationResult
 
 __all__ = [
     "DegenerateGeometryError",
@@ -169,26 +170,21 @@ def backproject(frame: CameraFrame, u: float, v: float, t_eta: Sim3Transform) ->
 LAMBDA_THR = 0.5
 
 
-def semantic_confidence(prob: np.ndarray, mask: np.ndarray) -> float:
-    """Equal-weight mean of three mask-probability statistics.
+def semantic_confidence(result: SegmentationResult) -> float:
+    """Equal-weight mean of three statistics of the probabilities inside ``result``'s mask.
 
-    The statistics are the mean probability inside the mask, the mean of the
+    The statistics are the mean, which is ``result.s_conf``, the mean of the
     values above ``LAMBDA_THR`` (0 when none is) and the maximum; an empty
     mask scores 0.
     """
-    prob = np.asarray(prob, dtype=np.float64)
-    mask = np.asarray(mask)
-    if prob.shape != mask.shape:
-        raise DimensionError(f"probability {prob.shape} and mask {mask.shape} dims differ")
-    values = prob[mask != 0]
+    values = result.prob[result.mask != 0]
     if values.size == 0:
         return 0.0
-    p_av = float(values.mean())
     above = values[values > LAMBDA_THR]
     p_lambda = float(above.mean()) if above.size else 0.0
     p_max = float(values.max())
     third = 1.0 / 3.0
-    return third * p_av + third * p_lambda + third * p_max
+    return third * result.s_conf + third * p_lambda + third * p_max
 
 
 def geometric_confidence(tau: float, zeta: float) -> float:

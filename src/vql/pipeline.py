@@ -407,7 +407,7 @@ def finalize_3d(
             points.append(geo3d.backproject(camera, u, v, t_eta))
         except geo3d.InvalidSampleError:
             continue
-        s_conf = geo3d.semantic_confidence(result.prob, result.mask)
+        s_conf = geo3d.semantic_confidence(result)
         tau = float(camera.depth_uncertainty[int(round(v)), int(round(u))])
         weights.append(s_conf * geo3d.geometric_confidence(tau, cfg.zeta))
         frames.append(idx)

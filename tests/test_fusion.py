@@ -50,6 +50,12 @@ class TestFuse:
         want = 1.0 / (1.0 + np.exp(-(np.maximum(0.0, h) + a)))
         assert np.array_equal(fusion.fuse(a, h), want)
 
+    @pytest.mark.filterwarnings("error")
+    def test_saturated_logit_is_exact_without_a_warning(self):
+        # exp overflows to inf on a logit of -1000; the map is 0 there and 1 where the logit is +1000
+        out = fusion.fuse(np.array([[-1000.0, 1000.0]]), np.zeros((1, 2)))
+        assert out.tolist() == [[0.0, 1.0]]
+
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
             fusion.fuse(np.zeros((3, 3)), np.zeros((3, 4)))

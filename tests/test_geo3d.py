@@ -3,6 +3,7 @@ import pytest
 
 from vql import geo3d
 from vql.core import DimensionError, ParameterError
+from vql.fusion import SegmentationResult
 from vql.scenario import _random_rotation
 
 
@@ -183,24 +184,22 @@ class TestCameraFrame:
 
 class TestSemanticConfidence:
     def test_constant_field(self):
-        prob = np.full((4, 4), 0.8)
-        mask = np.zeros((4, 4), dtype=np.uint8)
-        mask[1:3, 1:3] = 1
-        assert geo3d.semantic_confidence(prob, mask) == pytest.approx(0.8)
+        prob = np.zeros((4, 4))
+        prob[1:3, 1:3] = 0.8
+        assert geo3d.semantic_confidence(SegmentationResult(prob)) == pytest.approx(0.8)
 
     def test_empty_mask(self):
-        assert geo3d.semantic_confidence(np.ones((3, 3)), np.zeros((3, 3))) == 0.0
+        assert geo3d.semantic_confidence(SegmentationResult(np.full((3, 3), 0.4))) == 0.0
 
     def test_hand_computation(self):
-        prob = np.array([[0.9, 0.3]])
-        mask = np.array([[1, 1]], dtype=np.uint8)
-        got = geo3d.semantic_confidence(prob, mask)
-        assert got == pytest.approx((0.6 + 0.9 + 0.9) / 3)
+        # the mask mean is the result's s_conf; the pixel at exactly 0.5 is in the mask but not above LAMBDA_THR
+        result = SegmentationResult(np.array([[0.9, 0.5]]))
+        assert result.s_conf == pytest.approx(0.7)
+        assert geo3d.semantic_confidence(result) == pytest.approx((0.7 + 0.9 + 0.9) / 3)
 
     def test_no_pixels_above_threshold(self):
-        prob = np.full((2, 2), 0.3)
-        got = geo3d.semantic_confidence(prob, np.ones((2, 2)))
-        assert got == pytest.approx((0.3 + 0.0 + 0.3) / 3)
+        got = geo3d.semantic_confidence(SegmentationResult(np.full((2, 2), 0.5)))
+        assert got == pytest.approx((0.5 + 0.0 + 0.5) / 3)
 
 
 class TestGeometricConfidence:

@@ -1,4 +1,5 @@
 import base64
+import builtins
 import io
 import json
 import os
@@ -1019,6 +1020,10 @@ finite_arrays = hnp.arrays(
 EXTREMES = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, np.finfo(float).max, -np.finfo(float).max])
 
 
+# a member whose header is not the one fileio writes, whatever numpy makes of it
+HEADER_REFUSED = r"unreadable member \(not a version 1\.0 \.npy header of a C-order <f8 or \|u1 array\)$"
+
+
 def stored(arr, dtype, shape, edit=None):
     """``arr`` written as the member ``x`` of an archive (``edit`` rewrites it
     first), read back and checked as a ``dtype`` tensor of ``shape``."""
@@ -1070,12 +1075,16 @@ class TestTensorCodec:
 
     @pytest.mark.parametrize("dtype", ["<f4", ">f8", "<i8", "|u1", "|b1"])
     def test_other_float_dtype_rejected(self, dtype):
-        with pytest.raises(fileio.SchemaError, match=rf"doc\.x: expected dtype <f8, got {re.escape(dtype)}$"):
+        # a mask member is read and refused by its dtype; the header of any other dtype is not read
+        want = r"expected dtype <f8, got \|u1$" if dtype == "|u1" else HEADER_REFUSED
+        with pytest.raises(fileio.SchemaError, match=rf"doc\.x: {want}"):
             stored(np.zeros(3, dtype), "<f8", (3,))
 
     @pytest.mark.parametrize("dtype", ["|i1", "<u2", "|b1", "<f8"])
     def test_other_mask_dtype_rejected(self, dtype):
-        with pytest.raises(fileio.SchemaError, match=rf"doc\.x: expected dtype u1, got {re.escape(dtype)}$"):
+        # a float member is read and refused by its dtype; the header of any other dtype is not read
+        want = r"expected dtype u1, got <f8$" if dtype == "<f8" else HEADER_REFUSED
+        with pytest.raises(fileio.SchemaError, match=rf"doc\.x: {want}"):
             stored(np.zeros((2, 2), dtype), "u1", (2, 2))
 
     @pytest.mark.parametrize("shape", [(), (2, 2), (4, 1), (1, 4)])
@@ -1084,8 +1093,8 @@ class TestTensorCodec:
             stored(np.zeros(shape), "<f8", (4,))
 
     def test_pickled_member_rejected(self):
-        # an object array is stored as a pickle, which the loader never runs
-        with pytest.raises(fileio.SchemaError, match=r"\.x: unreadable member \(Object arrays cannot be loaded"):
+        # an object array is stored as a pickle, which the loader never runs: its header is refused
+        with pytest.raises(fileio.SchemaError, match=rf"\.x: {HEADER_REFUSED}"):
             stored(np.zeros(3), "<f8", (3,), edit=lambda _: np.array([{"a": 1}, None, 3], dtype=object))
 
     def test_member_that_is_not_npy_rejected(self):
@@ -1255,7 +1264,7 @@ class TestArchiveIntegrity:
         path = tmp_path / "geo.npz"
         path.write_bytes(geo_bytes)
         rewrite(path, np.asfortranarray, "depths.npy")
-        self.refused(path.read_bytes(), "depths.npy", r"unreadable member \(Fortran-order arrays are not read\)")
+        self.refused(path.read_bytes(), "depths.npy", HEADER_REFUSED)
 
     @pytest.mark.parametrize("member", ["features.npy", "gt_point.npy"])
     def test_version_2_header_refused(self, tmp_path, geo_bytes, member):
@@ -1266,7 +1275,65 @@ class TestArchiveIntegrity:
         header = io.BytesIO()
         np.lib.format.write_array_header_2_0(header, np.lib.format.header_data_from_array_1_0(arr))
         rezip(path, member, header.getvalue() + arr.tobytes())
-        self.refused(path.read_bytes(), member, r"unreadable member \(\.npy version 2\.0 is not read, only 1\.0\)$")
+        self.refused(path.read_bytes(), member, HEADER_REFUSED)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{'shape': (5, 48, 48, 3), 'fortran_order': False, 'descr': '<f8', }",
+            "{'descr': '<f8', 'fortran_order': False, 'shape': (5, 48, 48, 3),   }",
+        ],
+        ids=["key_order", "spaces_before_brace"],
+    )
+    def test_header_numpy_reads_but_fileio_does_not_write_refused(self, tmp_path, geo_bytes, text):
+        path = tmp_path / "geo.npz"
+        path.write_bytes(geo_bytes)
+        arr = np.lib.format.read_array(io.BytesIO(zipfile.ZipFile(path).read("features.npy")))
+        assert arr.shape == (5, 48, 48, 3)
+        # a version 1.0 prefix and the text, padded with spaces and a newline to a multiple of 64 bytes
+        pad = 63 - (10 + len(text)) % 64
+        data = b"\x93NUMPY\x01\x00" + struct.pack("<H", len(text) + pad + 1) + text.encode() + b" " * pad + b"\n"
+        assert np.array_equal(np.lib.format.read_array(io.BytesIO(data + arr.tobytes())), arr)
+        rezip(path, "features.npy", data + arr.tobytes())
+        self.refused(path.read_bytes(), "features.npy", HEADER_REFUSED)
+
+
+class TestNpyHeader:
+    """fileio writes and reads one .npy header layout, the version 1.0 header numpy writes for a
+    C-order array; numpy is the reference here and nowhere in the package."""
+
+    @pytest.mark.parametrize("descr", ["<f8", "|u1"])
+    @pytest.mark.parametrize("shape", [(), (0, 3), (3,), (12, 3), (5, 48, 48), (5, 48, 48, 3)])
+    def test_layout_is_numpys(self, descr, shape):
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(header, {"descr": descr, "fortran_order": False, "shape": shape})
+        assert fileio._npy_header(descr, shape) == header.getvalue()
+        assert len(header.getvalue()) % 64 == 0
+
+    @given(st.sampled_from(["<f8", "|u1"]), st.lists(st.integers(0, 10**18), max_size=5).map(tuple))
+    @example("<f8", (1, 10**17, 10**18))
+    @settings(max_examples=200, deadline=None)
+    def test_layout_is_numpys_for_any_shape(self, descr, shape):
+        # the first axis's growth room and the padding are both spaces, so one space more of the one and
+        # one less of the other shows only where the header would end on a multiple of 64, as in the example
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(header, {"descr": descr, "fortran_order": False, "shape": shape})
+        assert fileio._npy_header(descr, shape) == header.getvalue()
+
+    def test_load_compiles_nothing(self, geo_files, monkeypatch):
+        # numpy's header reader compiles each header it parses with ast.literal_eval
+        scenario_path, track_path = geo_files
+        calls = []
+        real_compile = compile
+
+        def counting_compile(*args, **kwargs):
+            calls.append(args[1:2])
+            return real_compile(*args, **kwargs)
+
+        monkeypatch.setattr(builtins, "compile", counting_compile)
+        fileio.load_scenario(str(scenario_path))
+        fileio.load_track(str(track_path))
+        assert calls == []
 
 
 class TestEval2d:
