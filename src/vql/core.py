@@ -17,10 +17,9 @@ headroom below their 1e-5 verification tolerances.
 
 Every value type checks its arrays with :func:`checked_array` (finite
 float64 of a given shape) or :func:`checked_mask` (only 0 and 1), each a
-:func:`frozen_array` that nothing can change; a camera's depth, which may
-be NaN, is only frozen. An array a function has just computed, which
-nothing else holds, is made read-only where it is made
-(:func:`frozen_in_place`) instead of copied. Both memory banks hold one
+:func:`frozen_array` that nothing can change. An array a function has
+just computed, which nothing else holds, is made read-only where it is
+made (:func:`frozen_in_place`) instead of copied. Both memory banks hold one
 entry type, :class:`BankEntry`, whose patch rows both solvers share;
 ``_check_bank`` checks a bank against either solver's kernel shape.
 """
@@ -77,8 +76,7 @@ def _equal(a: Any, b: Any) -> bool:
     """Equality that compares arrays with ``np.array_equal`` and mappings member by member; a tuple
     compares its members with their own ``==``, which an ``ArrayValue`` member defines."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        # a NaN equals a NaN, so a value holding one (a camera's invalid depth sample) equals itself
-        return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b, a.dtype.kind in "fc")
+        return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b)
     if isinstance(a, Mapping) and isinstance(b, Mapping):
         return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
     return bool(a == b)

@@ -18,12 +18,13 @@ The files check only their own rules. The loader accepts no document
 field and no member it does not read, reads each member straight from the
 file into its array, refuses a member that is compressed or whose bytes do
 not match the CRC-32 the archive records, and checks each member's dtype
-and shape against what the document and the other members imply; depths
-must be finite, as a ``CameraFrame`` takes a NaN depth that no file
-stores. Every other rule belongs to the value a file holds and is checked
-as it is built, for the library and the loader alike: ``Scenario`` (with
-``QuerySpec`` and ``CameraFrame``), ``TrackOutput`` and ``PipelineConfig``.
-A loader reports a broken rule as a ``SchemaError`` carrying its message.
+and shape against what the document and the other members imply, and
+each document field's JSON type. Every other rule belongs to the value a
+file holds and is checked as it is built, for the library and the loader
+alike: ``Scenario`` (with ``QuerySpec`` and ``CameraFrame``),
+``TrackOutput`` and ``PipelineConfig``. A loader reports a broken rule as
+a ``SchemaError`` carrying its message, and a saver writes a value as it
+is, its rules already held.
 A loaded scenario's frames and a loaded track's probability maps are
 read-only views of the loaded stacks.
 
@@ -366,15 +367,6 @@ def _frame_list(values: Any, n_frames: Optional[int], path: str) -> tuple[int, .
     return frames
 
 
-def _finite(value: Any, path: str) -> float:
-    """A finite JSON number as a float; a bool is not a number, and ``json`` reads NaN and Infinity."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}: expected a number, got {value!r}")
-    if not abs(value) <= np.finfo(np.float64).max:
-        raise SchemaError(f"{path}: expected a finite number, got {value!r}")
-    return float(value)
-
-
 # -- scenario ---------------------------------------------------------------
 
 _SCENARIO_MEMBERS = (
@@ -391,16 +383,8 @@ _SCENARIO_MEMBERS = (
 _SCENARIO_OPTIONAL = {"gt_point": (3,), "alignment_src": (None, 3), "alignment_dst": (None, 3)}
 
 
-def _finite_array(arr: np.ndarray, where: str) -> np.ndarray:
-    """``arr`` if every value is finite. Only depths need it: the contracts hold every other float
-    finite, but a ``CameraFrame`` takes a NaN depth as an invalid sample, which a file does not store."""
-    if not np.isfinite(arr).all():
-        raise SchemaError(f"{where}: contains non-finite values")
-    return arr
-
-
 def save_scenario(scenario: Scenario, path: str) -> None:
-    """Write ``scenario``, whose contract ``Scenario`` has checked, refusing a non-finite depth."""
+    """Write ``scenario``, whose contract ``Scenario`` has checked."""
     h, w, c = scenario.query.feature.shape
     camera_frames = [i for i, frame in enumerate(scenario.frames) if frame.camera is not None]
     cameras = [scenario.frames[i].camera for i in camera_frames]
@@ -411,7 +395,7 @@ def save_scenario(scenario: Scenario, path: str) -> None:
         "query_mask": np.asarray(scenario.query.mask, dtype="u1"),
         "poses": _stack([camera.pose for camera in cameras], (4, 4)),
         "intrinsics": _stack([camera.intrinsics for camera in cameras], (3, 3)),
-        "depths": _finite_array(_stack([camera.depth for camera in cameras], (h, w)), f"{path}.depths"),
+        "depths": _stack([camera.depth for camera in cameras], (h, w)),
         "depth_uncertainties": _stack([camera.depth_uncertainty for camera in cameras], (h, w)),
     }
     for name in _SCENARIO_OPTIONAL:
@@ -435,7 +419,6 @@ def load_scenario(path: str) -> Scenario:
     k = len(camera_frames)
     shapes = {"poses": (4, 4), "intrinsics": (3, 3), "depths": (h, w), "depth_uncertainties": (h, w)}
     camera_members = [_member(arrays, name, "<f8", (k, *shape), path) for name, shape in shapes.items()]
-    _finite_array(arrays["depths"], f"{path}.depths")
     query_feature = _member(arrays, "query_feature", "<f8", (h, w, c), path)
     query_mask = _member(arrays, "query_mask", "u1", (h, w), path)
     optional = {
@@ -458,9 +441,9 @@ def load_scenario(path: str) -> Scenario:
 
 
 def save_track(track: TrackOutput, path: str) -> None:
-    """Write ``track``, whose frames ``TrackOutput`` has checked, refusing a probability outside [0, 1]."""
+    """Write ``track``, whose frames ``TrackOutput`` has checked."""
     arrays = {
-        "prob": _probabilities(_stack([result.prob for result in track.results], track.results[0].prob.shape), path),
+        "prob": _stack([result.prob for result in track.results], track.results[0].prob.shape),
         "deltas": _stack(list(track.displacements.values()), (3,)),
     }
     if track.world_point is not None:
@@ -475,20 +458,14 @@ def save_track(track: TrackOutput, path: str) -> None:
     _write_archive(path, document, arrays)
 
 
-def _probabilities(prob: np.ndarray, path: str) -> np.ndarray:
-    """``prob`` if every value lies in [0, 1]; NaN does not (min and max propagate it)."""
-    if not (prob.min(initial=0.0) >= 0.0 and prob.max(initial=1.0) <= 1.0):
-        raise SchemaError(f"{path}.prob: expected probabilities in [0, 1]")
-    return prob
-
-
 def load_track(path: str) -> TrackOutput:
     """A track file; its frame count N and canvas (H, W) are the shape of ``prob``, and a
     track that breaks ``TrackOutput``'s contract is a ``SchemaError`` carrying its message."""
     keys = ("peaks", "interval", "displacement_frames")
     document, arrays = _read_archive(path, "track", keys, ("prob", "deltas"), ("world_point",))
-    prob = _probabilities(_member(arrays, "prob", "<f8", (None,) * 3, path), path)
-    peaks = [_finite(p, f"{path}.peaks[{i}]") for i, p in enumerate(_expect(document, "peaks", path, list))]
+    prob = _member(arrays, "prob", "<f8", (None,) * 3, path)
+    # that each is a finite real number is TrackOutput's rule
+    peaks = _expect(document, "peaks", path, list)
     # that each is a frame of the track is TrackOutput's rule
     frames = _frame_list(_expect(document, "displacement_frames", path), None, f"{path}.displacement_frames")
     deltas = _member(arrays, "deltas", "<f8", (len(frames), 3), path)

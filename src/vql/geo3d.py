@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ArrayValue, DimensionError, ParameterError, _check_shape, checked_array, frozen_array
+from .core import ArrayValue, DimensionError, ParameterError, checked_array
 from .fusion import SegmentationResult
 
 __all__ = [
@@ -63,9 +63,9 @@ def _check_rotation(r: np.ndarray) -> None:
 class CameraFrame(ArrayValue):
     """Camera-to-world pose, intrinsics, depth, and depth-uncertainty maps, kept read-only.
 
-    The depth map is (H, W) and the uncertainty of its shape. Pose,
-    intrinsics and uncertainty must be finite; a non-finite depth is an
-    invalid sample that :func:`backproject` refuses.
+    The depth map is (H, W) and the uncertainty of its shape, and all four
+    must be finite; a non-positive depth is an invalid sample that
+    :func:`backproject` refuses.
     """
 
     pose: np.ndarray
@@ -76,7 +76,7 @@ class CameraFrame(ArrayValue):
     def __post_init__(self) -> None:
         object.__setattr__(self, "pose", checked_array(self.pose, "pose", (4, 4)))
         object.__setattr__(self, "intrinsics", checked_array(self.intrinsics, "intrinsics", (3, 3)))
-        object.__setattr__(self, "depth", _check_shape(frozen_array(self.depth, np.float64), "depth", (-1, -1)))
+        object.__setattr__(self, "depth", checked_array(self.depth, "depth", (-1, -1)))
         uncertainty = checked_array(self.depth_uncertainty, "depth_uncertainty", self.depth.shape)
         object.__setattr__(self, "depth_uncertainty", uncertainty)
         _check_rotation(self.pose[:3, :3])
@@ -158,7 +158,7 @@ def backproject(frame: CameraFrame, u: float, v: float, t_eta: Sim3Transform) ->
     if not (0 <= row < h and 0 <= col < w):
         raise InvalidSampleError(f"pixel ({u}, {v}) is outside the {h}x{w} depth map")
     depth = float(frame.depth[row, col])
-    if not np.isfinite(depth) or depth <= 0:
+    if depth <= 0:
         raise InvalidSampleError(f"invalid depth {depth} at pixel ({u}, {v})")
     ray = np.linalg.solve(frame.intrinsics, np.array([float(u), float(v), 1.0]))
     cam_point = depth * ray

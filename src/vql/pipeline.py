@@ -128,11 +128,12 @@ class TrackOutput(ArrayValue):
     ``displacements`` keys count frames the same way.
 
     The track contract, checked here for the pipeline, the file loader and ``replace`` alike:
-    at least one result, all of one (H, W); one finite peak per result; an interval that is
-    None or inside the frames [0, n); displacement keys that are frames of the track, each
-    mapped to a finite 3-vector; a ``world_point`` that is None or a finite 3-vector. Results
-    and peaks are kept as tuples and the displacements as a read-only mapping, in frame order,
-    of read-only vectors, so the contract holds for the value's whole life.
+    at least one result, all of one (H, W), each map of probabilities in [0, 1]; one finite
+    peak per result, a real number and not a bool or a string; an interval that is None or
+    inside the frames [0, n); displacement keys that are frames of the track, each mapped to a
+    finite 3-vector; a ``world_point`` that is None or a finite 3-vector. Results and peaks are
+    kept as tuples and the displacements as a read-only mapping, in frame order, of read-only
+    vectors, so the contract holds for the value's whole life.
     """
 
     results: tuple[fusion.SegmentationResult, ...]
@@ -142,7 +143,7 @@ class TrackOutput(ArrayValue):
     displacements: Mapping[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        results, peaks = tuple(self.results), tuple(map(float, self.peaks))
+        results, peaks = tuple(self.results), tuple(self.peaks)
         n = len(results)
         if not n:
             raise EmptyInputError("a track needs at least one result")
@@ -150,9 +151,13 @@ class TrackOutput(ArrayValue):
         for t, result in enumerate(results):
             if result.prob.shape != canvas:
                 raise DimensionError(f"result {t}'s map is {result.prob.shape}, not result 0's (H, W) {canvas}")
-        if len(peaks) != n:
-            raise ParameterError(f"expected one peak per frame, {n}, got {len(peaks)}")
-        checked_array(peaks, "peaks", (n,))
+            # NaN fails both comparisons, as min and max propagate it
+            if not (result.prob.min() >= 0.0 and result.prob.max() <= 1.0):
+                raise ParameterError(f"result {t}'s map must hold probabilities in [0, 1]")
+        for t, peak in enumerate(peaks):
+            if isinstance(peak, (bool, np.bool_)) or not isinstance(peak, numbers.Real):
+                raise ParameterError(f"peak {t} must be a real number, got {peak!r}")
+        peaks = tuple(checked_array(peaks, "peaks", (n,)).tolist())
         ends = None if self.interval is None else [self.interval.start_frame, self.interval.end_frame]
         if ends and (ends[0] < 0 or ends[1] >= n):
             raise ParameterError(f"interval {ends} leaves the track's frames [0, {n})")
@@ -168,43 +173,36 @@ class TrackOutput(ArrayValue):
             object.__setattr__(self, "world_point", checked_array(self.world_point, "world_point", (3,)))
 
 
-def crop_entry(
-    frame_feature: np.ndarray,
-    mask: np.ndarray,
-    prob: np.ndarray,
-    bbox: Sequence[int],
-) -> BankEntry:
+def crop_entry(frame_feature: np.ndarray, prob: np.ndarray, bbox: Sequence[int]) -> BankEntry:
     """The bank entry of one square window around a box, shared by both banks.
 
     The window is centered on the box (x_min, y_min, x_max, y_max) and its
     side steps down the crop ladder from 1.5x the box's longer side (see
     ``core.ladder_crop``). The feature crop and the ``prob`` crop are
     resampled bilinearly to SAMPLE_RESOLUTION together, as one stacked
-    (side, side, C + 1) map. The entry's mask is ``mask`` resampled by
-    nearest neighbor, its region the resampled ``prob`` clipped to [0, 1],
+    (side, side, C + 1) map. The entry's mask is the ``prob`` crop resampled
+    by nearest neighbor and thresholded at ``fusion.MASK_THRESHOLD``, as a
+    result's mask is, its region the resampled ``prob`` clipped to [0, 1],
     and its label the window's Gaussian (sigma = side / 6), resampled alike.
     """
     frame_feature = np.asarray(frame_feature, dtype=np.float64)
-    mask = np.asarray(mask)
     prob = np.asarray(prob, dtype=np.float64)
-    if not frame_feature.shape[:2] == mask.shape == prob.shape:
-        raise DimensionError(
-            f"feature {frame_feature.shape[:2]}, mask {mask.shape} and probability map {prob.shape} dims differ"
-        )
-    if not mask.any():
+    if frame_feature.shape[:2] != prob.shape:
+        raise DimensionError(f"feature {frame_feature.shape[:2]} and probability map {prob.shape} dims differ")
+    if not (prob >= fusion.MASK_THRESHOLD).any():
         raise EmptyInputError("cannot cut an entry for an empty mask")
     x_min, y_min, x_max, y_max = bbox
     if x_max < x_min or y_max < y_min:
         raise EmptyInputError(f"degenerate bounding box {tuple(bbox)}")
     longest = max(x_max - x_min + 1, y_max - y_min + 1)
     center = ((y_min + y_max) / 2.0, (x_min + x_max) / 2.0)
-    side, (crop_f, crop_m, crop_p) = ladder_crop((frame_feature, mask, prob), center, longest)
+    side, (crop_f, crop_p) = ladder_crop((frame_feature, prob), center, longest)
     out_hw = (SAMPLE_RESOLUTION, SAMPLE_RESOLUTION)
     # bilinear weights act on each channel alone, so the stacked resample is bit-equal to two
     resampled = bilinear_resize(np.concatenate([crop_f, crop_p[:, :, None]], axis=2), out_hw)
     return BankEntry(
         resampled[:, :, :-1],
-        (nearest_resize(crop_m, out_hw) != 0).astype(np.uint8),
+        (nearest_resize(crop_p, out_hw) >= fusion.MASK_THRESHOLD).astype(np.uint8),
         np.clip(resampled[:, :, -1], 0.0, 1.0),
         glm._resampled_label(side, SAMPLE_RESOLUTION),
     )
@@ -290,7 +288,7 @@ class Pipeline:
 
         # the query mask is certain: it is its own probability map; the base
         # entry is the first appearance entry and the static snapshot
-        base = crop_entry(query.feature, query.mask, query.mask, min_bounding_rect(query.mask))
+        base = crop_entry(query.feature, query.mask, min_bounding_rect(query.mask))
         amm_entries = _newest((base, *_augmented_query_entries(base)), cfg.capacity)
         shape = (cfg.kernel_size, cfg.kernel_size, query.feature.shape[2])
         seg_kernel = amm.steepest_descent(np.zeros(shape + (3,)), amm_entries, ITERS_INIT)
@@ -346,15 +344,20 @@ class Pipeline:
     def _ingest(
         self, memory: _Memory, frame_feature: np.ndarray, result: fusion.SegmentationResult
     ) -> _Memory:
-        """``memory`` with the frame added to both banks and both filters refit."""
-        memory = memory.admit(crop_entry(frame_feature, result.mask, result.prob, result.bbox), self.cfg.capacity)
+        """``memory`` with the frame added to both banks and both filters refit.
+
+        A refit on a finite but huge frame may overflow; it does so without a
+        warning, as ``step_frame`` drops a non-finite memory whole.
+        """
+        memory = memory.admit(crop_entry(frame_feature, result.prob, result.bbox), self.cfg.capacity)
         source = glm.glm_update_source(memory.responses)
         view = memory.glm_samples if source == "dynamic" else (memory.glm_static,)
-        return replace(
-            memory,
-            seg_kernel=amm.steepest_descent(memory.seg_kernel, memory.amm_entries, ITERS_UPDATE),
-            track_kernel=glm.optimize_filter(memory.track_kernel, view, ITERS_UPDATE),
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            return replace(
+                memory,
+                seg_kernel=amm.steepest_descent(memory.seg_kernel, memory.amm_entries, ITERS_UPDATE),
+                track_kernel=glm.optimize_filter(memory.track_kernel, view, ITERS_UPDATE),
+            )
 
     def finalize_2d(self) -> TrackOutput:
         """Temporal localization over the recorded confidences; ``TrackOutput`` checks the peaks."""

@@ -622,7 +622,7 @@ def check_crop_ladder():
         fractions[scale] = frac
     if not (fractions[2.25] > 0.5 >= fractions[1.44]):
         return False, f"expected fallback from 2.25 to 1.44, fractions {fractions}"
-    entry = crop_entry(feature, mask, mask, min_bounding_rect(mask))
+    entry = crop_entry(feature, mask, min_bounding_rect(mask))
     crop, _ = extract_square_crop(feature, center, int(round(1.2 * 16)))
     if not np.array_equal(entry.feature, bilinear_resize(crop, (SAMPLE_RESOLUTION,) * 2)):
         return False, "entry is not cut at the 1.44 rung around the box"
@@ -632,7 +632,7 @@ def check_crop_ladder():
     want = 1.0 - 32 * 32 / float(48 * 48)
     if abs(frac_15 - want) > 1e-12:
         return False, f"whole-frame padded fraction {frac_15} != {want}"
-    crop_entry(np.ones((32, 32, 1)), full, full, (0, 0, 31, 31))
+    crop_entry(np.ones((32, 32, 1)), full, (0, 0, 31, 31))
     return True, "ladder fallback and padded fractions match the area oracle"
 
 
@@ -1074,7 +1074,7 @@ def check_pipeline_initialization():
     if len(pipe.memory.amm_entries) != 4:
         return False, f"bank holds {len(pipe.memory.amm_entries)} entries, expected query + 3 augmentations"
     query = scenario.query
-    base = crop_entry(query.feature, query.mask, query.mask, min_bounding_rect(query.mask))
+    base = crop_entry(query.feature, query.mask, min_bounding_rect(query.mask))
     if pipe.memory.glm_static is not pipe.memory.amm_entries[0]:
         return False, "static snapshot is not the first appearance entry"
     if not np.array_equal(pipe.memory.glm_static.feature, base.feature):

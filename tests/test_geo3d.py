@@ -143,7 +143,8 @@ class TestBackproject:
             geo3d.backproject(simple_camera(), 99, 0, identity_sim3())
 
     def test_invalid_depth(self):
-        for depth in (0.0, np.nan):
+        # a missing depth sample is a non-positive one
+        for depth in (0.0, -1.0):
             cam = simple_camera(depth_value=depth)
             with pytest.raises(geo3d.InvalidSampleError):
                 geo3d.backproject(cam, 4, 4, identity_sim3())
@@ -160,7 +161,9 @@ class TestCameraFrame:
         with pytest.raises(ParameterError, match="intrinsics must be upper triangular"):
             geo3d.CameraFrame(cam.pose, intrinsics, cam.depth, cam.depth_uncertainty)
 
-    @pytest.mark.parametrize("field,index", [("pose", (0, 3)), ("intrinsics", (0, 2)), ("depth_uncertainty", (4, 4))])
+    @pytest.mark.parametrize(
+        "field,index", [("pose", (0, 3)), ("intrinsics", (0, 2)), ("depth_uncertainty", (4, 4)), ("depth", (2, 3))]
+    )
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_geometry_rejected(self, field, index, value):
         cam = simple_camera()
@@ -174,12 +177,6 @@ class TestCameraFrame:
         cam = simple_camera(h=5, w=5)
         with pytest.raises(DimensionError, match=r"^depth must be of shape \(-1, -1\), got shape"):
             geo3d.CameraFrame(cam.pose, cam.intrinsics, np.ones(shape), np.zeros(shape))
-
-    def test_nan_depth_kept(self):
-        cam = simple_camera(h=5, w=5)
-        depth = cam.depth.copy()
-        depth[2, 3] = np.nan
-        assert np.isnan(geo3d.CameraFrame(cam.pose, cam.intrinsics, depth, cam.depth_uncertainty).depth[2, 3])
 
 
 class TestSemanticConfidence:

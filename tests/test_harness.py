@@ -172,16 +172,6 @@ class TestValues:
         assert track != replace(track, peaks=(0.0, *track.peaks[1:]))
         assert track != "a track" and track.results[0] != track
 
-    def test_nan_depth_equals_itself(self):
-        # a NaN depth is an invalid sample a camera may hold; it must not make the value unequal to itself
-        sc = gen_scenario(7, preset_params("geo"))
-        depth = sc.cameras[0].depth.copy()
-        depth[0, 0] = np.nan
-        frames = (replace(sc.frames[0], camera=replace(sc.cameras[0], depth=depth)), *sc.frames[1:])
-        with_nan = replace(sc, frames=frames)
-        assert with_nan == with_nan and with_nan.cameras[0] == replace(sc.cameras[0], depth=depth.copy())
-        assert with_nan != sc
-
     def test_source_arrays_cannot_change_the_value(self, tmp_path):
         # a writable input is copied; only an input that nothing can write is kept as it is
         sc = gen_scenario(7, preset_params("geo"))
@@ -326,8 +316,8 @@ class TestFileRoundTrips:
             pytest.param(
                 "track",
                 lambda t: replace(t, peaks=t.peaks[:-1]),
-                ParameterError,
-                r"^expected one peak per frame, 5, got 4$",
+                DimensionError,
+                r"^peaks must be of shape \(5,\), got shape \(4,\)$",
                 id="few-peaks",
             ),
             pytest.param(
@@ -343,6 +333,20 @@ class TestFileRoundTrips:
                 ParameterError,
                 r"^peaks must be finite$",
                 id="nan-peak",
+            ),
+            pytest.param(
+                "track",
+                lambda t: replace(t, peaks=(*t.peaks[:2], True, *t.peaks[3:])),
+                ParameterError,
+                r"^peak 2 must be a real number, got True$",
+                id="bool-peak",
+            ),
+            pytest.param(
+                "track",
+                lambda t: replace(t, peaks=(*t.peaks[:2], "1.5", *t.peaks[3:])),
+                ParameterError,
+                r"^peak 2 must be a real number, got '1\.5'$",
+                id="str-peak",
             ),
             pytest.param(
                 "track",
@@ -445,34 +449,34 @@ class TestFileRoundTrips:
                 r"^frame 2 mask values must be 0 or 1$",
                 id="gt-mask-2",
             ),
-            # what belongs to the file: the saver raises the loader's own SchemaError
+            # a result's map holds probabilities, NaN refused, as the s_conf it gives weights the 3D lift
             pytest.param(
                 "track",
                 lambda t: with_prob(t, 7.5),
-                fileio.SchemaError,
-                r"\.prob: expected probabilities in \[0, 1\]",
+                ParameterError,
+                r"^result 2's map must hold probabilities in \[0, 1\]$",
                 id="prob-above-1",
             ),
             pytest.param(
                 "track",
                 lambda t: with_prob(t, -3.0),
-                fileio.SchemaError,
-                r"\.prob: expected probabilities in \[0, 1\]",
+                ParameterError,
+                r"^result 2's map must hold probabilities in \[0, 1\]$",
                 id="prob-below-0",
             ),
             pytest.param(
                 "track",
                 lambda t: with_prob(t, np.nan),
-                fileio.SchemaError,
-                r"\.prob: expected probabilities in \[0, 1\]",
+                ParameterError,
+                r"^result 2's map must hold probabilities in \[0, 1\]$",
                 id="nan-prob",
             ),
-            # a camera takes a NaN depth as an invalid sample, but a file holds only finite floats
+            # a missing depth sample is a non-positive one, so a depth is finite like every other array
             pytest.param(
                 "scenario",
                 lambda s: with_frame(s, 2, camera=replace(s.cameras[2], depth=s.cameras[2].depth * np.nan)),
-                fileio.SchemaError,
-                r"out\.npz\.depths: contains non-finite values$",
+                ParameterError,
+                r"^depth must be finite$",
                 id="nan-depth",
             ),
         ],
@@ -515,7 +519,7 @@ class TestFileRoundTrips:
     @settings(max_examples=60, deadline=None)
     def test_valid_scenario_round_trip(self, data):
         # any scenario Scenario accepts survives the file: it loads equal, and a re-save writes the same bytes;
-        # a camera's non-finite depth, which no file stores, is refused before anything is written
+        # a camera refuses a non-finite depth as it is built
         n, h, w, c = (data.draw(st.integers(1, 4)) for _ in range(4))
         finite = st.floats(allow_nan=False, allow_infinity=False)
         positive = st.floats(1e-3, 1e6)
@@ -528,11 +532,14 @@ class TestFileRoundTrips:
             pose[:3, :3] = _random_rotation(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
             pose[:3, 3] = data.draw(hnp.arrays(np.float64, 3, elements=finite))
             fx, fy, skew, cx, cy = (data.draw(s) for s in (positive, positive, finite, finite, finite))
+            intrinsics = [[fx, skew, cx], [0.0, fy, cy], [0.0, 0.0, 1.0]]
             depth = data.draw(hnp.arrays(np.float64, (h, w), elements=finite))
-            if data.draw(st.integers(0, 3)) == 0:
-                depth.flat[data.draw(st.integers(0, h * w - 1))] = data.draw(st.sampled_from(NON_FINITE))
             uncertainty = data.draw(hnp.arrays(np.float64, (h, w), elements=st.floats(0.0, 1e300)))
-            return CameraFrame(pose, [[fx, skew, cx], [0.0, fy, cy], [0.0, 0.0, 1.0]], depth, uncertainty)
+            bad = depth.copy()
+            bad.flat[data.draw(st.integers(0, h * w - 1))] = data.draw(st.sampled_from(NON_FINITE))
+            with pytest.raises(ParameterError, match=r"^depth must be finite$"):
+                CameraFrame(pose, intrinsics, bad, uncertainty)
+            return CameraFrame(pose, intrinsics, depth, uncertainty)
 
         m = data.draw(st.integers(0, 5))
         alignment = data.draw(st.none() | hnp.arrays(np.float64, (2, m, 3), elements=finite))
@@ -544,11 +551,6 @@ class TestFileRoundTrips:
         )
         with tempfile.TemporaryDirectory() as work:
             first, second = os.path.join(work, "a.npz"), os.path.join(work, "b.npz")
-            if not all(np.isfinite(camera.depth).all() for camera in scenario.cameras if camera is not None):
-                with pytest.raises(fileio.SchemaError, match=r"a\.npz\.depths: contains non-finite values$"):
-                    fileio.save_scenario(scenario, first)
-                assert not os.listdir(work)
-                return
             fileio.save_scenario(scenario, first)
             loaded = fileio.load_scenario(first)
             fileio.save_scenario(loaded, second)
@@ -598,7 +600,8 @@ class TestFileRoundTrips:
         path = str(tmp_path / "track.npz")
         fileio.save_track(ground_truth_track(small_identity()), path)
         rewrite(path, lambda p: with_item(p, (1, 16, 16), 7.5), "prob.npy")
-        with pytest.raises(fileio.SchemaError, match=r"\.prob: expected probabilities in \[0, 1\]"):
+        message = r"track\.npz: invalid track: result 1's map must hold probabilities in \[0, 1\]$"
+        with pytest.raises(fileio.SchemaError, match=message):
             fileio.load_track(path)
 
     def test_displacement_outside_the_track_refused(self, tmp_path):
@@ -799,7 +802,7 @@ class TestLoaderVectors:
 
 
 class TestLoaderScalars:
-    """Track indices and peaks are type-checked."""
+    """Track indices are type-checked by the loader, and peaks by ``TrackOutput``, whose refusal it wraps."""
 
     @staticmethod
     def put(document, keys, value):
@@ -809,32 +812,34 @@ class TestLoaderScalars:
         document[last] = value
 
     @pytest.mark.parametrize(
-        "keys,value,field",
+        "keys,value,message",
         [
             pytest.param(
-                ("displacement_frames", 0), 1.5, r"\.displacement_frames", id="float-displacement-frame_index"
+                ("displacement_frames", 0), 1.5, r"\.displacement_frames: expected", id="float-displacement-frame_index"
             ),
-            pytest.param(("peaks", 2), "0.5", r"peaks\[2\]", id="str-peak"),
-            pytest.param(("peaks", 0), None, r"peaks\[0\]", id="null-peak"),
+            pytest.param(
+                ("peaks", 2), "0.5", r"invalid track: peak 2 must be a real number, got '0\.5'$", id="str-peak"
+            ),
+            pytest.param(("peaks", 0), None, r"invalid track: peak 0 must be a real number, got None$", id="null-peak"),
         ],
     )
-    def test_mistyped_track_scalar_rejected(self, geo_files, keys, value, field):
+    def test_mistyped_track_scalar_rejected(self, geo_files, keys, value, message):
         _, track_path = geo_files
         rewrite(track_path, lambda d: self.put(d, keys, value))
-        with pytest.raises(fileio.SchemaError, match=rf"{field}: expected"):
+        with pytest.raises(fileio.SchemaError, match=message):
             fileio.load_track(str(track_path))
 
     @pytest.mark.parametrize(
-        "keys,value,field",
+        "keys,value",
         [
-            pytest.param(("peaks", 1), float("inf"), "peaks[1]", id="inf-peak"),
-            pytest.param(("peaks", 0), -float("inf"), "peaks[0]", id="minus-inf-peak"),
+            pytest.param(("peaks", 1), float("inf"), id="inf-peak"),
+            pytest.param(("peaks", 0), -float("inf"), id="minus-inf-peak"),
         ],
     )
-    def test_non_finite_scalar_exits_2(self, geo_files, capsys, keys, value, field):
-        # json reads NaN and Infinity; a float field still takes only finite numbers
+    def test_non_finite_scalar_exits_2(self, geo_files, capsys, keys, value):
+        # json reads NaN and Infinity; a peak still takes only finite numbers
         rewrite(geo_files[1], lambda d: self.put(d, keys, value))
-        message = f"{field}: expected a finite number"
+        message = "invalid track: peaks must be finite"
         with pytest.raises(fileio.SchemaError, match=re.escape(message)):
             fileio.load_track(str(geo_files[1]))
         assert cli_main(["eval", "--scenario", str(geo_files[0]), "--track", str(geo_files[1])]) == 2
@@ -853,14 +858,14 @@ class TestLoaderContainers:
         [
             # the probability maps give the frame count, so the peaks are one frame too many
             pytest.param(
-                1, "prob.npy", lambda p: p[1:], "invalid track: expected one peak per frame, 4, got 5", id="track-frame"
+                1, "prob.npy", lambda p: p[1:], "invalid track: peaks must be of shape (4,), got shape (5,)", id="track-frame"
             ),
             pytest.param(1, DOCUMENT, lambda d: d.update(peaks=3), ".peaks: expected a list", id="peaks"),
             pytest.param(
                 1,
                 DOCUMENT,
                 lambda d: d.update(peaks=d["peaks"][:3]),
-                "invalid track: expected one peak per frame, 5, got 3",
+                "invalid track: peaks must be of shape (5,), got shape (3,)",
                 id="short-peaks",
             ),
             pytest.param(
@@ -1056,15 +1061,6 @@ class TestTensorCodec:
         got = stored(mask, "u1", mask.shape)
         assert got.dtype == np.uint8 and np.array_equal(got, mask)
         assert got.flags.writeable and got.flags.c_contiguous
-
-    @given(finite_arrays.filter(lambda a: a.size > 0), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_non_finite_rejected(self, arr, bad, data):
-        # the member keeps the stored bits; the file's finite rule, which depths need, refuses them
-        arr = arr.copy()
-        arr.flat[data.draw(st.integers(0, arr.size - 1))] = bad
-        with pytest.raises(fileio.SchemaError, match=r"doc\.x: contains non-finite values"):
-            fileio._finite_array(stored(arr, "<f8", arr.shape), "doc.x")
 
     @given(st.integers(1, 40), st.sampled_from([-1, 1]))
     @settings(max_examples=50, deadline=None)

@@ -61,7 +61,7 @@ class TestInitialize:
     def test_static_entry_is_unaugmented_query(self):
         sc = small_identity()
         pipe = Pipeline(sc.query, unit_cfg())
-        base = crop_entry(sc.query.feature, sc.query.mask, sc.query.mask, min_bounding_rect(sc.query.mask))
+        base = crop_entry(sc.query.feature, sc.query.mask, min_bounding_rect(sc.query.mask))
         # one entry is both the first appearance entry and the static snapshot
         assert pipe.memory.glm_static is pipe.memory.amm_entries[0]
         for name in MAPS:
@@ -107,31 +107,32 @@ class TestCropEntry:
         mask[27:37, 27:37] = 1
         crop, frac = extract_square_crop(feature, (31.5, 31.5), 15)
         assert frac == 0.0
-        entry = crop_entry(feature, mask, mask, (27, 27, 36, 36))
+        entry = crop_entry(feature, mask, (27, 27, 36, 36))
         assert entry.feature.shape == (SAMPLE_RESOLUTION, SAMPLE_RESOLUTION, 2)
         for name in MAPS[1:]:
             assert getattr(entry, name).shape == (SAMPLE_RESOLUTION, SAMPLE_RESOLUTION)
         np.testing.assert_array_equal(entry.feature, bilinear_resize(crop, (SAMPLE_RESOLUTION,) * 2))
 
     def test_empty_mask_raises(self):
+        # no pixel of the map reaches the mask threshold
         with pytest.raises(EmptyInputError):
-            crop_entry(np.ones((8, 8, 1)), np.zeros((8, 8)), np.zeros((8, 8)), (2, 2, 5, 5))
+            crop_entry(np.ones((8, 8, 1)), np.full((8, 8), 0.49), (2, 2, 5, 5))
 
     def test_degenerate_bbox(self):
         for bbox in ((5, 5, 4, 6), (5, 5, 6, 4)):
             with pytest.raises(EmptyInputError):
-                crop_entry(np.ones((8, 8, 1)), np.ones((8, 8)), np.ones((8, 8)), bbox)
+                crop_entry(np.ones((8, 8, 1)), np.ones((8, 8)), bbox)
 
-    @pytest.mark.parametrize("mask_hw,prob_hw", [((8, 9), (8, 8)), ((8, 8), (9, 8))])
-    def test_map_shapes_must_agree(self, mask_hw, prob_hw):
+    @pytest.mark.parametrize("prob_hw", [(8, 9), (9, 8)])
+    def test_map_shapes_must_agree(self, prob_hw):
         with pytest.raises(DimensionError):
-            crop_entry(np.ones((8, 8, 1)), np.ones(mask_hw), np.ones(prob_hw), (2, 2, 5, 5))
+            crop_entry(np.ones((8, 8, 1)), np.ones(prob_hw), (2, 2, 5, 5))
 
     def test_label_peaks_at_center(self):
         feature = rng(12).uniform(size=(40, 40, 2))
         prob = np.zeros((40, 40))
         prob[15:26, 15:26] = 0.9
-        entry = crop_entry(feature, prob >= 0.5, prob, (15, 15, 25, 25))
+        entry = crop_entry(feature, prob, (15, 15, 25, 25))
         peak = np.unravel_index(np.argmax(entry.label), entry.label.shape)
         center = (SAMPLE_RESOLUTION - 1) / 2.0
         assert abs(peak[0] - center) <= 1 and abs(peak[1] - center) <= 1
@@ -139,7 +140,7 @@ class TestCropEntry:
     def test_region_in_unit_interval(self):
         feature = rng(13).uniform(size=(30, 30, 1))
         prob = rng(14).random((30, 30))
-        entry = crop_entry(feature, prob >= 0.5, prob, (10, 10, 20, 20))
+        entry = crop_entry(feature, prob, (10, 10, 20, 20))
         assert entry.target_region.min() >= 0.0
         assert entry.target_region.max() <= 1.0
 
@@ -149,8 +150,9 @@ class TestCropEntry:
         r = rng(29)
         feature = r.uniform(-1, 1, size=(30, 30, 3))
         prob = r.random((30, 30))
+        # the entry's mask is the map's threshold, as a result's mask is
         mask = prob >= 0.5
-        entry = crop_entry(feature, mask, prob, bbox)
+        entry = crop_entry(feature, prob, bbox)
         x_min, y_min, x_max, y_max = bbox
         center = ((y_min + y_max) / 2.0, (x_min + x_max) / 2.0)
         longest = max(x_max - x_min + 1, y_max - y_min + 1)
@@ -203,7 +205,7 @@ class TestQueryAugmentations:
         mask[4:11, 13:19] = 1
         mask[9:13, 13:15] = 1
         pipe = Pipeline(QuerySpec(feature, mask), unit_cfg())
-        base = crop_entry(feature, mask, mask, min_bounding_rect(mask))
+        base = crop_entry(feature, mask, min_bounding_rect(mask))
         return base, pipe.memory
 
     def test_bank_order_is_base_flip_shift_blur(self, entries):
@@ -485,14 +487,13 @@ class TestFrameValidation:
         assert pipe.step_frame(sc.frames[2].feature, 1).s_conf > amm.ADMIT_THRESHOLD
 
     def test_huge_finite_frame_leaves_banks_and_filters(self):
-        # a finite frame scaled by 1e100 is admitted, but its refit overflows;
+        # a finite frame scaled by 1e100 is admitted, but its refit overflows, without a warning;
         # the ingest is dropped whole, so the next clean frame still localizes
         sc = gen_scenario(3, preset_params("identity"))
         pipe = Pipeline(sc.query)
         pipe.step_frame(sc.frames[0].feature, 0)
         memory = pipe.memory
-        with np.errstate(over="ignore", invalid="ignore"):
-            huge = pipe.step_frame(sc.frames[1].feature * 1e100, 1)
+        huge = pipe.step_frame(sc.frames[1].feature * 1e100, 1)
         assert huge.s_conf >= amm.ADMIT_THRESHOLD
         assert pipe.memory is memory
         assert pipe.memory.finite
@@ -504,9 +505,8 @@ class TestFrameValidation:
         # tracking snapshots either
         sc = gen_scenario(3, preset_params("identity"))
         kept = Pipeline(sc.query)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(12):
-                kept.step_frame(sc.frames[t].feature * (1e100 if t == 1 else 1.0), t)
+        for t in range(12):
+            kept.step_frame(sc.frames[t].feature * (1e100 if t == 1 else 1.0), t)
         skipped = Pipeline(sc.query)
         for index, t in enumerate([0] + list(range(2, 12))):
             skipped.step_frame(sc.frames[t].feature, index)
@@ -560,6 +560,26 @@ class TestHalt:
         for t in range(HALT_WINDOW - 1):
             pipe.step_frame(bg, t)
         assert not pipe.halted
+
+
+class TestStaticSource:
+    def test_absence_refits_on_the_static_snapshot(self, monkeypatch):
+        # after a 10-frame absence the recent peaks are low, so glm_update_source picks
+        # "static" and the tracking filter is refit on the query's entry alone
+        sc = gen_scenario(1, replace(preset_params("identity"), n_frames=80, absence=(40, 49)))
+        views = []
+        optimize_filter = glm.optimize_filter
+
+        def recording(kernel, entries, iters):
+            views.append(tuple(entries))
+            return optimize_filter(kernel, entries, iters)
+
+        monkeypatch.setattr(glm, "optimize_filter", recording)
+        pipe = Pipeline(sc.query)
+        pipe.run([frame.feature for frame in sc.frames])
+        # the first call is the initialization fit, on the query's entry too
+        static = [view for view in views[1:] if view == (pipe.memory.glm_static,)]
+        assert static and not pipe.halted
 
 
 BANK_SCENARIO = small_identity(n_frames=2)
@@ -692,6 +712,13 @@ class TestTrackOutput:
             with pytest.raises(ValueError, match="read-only"):
                 vector[0] = 1.0
 
+    def test_real_peaks_are_kept_as_floats(self):
+        results = [SegmentationResult(np.full((4, 4), 0.75))] * 3
+        track = TrackOutput(results, None, [1, np.float32(0.5), np.int64(-2)])
+        assert track.peaks == (1.0, 0.5, -2.0) and all(type(p) is float for p in track.peaks)
+        with pytest.raises(ParameterError, match=r"^peak 1 must be a real number, got "):
+            TrackOutput(results, None, [1.0, np.bool_(False), 0.0])
+
     def test_keeps_its_own_vectors_in_frame_order(self):
         track = self.lifted()
         vector = np.zeros(3)
@@ -738,14 +765,14 @@ class TestFinalize3d:
     def test_view_without_depth_is_skipped(self):
         sc = gen_scenario(3, preset_params("geo"))
         cameras = sc.cameras
-        cameras[2] = replace(cameras[2], depth=np.full_like(cameras[2].depth, np.nan))
+        cameras[2] = replace(cameras[2], depth=np.zeros_like(cameras[2].depth))
         out = finalize_3d(ground_truth_track(sc), cameras, (sc.alignment_src, sc.alignment_dst))
         assert set(out.displacements) == {0, 1, 3, 4}
         np.testing.assert_allclose(out.world_point, sc.gt_point, atol=1e-6)
 
     def test_no_view_with_depth_raises(self):
         sc = gen_scenario(3, preset_params("geo"))
-        cameras = [replace(camera, depth=np.full_like(camera.depth, np.nan)) for camera in sc.cameras]
+        cameras = [replace(camera, depth=np.zeros_like(camera.depth)) for camera in sc.cameras]
         with pytest.raises(NoDetectionError, match="no interval frame had a usable mask and depth"):
             finalize_3d(ground_truth_track(sc), cameras, (sc.alignment_src, sc.alignment_dst))
 
