@@ -10,9 +10,10 @@ Conventions used throughout the package:
 All convolutions are cross-correlations with zero same-padding, so outputs
 keep the input's spatial size and stacked memory samples of one resolution
 stay shape-compatible. One private helper, ``_zero_border``, writes every
-zero-bordered copy the package makes: for the convolution and the patch
-matrix here, the blurs of ``amm`` and ``pipeline`` and the pseudo-label
-boundary test. Everything is computed in float64; the solvers need
+zero-bordered copy the package makes: the convolution's channel-first
+(C, H + 2r, W + 2r) copy and the patch matrix's channel-last one here,
+the blurs of ``amm`` and ``pipeline`` and the pseudo-label boundary
+test. Everything is computed in float64; the solvers need
 headroom below their 1e-5 verification tolerances.
 
 Every value type checks its arrays with :func:`checked_array` (finite
@@ -113,11 +114,16 @@ def _check_kernel(shape: Sequence[int]) -> None:
         raise ParameterError(f"kernel size must be odd, got {shape[0]}")
 
 
-def _zero_border(x: np.ndarray, r: int) -> np.ndarray:
-    """Copy of ``x`` with a border of ``r`` zeros around its first two axes."""
+def _zero_border(x: np.ndarray, r: int, channel_first: bool = False) -> np.ndarray:
+    """Copy of ``x`` with a border of ``r`` zeros around its first two axes; with ``channel_first``, a
+    (H, W, C) map is written as a contiguous (C, H + 2r, W + 2r) copy."""
     h, w = x.shape[:2]
-    out = np.zeros((h + 2 * r, w + 2 * r) + x.shape[2:], dtype=x.dtype)
-    out[r : r + h, r : r + w] = x
+    if channel_first:
+        out = np.zeros((x.shape[2], h + 2 * r, w + 2 * r), dtype=x.dtype)
+        out[:, r : r + h, r : r + w] = x.transpose(2, 0, 1)
+    else:
+        out = np.zeros((h + 2 * r, w + 2 * r) + x.shape[2:], dtype=x.dtype)
+        out[r : r + h, r : r + w] = x
     return out
 
 
@@ -134,6 +140,15 @@ def conv2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     plane is kept at the padded row length, so a shift is one contiguous
     slice of the flat responses; the columns past W are scratch. The
     result is a (H, W, D) view of those planes.
+
+    The zero-bordered map is written channel-first, so the product's right
+    operand is contiguous: on a 48 x 48 x 3 frame with K = 3 and D = 2 the
+    product takes ~15 us against ~25 us on the transposed view of a
+    channel-last map (one OpenBLAS thread, 2-core x86-64 VM), and gives the
+    same bits on every shape ``tests/test_core.py`` pins. A kernel of one
+    row (K = D = 1) makes a matrix-vector product, which numpy sums along
+    each pixel's channels; there the map stays channel-last, so those sums
+    keep their order too.
     """
     x = np.asarray(x, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
@@ -147,9 +162,13 @@ def conv2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     ksz, _, c, d = k.shape
     r = ksz // 2
     h, w = x.shape[:2]
-    xp = _zero_border(x, r)
     wp = w + 2 * r
-    taps = k.transpose(0, 1, 3, 2).reshape(ksz * ksz * d, c) @ xp.reshape(-1, c).T
+    flat_k = k.transpose(0, 1, 3, 2).reshape(ksz * ksz * d, c)
+    if ksz * ksz * d > 1:
+        taps = flat_k @ _zero_border(x, r, channel_first=True).reshape(c, -1)
+    else:
+        # one row: numpy takes a matrix-vector product, which sums each pixel's contiguous channels
+        taps = flat_k @ _zero_border(x, r).reshape(-1, c).T
     taps = taps.reshape(ksz, ksz, d, -1)
     # out[:, i * wp + j] is output pixel (i, j) for j < w
     span = max(0, (h - 1) * wp + w)
@@ -205,17 +224,22 @@ def frozen_in_place(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_shape(arr: np.ndarray, name: str, shape: Sequence[int]) -> np.ndarray:
-    """``arr`` if it has ``shape``, where -1 takes any length on that axis."""
+def _check_shape(arr: np.ndarray, name: str, shape: Sequence[int], vector3: bool = False) -> np.ndarray:
+    """``arr`` if it has ``shape``, where -1 takes any length on that axis; with ``vector3``, a wanted
+    (3,) is named "a 3-vector"."""
     if arr.shape != shape and (arr.ndim != len(shape) or any(w not in (-1, g) for w, g in zip(shape, arr.shape))):
-        wanted = "a 3-vector" if tuple(shape) == (3,) else f"of shape {tuple(shape)}"
+        wanted = "a 3-vector" if vector3 and tuple(shape) == (3,) else f"of shape {tuple(shape)}"
         raise DimensionError(f"{name} must be {wanted}, got shape {arr.shape}")
     return arr
 
 
-def checked_array(value, name: str, shape: Sequence[int]) -> np.ndarray:
-    """``value`` as a float64 ``frozen_array`` of ``shape`` (-1 takes any length), which must be finite."""
-    arr = _check_shape(frozen_array(value, np.float64), name, shape)
+def checked_array(value, name: str, shape: Sequence[int], *, vector3: bool = True) -> np.ndarray:
+    """``value`` as a float64 ``frozen_array`` of ``shape`` (-1 takes any length), which must be finite.
+
+    A wanted (3,) is a point or a displacement, named "a 3-vector" in the error, unless ``vector3`` is
+    false: a track's three peaks are refused as "of shape (3,)".
+    """
+    arr = _check_shape(frozen_array(value, np.float64), name, shape, vector3)
     if not np.isfinite(arr).all():
         raise ParameterError(f"{name} must be finite")
     return arr

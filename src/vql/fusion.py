@@ -60,10 +60,12 @@ class SegmentationResult(ArrayValue):
         prob = frozen_array(self.prob, np.float64)
         if prob.ndim != 2:
             raise DimensionError(f"probability map must be (H, W), got {prob.shape}")
-        fg = prob >= MASK_THRESHOLD
+        fg = frozen_in_place(prob >= MASK_THRESHOLD)
+        count = np.count_nonzero(fg)
         object.__setattr__(self, "prob", prob)
-        object.__setattr__(self, "mask", frozen_in_place(fg.astype(np.uint8)))
-        object.__setattr__(self, "s_conf", float(prob[fg].mean()) if fg.any() else 0.0)
+        # the mask views the read-only foreground as 0/1 bytes, not a copy; sum / count has the bits of .mean()
+        object.__setattr__(self, "mask", fg.view(np.uint8))
+        object.__setattr__(self, "s_conf", float(prob[fg].sum() / count) if count else 0.0)
 
     @cached_property
     def bbox(self) -> Optional[tuple[int, int, int, int]]:
@@ -100,8 +102,10 @@ def fuse(appearance: np.ndarray, score: np.ndarray) -> np.ndarray:
     """Probability map sigmoid(appearance + max(0, score)).
 
     ``appearance`` is the (H, W) appearance logit and ``score`` the (H, W)
-    tracking response; the output lies strictly inside (0, 1) wherever the
-    logit is finite.
+    tracking response. The output lies in [0, 1], and both ends are reached
+    at finite logits: it rounds to exactly 1.0 above a logit of about 36.7,
+    where exp(-logit) is below half an ulp of 1, and reads exactly 0.0 below
+    about -709.8, where exp overflows.
     """
     appearance = np.asarray(appearance, dtype=np.float64)
     score = np.asarray(score, dtype=np.float64)

@@ -157,7 +157,7 @@ class TrackOutput(ArrayValue):
         for t, peak in enumerate(peaks):
             if isinstance(peak, (bool, np.bool_)) or not isinstance(peak, numbers.Real):
                 raise ParameterError(f"peak {t} must be a real number, got {peak!r}")
-        peaks = tuple(checked_array(peaks, "peaks", (n,)).tolist())
+        peaks = tuple(checked_array(peaks, "peaks", (n,), vector3=False).tolist())
         ends = None if self.interval is None else [self.interval.start_frame, self.interval.end_frame]
         if ends and (ends[0] < 0 or ends[1] >= n):
             raise ParameterError(f"interval {ends} leaves the track's frames [0, {n})")

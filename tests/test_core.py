@@ -62,6 +62,56 @@ class TestConv2d:
         assert np.all(error <= 1e-12 * conv2d_naive(np.abs(x), np.abs(k)))
 
 
+def conv2d_channel_last(x, k):
+    """conv2d as it was written on a channel-last padded map: the tap product's right operand is the
+    transposed (padded pixels, C) view, and the shifted adds are conv2d's own."""
+    ksz, _, c, d = k.shape
+    r = ksz // 2
+    h, w = x.shape[:2]
+    xp = np.zeros((h + 2 * r, w + 2 * r, c))
+    xp[r : r + h, r : r + w] = x
+    wp = w + 2 * r
+    taps = k.transpose(0, 1, 3, 2).reshape(ksz * ksz * d, c) @ xp.reshape(-1, c).T
+    taps = taps.reshape(ksz, ksz, d, -1)
+    span = max(0, (h - 1) * wp + w)
+    out = np.zeros((d, h * wp))
+    for dy in range(ksz):
+        for dx in range(ksz):
+            start = dy * wp + dx
+            out[:, :span] += taps[dy, dx, :, start : start + span]
+    return out.reshape(d, h, wp)[:, :, :w].transpose(1, 2, 0)
+
+
+class TestChannelFirstLayout:
+    """conv2d's channel-first padded map changes the product's operand layout, not one output bit."""
+
+    @pytest.mark.parametrize("ksz", [1, 3, 5])
+    @pytest.mark.parametrize("c_in", [1, 2, 3, 4])
+    @pytest.mark.parametrize("c_out", [1, 2, 3])
+    # a pixel, a row, a column, maps narrower or shorter than a 5 x 5 kernel, and the pipeline's 48 x 48 canvas
+    @pytest.mark.parametrize("hw", [(1, 1), (1, 7), (6, 1), (2, 4), (4, 3), (7, 6), (48, 48)])
+    def test_bit_equal_to_channel_last(self, ksz, c_in, c_out, hw):
+        r = rng(ksz * 100 + c_in * 10 + c_out)
+        x = r.uniform(-1, 1, size=(*hw, c_in))
+        k = r.uniform(-1, 1, size=(ksz, ksz, c_in, c_out))
+        np.testing.assert_array_equal(core.conv2d(x, k), conv2d_channel_last(x, k), strict=True)
+
+    @given(
+        st.sampled_from([1, 3, 5]),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal_to_channel_last_drawn(self, ksz, h, w, c_in, c_out, seed):
+        r = rng(seed)
+        x = r.normal(size=(h, w, c_in))
+        k = r.normal(size=(ksz, ksz, c_in, c_out))
+        np.testing.assert_array_equal(core.conv2d(x, k), conv2d_channel_last(x, k), strict=True)
+
+
 class TestIm2col:
     @given(
         st.sampled_from([1, 3, 5]), st.integers(1, 7), st.integers(1, 7), st.integers(1, 3), st.integers(0, 2**32 - 1)

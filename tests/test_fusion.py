@@ -52,9 +52,10 @@ class TestFuse:
 
     @pytest.mark.filterwarnings("error")
     def test_saturated_logit_is_exact_without_a_warning(self):
-        # exp overflows to inf on a logit of -1000; the map is 0 there and 1 where the logit is +1000
-        out = fusion.fuse(np.array([[-1000.0, 1000.0]]), np.zeros((1, 2)))
-        assert out.tolist() == [[0.0, 1.0]]
+        # both ends are reached at finite logits: exp overflows to inf from a logit of about -709.8 down, so
+        # the map is 0 at -745; 1 + exp(-40) rounds to 1, while 1 + exp(-36) does not
+        out = fusion.fuse(np.array([[-1000.0, -745.0, 36.0, 40.0, 1000.0]]), np.zeros((1, 5)))
+        assert out.tolist() == [[0.0, 0.0, 0.9999999999999998, 1.0, 1.0]]
 
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
@@ -106,10 +107,10 @@ class TestExtractResult:
     def test_mask_consistent_with_prob(self):
         prob = rng(5).random((10, 10))
         res = fusion.SegmentationResult(prob)
-        np.testing.assert_array_equal(res.mask, (prob >= 0.5).astype(np.uint8))
+        np.testing.assert_array_equal(res.mask, (prob >= 0.5).astype(np.uint8), strict=True)
         if res.mask.any():
             assert res.bbox is not None
-            assert res.s_conf == pytest.approx(float(prob[res.mask != 0].mean()))
+            assert res.s_conf == float(prob[res.mask != 0].mean())
 
 
 def serpentine():

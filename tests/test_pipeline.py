@@ -719,6 +719,21 @@ class TestTrackOutput:
         with pytest.raises(ParameterError, match=r"^peak 1 must be a real number, got "):
             TrackOutput(results, None, [1.0, np.bool_(False), 0.0])
 
+    def test_three_peaks_are_not_a_point(self):
+        # a track's peak count is a shape, whatever the count; "a 3-vector" names points and displacements
+        results = [SegmentationResult(np.zeros((2, 2)))] * 3
+        with pytest.raises(DimensionError, match=r"^peaks must be of shape \(3,\), got shape \(2,\)$"):
+            TrackOutput(results, None, [0.0, 1.0])
+
+    def test_saturated_maps_are_kept(self):
+        # fuse reaches both ends of [0, 1] at finite logits, and a track holds such maps as they are
+        full = SegmentationResult(fusion.fuse(np.full((3, 3), 40.0), np.zeros((3, 3))))
+        empty = SegmentationResult(fusion.fuse(np.full((3, 3), -745.0), np.zeros((3, 3))))
+        assert (full.prob == 1.0).all() and full.s_conf == 1.0 and full.mask.all()
+        assert (empty.prob == 0.0).all() and empty.s_conf == 0.0 and not empty.mask.any()
+        track = TrackOutput([full, empty], TemporalInterval(0, 0), [1.0, 0.0])
+        assert [result.s_conf for result in track.results] == [1.0, 0.0]
+
     def test_keeps_its_own_vectors_in_frame_order(self):
         track = self.lifted()
         vector = np.zeros(3)
