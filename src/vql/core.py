@@ -224,22 +224,17 @@ def frozen_in_place(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_shape(arr: np.ndarray, name: str, shape: Sequence[int], vector3: bool = False) -> np.ndarray:
-    """``arr`` if it has ``shape``, where -1 takes any length on that axis; with ``vector3``, a wanted
-    (3,) is named "a 3-vector"."""
+def _check_shape(arr: np.ndarray, name: str, shape: Sequence[int]) -> np.ndarray:
+    """``arr`` if it has ``shape``, where -1 takes any length on that axis; a wanted (3,) is named "a 3-vector"."""
     if arr.shape != shape and (arr.ndim != len(shape) or any(w not in (-1, g) for w, g in zip(shape, arr.shape))):
-        wanted = "a 3-vector" if vector3 and tuple(shape) == (3,) else f"of shape {tuple(shape)}"
+        wanted = "a 3-vector" if tuple(shape) == (3,) else f"of shape {tuple(shape)}"
         raise DimensionError(f"{name} must be {wanted}, got shape {arr.shape}")
     return arr
 
 
-def checked_array(value, name: str, shape: Sequence[int], *, vector3: bool = True) -> np.ndarray:
-    """``value`` as a float64 ``frozen_array`` of ``shape`` (-1 takes any length), which must be finite.
-
-    A wanted (3,) is a point or a displacement, named "a 3-vector" in the error, unless ``vector3`` is
-    false: a track's three peaks are refused as "of shape (3,)".
-    """
-    arr = _check_shape(frozen_array(value, np.float64), name, shape, vector3)
+def checked_array(value, name: str, shape: Sequence[int]) -> np.ndarray:
+    """``value`` as a float64 ``frozen_array`` of ``shape`` (-1 takes any length), which must be finite."""
+    arr = _check_shape(frozen_array(value, np.float64), name, shape)
     if not np.isfinite(arr).all():
         raise ParameterError(f"{name} must be finite")
     return arr

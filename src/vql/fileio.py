@@ -75,7 +75,7 @@ __all__ = [
     "load_config",
 ]
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 # how to replace a file of another version, by kind
 _UPGRADE = {
@@ -451,7 +451,6 @@ def save_track(track: TrackOutput, path: str) -> None:
     document = {
         "version": FORMAT_VERSION,
         "kind": "track",
-        "peaks": list(track.peaks),
         "interval": None if track.interval is None else [track.interval.start_frame, track.interval.end_frame],
         "displacement_frames": list(track.displacements),
     }
@@ -461,11 +460,9 @@ def save_track(track: TrackOutput, path: str) -> None:
 def load_track(path: str) -> TrackOutput:
     """A track file; its frame count N and canvas (H, W) are the shape of ``prob``, and a
     track that breaks ``TrackOutput``'s contract is a ``SchemaError`` carrying its message."""
-    keys = ("peaks", "interval", "displacement_frames")
+    keys = ("interval", "displacement_frames")
     document, arrays = _read_archive(path, "track", keys, ("prob", "deltas"), ("world_point",))
     prob = _member(arrays, "prob", "<f8", (None,) * 3, path)
-    # that each is a finite real number is TrackOutput's rule
-    peaks = _expect(document, "peaks", path, list)
     # that each is a frame of the track is TrackOutput's rule
     frames = _frame_list(_expect(document, "displacement_frames", path), None, f"{path}.displacement_frames")
     deltas = _member(arrays, "deltas", "<f8", (len(frames), 3), path)
@@ -479,7 +476,7 @@ def load_track(path: str) -> TrackOutput:
     try:
         interval = None if ends is None else TemporalInterval(*ends)
         results = [SegmentationResult(p) for p in prob]
-        return TrackOutput(results, interval, peaks, world_point, dict(zip(frames, deltas)))
+        return TrackOutput(results, interval, world_point, dict(zip(frames, deltas)))
     except (DimensionError, EmptyInputError, ParameterError) as exc:
         raise SchemaError(f"{path}: invalid track: {exc}") from exc
 

@@ -188,18 +188,20 @@ def semantic_confidence(result: SegmentationResult) -> float:
 
 
 def geometric_confidence(tau: float, zeta: float) -> float:
-    """exp(-zeta * tau): 1 at zero uncertainty, decaying monotonically."""
-    if tau < 0:
+    """exp(-zeta * tau): 1 at zero uncertainty, decaying monotonically; a NaN ``tau`` or ``zeta`` is refused."""
+    if not tau >= 0:
         raise ParameterError(f"uncertainty must be non-negative, got {tau}")
-    if zeta <= 0:
-        raise ParameterError(f"zeta must be positive, got {zeta}")
+    # an infinite zeta times a zero tau would be NaN
+    if not 0 < zeta < np.inf:
+        raise ParameterError(f"zeta must be positive and finite, got {zeta}")
     return float(np.exp(-zeta * tau))
 
 
 def aggregate(points: np.ndarray, weights: Sequence[float]) -> np.ndarray:
-    """Weighted average of the (N, 3) per-view ``points``.
+    """Weighted average of the (N, 3) per-view ``points``, which must be finite.
 
-    ``weights`` holds one fused weight s_conf * g_conf per point.
+    ``weights`` holds one fused weight s_conf * g_conf per point, each finite and
+    non-negative, so the average lies in the points' convex hull.
     """
     points = np.asarray(points, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -207,6 +209,9 @@ def aggregate(points: np.ndarray, weights: Sequence[float]) -> np.ndarray:
         raise DegenerateGeometryError("no points to aggregate")
     if points.ndim != 2 or points.shape[1] != 3 or weights.shape != points.shape[:1]:
         raise DimensionError(f"need (N, 3) points and N weights, got {points.shape} and {weights.shape}")
+    points, weights = checked_array(points, "points", (-1, 3)), checked_array(weights, "weights", (-1,))
+    if (weights < 0).any():
+        raise ParameterError(f"weights must be non-negative, got {weights.min()}")
     total = float(weights.sum())
     if total <= 0.0:
         raise DegenerateGeometryError("all fused weights are zero")

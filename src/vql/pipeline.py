@@ -128,22 +128,20 @@ class TrackOutput(ArrayValue):
     ``displacements`` keys count frames the same way.
 
     The track contract, checked here for the pipeline, the file loader and ``replace`` alike:
-    at least one result, all of one (H, W), each map of probabilities in [0, 1]; one finite
-    peak per result, a real number and not a bool or a string; an interval that is None or
-    inside the frames [0, n); displacement keys that are frames of the track, each mapped to a
-    finite 3-vector; a ``world_point`` that is None or a finite 3-vector. Results and peaks are
-    kept as tuples and the displacements as a read-only mapping, in frame order, of read-only
-    vectors, so the contract holds for the value's whole life.
+    at least one result, all of one (H, W), each map of probabilities in [0, 1]; an interval
+    that is None or inside the frames [0, n); displacement keys that are frames of the track,
+    each mapped to a finite 3-vector; a ``world_point`` that is None or a finite 3-vector. The
+    results are kept as a tuple and the displacements as a read-only mapping, in frame order,
+    of read-only vectors, so the contract holds for the value's whole life.
     """
 
     results: tuple[fusion.SegmentationResult, ...]
     interval: Optional[fusion.TemporalInterval]
-    peaks: tuple[float, ...]
     world_point: Optional[np.ndarray] = None
     displacements: Mapping[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        results, peaks = tuple(self.results), tuple(self.peaks)
+        results = tuple(self.results)
         n = len(results)
         if not n:
             raise EmptyInputError("a track needs at least one result")
@@ -154,10 +152,6 @@ class TrackOutput(ArrayValue):
             # NaN fails both comparisons, as min and max propagate it
             if not (result.prob.min() >= 0.0 and result.prob.max() <= 1.0):
                 raise ParameterError(f"result {t}'s map must hold probabilities in [0, 1]")
-        for t, peak in enumerate(peaks):
-            if isinstance(peak, (bool, np.bool_)) or not isinstance(peak, numbers.Real):
-                raise ParameterError(f"peak {t} must be a real number, got {peak!r}")
-        peaks = tuple(checked_array(peaks, "peaks", (n,), vector3=False).tolist())
         ends = None if self.interval is None else [self.interval.start_frame, self.interval.end_frame]
         if ends and (ends[0] < 0 or ends[1] >= n):
             raise ParameterError(f"interval {ends} leaves the track's frames [0, {n})")
@@ -167,7 +161,6 @@ class TrackOutput(ArrayValue):
         deltas = {int(t): checked_array(v, f"frame {t}'s displacement", (3,))
                   for t, v in sorted(self.displacements.items())}
         object.__setattr__(self, "results", results)
-        object.__setattr__(self, "peaks", peaks)
         object.__setattr__(self, "displacements", MappingProxyType(deltas))
         if self.world_point is not None:
             object.__setattr__(self, "world_point", checked_array(self.world_point, "world_point", (3,)))
@@ -298,7 +291,6 @@ class Pipeline:
 
         self.halted = False
         self.results: list[fusion.SegmentationResult] = []
-        self.peaks: list[float] = []
 
     def _is_update_frame(self, frame_index: int) -> bool:
         return frame_index < DENSE_UPDATE_HORIZON or frame_index % UPDATE_STRIDE == 0
@@ -311,12 +303,12 @@ class Pipeline:
     def step_frame(self, frame_feature: np.ndarray, frame_index: int) -> fusion.SegmentationResult:
         """Run frame ``frame_index`` through both branches, fuse, and maybe update the banks.
 
-        Frames are stepped 0, 1, 2, ... in order: an index other than the
-        number of frames stepped so far, or a non-finite frame, raises
-        ParameterError and a frame whose shape differs from the query's
-        DimensionError, before any state changes.
+        Frames are stepped 0, 1, 2, ... in order: an index that is not an
+        integer (``core.as_index``) or not the number of frames stepped so
+        far, or a non-finite frame, raises ParameterError and a frame whose
+        shape differs from the query's DimensionError, before any state changes.
         """
-        if frame_index != len(self.results):
+        if as_index(frame_index, "frame index") != len(self.results):
             raise ParameterError(f"frame index {frame_index} is not the next frame, {len(self.results)}")
         frame_feature = checked_array(frame_feature, f"frame {frame_index} features", self._frame_shape)
         # outputs: appearance logit and tracking score (see the module docstring)
@@ -324,16 +316,13 @@ class Pipeline:
         score = out[:, :, 1]
         # the fresh map is frozen where it is made, so the result keeps it without a copy
         result = fusion.SegmentationResult(frozen_in_place(fusion.fuse(out[:, :, 0], score)))
-        peak = float(score.max())
-
         self.results.append(result)
-        self.peaks.append(peak)
 
         if self.cfg.updates_enabled and not self.halted:
             if self._halt_triggered():
                 self.memory, self.halted = self.initial_memory, True
                 return result
-            candidate = replace(self.memory, responses=self.memory.responses + (peak,))
+            candidate = replace(self.memory, responses=self.memory.responses + (float(score.max()),))
             if self._is_update_frame(frame_index) and amm.amm_admit(result):
                 candidate = self._ingest(candidate, frame_feature, result)
             # a finite frame can be so large that a refit overflows
@@ -360,11 +349,11 @@ class Pipeline:
             )
 
     def finalize_2d(self) -> TrackOutput:
-        """Temporal localization over the recorded confidences; ``TrackOutput`` checks the peaks."""
+        """Temporal localization over the recorded confidences: the track of every frame stepped."""
         if not self.results:
             raise EmptyInputError("no frames have been stepped")
         interval = fusion.temporal_localize([r.s_conf for r in self.results])
-        return TrackOutput(self.results, interval, self.peaks)
+        return TrackOutput(self.results, interval)
 
     def run(self, frames: Sequence[np.ndarray]) -> TrackOutput:
         """Step every frame in order, as frames 0, 1, 2, ..., and finalize."""

@@ -14,6 +14,7 @@ which makes generated files byte-identical across runs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -40,9 +41,11 @@ __all__ = [
 @dataclass(frozen=True)
 class ScenarioParams:
     """A generator recipe, checked here: counts, sizes and frame or view indices are integers
-    (a bool or a float is not one), stored as Python ints; the canvas is at least 8x8 and holds
-    the object; an absence window is 1 <= start <= end < n_frames (frame 0 is the query); each
-    of the n_views <= n_frames views is one frame's camera, and the corrupted views are views."""
+    (a bool or a float is not one), stored as Python ints; the drift step is a finite real
+    number and not a bool, stored as a float, and ``distractor`` a bool; the canvas is at least
+    8x8 and holds the object; an absence window is 1 <= start <= end < n_frames (frame 0 is the
+    query); each of the n_views <= n_frames views is one frame's camera, and the corrupted views
+    are views."""
 
     n_frames: int
     canvas: tuple[int, int] = (48, 48)
@@ -64,6 +67,13 @@ class ScenarioParams:
             if not isinstance(value, tuple) or n not in (None, len(value)):
                 raise ParameterError(f"{name} must be a tuple of {n or 'any number of'} integers, got {value!r}")
             object.__setattr__(self, name, tuple(as_index(v, name) for v in value))
+        step, distractor = self.drift_step, self.distractor
+        if isinstance(step, (bool, np.bool_)) or not isinstance(step, numbers.Real) or not np.isfinite(step):
+            raise ParameterError(f"drift_step must be a finite real number, got {step!r}")
+        if not isinstance(distractor, (bool, np.bool_)):
+            raise ParameterError(f"distractor must be a bool, got {distractor!r}")
+        object.__setattr__(self, "drift_step", float(step))
+        object.__setattr__(self, "distractor", bool(distractor))
         if self.n_frames < 1:
             raise ParameterError(f"need at least one frame, got {self.n_frames}")
         h, w = self.canvas
@@ -322,6 +332,5 @@ def ground_truth_track(scenario: Scenario) -> TrackOutput:
     is non-empty, and the interval is the scenario's ``gt_interval``.
     """
     results = [SegmentationResult(np.where(f.gt_mask != 0, 0.9, 0.1)) for f in scenario.frames]
-    peaks = [1.0 if f.gt_mask.any() else 0.0 for f in scenario.frames]
     interval = scenario.gt_interval
-    return TrackOutput(results, None if interval is None else TemporalInterval(*interval), peaks)
+    return TrackOutput(results, None if interval is None else TemporalInterval(*interval))

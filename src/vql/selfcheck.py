@@ -1177,7 +1177,7 @@ def check_eval2d_hand_cases():
     shifted = replace(scenario, frames=frames)
     empty = fusion.SegmentationResult(np.zeros_like(gt.results[0].prob))
     results = [r if 12 <= t <= 35 else empty for t, r in enumerate(gt.results)]
-    pred = TrackOutput(results, fusion.TemporalInterval(12, 35), gt.peaks)
+    pred = TrackOutput(results, fusion.TemporalInterval(12, 35))
     t_iou = metrics.temporal_iou((12, 35), shifted.gt_interval)
     if abs(t_iou - 1.0 / 3.0) > 1e-12:
         return False, f"temporal IoU {t_iou} != 1/3"
@@ -1213,7 +1213,7 @@ def check_geo_weight_suppression():
         (corrupted.alignment_src, corrupted.alignment_dst),
     )
     gt = scen.ground_truth_track(clean_subset)
-    pruned_track = replace(gt, results=gt.results[:4], peaks=gt.peaks[:4], interval=fusion.TemporalInterval(0, 3))
+    pruned_track = replace(gt, results=gt.results[:4], interval=fusion.TemporalInterval(0, 3))
     pruned = finalize_3d(
         pruned_track, clean_subset.cameras, (clean_subset.alignment_src, clean_subset.alignment_dst)
     )

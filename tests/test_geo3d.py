@@ -215,6 +215,22 @@ class TestGeometricConfidence:
         with pytest.raises(ParameterError):
             geo3d.geometric_confidence(-0.1, 1.0)
 
+    @pytest.mark.parametrize(
+        "tau,zeta,message",
+        [
+            pytest.param(np.nan, 1.0, "uncertainty must be non-negative", id="nan-tau"),
+            pytest.param(1.0, np.nan, "zeta must be positive", id="nan-zeta"),
+            pytest.param(1.0, 0.0, "zeta must be positive", id="zero-zeta"),
+            pytest.param(0.0, np.inf, "zeta must be positive and finite", id="inf-zeta"),
+        ],
+    )
+    def test_nan_and_out_of_range_inputs_refused(self, tau, zeta, message):
+        with pytest.raises(ParameterError, match=f"^{message}"):
+            geo3d.geometric_confidence(tau, zeta)
+
+    def test_infinite_uncertainty_weighs_nothing(self):
+        assert geo3d.geometric_confidence(np.inf, 1.0) == 0.0
+
 
 class TestAggregate:
     def test_single_contribution(self):
@@ -249,6 +265,21 @@ class TestAggregate:
     )
     def test_shape_mismatch(self, points, weights):
         with pytest.raises(DimensionError, match="need \\(N, 3\\) points and N weights"):
+            geo3d.aggregate(points, weights)
+
+    @pytest.mark.parametrize(
+        "points,weights,message",
+        [
+            pytest.param([[1.0, 2.0, 3.0]], [np.nan], "weights must be finite", id="nan-weight"),
+            pytest.param([[1.0, 2.0, 3.0]], [np.inf], "weights must be finite", id="inf-weight"),
+            # the average of [2, -1] is (-1, -1, -1), outside the hull of the two points
+            pytest.param([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], [2.0, -1.0], "weights must be non-negative", id="negative"),
+            pytest.param([[np.nan, 0.0, 0.0], [1.0, 1.0, 1.0]], [0.5, 0.5], "points must be finite", id="nan-point"),
+            pytest.param([[np.inf, 0.0, 0.0]], [0.0], "points must be finite", id="inf-point-zero-weight"),
+        ],
+    )
+    def test_bad_values_refused(self, points, weights, message):
+        with pytest.raises(ParameterError, match=f"^{message}"):
             geo3d.aggregate(points, weights)
 
 

@@ -135,6 +135,13 @@ class TestGenScenario:
             {"corrupt_views": 0},
             {"corrupt_views": None},
             {"canvas": None},
+            {"drift_step": "0.1"},
+            {"drift_step": float("nan")},
+            {"drift_step": float("inf")},
+            {"drift_step": True},
+            {"distractor": "no"},
+            {"distractor": 1},
+            {"distractor": None},
         ],
     )
     def test_params_refuse_non_integers_at_construction(self, changes):
@@ -148,6 +155,11 @@ class TestGenScenario:
         )
         assert params == ScenarioParams(n_frames=4, canvas=(32, 32), corrupt_views=(0,), n_views=1)
         assert all(type(v) is int for v in (params.n_frames, *params.canvas, *params.corrupt_views))
+
+    def test_params_store_a_float_step_and_a_bool_distractor(self):
+        params = ScenarioParams(n_frames=4, drift_step=np.float32(0.25), distractor=np.bool_(True))
+        assert params == ScenarioParams(n_frames=4, drift_step=0.25, distractor=True)
+        assert type(params.drift_step) is float and params.distractor is True
 
 
 class TestValues:
@@ -169,7 +181,7 @@ class TestValues:
             with pytest.raises(TypeError, match="unhashable"):
                 hash(a)
         track = ground_truth_track(small_identity())
-        assert track != replace(track, peaks=(0.0, *track.peaks[1:]))
+        assert track != replace(track, world_point=np.zeros(3))
         assert track != "a track" and track.results[0] != track
 
     def test_source_arrays_cannot_change_the_value(self, tmp_path):
@@ -315,38 +327,10 @@ class TestFileRoundTrips:
             # TrackOutput's contract: the edited track is refused as it is built, with the message the loader wraps
             pytest.param(
                 "track",
-                lambda t: replace(t, peaks=t.peaks[:-1]),
-                DimensionError,
-                r"^peaks must be of shape \(5,\), got shape \(4,\)$",
-                id="few-peaks",
-            ),
-            pytest.param(
-                "track",
-                lambda t: replace(t, results=(), peaks=()),
+                lambda t: replace(t, results=()),
                 EmptyInputError,
                 r"^a track needs at least one result$",
                 id="no-frames",
-            ),
-            pytest.param(
-                "track",
-                lambda t: replace(t, peaks=(*t.peaks[:2], np.nan, *t.peaks[3:])),
-                ParameterError,
-                r"^peaks must be finite$",
-                id="nan-peak",
-            ),
-            pytest.param(
-                "track",
-                lambda t: replace(t, peaks=(*t.peaks[:2], True, *t.peaks[3:])),
-                ParameterError,
-                r"^peak 2 must be a real number, got True$",
-                id="bool-peak",
-            ),
-            pytest.param(
-                "track",
-                lambda t: replace(t, peaks=(*t.peaks[:2], "1.5", *t.peaks[3:])),
-                ParameterError,
-                r"^peak 2 must be a real number, got '1\.5'$",
-                id="str-peak",
             ),
             pytest.param(
                 "track",
@@ -502,7 +486,6 @@ class TestFileRoundTrips:
         track = TrackOutput(
             [SegmentationResult(p) for p in maps],
             data.draw(st.none() | ends.map(lambda e: TemporalInterval(*sorted(e)))),
-            data.draw(st.lists(finite, min_size=n, max_size=n)),
             data.draw(st.none() | vectors),
             {t: data.draw(vectors) for t in data.draw(st.lists(st.integers(0, n - 1), unique=True))},
         )
@@ -587,7 +570,6 @@ class TestFileRoundTrips:
         document = {
             "version": fileio.FORMAT_VERSION,
             "kind": "track",
-            "peaks": [],
             "interval": None,
             "displacement_frames": [],
         }
@@ -717,6 +699,11 @@ class TestVersion:
         # version 5 stored a track's frame_index, which the frames' order already gives
         self.assert_rejected(tmp_path, 5, kind, hint)
 
+    @pytest.mark.parametrize("kind,hint", HINTS)
+    def test_version_6_file_rejected(self, tmp_path, kind, hint):
+        # version 6 stored a track's per-frame tracking peaks, which nothing read
+        self.assert_rejected(tmp_path, 6, kind, hint)
+
 
 @pytest.fixture
 def geo_files(tmp_path):
@@ -746,6 +733,8 @@ class TestUnknownEntries:
             pytest.param(1, "canvas", [48, 48], id="track-canvas"),
             # the field version 6 dropped: a track frame's index is its position
             pytest.param(1, "frame_index", [0, 1, 2, 3, 4], id="track-frame_index"),
+            # the field version 7 dropped: the per-frame tracking peaks
+            pytest.param(1, "peaks", [0.5] * 5, id="track-peaks"),
         ],
     )
     def test_unknown_document_field_exits_2(self, geo_files, capsys, target, key, value):
@@ -802,7 +791,8 @@ class TestLoaderVectors:
 
 
 class TestLoaderScalars:
-    """Track indices are type-checked by the loader, and peaks by ``TrackOutput``, whose refusal it wraps."""
+    """Track frame lists are type-checked by the loader, and interval ends by ``TemporalInterval``, whose
+    refusal it wraps."""
 
     @staticmethod
     def put(document, keys, value):
@@ -817,10 +807,6 @@ class TestLoaderScalars:
             pytest.param(
                 ("displacement_frames", 0), 1.5, r"\.displacement_frames: expected", id="float-displacement-frame_index"
             ),
-            pytest.param(
-                ("peaks", 2), "0.5", r"invalid track: peak 2 must be a real number, got '0\.5'$", id="str-peak"
-            ),
-            pytest.param(("peaks", 0), None, r"invalid track: peak 0 must be a real number, got None$", id="null-peak"),
         ],
     )
     def test_mistyped_track_scalar_rejected(self, geo_files, keys, value, message):
@@ -830,16 +816,25 @@ class TestLoaderScalars:
             fileio.load_track(str(track_path))
 
     @pytest.mark.parametrize(
-        "keys,value",
+        "keys,value,message",
         [
-            pytest.param(("peaks", 1), float("inf"), id="inf-peak"),
-            pytest.param(("peaks", 0), -float("inf"), id="minus-inf-peak"),
+            pytest.param(
+                ("interval", 1),
+                float("inf"),
+                "invalid track: end_frame must be an integer, got inf",
+                id="inf-interval-end",
+            ),
+            pytest.param(
+                ("displacement_frames", 0),
+                -float("inf"),
+                ".displacement_frames: expected increasing frame indices from 0, got [-inf, 1, 2, 3, 4]",
+                id="minus-inf-displacement-frame",
+            ),
         ],
     )
-    def test_non_finite_scalar_exits_2(self, geo_files, capsys, keys, value):
-        # json reads NaN and Infinity; a peak still takes only finite numbers
+    def test_non_finite_scalar_exits_2(self, geo_files, capsys, keys, value, message):
+        # json reads NaN and Infinity; every number of a track's document is a frame index
         rewrite(geo_files[1], lambda d: self.put(d, keys, value))
-        message = "invalid track: peaks must be finite"
         with pytest.raises(fileio.SchemaError, match=re.escape(message)):
             fileio.load_track(str(geo_files[1]))
         assert cli_main(["eval", "--scenario", str(geo_files[0]), "--track", str(geo_files[1])]) == 2
@@ -848,25 +843,21 @@ class TestLoaderScalars:
 
 class TestLoaderContainers:
     """Every list of the document and every stacked member is checked before it is read:
-    a list must be one, and a stack holds one row for each frame its list names. A track
-    holds one peak per frame, and an alignment both point sets, with as many rows."""
+    a list must be one, and a stack holds one row for each frame its list names. An
+    alignment holds both point sets, with as many rows."""
 
     DOCUMENT = "document.json"
 
     @pytest.mark.parametrize(
         "target,member,edit,message",
         [
-            # the probability maps give the frame count, so the peaks are one frame too many
-            pytest.param(
-                1, "prob.npy", lambda p: p[1:], "invalid track: peaks must be of shape (4,), got shape (5,)", id="track-frame"
-            ),
-            pytest.param(1, DOCUMENT, lambda d: d.update(peaks=3), ".peaks: expected a list", id="peaks"),
+            # the probability maps give the frame count, so the interval ends one frame past the track
             pytest.param(
                 1,
-                DOCUMENT,
-                lambda d: d.update(peaks=d["peaks"][:3]),
-                "invalid track: peaks must be of shape (5,), got shape (3,)",
-                id="short-peaks",
+                "prob.npy",
+                lambda p: p[1:],
+                "invalid track: interval [0, 4] leaves the track's frames [0, 4)",
+                id="track-frame",
             ),
             pytest.param(
                 1,
@@ -1377,7 +1368,6 @@ class TestEval3d:
         flipped = TrackOutput(
             track.results,
             track.interval,
-            track.peaks,
             track.world_point,
             {t: -d for t, d in track.displacements.items()},
         )
@@ -1420,7 +1410,6 @@ class TestEval3d:
         shifted = TrackOutput(
             track.results,
             track.interval,
-            track.peaks,
             track.world_point,
             {t: d + eps for t, d in track.displacements.items()},
         )
@@ -1454,8 +1443,10 @@ class TestEvalFrames:
     # interval at the last frame kept, so the file loads and only the scenario's frame check can refuse it
     @staticmethod
     def cut(track_path):
-        keys = ("peaks", "displacement_frames")
-        rewrite(track_path, lambda d: d.update({k: d[k][:3] for k in keys}, interval=[d["interval"][0], 2]))
+        rewrite(
+            track_path,
+            lambda d: d.update(displacement_frames=d["displacement_frames"][:3], interval=[d["interval"][0], 2]),
+        )
         rewrite(track_path, lambda p: p[:3], "prob.npy")
         rewrite(track_path, lambda p: p[:3], "deltas.npy")
 

@@ -443,15 +443,15 @@ class TestOneConvolution:
         seg, track = draw((ksz, ksz, channels, 3)), draw((ksz, ksz, channels, 1))
         mask = np.zeros((6, 7), dtype=np.uint8)
         mask[2:4, 2:5] = 1
-        cfg = PipelineConfig(kernel_size=ksz, updates_enabled=False)
-        pipe = Pipeline(QuerySpec(frame, mask), cfg)
+        pipe = Pipeline(QuerySpec(frame, mask), PipelineConfig(kernel_size=ksz))
         pipe.memory = replace(pipe.memory, seg_kernel=seg, track_kernel=track)
         result = pipe.step_frame(frame, 0)
 
         score = conv2d(frame, track)[:, :, 0]
         want = 1.0 / (1.0 + np.exp(-(conv2d(frame, seg).mean(axis=2) + np.maximum(0.0, score))))
         np.testing.assert_allclose(result.prob, want, rtol=0, atol=1e-12)
-        assert abs(pipe.peaks[-1] - score.max()) <= 1e-12
+        # an updates-on step records the frame's tracking peak in the memory's history
+        assert abs(pipe.memory.responses[-1] - score.max()) <= 1e-12
 
     def test_kernel_built_once_per_memory_value(self):
         sc = small_identity()
@@ -513,10 +513,6 @@ class TestFrameValidation:
         assert np.array_equal(kept.memory.seg_kernel, skipped.memory.seg_kernel)
         assert np.array_equal(kept.memory.track_kernel, skipped.memory.track_kernel)
         assert kept.memory.responses == skipped.memory.responses
-        # the track still records every frame's peak
-        peaks = kept.finalize_2d().peaks
-        assert len(peaks) == 12 and peaks[1] > 1e90
-        assert peaks[:1] + peaks[2:] == skipped.finalize_2d().peaks
 
     def test_infinite_frame_rejected(self):
         sc = small_identity()
@@ -533,20 +529,22 @@ class TestFrameValidation:
         frame = np.zeros((shape[0], shape[1], shape[2] or c))
         with pytest.raises(DimensionError):
             pipe.step_frame(frame, 0)
-        assert not pipe.results and not pipe.peaks
+        assert not pipe.results
 
-    @pytest.mark.parametrize("indices", [[5, 4, 3, 2, 1, 0], [0] * 6, [-1, 0, 1, 2, 3, 4], [0, 2]])
+    @pytest.mark.parametrize(
+        "indices", [[5, 4, 3, 2, 1, 0], [0] * 6, [-1, 0, 1, 2, 3, 4], [0, 2], [0, True], [0, 1.0], [np.int64(0), 1]]
+    )
     def test_frame_indices_must_increase(self, indices):
-        # an index is refused unless it is the next frame, the number of frames
-        # stepped so far, and a refused frame changes nothing
+        # an index is refused unless it is an integer, and not a bool, and the next frame, the
+        # number of frames stepped so far; a refused frame changes nothing
         sc = small_identity()
         pipe = Pipeline(sc.query, unit_cfg())
         for frame, index in zip(sc.frames, indices):
-            results, peaks, memory = list(pipe.results), list(pipe.peaks), pipe.memory
-            if index != len(results):
-                with pytest.raises(ParameterError, match="not the next frame"):
+            results, memory = list(pipe.results), pipe.memory
+            if isinstance(index, (bool, float)) or index != len(results):
+                with pytest.raises(ParameterError, match="not the next frame|must be an integer"):
                     pipe.step_frame(frame.feature, index)
-                assert pipe.results == results and pipe.peaks == peaks
+                assert pipe.results == results
                 assert pipe.memory is memory
             else:
                 pipe.step_frame(frame.feature, index)
@@ -637,7 +635,6 @@ class TestRunInvariants:
                 with np.errstate(over="ignore", invalid="ignore"):
                     out = Pipeline(sc.query).run(frames)
                 assert all(np.isfinite(r.prob).all() and np.isfinite(r.s_conf) for r in out.results)
-                assert np.isfinite(out.peaks).all()
                 path = os.path.join(work, f"{run}.json")
                 fileio.save_track(out, path)
                 with open(path, "rb") as handle:
@@ -661,17 +658,7 @@ class TestFinalize2d:
         for a, b in zip(runs[0].results, runs[1].results):
             assert np.array_equal(a.prob, b.prob)
             assert a.bbox == b.bbox and a.s_conf == b.s_conf
-        assert runs[0].peaks == runs[1].peaks
-
-    def test_non_finite_peak_raises(self):
-        # a finite frame can still overflow the convolution; the track refuses the peak
-        sc = small_identity(n_frames=3)
-        pipe = Pipeline(sc.query, unit_cfg())
-        for index, frame in enumerate(sc.frames):
-            pipe.step_frame(frame.feature, index)
-        pipe.peaks[1] = np.inf
-        with pytest.raises(ParameterError, match="^peaks must be finite$"):
-            pipe.finalize_2d()
+        assert runs[0].interval == runs[1].interval
 
 
 class TestTrackOutput:
@@ -695,13 +682,13 @@ class TestTrackOutput:
         track = ground_truth_track(gen_scenario(3, preset_params("geo")))
         message = rf"^interval \[{interval[0]}, {interval[1]}\] leaves the track's frames \[0, 5\)$"
         with pytest.raises(ParameterError, match=message):
-            TrackOutput(track.results, TemporalInterval(*interval), track.peaks)
+            TrackOutput(track.results, TemporalInterval(*interval))
         with pytest.raises(ParameterError, match=message):
             replace(track, interval=TemporalInterval(*interval))
 
     def test_frozen_and_read_only(self):
         track = self.lifted()
-        assert isinstance(track.results, tuple) and isinstance(track.peaks, tuple)
+        assert isinstance(track.results, tuple)
         with pytest.raises(FrozenInstanceError):
             track.interval = None
         with pytest.raises(FrozenInstanceError):
@@ -712,26 +699,13 @@ class TestTrackOutput:
             with pytest.raises(ValueError, match="read-only"):
                 vector[0] = 1.0
 
-    def test_real_peaks_are_kept_as_floats(self):
-        results = [SegmentationResult(np.full((4, 4), 0.75))] * 3
-        track = TrackOutput(results, None, [1, np.float32(0.5), np.int64(-2)])
-        assert track.peaks == (1.0, 0.5, -2.0) and all(type(p) is float for p in track.peaks)
-        with pytest.raises(ParameterError, match=r"^peak 1 must be a real number, got "):
-            TrackOutput(results, None, [1.0, np.bool_(False), 0.0])
-
-    def test_three_peaks_are_not_a_point(self):
-        # a track's peak count is a shape, whatever the count; "a 3-vector" names points and displacements
-        results = [SegmentationResult(np.zeros((2, 2)))] * 3
-        with pytest.raises(DimensionError, match=r"^peaks must be of shape \(3,\), got shape \(2,\)$"):
-            TrackOutput(results, None, [0.0, 1.0])
-
     def test_saturated_maps_are_kept(self):
         # fuse reaches both ends of [0, 1] at finite logits, and a track holds such maps as they are
         full = SegmentationResult(fusion.fuse(np.full((3, 3), 40.0), np.zeros((3, 3))))
         empty = SegmentationResult(fusion.fuse(np.full((3, 3), -745.0), np.zeros((3, 3))))
         assert (full.prob == 1.0).all() and full.s_conf == 1.0 and full.mask.all()
         assert (empty.prob == 0.0).all() and empty.s_conf == 0.0 and not empty.mask.any()
-        track = TrackOutput([full, empty], TemporalInterval(0, 0), [1.0, 0.0])
+        track = TrackOutput([full, empty], TemporalInterval(0, 0))
         assert [result.s_conf for result in track.results] == [1.0, 0.0]
 
     def test_keeps_its_own_vectors_in_frame_order(self):
@@ -761,7 +735,7 @@ class TestFinalize3d:
     def test_single_response_frame_is_its_own_ray(self):
         sc = gen_scenario(3, preset_params("geo"))
         gt = ground_truth_track(sc)
-        track = replace(gt, results=gt.results[:1], peaks=gt.peaks[:1], interval=TemporalInterval(0, 0))
+        track = replace(gt, results=gt.results[:1], interval=TemporalInterval(0, 0))
         out = finalize_3d(track, sc.cameras, (sc.alignment_src, sc.alignment_dst))
         from vql.geo3d import align_sim3, backproject
 
