@@ -11,7 +11,8 @@ All convolutions are cross-correlations with zero same-padding, so outputs
 keep the input's spatial size and stacked memory samples of one resolution
 stay shape-compatible. One private helper, ``_zero_border``, writes every
 zero-bordered copy the package makes: the convolution's channel-first
-(C, H + 2r, W + 2r) copy and the patch matrix's channel-last one here,
+(C, H + 2r, W + 2r) copy, whose K shifted rows make one product with the
+kernel's K rows, and the patch matrix's channel-last one here,
 the blurs of ``amm`` and ``pipeline`` and the pseudo-label boundary
 test. Everything is computed in float64; the solvers need
 headroom below their 1e-5 verification tolerances.
@@ -134,21 +135,23 @@ def conv2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     x[i + dy - K//2, j + dx - K//2, c] * k[dy, dx, c, d], out-of-range
     input treated as zero. Linear in both arguments.
 
-    Tap-major: one (K*K*D, C) @ (C, padded pixels) product gives every
-    tap's response at every pixel of the zero-bordered map, and K*K
-    shifted adds, in row-major tap order, sum them into D planes. Each
-    plane is kept at the padded row length, so a shift is one contiguous
-    slice of the flat responses; the columns past W are scratch. The
-    result is a (H, W, D) view of those planes.
+    Row taps: the zero-bordered map is written channel-first and flattened
+    to (C, L + K - 1) over its padded pixels. A read-only strided view
+    stacks it K times, row (dx, c) being channel c shifted left by dx, and
+    one copy makes that the contiguous (K*C, L) right operand of a single
+    (K*D, K*C) @ (K*C, L) product. Its row (dy, d) holds vertical tap dy's
+    sum over dx and c at every padded pixel. Pixel (i, j) is padded pixel
+    i * (W + 2r) + j, which vertical tap dy reads dy padded rows down, so
+    K - 1 shifted adds sum the row blocks into the first D rows in place,
+    and the result is a (H, W, D) view of those rows at the padded row
+    length; the columns past W are scratch.
 
-    The zero-bordered map is written channel-first, so the product's right
-    operand is contiguous: on a 48 x 48 x 3 frame with K = 3 and D = 2 the
-    product takes ~15 us against ~25 us on the transposed view of a
-    channel-last map (one OpenBLAS thread, 2-core x86-64 VM), and gives the
-    same bits on every shape ``tests/test_core.py`` pins. A kernel of one
-    row (K = D = 1) makes a matrix-vector product, which numpy sums along
-    each pixel's channels; there the map stays channel-last, so those sums
-    keep their order too.
+    The product takes the horizontal taps' part of the sum, which BLAS does
+    far faster than numpy's repeated adds: on a 48 x 48 x 3 frame with
+    K = 3 and D = 2 a call takes ~35 us, against ~60 us when one
+    (K*K*D, C) @ (C, padded pixels) product was summed by K*K shifted adds
+    (one OpenBLAS thread, 2-core x86-64 VM). The bits are the same at one
+    and two BLAS threads.
     """
     x = np.asarray(x, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
@@ -163,21 +166,20 @@ def conv2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     r = ksz // 2
     h, w = x.shape[:2]
     wp = w + 2 * r
-    flat_k = k.transpose(0, 1, 3, 2).reshape(ksz * ksz * d, c)
-    if ksz * ksz * d > 1:
-        taps = flat_k @ _zero_border(x, r, channel_first=True).reshape(c, -1)
-    else:
-        # one row: numpy takes a matrix-vector product, which sums each pixel's contiguous channels
-        taps = flat_k @ _zero_border(x, r).reshape(-1, c).T
-    taps = taps.reshape(ksz, ksz, d, -1)
-    # out[:, i * wp + j] is output pixel (i, j) for j < w
+    flat = _zero_border(x, r, channel_first=True).reshape(c, -1)
+    length = flat.shape[1] - (ksz - 1)
+    item = flat.itemsize
+    # row (dx, c) is channel c shifted left by dx; unlike as_strided, np.ndarray checks that the view stays
+    # inside its buffer, and it costs a fraction of as_strided's ~4 us a call
+    shifted = np.ndarray((ksz, c, length), np.float64, flat, 0, (item, flat.strides[0], item))
+    shifted.flags.writeable = False
+    kernel_rows = k.transpose(0, 3, 1, 2).reshape(ksz * d, ksz * c)
+    rows = kernel_rows @ np.ascontiguousarray(shifted).reshape(ksz * c, length)
+    # output pixel (i, j) is padded pixel i * wp + j, and vertical tap dy reads it dy padded rows down
     span = max(0, (h - 1) * wp + w)
-    out = np.zeros((d, h * wp))
-    for dy in range(ksz):
-        for dx in range(ksz):
-            start = dy * wp + dx
-            out[:, :span] += taps[dy, dx, :, start : start + span]
-    return out.reshape(d, h, wp)[:, :, :w].transpose(1, 2, 0)
+    for dy in range(1, ksz):
+        rows[:d, :span] += rows[dy * d : (dy + 1) * d, dy * wp : dy * wp + span]
+    return np.ndarray((h, w, d), np.float64, rows, 0, (wp * item, item, length * item))
 
 
 def im2col(x: np.ndarray, ksz: int) -> np.ndarray:

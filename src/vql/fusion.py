@@ -111,10 +111,16 @@ def fuse(appearance: np.ndarray, score: np.ndarray) -> np.ndarray:
     score = np.asarray(score, dtype=np.float64)
     if appearance.ndim != 2 or appearance.shape != score.shape:
         raise DimensionError(f"cannot fuse appearance {appearance.shape} with score {score.shape}")
-    logits = appearance + np.maximum(0.0, score)
+    # one buffer, fresh from np.maximum, holds the logits and then the map: the bits of
+    # 1 / (1 + exp(-(appearance + max(0, score)))) without its temporaries
+    out = np.maximum(0.0, score)
+    out += appearance
+    np.negative(out, out=out)
     # a logit below about -709 overflows exp to inf, and the map reads exactly 0 there
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-logits))
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def temporal_localize(s_conf_seq: Sequence[float]) -> Optional[TemporalInterval]:

@@ -96,6 +96,12 @@ def spatial_weight(label: np.ndarray) -> np.ndarray:
     return W_BG + (W_FG - W_BG) * np.asarray(label, dtype=np.float64)
 
 
+def _squared_norm(v: np.ndarray) -> float:
+    """||v||^2 summed by numpy's own loop: OpenBLAS splits a dot product of more than ~10,000 elements,
+    as long as a bank's scores, across its threads, which moves the sum's last bits with the thread count."""
+    return float(np.einsum("i,i", v, v))
+
+
 class _Problem:
     """The bank flattened to pixel rows for one kernel shape.
 
@@ -125,7 +131,7 @@ class _Problem:
     def evaluate(self, h: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """Loss, residual r and derivative map q at the flat kernel c with scores h = A c."""
         r, q = self.residual(h)
-        return self.scale * float(r @ r) + RIDGE**2 * float(c @ c), r, q
+        return self.scale * _squared_norm(r) + RIDGE**2 * float(c @ c), r, q
 
     def times(self, c: np.ndarray) -> np.ndarray:
         """A c, one entry's rows at a time."""
@@ -146,7 +152,7 @@ class _Problem:
         if g_norm2 == 0.0:
             raise ParameterError("step is undefined for a zero gradient (already converged)")
         qag = q * ag
-        curvature = 2.0 * self.scale * float(qag @ qag) + 2.0 * RIDGE**2 * g_norm2
+        curvature = 2.0 * self.scale * _squared_norm(qag) + 2.0 * RIDGE**2 * g_norm2
         if curvature <= 0.0:
             raise ParameterError(f"curvature along the gradient is not positive: {curvature}")
         return g_norm2 / curvature

@@ -128,11 +128,13 @@ class TrackOutput(ArrayValue):
     ``displacements`` keys count frames the same way.
 
     The track contract, checked here for the pipeline, the file loader and ``replace`` alike:
-    at least one result, all of one (H, W), each map of probabilities in [0, 1]; an interval
-    that is None or inside the frames [0, n); displacement keys that are frames of the track,
-    each mapped to a finite 3-vector; a ``world_point`` that is None or a finite 3-vector. The
-    results are kept as a tuple and the displacements as a read-only mapping, in frame order,
-    of read-only vectors, so the contract holds for the value's whole life.
+    at least one ``fusion.SegmentationResult``, all of one (H, W), each map of probabilities in
+    [0, 1]; an interval that is None or a ``fusion.TemporalInterval`` inside the frames [0, n);
+    displacements that are a mapping whose keys are frames of the track, each mapped to a finite
+    3-vector; a ``world_point`` that is None or a finite 3-vector. A value of the wrong type is a
+    ParameterError that names its field. The results are kept as a tuple and the displacements
+    as a read-only mapping, in frame order, of read-only vectors, so the contract holds for the
+    value's whole life.
     """
 
     results: tuple[fusion.SegmentationResult, ...]
@@ -145,13 +147,20 @@ class TrackOutput(ArrayValue):
         n = len(results)
         if not n:
             raise EmptyInputError("a track needs at least one result")
-        canvas = results[0].prob.shape
         for t, result in enumerate(results):
-            if result.prob.shape != canvas:
-                raise DimensionError(f"result {t}'s map is {result.prob.shape}, not result 0's (H, W) {canvas}")
+            if not isinstance(result, fusion.SegmentationResult):
+                raise ParameterError(f"result {t} must be a fusion.SegmentationResult, got {type(result).__name__}")
+            if result.prob.shape != results[0].prob.shape:
+                raise DimensionError(
+                    f"result {t}'s map is {result.prob.shape}, not result 0's (H, W) {results[0].prob.shape}"
+                )
             # NaN fails both comparisons, as min and max propagate it
             if not (result.prob.min() >= 0.0 and result.prob.max() <= 1.0):
                 raise ParameterError(f"result {t}'s map must hold probabilities in [0, 1]")
+        if self.interval is not None and not isinstance(self.interval, fusion.TemporalInterval):
+            raise ParameterError(f"interval must be None or a TemporalInterval, got {type(self.interval).__name__}")
+        if not isinstance(self.displacements, Mapping):
+            raise ParameterError(f"displacements must be a mapping, got {type(self.displacements).__name__}")
         ends = None if self.interval is None else [self.interval.start_frame, self.interval.end_frame]
         if ends and (ends[0] < 0 or ends[1] >= n):
             raise ParameterError(f"interval {ends} leaves the track's frames [0, {n})")

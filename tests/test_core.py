@@ -62,28 +62,29 @@ class TestConv2d:
         assert np.all(error <= 1e-12 * conv2d_naive(np.abs(x), np.abs(k)))
 
 
-def conv2d_channel_last(x, k):
-    """conv2d as it was written on a channel-last padded map: the tap product's right operand is the
-    transposed (padded pixels, C) view, and the shifted adds are conv2d's own."""
+def conv2d_row_taps(x, k):
+    """conv2d's formula built plainly: K explicit shifted copies of the channel-first padded map stacked
+    into one (K*C, L) matrix, the (K*D, K*C) kernel product, and K shifted adds into zero-filled planes."""
     ksz, _, c, d = k.shape
     r = ksz // 2
     h, w = x.shape[:2]
-    xp = np.zeros((h + 2 * r, w + 2 * r, c))
-    xp[r : r + h, r : r + w] = x
     wp = w + 2 * r
-    taps = k.transpose(0, 1, 3, 2).reshape(ksz * ksz * d, c) @ xp.reshape(-1, c).T
-    taps = taps.reshape(ksz, ksz, d, -1)
+    xp = np.zeros((c, h + 2 * r, wp))
+    xp[:, r : r + h, r : r + w] = x.transpose(2, 0, 1)
+    flat = xp.reshape(c, -1)
+    length = flat.shape[1] - (ksz - 1)
+    stacked = np.concatenate([flat[:, dx : dx + length] for dx in range(ksz)])
+    rows = k.transpose(0, 3, 1, 2).reshape(ksz * d, ksz * c) @ stacked
     span = max(0, (h - 1) * wp + w)
     out = np.zeros((d, h * wp))
     for dy in range(ksz):
-        for dx in range(ksz):
-            start = dy * wp + dx
-            out[:, :span] += taps[dy, dx, :, start : start + span]
+        out[:, :span] += rows[dy * d : (dy + 1) * d, dy * wp : dy * wp + span]
     return out.reshape(d, h, wp)[:, :, :w].transpose(1, 2, 0)
 
 
 class TestChannelFirstLayout:
-    """conv2d's channel-first padded map changes the product's operand layout, not one output bit."""
+    """conv2d's strided view of the channel-first padded map and its in-place sum of the row blocks change
+    not one output bit against the same formula built from explicit copies and zero-filled planes."""
 
     @pytest.mark.parametrize("ksz", [1, 3, 5])
     @pytest.mark.parametrize("c_in", [1, 2, 3, 4])
@@ -94,7 +95,7 @@ class TestChannelFirstLayout:
         r = rng(ksz * 100 + c_in * 10 + c_out)
         x = r.uniform(-1, 1, size=(*hw, c_in))
         k = r.uniform(-1, 1, size=(ksz, ksz, c_in, c_out))
-        np.testing.assert_array_equal(core.conv2d(x, k), conv2d_channel_last(x, k), strict=True)
+        np.testing.assert_array_equal(core.conv2d(x, k), conv2d_row_taps(x, k), strict=True)
 
     @given(
         st.sampled_from([1, 3, 5]),
@@ -109,7 +110,7 @@ class TestChannelFirstLayout:
         r = rng(seed)
         x = r.normal(size=(h, w, c_in))
         k = r.normal(size=(ksz, ksz, c_in, c_out))
-        np.testing.assert_array_equal(core.conv2d(x, k), conv2d_channel_last(x, k), strict=True)
+        np.testing.assert_array_equal(core.conv2d(x, k), conv2d_row_taps(x, k), strict=True)
 
 
 class TestIm2col:

@@ -57,6 +57,23 @@ class TestFuse:
         out = fusion.fuse(np.array([[-1000.0, -745.0, 36.0, 40.0, 1000.0]]), np.zeros((1, 5)))
         assert out.tolist() == [[0.0, 0.0, 0.9999999999999998, 1.0, 1.0]]
 
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(1, 6), st.just(2)),
+            elements=st.floats(-1000.0, 1000.0) | st.sampled_from([-745.0, -709.8, 36.0, 36.7, 40.0]),
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bits_of_the_formula_and_inputs_kept(self, maps):
+        # the two maps are views into one (H, W, 2) array, as the pipeline passes the one convolution's planes
+        before = maps.copy()
+        got = fusion.fuse(maps[:, :, 0], maps[:, :, 1])
+        with np.errstate(over="ignore"):
+            want = 1.0 / (1.0 + np.exp(-(maps[:, :, 0] + np.maximum(0.0, maps[:, :, 1]))))
+        np.testing.assert_array_equal(got, want, strict=True)
+        np.testing.assert_array_equal(maps, before, strict=True)
+
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
             fusion.fuse(np.zeros((3, 3)), np.zeros((3, 4)))

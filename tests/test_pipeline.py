@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import FrozenInstanceError, replace
 
@@ -641,6 +643,24 @@ class TestRunInvariants:
                     tracks.append(handle.read())
         assert tracks[0] == tracks[1]
 
+    def test_track_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # OpenBLAS splits a dot product of more than ~10,000 elements across its threads, which moves its last
+        # bits; a tracking bank of 10 or more entries of 1,024 rows is that long, and seed 7 fills one
+        scenario = tmp_path / "identity.npz"
+        fileio.save_scenario(gen_scenario(7, preset_params("identity")), str(scenario))
+        tracks = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.npz"
+            proc = subprocess.run(
+                [sys.executable, "-m", "vql.cli", "run2d", "--scenario", str(scenario), "--out", str(out)],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+            )
+            assert proc.returncode == 0, proc.stderr
+            tracks.append(out.read_bytes())
+        assert tracks[0] == tracks[1]
+
 
 class TestFinalize2d:
     def test_requires_frames(self):
@@ -685,6 +705,26 @@ class TestTrackOutput:
             TrackOutput(track.results, TemporalInterval(*interval))
         with pytest.raises(ParameterError, match=message):
             replace(track, interval=TemporalInterval(*interval))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            pytest.param(
+                {"interval": (0, 1)}, r"^interval must be None or a TemporalInterval, got tuple$", id="tuple-interval"
+            ),
+            pytest.param({"displacements": [1]}, r"^displacements must be a mapping, got list$", id="list-displacements"),
+            pytest.param(
+                {"results": [np.zeros((2, 2))] * 3},
+                r"^result 0 must be a fusion.SegmentationResult, got ndarray$",
+                id="array-result",
+            ),
+        ],
+    )
+    def test_field_of_the_wrong_type_raises(self, fields, message):
+        # the loader always builds these types; a library caller gets a typed error that names the field
+        arguments = {"results": [SegmentationResult(np.zeros((2, 2)))] * 3, "interval": None, **fields}
+        with pytest.raises(ParameterError, match=message):
+            TrackOutput(**arguments)
 
     def test_frozen_and_read_only(self):
         track = self.lifted()
