@@ -14,7 +14,7 @@ from vql.scenario import gen_scenario, preset_params
 
 def run(scenario, cfg):
     pipe = Pipeline(scenario.query, cfg)
-    return pipe.run([frame.feature for frame in scenario.frames])
+    return pipe.run(scenario.features)
 
 
 identity = gen_scenario(7, preset_params("identity"))

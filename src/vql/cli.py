@@ -30,7 +30,7 @@ __all__ = ["main"]
 def _cmd_gen(args) -> int:
     scenario = gen_scenario(args.seed, preset_params(args.preset))
     fileio.save_scenario(scenario, args.out)
-    print(f"wrote {args.out}: preset {args.preset}, seed {args.seed}, {len(scenario.frames)} frames")
+    print(f"wrote {args.out}: preset {args.preset}, seed {args.seed}, {len(scenario.features)} frames")
     return 0
 
 
@@ -38,7 +38,7 @@ def _cmd_run2d(args) -> int:
     scenario = fileio.load_scenario(args.scenario)
     cfg = fileio.load_config(args.config) if args.config else PipelineConfig()
     pipe = Pipeline(scenario.query, cfg)
-    track = pipe.run([frame.feature for frame in scenario.frames])
+    track = pipe.run(scenario.features)
     fileio.save_track(track, args.out)
     span = "none" if track.interval is None else f"{track.interval.start_frame}..{track.interval.end_frame}"
     print(f"wrote {args.out}: {len(track.results)} frames, interval {span}")

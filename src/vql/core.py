@@ -31,7 +31,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -86,14 +86,14 @@ def _equal(a: Any, b: Any) -> bool:
 
 class ArrayValue:
     """Base of the frozen dataclass values with array fields, each declared ``eq=False``: equal when of
-    one type and ``_equal`` field by field, and unhashable, as a consistent hash would read every array."""
+    one type and ``_equal`` in each compared field, and unhashable, as a consistent hash would read every array."""
 
     __hash__ = None  # type: ignore[assignment]
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return all(_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
 
 
 def as_index(value: Any, name: str) -> int:
@@ -234,19 +234,28 @@ def _check_shape(arr: np.ndarray, name: str, shape: Sequence[int]) -> np.ndarray
     return arr
 
 
-def checked_array(value, name: str, shape: Sequence[int]) -> np.ndarray:
-    """``value`` as a float64 ``frozen_array`` of ``shape`` (-1 takes any length), which must be finite."""
-    arr = _check_shape(frozen_array(value, np.float64), name, shape)
-    if not np.isfinite(arr).all():
-        raise ParameterError(f"{name} must be finite")
+def _check_values(ok: np.ndarray, name: str, rule: str, frame_name: Optional[str]) -> None:
+    """Refuse unless ``ok`` is all true; given a ``frame_name``, name the first frame (leading index) that is not."""
+    if not ok.all():
+        if frame_name is not None:
+            name = f"frame {int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))} {frame_name}"
+        raise ParameterError(f"{name} {rule}")
+
+
+def checked_array(value, name: str, shape: Sequence[int], frame_name: Optional[str] = None) -> np.ndarray:
+    """``value`` as a float64 ``frozen_array`` of ``shape`` (-1 takes any length), which must convert and be finite."""
+    try:
+        arr = frozen_array(value, np.float64)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must hold real numbers, got {type(value).__name__}") from None
+    _check_values(np.isfinite(_check_shape(arr, name, shape)), name, "must be finite", frame_name)
     return arr
 
 
-def checked_mask(value, name: str, shape: Sequence[int]) -> np.ndarray:
+def checked_mask(value, name: str, shape: Sequence[int], frame_name: Optional[str] = None) -> np.ndarray:
     """``value`` as a ``frozen_array`` of ``shape`` (-1 takes any length) holding only 0 and 1."""
     arr = _check_shape(frozen_array(value), name, shape)
-    if not ((arr == 0) | (arr == 1)).all():
-        raise ParameterError(f"{name} values must be 0 or 1")
+    _check_values((arr == 0) | (arr == 1), name, "values must be 0 or 1", frame_name)
     return arr
 
 
@@ -268,7 +277,7 @@ class BankEntry:
     label: np.ndarray
     # read-only im2col patch rows keyed by kernel size
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the appearance solver's statistics (M_i, b_i, c_i) keyed by kernel size
+    # the appearance solver's statistics (M_i, b_i, c_i) keyed by kernel size, the tracking solver's weights by "glm"
     _stats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

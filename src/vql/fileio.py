@@ -25,8 +25,8 @@ alike: ``Scenario`` (with ``QuerySpec`` and ``CameraFrame``),
 ``TrackOutput`` and ``PipelineConfig``. A loader reports a broken rule as
 a ``SchemaError`` carrying its message, and a saver writes a value as it
 is, its rules already held.
-A loaded scenario's frames and a loaded track's probability maps are
-read-only views of the loaded stacks.
+A loaded scenario holds its loaded stacks as they are, and a loaded
+track's probability maps are read-only views of its stack.
 
 A file stores nothing that follows from what it stores: the loader reads
 every shape from the stacked tensors (a scenario's N, H, W and C from
@@ -62,7 +62,7 @@ from .core import DimensionError, EmptyInputError, ParameterError
 from .fusion import SegmentationResult, TemporalInterval
 from .geo3d import CameraFrame
 from .pipeline import PipelineConfig, QuerySpec, TrackOutput
-from .scenario import FrameData, Scenario
+from .scenario import Scenario
 
 __all__ = [
     "SchemaError",
@@ -385,12 +385,12 @@ _SCENARIO_OPTIONAL = {"gt_point": (3,), "alignment_src": (None, 3), "alignment_d
 
 def save_scenario(scenario: Scenario, path: str) -> None:
     """Write ``scenario``, whose contract ``Scenario`` has checked."""
-    h, w, c = scenario.query.feature.shape
-    camera_frames = [i for i, frame in enumerate(scenario.frames) if frame.camera is not None]
-    cameras = [scenario.frames[i].camera for i in camera_frames]
+    h, w = scenario.query.mask.shape
+    camera_frames = [t for t, camera in enumerate(scenario.cameras) if camera is not None]
+    cameras = [scenario.cameras[t] for t in camera_frames]
     arrays = {
-        "features": _stack([frame.feature for frame in scenario.frames], (h, w, c)),
-        "gt_masks": _stack([frame.gt_mask for frame in scenario.frames], (h, w), "u1"),
+        "features": np.asarray(scenario.features, dtype="<f8"),
+        "gt_masks": np.asarray(scenario.gt_masks, dtype="u1"),
         "query_feature": np.asarray(scenario.query.feature, dtype="<f8"),
         "query_mask": np.asarray(scenario.query.mask, dtype="u1"),
         "poses": _stack([camera.pose for camera in cameras], (4, 4)),
@@ -409,7 +409,7 @@ def save_scenario(scenario: Scenario, path: str) -> None:
 def load_scenario(path: str) -> Scenario:
     """A scenario file; its frame count N, canvas (H, W) and channels C are the shape of ``features``,
     and a scenario that breaks ``Scenario``'s contract is a ``SchemaError`` carrying its message.
-    Its frames' arrays are read-only views of the loaded stacks."""
+    It holds the loaded stacks themselves, read-only, and its frames are views of them."""
     keys = ("camera_frames",)
     document, arrays = _read_archive(path, "scenario", keys, _SCENARIO_MEMBERS, tuple(_SCENARIO_OPTIONAL))
     features = _member(arrays, "features", "<f8", (None,) * 4, path)
@@ -426,13 +426,13 @@ def load_scenario(path: str) -> Scenario:
         for name, shape in _SCENARIO_OPTIONAL.items()
         if name in arrays
     }
-    # read-only stacks, so the frames' slices of them stay views that nothing can change
+    # read-only stacks, which the scenario and its cameras keep as they are
     for arr in arrays.values():
         arr.flags.writeable = False
     try:
         cameras = dict(zip(camera_frames, map(CameraFrame, *camera_members)))
-        frames = [FrameData(features[i], gt_masks[i], cameras.get(i)) for i in range(n)]
-        return Scenario(frames, QuerySpec(query_feature, query_mask), **optional)
+        query = QuerySpec(query_feature, query_mask)
+        return Scenario(features, gt_masks, tuple(map(cameras.get, range(n))), query, **optional)
     except (DimensionError, EmptyInputError, ParameterError) as exc:
         raise SchemaError(f"{path}: invalid scenario: {exc}") from exc
 

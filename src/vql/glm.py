@@ -23,8 +23,8 @@ on the window with sigma = side / 6 (:func:`label_sigma`).
 The solver works on the bank flattened to pixel rows: A holds the rows
 of every entry's im2col patch matrix A_i (one row per pixel,
 P = K*K*C columns), so all scores are one matvec h = A c. The residual
-weights are fixed for a refit, so the solver forms ws = sw * S,
-wn = sw * (1 - S) and wg = sw * G once, as vectors over the same rows.
+weights ws = sw * S, wn = sw * (1 - S) and wg = sw * G do not change with
+the filter: each entry keeps its ws, ws + wn and wg, and a refit joins them.
 With the hinge subgradient (zero at the kink)
 
     q        = ws + wn * 1[h > 0]
@@ -102,30 +102,34 @@ def _squared_norm(v: np.ndarray) -> float:
     return float(np.einsum("i,i", v, v))
 
 
+def _residual_weights(entry: BankEntry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entry's flat, read-only ws, ws + wn and wg, formed once and kept on it like its AMM statistics."""
+    if "glm" not in entry._stats:
+        sw, region = spatial_weight(entry.label).ravel(), entry.target_region.ravel()
+        ws = sw * region
+        entry._stats["glm"] = tuple(map(frozen_in_place, (ws, ws + sw * (1.0 - region), sw * entry.label.ravel())))
+    return entry._stats["glm"]
+
+
 class _Problem:
     """The bank flattened to pixel rows for one kernel shape.
 
     Holds the entries' patch rows A_i and the per-row residual weights
-    ws = sw * S, wn = sw * (1 - S) and wg = sw * G of the whole bank; every
-    method works on a flat kernel c of length P or on scores h = A c.
+    ws, ws + wn and wg of the whole bank, the entries' own concatenated;
+    every method works on a flat kernel c of length P or on scores h = A c.
     """
 
     def __init__(self, entries: Sequence[BankEntry], kernel_shape: Sequence[int]):
         _check_bank(entries, kernel_shape, 1)
         self.rows = [e.rows(kernel_shape[0]) for e in entries]
         self.bounds = np.cumsum([0] + [e.label.size for e in entries])
-        label = np.concatenate([e.label.ravel() for e in entries])
-        region = np.concatenate([e.target_region.ravel() for e in entries])
-        weight = spatial_weight(label)
-        self.ws = weight * region
-        self.wn = weight * (1.0 - region)
-        self.wg = weight * label
+        self.ws, self.ws_wn, self.wg = map(np.concatenate, zip(*map(_residual_weights, entries)))
         self.scale = 1.0 / len(entries)
 
     def residual(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Residual r = sw * (S * h + (1 - S) * max(0, h) - G) and its derivative q wrt h."""
         # subgradient 0 at h = 0
-        q = self.ws + self.wn * (h > 0.0)
+        q = np.where(h > 0.0, self.ws_wn, self.ws)
         return q * h - self.wg, q
 
     def evaluate(self, h: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:

@@ -172,10 +172,7 @@ def eval_3d(pred: TrackOutput, scenario: Scenario) -> MetricsReport3D:
         hits[t] = l2 < L2_GATE and angle < ANGLE_GATE
 
     success_pct = 100.0 * float(np.mean([hits.get(t, False) for t in interval]))
-    if with_pose:
-        success_star_pct = 100.0 * float(np.mean([hits.get(t, False) for t in with_pose]))
-    else:
-        success_star_pct = 0.0
+    success_star_pct = 100.0 * float(np.mean([hits.get(t, False) for t in with_pose])) if with_pose else 0.0
     l2_mean = float(np.mean(l2_values)) if l2_values else None
     angle_mean = float(np.mean(angle_values)) if angle_values else None
     return MetricsReport3D(success_pct, success_star_pct, l2_mean, angle_mean, qwp_pct)

@@ -46,7 +46,7 @@ import numbers
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -143,6 +143,8 @@ class TrackOutput(ArrayValue):
     displacements: Mapping[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.results, Iterable):
+            raise ParameterError(f"results must be an iterable, got {type(self.results).__name__}")
         results = tuple(self.results)
         n = len(results)
         if not n:

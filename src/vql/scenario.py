@@ -15,13 +15,13 @@ which makes generated files byte-identical across runs.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .core import ArrayValue, DimensionError, ParameterError, as_index, checked_array, checked_mask, frozen_array
+from .core import ArrayValue, DimensionError, ParameterError, as_index, checked_array, checked_mask, frozen_in_place
 from .core import last_run, min_bounding_rect
 from .fusion import SegmentationResult, TemporalInterval
 from .geo3d import CameraFrame, Sim3Transform
@@ -121,16 +121,11 @@ def preset_params(name: str) -> ScenarioParams:
 
 @dataclass(frozen=True, eq=False)
 class FrameData(ArrayValue):
-    """One frame's (H, W, C) features, its ground-truth mask and its camera, if any, the arrays
-    kept read-only; ``Scenario`` checks them."""
+    """Frame t of a ``Scenario``, which builds it: views of its stacks' frame t and its camera, if any."""
 
     feature: np.ndarray
     gt_mask: np.ndarray
     camera: Optional[CameraFrame] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "feature", frozen_array(self.feature, np.float64))
-        object.__setattr__(self, "gt_mask", frozen_array(self.gt_mask))
 
     @cached_property
     def gt_bbox(self) -> Optional[tuple[int, int, int, int]]:
@@ -140,35 +135,46 @@ class FrameData(ArrayValue):
 
 @dataclass(frozen=True, eq=False)
 class Scenario(ArrayValue):
-    """A clip, its ground truth and the visual query.
+    """A clip, its ground truth and the visual query, held as a scenario file stores them: the
+    (N, H, W, C) ``features`` stack, the (N, H, W) ``gt_masks`` stack and N ``cameras``, each a
+    frame's ``CameraFrame`` or None.
 
     The scenario contract, checked here for the generator, the file loader and ``replace``
-    alike: every frame's features are finite and of the query's (H, W, C), and its
-    ground-truth mask (H, W) of only 0 and 1, as ``QuerySpec`` holds the query's (and its
-    mask non-empty); each camera's depth map, and so its uncertainty map, is (H, W);
-    ``gt_point`` is None or a finite 3-vector; an alignment is None or both point sets, finite
-    (M, 3) arrays of one M. Frames are a tuple and every array read-only, so the contract
-    holds for the value's whole life.
+    alike, once per array: the features are finite and of the query's (H, W, C), and the
+    ground-truth masks of only 0 and 1, as ``QuerySpec`` holds the query's (and its mask
+    non-empty), a refusal naming the first frame that breaks the rule; each camera's depth map,
+    and so its uncertainty map, is (H, W); ``gt_point`` is None or a finite 3-vector; an
+    alignment is None or both point sets, finite (M, 3) arrays of one M. The cameras are a tuple
+    and every array read-only, so the contract holds for the value's whole life. ``frames`` is
+    the clip frame by frame, the ``FrameData`` views of the stacks, built with the value.
 
     It keeps no record of how it was made: the seed and ``ScenarioParams``
     are inputs of ``gen_scenario``, so a scenario file holds no recipe.
     """
 
-    frames: tuple[FrameData, ...]
+    features: np.ndarray
+    gt_masks: np.ndarray
+    cameras: tuple[Optional[CameraFrame], ...]
     query: QuerySpec
     gt_point: Optional[np.ndarray] = None
     alignment_src: Optional[np.ndarray] = None
     alignment_dst: Optional[np.ndarray] = None
+    # views of the stacks, which are what two scenarios compare
+    frames: tuple[FrameData, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        frames, canvas = tuple(self.frames), self.query.feature.shape
-        for t, frame in enumerate(frames):
-            checked_array(frame.feature, f"frame {t} features", canvas)
-            checked_mask(frame.gt_mask, f"frame {t} mask", canvas[:2])
-            depth = canvas[:2] if frame.camera is None else frame.camera.depth.shape
-            if depth != canvas[:2]:
-                raise DimensionError(f"frame {t} depth must be of shape {canvas[:2]}, got shape {depth}")
-        object.__setattr__(self, "frames", frames)
+        canvas = self.query.feature.shape
+        features = checked_array(self.features, "features", (-1, *canvas), "features")
+        gt_masks = checked_mask(self.gt_masks, "gt_masks", (len(features), *canvas[:2]), "mask")
+        cameras = tuple(self.cameras)
+        if len(cameras) != len(features):
+            raise DimensionError(f"{len(cameras)} cameras for {len(features)} frames; a frame without one has None")
+        for t, camera in enumerate(cameras):
+            if camera is not None and camera.depth.shape != canvas[:2]:
+                raise DimensionError(f"frame {t} depth must be of shape {canvas[:2]}, got shape {camera.depth.shape}")
+        frames = tuple(map(FrameData, features, gt_masks, cameras))
+        for name, value in ("features", features), ("gt_masks", gt_masks), ("cameras", cameras), ("frames", frames):
+            object.__setattr__(self, name, value)
         if self.gt_point is not None:
             object.__setattr__(self, "gt_point", checked_array(self.gt_point, "gt_point", (3,)))
         if (self.alignment_src is None) != (self.alignment_dst is None):
@@ -180,13 +186,9 @@ class Scenario(ArrayValue):
             object.__setattr__(self, "alignment_dst", checked_array(self.alignment_dst, "alignment_dst", src.shape))
 
     @property
-    def cameras(self) -> list[Optional[CameraFrame]]:
-        return [f.camera for f in self.frames]
-
-    @property
     def gt_interval(self) -> Optional[tuple[int, int]]:
         """The last run of frames whose ground-truth mask is non-empty."""
-        return last_run([f.gt_mask.any() for f in self.frames])
+        return last_run(self.gt_masks.any(axis=(1, 2)))
 
 
 def _signature_pair(rng: np.random.Generator, channels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,17 +201,11 @@ def _signature_pair(rng: np.random.Generator, channels: int) -> tuple[np.ndarray
     return q, u
 
 
-def _draw_square(feature: np.ndarray, center: tuple[int, int], size: int, signature: np.ndarray) -> np.ndarray:
-    h, w = feature.shape[:2]
+def _square(canvas: tuple[int, int], center: tuple[int, int], size: int) -> tuple[slice, slice]:
+    """The rows and columns of the size x size square centred on ``center``, clipped to the canvas."""
     half = size // 2
     r0, c0 = center[0] - half, center[1] - half
-    r1, c1 = r0 + size - 1, c0 + size - 1
-    r0c, r1c = max(r0, 0), min(r1, h - 1)
-    c0c, c1c = max(c0, 0), min(c1, w - 1)
-    mask = np.zeros((h, w), dtype=np.uint8)
-    mask[r0c : r1c + 1, c0c : c1c + 1] = 1
-    feature[r0c : r1c + 1, c0c : c1c + 1, :] = signature
-    return mask
+    return slice(max(r0, 0), min(r0 + size, canvas[0])), slice(max(c0, 0), min(c0 + size, canvas[1]))
 
 
 def _look_at_pose(position: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -248,32 +244,25 @@ def gen_scenario(seed: int, params: ScenarioParams) -> Scenario:
 
     # a geo target sits on the principal point, the canvas's central pixel
     center = ((h - 1) // 2, (w - 1) // 2) if params.n_views > 0 else (h // 2, w // 2)
-    geo = _geo_setup(rng, params, center) if params.n_views > 0 else None
+    geo = _geo_setup(rng, params, center) if params.n_views > 0 else {"cameras": []}
 
-    frames: list[FrameData] = []
+    features = np.empty((params.n_frames, h, w, CHANNELS))
+    gt_masks = np.zeros((params.n_frames, h, w), dtype=np.uint8)
+    square = _square(params.canvas, center, params.object_size)
     for t in range(params.n_frames):
         theta = params.drift_step * t
         sig = np.cos(theta) * q0 + np.sin(theta) * u0
-        feature = np.tile(-BACKGROUND_AMPLITUDE * sig, (h, w, 1))
-        present = params.absence is None or not params.absence[0] <= t <= params.absence[1]
+        features[t] = -BACKGROUND_AMPLITUDE * sig
         if params.distractor:
             shift = int(round(6 * np.sin(2 * np.pi * t / DISTRACTOR_PERIOD)))
-            d_center = (h // 4, w // 4 + shift)
-            _draw_square(feature, d_center, max(3, params.object_size // 2), distractor_sig)
-        if present:
-            mask = _draw_square(feature, center, params.object_size, sig)
-        else:
-            mask = np.zeros((h, w), dtype=np.uint8)
-        camera = geo["cameras"][t] if geo is not None and t < len(geo["cameras"]) else None
-        frames.append(FrameData(feature, mask, camera))
-
-    return Scenario(
-        frames=frames,
-        query=QuerySpec(frames[0].feature, frames[0].gt_mask),
-        gt_point=None if geo is None else geo["point"],
-        alignment_src=None if geo is None else geo["src"],
-        alignment_dst=None if geo is None else geo["dst"],
-    )
+            distractor = _square(params.canvas, (h // 4, w // 4 + shift), max(3, params.object_size // 2))
+            features[t][distractor] = distractor_sig
+        if params.absence is None or not params.absence[0] <= t <= params.absence[1]:
+            features[t][square] = sig
+            gt_masks[t][square] = 1
+    cameras = geo.pop("cameras") + [None] * (params.n_frames - params.n_views)
+    features, gt_masks = frozen_in_place(features), frozen_in_place(gt_masks)
+    return Scenario(features, gt_masks, cameras, QuerySpec(features[0], gt_masks[0]), **geo)
 
 
 # the views' distance from the world point along the ground, their focal
@@ -284,10 +273,10 @@ CORRUPT_UNCERTAINTY = 20.0
 
 
 def _geo_setup(rng: np.random.Generator, params: ScenarioParams, center: tuple[int, int]) -> dict:
-    """Cameras on an arc around a world point, expressed in a scaled
-    reconstruction frame that a similarity transform maps back to the
-    benchmark frame; each camera's principal point is the (row, col)
-    ``center`` and its depth map is constant at the target's depth."""
+    """Cameras on an arc around a world point, in a scaled reconstruction frame that a similarity
+    transform maps back to the benchmark frame, each with its principal point at the (row, col)
+    ``center`` and a depth map constant at the target's depth; with the point and the alignment, as
+    ``Scenario``'s ``gt_point``, ``alignment_src`` and ``alignment_dst``."""
     h, w = params.canvas
     point = rng.uniform(-1.0, 1.0, size=3) + np.array([0.0, 0.0, 1.0])
     scale = float(rng.uniform(0.6, 1.8))
@@ -319,8 +308,7 @@ def _geo_setup(rng: np.random.Generator, params: ScenarioParams, center: tuple[i
 
     n_pairs = 12
     src = rng.uniform(-2.0, 2.0, size=(n_pairs, 3))
-    dst = to_bench.apply(src)
-    return {"cameras": cameras, "point": point, "src": src, "dst": dst}
+    return {"cameras": cameras, "gt_point": point, "alignment_src": src, "alignment_dst": to_bench.apply(src)}
 
 
 def ground_truth_track(scenario: Scenario) -> TrackOutput:
@@ -331,6 +319,6 @@ def ground_truth_track(scenario: Scenario) -> TrackOutput:
     back to the masks; a frame's s_conf is 0.9 (to rounding) when its mask
     is non-empty, and the interval is the scenario's ``gt_interval``.
     """
-    results = [SegmentationResult(np.where(f.gt_mask != 0, 0.9, 0.1)) for f in scenario.frames]
+    results = [SegmentationResult(p) for p in frozen_in_place(np.where(scenario.gt_masks != 0, 0.9, 0.1))]
     interval = scenario.gt_interval
     return TrackOutput(results, None if interval is None else TemporalInterval(*interval))

@@ -1155,8 +1155,7 @@ def check_drift_similarity_decay():
     scenario = scen.gen_scenario(5, scen.preset_params("drift"))
     q = scenario.query.feature[24, 24, :]
     sims = []
-    for frame in scenario.frames:
-        sig = frame.feature[24, 24, :]
+    for sig in scenario.features[:, 24, 24]:
         sims.append(float(q @ sig / (np.linalg.norm(q) * np.linalg.norm(sig))))
     diffs = np.diff(sims)
     monotone = bool(np.all(diffs <= 1e-12))
@@ -1173,8 +1172,8 @@ def check_eval2d_hand_cases():
     # prediction shifted left by half the annotated length: tIoU 1/3, and with
     # perfect boxes only inside the claimed interval (an empty map elsewhere),
     # recovery is 50%; the target is annotated on frames 24-47 only
-    frames = [replace(f, gt_mask=np.zeros_like(f.gt_mask)) if t < 24 else f for t, f in enumerate(scenario.frames)]
-    shifted = replace(scenario, frames=frames)
+    masks = np.concatenate([np.zeros_like(scenario.gt_masks[:24]), scenario.gt_masks[24:]])
+    shifted = replace(scenario, gt_masks=masks)
     empty = fusion.SegmentationResult(np.zeros_like(gt.results[0].prob))
     results = [r if 12 <= t <= 35 else empty for t, r in enumerate(gt.results)]
     pred = TrackOutput(results, fusion.TemporalInterval(12, 35))

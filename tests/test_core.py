@@ -206,6 +206,36 @@ class TestCheckedArrays:
         with pytest.raises(core.ParameterError, match=r"^points must be finite$"):
             core.checked_array(arr, "points", (2, 3))
 
+    @pytest.mark.parametrize(
+        "value, kind",
+        [
+            pytest.param("abc", "str", id="string"),
+            pytest.param(["1", "x", "2"], "list", id="string-item"),
+            pytest.param([1.0, [2.0], 3.0], "list", id="ragged"),
+            pytest.param({"x": 1.0}, "dict", id="dict"),
+        ],
+    )
+    def test_value_that_is_not_real_numbers_refused(self, value, kind):
+        # numpy's own ValueError or TypeError would not name the field
+        with pytest.raises(core.ParameterError, match=rf"^point must hold real numbers, got {kind}$"):
+            core.checked_array(value, "point", (3,))
+
+    @pytest.mark.parametrize("check", CHECKS)
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_stack_names_its_first_bad_frame(self, check, data):
+        # the stack is checked once; only a refusal looks for the frame, the first of those that break the rule
+        n, h, w = (data.draw(st.integers(1, 5)) for _ in range(3))
+        stack = np.zeros((n, h, w))
+        bad = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        value, rule = (np.nan, "must be finite") if check is core.checked_array else (2, "values must be 0 or 1")
+        for t in bad:
+            stack[t, data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))] = value
+        with pytest.raises(core.ParameterError, match=rf"^frame {bad[0]} plane {rule}$"):
+            check(stack, "planes", (n, h, w), "plane")
+        stack[bad] = 0
+        assert check(stack, "planes", (-1, h, w), "plane").shape == (n, h, w)
+
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64])
     def test_a_2_in_a_mask_refused(self, dtype):
         mask = np.zeros((3, 4), dtype=dtype)

@@ -293,6 +293,38 @@ class TestPatchRows:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
+class TestResidualWeights:
+    """Each entry keeps its residual weights ws, ws + wn and wg; a refit only joins them."""
+
+    def test_formed_once_per_entry(self, monkeypatch):
+        formed = []
+        spatial_weight = glm.spatial_weight
+        monkeypatch.setattr(glm, "spatial_weight", lambda label: formed.append(label.shape) or spatial_weight(label))
+        samples = random_samples(rng(28), 3, size=6)
+        kernel = np.zeros((3, 3, 2, 1))
+        for _ in range(3):
+            kernel = glm.optimize_filter(kernel, samples, 2)
+            glm.track_loss(kernel, samples)
+        assert formed == [(6, 6)] * 3
+        for weights in map(glm._residual_weights, samples):
+            assert all(not w.flags.writeable and w.shape == (36,) for w in weights)
+
+    @pytest.mark.parametrize("n_samples", [1, 4])
+    def test_bits_of_the_bank_formula(self, n_samples):
+        # q = ws + wn [h > 0] and r = q h - wg with the weights formed over the whole bank, bit for bit
+        samples = random_samples(rng(29), n_samples, size=6)
+        label = np.concatenate([s.label.ravel() for s in samples])
+        region = np.concatenate([s.target_region.ravel() for s in samples])
+        sw = glm.spatial_weight(label)
+        kernel = rng(30).uniform(-0.5, 0.5, size=(3, 3, 2, 1))
+        problem = glm._Problem(samples, kernel.shape)
+        h = problem.times(kernel.ravel())
+        r, q = problem.residual(h)
+        want_q = sw * region + sw * (1.0 - region) * (h > 0.0)
+        np.testing.assert_array_equal(q, want_q, strict=True)
+        np.testing.assert_array_equal(r, want_q * h - sw * label, strict=True)
+
+
 class TestResampledLabel:
     @pytest.mark.parametrize("side,resolution", [(9, 32), (32, 32), (72, 32), (5, 17)])
     def test_built_once_per_side_as_the_crop_label(self, side, resolution):

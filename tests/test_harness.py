@@ -27,7 +27,6 @@ from vql.geo3d import CameraFrame
 from vql.pipeline import Pipeline, PipelineConfig, QuerySpec, TrackOutput
 from vql.scenario import (
     PRESETS,
-    FrameData,
     Scenario,
     ScenarioParams,
     _random_rotation,
@@ -187,28 +186,29 @@ class TestValues:
     def test_source_arrays_cannot_change_the_value(self, tmp_path):
         # a writable input is copied; only an input that nothing can write is kept as it is
         sc = gen_scenario(7, preset_params("geo"))
-        feature, mask, depth = (np.array(a) for a in (sc.frames[1].feature, sc.frames[1].gt_mask, sc.cameras[1].depth))
+        features, masks, depth = (np.array(a) for a in (sc.features, sc.gt_masks, sc.cameras[1].depth))
         points = np.array(sc.alignment_dst)
-        camera = replace(sc.cameras[1], depth=depth)
-        changed = replace(sc, frames=(sc.frames[0], FrameData(feature, mask, camera), *sc.frames[2:]), alignment_dst=points)
+        cameras = (sc.cameras[0], replace(sc.cameras[1], depth=depth), *sc.cameras[2:])
+        changed = replace(sc, features=features, gt_masks=masks, cameras=cameras, alignment_dst=points)
         assert changed == sc
-        feature[0, 0, 0], mask[0, 0], depth[0, 0], points[0, 0] = np.nan, 2, np.nan, np.inf
-        assert changed == sc
+        features[1, 0, 0, 0], masks[1, 0, 0], depth[0, 0], points[0, 0] = np.nan, 2, np.nan, np.inf
+        assert changed == sc and changed.frames[1] == sc.frames[1]
         fileio.save_scenario(changed, str(tmp_path / "a.npz"))
         assert fileio.load_scenario(str(tmp_path / "a.npz")) == sc
         # a read-only view of a writable array is still copied: its base could change
-        view = np.array(sc.frames[1].feature).view()
+        view = np.array(sc.features).view()
         view.flags.writeable = False
-        assert FrameData(view, mask).feature is not view
+        assert replace(sc, features=view).features is not view
 
     def test_frozen_and_read_only(self):
         sc = gen_scenario(7, preset_params("geo"))
-        assert isinstance(sc.frames, tuple)
-        for value, name in (sc, "frames"), (sc.frames[0], "gt_mask"), (sc.query, "mask"), (sc.cameras[0], "depth"):
+        assert isinstance(sc.frames, tuple) and isinstance(sc.cameras, tuple)
+        frame, camera = sc.frames[0], sc.cameras[0]
+        for value, name in (sc, "frames"), (sc, "features"), (frame, "gt_mask"), (sc.query, "mask"), (camera, "depth"):
             with pytest.raises(FrozenInstanceError):
                 setattr(value, name, None)
-        frame, camera = sc.frames[0], sc.cameras[0]
-        for arr in frame.feature, frame.gt_mask, sc.query.mask, camera.pose, sc.gt_point, sc.alignment_src:
+        arrays = sc.features, sc.gt_masks, frame.feature, frame.gt_mask, sc.query.mask, camera.pose, sc.gt_point
+        for arr in *arrays, sc.alignment_src:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1
 
@@ -398,7 +398,7 @@ class TestFileRoundTrips:
             ),
             pytest.param(
                 "scenario",
-                lambda s: with_frame(s, 3, feature=with_item(s.frames[3].feature, (0, 0, 0), np.inf)),
+                lambda s: replace(s, features=with_item(s.features, (3, 0, 0, 0), np.inf)),
                 ParameterError,
                 r"^frame 3 features must be finite$",
                 id="inf-feature",
@@ -412,23 +412,35 @@ class TestFileRoundTrips:
             ),
             pytest.param(
                 "scenario",
-                lambda s: with_frame(s, 1, feature=np.zeros((32, 32, 3)), gt_mask=np.zeros((32, 32))),
+                lambda s: replace(s, features=s.features[:, :32, :32], gt_masks=s.gt_masks[:, :32, :32]),
                 DimensionError,
-                r"^frame 1 features must be of shape \(48, 48, 3\), got shape \(32, 32, 3\)$",
-                id="other-canvas-frame",
+                r"^features must be of shape \(-1, 48, 48, 3\), got shape \(5, 32, 32, 3\)$",
+                id="other-canvas-stack",
             ),
             pytest.param(
                 "scenario",
-                lambda s: with_frame(
-                    s, 1, camera=replace(s.cameras[1], depth=np.ones((32, 32)), depth_uncertainty=np.zeros((32, 32)))
-                ),
+                lambda s: replace(s, gt_masks=s.gt_masks[:4]),
+                DimensionError,
+                r"^gt_masks must be of shape \(5, 48, 48\), got shape \(4, 48, 48\)$",
+                id="mask-count",
+            ),
+            pytest.param(
+                "scenario",
+                lambda s: replace(s, cameras=s.cameras[:4]),
+                DimensionError,
+                r"^4 cameras for 5 frames; a frame without one has None$",
+                id="camera-count",
+            ),
+            pytest.param(
+                "scenario",
+                lambda s: with_camera(s, 1, depth=np.ones((32, 32)), depth_uncertainty=np.zeros((32, 32))),
                 DimensionError,
                 r"^frame 1 depth must be of shape \(48, 48\), got shape \(32, 32\)$",
                 id="other-canvas-camera",
             ),
             pytest.param(
                 "scenario",
-                lambda s: with_frame(s, 2, gt_mask=with_item(s.frames[2].gt_mask, (0, 0), 2)),
+                lambda s: replace(s, gt_masks=with_item(s.gt_masks, (2, 0, 0), 2)),
                 ParameterError,
                 r"^frame 2 mask values must be 0 or 1$",
                 id="gt-mask-2",
@@ -458,7 +470,7 @@ class TestFileRoundTrips:
             # a missing depth sample is a non-positive one, so a depth is finite like every other array
             pytest.param(
                 "scenario",
-                lambda s: with_frame(s, 2, camera=replace(s.cameras[2], depth=s.cameras[2].depth * np.nan)),
+                lambda s: with_camera(s, 2, depth=s.cameras[2].depth * np.nan),
                 ParameterError,
                 r"^depth must be finite$",
                 id="nan-depth",
@@ -527,7 +539,9 @@ class TestFileRoundTrips:
         m = data.draw(st.integers(0, 5))
         alignment = data.draw(st.none() | hnp.arrays(np.float64, (2, m, 3), elements=finite))
         scenario = Scenario(
-            [FrameData(features[t], masks[t], camera() if data.draw(st.booleans()) else None) for t in range(1, n + 1)],
+            features[1:],
+            masks[1:],
+            [camera() if data.draw(st.booleans()) else None for _ in range(n)],
             QuerySpec(features[0], masks[0]),
             data.draw(st.none() | hnp.arrays(np.float64, 3, elements=finite)),
             *((None, None) if alignment is None else alignment),
@@ -646,11 +660,62 @@ def with_prob(track, value):
     return replace(track, results=results)
 
 
-def with_frame(scenario, t, **changes):
-    """The scenario with the given fields of frame t replaced."""
-    frames = list(scenario.frames)
-    frames[t] = replace(frames[t], **changes)
-    return replace(scenario, frames=frames)
+def with_camera(scenario, t, **changes):
+    """The scenario with the given fields of frame t's camera replaced."""
+    cameras = list(scenario.cameras)
+    cameras[t] = replace(cameras[t], **changes)
+    return replace(scenario, cameras=cameras)
+
+
+class TestStackContract:
+    """A scenario holds the stacks its file stores, each checked once; its frames are views of them."""
+
+    SCENARIO = gen_scenario(4, ScenarioParams(n_frames=6, canvas=(12, 10), object_size=5))
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_one_bad_value_is_refused_naming_its_frame(self, data):
+        sc = self.SCENARIO
+        (n, h, w, c), t = sc.features.shape, data.draw(st.integers(0, len(sc.features) - 1))
+        pixel = (t, data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1)))
+        if data.draw(st.booleans()):
+            value = data.draw(st.sampled_from(NON_FINITE))
+            edit = {"features": with_item(sc.features, (*pixel, data.draw(st.integers(0, c - 1))), value)}
+            message = rf"^frame {t} features must be finite$"
+        else:
+            edit = {"gt_masks": with_item(sc.gt_masks, pixel, data.draw(st.integers(2, 255)))}
+            message = rf"^frame {t} mask values must be 0 or 1$"
+        with pytest.raises(ParameterError, match=message):
+            replace(sc, **edit)
+
+    def test_frames_view_the_stacks(self, tmp_path):
+        path = str(tmp_path / "geo.npz")
+        fileio.save_scenario(gen_scenario(3, preset_params("geo")), path)
+        for sc in fileio.load_scenario(path), self.SCENARIO:
+            for t, frame in enumerate(sc.frames):
+                assert frame.feature.base is sc.features and frame.gt_mask.base is sc.gt_masks
+                assert np.shares_memory(frame.feature, sc.features[t]) and frame.camera is sc.cameras[t]
+        # a generated query is frame 0 of the stacks; a loaded one is its own member
+        assert self.SCENARIO.query.feature.base is self.SCENARIO.features
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            pytest.param(ScenarioParams(n_frames=7, n_views=3, object_size=9), id="cameras-on-3-of-7"),
+            pytest.param(ScenarioParams(n_frames=9, distractor=True, absence=(2, 4)), id="distractor-absence"),
+        ],
+    )
+    def test_save_writes_the_stacks_and_a_resave_the_same_bytes(self, tmp_path, monkeypatch, params):
+        first, second = tmp_path / "a.npz", tmp_path / "b.npz"
+        sc = gen_scenario(2, params)
+        written = {}
+        write = fileio._write_archive
+        monkeypatch.setattr(fileio, "_write_archive", lambda *args: written.update(args[2]) or write(*args))
+        fileio.save_scenario(sc, str(first))
+        # the stacks themselves, not a copy stacked frame by frame
+        assert written["features"] is sc.features and written["gt_masks"] is sc.gt_masks
+        fileio.save_scenario(fileio.load_scenario(str(first)), str(second))
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestVersion:
@@ -994,7 +1059,7 @@ class TestLoaderMasks:
         # Scenario refuses the mask as it is built, so there is nothing to save
         sc = small_identity()
         with pytest.raises(ParameterError, match=r"^frame 1 mask values must be 0 or 1$"):
-            edited = with_frame(sc, 1, gt_mask=with_item(sc.frames[1].gt_mask, (0, 0), 2))
+            edited = replace(sc, gt_masks=with_item(sc.gt_masks, (1, 0, 0), 2))
             fileio.save_scenario(edited, str(tmp_path / "s.json"))
         assert not list(tmp_path.iterdir())
 

@@ -718,6 +718,14 @@ class TestTrackOutput:
                 r"^result 0 must be a fusion.SegmentationResult, got ndarray$",
                 id="array-result",
             ),
+            pytest.param({"results": 5}, r"^results must be an iterable, got int$", id="int-results"),
+            pytest.param({"results": None}, r"^results must be an iterable, got NoneType$", id="none-results"),
+            pytest.param(
+                {"displacements": {0: "abc"}},
+                r"^frame 0's displacement must hold real numbers, got str$",
+                id="str-displacement",
+            ),
+            pytest.param({"world_point": "abc"}, r"^world_point must hold real numbers, got str$", id="str-world-point"),
         ],
     )
     def test_field_of_the_wrong_type_raises(self, fields, message):
@@ -793,7 +801,7 @@ class TestFinalize3d:
 
     def test_view_without_depth_is_skipped(self):
         sc = gen_scenario(3, preset_params("geo"))
-        cameras = sc.cameras
+        cameras = list(sc.cameras)
         cameras[2] = replace(cameras[2], depth=np.zeros_like(cameras[2].depth))
         out = finalize_3d(ground_truth_track(sc), cameras, (sc.alignment_src, sc.alignment_dst))
         assert set(out.displacements) == {0, 1, 3, 4}
