@@ -58,6 +58,7 @@ from .core import (
     GRADIENT_EPS,
     BankEntry,
     ParameterError,
+    as_index,
     frozen_array,
     frozen_in_place,
     gaussian_label,
@@ -208,7 +209,7 @@ def steepest_descent(kernel: np.ndarray, mem: Sequence[BankEntry], n_iter: int) 
     Returns a kernel that nothing can change: a step's fresh product made read-only in place, or
     the start kernel as a ``core.frozen_array`` when no step is taken.
     """
-    if n_iter < 0:
+    if as_index(n_iter, "n_iter") < 0:
         raise ParameterError(f"n_iter must be >= 0, got {n_iter}")
     gram, cross, _ = _bank_statistics(mem, kernel.shape)
     start = sigma = kernel.reshape(cross.shape)

@@ -23,7 +23,9 @@ float64 of a given shape) or :func:`checked_mask` (only 0 and 1), each a
 just computed, which nothing else holds, is made read-only where it is
 made (:func:`frozen_in_place`) instead of copied. Both memory banks hold one
 entry type, :class:`BankEntry`, whose patch rows both solvers share;
-``_check_bank`` checks a bank against either solver's kernel shape.
+``_check_bank`` checks a bank against either solver's kernel shape. The
+two resamplers, bilinear and nearest, are generic; which window of a frame
+becomes an entry is ``pipeline.crop_entry``'s decision alone.
 """
 
 from __future__ import annotations
@@ -54,9 +56,6 @@ __all__ = [
     "min_bounding_rect",
     "median_filter_1d",
     "last_run",
-    "extract_square_crop",
-    "CROP_AREA_LADDER",
-    "ladder_crop",
     "bilinear_resize",
     "nearest_resize",
 ]
@@ -318,7 +317,8 @@ def gaussian_label(center: Sequence[float], sigma: float, shape: Sequence[int]) 
     ``center`` is (row, col) and may be fractional; the peak value is 1
     exactly when the center lies on a pixel.
     """
-    if sigma <= 0:
+    # NaN fails the comparison too
+    if not sigma > 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
     h, w = shape
     rows = np.arange(h, dtype=np.float64)[:, None]
@@ -412,38 +412,6 @@ def last_run(flags: Sequence[bool]) -> tuple[int, int] | None:
     return (int(false[-1]) + 1 if false.size else 0, end)
 
 
-# Cropping and resampling helpers shared by both memory banks. They live here
-# because they are pure dense-tensor plumbing with no branch-specific policy.
-
-
-def extract_square_crop(
-    data: np.ndarray, center: Sequence[float], side: int
-) -> tuple[np.ndarray, float]:
-    """Cut a zero-padded square window of the given side around ``center``.
-
-    ``center`` is a (row, col) point, possibly fractional; the window start
-    is round(center - (side - 1) / 2). Works on (H, W) and (H, W, C) arrays.
-    Returns the crop and the fraction of its area that fell outside the
-    source array (the zero-padded fraction).
-    """
-    data = np.asarray(data, dtype=np.float64)
-    if side < 1:
-        raise ParameterError(f"crop side must be >= 1, got {side}")
-    h, w = data.shape[:2]
-    r0 = int(np.floor(float(center[0]) - (side - 1) / 2.0 + 0.5))
-    c0 = int(np.floor(float(center[1]) - (side - 1) / 2.0 + 0.5))
-    out_shape = (side, side) + data.shape[2:]
-    crop = np.zeros(out_shape)
-    src_r0, src_r1 = max(r0, 0), min(r0 + side, h)
-    src_c0, src_c1 = max(c0, 0), min(c0 + side, w)
-    inside = 0
-    if src_r0 < src_r1 and src_c0 < src_c1:
-        crop[src_r0 - r0 : src_r1 - r0, src_c0 - c0 : src_c1 - c0] = data[src_r0:src_r1, src_c0:src_c1]
-        inside = (src_r1 - src_r0) * (src_c1 - src_c0)
-    padded_fraction = 1.0 - inside / float(side * side)
-    return crop, padded_fraction
-
-
 @lru_cache(maxsize=None)
 def _bilinear_taps(n_in: int, n_out: int) -> tuple[np.ndarray, ...]:
     """Source indices i0, i1 and weights 1 - t, t of a pixel-center-aligned resample of one axis (read-only)."""
@@ -480,27 +448,3 @@ def nearest_resize(data: np.ndarray, out_hw: Sequence[int]) -> np.ndarray:
     ry = np.minimum((np.floor((np.arange(oh) + 0.5) * (h / oh))).astype(int), h - 1)
     rx = np.minimum((np.floor((np.arange(ow) + 0.5) * (w / ow))).astype(int), w - 1)
     return data[ry][:, rx]
-
-
-# Square-crop area scales tried in order; a scale is abandoned when more than
-# half the crop would be zero padding. Side factors: 1.5x, 1.2x, 1.0x.
-CROP_AREA_LADDER = (2.25, 1.44, 1.0)
-
-
-def ladder_crop(
-    maps: Sequence[np.ndarray], center: Sequence[float], longest: int
-) -> tuple[int, list[np.ndarray]]:
-    """Square crops of aligned maps on the first ladder side that fits.
-
-    The side is round(sqrt(scale) * longest) for the first scale of
-    :data:`CROP_AREA_LADDER` whose crop is at most half zero padding, or
-    the last scale if none is. The maps share their first two axes, so
-    they share the padding too. Returns the side and every map's crop at
-    that side, in order.
-    """
-    for area_scale in CROP_AREA_LADDER:
-        side = max(1, int(round(np.sqrt(area_scale) * longest)))
-        first, padded_fraction = extract_square_crop(maps[0], center, side)
-        if padded_fraction <= 0.5:
-            break
-    return side, [first] + [extract_square_crop(m, center, side)[0] for m in maps[1:]]

@@ -15,6 +15,7 @@ re-expressed in each camera's coordinates as a relative displacement.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,13 +91,17 @@ class CameraFrame(ArrayValue):
 
 @dataclass(frozen=True, eq=False)
 class Sim3Transform(ArrayValue):
-    """Similarity transform p -> scale * R p + t, its arrays kept read-only."""
+    """Similarity transform p -> scale * R p + t: a positive finite real scale, stored as a float
+    (a bool is not a number), and its arrays kept read-only."""
 
     scale: float
     rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self) -> None:
+        if isinstance(self.scale, bool) or not isinstance(self.scale, numbers.Real):
+            raise ParameterError(f"scale must be a real number, got {self.scale!r}")
+        object.__setattr__(self, "scale", float(self.scale))
         if not 0 < self.scale < np.inf:
             raise ParameterError(f"scale must be positive and finite, got {self.scale}")
         object.__setattr__(self, "rotation", checked_array(self.rotation, "rotation", (3, 3)))

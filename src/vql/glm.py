@@ -65,6 +65,7 @@ from .core import (
     EmptyInputError,
     ParameterError,
     _check_bank,
+    as_index,
     bilinear_resize,
     frozen_array,
     frozen_in_place,
@@ -196,7 +197,7 @@ def optimize_filter(kernel: np.ndarray, mem: Sequence[BankEntry], n_iter: int) -
     Returns a kernel that nothing can change: a step's fresh product made read-only in place, or
     the start kernel as a ``core.frozen_array`` when no step is taken.
     """
-    if n_iter < 0:
+    if as_index(n_iter, "n_iter") < 0:
         raise ParameterError(f"n_iter must be >= 0, got {n_iter}")
     problem = _Problem(mem, kernel.shape)
     start = c = kernel.ravel()

@@ -52,7 +52,7 @@ import numpy as np
 
 from . import amm, fusion, geo3d, glm
 from .core import ArrayValue, BankEntry, DimensionError, EmptyInputError, ParameterError, _zero_border, as_index
-from .core import bilinear_resize, checked_array, checked_mask, conv2d, frozen_in_place, ladder_crop, min_bounding_rect
+from .core import bilinear_resize, checked_array, checked_mask, conv2d, frozen_in_place, min_bounding_rect
 from .core import nearest_resize
 
 __all__ = [
@@ -74,6 +74,10 @@ HALT_WINDOW = 25
 HALT_THRESHOLD = 0.4
 # side of every resampled bank entry
 SAMPLE_RESOLUTION = 32
+# area scales of an entry's window over the box's longer side squared, tried in
+# order (side factors 1.5, 1.2, 1.0); a scale is passed over when more than half
+# its window would be zero fill, and the last is taken when every scale would be
+CROP_AREA_LADDER = (2.25, 1.44, 1.0)
 
 
 class NoDetectionError(RuntimeError):
@@ -180,33 +184,54 @@ class TrackOutput(ArrayValue):
 def crop_entry(frame_feature: np.ndarray, prob: np.ndarray, bbox: Sequence[int]) -> BankEntry:
     """The bank entry of one square window around a box, shared by both banks.
 
-    The window is centered on the box (x_min, y_min, x_max, y_max) and its
-    side steps down the crop ladder from 1.5x the box's longer side (see
-    ``core.ladder_crop``). The feature crop and the ``prob`` crop are
-    resampled bilinearly to SAMPLE_RESOLUTION together, as one stacked
-    (side, side, C + 1) map. The entry's mask is the ``prob`` crop resampled
-    by nearest neighbor and thresholded at ``fusion.MASK_THRESHOLD``, as a
-    result's mask is, its region the resampled ``prob`` clipped to [0, 1],
-    and its label the window's Gaussian (sigma = side / 6), resampled alike.
+    The box (x_min, y_min, x_max, y_max) is inclusive integer pixels inside
+    the frame. The window is centered on the box, its first row and column
+    round(center - (side - 1) / 2) with halves rounded up, and its side is
+    round(sqrt(scale) * the box's longer side) for the first scale of
+    CROP_AREA_LADDER whose window is at most half outside the frame. The
+    feature and ``prob`` are cut together into one zero-filled (side, side,
+    C + 1) window and resampled bilinearly to SAMPLE_RESOLUTION. The entry's
+    mask is the window's ``prob`` resampled by nearest neighbor and
+    thresholded at ``fusion.MASK_THRESHOLD``, as a result's mask is, its
+    region the bilinear ``prob`` clipped to [0, 1], and its label the
+    window's Gaussian (sigma = side / 6), resampled alike.
+
+    A feature that is not (H, W, C) on the map's (H, W) is a DimensionError,
+    a map with no pixel at the threshold or a reversed box an
+    EmptyInputError, and a box of non-integers or one that leaves the frame
+    a ParameterError.
     """
     frame_feature = np.asarray(frame_feature, dtype=np.float64)
     prob = np.asarray(prob, dtype=np.float64)
-    if frame_feature.shape[:2] != prob.shape:
-        raise DimensionError(f"feature {frame_feature.shape[:2]} and probability map {prob.shape} dims differ")
+    if frame_feature.ndim != 3 or frame_feature.shape[:2] != prob.shape:
+        raise DimensionError(f"feature {frame_feature.shape} is not (H, W, C) on the probability map's {prob.shape}")
     if not (prob >= fusion.MASK_THRESHOLD).any():
         raise EmptyInputError("cannot cut an entry for an empty mask")
-    x_min, y_min, x_max, y_max = bbox
+    x_min, y_min, x_max, y_max = (as_index(v, f"box {tuple(bbox)} coordinate") for v in bbox)
     if x_max < x_min or y_max < y_min:
         raise EmptyInputError(f"degenerate bounding box {tuple(bbox)}")
+    h, w = prob.shape
+    if x_min < 0 or y_min < 0 or x_max >= w or y_max >= h:
+        raise ParameterError(f"box {tuple(bbox)} leaves the {h} x {w} frame")
     longest = max(x_max - x_min + 1, y_max - y_min + 1)
-    center = ((y_min + y_max) / 2.0, (x_min + x_max) / 2.0)
-    side, (crop_f, crop_p) = ladder_crop((frame_feature, prob), center, longest)
+    for area_scale in CROP_AREA_LADDER:
+        side = int(round(np.sqrt(area_scale) * longest))
+        r0, c0 = (y_min + y_max + 2 - side) // 2, (x_min + x_max + 2 - side) // 2
+        # the frame's part of the window; the box's centre is inside it
+        rows, cols = slice(max(r0, 0), min(r0 + side, h)), slice(max(c0, 0), min(c0 + side, w))
+        inside = (rows.stop - rows.start) * (cols.stop - cols.start)
+        if 1.0 - inside / float(side * side) <= 0.5:
+            break
+    window = np.zeros((side, side, frame_feature.shape[2] + 1))
+    part = window[rows.start - r0 : rows.stop - r0, cols.start - c0 : cols.stop - c0]
+    part[:, :, :-1] = frame_feature[rows, cols]
+    part[:, :, -1] = prob[rows, cols]
     out_hw = (SAMPLE_RESOLUTION, SAMPLE_RESOLUTION)
     # bilinear weights act on each channel alone, so the stacked resample is bit-equal to two
-    resampled = bilinear_resize(np.concatenate([crop_f, crop_p[:, :, None]], axis=2), out_hw)
+    resampled = bilinear_resize(window, out_hw)
     return BankEntry(
         resampled[:, :, :-1],
-        (nearest_resize(crop_p, out_hw) >= fusion.MASK_THRESHOLD).astype(np.uint8),
+        (nearest_resize(window[:, :, -1], out_hw) >= fusion.MASK_THRESHOLD).astype(np.uint8),
         np.clip(resampled[:, :, -1], 0.0, 1.0),
         glm._resampled_label(side, SAMPLE_RESOLUTION),
     )
@@ -284,10 +309,15 @@ class Pipeline:
     """One query's stateful run over a frame sequence.
 
     ``memory`` is the current bank value and ``initial_memory`` the
-    post-initialization one a halt returns to.
+    post-initialization one a halt returns to. A query that is not a
+    QuerySpec or a ``cfg`` that is not a PipelineConfig is a ParameterError.
     """
 
     def __init__(self, query: QuerySpec, cfg: PipelineConfig = PipelineConfig()):
+        if not isinstance(query, QuerySpec):
+            raise ParameterError(f"query must be a QuerySpec, got {type(query).__name__}")
+        if not isinstance(cfg, PipelineConfig):
+            raise ParameterError(f"cfg must be a PipelineConfig, got {type(cfg).__name__}")
         self.cfg = cfg
 
         # the query mask is certain: it is its own probability map; the base

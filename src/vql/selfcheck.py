@@ -32,17 +32,16 @@ import numpy as np
 
 from . import amm, fusion, geo3d, glm, metrics, scenario as scen
 from .core import (
-    CROP_AREA_LADDER,
     GRADIENT_EPS,
     BankEntry,
     _component_runs,
     bilinear_resize,
     conv2d,
-    extract_square_crop,
     gaussian_label,
     im2col,
     median_filter_1d,
     min_bounding_rect,
+    nearest_resize,
 )
 from .pipeline import DENSE_UPDATE_HORIZON, HALT_WINDOW, SAMPLE_RESOLUTION, UPDATE_STRIDE
 from .pipeline import Pipeline, PipelineConfig, QuerySpec, TrackOutput, _Memory, crop_entry, finalize_3d
@@ -600,40 +599,44 @@ def check_steepest_monotone(n_instances=100, seed=13, n_iter=10):
     return True, f"loss non-increasing over {n_instances} random instances"
 
 
+def window_by_pixels(data: np.ndarray, center, side: int) -> tuple[np.ndarray, float]:
+    """The zero-filled square window of ``side`` starting at round(center - (side - 1) / 2), copied
+    pixel by pixel, and the fraction of its area outside the frame, from the intersection's extent."""
+    h, w = data.shape[:2]
+    r0 = int(np.floor(center[0] - (side - 1) / 2.0 + 0.5))
+    c0 = int(np.floor(center[1] - (side - 1) / 2.0 + 0.5))
+    window = np.zeros((side, side) + data.shape[2:])
+    for i in range(side):
+        for j in range(side):
+            if 0 <= r0 + i < h and 0 <= c0 + j < w:
+                window[i, j] = data[r0 + i, c0 + j]
+    inter_r = max(0, min(r0 + side, h) - max(r0, 0))
+    inter_c = max(0, min(c0 + side, w) - max(c0, 0))
+    return window, 1.0 - inter_r * inter_c / float(side * side)
+
+
 def check_crop_ladder():
-    # thin strip in the corner, engineered so its box's 1.5x window pads more than half
-    mask = np.zeros((64, 64), dtype=np.uint8)
-    mask[0:2, 0:16] = 1
-    feature = np.random.default_rng(0).uniform(size=(64, 64, 2))
-    # the centre of the box (0, 0, 15, 1), whose longer side is 16
-    center = (0.5, 7.5)
-    fractions = {}
-    for scale in CROP_AREA_LADDER:
-        side = max(1, int(round(np.sqrt(scale) * 16)))
-        _, frac = extract_square_crop(feature, center, side)
-        # area oracle: intersection of the crop window with the frame
-        r0 = int(np.floor(center[0] - (side - 1) / 2.0 + 0.5))
-        c0 = int(np.floor(center[1] - (side - 1) / 2.0 + 0.5))
-        inter_r = max(0, min(r0 + side, 64) - max(r0, 0))
-        inter_c = max(0, min(c0 + side, 64) - max(c0, 0))
-        want = 1.0 - inter_r * inter_c / float(side * side)
-        if abs(frac - want) > 1e-12:
-            return False, f"padded fraction {frac} disagrees with area oracle {want}"
-        fractions[scale] = frac
-    if not (fractions[2.25] > 0.5 >= fractions[1.44]):
-        return False, f"expected fallback from 2.25 to 1.44, fractions {fractions}"
-    entry = crop_entry(feature, mask, min_bounding_rect(mask))
-    crop, _ = extract_square_crop(feature, center, int(round(1.2 * 16)))
-    if not np.array_equal(entry.feature, bilinear_resize(crop, (SAMPLE_RESOLUTION,) * 2)):
-        return False, "entry is not cut at the 1.44 rung around the box"
-    # full-frame mask: the 2.25 window overflows, the ladder settles at 1.44
-    full = np.ones((32, 32), dtype=np.uint8)
-    _, frac_15 = extract_square_crop(np.ones((32, 32, 1)), (15.5, 15.5), 48)
-    want = 1.0 - 32 * 32 / float(48 * 48)
-    if abs(frac_15 - want) > 1e-12:
-        return False, f"whole-frame padded fraction {frac_15} != {want}"
-    crop_entry(np.ones((32, 32, 1)), full, (0, 0, 31, 31))
-    return True, "ladder fallback and padded fractions match the area oracle"
+    # a thin strip in the corner, box (0, 0, 15, 1), and a whole-frame mask: the 1.5x window of
+    # each box pads more than half, so both settle at the 1.44 rung
+    strip = np.zeros((64, 64), dtype=np.uint8)
+    strip[0:2, 0:16] = 1
+    rng = np.random.default_rng(0)
+    out_hw = (SAMPLE_RESOLUTION,) * 2
+    for name, mask, center, longest in (
+        ("corner strip", strip, (0.5, 7.5), 16),
+        ("whole frame", np.ones((32, 32), dtype=np.uint8), (15.5, 15.5), 32),
+    ):
+        feature = rng.uniform(size=mask.shape + (2,))
+        fractions = [window_by_pixels(mask, center, int(round(np.sqrt(s) * longest)))[1] for s in (2.25, 1.44)]
+        if not fractions[0] > 0.5 >= fractions[1]:
+            return False, f"{name}: expected fallback from 2.25 to 1.44, padded fractions {fractions}"
+        side = int(round(1.2 * longest))
+        entry = crop_entry(feature, mask, min_bounding_rect(mask))
+        if not (np.array_equal(entry.feature, bilinear_resize(window_by_pixels(feature, center, side)[0], out_hw))
+                and np.array_equal(entry.mask, nearest_resize(window_by_pixels(mask, center, side)[0], out_hw))
+                and np.array_equal(entry.label, glm._resampled_label(side, SAMPLE_RESOLUTION))):
+            return False, f"{name}: entry is not the oracle's window at the 1.44 rung around the box"
+    return True, "ladder fallback matches the area oracle; entries are its windows"
 
 
 def empty_banks(static: BankEntry) -> _Memory:

@@ -130,6 +130,11 @@ class TestSteepestDescent:
         with pytest.raises(DimensionError, match="kernel must be"):
             amm.steepest_descent(np.zeros(shape), random_samples(rng(14), 1), 1)
 
+    @pytest.mark.parametrize("n_iter,message", [(-1, ">= 0"), (2.5, "an integer"), (True, "an integer")])
+    def test_n_iter_must_be_a_non_negative_integer(self, n_iter, message):
+        with pytest.raises(ParameterError, match=f"^n_iter must be {message}"):
+            amm.steepest_descent(np.zeros((3, 3, 2, 3)), random_samples(rng(14), 1), n_iter)
+
 
 class TestAdmission:
     def test_empty_mask_rejected(self):

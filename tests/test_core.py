@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vql import amm, core, glm
+from vql import amm, core, glm, pipeline
 from vql.selfcheck import component_runs_mismatch, conv2d_naive
 
 
@@ -361,8 +361,10 @@ class TestGaussianLabel:
         assert g[2, 3] == pytest.approx(np.exp(-0.5))
 
     def test_bad_sigma(self):
-        with pytest.raises(core.ParameterError):
-            core.gaussian_label((0, 0), 0.0, (3, 3))
+        # NaN is refused too, not turned into an all-NaN label
+        for sigma in (0.0, -1.0, np.nan):
+            with pytest.raises(core.ParameterError, match="sigma must be positive"):
+                core.gaussian_label((0, 0), sigma, (3, 3))
 
 
 class TestConnectedComponents:
@@ -477,17 +479,14 @@ class TestLastRun:
 
 class TestCropResize:
     def test_interior_crop_has_no_padding(self):
+        # box (8, 8, 12, 12): the 2.25 rung's 8-pixel window starts at row and column
+        # (8 + 12 + 2 - 8) // 2 = 7 and lies wholly inside the 20 x 20 frame, so nothing is zero
         data = rng(10).uniform(size=(20, 20, 2))
-        crop, frac = core.extract_square_crop(data, (10, 10), 8)
-        assert frac == 0.0
-        assert crop.shape == (8, 8, 2)
-
-    def test_corner_crop_padding_fraction(self):
-        data = np.ones((10, 10))
-        crop, frac = core.extract_square_crop(data, (0, 0), 9)
-        # window rows/cols -4..4 overlap 5x5 of 81 cells
-        assert frac == pytest.approx(1 - 25 / 81)
-        assert crop[0, 0] == 0.0
+        entry = pipeline.crop_entry(data, np.ones((20, 20)), (8, 8, 12, 12))
+        out_hw = (pipeline.SAMPLE_RESOLUTION,) * 2
+        np.testing.assert_array_equal(entry.feature, core.bilinear_resize(data[7:15, 7:15], out_hw))
+        assert entry.mask.all()
+        np.testing.assert_array_equal(entry.label, glm._resampled_label(8, pipeline.SAMPLE_RESOLUTION))
 
     def test_same_size_bilinear_is_identity(self):
         data = rng(11).uniform(size=(12, 12, 3))

@@ -61,6 +61,17 @@ class TestSim3Transform:
         with pytest.raises(ParameterError, match=r"^scale must be positive and finite, got"):
             geo3d.Sim3Transform(scale, np.eye(3), np.zeros(3))
 
+    @pytest.mark.parametrize("scale", [True, np.True_, "1", None])
+    def test_scale_must_be_a_real_number(self, scale):
+        # a bool is not taken as scale 1
+        with pytest.raises(ParameterError, match=r"^scale must be a real number, got"):
+            geo3d.Sim3Transform(scale, np.eye(3), np.zeros(3))
+
+    def test_scale_is_stored_as_a_float(self):
+        for scale in (2, np.float32(2.0), np.int64(2)):
+            t = geo3d.Sim3Transform(scale, np.eye(3), np.zeros(3))
+            assert type(t.scale) is float and t.scale == 2.0
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_translation_must_be_finite(self, value):
         with pytest.raises(ParameterError, match=r"^translation must be finite$"):

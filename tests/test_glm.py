@@ -217,6 +217,11 @@ class TestOptimizeFilter:
         with pytest.raises(DimensionError, match="kernel must be"):
             glm.optimize_filter(np.zeros(shape), random_samples(rng(11), 1), 1)
 
+    @pytest.mark.parametrize("n_iter,message", [(-1, ">= 0"), (2.5, "an integer"), (True, "an integer")])
+    def test_n_iter_must_be_a_non_negative_integer(self, n_iter, message):
+        with pytest.raises(ParameterError, match=f"^n_iter must be {message}"):
+            glm.optimize_filter(np.zeros((3, 3, 2, 1)), random_samples(rng(11), 1), n_iter)
+
 
 class TestUpdateSource:
     def test_empty_history(self):

@@ -17,8 +17,6 @@ from vql.core import (
     ParameterError,
     bilinear_resize,
     conv2d,
-    extract_square_crop,
-    ladder_crop,
     min_bounding_rect,
     nearest_resize,
 )
@@ -51,6 +49,38 @@ def small_identity(n_frames=6):
 
 def unit_cfg(**kw):
     return PipelineConfig(kernel_size=1, **kw)
+
+
+def plain_windows(maps, bbox):
+    """The side and the windows of ``maps`` that ``crop_entry`` should cut around ``bbox``, built
+    plainly: the rung loop and the area of the window inside the frame worked out here, then one
+    np.zeros window per map filled by slice assignment."""
+    x_min, y_min, x_max, y_max = bbox
+    h, w = maps[0].shape[:2]
+    longest = max(x_max - x_min + 1, y_max - y_min + 1)
+    for area_scale in (2.25, 1.44, 1.0):
+        side = max(1, int(round(np.sqrt(area_scale) * longest)))
+        r0 = int(np.floor((y_min + y_max) / 2.0 - (side - 1) / 2.0 + 0.5))
+        c0 = int(np.floor((x_min + x_max) / 2.0 - (side - 1) / 2.0 + 0.5))
+        top, bottom, left, right = max(r0, 0), min(r0 + side, h), max(c0, 0), min(c0 + side, w)
+        inside = max(0, bottom - top) * max(0, right - left)
+        if 1.0 - inside / float(side * side) <= 0.5:
+            break
+    windows = []
+    for m in maps:
+        window = np.zeros((side, side) + m.shape[2:])
+        window[top - r0 : bottom - r0, left - c0 : right - c0] = m[top:bottom, left:right]
+        windows.append(window)
+    return side, windows
+
+
+@st.composite
+def frames_and_boxes(draw):
+    """A canvas (H, W), a channel count, a seed and a box inside the canvas, edges included."""
+    h, w = draw(st.integers(4, 40)), draw(st.integers(4, 40))
+    x_min, x_max = sorted(draw(st.lists(st.integers(0, w - 1), min_size=2, max_size=2)))
+    y_min, y_max = sorted(draw(st.lists(st.integers(0, h - 1), min_size=2, max_size=2)))
+    return h, w, draw(st.integers(1, 4)), draw(st.integers(0, 2**16)), (x_min, y_min, x_max, y_max)
 
 
 def background_of(scenario):
@@ -87,6 +117,20 @@ class TestInitialize:
         with pytest.raises(ParameterError):
             QuerySpec(feature, np.ones((8, 8)))
 
+    @pytest.mark.parametrize(
+        "query,cfg,message",
+        [
+            pytest.param(None, PipelineConfig(), "query must be a QuerySpec, got NoneType", id="query-none"),
+            pytest.param("maps", PipelineConfig(), "query must be a QuerySpec, got tuple", id="query-tuple"),
+            pytest.param("spec", None, "cfg must be a PipelineConfig, got NoneType", id="cfg-none"),
+        ],
+    )
+    def test_arguments_of_the_wrong_type_refused(self, query, cfg, message):
+        maps = (np.ones((8, 8, 1)), np.ones((8, 8)))
+        query = {"maps": maps, "spec": QuerySpec(*maps)}.get(query, query)
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            Pipeline(query, cfg)
+
     def test_two_dimensional_query_feature_rejected(self):
         with pytest.raises(DimensionError, match="query feature"):
             QuerySpec(np.ones((8, 8)), np.ones((8, 8)))
@@ -107,8 +151,8 @@ class TestCropEntry:
         feature = rng(16).uniform(size=(64, 64, 2))
         mask = np.zeros((64, 64), dtype=np.uint8)
         mask[27:37, 27:37] = 1
-        crop, frac = extract_square_crop(feature, (31.5, 31.5), 15)
-        assert frac == 0.0
+        # rows and columns from round(31.5 - 7) = 25 on, all inside the frame
+        crop = feature[25:40, 25:40]
         entry = crop_entry(feature, mask, (27, 27, 36, 36))
         assert entry.feature.shape == (SAMPLE_RESOLUTION, SAMPLE_RESOLUTION, 2)
         for name in MAPS[1:]:
@@ -120,8 +164,18 @@ class TestCropEntry:
         with pytest.raises(EmptyInputError):
             crop_entry(np.ones((8, 8, 1)), np.full((8, 8), 0.49), (2, 2, 5, 5))
 
+    def test_corner_window_is_zero_filled(self):
+        # box (0, 0, 5, 5): the 9-pixel window starts at round(2.5 - 4) = -1, so its first row and
+        # column fall outside the frame (17 of 81 pixels, under half) and are zero
+        entry = crop_entry(np.ones((10, 10, 1)), np.ones((10, 10)), (0, 0, 5, 5))
+        window = np.zeros((9, 9, 1))
+        window[1:, 1:] = 1.0
+        np.testing.assert_array_equal(entry.feature, bilinear_resize(window, (SAMPLE_RESOLUTION,) * 2))
+        np.testing.assert_array_equal(entry.label, glm._resampled_label(9, SAMPLE_RESOLUTION))
+
     def test_degenerate_bbox(self):
-        for bbox in ((5, 5, 4, 6), (5, 5, 6, 4)):
+        # a reversed box is empty, also where it would leave the frame
+        for bbox in ((5, 5, 4, 6), (5, 5, 6, 4), (9, 5, 8, 6)):
             with pytest.raises(EmptyInputError):
                 crop_entry(np.ones((8, 8, 1)), np.ones((8, 8)), bbox)
 
@@ -129,6 +183,24 @@ class TestCropEntry:
     def test_map_shapes_must_agree(self, prob_hw):
         with pytest.raises(DimensionError):
             crop_entry(np.ones((8, 8, 1)), np.ones(prob_hw), (2, 2, 5, 5))
+
+    @pytest.mark.parametrize("shape", [(8, 8), (8, 8, 1, 1)])
+    def test_feature_must_be_h_w_c(self, shape):
+        with pytest.raises(DimensionError, match=r"is not \(H, W, C\)"):
+            crop_entry(np.ones(shape), np.ones((8, 8)), (2, 2, 5, 5))
+
+    @pytest.mark.parametrize(
+        "bbox",
+        [(100, 100, 120, 120), (-1, 13, 33, 33), (13, -1, 33, 33), (13, 13, 48, 33), (13, 13, 33, 48)],
+    )
+    def test_box_leaving_the_frame_refused(self, bbox):
+        with pytest.raises(ParameterError, match=rf"^box \({bbox[0]}, .* leaves the 48 x 48 frame$"):
+            crop_entry(np.ones((48, 48, 1)), np.ones((48, 48)), bbox)
+
+    @pytest.mark.parametrize("bbox", [(13.5, 13, 33, 33), (13, 13, 33.0, 33), (True, 13, 33, 33), ("13", 13, 33, 33)])
+    def test_box_of_non_integers_refused(self, bbox):
+        with pytest.raises(ParameterError, match=r"^box \(.* coordinate must be an integer"):
+            crop_entry(np.ones((48, 48, 1)), np.ones((48, 48)), bbox)
 
     def test_label_peaks_at_center(self):
         feature = rng(12).uniform(size=(40, 40, 2))
@@ -155,14 +227,47 @@ class TestCropEntry:
         # the entry's mask is the map's threshold, as a result's mask is
         mask = prob >= 0.5
         entry = crop_entry(feature, prob, bbox)
-        x_min, y_min, x_max, y_max = bbox
-        center = ((y_min + y_max) / 2.0, (x_min + x_max) / 2.0)
-        longest = max(x_max - x_min + 1, y_max - y_min + 1)
-        side, (crop_f, crop_m, crop_p) = ladder_crop((feature, mask, prob), center, longest)
+        side, (crop_f, crop_m, crop_p) = plain_windows((feature, mask, prob), bbox)
         out_hw = (SAMPLE_RESOLUTION, SAMPLE_RESOLUTION)
         np.testing.assert_array_equal(entry.feature, bilinear_resize(crop_f, out_hw))
         np.testing.assert_array_equal(entry.mask, nearest_resize(crop_m, out_hw) != 0)
         np.testing.assert_array_equal(entry.target_region, np.clip(bilinear_resize(crop_p, out_hw), 0.0, 1.0))
+        np.testing.assert_array_equal(entry.label, glm._resampled_label(side, SAMPLE_RESOLUTION))
+
+    @given(case=frames_and_boxes())
+    @example(case=(30, 30, 2, 0, (0, 0, 15, 1)))
+    @example(case=(12, 30, 3, 1, (0, 0, 29, 11)))
+    @settings(max_examples=200, deadline=None)
+    def test_entry_is_the_plain_window_byte_for_byte(self, case):
+        h, w, channels, seed, bbox = case
+        r = rng(seed)
+        feature = r.uniform(-1, 1, size=(h, w, channels))
+        prob = r.random((h, w))
+        prob[bbox[1], bbox[0]] = 0.9
+        side, (window_f, window_p) = plain_windows((feature, prob), bbox)
+        out_hw = (SAMPLE_RESOLUTION, SAMPLE_RESOLUTION)
+        want = (
+            bilinear_resize(window_f, out_hw),
+            (nearest_resize(window_p, out_hw) >= 0.5).astype(np.uint8),
+            np.clip(bilinear_resize(window_p, out_hw), 0.0, 1.0),
+            glm._resampled_label(side, SAMPLE_RESOLUTION),
+        )
+        entry = crop_entry(feature, prob, bbox)
+        for name, m in zip(MAPS, want):
+            got = getattr(entry, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (m.dtype, m.shape, m.tobytes()), name
+
+    @pytest.mark.parametrize(
+        "hw,bbox,side",
+        [
+            pytest.param((30, 30), (10, 10, 19, 19), 15, id="inside-2.25"),
+            pytest.param((30, 30), (0, 0, 15, 1), 19, id="corner-strip-1.44"),
+            pytest.param((12, 30), (0, 0, 29, 11), 30, id="spans-the-frame-1.0"),
+        ],
+    )
+    def test_window_steps_down_the_ladder(self, hw, bbox, side):
+        # 2.25 and 1.44 windows more than half outside the frame are passed over
+        entry = crop_entry(np.ones(hw + (1,)), np.ones(hw), bbox)
         np.testing.assert_array_equal(entry.label, glm._resampled_label(side, SAMPLE_RESOLUTION))
 
     def test_ingest_cuts_around_the_box_not_a_stray_component(self):
@@ -176,12 +281,12 @@ class TestCropEntry:
         assert result.bbox == (20, 12, 30, 22)
         pipe = Pipeline(QuerySpec(feature, result.mask), PipelineConfig(kernel_size=1))
         memory = pipe._ingest(replace(pipe.initial_memory, responses=(1.0,)), feature, result)
-        crop, _ = extract_square_crop(feature, (17.0, 25.0), 16)
+        # the 16-pixel window around the box's centre (17, 25) starts at row 10, column 18
+        crop = feature[10:26, 18:34]
         entry = memory.amm_entries[-1]
         assert memory.glm_dynamic[-1] is entry
         np.testing.assert_array_equal(entry.feature, bilinear_resize(crop, (SAMPLE_RESOLUTION,) * 2))
-        mask_crop, _ = extract_square_crop(result.mask, (17.0, 25.0), 16)
-        np.testing.assert_array_equal(entry.mask, nearest_resize(mask_crop, (SAMPLE_RESOLUTION,) * 2))
+        np.testing.assert_array_equal(entry.mask, nearest_resize(result.mask[10:26, 18:34], (SAMPLE_RESOLUTION,) * 2))
 
 
 def box_blur_by_hand(feature):
