@@ -26,8 +26,6 @@ adaptive = run(drift, PipelineConfig())
 frozen = run(drift, PipelineConfig(updates_enabled=False))
 
 for name, out in (("with memory updates", adaptive), ("updates disabled", frozen)):
-    span = "none" if out.interval is None else f"{out.interval.start_frame}..{out.interval.end_frame}"
-    iou = 0.0
-    if out.interval is not None:
-        iou = temporal_iou((out.interval.start_frame, out.interval.end_frame), drift.gt_interval)
+    span = "none" if out.interval is None else f"{out.interval[0]}..{out.interval[1]}"
+    iou = 0.0 if out.interval is None else temporal_iou(out.interval, drift.gt_interval)
     print(f"drift scenario, {name}: interval {span}  (IoU vs truth {iou:.3f})")

@@ -27,4 +27,4 @@ for t in range(0, 80, 4):
     marker = "*" if filtered[t] >= threshold else ""
     print(f"{t:5d} | {confidences[t]:.3f} | {filtered[t]:.3f}  | {marker}")
 print(f"\nthreshold = 0.8 * max = {threshold:.3f}")
-print(f"answer interval (last qualifying run): {interval.start_frame}..{interval.end_frame}")
+print(f"answer interval (last qualifying run): {interval[0]}..{interval[1]}")

@@ -40,7 +40,7 @@ def _cmd_run2d(args) -> int:
     pipe = Pipeline(scenario.query, cfg)
     track = pipe.run(scenario.features)
     fileio.save_track(track, args.out)
-    span = "none" if track.interval is None else f"{track.interval.start_frame}..{track.interval.end_frame}"
+    span = "none" if track.interval is None else f"{track.interval[0]}..{track.interval[1]}"
     print(f"wrote {args.out}: {len(track.results)} frames, interval {span}")
     return 0
 

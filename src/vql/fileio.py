@@ -59,7 +59,7 @@ from typing import Any, BinaryIO, Callable, Optional
 import numpy as np
 
 from .core import DimensionError, EmptyInputError, ParameterError
-from .fusion import SegmentationResult, TemporalInterval
+from .fusion import SegmentationResult
 from .geo3d import CameraFrame
 from .pipeline import PipelineConfig, QuerySpec, TrackOutput
 from .scenario import Scenario
@@ -451,7 +451,7 @@ def save_track(track: TrackOutput, path: str) -> None:
     document = {
         "version": FORMAT_VERSION,
         "kind": "track",
-        "interval": None if track.interval is None else [track.interval.start_frame, track.interval.end_frame],
+        "interval": None if track.interval is None else list(track.interval),
         "displacement_frames": list(track.displacements),
     }
     _write_archive(path, document, arrays)
@@ -467,16 +467,15 @@ def load_track(path: str) -> TrackOutput:
     frames = _frame_list(_expect(document, "displacement_frames", path), None, f"{path}.displacement_frames")
     deltas = _member(arrays, "deltas", "<f8", (len(frames), 3), path)
     ends = _expect(document, "interval", path)
-    # TemporalInterval refuses an end that is not an integer
+    # TrackOutput refuses an end that is not an integer
     if ends is not None and not (isinstance(ends, list) and len(ends) == 2):
         raise SchemaError(f"{path}.interval: expected a list of 2 integers, got {ends!r}")
     world_point = _member(arrays, "world_point", "<f8", (3,), path) if "world_point" in arrays else None
     # read-only, so each frame's result keeps its slice as a view that nothing can change
     prob.flags.writeable = False
     try:
-        interval = None if ends is None else TemporalInterval(*ends)
         results = [SegmentationResult(p) for p in prob]
-        return TrackOutput(results, interval, world_point, dict(zip(frames, deltas)))
+        return TrackOutput(results, ends, world_point, dict(zip(frames, deltas)))
     except (DimensionError, EmptyInputError, ParameterError) as exc:
         raise SchemaError(f"{path}: invalid track: {exc}") from exc
 

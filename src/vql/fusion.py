@@ -30,12 +30,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ArrayValue, DimensionError, ParameterError, _component_runs, as_index, frozen_array, frozen_in_place
+from .core import ArrayValue, DimensionError, ParameterError, _component_runs, frozen_array, frozen_in_place
 from .core import last_run, median_filter_1d
 
 __all__ = [
     "SegmentationResult",
-    "TemporalInterval",
     "fuse",
     "temporal_localize",
 ]
@@ -84,20 +83,6 @@ class SegmentationResult(ArrayValue):
         return (int(first_col.min()), int(rows[0]), int(last_col.max()), int(rows[-1]))
 
 
-@dataclass(frozen=True)
-class TemporalInterval:
-    """An inclusive run of frames; its ends are stored as Python ints, and a bool or a float is not one."""
-
-    start_frame: int
-    end_frame: int
-
-    def __post_init__(self) -> None:
-        for name in ("start_frame", "end_frame"):
-            object.__setattr__(self, name, as_index(getattr(self, name), name))
-        if self.start_frame > self.end_frame:
-            raise ParameterError(f"interval must satisfy start <= end, got {self}")
-
-
 def fuse(appearance: np.ndarray, score: np.ndarray) -> np.ndarray:
     """Probability map sigmoid(appearance + max(0, score)).
 
@@ -123,16 +108,22 @@ def fuse(appearance: np.ndarray, score: np.ndarray) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
-def temporal_localize(s_conf_seq: Sequence[float]) -> Optional[TemporalInterval]:
+def temporal_localize(s_conf_seq: Sequence[float]) -> Optional[tuple[int, int]]:
     """Last run of median-filtered confidences at or above TEMPORAL_RATIO * max.
 
-    Returns None when the filtered sequence is identically zero. The
-    interval endpoints are positions within the sequence, inclusive, and
-    are invariant to positive rescaling of the scores.
+    Returns the run's inclusive (start, end) positions within the sequence,
+    or None when the filtered sequence is identically zero; the run is
+    invariant to positive rescaling of the scores. An empty or non-1-D
+    sequence is an EmptyInputError, and a non-finite confidence a
+    ParameterError naming its frame.
     """
-    filtered = median_filter_1d(s_conf_seq, MEDIAN_WINDOW)
+    values = np.asarray(s_conf_seq, dtype=np.float64)
+    # the filter refuses an empty or non-1-D sequence first
+    filtered = median_filter_1d(values, MEDIAN_WINDOW)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ParameterError(f"frame {bad[0]}'s confidence must be finite, got {values[bad[0]]}")
     peak = float(filtered.max())
     if peak <= 0.0:
         return None
-    run = last_run(filtered >= TEMPORAL_RATIO * peak)
-    return None if run is None else TemporalInterval(*run)
+    return last_run(filtered >= TEMPORAL_RATIO * peak)

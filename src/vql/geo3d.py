@@ -123,12 +123,11 @@ def align_sim3(src: np.ndarray, dst: np.ndarray) -> Sim3Transform:
     Closed-form solution: subtract centroids, take the SVD of the
     cross-covariance, correct a reflection through the determinant sign,
     and read the scale off the variance ratio. Needs at least three
-    non-collinear source points.
+    non-collinear source points; both point sets are finite (N, 3) arrays
+    (``core.checked_array``).
     """
-    src = np.asarray(src, dtype=np.float64)
-    dst = np.asarray(dst, dtype=np.float64)
-    if src.ndim != 2 or src.shape[1] != 3 or src.shape != dst.shape:
-        raise DimensionError(f"point arrays must both be (N, 3), got {src.shape} and {dst.shape}")
+    src = checked_array(src, "src", (-1, 3))
+    dst = checked_array(dst, "dst", src.shape)
     n = src.shape[0]
     if n < 3:
         raise DegenerateGeometryError(f"need at least 3 point pairs, got {n}")
@@ -154,10 +153,12 @@ def align_sim3(src: np.ndarray, dst: np.ndarray) -> Sim3Transform:
 def backproject(frame: CameraFrame, u: float, v: float, t_eta: Sim3Transform) -> np.ndarray:
     """Lift pixel (u, v) through depth, pose, and the alignment transform.
 
-    Depth is read at the nearest pixel; an out-of-bounds pixel or a
-    non-positive depth raises InvalidSampleError.
+    Depth is read at the nearest pixel; a non-finite, out-of-bounds pixel or
+    a non-positive depth raises InvalidSampleError.
     """
     h, w = frame.depth.shape
+    if not (np.isfinite(u) and np.isfinite(v)):
+        raise InvalidSampleError(f"pixel ({u}, {v}) must be finite")
     col = int(round(float(u)))
     row = int(round(float(v)))
     if not (0 <= row < h and 0 <= col < w):

@@ -18,7 +18,7 @@ read-only (K, K, C, 1) kernel array. A snapshot is the ``core.BankEntry``
 of the window ``pipeline.crop_entry`` cuts around the target's box, which
 both banks share; this solver reads its feature crop, its target region
 S (the probability map cut with it) and its label G, a Gaussian centered
-on the window with sigma = side / 6 (:func:`label_sigma`).
+on the window with sigma = side / 6 (``pipeline.label_sigma``).
 
 The solver works on the bank flattened to pixel rows: A holds the rows
 of every entry's im2col patch matrix A_i (one row per pixel,
@@ -54,7 +54,6 @@ A^T v is the sum of the entries' A_i^T v_i.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -66,10 +65,8 @@ from .core import (
     ParameterError,
     _check_bank,
     as_index,
-    bilinear_resize,
     frozen_array,
     frozen_in_place,
-    gaussian_label,
 )
 
 __all__ = [
@@ -78,7 +75,6 @@ __all__ = [
     "track_gradient",
     "gauss_newton_step",
     "optimize_filter",
-    "label_sigma",
     "glm_update_source",
 ]
 
@@ -222,19 +218,6 @@ def optimize_filter(kernel: np.ndarray, mem: Sequence[BankEntry], n_iter: int) -
     if c is not start:
         frozen_in_place(c)
     return frozen_array(c.reshape(kernel.shape), np.float64)
-
-
-def label_sigma(side: float) -> float:
-    """Gaussian label width for a square crop: one sixth of its side."""
-    return side / 6.0
-
-
-@lru_cache(maxsize=None)
-def _resampled_label(side: int, resolution: int) -> np.ndarray:
-    """The label of a side x side crop, resampled to the resolution (read-only), built once per pair."""
-    crop_center = ((side - 1) / 2.0, (side - 1) / 2.0)
-    label = gaussian_label(crop_center, label_sigma(side), (side, side))
-    return frozen_in_place(bilinear_resize(label, (resolution, resolution)))
 
 
 def glm_update_source(response_history: Sequence[float]) -> str:

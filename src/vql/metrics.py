@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DimensionError
+from .core import DimensionError, EmptyInputError
 from .geo3d import align_sim3, relative_displacement
 from .pipeline import TrackOutput
 from .scenario import Scenario
@@ -103,15 +103,16 @@ def _check_frames(pred: TrackOutput, scenario: Scenario) -> None:
 def eval_2d(pred: TrackOutput, scenario: Scenario) -> MetricsReport2D:
     """Score a predicted track against the scenario's annotations.
 
-    A track without a temporal interval scores zero across the board.
+    A track without a temporal interval scores zero across the board, and a
+    scenario without one (every ground-truth mask empty) is an EmptyInputError.
     """
     gt_interval = scenario.gt_interval
     if gt_interval is None:
-        raise ValueError("scenario carries no ground-truth interval")
+        raise EmptyInputError("scenario carries no ground-truth interval")
     _check_frames(pred, scenario)
-    if pred.interval is None:
+    pred_interval = pred.interval
+    if pred_interval is None:
         return MetricsReport2D(0.0, 0.0, 0.0, 0.0)
-    pred_interval = (pred.interval.start_frame, pred.interval.end_frame)
 
     t_iou = temporal_iou(pred_interval, gt_interval)
     t_ap25 = 1.0 if t_iou >= 0.25 else 0.0
@@ -141,11 +142,12 @@ def eval_3d(pred: TrackOutput, scenario: Scenario) -> MetricsReport3D:
     Ground-truth displacements re-express the annotated world point in each
     camera through the alignment recovered from the scenario's point pairs.
     A frame succeeds when its L2 error is below L2_GATE and its angle below
-    ANGLE_GATE (radians).
+    ANGLE_GATE (radians). A scenario without a ground-truth point and
+    alignment is an EmptyInputError.
     """
     # Scenario keeps the two alignment point sets together
     if scenario.gt_point is None or scenario.alignment_src is None:
-        raise ValueError("scenario carries no 3D ground truth")
+        raise EmptyInputError("scenario carries no 3D ground truth")
     _check_frames(pred, scenario)
     if pred.interval is None:
         return MetricsReport3D(0.0, 0.0, None, None, 0.0)
@@ -153,7 +155,7 @@ def eval_3d(pred: TrackOutput, scenario: Scenario) -> MetricsReport3D:
     # the annotated point taken back to the reconstruction frame, once for every camera
     recon_point = t_eta.inverse().apply(scenario.gt_point)
     cameras = scenario.cameras
-    interval = range(pred.interval.start_frame, pred.interval.end_frame + 1)
+    interval = range(pred.interval[0], pred.interval[1] + 1)
     with_pose = [t for t in interval if cameras[t] is not None]
     qwp_pct = 100.0 * len(with_pose) / len(interval)
 

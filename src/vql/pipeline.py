@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -52,8 +52,8 @@ import numpy as np
 
 from . import amm, fusion, geo3d, glm
 from .core import ArrayValue, BankEntry, DimensionError, EmptyInputError, ParameterError, _zero_border, as_index
-from .core import bilinear_resize, checked_array, checked_mask, conv2d, frozen_in_place, min_bounding_rect
-from .core import nearest_resize
+from .core import bilinear_resize, checked_array, checked_mask, conv2d, frozen_in_place, gaussian_label
+from .core import min_bounding_rect, nearest_resize
 
 __all__ = [
     "NoDetectionError",
@@ -61,6 +61,7 @@ __all__ = [
     "QuerySpec",
     "TrackOutput",
     "crop_entry",
+    "label_sigma",
     "Pipeline",
     "finalize_3d",
 ]
@@ -133,16 +134,17 @@ class TrackOutput(ArrayValue):
 
     The track contract, checked here for the pipeline, the file loader and ``replace`` alike:
     at least one ``fusion.SegmentationResult``, all of one (H, W), each map of probabilities in
-    [0, 1]; an interval that is None or a ``fusion.TemporalInterval`` inside the frames [0, n);
-    displacements that are a mapping whose keys are frames of the track, each mapped to a finite
-    3-vector; a ``world_point`` that is None or a finite 3-vector. A value of the wrong type is a
-    ParameterError that names its field. The results are kept as a tuple and the displacements
-    as a read-only mapping, in frame order, of read-only vectors, so the contract holds for the
-    value's whole life.
+    [0, 1]; an interval that is None or an inclusive (start, end) pair of integer frames
+    (``core.as_index``: a bool or a float is not one) with 0 <= start <= end < n; displacements
+    that are a mapping whose keys are frames of the track, each mapped to a finite 3-vector; a
+    ``world_point`` that is None or a finite 3-vector. A value of the wrong type is a
+    ParameterError that names its field. The results and the interval's ends, as Python ints,
+    are kept as tuples and the displacements as a read-only mapping, in frame order, of
+    read-only vectors, so the contract holds for the value's whole life.
     """
 
     results: tuple[fusion.SegmentationResult, ...]
-    interval: Optional[fusion.TemporalInterval]
+    interval: Optional[tuple[int, int]]
     world_point: Optional[np.ndarray] = None
     displacements: Mapping[int, np.ndarray] = field(default_factory=dict)
 
@@ -163,19 +165,25 @@ class TrackOutput(ArrayValue):
             # NaN fails both comparisons, as min and max propagate it
             if not (result.prob.min() >= 0.0 and result.prob.max() <= 1.0):
                 raise ParameterError(f"result {t}'s map must hold probabilities in [0, 1]")
-        if self.interval is not None and not isinstance(self.interval, fusion.TemporalInterval):
-            raise ParameterError(f"interval must be None or a TemporalInterval, got {type(self.interval).__name__}")
+        interval = self.interval
+        if interval is not None:
+            if not (isinstance(interval, (tuple, list)) and len(interval) == 2):
+                raise ParameterError(f"interval must be None or a (start, end) pair, got {interval!r}")
+            interval = (as_index(interval[0], "interval start"), as_index(interval[1], "interval end"))
+            start, end = interval
+            if start > end:
+                raise ParameterError(f"interval must satisfy start <= end, got {interval}")
+            if start < 0 or end >= n:
+                raise ParameterError(f"interval [{start}, {end}] leaves the track's frames [0, {n})")
         if not isinstance(self.displacements, Mapping):
             raise ParameterError(f"displacements must be a mapping, got {type(self.displacements).__name__}")
-        ends = None if self.interval is None else [self.interval.start_frame, self.interval.end_frame]
-        if ends and (ends[0] < 0 or ends[1] >= n):
-            raise ParameterError(f"interval {ends} leaves the track's frames [0, {n})")
         for t in self.displacements:
             if not 0 <= as_index(t, "displacement frame") < n:
                 raise ParameterError(f"displacement frame {t!r} is not a frame of the track, [0, {n})")
         deltas = {int(t): checked_array(v, f"frame {t}'s displacement", (3,))
                   for t, v in sorted(self.displacements.items())}
         object.__setattr__(self, "results", results)
+        object.__setattr__(self, "interval", interval)
         object.__setattr__(self, "displacements", MappingProxyType(deltas))
         if self.world_point is not None:
             object.__setattr__(self, "world_point", checked_array(self.world_point, "world_point", (3,)))
@@ -194,7 +202,7 @@ def crop_entry(frame_feature: np.ndarray, prob: np.ndarray, bbox: Sequence[int])
     mask is the window's ``prob`` resampled by nearest neighbor and
     thresholded at ``fusion.MASK_THRESHOLD``, as a result's mask is, its
     region the bilinear ``prob`` clipped to [0, 1], and its label the
-    window's Gaussian (sigma = side / 6), resampled alike.
+    window's Gaussian (sigma ``label_sigma(side)``), resampled alike.
 
     A feature that is not (H, W, C) on the map's (H, W) is a DimensionError,
     a map with no pixel at the threshold or a reversed box an
@@ -233,8 +241,20 @@ def crop_entry(frame_feature: np.ndarray, prob: np.ndarray, bbox: Sequence[int])
         resampled[:, :, :-1],
         (nearest_resize(window[:, :, -1], out_hw) >= fusion.MASK_THRESHOLD).astype(np.uint8),
         np.clip(resampled[:, :, -1], 0.0, 1.0),
-        glm._resampled_label(side, SAMPLE_RESOLUTION),
+        _resampled_label(side),
     )
+
+
+def label_sigma(side: float) -> float:
+    """Gaussian label width for a square window: one sixth of its side."""
+    return side / 6.0
+
+
+@lru_cache(maxsize=None)
+def _resampled_label(side: int) -> np.ndarray:
+    """The label of a side x side window, resampled to SAMPLE_RESOLUTION (read-only), built once per side."""
+    label = gaussian_label(((side - 1) / 2.0,) * 2, label_sigma(side), (side, side))
+    return frozen_in_place(bilinear_resize(label, (SAMPLE_RESOLUTION,) * 2))
 
 
 def _augmented_query_entries(base: BankEntry) -> list[BankEntry]:
@@ -429,7 +449,7 @@ def finalize_3d(
     frames: list[int] = []
     points: list[np.ndarray] = []
     weights: list[float] = []
-    for idx in range(track.interval.start_frame, track.interval.end_frame + 1):
+    for idx in range(track.interval[0], track.interval[1] + 1):
         result = track.results[idx]
         if result.s_conf == 0.0 or idx >= len(cameras) or cameras[idx] is None:
             continue

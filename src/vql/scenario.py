@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import ArrayValue, DimensionError, ParameterError, as_index, checked_array, checked_mask, frozen_in_place
 from .core import last_run, min_bounding_rect
-from .fusion import SegmentationResult, TemporalInterval
+from .fusion import SegmentationResult
 from .geo3d import CameraFrame, Sim3Transform
 from .pipeline import QuerySpec, TrackOutput
 
@@ -320,5 +320,4 @@ def ground_truth_track(scenario: Scenario) -> TrackOutput:
     is non-empty, and the interval is the scenario's ``gt_interval``.
     """
     results = [SegmentationResult(p) for p in frozen_in_place(np.where(scenario.gt_masks != 0, 0.9, 0.1))]
-    interval = scenario.gt_interval
-    return TrackOutput(results, None if interval is None else TemporalInterval(*interval))
+    return TrackOutput(results, scenario.gt_interval)

@@ -43,7 +43,7 @@ from .core import (
     min_bounding_rect,
     nearest_resize,
 )
-from .pipeline import DENSE_UPDATE_HORIZON, HALT_WINDOW, SAMPLE_RESOLUTION, UPDATE_STRIDE
+from .pipeline import DENSE_UPDATE_HORIZON, HALT_WINDOW, SAMPLE_RESOLUTION, UPDATE_STRIDE, _resampled_label, label_sigma
 from .pipeline import Pipeline, PipelineConfig, QuerySpec, TrackOutput, _Memory, crop_entry, finalize_3d
 
 __all__ = ["CHECKS", "run_checks"]
@@ -634,7 +634,7 @@ def check_crop_ladder():
         entry = crop_entry(feature, mask, min_bounding_rect(mask))
         if not (np.array_equal(entry.feature, bilinear_resize(window_by_pixels(feature, center, side)[0], out_hw))
                 and np.array_equal(entry.mask, nearest_resize(window_by_pixels(mask, center, side)[0], out_hw))
-                and np.array_equal(entry.label, glm._resampled_label(side, SAMPLE_RESOLUTION))):
+                and np.array_equal(entry.label, _resampled_label(side))):
             return False, f"{name}: entry is not the oracle's window at the 1.44 rung around the box"
     return True, "ladder fallback matches the area oracle; entries are its windows"
 
@@ -814,7 +814,7 @@ def check_glm_crop_geometry(seed=22):
     if memory.amm_entries[-1] is not memory.glm_dynamic[-1]:
         return False, "one ingest put different entries in the two banks"
     # sigma rule: crop side of 30 pixels gives a label sigma of 5
-    if abs(glm.label_sigma(30) - 5.0) > 1e-15:
+    if abs(label_sigma(30) - 5.0) > 1e-15:
         return False, "label sigma rule broken"
     return True, "one ingest puts one entry in both banks; sigma rule holds"
 
@@ -913,12 +913,12 @@ def check_temporal_localize():
     # two plateaus: the later one is the answer
     seq = [0.0] * 10 + [1.0] * 11 + [0.0] * 19 + [1.0] * 11 + [0.0] * 5
     got = fusion.temporal_localize(seq)
-    if (got.start_frame, got.end_frame) != (40, 50):
+    if got != (40, 50):
         return False, f"expected the last plateau (40, 50), got {got}"
     # plateau of width 3 survives the width-5 median
     spike = [0.0] * 20 + [1.0] * 3 + [0.0] * 20
     got = fusion.temporal_localize(spike)
-    if got is None or not (20 <= got.start_frame <= got.end_frame <= 22):
+    if got is None or not (20 <= got[0] <= got[1] <= 22):
         return False, f"3-wide plateau lost: {got}"
     # scale invariance
     rng = np.random.default_rng(24)
@@ -1179,7 +1179,7 @@ def check_eval2d_hand_cases():
     shifted = replace(scenario, gt_masks=masks)
     empty = fusion.SegmentationResult(np.zeros_like(gt.results[0].prob))
     results = [r if 12 <= t <= 35 else empty for t, r in enumerate(gt.results)]
-    pred = TrackOutput(results, fusion.TemporalInterval(12, 35))
+    pred = TrackOutput(results, (12, 35))
     t_iou = metrics.temporal_iou((12, 35), shifted.gt_interval)
     if abs(t_iou - 1.0 / 3.0) > 1e-12:
         return False, f"temporal IoU {t_iou} != 1/3"
@@ -1215,7 +1215,7 @@ def check_geo_weight_suppression():
         (corrupted.alignment_src, corrupted.alignment_dst),
     )
     gt = scen.ground_truth_track(clean_subset)
-    pruned_track = replace(gt, results=gt.results[:4], interval=fusion.TemporalInterval(0, 3))
+    pruned_track = replace(gt, results=gt.results[:4], interval=(0, 3))
     pruned = finalize_3d(
         pruned_track, clean_subset.cameras, (clean_subset.alignment_src, clean_subset.alignment_dst)
     )

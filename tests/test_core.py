@@ -309,9 +309,9 @@ class TestFreshProducts:
 
     def test_resampled_label_is_the_resample(self, monkeypatch):
         resampled = []
-        resize = glm.bilinear_resize
-        monkeypatch.setattr(glm, "bilinear_resize", lambda *a: resampled.append(resize(*a)) or resampled[-1])
-        label = glm._resampled_label.__wrapped__(9, 32)
+        resize = pipeline.bilinear_resize
+        monkeypatch.setattr(pipeline, "bilinear_resize", lambda *a: resampled.append(resize(*a)) or resampled[-1])
+        label = pipeline._resampled_label.__wrapped__(9)
         assert label is resampled[0] and not label.flags.writeable
 
 
@@ -486,7 +486,7 @@ class TestCropResize:
         out_hw = (pipeline.SAMPLE_RESOLUTION,) * 2
         np.testing.assert_array_equal(entry.feature, core.bilinear_resize(data[7:15, 7:15], out_hw))
         assert entry.mask.all()
-        np.testing.assert_array_equal(entry.label, glm._resampled_label(8, pipeline.SAMPLE_RESOLUTION))
+        np.testing.assert_array_equal(entry.label, pipeline._resampled_label(8))
 
     def test_same_size_bilinear_is_identity(self):
         data = rng(11).uniform(size=(12, 12, 3))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vql import amm, fusion
-from vql.core import DimensionError, ParameterError, conv2d
+from vql.core import DimensionError, EmptyInputError, ParameterError, conv2d
 from vql.selfcheck import extract_by_union_find
 
 
@@ -246,16 +246,24 @@ class TestTemporalLocalize:
         seq = np.abs(np.random.default_rng(6).normal(size=40)) + 0.01
         assert fusion.temporal_localize(seq) == fusion.temporal_localize(k * seq)
 
-    def test_interval_ordering_enforced(self):
-        with pytest.raises(ParameterError):
-            fusion.TemporalInterval(5, 3)
+    def test_interval_is_a_pair_of_ints(self):
+        # the ends of the last run, as core.last_run gives them
+        got = fusion.temporal_localize(np.array([0.0] * 4 + [1.0] * 6 + [0.0] * 4))
+        assert got == (4, 9) and type(got) is tuple and all(type(end) is int for end in got)
 
-    @pytest.mark.parametrize("ends", [(0.5, 3.0), (0, 3.0), (False, True), (np.bool_(False), 3), ("0", 3)])
-    def test_interval_ends_are_integers(self, ends):
-        with pytest.raises(ParameterError, match="must be an integer"):
-            fusion.TemporalInterval(*ends)
+    @pytest.mark.parametrize(
+        "seq,message",
+        [
+            pytest.param([0.1, np.nan, 0.3], r"^frame 1's confidence must be finite, got nan$", id="nan"),
+            pytest.param([0.1, np.inf], r"^frame 1's confidence must be finite, got inf$", id="inf"),
+            pytest.param([-np.inf, 0.2, np.nan], r"^frame 0's confidence must be finite, got -inf$", id="first-named"),
+        ],
+    )
+    def test_non_finite_confidence_refused(self, seq, message):
+        with pytest.raises(ParameterError, match=message):
+            fusion.temporal_localize(seq)
 
-    def test_interval_ends_are_stored_as_int(self):
-        interval = fusion.TemporalInterval(np.int64(2), np.uint8(4))
-        assert interval == fusion.TemporalInterval(2, 4)
-        assert type(interval.start_frame) is int and type(interval.end_frame) is int
+    @pytest.mark.parametrize("seq", [[], np.zeros((3, 2)), [[np.nan]]])
+    def test_empty_or_not_1d_refused(self, seq):
+        with pytest.raises(EmptyInputError, match="one-dimensional"):
+            fusion.temporal_localize(seq)

@@ -125,6 +125,27 @@ class TestAlignSim3:
         with pytest.raises(geo3d.DegenerateGeometryError):
             geo3d.align_sim3(src, src)
 
+    @pytest.mark.parametrize("name", ["src", "dst"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_refused(self, name, value):
+        # a NaN point would fail the SVD with numpy's LinAlgError, an infinite one warn in the centring
+        points = {"src": rng(9).uniform(-2, 2, size=(6, 3))}
+        points["dst"] = points["src"] + 1.0
+        points[name][2, 1] = value
+        with pytest.raises(ParameterError, match=rf"^{name} must be finite$"):
+            geo3d.align_sim3(points["src"], points["dst"])
+
+    @pytest.mark.parametrize(
+        "src_shape,dst_shape,message",
+        [
+            ((6, 2), (6, 2), r"^src must be of shape \(-1, 3\), got shape \(6, 2\)$"),
+            ((6, 3), (5, 3), r"^dst must be of shape \(6, 3\), got shape \(5, 3\)$"),
+        ],
+    )
+    def test_points_are_n_by_3(self, src_shape, dst_shape, message):
+        with pytest.raises(DimensionError, match=message):
+            geo3d.align_sim3(np.ones(src_shape), np.ones(dst_shape))
+
 
 def _random_rotation_small(r, scale):
     axis = r.normal(size=3)
@@ -152,6 +173,12 @@ class TestBackproject:
     def test_out_of_bounds(self):
         with pytest.raises(geo3d.InvalidSampleError):
             geo3d.backproject(simple_camera(), 99, 0, identity_sim3())
+
+    @pytest.mark.parametrize("u,v", [(np.nan, 4.0), (4.0, np.inf), (-np.inf, 4.0), (np.nan, np.nan)])
+    def test_non_finite_pixel(self, u, v):
+        # NaN would fail the rounding with a bare ValueError and an infinity with an OverflowError
+        with pytest.raises(geo3d.InvalidSampleError, match=r"must be finite$"):
+            geo3d.backproject(simple_camera(), u, v, identity_sim3())
 
     def test_invalid_depth(self):
         # a missing depth sample is a non-positive one

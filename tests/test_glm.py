@@ -9,7 +9,6 @@ from vql.core import (
     DimensionError,
     EmptyInputError,
     ParameterError,
-    bilinear_resize,
     gaussian_label,
     im2col,
 )
@@ -328,14 +327,3 @@ class TestResidualWeights:
         want_q = sw * region + sw * (1.0 - region) * (h > 0.0)
         np.testing.assert_array_equal(q, want_q, strict=True)
         np.testing.assert_array_equal(r, want_q * h - sw * label, strict=True)
-
-
-class TestResampledLabel:
-    @pytest.mark.parametrize("side,resolution", [(9, 32), (32, 32), (72, 32), (5, 17)])
-    def test_built_once_per_side_as_the_crop_label(self, side, resolution):
-        center = ((side - 1) / 2.0, (side - 1) / 2.0)
-        want = bilinear_resize(gaussian_label(center, glm.label_sigma(side), (side, side)), (resolution, resolution))
-        got = glm._resampled_label(side, resolution)
-        np.testing.assert_array_equal(got, want)
-        assert not got.flags.writeable
-        assert glm._resampled_label(side, resolution) is got

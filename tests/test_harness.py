@@ -22,7 +22,7 @@ from vql import fileio, geo3d, metrics
 from vql import scenario as scenario_module
 from vql.cli import main as cli_main
 from vql.core import DimensionError, EmptyInputError, ParameterError
-from vql.fusion import SegmentationResult, TemporalInterval
+from vql.fusion import SegmentationResult
 from vql.geo3d import CameraFrame
 from vql.pipeline import Pipeline, PipelineConfig, QuerySpec, TrackOutput
 from vql.scenario import (
@@ -376,7 +376,7 @@ class TestFileRoundTrips:
             ),
             pytest.param(
                 "track",
-                lambda t: replace(t, interval=TemporalInterval(0, 999)),
+                lambda t: replace(t, interval=(0, 999)),
                 ParameterError,
                 r"^interval \[0, 999\] leaves the track's frames \[0, 5\)$",
                 id="interval-past-end",
@@ -497,7 +497,7 @@ class TestFileRoundTrips:
         maps = data.draw(hnp.arrays(np.float64, (n, *canvas), elements=st.floats(0.0, 1.0)))
         track = TrackOutput(
             [SegmentationResult(p) for p in maps],
-            data.draw(st.none() | ends.map(lambda e: TemporalInterval(*sorted(e)))),
+            data.draw(st.none() | ends.map(sorted)),
             data.draw(st.none() | vectors),
             {t: data.draw(vectors) for t in data.draw(st.lists(st.integers(0, n - 1), unique=True))},
         )
@@ -572,8 +572,8 @@ class TestFileRoundTrips:
 
     def test_numpy_integer_interval_saves_like_int(self, tmp_path):
         track = ground_truth_track(small_identity())
-        as_int64 = replace(track, interval=TemporalInterval(np.int64(0), np.int64(2)))
-        assert as_int64 == track and type(as_int64.interval.start_frame) is int
+        as_int64 = replace(track, interval=(np.int64(0), np.int64(2)))
+        assert as_int64 == track and type(as_int64.interval[0]) is int
         fileio.save_track(track, str(tmp_path / "a.npz"))
         fileio.save_track(as_int64, str(tmp_path / "b.npz"))
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
@@ -856,7 +856,7 @@ class TestLoaderVectors:
 
 
 class TestLoaderScalars:
-    """Track frame lists are type-checked by the loader, and interval ends by ``TemporalInterval``, whose
+    """Track frame lists are type-checked by the loader, and interval ends by ``TrackOutput``, whose
     refusal it wraps."""
 
     @staticmethod
@@ -886,7 +886,7 @@ class TestLoaderScalars:
             pytest.param(
                 ("interval", 1),
                 float("inf"),
-                "invalid track: end_frame must be an integer, got inf",
+                "invalid track: interval end must be an integer, got inf",
                 id="inf-interval-end",
             ),
             pytest.param(
@@ -984,8 +984,8 @@ class TestLoaderContainers:
 
 
 class TestLoaderIntVectors:
-    """The track interval is read as a list of 2; ``TemporalInterval`` keeps its ends integers and
-    its start at most its end, and ``TrackOutput`` both in the track's frames."""
+    """The track interval is read as a list of 2; ``TrackOutput`` keeps its ends integers, its
+    start at most its end and both in the track's frames."""
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -1007,10 +1007,10 @@ class TestLoaderIntVectors:
             fileio.load_track(str(track_path))
         self.eval_rejects(files, ".interval", capsys)
 
-    @pytest.mark.parametrize("ends,end", [([0.0, 2], "start_frame"), ([0, True], "end_frame"), ([0, "2"], "end_frame")])
+    @pytest.mark.parametrize("ends,end", [([0.0, 2], "start"), ([0, True], "end"), ([0, "2"], "end")])
     def test_non_integer_end_rejected_by_the_interval(self, files, capsys, ends, end):
         rewrite(files[1], lambda d: d.update(interval=ends))
-        message = f"t.json: invalid track: {end} must be an integer, got {ends[end == 'end_frame']!r}"
+        message = f"t.json: invalid track: interval {end} must be an integer, got {ends[end == 'end']!r}"
         with pytest.raises(fileio.SchemaError, match=re.escape(message)):
             fileio.load_track(str(files[1]))
         self.eval_rejects(files, message, capsys)
@@ -1388,12 +1388,30 @@ class TestNpyHeader:
         assert calls == []
 
 
+def eval_exit_code(tmp_path, scenario, track, *flags):
+    """``vql eval``'s exit code on the two values saved to files."""
+    scenario_path, track_path = tmp_path / "s.npz", tmp_path / "t.npz"
+    fileio.save_scenario(scenario, str(scenario_path))
+    fileio.save_track(track, str(track_path))
+    return cli_main(["eval", "--scenario", str(scenario_path), "--track", str(track_path), *flags])
+
+
 class TestEval2d:
     def test_no_interval_scores_zero(self):
         sc = small_identity(n_frames=8)
         track = replace(ground_truth_track(sc), interval=None)
         report = metrics.eval_2d(track, sc)
         assert report == metrics.MetricsReport2D(0.0, 0.0, 0.0, 0.0)
+
+    def test_no_ground_truth_interval_exits_2(self, tmp_path, capsys):
+        # every ground-truth mask empty: the scenario has no interval to score against
+        sc = small_identity()
+        blank = replace(sc, gt_masks=np.zeros_like(sc.gt_masks))
+        track = ground_truth_track(sc)
+        with pytest.raises(EmptyInputError, match="^scenario carries no ground-truth interval$"):
+            metrics.eval_2d(track, blank)
+        assert eval_exit_code(tmp_path, blank, track) == 2
+        assert "scenario carries no ground-truth interval" in capsys.readouterr().err
 
     def test_ground_truth_boxes_worked_out_once(self, monkeypatch):
         sc = gen_scenario(5, ScenarioParams(n_frames=12, canvas=(32, 32), object_size=13, absence=(4, 7)))
@@ -1413,6 +1431,15 @@ class TestEval2d:
 
 
 class TestEval3d:
+    def test_no_3d_ground_truth_exits_2(self, tmp_path, capsys):
+        sc = small_identity()
+        assert sc.gt_point is None and sc.alignment_src is None
+        track = ground_truth_track(sc)
+        with pytest.raises(EmptyInputError, match="^scenario carries no 3D ground truth$"):
+            metrics.eval_3d(track, sc)
+        assert eval_exit_code(tmp_path, sc, track, "--metrics-3d") == 2
+        assert "scenario carries no 3D ground truth" in capsys.readouterr().err
+
     def test_ground_truth_scores_perfectly(self):
         from vql.pipeline import finalize_3d
 
@@ -1463,7 +1490,7 @@ class TestEval3d:
         other = "alignment_dst" if member == "alignment_src" else "alignment_src"
         with pytest.raises(ParameterError, match=f"^{other} is missing; an alignment holds both point sets$"):
             replace(sc, **{other: None})
-        with pytest.raises(ValueError, match="scenario carries no 3D ground truth"):
+        with pytest.raises(EmptyInputError, match="^scenario carries no 3D ground truth$"):
             metrics.eval_3d(track, replace(sc, alignment_src=None, alignment_dst=None))
 
     def test_perturbation_l2(self):
@@ -1494,7 +1521,7 @@ class TestEvalInterval:
         track = fileio.load_track(str(track_path))
         message = f"interval {interval} leaves the track's frames [0, 5)"
         with pytest.raises(ParameterError, match=re.escape(message)):
-            replace(track, interval=TemporalInterval(*interval))
+            replace(track, interval=interval)
         rewrite(track_path, lambda d: d.update(interval=interval))
         args = ["eval", "--scenario", str(scenario_path), "--track", str(track_path), "--metrics-3d"]
         assert cli_main(args) == 2

@@ -17,10 +17,11 @@ from vql.core import (
     ParameterError,
     bilinear_resize,
     conv2d,
+    gaussian_label,
     min_bounding_rect,
     nearest_resize,
 )
-from vql.fusion import SegmentationResult, TemporalInterval
+from vql.fusion import SegmentationResult
 from vql.pipeline import (
     HALT_WINDOW,
     SAMPLE_RESOLUTION,
@@ -29,8 +30,10 @@ from vql.pipeline import (
     PipelineConfig,
     QuerySpec,
     TrackOutput,
+    _resampled_label,
     crop_entry,
     finalize_3d,
+    label_sigma,
 )
 from vql.scenario import ScenarioParams, gen_scenario, ground_truth_track, preset_params
 from vql.selfcheck import empty_banks, seg_entry, track_entry
@@ -143,6 +146,17 @@ class TestInitialize:
             QuerySpec(np.ones((8, 8, 1)), mask)
 
 
+class TestResampledLabel:
+    @pytest.mark.parametrize("side", [9, 32, 72, 5])
+    def test_built_once_per_side_as_the_crop_label(self, side):
+        center = ((side - 1) / 2.0, (side - 1) / 2.0)
+        want = bilinear_resize(gaussian_label(center, label_sigma(side), (side, side)), (SAMPLE_RESOLUTION,) * 2)
+        got = _resampled_label(side)
+        np.testing.assert_array_equal(got, want)
+        assert not got.flags.writeable
+        assert _resampled_label(side) is got
+
+
 class TestCropEntry:
     """``crop_entry`` cuts one window into the one entry both banks hold."""
 
@@ -171,7 +185,7 @@ class TestCropEntry:
         window = np.zeros((9, 9, 1))
         window[1:, 1:] = 1.0
         np.testing.assert_array_equal(entry.feature, bilinear_resize(window, (SAMPLE_RESOLUTION,) * 2))
-        np.testing.assert_array_equal(entry.label, glm._resampled_label(9, SAMPLE_RESOLUTION))
+        np.testing.assert_array_equal(entry.label, _resampled_label(9))
 
     def test_degenerate_bbox(self):
         # a reversed box is empty, also where it would leave the frame
@@ -232,7 +246,7 @@ class TestCropEntry:
         np.testing.assert_array_equal(entry.feature, bilinear_resize(crop_f, out_hw))
         np.testing.assert_array_equal(entry.mask, nearest_resize(crop_m, out_hw) != 0)
         np.testing.assert_array_equal(entry.target_region, np.clip(bilinear_resize(crop_p, out_hw), 0.0, 1.0))
-        np.testing.assert_array_equal(entry.label, glm._resampled_label(side, SAMPLE_RESOLUTION))
+        np.testing.assert_array_equal(entry.label, _resampled_label(side))
 
     @given(case=frames_and_boxes())
     @example(case=(30, 30, 2, 0, (0, 0, 15, 1)))
@@ -250,7 +264,7 @@ class TestCropEntry:
             bilinear_resize(window_f, out_hw),
             (nearest_resize(window_p, out_hw) >= 0.5).astype(np.uint8),
             np.clip(bilinear_resize(window_p, out_hw), 0.0, 1.0),
-            glm._resampled_label(side, SAMPLE_RESOLUTION),
+            _resampled_label(side),
         )
         entry = crop_entry(feature, prob, bbox)
         for name, m in zip(MAPS, want):
@@ -268,7 +282,7 @@ class TestCropEntry:
     def test_window_steps_down_the_ladder(self, hw, bbox, side):
         # 2.25 and 1.44 windows more than half outside the frame are passed over
         entry = crop_entry(np.ones(hw + (1,)), np.ones(hw), bbox)
-        np.testing.assert_array_equal(entry.label, glm._resampled_label(side, SAMPLE_RESOLUTION))
+        np.testing.assert_array_equal(entry.label, _resampled_label(side))
 
     def test_ingest_cuts_around_the_box_not_a_stray_component(self):
         # the mask keeps a stray component far from the largest one's box;
@@ -510,7 +524,7 @@ class TestLazyBox:
         sc = gen_scenario(7, preset_params("geo"))
         track = Pipeline(sc.query, PipelineConfig(updates_enabled=False)).run([f.feature for f in sc.frames])
         # an empty frame inside the interval is skipped as a frame without a camera is
-        empty = track.interval.start_frame
+        empty = track.interval[0]
         blanked = replace(track, results=[SegmentationResult(np.zeros_like(r.prob)) if t == empty else r
                                           for t, r in enumerate(track.results)])
         pairs = (sc.alignment_src, sc.alignment_dst)
@@ -807,16 +821,39 @@ class TestTrackOutput:
         track = ground_truth_track(gen_scenario(3, preset_params("geo")))
         message = rf"^interval \[{interval[0]}, {interval[1]}\] leaves the track's frames \[0, 5\)$"
         with pytest.raises(ParameterError, match=message):
-            TrackOutput(track.results, TemporalInterval(*interval))
+            TrackOutput(track.results, interval)
         with pytest.raises(ParameterError, match=message):
-            replace(track, interval=TemporalInterval(*interval))
+            replace(track, interval=interval)
+
+    def test_interval_ordering_enforced(self):
+        results = [SegmentationResult(np.zeros((2, 2)))] * 6
+        with pytest.raises(ParameterError, match=r"^interval must satisfy start <= end, got \(5, 3\)$"):
+            TrackOutput(results, (5, 3))
+
+    @pytest.mark.parametrize(
+        "ends,end",
+        [((0.5, 3.0), "start"), ((0, 3.0), "end"), ((False, True), "start"), ((np.bool_(False), 3), "start"),
+         (("0", 3), "start")],
+    )
+    def test_interval_ends_are_integers(self, ends, end):
+        # a bool or a float is not an integer (core.as_index); the first such end is named
+        with pytest.raises(ParameterError, match=rf"^interval {end} must be an integer, got"):
+            TrackOutput([SegmentationResult(np.zeros((2, 2)))] * 6, ends)
+
+    def test_interval_ends_are_stored_as_int(self):
+        track = TrackOutput([SegmentationResult(np.zeros((2, 2)))] * 6, [np.int64(2), np.uint8(4)])
+        assert track.interval == (2, 4) and type(track.interval) is tuple
+        assert all(type(end) is int for end in track.interval)
+        assert replace(track, interval=(np.int64(2), 4)) == track
 
     @pytest.mark.parametrize(
         "fields, message",
         [
             pytest.param(
-                {"interval": (0, 1)}, r"^interval must be None or a TemporalInterval, got tuple$", id="tuple-interval"
+                {"interval": (0, 1, 2)}, r"^interval must be None or a \(start, end\) pair, got \(0, 1, 2\)$",
+                id="tuple-interval",
             ),
+            pytest.param({"interval": 1}, r"^interval must be None or a \(start, end\) pair, got 1$", id="int-interval"),
             pytest.param({"displacements": [1]}, r"^displacements must be a mapping, got list$", id="list-displacements"),
             pytest.param(
                 {"results": [np.zeros((2, 2))] * 3},
@@ -858,7 +895,7 @@ class TestTrackOutput:
         empty = SegmentationResult(fusion.fuse(np.full((3, 3), -745.0), np.zeros((3, 3))))
         assert (full.prob == 1.0).all() and full.s_conf == 1.0 and full.mask.all()
         assert (empty.prob == 0.0).all() and empty.s_conf == 0.0 and not empty.mask.any()
-        track = TrackOutput([full, empty], TemporalInterval(0, 0))
+        track = TrackOutput([full, empty], (0, 0))
         assert [result.s_conf for result in track.results] == [1.0, 0.0]
 
     def test_keeps_its_own_vectors_in_frame_order(self):
@@ -888,7 +925,7 @@ class TestFinalize3d:
     def test_single_response_frame_is_its_own_ray(self):
         sc = gen_scenario(3, preset_params("geo"))
         gt = ground_truth_track(sc)
-        track = replace(gt, results=gt.results[:1], interval=TemporalInterval(0, 0))
+        track = replace(gt, results=gt.results[:1], interval=(0, 0))
         out = finalize_3d(track, sc.cameras, (sc.alignment_src, sc.alignment_dst))
         from vql.geo3d import align_sim3, backproject
 
@@ -924,7 +961,7 @@ class TestFinalize3d:
         sc = gen_scenario(3, preset_params("geo"))
         monkeypatch.setattr(geo3d, "align_sim3", None)
         with pytest.raises(ParameterError, match=rf"interval \[{interval[0]}, {interval[1]}\] leaves the track's frames \[0, 5\)"):
-            track = replace(ground_truth_track(sc), interval=TemporalInterval(*interval))
+            track = replace(ground_truth_track(sc), interval=interval)
             finalize_3d(track, sc.cameras, (sc.alignment_src, sc.alignment_dst))
 
     def test_inverts_the_alignment_once(self, monkeypatch):
