@@ -72,7 +72,6 @@ __all__ = [
     "reweight",
     "seg_loss",
     "seg_gradient",
-    "steepest_step_size",
     "steepest_descent",
     "amm_admit",
 ]
@@ -173,13 +172,6 @@ def _gradient(gram: np.ndarray, cross: np.ndarray, sigma: np.ndarray) -> np.ndar
     return gram @ sigma - cross + RIDGE * sigma
 
 
-def _exact_step(g: np.ndarray, gram: np.ndarray, g_norm2: float) -> float:
-    """The exact line-search step along -g, given ||g||^2."""
-    if g_norm2 == 0.0:
-        raise ParameterError("step size is undefined for a zero gradient (already converged)")
-    return g_norm2 / (float(np.sum(g * (gram @ g))) + RIDGE * g_norm2)
-
-
 def seg_loss(kernel: np.ndarray, mem: Sequence[BankEntry]) -> float:
     """Weighted half-squared-error over the bank entries plus the ridge term."""
     gram, cross, energy = _bank_statistics(mem, kernel.shape)
@@ -193,14 +185,6 @@ def seg_gradient(kernel: np.ndarray, mem: Sequence[BankEntry]) -> np.ndarray:
     gram, cross, _ = _bank_statistics(mem, kernel.shape)
     sigma = kernel.reshape(cross.shape)
     return _gradient(gram, cross, sigma).reshape(kernel.shape)
-
-
-def steepest_step_size(g: np.ndarray, mem: Sequence[BankEntry]) -> float:
-    """Closed-form minimizer of the loss along the negative gradient direction."""
-    g = np.asarray(g, dtype=np.float64)
-    gram, _, _ = _bank_statistics(mem, g.shape)
-    g = g.reshape(gram.shape[0], g.shape[3])
-    return _exact_step(g, gram, float(np.sum(g**2)))
 
 
 def steepest_descent(kernel: np.ndarray, mem: Sequence[BankEntry], n_iter: int) -> np.ndarray:
@@ -218,7 +202,8 @@ def steepest_descent(kernel: np.ndarray, mem: Sequence[BankEntry], n_iter: int) 
         g_norm2 = float(np.sum(g**2))
         if np.sqrt(g_norm2) < GRADIENT_EPS:
             break
-        sigma = sigma - _exact_step(g, gram, g_norm2) * g
+        # the exact line-search step along -g
+        sigma = sigma - g_norm2 / (float(np.sum(g * (gram @ g))) + RIDGE * g_norm2) * g
     if sigma is not start:
         frozen_in_place(sigma)
     return frozen_array(sigma.reshape(kernel.shape), np.float64)

@@ -194,7 +194,7 @@ def im2col(x: np.ndarray, ksz: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise DimensionError(f"feature map must be (H, W, C), got {x.shape}")
-    if ksz < 1 or ksz % 2 == 0:
+    if as_index(ksz, "kernel size") < 1 or ksz % 2 == 0:
         raise ParameterError(f"kernel size must be odd and positive, got {ksz}")
     h, w, c = x.shape
     xp = _zero_border(x, ksz // 2)
@@ -386,7 +386,7 @@ def median_filter_1d(seq: Sequence[float], window: int) -> np.ndarray:
     ``np.median`` over a sliding-window view; only the at most
     2 * (window // 2) shrunk ones are taken one at a time.
     """
-    if window % 2 == 0 or window <= 0:
+    if as_index(window, "window") <= 0 or window % 2 == 0:
         raise ParameterError(f"window must be odd and positive, got {window}")
     values = np.asarray(seq, dtype=np.float64)
     if values.ndim != 1 or values.size == 0:
@@ -412,6 +412,14 @@ def last_run(flags: Sequence[bool]) -> tuple[int, int] | None:
     return (int(false[-1]) + 1 if false.size else 0, end)
 
 
+def _output_size(out_hw: Sequence[int]) -> tuple[int, int]:
+    """A resampler's (rows, columns), each an integer of at least 1."""
+    oh, ow = (as_index(n, "output size") for n in out_hw)
+    if min(oh, ow) < 1:
+        raise ParameterError(f"output size must be at least 1 x 1, got {(oh, ow)}")
+    return oh, ow
+
+
 @lru_cache(maxsize=None)
 def _bilinear_taps(n_in: int, n_out: int) -> tuple[np.ndarray, ...]:
     """Source indices i0, i1 and weights 1 - t, t of a pixel-center-aligned resample of one axis (read-only)."""
@@ -429,10 +437,11 @@ def bilinear_resize(data: np.ndarray, out_hw: Sequence[int]) -> np.ndarray:
     source row and the row pass reads its results. Each axis's indices and
     weights are built once per pair of sizes.
     """
+    oh, ow = _output_size(out_hw)
     data = np.asarray(data, dtype=np.float64)
     h, w = data.shape[:2]
-    y0, y1, vy, wy = _bilinear_taps(h, int(out_hw[0]))
-    x0, x1, vx, wx = _bilinear_taps(w, int(out_hw[1]))
+    y0, y1, vy, wy = _bilinear_taps(h, oh)
+    x0, x1, vx, wx = _bilinear_taps(w, ow)
     if data.ndim == 3:
         vy, wy, vx, wx = vy[:, None], wy[:, None], vx[:, None], wx[:, None]
     # columns first, on every source row, then rows
@@ -442,9 +451,9 @@ def bilinear_resize(data: np.ndarray, out_hw: Sequence[int]) -> np.ndarray:
 
 def nearest_resize(data: np.ndarray, out_hw: Sequence[int]) -> np.ndarray:
     """Nearest-neighbor resample; keeps binary masks binary."""
+    oh, ow = _output_size(out_hw)
     data = np.asarray(data)
     h, w = data.shape[:2]
-    oh, ow = int(out_hw[0]), int(out_hw[1])
     ry = np.minimum((np.floor((np.arange(oh) + 0.5) * (h / oh))).astype(int), h - 1)
     rx = np.minimum((np.floor((np.arange(ow) + 0.5) * (w / ow))).astype(int), w - 1)
     return data[ry][:, rx]

@@ -209,13 +209,11 @@ def aggregate(points: np.ndarray, weights: Sequence[float]) -> np.ndarray:
     ``weights`` holds one fused weight s_conf * g_conf per point, each finite and
     non-negative, so the average lies in the points' convex hull.
     """
-    points = np.asarray(points, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if points.size == 0 == weights.size:
+    if np.size(points) == 0 == np.size(weights):
         raise DegenerateGeometryError("no points to aggregate")
-    if points.ndim != 2 or points.shape[1] != 3 or weights.shape != points.shape[:1]:
-        raise DimensionError(f"need (N, 3) points and N weights, got {points.shape} and {weights.shape}")
     points, weights = checked_array(points, "points", (-1, 3)), checked_array(weights, "weights", (-1,))
+    if len(weights) != len(points):
+        raise DimensionError(f"need one weight per point, got {len(weights)} weights for {len(points)} points")
     if (weights < 0).any():
         raise ParameterError(f"weights must be non-negative, got {weights.min()}")
     total = float(weights.sum())

@@ -437,6 +437,8 @@ def finalize_3d(
     valid depth at its centroid. ``cameras[t]`` is frame t's camera, None
     where the frame has none, and its depth map must be on the track's
     canvas; ``TrackOutput`` keeps the interval inside the track's frames.
+    A track with no interval, or no interval frame whose view has a positive
+    weight, is a NoDetectionError.
     """
     canvas = track.results[0].prob.shape
     for t, camera in enumerate(cameras):
@@ -467,6 +469,9 @@ def finalize_3d(
 
     if not frames:
         raise NoDetectionError("no interval frame had a usable mask and depth")
+    # a zero-weight frame beside a positive one keeps its displacement; with no positive weight there is no point
+    if max(weights) == 0.0:
+        raise NoDetectionError("every usable interval frame has a fused weight of zero")
     world_point = geo3d.aggregate(points, weights)
     # every displacement starts from the one point taken back to the reconstruction frame
     recon_point = t_eta.inverse().apply(world_point)

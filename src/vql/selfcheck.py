@@ -3,9 +3,11 @@
 Each check pairs a production code path with a second, deliberately naive
 route to the same number: direct summation loops for convolutions, central
 finite differences for gradients, dense normal equations for optimizer
-targets, exhaustive line scans for step sizes, union-find labeling for
-components, and hand-built replay streams for the memory policies. A check
-returns (passed, detail) and never raises on a mere mismatch.
+targets, exhaustive line scans for step sizes (the step one
+``amm.steepest_descent`` iteration takes, and ``glm.gauss_newton_step``'s),
+union-find labeling for components, and hand-built replay streams for the
+memory policies. A check returns (passed, detail) and never raises on a
+mere mismatch.
 
 The registry maps check names to zero-argument callables; the CLI runs the
 whole table (optionally filtered) and the acceptance tests re-run the
@@ -525,13 +527,20 @@ def check_seg_stationarity(seed=10):
     return norm < 1e-8, f"gradient norm at closed-form optimum: {norm:.3e}"
 
 
+def descent_step(kernel: np.ndarray, samples) -> tuple[np.ndarray, float]:
+    """The gradient g at ``kernel`` and the step alpha along -g that one ``amm.steepest_descent``
+    iteration takes: <sigma0 - sigma1, g> / ||g||^2."""
+    g = amm.seg_gradient(kernel, samples)
+    moved = kernel - amm.steepest_descent(kernel, samples, 1)
+    return g, float(np.sum(moved * g)) / float(np.sum(g**2))
+
+
 def check_steepest_step_scan(n_instances=5, seed=11, scan_points=10_000):
     rng = np.random.default_rng(seed)
     for _ in range(n_instances):
         samples, _ = _random_amm_instance(rng, n_samples=1, ksz=1, channels=1, size=4)
         kernel = rng.uniform(-1, 1, size=(1, 1, 1, 3))
-        g = amm.seg_gradient(kernel, samples)
-        alpha = amm.steepest_step_size(g, samples)
+        g, alpha = descent_step(kernel, samples)
         lambdas = np.linspace(0.0, 2.0 * alpha, scan_points)
         losses = [amm.seg_loss(kernel - lam * g, samples) for lam in lambdas]
         at_alpha = amm.seg_loss(kernel - alpha * g, samples)
@@ -552,14 +561,13 @@ def check_steepest_special_cases():
     w = amm.BACKGROUND_WEIGHT + (amm.FOREGROUND_WEIGHT - amm.BACKGROUND_WEIGHT) * float(
         gaussian_blur_dense(one, amm.BLUR_SIGMA)[0, 0]
     )
-    g = np.array([[[[0.7, -0.3, 0.2]]]])
-    alpha = amm.steepest_step_size(g, [sample])
+    _, alpha = descent_step(np.zeros((1, 1, 1, 3)), [sample])
     want = 1.0 / (w**2 + amm.RIDGE)
     if abs(alpha - want) > 1e-12:
         return False, f"identity case alpha {alpha} != 1/(w^2 + delta) = {want}"
-    # zero features, pure ridge: alpha = 1 / delta
+    # zero features, pure ridge: the gradient is delta * sigma and alpha = 1 / delta
     blank = seg_entry(np.zeros((1, 1, 1)), one)
-    alpha = amm.steepest_step_size(g, [blank])
+    _, alpha = descent_step(np.array([[[[0.7, -0.3, 0.2]]]]), [blank])
     if abs(alpha - 1.0 / amm.RIDGE) > 1e-12:
         return False, f"pure ridge alpha {alpha} != 1/delta = {1.0 / amm.RIDGE}"
     return True, "alpha = 1/(w^2 + delta) (identity) and alpha = 1/delta (ridge) exact"
@@ -758,11 +766,17 @@ def check_gauss_newton_convergence(n_instances=3, seed=20, n_iter=50, tol=1e-6):
         samples, _ = _random_glm_instance(rng, ksz=1, channels=2, size=4, region="ones")
         shape = (1, 1, 2, 1)
         best = glm.track_loss(solve_track_normal_equations(samples, shape), samples)
-        kernel = glm.optimize_filter(np.zeros(shape), samples, n_iter)
-        gap = glm.track_loss(kernel, samples) - best
+        kernel = np.zeros(shape)
+        losses = [glm.track_loss(kernel, samples)]
+        for _ in range(n_iter):
+            kernel = glm.optimize_filter(kernel, samples, 1)
+            losses.append(glm.track_loss(kernel, samples))
+        if any(b > a + 1e-12 for a, b in zip(losses, losses[1:])):
+            return False, "loss increased during Gauss-Newton"
+        gap = losses[-1] - best
         if gap > tol:
             return False, f"loss gap to WLS-ridge optimum {gap:.3e} > {tol}"
-    return True, f"converged to the WLS-ridge optimum within {tol}"
+    return True, f"reached WLS-ridge optimum within {tol} on {n_instances} instances, loss non-increasing"
 
 
 def check_optimize_filter_monotone(n_instances=100, seed=21, n_iter=8):

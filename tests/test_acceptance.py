@@ -11,13 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from vql import amm, fileio, glm, metrics
+from vql import fileio, metrics
 from vql.fusion import temporal_localize
 from vql.pipeline import Pipeline, PipelineConfig
 from vql.scenario import ScenarioParams, gen_scenario, ground_truth_track, preset_params
 from vql.selfcheck import (
     check_amm_fifo_replay,
     check_gauss_newton_beta_scan,
+    check_gauss_newton_convergence,
     check_gauss_newton_ridge_case,
     check_geo_aggregation,
     check_geo_weight_suppression,
@@ -27,14 +28,12 @@ from vql.selfcheck import (
     check_seg_gradient_fd,
     check_sim3_noisy,
     check_sim3_recovery,
+    check_steepest_convergence,
     check_steepest_special_cases,
     check_steepest_step_scan,
+    check_temporal_localize,
     check_track_gradient_fd,
     check_update_cadence,
-    seg_entry,
-    solve_seg_normal_equations,
-    solve_track_normal_equations,
-    track_entry,
 )
 
 
@@ -62,51 +61,9 @@ def test_criterion_02_exact_line_search():
 
 
 def test_criterion_03_convergence_to_closed_form():
-    rng = np.random.default_rng(104)
-    worst_seg_gap = worst_trk_gap = 0.0
-    for _ in range(10):
-        # steepest descent against the dense ridge solution on 4x4 maps
-        samples = [
-            seg_entry(
-                rng.uniform(-1, 1, size=(4, 4, 2)),
-                (rng.random((4, 4)) > 0.5).astype(np.uint8),
-            )
-            for _ in range(int(rng.integers(1, 3)))
-        ]
-        shape = (1, 1, 2, 3)
-        target = amm.seg_loss(solve_seg_normal_equations(samples, shape), samples)
-        kernel = np.zeros(shape)
-        prev = amm.seg_loss(kernel, samples)
-        for _ in range(200):
-            kernel = amm.steepest_descent(kernel, samples, 1)
-            cur = amm.seg_loss(kernel, samples)
-            assert cur <= prev + 1e-12, "steepest descent loss increased"
-            prev = cur
-        worst_seg_gap = max(worst_seg_gap, prev - target)
-
-        # safeguarded Gauss-Newton on the pure quadratic (S == 1) case
-        gsamples = [
-            track_entry(
-                rng.uniform(-1, 1, size=(4, 4, 2)),
-                np.clip(rng.random((4, 4)), 0.01, 1.0),
-                np.ones((4, 4)),
-            )
-            for _ in range(int(rng.integers(1, 3)))
-        ]
-        target = glm.track_loss(solve_track_normal_equations(gsamples, (1, 1, 2, 1)), gsamples)
-        kernel = np.zeros((1, 1, 2, 1))
-        prev = glm.track_loss(kernel, gsamples)
-        for _ in range(50):
-            kernel = glm.optimize_filter(kernel, gsamples, 1)
-            cur = glm.track_loss(kernel, gsamples)
-            assert cur <= prev + 1e-12, "Gauss-Newton loss increased"
-            prev = cur
-        worst_trk_gap = max(worst_trk_gap, prev - target)
-    report(
-        "3 convergence to closed form",
-        worst_seg_gap < 1e-6 and worst_trk_gap < 1e-6,
-        f"worst loss gaps: steepest {worst_seg_gap:.2e}, Gauss-Newton {worst_trk_gap:.2e} (both < 1e-6)",
-    )
+    ok_seg, detail_seg = check_steepest_convergence(n_instances=10, seed=104)
+    ok_trk, detail_trk = check_gauss_newton_convergence(n_instances=10, seed=104)
+    report("3 convergence to closed form", ok_seg and ok_trk, f"steepest: {detail_seg}; Gauss-Newton: {detail_trk}")
 
 
 def test_criterion_04_gauss_newton_step_size():
@@ -195,8 +152,7 @@ def test_criterion_09_end_to_end_3d():
 
 
 def test_criterion_10_temporal_localization():
-    two_plateaus = [0.0] * 10 + [1.0] * 11 + [0.0] * 19 + [1.0] * 11 + [0.0] * 5
-    last_ok = temporal_localize(two_plateaus) == (40, 50)
+    ok_registry, detail_registry = check_temporal_localize()
 
     rng = np.random.default_rng(108)
     seq = np.abs(rng.normal(size=60)) + 0.01
@@ -210,8 +166,8 @@ def test_criterion_10_temporal_localization():
 
     report(
         "10 temporal localization",
-        last_ok and scale_ok and hand_ok,
-        f"last plateau (40, 50): {last_ok}; scale invariance: {scale_ok}; "
+        ok_registry and scale_ok and hand_ok,
+        f"{detail_registry}; scale invariance under 0.5, 3 and 17: {scale_ok}; "
         f"median/threshold hand case (3, 5): {hand_ok}",
     )
 

@@ -46,7 +46,6 @@ class TestEntryChecks:
         "solve",
         [
             pytest.param(lambda k: amm.steepest_descent(k, [], 3), id="steepest_descent"),
-            pytest.param(lambda k: amm.steepest_step_size(k, []), id="steepest_step_size"),
             pytest.param(lambda k: amm.seg_loss(k, []), id="seg_loss"),
             pytest.param(lambda k: amm.seg_gradient(k, []), id="seg_gradient"),
         ],
@@ -109,13 +108,6 @@ class TestSegGradient:
         for t in (0.5, 2.0):
             g = amm.seg_gradient(t * kernel, samples)
             np.testing.assert_allclose(g, amm.RIDGE * t * kernel, rtol=0, atol=1e-15)
-
-
-class TestSteepestStepSize:
-    def test_zero_gradient_signals_converged(self):
-        sample = seg_entry(np.ones((2, 2, 1)), np.ones((2, 2), dtype=np.uint8))
-        with pytest.raises(ParameterError, match="converged"):
-            amm.steepest_step_size(np.zeros((1, 1, 1, 3)), [sample])
 
 
 class TestSteepestDescent:

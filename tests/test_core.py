@@ -131,6 +131,14 @@ class TestIm2col:
         assert rows.flags.c_contiguous
         np.testing.assert_array_equal(rows, want.reshape(h * w, -1))
 
+    @pytest.mark.parametrize(
+        "ksz,message",
+        [(3.0, "an integer"), (True, "an integer"), ("3", "an integer"), (0, "odd and positive"), (2, "odd and positive")],
+    )
+    def test_kernel_size_must_be_an_odd_positive_integer(self, ksz, message):
+        with pytest.raises(core.ParameterError, match=f"^kernel size must be {message}"):
+            core.im2col(np.ones((4, 4, 2)), ksz)
+
 
 def entry_maps(size=5, channels=2):
     """Valid maps for a BankEntry, by field name."""
@@ -441,6 +449,11 @@ class TestMedianFilter:
         with pytest.raises(core.ParameterError):
             core.median_filter_1d([1.0, 2.0], 4)
 
+    @pytest.mark.parametrize("window,message", [(3.0, "an integer"), (True, "an integer"), (-1, "odd and positive")])
+    def test_window_must_be_an_odd_positive_integer(self, window, message):
+        with pytest.raises(core.ParameterError, match=f"^window must be {message}"):
+            core.median_filter_1d([1.0, 2.0, 3.0], window)
+
     @given(
         st.lists(st.floats(-100, 100), min_size=1, max_size=30),
         st.sampled_from([1, 3, 5, 7]),
@@ -526,6 +539,23 @@ class TestCropResize:
         taps = core._bilinear_taps(9, 32)
         assert core._bilinear_taps(9, 32) is taps
         assert not any(a.flags.writeable for a in taps)
+
+    BAD_SIZES = [
+        pytest.param((2.5, 3), "an integer", id="float"),
+        pytest.param((True, 3), "an integer", id="bool"),
+        pytest.param((0, 3), "at least 1 x 1", id="zero"),
+        pytest.param((3, -1), "at least 1 x 1", id="negative"),
+    ]
+
+    @pytest.mark.parametrize("out_hw,message", BAD_SIZES)
+    def test_bilinear_size_must_be_a_positive_integer(self, out_hw, message):
+        with pytest.raises(core.ParameterError, match=f"^output size must be {message}"):
+            core.bilinear_resize(np.ones((4, 4, 2)), out_hw)
+
+    @pytest.mark.parametrize("out_hw,message", BAD_SIZES)
+    def test_nearest_size_must_be_a_positive_integer(self, out_hw, message):
+        with pytest.raises(core.ParameterError, match=f"^output size must be {message}"):
+            core.nearest_resize(np.ones((4, 4)), out_hw)
 
     def test_nearest_keeps_binary(self):
         mask = (rng(12).random((9, 9)) > 0.5).astype(np.uint8)

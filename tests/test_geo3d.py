@@ -293,16 +293,16 @@ class TestAggregate:
             geo3d.aggregate([], [])
 
     @pytest.mark.parametrize(
-        "points,weights",
+        "points,weights,message",
         [
-            pytest.param([[0.0, 0.0, 0.0]], [0.5, 0.5], id="more-weights"),
-            pytest.param([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], [0.5], id="fewer-weights"),
-            pytest.param([0.0, 0.0, 0.0], [0.5], id="one-vector"),
-            pytest.param([[0.0, 0.0]], [0.5], id="2d-points"),
+            pytest.param([[0.0, 0.0, 0.0]], [0.5, 0.5], "need one weight per point, got 2 weights for 1 points", id="more-weights"),
+            pytest.param([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], [0.5], "need one weight per point, got 1 weights for 2 points", id="fewer-weights"),
+            pytest.param([0.0, 0.0, 0.0], [0.5], r"points must be of shape \(-1, 3\), got shape \(3,\)", id="one-vector"),
+            pytest.param([[0.0, 0.0]], [0.5], r"points must be of shape \(-1, 3\), got shape \(1, 2\)", id="2d-points"),
         ],
     )
-    def test_shape_mismatch(self, points, weights):
-        with pytest.raises(DimensionError, match="need \\(N, 3\\) points and N weights"):
+    def test_shape_mismatch(self, points, weights, message):
+        with pytest.raises(DimensionError, match=f"^{message}$"):
             geo3d.aggregate(points, weights)
 
     @pytest.mark.parametrize(

@@ -1674,6 +1674,20 @@ class TestCli:
         assert lifted.world_point is None and lifted.displacements == {}
         assert lifted.interval == track.interval
 
+    def test_run3d_with_every_weight_zero_writes_no_world_point(self, tmp_path, capsys):
+        # every view corrupt and zeta 100: each fused weight underflows to 0, so no point can be lifted
+        sc = gen_scenario(7, replace(preset_params("geo"), corrupt_views=(0, 1, 2, 3, 4)))
+        scenario_path, track_path, out3d = tmp_path / "geo.npz", tmp_path / "track.npz", tmp_path / "track3d.npz"
+        config_path = tmp_path / "zeta.json"
+        fileio.save_scenario(sc, str(scenario_path))
+        fileio.save_track(ground_truth_track(sc), str(track_path))
+        fileio.save_config(PipelineConfig(zeta=100.0), str(config_path))
+        args = ["run3d", "--scenario", str(scenario_path), "--track", str(track_path), "--config", str(config_path)]
+        assert self.run_cli(*args, "--out", str(out3d)) == 0
+        assert "every usable interval frame has a fused weight of zero" in capsys.readouterr().out
+        assert fileio.load_track(str(out3d)).world_point is None
+        assert self.run_cli("eval", "--scenario", str(scenario_path), "--track", str(out3d), "--metrics-3d", "--json") == 0
+
     def test_run3d_without_alignment_exits_2(self, tmp_path, capsys):
         sc = small_identity()
         scenario_path, track_path = tmp_path / "identity.npz", tmp_path / "track.npz"

@@ -955,6 +955,18 @@ class TestFinalize3d:
         with pytest.raises(NoDetectionError, match="no interval frame had a usable mask and depth"):
             finalize_3d(ground_truth_track(sc), cameras, (sc.alignment_src, sc.alignment_dst))
 
+    def test_every_weight_zero_raises(self):
+        # exp(-100 * CORRUPT_UNCERTAINTY) underflows to 0 in every view: no view can weight the point
+        sc = gen_scenario(7, replace(preset_params("geo"), corrupt_views=(0, 1, 2, 3, 4)))
+        with pytest.raises(NoDetectionError, match="^every usable interval frame has a fused weight of zero$"):
+            finalize_3d(ground_truth_track(sc), sc.cameras, (sc.alignment_src, sc.alignment_dst), PipelineConfig(zeta=100.0))
+
+    def test_zero_weight_view_keeps_its_displacement(self):
+        sc = gen_scenario(7, replace(preset_params("geo"), corrupt_views=(0, 1)))
+        out = finalize_3d(ground_truth_track(sc), sc.cameras, (sc.alignment_src, sc.alignment_dst), PipelineConfig(zeta=100.0))
+        assert set(out.displacements) == {0, 1, 2, 3, 4}
+        np.testing.assert_allclose(out.world_point, sc.gt_point, atol=1e-6)
+
     @pytest.mark.parametrize("interval", [pytest.param((0, 999), id="past-end"), pytest.param((-3, 2), id="negative-start")])
     def test_interval_outside_the_track_raises(self, interval, monkeypatch):
         # the track is refused as it is built, so no alignment is fitted and nothing is lifted
